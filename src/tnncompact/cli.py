@@ -15,8 +15,8 @@ from pathlib import Path
 from . import serialize as ser
 from .cells import classify, sample_cell
 from .exterior import UnsupportedStratumError
-from .matgroup import GroupMatrix
-from .strata import torus_limit
+from .matgroup import GroupError, GroupMatrix
+from .strata import StrataError, torus_limit
 from .tnn import is_totally_nonneg, is_totally_positive
 from .verify import SUITES, VerifyConfig, run_suite
 from .weyl import ParabolicSubset
@@ -56,6 +56,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
+        return EXIT_USAGE
     data = json.loads(Path(args.label_file).read_text())
     try:
         label = ser.label_from_json(
@@ -208,7 +211,9 @@ def main(argv=None) -> int:
     except UnsupportedStratumError as e:
         print(f"unsupported stratum: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (OSError, json.JSONDecodeError, ser.SchemaError) as e:
+    except (
+        OSError, json.JSONDecodeError, ser.SchemaError, GroupError, StrataError
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,14 +2,16 @@
 
 Everything in this package runs over ``fractions.Fraction``; there are no
 floating point kernels and no tolerances.  Matrices are stored as tuples of
-row tuples.  Rank is computed by fraction-free (Bareiss) elimination after
-clearing denominators, so pivot decisions are exact integer zero-tests.
+row tuples.  Determinant and rank are computed by fraction-free (Bareiss)
+elimination after clearing denominators, so pivot decisions are exact
+integer zero-tests and no Fraction is built inside the elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -62,10 +64,17 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     nb, mb = dims(b)
     if ma != nb:
         raise ValueError(f"shape mismatch {dims(a)} @ {dims(b)}")
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    zero = Fraction(0)
+    out = []
+    for row in a:
+        acc = [zero] * mb
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
@@ -80,37 +89,46 @@ def scale(m: Matrix, c: Fraction) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in m)
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
 def submatrix(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
     return tuple(tuple(m[i][j] for j in cols) for i in rows)
 
 
+def _integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, as ints, and the product
+    of those multipliers (so det(m) = det(rows) / product)."""
+    rows = []
+    scales = 1
+    for row in m:
+        l = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (l // x.denominator) for x in row])
+        scales *= l
+    return rows, scales
+
+
 def det(m: Matrix) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
+    """Determinant by integer Bareiss elimination (denominators cleared)."""
     n, nc = dims(m)
     if n != nc:
         raise ValueError("determinant of non-square matrix")
-    a = [list(row) for row in m]
+    a, scales = _integer_rows(m)
     sign = 1
-    result = Fraction(1)
+    prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             return Fraction(0)
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        result *= a[k][k]
-        inv = 1 / a[k][k]
+        pk = a[k]
+        p = pk[k]
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return sign * result
+            ai = a[i]
+            f = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (p * ai[j] - f * pk[j]) // prev
+        prev = p
+    return Fraction(sign * prev, scales)
 
 
 def minor(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
@@ -150,12 +168,7 @@ def rank(m: Matrix) -> int:
     nr, nc = dims(m)
     if nr == 0 or nc == 0:
         return 0
-    a = []
-    for row in m:
-        l = 1
-        for x in row:
-            l = l * x.denominator // _gcd(l, x.denominator)
-        a.append([int(x * l) for x in row])
+    a, _ = _integer_rows(m)
     r = 0
     prev = 1
     for c in range(nc):
@@ -174,12 +187,6 @@ def rank(m: Matrix) -> int:
     return r
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def is_upper_triangular(m: Matrix) -> bool:
     n, _ = dims(m)
     return all(m[i][j] == 0 for i in range(n) for j in range(i))
@@ -194,13 +201,6 @@ def is_diagonal(m: Matrix) -> bool:
     return all(m[i][j] == 0 for i in range(n) for j in range(n) if i != j)
 
 
-def block_of(i: int, blocks: Sequence[Sequence[int]]) -> int:
-    for k, blk in enumerate(blocks):
-        if i in blk:
-            return k
-    raise ValueError(f"index {i} not covered by blocks")
-
-
 def is_block_upper(m: Matrix, blocks: Sequence[Sequence[int]]) -> bool:
     """Zero below the block diagonal (blocks given as 0-based index lists)."""
     lookup = {i: k for k, blk in enumerate(blocks) for i in blk}
@@ -212,19 +212,6 @@ def is_block_upper(m: Matrix, blocks: Sequence[Sequence[int]]) -> bool:
 
 def is_block_lower(m: Matrix, blocks: Sequence[Sequence[int]]) -> bool:
     return is_block_upper(transpose(m), blocks)
-
-
-def is_block_scalar(m: Matrix, blocks: Sequence[Sequence[int]]) -> bool:
-    """Each diagonal block a scalar matrix, zero elsewhere."""
-    lookup = {i: k for k, blk in enumerate(blocks) for i in blk}
-    n, _ = dims(m)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if m[i][j] != 0:
-                return False
-    return all(m[i][i] == m[blk[0]][blk[0]] for blk in blocks for i in blk)
 
 
 def ldu(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:

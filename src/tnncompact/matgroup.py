@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from . import linalg as la
 from .linalg import FactorizationError, Matrix, frac
-from .weyl import ParabolicSubset, WeylElement, longest_w
+from .weyl import ParabolicSubset, WeylElement, longest_w, simple_reflection
 
 
 class GroupError(Exception):
@@ -119,17 +120,26 @@ def torus(values: Sequence) -> GroupMatrix:
 
 def sdot(n: int, i: int) -> GroupMatrix:
     """ṡ_i = x_i(-1) y_i(1) x_i(-1), a signed permutation matrix."""
-    return generator_x(n, i, -1) @ generator_y(n, i, 1) @ generator_x(n, i, -1)
+    if not 1 <= i <= n - 1:
+        raise GroupError(f"generator index {i} out of range for n={n}")
+    return wdot(simple_reflection(n, i))
 
 
 def wdot(w: WeylElement) -> GroupMatrix:
-    """ẇ from any reduced word (independent of the choice)."""
-    from .weyl import lex_min_reduced_word
+    """ẇ = ṡ_{i_1}···ṡ_{i_l} for any reduced word of w (built in closed form)."""
+    return _signed_permutation(w.perm)
 
-    g = identity_g(w.n)
-    for i in lex_min_reduced_word(w).letters:
-        g = g @ sdot(w.n, i)
-    return g
+
+@lru_cache(maxsize=None)
+def _signed_permutation(perm: tuple[int, ...]) -> GroupMatrix:
+    """The matrix with entry (-1)^#{i<j : w(i) > w(j)} at (w(j), j), zero
+    elsewhere.  Shared between callers: GroupMatrix is immutable."""
+    n = len(perm)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for j, wj in enumerate(perm):
+        flips = sum(1 for wi in perm[:j] if wi > wj)
+        rows[wj - 1][j] = Fraction(-1 if flips % 2 else 1)
+    return GroupMatrix(la.mat(rows))
 
 
 def psi(g: GroupMatrix) -> GroupMatrix:

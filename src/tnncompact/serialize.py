@@ -41,7 +41,10 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
 def matrix_from_json(data) -> Matrix:
     if not isinstance(data, list) or not data:
         raise SchemaError("matrix must be a nonempty list of rows")
-    return mat([[parse_frac(x) for x in row] for row in data])
+    try:
+        return mat([[parse_frac(x) for x in row] for row in data])
+    except ValueError as e:
+        raise SchemaError(f"bad matrix: {e}") from e
 
 
 def group_to_json(g: GroupMatrix) -> list[list[str]]:

@@ -7,13 +7,11 @@ JSON witness so they can be replayed.  `run_all` drives every suite.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from . import serialize as ser
 from . import linalg as la
@@ -70,9 +68,6 @@ from .weyl import (
     positive_subexpression,
 )
 
-THREADS_ENV = "TNNCOMPACT_THREADS"
-
-
 @dataclass
 class SuiteReport:
     suite: str
@@ -101,21 +96,6 @@ class VerifyConfig:
     seeds: int = 5
     samples: int = 100
     base_seed: int = 20240
-    threads: int = 0
-
-    def thread_count(self) -> int:
-        if self.threads:
-            return self.threads
-        return int(os.environ.get(THREADS_ENV, "1"))
-
-
-def _map(cfg: VerifyConfig, fn: Callable, items: Iterable) -> list:
-    items = list(items)
-    k = cfg.thread_count()
-    if k <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))
 
 
 def _all_subsets(n: int) -> list[ParabolicSubset]:
@@ -212,16 +192,10 @@ def suite_census(cfg: VerifyConfig) -> SuiteReport:
 
 def suite_dimensions(cfg: VerifyConfig) -> SuiteReport:
     rep = SuiteReport("dimensions")
-
-    def check(item):
-        label, _ = item
-        return (label, jacobian_rank_check(label, cfg.base_seed))
-
     for n in range(2, cfg.n + 1):
-        results = _map(cfg, check, enumerate_cells(n))
-        for label, ok in results:
+        for label, _ in enumerate_cells(n):
             rep.cases += 1
-            if not ok:
+            if not jacobian_rank_check(label, cfg.base_seed):
                 rep.fail(
                     n=n,
                     label=ser.label_to_json(label),
@@ -380,28 +354,20 @@ def suite_marsh_rietsch(cfg: VerifyConfig) -> SuiteReport:
 
 def suite_roundtrip(cfg: VerifyConfig) -> SuiteReport:
     rep = SuiteReport("roundtrip")
-
-    def check(item):
-        label, _ = item
-        bad = []
-        for s in range(cfg.seeds):
-            seed = cfg.base_seed + 97 * s
-            _, z = sample_cell(label, seed)
-            got = classify(z)
-            if got != label:
-                bad.append((seed, got))
-        return (label, bad)
-
     for n in range(2, cfg.n + 1):
-        for label, bad in _map(cfg, check, enumerate_cells(n)):
+        for label, _ in enumerate_cells(n):
             rep.cases += cfg.seeds
-            for seed, got in bad:
-                rep.fail(
-                    n=n,
-                    label=ser.label_to_json(label),
-                    got=ser.label_to_json(got),
-                    seed=seed,
-                )
+            for s in range(cfg.seeds):
+                seed = cfg.base_seed + 97 * s
+                _, z = sample_cell(label, seed)
+                got = classify(z)
+                if got != label:
+                    rep.fail(
+                        n=n,
+                        label=ser.label_to_json(label),
+                        got=ser.label_to_json(got),
+                        seed=seed,
+                    )
     return rep
 
 

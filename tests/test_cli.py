@@ -179,3 +179,49 @@ def test_cli_bad_file_is_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["classify", "--point-file", str(bad)]) == 2
+
+
+IDENTITY_2 = [["1", "0"], ["0", "1"]]
+SWAP_2 = [["0", "-1"], ["1", "0"]]
+BAD_INPUTS = {
+    "tp-check-det-not-one": ("tp-check", "--matrix-file", [["2", "0"], ["0", "1"]]),
+    "tp-check-not-square": ("tp-check", "--matrix-file", [["1", "0", "0"], ["0", "1", "0"]]),
+    "tp-check-ragged-rows": ("tp-check", "--matrix-file", [["1", "0"], ["0"]]),
+    "classify-det-not-one": (
+        "classify",
+        "--point-file",
+        {"v": 1, "n": 2, "J": [], "a": [["2", "0"], ["0", "1"]], "b": IDENTITY_2, "g": IDENTITY_2},
+    ),
+    "classify-not-opposed": (
+        "classify",
+        "--point-file",
+        {"v": 1, "n": 2, "J": [], "a": IDENTITY_2, "b": IDENTITY_2, "g": SWAP_2},
+    ),
+    "limit-negative-exponent": (
+        "limit",
+        "--curve-file",
+        {"v": 1, "g1": IDENTITY_2, "c": [-1], "g2": IDENTITY_2},
+    ),
+}
+
+
+def assert_usage_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_cli_bad_input_is_one_line_usage_error(case, tmp_path, capsys):
+    command, flag, payload = BAD_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    assert_usage_error(main([command, flag, str(path)]), capsys)
+
+
+def test_cli_sample_rejects_negative_seed(tmp_path, capsys):
+    label_file = tmp_path / "label.json"
+    label = top_label(ParabolicSubset.of(2, [1]))
+    label_file.write_text(json.dumps({"n": 2, "label": ser.label_to_json(label)}))
+    assert_usage_error(main(["sample", "--label-file", str(label_file), "--seed", "-5"]), capsys)

@@ -153,3 +153,107 @@ def test_reversal_involution():
     m = la.mat([[i * 4 + j for j in range(4)] for i in range(4)])
     rr = la.matmul(la.matmul(r, m), r)
     assert rr[0][0] == m[3][3] and rr[0][3] == m[3][0]
+
+
+# ---------------------------------------------------------------------------
+# oracles: Fraction Gaussian elimination, the naive row-by-column product and
+# Laplace expansion, checked against the integer kernels
+
+
+def gaussian_det(m):
+    n = len(m)
+    a = [list(row) for row in m]
+    sign = 1
+    result = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        result *= a[k][k]
+        inv = 1 / a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] * inv
+                for j in range(k, n):
+                    a[i][j] -= f * a[k][j]
+    return sign * result
+
+
+def laplace_det(m):
+    if not m:
+        return Fraction(1)
+    rest = [row[1:] for row in m]
+    return sum(
+        (-1) ** i * m[i][0] * laplace_det(rest[:i] + rest[i + 1 :])
+        for i in range(len(m))
+    )
+
+
+def naive_matmul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.fractions(max_denominator=10**15),
+)
+
+
+@st.composite
+def square_matrices(draw, max_n=5):
+    """Random rational matrices, a share of them singular by construction."""
+    n = draw(st.integers(1, max_n))
+    rows = [[draw(rationals) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["generic", "zero_row", "zero_col", "dependent"]))
+    i = draw(st.integers(0, n - 1))
+    if kind == "zero_row":
+        rows[i] = [Fraction(0)] * n
+    elif kind == "zero_col":
+        for row in rows:
+            row[i] = Fraction(0)
+    elif kind == "dependent" and n > 1:
+        others = [row for t, row in enumerate(rows) if t != i]
+        coefs = [draw(rationals) for _ in others]
+        rows[i] = [sum(c * row[j] for c, row in zip(coefs, others)) for j in range(n)]
+    return kind, la.mat(rows)
+
+
+@given(square_matrices())
+def test_det_matches_gaussian_oracle(case):
+    kind, m = case
+    d = la.det(m)
+    assert isinstance(d, Fraction)
+    assert d == gaussian_det(m)
+    if kind != "generic" and len(m) > 1:
+        assert d == 0
+
+
+@given(square_matrices(max_n=4))
+def test_det_matches_laplace(case):
+    _, m = case
+    assert la.det(m) == laplace_det(m)
+
+
+def test_det_empty_matrix_is_one():
+    assert la.det(()) == 1
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_matmul_matches_naive_oracle(p, q, r, data):
+    a = la.mat([[data.draw(rationals) for _ in range(q)] for _ in range(p)])
+    b = la.mat([[data.draw(rationals) for _ in range(r)] for _ in range(q)])
+    got = la.matmul(a, b)
+    assert got == naive_matmul(a, b)
+    assert la.dims(got) == (p, r)
+    assert all(isinstance(x, Fraction) for row in got for x in row)
+
+
+def test_matmul_shape_mismatch():
+    with pytest.raises(ValueError):
+        la.matmul(la.zeros(2, 3), la.zeros(2, 3))

@@ -347,3 +347,57 @@ def test_opposed_matches_two_sided_reduction():
         except FactorizationError:
             via_ldu = False
         assert via_lie == via_ldu, w
+
+
+# ---------------------------------------------------------------------------
+# closed-form Weyl matrices against products of generators
+
+
+def sdot_by_generators(n, i):
+    return generator_x(n, i, -1) @ generator_y(n, i, 1) @ generator_x(n, i, -1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sdot_matches_generator_product(n):
+    for i in range(1, n):
+        assert sdot(n, i).m == sdot_by_generators(n, i).m
+    with pytest.raises(GroupError):
+        sdot(n, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_wdot_matches_two_reduced_words(n):
+    from tnncompact.weyl import all_reduced_words
+
+    gens = {i: sdot_by_generators(n, i) for i in range(1, n)}
+    for w in all_weyl(n):
+        words = all_reduced_words(w)
+        for letters in {words[0], words[-1]}:
+            g = identity_g(n)
+            for i in letters:
+                g = g @ gens[i]
+            assert wdot(w).m == g.m, (w, letters)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_borel_minus_is_built_once(n, monkeypatch):
+    from tnncompact import matgroup
+
+    calls = {"matmul": 0, "det": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(la, "matmul", counting("matmul", la.matmul))
+    monkeypatch.setattr(la, "det", counting("det", la.det))
+    matgroup._signed_permutation.cache_clear()
+    first = borel_minus(n)
+    assert calls["det"] == 1 and calls["matmul"] == 0
+    calls.update(matmul=0, det=0)
+    second = borel_minus(n)
+    assert calls == {"matmul": 0, "det": 0}
+    assert second.g is first.g

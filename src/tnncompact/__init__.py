@@ -14,10 +14,7 @@ from .weyl import (
     WeylElement,
     bruhat_leq,
     inversion_set,
-    longest_element,
-    min_coset_reps,
     positive_subexpression,
-    star_of,
 )
 from .matgroup import (
     FlagPoint,

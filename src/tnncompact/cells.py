@@ -19,16 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
-from .dual import (
-    DMatrix,
-    Dual,
-    dmat_compound,
-    dmat_const,
-    dmat_identity,
-    dmat_mul,
-    dmat_transpose,
-)
-from .exterior import stratum_indicator
+from .dual import DMatrix, Dual, dmat_const, dmat_identity
+from .exterior import compounds, stratum_indicator
 from .matgroup import (
     FlagPoint,
     ParabolicPoint,
@@ -302,10 +294,10 @@ def _dual_mr(
             a = Dual.var(values[idx], offset + idx, nvars)
             f = dmat_identity(n, nvars)
             f = _set_entry(f, i, i - 1, a)
-            g = dmat_mul(g, f)
+            g = la.matmul(g, f)
             idx += 1
         else:
-            g = dmat_mul(g, dmat_const(sdot(n, i).m, nvars))
+            g = la.matmul(g, dmat_const(sdot(n, i).m, nvars))
     return g
 
 
@@ -328,7 +320,7 @@ def _dual_phi(
             f = _set_entry(f, i, i - 1, a)
         else:
             f = _set_entry(f, i - 1, i, a)
-        g = dmat_mul(g, f)
+        g = la.matmul(g, f)
     return g
 
 
@@ -344,7 +336,7 @@ def _dual_levi_torus(J: ParabolicSubset, values, offset: int, nvars: int) -> DMa
         rows[j - 1][j - 1] = a
         rows[j][j] = Dual.const(1, nvars) / a
         f = tuple(tuple(row) for row in rows)
-        g = dmat_mul(g, f)
+        g = la.matmul(g, f)
         idx += 1
     return g
 
@@ -392,12 +384,12 @@ def _jacobian_rank(label: CellLabel, rng: random.Random) -> int:
     o += n4
     lp = _dual_phi(wpl, vals[o : o + n5], o, nvars, lower=False)
     o += n5
-    g1 = dmat_mul(dmat_mul(dmat_mul(g, lm), lt), lp)
-    g2 = dmat_transpose(gp)
+    g1 = la.matmul(la.matmul(la.matmul(g, lm), lt), lp)
+    g2 = la.transpose(gp)
     rows: list[tuple[Fraction, ...]] = []
-    for k in range(1, n):
+    for k, (c1, c2) in enumerate(zip(compounds(g1, n - 1), compounds(g2, n - 1)), 1):
         dk = dmat_const(stratum_indicator(J, k), nvars)
-        nk = dmat_mul(dmat_mul(dmat_compound(g1, k), dk), dmat_compound(g2, k))
+        nk = la.matmul(la.matmul(c1, dk), c2)
         pivot = next(
             (x for row in nk for x in row if x.val != 0), None
         )

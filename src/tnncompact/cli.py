@@ -60,11 +60,13 @@ def cmd_sample(args) -> int:
         print("error: --seed must be nonnegative", file=sys.stderr)
         return EXIT_USAGE
     data = json.loads(Path(args.label_file).read_text())
+    if isinstance(data, dict):
+        data, n = data.get("label", data), data.get("n")
+    else:
+        n = None
     try:
-        label = ser.label_from_json(
-            data.get("label", data), n=data.get("n")
-        )
-    except Exception as e:  # noqa: BLE001
+        label = ser.label_from_json(data, n=n)
+    except ser.SchemaError as e:
         print(f"error: bad label file: {e}", file=sys.stderr)
         return EXIT_USAGE
     from .cells import EmptyCellError
@@ -93,7 +95,9 @@ def cmd_sample(args) -> int:
 
 def cmd_classify(args) -> int:
     data = json.loads(Path(args.point_file).read_text())
-    point = ser.point_from_json(data.get("point", data))
+    if isinstance(data, dict):
+        data = data.get("point", data)
+    point = ser.point_from_json(data)
     label = classify(point)
     from .cells import dimension_of
 

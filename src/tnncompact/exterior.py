@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from typing import Iterator
 
 from . import linalg as la
 from .linalg import Matrix
@@ -68,15 +70,67 @@ class FundamentalRep:
 
 
 def compound(m: Matrix, k: int) -> Matrix:
-    """k-th compound: entry (S, T) is the minor with rows S and columns T."""
-    n = len(m)
-    if not 0 <= k <= n:
-        raise ValueError(f"compound degree {k} out of range")
+    """k-th compound: entry (S, T) is the minor with rows S and columns T.
+    Degree 0 is the 1×1 matrix (1)."""
+    level: Matrix = ((Fraction(1),),)
+    for level in compounds(m, k):
+        pass
+    return level
+
+
+@lru_cache(maxsize=None)
+def _ladder_plan(n: int, k: int):
+    """Index plan for building degree-k minors from degree-(k-1) ones.
+
+    Rows: for each k-subset S (colex), its first element and the position of
+    S minus that element.  Columns: for each k-subset T, the triples
+    (t_j, position of T minus t_j, j odd) of the first-row expansion.
+    """
+    below = {s: i for i, s in enumerate(subsets_colex(n, k - 1))}
     subs = subsets_colex(n, k)
-    return tuple(
-        tuple(la.minor(m, [i - 1 for i in s], [j - 1 for j in t]) for t in subs)
-        for s in subs
+    rows = tuple((s[0] - 1, below[s[1:]]) for s in subs)
+    cols = tuple(
+        tuple((t[j] - 1, below[t[:j] + t[j + 1 :]], j % 2) for j in range(k))
+        for t in subs
     )
+    return rows, cols
+
+
+def compounds(m: Matrix, top: int) -> Iterator[Matrix]:
+    """Yield the compounds of degree 1, 2, ..., top of the square matrix m.
+
+    Degree k is built from degree k-1 by expanding each k-minor along its
+    first row, det m[S, T] = Σ_j (−1)^j m[s_1, t_j] · det m[S∖s_1, T∖t_j].
+    Only +, − and × are used and terms with a zero factor are skipped, so
+    entries may come from any commutative ring whose ``bool`` means "not
+    zero": Fraction, Laurent and Dual alike.
+    """
+    n = len(m)
+    if not 0 <= top <= n:
+        raise ValueError(f"compound degree {top} out of range")
+    if top == 0:
+        return
+    zero = m[0][0] - m[0][0]
+    prev = m
+    yield prev
+    for k in range(2, top + 1):
+        rows, cols = _ladder_plan(n, k)
+        level = []
+        for first, rest in rows:
+            a, minors = m[first], prev[rest]
+            out = []
+            for terms in cols:
+                acc = zero
+                for j, r, odd in terms:
+                    x = a[j]
+                    if x:
+                        y = minors[r]
+                        if y:
+                            acc = acc - x * y if odd else acc + x * y
+                out.append(acc)
+            level.append(tuple(out))
+        prev = tuple(level)
+        yield prev
 
 
 def levi_weight_indicator(n: int, k: int, J: ParabolicSubset) -> tuple[Matrix, int]:

@@ -5,12 +5,13 @@ floating point kernels and no tolerances.  Matrices are stored as tuples of
 row tuples.  Determinant and rank are computed by fraction-free (Bareiss)
 elimination after clearing denominators, so pivot decisions are exact
 integer zero-tests and no Fraction is built inside the elimination.
+``matmul`` and ``transpose`` use ring operations only, so they also serve
+the Laurent and dual-number matrices of ``laurent`` and ``dual``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -60,11 +61,13 @@ def dims(m: Matrix) -> tuple[int, int]:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Product over any commutative ring whose ``bool`` means "not zero"
+    (Fraction, Laurent, Dual); zero entries are skipped."""
     na, ma = dims(a)
     nb, mb = dims(b)
     if ma != nb:
         raise ValueError(f"shape mismatch {dims(a)} @ {dims(b)}")
-    zero = Fraction(0)
+    zero = a[0][0] - a[0][0] if na and ma else Fraction(0)
     out = []
     for row in a:
         acc = [zero] * mb
@@ -133,15 +136,6 @@ def det(m: Matrix) -> Fraction:
 
 def minor(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
     return det(submatrix(m, rows, cols))
-
-
-def all_minors(m: Matrix, k: int) -> list[Fraction]:
-    n, nc = dims(m)
-    return [
-        minor(m, rows, cols)
-        for rows in combinations(range(n), k)
-        for cols in combinations(range(nc), k)
-    ]
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -203,7 +203,7 @@ def pi_UminusJ(u: GroupMatrix, J: ParabolicSubset) -> GroupMatrix:
 # ---------------------------------------------------------------------------
 # flags and parabolic subgroups
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlagPoint:
     """Borel subgroup ^g B^+, stored by the conjugator g."""
 
@@ -218,8 +218,7 @@ class FlagPoint:
             return NotImplemented
         return la.is_upper_triangular((self.g.inverse() @ other.g).m)
 
-    def __hash__(self) -> int:
-        return hash(self.n)
+    __hash__ = None  # equality is coset equality; no canonical form to hash
 
     def conjugate(self, h: GroupMatrix) -> "FlagPoint":
         return FlagPoint(h @ self.g)
@@ -233,7 +232,7 @@ def borel_minus(n: int) -> FlagPoint:
     return FlagPoint(wdot(longest_w(n)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParabolicPoint:
     """Parabolic subgroup conjugate to P_J (standard side) or Q_J (opposite).
 
@@ -262,8 +261,7 @@ class ParabolicPoint:
             return False
         return self._member(self.g.inverse() @ other.g)
 
-    def __hash__(self) -> int:
-        return hash((self.J, self.opposite))
+    __hash__ = None  # equality is coset equality; no canonical form to hash
 
     def conjugate(self, h: GroupMatrix) -> "ParabolicPoint":
         return ParabolicPoint(self.J, h @ self.g, self.opposite)

@@ -2,6 +2,9 @@
 
 All writers produce byte-identical output for identical inputs: keys are
 emitted in a fixed order and rationals always carry an explicit denominator.
+Every reader raises SchemaError on malformed input: a wrong JSON type, a
+missing field, a JSON float (not exact), or matrices and permutations whose
+sizes disagree.
 """
 
 from __future__ import annotations
@@ -10,11 +13,11 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .cells import CellLabel, enumerate_cells
+from .cells import CellError, CellLabel, enumerate_cells
 from .linalg import Matrix, mat
 from .matgroup import GroupMatrix
 from .strata import CompactPoint
-from .weyl import ParabolicSubset, WeylElement
+from .weyl import ParabolicSubset, WeylElement, WeylError
 
 SCHEMA_VERSION = 1
 
@@ -27,7 +30,10 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
+def parse_frac(s: int | str) -> Fraction:
+    """A JSON integer or a "p/q" string; floats are refused as inexact."""
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
+        raise SchemaError(f"bad rational {s!r}: use an integer or a 'p/q' string")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as e:
@@ -39,7 +45,9 @@ def matrix_to_json(m: Matrix) -> list[list[str]]:
 
 
 def matrix_from_json(data) -> Matrix:
-    if not isinstance(data, list) or not data:
+    if not isinstance(data, list) or not data or not all(
+        isinstance(row, list) for row in data
+    ):
         raise SchemaError("matrix must be a nonempty list of rows")
     try:
         return mat([[parse_frac(x) for x in row] for row in data])
@@ -60,9 +68,10 @@ def weyl_to_json(w: WeylElement) -> list[int]:
 
 
 def weyl_from_json(data) -> WeylElement:
-    if not isinstance(data, list):
-        raise SchemaError("Weyl element must be a one-line integer list")
-    return WeylElement(tuple(int(x) for x in data))
+    try:
+        return WeylElement(tuple(_ints(data, "Weyl element")))
+    except WeylError as e:
+        raise SchemaError(str(e)) from e
 
 
 def point_to_json(z: CompactPoint) -> dict[str, Any]:
@@ -78,14 +87,12 @@ def point_to_json(z: CompactPoint) -> dict[str, Any]:
 
 def point_from_json(data) -> CompactPoint:
     _check_version(data)
-    n = int(data["n"])
-    J = ParabolicSubset.of(n, data["J"])
-    return CompactPoint(
-        J,
-        group_from_json(data["a"]),
-        group_from_json(data["b"]),
-        group_from_json(data["g"]),
-    )
+    n = _int(_field(data, "n"), "n")
+    J = _parabolic(n, _field(data, "J"))
+    a, b, g = (group_from_json(_field(data, key)) for key in ("a", "b", "g"))
+    if not a.n == b.n == g.n == n:
+        raise SchemaError(f"point matrices a, b, g must all be {n}x{n}")
+    return CompactPoint(J, a, b, g)
 
 
 def label_to_json(label: CellLabel, dim: int | None = None) -> dict[str, Any]:
@@ -104,18 +111,18 @@ def label_to_json(label: CellLabel, dim: int | None = None) -> dict[str, Any]:
 
 
 def label_from_json(data, n: int | None = None) -> CellLabel:
-    if n is None:
-        n = len(data["v"])
-    J = ParabolicSubset.of(n, data["J"])
-    return CellLabel(
-        J,
-        weyl_from_json(data["v"]),
-        weyl_from_json(data["w"]),
-        weyl_from_json(data["v2"]),
-        weyl_from_json(data["w2"]),
-        weyl_from_json(data["y"]),
-        weyl_from_json(data["y2"]),
-    )
+    if not isinstance(data, dict):
+        raise SchemaError("label must be a JSON object")
+    perms = [
+        weyl_from_json(_field(data, key)) for key in ("v", "w", "v2", "w2", "y", "y2")
+    ]
+    n = perms[0].n if n is None else _int(n, "n")
+    if any(p.n != n for p in perms):
+        raise SchemaError(f"label permutations must all be of 1..{n}")
+    try:
+        return CellLabel(_parabolic(n, _field(data, "J")), *perms)
+    except CellError as e:
+        raise SchemaError(str(e)) from e
 
 
 def cells_to_json(n: int, J: ParabolicSubset | None = None) -> dict[str, Any]:
@@ -130,10 +137,11 @@ def cells_to_json(n: int, J: ParabolicSubset | None = None) -> dict[str, Any]:
 
 def curve_from_json(data) -> tuple[GroupMatrix, tuple[int, ...], GroupMatrix]:
     _check_version(data)
-    g1 = group_from_json(data["g1"])
-    g2 = group_from_json(data["g2"])
-    c = tuple(int(x) for x in data["c"])
-    return g1, c, g2
+    g1 = group_from_json(_field(data, "g1"))
+    g2 = group_from_json(_field(data, "g2"))
+    if g1.n != g2.n:
+        raise SchemaError(f"g1 is {g1.n}x{g1.n} but g2 is {g2.n}x{g2.n}")
+    return g1, tuple(_ints(_field(data, "c"), "exponent")), g2
 
 
 def chart_to_json(chart, seed: int | None = None) -> dict[str, Any]:
@@ -177,3 +185,30 @@ def dumps(data) -> str:
 def _check_version(data) -> None:
     if not isinstance(data, dict) or data.get("v") != SCHEMA_VERSION:
         raise SchemaError(f"expected schema v={SCHEMA_VERSION}")
+
+
+def _field(data: dict, key: str):
+    if key not in data:
+        raise SchemaError(f"missing field {key!r}")
+    return data[key]
+
+
+def _int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise SchemaError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _ints(data, what: str) -> list[int]:
+    if not isinstance(data, list):
+        raise SchemaError(f"{what} must be a list of integers, got {data!r}")
+    return [_int(x, what) for x in data]
+
+
+def _parabolic(n: int, data) -> ParabolicSubset:
+    if n < 1:
+        raise SchemaError(f"n must be positive, got {n}")
+    try:
+        return ParabolicSubset.of(n, _ints(data, "J"))
+    except WeylError as e:
+        raise SchemaError(str(e)) from e

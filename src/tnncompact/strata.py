@@ -20,13 +20,13 @@ from . import linalg as la
 from .exterior import (
     EmbeddingData,
     UnsupportedStratumError,
-    compound,
+    compounds,
     embedding_data,
     proj_equal,
     strictly_signed,
     stratum_indicator,
 )
-from .laurent import Laurent, lmat_compound, lmat_from_rational, lmat_limit, lmat_mul
+from .laurent import Laurent, lmat_from_rational, lmat_limit
 from .linalg import FactorizationError, Matrix
 from .matgroup import GroupMatrix, identity_g, pi_factor
 from .tnn import is_tnn_matrix, is_totally_positive, phi_plus, rand_pos_fraction
@@ -45,7 +45,7 @@ class LimitVerificationError(StrataError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompactPoint:
     """Stratum point (^a P_J, ^b Q_J, H·g·U), carrying its stratum label J.
 
@@ -108,8 +108,7 @@ class CompactPoint:
             other_levi.m, self.J.blocks0()
         )
 
-    def __hash__(self) -> int:
-        return hash((self.J,))
+    __hash__ = None  # equality is coset equality; no canonical form to hash
 
     def __repr__(self) -> str:
         return f"CompactPoint(J={sorted(self.J.J)}, n={self.n})"
@@ -181,13 +180,19 @@ def fundamental_tuple(z: CompactPoint) -> list[Matrix]:
     """The image of z in every fundamental representation: the k-th entry is
     ρ_k(g1)·D_k·ρ_k(g2) with D_k the stratum's limit projector."""
     g1, g2 = action_pair(z)
-    out = []
-    for k in range(1, z.n):
-        dk = stratum_indicator(z.J, k)
-        out.append(
-            la.matmul(la.matmul(compound(g1.m, k), dk), compound(g2.m, k))
+    return _limit_images(z.J, g1, g2)
+
+
+def _limit_images(
+    J: ParabolicSubset, g1: GroupMatrix, g2: GroupMatrix
+) -> list[Matrix]:
+    """ρ_k(g1)·D_k·ρ_k(g2) for k = 1..n-1, from one compound pass per side."""
+    return [
+        la.matmul(la.matmul(c1, stratum_indicator(J, k)), c2)
+        for k, (c1, c2) in enumerate(
+            zip(compounds(g1.m, J.n - 1), compounds(g2.m, J.n - 1)), start=1
         )
-    return out
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +241,12 @@ def _verify_torus_limit(
         )
         for i in range(n)
     )
-    x = lmat_mul(lmat_mul(lmat_from_rational(g1.m), curve), lmat_from_rational(g2.m))
-    for k in range(1, n):
-        dk = stratum_indicator(z.J, k)
-        expected = la.matmul(
-            la.matmul(compound(g1.m, k), dk), compound(g2.m, k)
-        )
-        got = lmat_limit(lmat_compound(x, k))
-        if not proj_equal(got, expected):
+    x = la.matmul(
+        la.matmul(lmat_from_rational(g1.m), curve), lmat_from_rational(g2.m)
+    )
+    expected = _limit_images(z.J, g1, g2)
+    for k, (want, cx) in enumerate(zip(expected, compounds(x, n - 1)), start=1):
+        if not proj_equal(lmat_limit(cx), want):
             raise LimitVerificationError(
                 f"Laurent limit disagrees with the equivariant limit at degree {k}"
             )

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg as la
-from .exterior import compound
+from .exterior import compounds
 from .linalg import frac
 from .matgroup import (
     GroupMatrix,
@@ -69,15 +69,11 @@ def _phi(word: ReducedWord, coords: Sequence, gen) -> GroupMatrix:
 # positivity certificates (exact minor tests)
 
 def is_tnn_matrix(m: la.Matrix) -> bool:
-    n = len(m)
-    return all(x >= 0 for k in range(1, n + 1) for x in la.all_minors(m, k))
+    return all(x >= 0 for c in compounds(m, len(m)) for row in c for x in row)
 
 
 def _all_compound_entries_positive(m: la.Matrix) -> bool:
-    n = len(m)
-    return all(
-        x > 0 for k in range(1, n) for row in compound(m, k) for x in row
-    ) and la.det(m) > 0
+    return all(x > 0 for c in compounds(m, len(m)) for row in c for x in row)
 
 
 def is_totally_positive(g: GroupMatrix) -> bool:

@@ -289,15 +289,3 @@ def inversion_set(v: WeylElement) -> frozenset[Root]:
         if v(i) > v(j)
     )
 
-
-def min_coset_reps(J: ParabolicSubset) -> list[WeylElement]:
-    return J.min_coset_reps()
-
-
-def longest_element(J: ParabolicSubset) -> WeylElement:
-    return J.longest_element()
-
-
-def star_of(J: ParabolicSubset) -> ParabolicSubset:
-    return J.star()
-

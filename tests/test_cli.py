@@ -2,13 +2,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tnncompact import linalg as la
 from tnncompact import serialize as ser
 from tnncompact.cells import classify, enumerate_cells, top_label
 from tnncompact.cli import main
-from tnncompact.matgroup import GroupMatrix
-from tnncompact.strata import torus_limit
+from tnncompact.matgroup import GroupError, GroupMatrix
+from tnncompact.strata import StrataError, torus_limit
 from tnncompact.tnn import sample_G_gt0
 from tnncompact.weyl import ParabolicSubset
 
@@ -20,6 +21,10 @@ def test_frac_roundtrip():
     assert ser.parse_frac("-3/7") == Fraction(-3, 7)
     with pytest.raises(ser.SchemaError):
         ser.parse_frac("1/0")
+    assert ser.parse_frac(3) == 3
+    for bad in (0.1, 1.0, None, True, [1], {"p": 1}):
+        with pytest.raises(ser.SchemaError):
+            ser.parse_frac(bad)
 
 
 def test_point_json_roundtrip():
@@ -182,6 +187,7 @@ def test_cli_bad_file_is_usage_error(tmp_path):
 
 
 IDENTITY_2 = [["1", "0"], ["0", "1"]]
+IDENTITY_3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 SWAP_2 = [["0", "-1"], ["1", "0"]]
 BAD_INPUTS = {
     "tp-check-det-not-one": ("tp-check", "--matrix-file", [["2", "0"], ["0", "1"]]),
@@ -201,6 +207,48 @@ BAD_INPUTS = {
         "limit",
         "--curve-file",
         {"v": 1, "g1": IDENTITY_2, "c": [-1], "g2": IDENTITY_2},
+    ),
+    "tp-check-row-not-a-list": ("tp-check", "--matrix-file", [[1, 0], 5]),
+    "tp-check-null-entry": ("tp-check", "--matrix-file", [[1, None], [0, 1]]),
+    "tp-check-float-entry": ("tp-check", "--matrix-file", [[0.1, 0], [0, 10]]),
+    "tp-check-exact-float-entry": ("tp-check", "--matrix-file", [[1, 0.5], [0, 1]]),
+    "classify-top-level-list": ("classify", "--point-file", [1, 2]),
+    "classify-missing-n": (
+        "classify",
+        "--point-file",
+        {"v": 1, "J": [], "a": IDENTITY_2, "b": IDENTITY_2, "g": IDENTITY_2},
+    ),
+    "classify-J-out-of-range": (
+        "classify",
+        "--point-file",
+        {"v": 1, "n": 3, "J": [7], "a": IDENTITY_3, "b": IDENTITY_3, "g": IDENTITY_3},
+    ),
+    "classify-sizes-differ": (
+        "classify",
+        "--point-file",
+        {"v": 1, "n": 2, "J": [], "a": IDENTITY_2, "b": IDENTITY_3, "g": IDENTITY_2},
+    ),
+    "limit-sizes-differ": (
+        "limit",
+        "--curve-file",
+        {"v": 1, "g1": IDENTITY_2, "c": [1], "g2": IDENTITY_3},
+    ),
+    "limit-exponents-not-a-list": (
+        "limit",
+        "--curve-file",
+        {"v": 1, "g1": IDENTITY_2, "c": "ab", "g2": IDENTITY_2},
+    ),
+    "limit-float-exponent": (
+        "limit",
+        "--curve-file",
+        {"v": 1, "g1": IDENTITY_2, "c": [1.7], "g2": IDENTITY_2},
+    ),
+    "sample-label-not-an-object": ("sample", "--label-file", [1, 2]),
+    "sample-label-sizes-differ": (
+        "sample",
+        "--label-file",
+        {"J": [], "v": [1, 2], "w": [1, 2], "v2": [1], "w2": [1, 2],
+         "y": [1, 2], "y2": [1, 2]},
     ),
 }
 
@@ -225,3 +273,49 @@ def test_cli_sample_rejects_negative_seed(tmp_path, capsys):
     label = top_label(ParabolicSubset.of(2, [1]))
     label_file.write_text(json.dumps({"n": 2, "label": ser.label_to_json(label)}))
     assert_usage_error(main(["sample", "--label-file", str(label_file), "--seed", "-5"]), capsys)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+READERS = {
+    "point": (
+        ser.point_from_json,
+        {"v": 1, "n": 2, "J": [], "a": IDENTITY_2, "b": IDENTITY_2, "g": IDENTITY_2},
+    ),
+    "curve": (
+        ser.curve_from_json,
+        {"v": 1, "g1": IDENTITY_2, "c": [1], "g2": IDENTITY_2},
+    ),
+    "label": (
+        ser.label_from_json,
+        ser.label_to_json(top_label(ParabolicSubset.of(2, []))),
+    ),
+}
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(READERS)), st.data())
+def test_readers_raise_only_reported_errors(kind, data):
+    """A valid record with one field replaced (or dropped, or nested one
+    level down) either parses or fails with an error the CLI reports."""
+    reader, valid = READERS[kind]
+    record = dict(valid)
+    key = data.draw(st.sampled_from(sorted(record)))
+    choice = data.draw(st.sampled_from(["replace", "drop", "entry"]))
+    if choice == "drop":
+        del record[key]
+    elif choice == "entry" and isinstance(record[key], list) and record[key]:
+        items = list(record[key])
+        items[data.draw(st.integers(0, len(items) - 1))] = data.draw(json_values)
+        record[key] = items
+    else:
+        record[key] = data.draw(json_values)
+    try:
+        reader(record)
+    except (ser.SchemaError, GroupError, StrataError):
+        pass

@@ -3,12 +3,15 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
+from oracles import dual_matrices, laplace_det, square_matrices
 
 from tnncompact import linalg as la
 from tnncompact.exterior import (
     FundamentalRep,
     UnsupportedStratumError,
     compound,
+    compounds,
     embedding_data,
     iJ_of_group_element,
     levi_weight_indicator,
@@ -45,6 +48,47 @@ def test_compound_identity_and_det():
     assert compound(la.identity(3), 2) == la.identity(3)
     g = la.mat([[1, 2], [1, 3]])
     assert compound(g, 2) == ((Fraction(1),),)
+
+
+def test_compound_degree_zero_and_range():
+    m = la.mat([[1, 2], [3, 4]])
+    assert compound(m, 0) == ((Fraction(1),),)
+    assert compound(m, 1) == m
+    assert list(compounds(m, 0)) == []
+    for k in (-1, 3):
+        with pytest.raises(ValueError):
+            compound(m, k)
+
+
+def _check_against(levels, n, minor):
+    assert len(levels) == n
+    for k, level in enumerate(levels, start=1):
+        subs = subsets_colex(n, k)
+        assert la.dims(level) == (len(subs), len(subs))
+        for s, row in zip(subs, level):
+            for t, x in zip(subs, row):
+                assert x == minor([i - 1 for i in s], [j - 1 for j in t])
+
+
+@given(square_matrices())
+def test_compounds_match_bareiss_minors(case):
+    """Every entry of the ladder over Q equals the integer-Bareiss minor,
+    on singular, zero-row, zero-column and dependent matrices too."""
+    _, m = case
+    levels = list(compounds(m, len(m)))
+    _check_against(levels, len(m), lambda r, c: la.minor(m, r, c))
+    assert all(isinstance(x, Fraction) for lv in levels for row in lv for x in row)
+    assert compound(m, len(m)) == levels[-1]
+
+
+@given(st.integers(1, 4).flatmap(lambda n: dual_matrices(n, n)))
+def test_dual_compounds_match_laplace(m):
+    """Dual entries with value 0 and a nonzero gradient take part in the
+    ladder: the gradients of the minors match the Laplace reference."""
+    n = len(m)
+    _check_against(
+        list(compounds(m, n)), n, lambda r, c: laplace_det(la.submatrix(m, r, c))
+    )
 
 
 def test_compound_x1_in_wedge_two():

@@ -1,8 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import (
+    dual_matrices,
+    laplace_det,
+    naive_matmul,
+    rationals,
+    square_matrices,
+)
 
 from tnncompact import linalg as la
 
@@ -65,7 +73,8 @@ def test_rank_matches_minor_rank():
         m = rand_matrix(n, rng, bound=2)
         by_minors = 0
         for k in range(1, n + 1):
-            if any(x != 0 for x in la.all_minors(m, k)):
+            subsets = list(combinations(range(n), k))
+            if any(la.minor(m, r, c) != 0 for r in subsets for c in subsets):
                 by_minors = k
         assert la.rank(m) == by_minors
 
@@ -157,7 +166,7 @@ def test_reversal_involution():
 
 # ---------------------------------------------------------------------------
 # oracles: Fraction Gaussian elimination, the naive row-by-column product and
-# Laplace expansion, checked against the integer kernels
+# Laplace expansion (tests/oracles.py), checked against the integer kernels
 
 
 def gaussian_det(m):
@@ -180,48 +189,6 @@ def gaussian_det(m):
                 for j in range(k, n):
                     a[i][j] -= f * a[k][j]
     return sign * result
-
-
-def laplace_det(m):
-    if not m:
-        return Fraction(1)
-    rest = [row[1:] for row in m]
-    return sum(
-        (-1) ** i * m[i][0] * laplace_det(rest[:i] + rest[i + 1 :])
-        for i in range(len(m))
-    )
-
-
-def naive_matmul(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-rationals = st.one_of(
-    st.just(Fraction(0)),
-    st.integers(-9, 9).map(Fraction),
-    st.fractions(min_value=-9, max_value=9, max_denominator=12),
-    st.fractions(max_denominator=10**15),
-)
-
-
-@st.composite
-def square_matrices(draw, max_n=5):
-    """Random rational matrices, a share of them singular by construction."""
-    n = draw(st.integers(1, max_n))
-    rows = [[draw(rationals) for _ in range(n)] for _ in range(n)]
-    kind = draw(st.sampled_from(["generic", "zero_row", "zero_col", "dependent"]))
-    i = draw(st.integers(0, n - 1))
-    if kind == "zero_row":
-        rows[i] = [Fraction(0)] * n
-    elif kind == "zero_col":
-        for row in rows:
-            row[i] = Fraction(0)
-    elif kind == "dependent" and n > 1:
-        others = [row for t, row in enumerate(rows) if t != i]
-        coefs = [draw(rationals) for _ in others]
-        rows[i] = [sum(c * row[j] for c, row in zip(coefs, others)) for j in range(n)]
-    return kind, la.mat(rows)
 
 
 @given(square_matrices())
@@ -257,3 +224,21 @@ def test_matmul_matches_naive_oracle(p, q, r, data):
 def test_matmul_shape_mismatch():
     with pytest.raises(ValueError):
         la.matmul(la.zeros(2, 3), la.zeros(2, 3))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_matmul_over_duals_matches_naive_oracle(p, q, r, data):
+    """Entries with value 0 and a nonzero gradient are not skipped."""
+    a = data.draw(dual_matrices(p, q))
+    b = data.draw(dual_matrices(q, r))
+    assert la.matmul(a, b) == naive_matmul(a, b)
+
+
+def test_matmul_keeps_zero_value_dual():
+    from tnncompact.dual import Dual
+
+    eps = Dual(Fraction(0), (Fraction(1),))
+    one = Dual.const(1, 1)
+    got = la.matmul(((eps,),), ((one,),))
+    assert got == ((eps,),) and got[0][0]
+    assert not Dual.const(0, 1)

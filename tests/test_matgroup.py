@@ -401,3 +401,14 @@ def test_borel_minus_is_built_once(n, monkeypatch):
     second = borel_minus(n)
     assert calls == {"matmul": 0, "det": 0}
     assert second.g is first.g
+
+
+def test_flag_and_parabolic_points_are_unhashable():
+    """Equality is coset equality, so a field hash would disagree with it."""
+    J = ParabolicSubset.of(3, [1])
+    u = generator_x(3, 1, 2)
+    assert FlagPoint(u) == borel_plus(3)
+    assert ParabolicPoint(J, u) == standard_parabolic(J)
+    for point in (borel_plus(3), standard_parabolic(J), opposite_parabolic(J)):
+        with pytest.raises(TypeError):
+            hash(point)

@@ -317,3 +317,13 @@ def test_z1_normal_form_reports_chart_exit():
     w0 = longest_w(2)
     z = CompactPoint(J, wdot(w0), identity_g(2), wdot(w0))
     assert not z1_normal_form_check(z)
+
+
+def test_compact_point_is_unhashable():
+    """Equality is coset equality, so a field hash would disagree with it."""
+    J = ParabolicSubset.of(3, [1])
+    z = base_point(J)
+    u = generator_x(3, 2, 3)
+    assert act(u, identity_g(3), z) == z
+    with pytest.raises(TypeError):
+        hash(z)

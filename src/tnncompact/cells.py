@@ -40,6 +40,7 @@ from .tnn import (
 from .weyl import (
     ParabolicSubset,
     WeylElement,
+    all_parabolic_subsets,
     bruhat_leq,
     identity_w,
     lex_min_reduced_word,
@@ -139,18 +140,7 @@ def enumerate_cells(
     compactification, sorted deterministically."""
     if not 2 <= n <= 5:
         raise CellError("implementation bound: 2 <= n <= 5")
-    subsets: list[ParabolicSubset]
-    if J is not None:
-        subsets = [J]
-    else:
-        from itertools import combinations
-
-        gens = list(range(1, n))
-        subsets = [
-            ParabolicSubset.of(n, js)
-            for r in range(n)
-            for js in combinations(gens, r)
-        ]
+    subsets = [J] if J is not None else all_parabolic_subsets(n)
     out = []
     for Js in subsets:
         reps = Js.min_coset_reps()
@@ -233,12 +223,12 @@ def sample_cell(label: CellLabel, seed: int) -> tuple[CellSample, CompactPoint]:
 # ---------------------------------------------------------------------------
 # classification
 
-def _flag_cell(P: ParabolicPoint) -> tuple[WeylElement, WeylElement, FlagPoint]:
+def _flag_cell(P: ParabolicPoint) -> tuple[WeylElement, WeylElement]:
     n = P.n
     bp = associated_borel(P, borel_plus(n))
     w = bruhat_position(borel_plus(n), bp)
     v = longest_w(n) * bruhat_position(borel_minus(n), bp)
-    return (v, w, bp)
+    return (v, w)
 
 
 def classify(z: CompactPoint) -> CellLabel:
@@ -254,8 +244,8 @@ def classify(z: CompactPoint) -> CellLabel:
     P = ParabolicPoint(J, z.a, opposite=False)
     Q = ParabolicPoint(J, z.b, opposite=True)
     psi_q = ParabolicPoint(J, z.b.T.inverse(), opposite=False)
-    v, w, _ = _flag_cell(P)
-    vp, wp, _ = _flag_cell(psi_q)
+    v, w = _flag_cell(P)
+    vp, wp = _flag_cell(psi_q)
     for name, x in (("w", w), ("w'", wp)):
         if not J.is_min_rep(x):
             raise ClassificationError(f"{name}-position {x} is not a minimal coset rep")

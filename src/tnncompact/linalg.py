@@ -322,7 +322,8 @@ def block_anti_ldu(
 
 
 # ---------------------------------------------------------------------------
-# column-space utilities (flags and parabolic membership)
+# column-space utilities.  Nothing in the package calls these; they stay
+# while BENCHMARK.json names them as per-layer metrics.
 
 def column_basis(m: Matrix) -> Matrix:
     """Columns of m reduced to an independent spanning subset (as columns)."""
@@ -340,15 +341,6 @@ def in_span(cols: Sequence[Vector], v: Vector) -> bool:
         return all(x == 0 for x in v)
     a = transpose(tuple(cols))
     return rank(a) == rank(tuple(list(row) + [x] for row, x in zip(a, v)))
-
-
-def span_dim(cols: Matrix) -> int:
-    return rank(cols)
-
-
-def span_sum(a: Matrix, b: Matrix) -> Matrix:
-    joined = tuple(tuple(ra) + tuple(rb) for ra, rb in zip(a, b))
-    return column_basis(joined)
 
 
 def span_intersection(a: Matrix, b: Matrix) -> Matrix:

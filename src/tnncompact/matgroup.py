@@ -6,9 +6,11 @@ for even n and only +1 for odd n.  The pinning is the standard one,
 x_i(a) = 1 + a·E_{i,i+1}, y_i(a) its transpose, and ψ (the positivity
 antiautomorphism) is literally matrix transpose.
 
-Flags and parabolic subgroups are stored by a conjugating group element;
-relative position is read off the ranks of lower-left submatrices, which is
-exact and tolerance-free.
+Flags and parabolic subgroups are stored by a conjugating group element.
+Relative position is read off the rank profile of lower-left submatrices;
+the associated Borel of a parabolic comes from one Bruhat elimination plus
+coset arithmetic in W, and opposedness from the two-sided block
+factorization.  All of it is exact and tolerance-free.
 """
 
 from __future__ import annotations
@@ -266,42 +268,6 @@ class ParabolicPoint:
     def conjugate(self, h: GroupMatrix) -> "ParabolicPoint":
         return ParabolicPoint(self.J, h @ self.g, self.opposite)
 
-    def partial_flag(self) -> list[Matrix]:
-        """Stabilized subspaces as column matrices (proper steps only)."""
-        cols = la.transpose(self.g.m)
-        steps = []
-        if self.opposite:
-            order = [i for blk in reversed(self.J.blocks0()) for i in blk]
-        else:
-            order = [i for blk in self.J.blocks0() for i in blk]
-        sizes = [len(blk) for blk in self.J.blocks0()]
-        if self.opposite:
-            sizes = list(reversed(sizes))
-        acc = 0
-        for sz in sizes[:-1]:
-            acc += sz
-            chosen = tuple(cols[i] for i in order[:acc])
-            steps.append(la.transpose(chosen))
-        return steps
-
-    def lie_algebra_basis(self) -> Matrix:
-        """Basis of Lie(P) inside gl_n, as n²-column matrix."""
-        blocks = self.J.blocks0()
-        lookup = {i: k for k, blk in enumerate(blocks) for i in blk}
-        n = self.n
-        ginv = self.g.inverse()
-        cols = []
-        for i in range(n):
-            for j in range(n):
-                keep = lookup[i] <= lookup[j] if not self.opposite else lookup[i] >= lookup[j]
-                if not keep:
-                    continue
-                eij = [[Fraction(0)] * n for _ in range(n)]
-                eij[i][j] = Fraction(1)
-                conj = la.matmul(la.matmul(self.g.m, la.mat(eij)), ginv.m)
-                cols.append(tuple(x for row in conj for x in row))
-        return la.transpose(tuple(cols))
-
 
 def standard_parabolic(J: ParabolicSubset) -> ParabolicPoint:
     return ParabolicPoint(J, identity_g(J.n), opposite=False)
@@ -347,57 +313,55 @@ def bruhat_position(b1: FlagPoint, b2: FlagPoint) -> WeylElement:
 # ---------------------------------------------------------------------------
 # associated Borel and opposedness
 
-def _flag_matrix_to_group(cols: list[la.Vector]) -> GroupMatrix:
-    m = la.transpose(tuple(cols))
-    d = la.det(m)
-    if d == 0:
-        raise GroupError("flag columns are dependent")
-    rows = [list(row) for row in m]
-    for i in range(len(rows)):
-        rows[i][-1] /= d
-    return GroupMatrix(la.mat(rows))
+def _bruhat_left(m: Matrix) -> tuple[Matrix, WeylElement]:
+    """(b, w) with b upper unipotent and m ∈ b·ẇ·B^+, for invertible m.
+
+    Column by column, the lowest nonzero row not yet used is the pivot and
+    clears the unused rows above it; b holds the multipliers, which are the
+    entries of the inverse row operations.
+    """
+    n = len(m)
+    a = [list(row) for row in m]
+    b = [list(row) for row in la.identity(n)]
+    perm = []
+    unused = list(range(n))
+    for j in range(n):
+        p = next(i for i in reversed(unused) if a[i][j] != 0)
+        unused.remove(p)
+        perm.append(p + 1)
+        for i in unused:
+            if i > p:
+                break
+            f = a[i][j] / a[p][j]
+            if f:
+                b[i][p] = f
+                for k in range(j, n):
+                    a[i][k] -= f * a[p][k]
+    return la.mat(b), WeylElement(tuple(perm))
 
 
 def associated_borel(P: ParabolicPoint, B: FlagPoint) -> FlagPoint:
     """(P ∩ B)·U_P: the unique Borel inside P with pos(B, ·) ∈ W^J.
 
-    Computed by refining P's partial flag with the full flag of B inside
-    each graded piece: the steps are span(basis) + (F_m ∩ E_j), whose
-    dimension grows by at most one per j.
+    With P = ^g P_J and g⁻¹·B.g ∈ b·ẇ·B^+, the Borels ^{g·b·ẋ}B^+ with x in
+    W_J lie in P at position w⁻¹x from B; x = w·m for m the shortest element
+    of w⁻¹W_J.  The opposite side uses Q_J = ẇ₀·P_{J*}·ẇ₀⁻¹.
     """
-    n = P.n
-    ecols = la.transpose(B.g.m)
-    partial = P.partial_flag() + [la.identity(n)]
-    basis: list[la.Vector] = []
-    for step in partial:
-        target = la.span_dim(step)
-        for j in range(1, n + 1):
-            if len(basis) == target:
-                break
-            ej = la.transpose(tuple(ecols[:j]))
-            cand = la.span_sum(
-                la.transpose(tuple(basis)) if basis else la.zeros(n, 0),
-                la.span_intersection(step, ej),
-            )
-            for col in la.transpose(cand):
-                if not la.in_span(basis, tuple(col)):
-                    basis.append(tuple(col))
-        if len(basis) != target:
-            raise GroupError("flag refinement failed")  # unreachable on valid input
-    return FlagPoint(_flag_matrix_to_group(basis))
+    J, g = P.J, P.g
+    if P.opposite:
+        J, g = J.star(), g @ wdot(longest_w(P.n))
+    b, w = _bruhat_left((g.inverse() @ B.g).m)
+    x = w * J.min_rep(w.inverse())
+    return FlagPoint(g @ GroupMatrix(b) @ wdot(x))
 
 
 def opposed(P: ParabolicPoint, Q: ParabolicPoint) -> bool:
-    """True iff P ∩ Q is a common Levi (intersection of Lie algebras has the
-    dimension of the standard Levi)."""
+    """True iff P ∩ Q is a common Levi, i.e. iff P.g⁻¹·Q.g has the two-sided
+    block factorization u_p·l·u_q (see la.block_anti_ldu)."""
     if P.opposite or not Q.opposite or P.J != Q.J:
         raise GroupError("opposed() expects (type-J standard, type-J* opposite) pair")
-    lie_p = P.lie_algebra_basis()
-    lie_q = Q.lie_algebra_basis()
-    dim_p = la.dims(lie_p)[1]
-    dim_q = la.dims(lie_q)[1]
-    joined = tuple(tuple(rp) + tuple(rq) for rp, rq in zip(lie_p, lie_q))
-    dim_sum = la.rank(joined)
-    dim_int = dim_p + dim_q - dim_sum
-    dim_levi = sum(len(blk) ** 2 for blk in P.J.blocks0())
-    return dim_int == dim_levi
+    try:
+        la.block_anti_ldu((P.g.inverse() @ Q.g).m, P.J.blocks0())
+    except FactorizationError:
+        return False
+    return True

@@ -217,7 +217,9 @@ def torus_limit(
     fundamental representation's limit is recomputed from the exact Laurent
     curve by minimal-valuation normalization and compared projectively.
     """
-    cs = tuple(int(x) for x in c)
+    cs = tuple(c)
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in cs):
+        raise StrataError(f"exponents must be integers, got {cs}")
     n = g1.n
     if len(cs) != n - 1:
         raise StrataError(f"need {n - 1} exponents, got {len(cs)}")

@@ -61,6 +61,7 @@ from .tnn import (
 from .weyl import (
     ParabolicSubset,
     ReducedWord,
+    all_parabolic_subsets,
     all_reduced_words,
     all_weyl,
     bruhat_leq,
@@ -98,15 +99,6 @@ class VerifyConfig:
     base_seed: int = 20240
 
 
-def _all_subsets(n: int) -> list[ParabolicSubset]:
-    from itertools import combinations
-
-    gens = list(range(1, n))
-    return [
-        ParabolicSubset.of(n, js) for r in range(n) for js in combinations(gens, r)
-    ]
-
-
 def _timed(fn):
     def wrapper(*args, **kwargs) -> SuiteReport:
         t0 = time.monotonic()
@@ -127,7 +119,7 @@ def _census_oracle(n: int) -> list[tuple[CellLabel, int]]:
 
     out = []
     ws = all_weyl(n)
-    for J in _all_subsets(n):
+    for J in all_parabolic_subsets(n):
         wj = [w for w in ws if J.contains_w(w)]
         for v, w, vp, wp, y, yp in product(ws, ws, ws, ws, wj, wj):
             if not (J.is_min_rep(w) and J.is_min_rep(wp)):
@@ -374,7 +366,7 @@ def suite_roundtrip(cfg: VerifyConfig) -> SuiteReport:
 def _empty_labels(n: int) -> list[CellLabel]:
     """Every valid label with v or v' outside the minimal coset reps."""
     out = []
-    for J in _all_subsets(n):
+    for J in all_parabolic_subsets(n):
         reps = J.min_coset_reps()
         wj = [w for w in all_weyl(n) if J.contains_w(w)]
         pairs = [
@@ -437,7 +429,7 @@ def suite_limits(cfg: VerifyConfig) -> SuiteReport:
             rep.cases += 1
             if z != base_point(J):
                 rep.fail(n=n, c=list(c), reason="bare torus limit misses the base point")
-        for J in _all_subsets(n):
+        for J in all_parabolic_subsets(n):
             try:
                 data = embedding_data(J)
             except UnsupportedStratumError:

@@ -14,7 +14,7 @@ e_i - e_j; there is no abstract root-system layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 
 Root = tuple[int, int]
 
@@ -271,12 +271,27 @@ class ParabolicSubset:
     def is_min_rep(self, w: WeylElement) -> bool:
         return all(w(j) < w(j + 1) for j in self.J)
 
+    def min_rep(self, w: WeylElement) -> WeylElement:
+        """The shortest element of the coset w·W_J: w's entries sorted within
+        each J-block of positions."""
+        p = list(w.perm)
+        for blk in self.blocks():
+            lo, hi = blk[0], blk[-1]
+            p[lo - 1 : hi] = sorted(p[lo - 1 : hi])
+        return WeylElement(tuple(p))
+
     def max_coset_rep(self) -> WeylElement:
         """The longest element of W^J, i.e. w_0 · w^J_0."""
         return longest_w(self.n) * self.longest_element()
 
     def __repr__(self) -> str:
         return f"J(n={self.n}, {sorted(self.J)})"
+
+
+def all_parabolic_subsets(n: int) -> list[ParabolicSubset]:
+    """Every J ⊆ {1..n-1}, by size and then lexicographically."""
+    gens = range(1, n)
+    return [ParabolicSubset.of(n, js) for r in range(n) for js in combinations(gens, r)]
 
 
 def inversion_set(v: WeylElement) -> frozenset[Root]:

@@ -1,8 +1,10 @@
-"""Reference algorithms and hypothesis strategies shared by the kernel tests.
+"""Reference algorithms and hypothesis strategies shared by the tests.
 
-The references are the textbook definitions, written with ring operations
-only (no division, no zero tests), so they apply unchanged to Fraction,
-Laurent and Dual entries and stay independent of the library's kernels.
+The kernel references are the textbook definitions, written with ring
+operations only (no division, no zero tests), so they apply unchanged to
+Fraction, Laurent and Dual entries and stay independent of the library's
+kernels.  The group-layer references decide flag and parabolic questions
+by subspaces and Lie algebras, independently of the library's eliminations.
 """
 
 from fractions import Fraction
@@ -82,3 +84,43 @@ def dual_matrices(nr, nc):
     return st.lists(
         st.lists(duals, min_size=nc, max_size=nc).map(tuple), min_size=nr, max_size=nr
     ).map(tuple)
+
+
+def partial_flag(parabolic):
+    """The proper subspaces a ParabolicPoint stabilizes, as column matrices:
+    spans of its conjugator's columns over the leading J-blocks (the
+    trailing blocks on the opposite side)."""
+    cols = la.transpose(parabolic.g.m)
+    blocks = parabolic.J.blocks0()
+    if parabolic.opposite:
+        blocks = blocks[::-1]
+    chosen, steps = [], []
+    for blk in blocks[:-1]:
+        chosen += [cols[i] for i in blk]
+        steps.append(la.transpose(tuple(chosen)))
+    return steps
+
+
+def lie_algebra(parabolic):
+    """Basis of Lie(^g P_J) (or of Lie(^g Q_J)) inside gl_n, as columns of
+    length n²: g·E_ij·g⁻¹ for every (i, j) on or above (below) the block
+    diagonal."""
+    n = parabolic.n
+    g, ginv = parabolic.g.m, la.inverse(parabolic.g.m)
+    block = {i: k for k, blk in enumerate(parabolic.J.blocks0()) for i in blk}
+    cols = []
+    for i in range(n):
+        for j in range(n):
+            keep = block[i] >= block[j] if parabolic.opposite else block[i] <= block[j]
+            if keep:
+                cols.append(tuple(g[r][i] * ginv[j][c] for r in range(n) for c in range(n)))
+    return la.transpose(tuple(cols))
+
+
+def opposed_by_lie_algebra(P, Q):
+    """P and Q are opposed iff Lie(P) ∩ Lie(Q) has the dimension of the
+    standard Levi."""
+    lie_p, lie_q = lie_algebra(P), lie_algebra(Q)
+    dim_p, dim_q = la.dims(lie_p)[1], la.dims(lie_q)[1]
+    dim_sum = la.rank(tuple(rp + rq for rp, rq in zip(lie_p, lie_q)))
+    return dim_p + dim_q - dim_sum == sum(len(blk) ** 2 for blk in P.J.blocks0())

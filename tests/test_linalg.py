@@ -149,11 +149,10 @@ def test_kernel_and_spans():
     a = la.mat([[1, 0], [0, 1], [0, 0]])
     b = la.mat([[0, 0], [1, 0], [0, 1]])
     inter = la.span_intersection(a, b)
-    assert la.span_dim(inter) == 1
+    assert la.rank(inter) == 1
     assert la.in_span([tuple(col) for col in la.transpose(a)], (0, 1, 0))
     assert not la.in_span([tuple(col) for col in la.transpose(a)], (0, 0, 1))
-    s = la.span_sum(a, b)
-    assert la.span_dim(s) == 3
+    assert la.rank(tuple(ra + rb for ra, rb in zip(a, b))) == 3
 
 
 def test_reversal_involution():

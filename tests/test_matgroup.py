@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import opposed_by_lie_algebra, partial_flag
 
 from tnncompact import linalg as la
 from tnncompact.linalg import FactorizationError
@@ -11,6 +12,7 @@ from tnncompact.matgroup import (
     GroupError,
     GroupMatrix,
     ParabolicPoint,
+    _bruhat_left,
     associated_borel,
     borel_minus,
     borel_plus,
@@ -31,7 +33,13 @@ from tnncompact.matgroup import (
     torus,
     wdot,
 )
-from tnncompact.weyl import ParabolicSubset, all_weyl, longest_w, simple_reflection
+from tnncompact.weyl import (
+    ParabolicSubset,
+    all_parabolic_subsets,
+    all_weyl,
+    longest_w,
+    simple_reflection,
+)
 
 small_fracs = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=5
@@ -238,46 +246,120 @@ def test_associated_borel_spec_cases():
         assert got == FlagPoint(g)
 
 
+def _borel_inside(parabolic, borel) -> bool:
+    """The full flag of the Borel refines the parabolic's partial flag."""
+    cols = la.transpose(borel.g.m)
+    for step in partial_flag(parabolic):
+        d = la.rank(step)
+        lead = la.transpose(tuple(cols[:d]))
+        if la.rank(tuple(rs + rl for rs, rl in zip(step, lead))) != d:
+            return False
+    return True
+
+
+def check_associated_borel(P, B):
+    """The associated Borel lies in P, at a minimal-coset position from B:
+    in W^J on the standard side and in W^{J*} on the opposite side."""
+    Bp = associated_borel(P, B)
+    assert _borel_inside(P, Bp)
+    pos = bruhat_position(B, Bp)
+    if P.opposite:
+        assert P.J.star().is_min_rep(pos)
+    else:
+        assert la.is_block_upper((P.g.inverse() @ Bp.g).m, P.J.blocks0())
+        assert P.J.is_min_rep(pos)
+
+
+def rand_sparse_upper(n, rng):
+    """Upper unipotent with at most one generator factor: most eliminations
+    by it have zero multipliers."""
+    if rng.random() < 0.3:
+        return identity_g(n)
+    return generator_x(n, rng.randint(1, n - 1), rng.choice([-2, 1, 3]))
+
+
 def test_associated_borel_properties_random():
     rng = random.Random(19)
     for _ in range(40):
         n = rng.choice([2, 3])
-        from itertools import combinations
-
-        js = rng.choice([c for r in range(n) for c in combinations(range(1, n), r)])
-        J = ParabolicSubset.of(n, js)
+        J = rng.choice(all_parabolic_subsets(n))
         P = ParabolicPoint(J, rand_factorable(n, rng))
         B = FlagPoint(rand_factorable(n, rng))
-        Bp = associated_borel(P, B)
-        # contained in P: conjugator transfers into block-upper
-        assert la.is_block_upper((P.g.inverse() @ Bp.g).m, J.blocks0())
-        assert J.is_min_rep(bruhat_position(B, Bp))
-
-
-def _borel_inside(parabolic, borel) -> bool:
-    """The full flag of the Borel refines the parabolic's partial flag."""
-    cols = la.transpose(borel.g.m)
-    for step in parabolic.partial_flag():
-        d = la.span_dim(step)
-        lead = la.transpose(tuple(cols[:d]))
-        if la.span_dim(la.span_sum(step, lead)) != d:
-            return False
-    return True
+        check_associated_borel(P, B)
 
 
 def test_associated_borel_opposite_side():
     rng = random.Random(20)
     for _ in range(25):
         n = rng.choice([2, 3])
-        from itertools import combinations
-
-        js = rng.choice([c for r in range(n) for c in combinations(range(1, n), r)])
-        J = ParabolicSubset.of(n, js)
+        J = rng.choice(all_parabolic_subsets(n))
         Q = ParabolicPoint(J, rand_factorable(n, rng), opposite=True)
         B = FlagPoint(rand_factorable(n, rng))
-        Bq = associated_borel(Q, B)
-        assert _borel_inside(Q, Bq)
-        assert J.star().is_min_rep(bruhat_position(B, Bq))
+        check_associated_borel(Q, B)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_associated_borel_exhaustive(n):
+    """Every J, both sides, every relative position w between P's conjugator
+    and the flag: B = ^ẇB^+ against P_J, Q_J and a dense conjugate, and
+    ^{g·u·ẇ·u'}B^+ against ^g P_J with sparse u, u' and dense g."""
+    rng = random.Random(31 + n)
+    for J in all_parabolic_subsets(n):
+        for w in all_weyl(n):
+            for opposite in (False, True):
+                for g in (identity_g(n), rand_factorable(n, rng)):
+                    check_associated_borel(
+                        ParabolicPoint(J, g, opposite), FlagPoint(wdot(w))
+                    )
+                g = rand_factorable(n, rng)
+                u, up = rand_sparse_upper(n, rng), rand_sparse_upper(n, rng)
+                B = FlagPoint(g @ u @ wdot(w) @ up)
+                check_associated_borel(ParabolicPoint(J, g, opposite), B)
+
+
+def test_associated_borel_sampled_n4():
+    rng = random.Random(37)
+    n = 4
+    ws = all_weyl(n)
+    for J in all_parabolic_subsets(n):
+        for _ in range(6):
+            g = rng.choice([identity_g(n), rand_factorable(n, rng)])
+            u, up = rand_sparse_upper(n, rng), rand_sparse_upper(n, rng)
+            B = FlagPoint(g @ u @ wdot(rng.choice(ws)) @ up)
+            check_associated_borel(ParabolicPoint(J, g, rng.random() < 0.5), B)
+
+
+def test_associated_borel_computes_no_rank_or_span(monkeypatch):
+    """One elimination and coset arithmetic: no rank, kernel or span call."""
+
+    def forbidden(*args):
+        raise AssertionError("associated_borel called a rank or span routine")
+
+    for name in ("rank", "in_span", "span_intersection", "kernel"):
+        monkeypatch.setattr(la, name, forbidden)
+    rng = random.Random(47)
+    J = ParabolicSubset.of(4, [1, 3])
+    for opposite in (False, True):
+        P = ParabolicPoint(J, rand_factorable(4, rng), opposite)
+        associated_borel(P, FlagPoint(rand_factorable(4, rng)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bruhat_left_every_pivot_pattern(n):
+    """m = u·ẇ·t·u' with sparse or dense upper unipotent u, u' and t in T
+    factors as b·ẇ·(upper) with b upper unipotent, for every w."""
+    rng = random.Random(43 + n)
+    for w in all_weyl(n):
+        for _ in range(3):
+            u = rng.choice([rand_sparse_upper(n, rng), rand_unipotent(n, rng)])
+            up = rng.choice([rand_sparse_upper(n, rng), rand_unipotent(n, rng)])
+            t = torus([Fraction(rng.choice([-3, 1, 2])) for _ in range(n - 1)])
+            m = u @ wdot(w) @ t @ up
+            b, got = _bruhat_left(m.m)
+            assert got == w
+            assert la.is_upper_triangular(b)
+            assert all(b[i][i] == 1 for i in range(n))
+            assert la.is_upper_triangular(((GroupMatrix(b) @ wdot(w)).inverse() @ m).m)
 
 
 def test_opposed():
@@ -334,19 +416,48 @@ def test_opposed_implies_levi_coset_positions():
 
 
 def test_opposed_matches_two_sided_reduction():
-    """Opposedness of (P_J, ^h Q_J) coincides with existence of the
-    two-sided block factorization of h."""
-    rng = random.Random(29)
+    """Opposedness of (P_J, ^h Q_J), by the Lie-algebra count, coincides with
+    existence of the two-sided block factorization of h."""
     J = ParabolicSubset.of(3, [1])
     for w in all_weyl(3):
         h = wdot(w)
-        via_lie = opposed(standard_parabolic(J), opposite_parabolic(J).conjugate(h))
+        via_lie = opposed_by_lie_algebra(
+            standard_parabolic(J), opposite_parabolic(J).conjugate(h)
+        )
         try:
             la.block_anti_ldu(h.m, J.blocks0())
             via_ldu = True
         except FactorizationError:
             via_ldu = False
         assert via_lie == via_ldu, w
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_opposed_matches_lie_algebra_oracle(n):
+    """opposed() against the Lie-algebra dimension count: every J with every
+    ẇ conjugator, then random unipotent and generic conjugators on both
+    sides."""
+    rng = random.Random(53 + n)
+    seen = set()
+    for J in all_parabolic_subsets(n):
+        P = standard_parabolic(J)
+        for w in all_weyl(n):
+            Q = opposite_parabolic(J).conjugate(wdot(w))
+            expected = opposed_by_lie_algebra(P, Q)
+            assert opposed(P, Q) == expected, (J, w)
+            seen.add(expected)
+        for _ in range(4):
+            gp = rng.choice([rand_unipotent(n, rng), rand_factorable(n, rng)])
+            gq = rng.choice(
+                [
+                    rand_unipotent(n, rng, lower=True),
+                    rand_unipotent(n, rng),
+                    rand_factorable(n, rng),
+                ]
+            )
+            P, Q = ParabolicPoint(J, gp), ParabolicPoint(J, gq, opposite=True)
+            assert opposed(P, Q) == opposed_by_lie_algebra(P, Q), J
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------

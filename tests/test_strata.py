@@ -179,6 +179,13 @@ def test_torus_limit_rejects_negative_exponent():
         torus_limit(one, (-1,), one)
 
 
+@pytest.mark.parametrize("c", [(1.7,), ("2",), (True,)])
+def test_torus_limit_rejects_non_integer_exponent(c):
+    one = identity_g(2)
+    with pytest.raises(StrataError):
+        torus_limit(one, c, one)
+
+
 def test_torus_limit_spec_case_n2():
     g = GroupMatrix(la.mat([[1, 1], [1, 2]]))
     z = torus_limit(g, (1,), g)

@@ -6,6 +6,7 @@ from tnncompact.weyl import (
     ReducedWord,
     WeylElement,
     WeylError,
+    all_parabolic_subsets,
     all_reduced_words,
     all_weyl,
     bruhat_leq,
@@ -104,6 +105,23 @@ def test_min_coset_reps_size_and_identity(n):
             for w in all_weyl(n):
                 in_reps = all((w.right_s(j)).length > w.length for j in J.J)
                 assert (w in reps) == in_reps
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_min_rep_is_shortest_in_its_coset(n):
+    """Brute force: the shortest of the |W_J| elements w·x, x ∈ W_J."""
+    for J in all_parabolic_subsets(n):
+        wj = [x for x in all_weyl(n) if J.contains_w(x)]
+        for w in all_weyl(n):
+            shortest = min((w * x for x in wj), key=lambda u: u.length)
+            assert J.min_rep(w) == shortest
+            assert J.is_min_rep(shortest)
+
+
+def test_all_parabolic_subsets_order():
+    assert [sorted(J.J) for J in all_parabolic_subsets(3)] == [[], [1], [2], [1, 2]]
+    assert len(all_parabolic_subsets(5)) == 16
+    assert all_parabolic_subsets(1) == [ParabolicSubset.of(1, [])]
 
 
 @pytest.mark.parametrize(

@@ -137,32 +137,54 @@ def enumerate_cells(
     n: int, J: ParabolicSubset | None = None
 ) -> list[tuple[CellLabel, int]]:
     """All nonempty labels (with dimensions) for one stratum or the whole
-    compactification, sorted deterministically."""
+    compactification, in ``CellLabel.sort_key`` order.
+
+    The order comes from the loops themselves: strata by sorted J, then
+    Bruhat pairs (v, w) of W^J and Levi elements y of W_J by permutation.
+    v ≤ w is decided once per pair, and a dimension is the stratum's base
+    2·l(w^J_0) + |J| plus the gaps l(w) − l(v) and l(w') − l(v') minus
+    l(y) and l(y').  Labels are built from these checked parts without
+    revalidation."""
     if not 2 <= n <= 5:
         raise CellError("implementation bound: 2 <= n <= 5")
+    if J is not None and J.n != n:
+        raise CellError(f"stratum {J} is not a stratum of PGL_{n}")
     subsets = [J] if J is not None else all_parabolic_subsets(n)
     out = []
-    for Js in subsets:
-        reps = Js.min_coset_reps()
-        pairs = [(v, w) for v in reps for w in reps if bruhat_leq(v, w)]
-        wj = [x for x in _weyl_subgroup(Js)]
-        for v, w in pairs:
-            for vp, wp in pairs:
-                for y in wj:
-                    for yp in wj:
-                        label = CellLabel(Js, v, w, vp, wp, y, yp)
-                        out.append((label, dimension_of(label)))
-    out.sort(key=lambda t: t[0].sort_key())
+    for Js in sorted(subsets, key=lambda K: sorted(K.J)):
+        reps = sorted(Js.min_coset_reps(), key=lambda x: x.perm)
+        pairs = [
+            (v, w, w.length - v.length)
+            for v in reps
+            for w in reps
+            if bruhat_leq(v, w)
+        ]
+        levi = [(y, y.length) for y in _weyl_subgroup(Js)]
+        base = 2 * Js.longest_element().length + len(Js.J)
+        for v, w, gap in pairs:
+            for vp, wp, gap2 in pairs:
+                d = base + gap + gap2
+                for y, ly in levi:
+                    for yp, lyp in levi:
+                        out.append(
+                            (_trusted_label(Js, v, w, vp, wp, y, yp), d - ly - lyp)
+                        )
     return out
 
 
 def _weyl_subgroup(J: ParabolicSubset) -> list[WeylElement]:
+    """W_J, sorted by permutation."""
     from .weyl import all_weyl
 
-    return sorted(
-        (w for w in all_weyl(J.n) if J.contains_w(w)),
-        key=lambda w: (w.length, w.perm),
-    )
+    return sorted((w for w in all_weyl(J.n) if J.contains_w(w)), key=lambda w: w.perm)
+
+
+def _trusted_label(J, v, w, vp, wp, y, yp) -> CellLabel:
+    """A CellLabel whose parts are already known to be valid: skips the
+    ``__post_init__`` check, which stays on every public construction."""
+    label = object.__new__(CellLabel)
+    label.__dict__.update(J=J, v=v, w=w, vp=vp, wp=wp, y=y, yp=yp)
+    return label
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,59 @@ def test_enumerate_bounds():
         enumerate_cells(6)
 
 
+def test_enumerate_rejects_a_stratum_of_another_rank():
+    from tnncompact.serialize import cells_to_json
+
+    J = ParabolicSubset.of(2, [1])
+    with pytest.raises(CellError):
+        enumerate_cells(4, J)
+    with pytest.raises(CellError):
+        cells_to_json(4, J)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_census_matches_brute_force_oracle(n):
+    """Labels, dimensions and order equal the brute-force census (dimensions
+    counted from chart coordinates) sorted by sort_key."""
+    from tnncompact.verify import _census_oracle
+
+    got = enumerate_cells(n)
+    assert got == sorted(_census_oracle(n), key=lambda t: t[0].sort_key())
+    assert all(label.is_valid() and label.is_nonempty() for label, _ in got)
+
+
+def test_census_n4_sampled_labels_are_valid():
+    cells = enumerate_cells(4)
+    assert len(cells) == 109729
+    for label, d in random.Random(4).sample(cells, 500):
+        assert label.is_valid() and label.is_nonempty()
+        assert d == dimension_of(label)
+
+
+def test_enumerate_checks_bruhat_once_per_pair(monkeypatch):
+    """No label is revalidated and no dimension recomputed: v ≤ w is decided
+    once per pair (v, w) of W^J."""
+    import tnncompact.cells as cells_mod
+    from tnncompact.weyl import all_parabolic_subsets
+
+    calls = []
+
+    def counting_leq(v, w):
+        calls.append((v, w))
+        return bruhat_leq(v, w)
+
+    def refuse(*args):
+        raise AssertionError("label revalidated during enumeration")
+
+    monkeypatch.setattr(cells_mod, "bruhat_leq", counting_leq)
+    monkeypatch.setattr(cells_mod, "dimension_of", refuse)
+    monkeypatch.setattr(CellLabel, "is_valid", refuse)
+    assert len(enumerate_cells(3)) == 685
+    assert len(calls) == sum(
+        len(J.min_coset_reps()) ** 2 for J in all_parabolic_subsets(3)
+    )
+
+
 def test_sample_cell_refuses_empty():
     empty = L(3, [1], (2, 1, 3), (2, 3, 1), (1, 2, 3), (1, 3, 2), (1, 2, 3), (1, 2, 3))
     with pytest.raises(EmptyCellError):

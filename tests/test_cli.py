@@ -105,6 +105,26 @@ def test_cli_enumerate_stratum_counts(tmp_path):
     assert json.loads(out2.read_text())["count"] == 9
 
 
+@pytest.mark.parametrize(
+    "args, sha256",
+    [
+        (["--n", "3"], "b369f2289fbdc0133b7032ec8cf5bc3e963864878d56bfd2fcd7962de4109dc5"),
+        (["--n", "4"], "de9095a769e115f084ea060c81d57904c726f77a4759c7ebc26747099566ed84"),
+        (
+            ["--n", "5", "--J", "1,2,3,4"],
+            "42e8f15812922908c1c72be12d66bf8d23e7c2ec6115e386420dca3f88afdf25",
+        ),
+    ],
+    ids=["n3", "n4", "n5-J1234"],
+)
+def test_cli_enumerate_bytes_are_pinned(args, sha256, tmp_path):
+    import hashlib
+
+    out = tmp_path / "cells.json"
+    assert main(["enumerate", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
 def test_cli_enumerate_usage_errors():
     assert main(["enumerate", "--n", "9"]) == 2
     assert main(["enumerate", "--n", "3", "--J", "7"]) == 2

@@ -1,0 +1,133 @@
+"""`serialize.dumps` against its oracle, ``json.dumps(x, indent=1) + "\\n"``."""
+
+import json
+import random
+from enum import IntEnum
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tnncompact import serialize as ser
+from tnncompact import verify
+from tnncompact.cells import enumerate_cells, sample_cell
+from tnncompact.exterior import compound
+from tnncompact.matgroup import opposite_parabolic, standard_parabolic
+from tnncompact.tnn import mr_chart, sample_G_gt0
+from tnncompact.weyl import ParabolicSubset, WeylElement
+
+
+def oracle(x) -> str:
+    return json.dumps(x, indent=1) + "\n"
+
+
+awkward_text = st.sampled_from(
+    ['"', "\\", "a\"b\\c", "\n\t\r\b\f", "\x00\x1f", "é", " ", "😀", "</script>"]
+)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**20, max_value=10**40).flatmap(
+        lambda k: st.sampled_from([k, -k])
+    )
+    | st.floats()
+    | st.text(max_size=6)
+    | awkward_text
+)
+keys = st.text(max_size=4) | awkward_text | st.integers() | st.booleans() | st.none() | st.floats()
+json_data = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(keys, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400)
+@given(json_data)
+def test_dumps_matches_json_dumps(data):
+    assert ser.dumps(data) == oracle(data)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.lists(st.integers(-2, 2) | st.booleans() | st.sampled_from([0.0, -0.0, 1.0]), max_size=3), max_size=8))
+def test_dumps_repeated_lists_of_equal_values(data):
+    """1, True and 1.0 (and 0.0, -0.0) are equal but render differently, so
+    the per-call memo of rendered lists must keep them apart."""
+    assert ser.dumps(data) == oracle(data)
+
+
+def test_dumps_memo_keeps_types_and_depths_apart():
+    for data in (
+        [[1], [True], [1.0], [0], [False], [0.0], [-0.0]],
+        [[1, "a"], [[1, "a"]], {"k": [1, "a"]}, [1, "a"]],
+        [("x",), ["x"], [["x"]]],
+        {1: [2], True: [2], "1": [2], 1.5: [2], None: [2]},
+    ):
+        assert ser.dumps(data) == oracle(data)
+
+
+def test_dumps_subclasses_render_as_their_base():
+    class Name(str):
+        pass
+
+    class Count(IntEnum):
+        ONE = 1
+
+    class Real(float):
+        def __repr__(self):
+            return "real"
+
+    data = {
+        Name("k"): [Name("v"), Count.ONE, Real(0.5)],
+        Count.ONE: (Name("w"),),
+        Real(2.0): [1],
+        "x": [Count.ONE, 1],
+        "y": [1, Count.ONE],
+    }
+    assert ser.dumps(data) == oracle(data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [Fraction(1, 2), [1, Fraction(1)], [[1], [Fraction(1)]], {"a": {1, 2}}, [object()], {(1, 2): 0}],
+)
+def test_dumps_refuses_what_json_refuses(data):
+    with pytest.raises(TypeError):
+        oracle(data)
+    with pytest.raises(TypeError):
+        ser.dumps(data)
+
+
+def _writer_outputs():
+    rng = random.Random(5)
+    label = enumerate_cells(3)[400][0]
+    _, z = sample_cell(label, 11)
+    g = sample_G_gt0(3, rng)
+    chart = mr_chart(WeylElement((1, 2, 3)), WeylElement((3, 2, 1)), rng)
+    J = ParabolicSubset.of(3, [2])
+    yield ser.point_to_json(z)
+    yield ser.chart_to_json(chart, seed=9)
+    yield ser.chart_to_json(chart)
+    for k in (1, 2, 3):
+        yield ser.compound_to_json(compound(g.m, k), 3, k)
+    yield ser.parabolic_to_json(standard_parabolic(J))
+    yield ser.parabolic_to_json(opposite_parabolic(J))
+    yield ser.label_to_json(label, 5)
+    yield ser.cells_to_json(3)
+    yield ser.cells_to_json(3, ParabolicSubset.of(3, []))
+
+
+def test_dumps_matches_json_dumps_on_writer_output():
+    for data in _writer_outputs():
+        assert ser.dumps(data) == oracle(data)
+
+
+def test_dumps_matches_json_dumps_on_a_verify_failure_report(monkeypatch):
+    monkeypatch.setattr(verify, "jacobian_rank_check", lambda label, seed: False)
+    rep = verify.suite_dimensions(verify.VerifyConfig(n=2))
+    assert len(rep.failures) == 13
+    report = {"v": ser.SCHEMA_VERSION, "failures": rep.failures}
+    assert ser.dumps(report) == oracle(report)

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: enumerate, sample, classify, limit, tp-check, verify.
-Exit codes: 0 ok, 1 failures, 2 usage errors, 3 unsupported-stratum-only
-failures.  All file output is byte-deterministic for fixed inputs.
+Exit codes: 0 ok, 1 failures, 2 usage errors.  All file output is
+byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import serialize as ser
 from .cells import classify, sample_cell
-from .exterior import UnsupportedStratumError
 from .matgroup import GroupError, GroupMatrix
 from .strata import StrataError, torus_limit
 from .tnn import is_totally_nonneg, is_totally_positive
@@ -24,7 +23,6 @@ from .weyl import ParabolicSubset
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-EXIT_UNSUPPORTED = 3
 
 
 def _parse_J(text: str | None) -> list[int]:
@@ -154,11 +152,7 @@ def cmd_verify(args) -> int:
         Path(args.out).write_text(
             ser.dumps({"v": ser.SCHEMA_VERSION, "failures": failures})
         )
-    if not failures:
-        return EXIT_OK
-    if all("unsupported" in str(f.get("reason", "")).lower() for f in failures):
-        return EXIT_UNSUPPORTED
-    return EXIT_FAIL
+    return EXIT_FAIL if failures else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,9 +206,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UnsupportedStratumError as e:
-        print(f"unsupported stratum: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except (
         OSError, json.JSONDecodeError, ser.SchemaError, GroupError, StrataError
     ) as e:

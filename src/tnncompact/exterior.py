@@ -6,10 +6,12 @@ is the canonical basis for these minuscule weights; the top subset {1..k}
 comes first and is the highest weight vector.
 
 An EmbeddingData bundles, for a stratum label J, the representation pair
-used to realize boundary points as a projective matrix pair, together with
-the rank-one projector I_1 and the Levi-weight projector I_L.  Only
-fundamental or trivial highest weights are available; strata needing more
-raise UnsupportedStratumError and are handled by the flag-based classifier.
+of the paper's embedding into projective matrix pairs, together with the
+rank-one projector I_1 and the Levi-weight projector I_L.  Only fundamental
+or trivial highest weights are available; strata needing more raise
+UnsupportedStratumError.  Membership in the positive part does not use the
+pair: it reads every fundamental representation at once
+(strata.membership_Zgt0).
 """
 
 from __future__ import annotations
@@ -53,17 +55,6 @@ class FundamentalRep:
         from math import comb
 
         return comb(self.n, self.k)
-
-    @property
-    def basis(self) -> list[tuple[int, ...]]:
-        return subsets_colex(self.n, self.k)
-
-    @property
-    def support(self) -> frozenset[int]:
-        """Support of the highest weight: {k} for 0 < k < n, else empty."""
-        if 0 < self.k < self.n:
-            return frozenset({self.k})
-        return frozenset()
 
     def matrix(self, g: GroupMatrix) -> Matrix:
         return compound(g.m, self.k)
@@ -164,10 +155,10 @@ def levi_weight_indicator(n: int, k: int, J: ParabolicSubset) -> tuple[Matrix, i
 class EmbeddingData:
     """Representation pair realizing the stratum J, with projectors.
 
-    exact_criterion records whether the supports match the stratum exactly
-    (supp λ1 = I−J and supp λ2 = J), which is what the entrywise positivity
-    criterion needs; the J = I fallback for n ≥ 3 only supports the forward
-    direction and base-point checks.
+    The highest weights have supports I−J and J, as the paper's entrywise
+    criterion (*) asks, except for J = I at n ≥ 3: there rep2 is Λ¹, whose
+    support {1} is smaller than J, and the pair serves only the forward (*)
+    check and the base-point image.
     """
 
     J: ParabolicSubset
@@ -176,7 +167,6 @@ class EmbeddingData:
     I1: Matrix
     IL: Matrix
     n0: int
-    exact_criterion: bool
 
 
 def embedding_data(J: ParabolicSubset) -> EmbeddingData:
@@ -211,8 +201,7 @@ def embedding_data(J: ParabolicSubset) -> EmbeddingData:
     il, n0 = levi_weight_indicator(n, rep2.k, J)
     if any(il[i][i] == 0 for i in range(n0)):
         raise AssertionError("Levi-weight vectors must lead the basis")
-    exact = (rep1.support == complement) and (rep2.support == J.J)
-    return EmbeddingData(J, rep1, rep2, i1, il, n0, exact)
+    return EmbeddingData(J, rep1, rep2, i1, il, n0)
 
 
 def stratum_indicator(J: ParabolicSubset, k: int) -> Matrix:

@@ -19,9 +19,7 @@ from functools import cached_property
 from . import linalg as la
 from .exterior import (
     EmbeddingData,
-    UnsupportedStratumError,
     compounds,
-    embedding_data,
     proj_equal,
     strictly_signed,
     stratum_indicator,
@@ -279,32 +277,29 @@ def levi_in_Lge0_ZL(l: GroupMatrix, J: ParabolicSubset) -> bool:
     return True
 
 
-def membership_entrywise(z: CompactPoint, data: EmbeddingData) -> bool:
-    """Condition (*): all four projective matrices strictly positive."""
-    m1, m2 = iJ_of_point(z, data)
-    m3, m4 = iJ_of_point(psibar(z), data)
-    return all(strictly_signed(m) for m in (m1, m2, m3, m4))
-
-
 def membership_Zgt0(z: CompactPoint) -> bool:
-    """Membership of z in the positive part of its stratum.
+    """Membership of z in the positive part Z_{J,>0} of its stratum: every
+    entry ρ_k(g1)·D_k·ρ_k(g2) of the fundamental tuple is strictly signed.
 
     Precondition: z lies in the nonnegative part Z_{J,≥0} (e.g. it was built
     by a cell sampler, a torus limit of nonnegative data, or a positive
-    retraction).  On that set both routes below are exact; the entrywise
-    route is used whenever the representation pair matches the stratum
-    supports verbatim, otherwise the point is classified and compared to the
-    open-cell label.
-    """
-    try:
-        data = embedding_data(z.J)
-    except UnsupportedStratumError:
-        data = None
-    if data is not None and data.exact_criterion:
-        return membership_entrywise(z, data)
-    from .cells import classify, top_label
+    retraction).  Outside it the test is not a criterion.
 
-    return classify(z) == top_label(z.J)
+    Why it decides Z_{J,>0} on that set: each entry depends on z only up to
+    a scalar, and a point of Z_{J,>0} is (h1, h2⁻¹)·z°_J with h1, h2
+    totally positive.  ρ_k(h) is entrywise positive on the canonical (wedge)
+    basis (Lusztig, "Total positivity in reductive groups", 1994), so
+    ρ_k(h1)·D_k·ρ_k(h2), a nonempty sum of products of a positive column and
+    a positive row, is positive.  Every entry is a limit of such matrices,
+    hence nonnegative on Z_{J,≥0}; the converse, that each lower cell of
+    Z_{J,≥0} makes some entry vanish, is checked in the tests against the
+    labels of sampled points and the classifier: every n = 3 cell, sampled
+    n = 4 cells (J = {2}, where Plücker and Lusztig positivity of partial
+    flags differ, included: Bloch and Karp, Adv. Math. 2023) and the n = 5
+    top cells.  ψ̄ needs no separate check: it transposes every entry of
+    the tuple.
+    """
+    return all(strictly_signed(m) for m in fundamental_tuple(z))
 
 
 def positive_retraction(

@@ -170,11 +170,10 @@ def test_embedding_data_shapes(n, js, k1, k2, n0):
 def test_embedding_data_spec_examples():
     data = embedding_data(ParabolicSubset.of(3, [1]))
     assert data.IL == la.mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-    assert data.exact_criterion
     data2 = embedding_data(ParabolicSubset.of(2, []))
     assert data2.IL == ((Fraction(1),),)
     data3 = embedding_data(ParabolicSubset.of(3, [1, 2]))
-    assert data3.IL == la.identity(3) and not data3.exact_criterion
+    assert data3.IL == la.identity(3)
     with pytest.raises(UnsupportedStratumError):
         embedding_data(ParabolicSubset.of(3, []))
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from tnncompact import linalg as la
-from tnncompact.exterior import embedding_data, proj_equal
+from tnncompact.cells import classify, enumerate_cells, sample_cell, top_label
+from tnncompact.exterior import embedding_data, proj_equal, strictly_signed
 from tnncompact.matgroup import (
     GroupMatrix,
     generator_x,
@@ -22,7 +23,6 @@ from tnncompact.strata import (
     iJ_of_point,
     levi_in_Lge0_ZL,
     membership_Zgt0,
-    membership_entrywise,
     positive_retraction,
     psibar,
     torus_limit,
@@ -36,7 +36,8 @@ from tnncompact.tnn import (
     sample_Uminus_gt0,
     sample_Uplus_gt0,
 )
-from tnncompact.weyl import ParabolicSubset, longest_w
+from tnncompact.verify import _negative_levi_point
+from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets, longest_w
 
 ALL_J3 = [[], [1], [2], [1, 2]]
 
@@ -255,28 +256,68 @@ def test_levi_cone_test():
     assert levi_in_Lge0_ZL(zeta @ good, J)
 
 
-def test_membership_routes_agree_on_the_closure():
-    """Where the representation pair matches the stratum exactly, the
-    entrywise test and the classifier route decide membership identically on
-    sampled points of every cell (all of which lie in the closure):
-    entrywise positivity holds exactly on the open cell."""
-    from tnncompact.cells import classify, enumerate_cells, sample_cell, top_label
+# Strata whose (*) pair has highest-weight supports exactly I−J and J.
+STAR_STRATA = [(2, []), (2, [1]), (3, [1]), (3, [2])]
 
+
+def test_membership_routes_agree_on_the_closure():
+    """On one sampled point of every nonempty cell at n = 2, 3 (all in the
+    closure Z_{J,≥0}), the fundamental-tuple test accepts exactly the open
+    cell of the stratum.  The paper's (*) matrices agree wherever (*)
+    applies (the ψ̄(z) half is their transpose, see
+    test_psibar_transposes_matrix_pair), and the classifier on a seeded
+    subset of the points."""
+    star = {
+        ParabolicSubset.of(n, js): embedding_data(ParabolicSubset.of(n, js))
+        for n, js in STAR_STRATA
+    }
     rng = random.Random(15)
-    for n, js in [(2, []), (2, [1]), (3, [1]), (3, [2])]:
-        J = ParabolicSubset.of(n, js)
-        data = embedding_data(J)
-        assert data.exact_criterion
-        top = top_label(J)
-        labels = [l for l, _ in enumerate_cells(n, J)]
-        picked = labels if len(labels) <= 12 else rng.sample(labels, 12)
-        if top not in picked:
-            picked.append(top)
-        for label in picked:
+    for n in (2, 3):
+        for label, _ in enumerate_cells(n):
             _, z = sample_cell(label, 33)
-            entrywise = membership_entrywise(z, data)
-            via_label = classify(z) == top
-            assert entrywise == via_label == (label == top), label
+            top = top_label(label.J)
+            member = membership_Zgt0(z)
+            assert member == (label == top), label
+            data = star.get(label.J)
+            if data is not None:
+                pair = iJ_of_point(z, data)
+                assert all(strictly_signed(m) for m in pair) == member, label
+            if rng.random() < 0.05:
+                assert (classify(z) == top) == member, label
+
+
+def test_membership_matches_labels_at_n4():
+    """36 seeded labels of every n = 4 stratum plus its top label, J = {2}
+    among them: there Plücker and Lusztig positivity of partial flags
+    differ, so the single route is checked against the sampled label."""
+    rng = random.Random(16)
+    strata = all_parabolic_subsets(4)
+    assert ParabolicSubset.of(4, [2]) in strata
+    for J in strata:
+        top = top_label(J)
+        labels = [l for l, _ in enumerate_cells(4, J)]
+        for label in rng.sample(labels, 36) + [top]:
+            _, z = sample_cell(label, 34)
+            assert membership_Zgt0(z) == (label == top), label
+
+
+def test_membership_accepts_top_cells_at_n5():
+    for J in all_parabolic_subsets(5):
+        _, z = sample_cell(top_label(J), 35)
+        assert membership_Zgt0(z), J
+
+
+def test_membership_rejects_negative_levi_points():
+    """A negated Levi coordinate on either side leaves Z_{J,>0}, for every
+    stratum with a nontrivial Levi at n = 3, 4."""
+    for n in (3, 4):
+        for J in all_parabolic_subsets(n):
+            if not J.J:
+                continue
+            for k in range(4):
+                rng = random.Random(300 + k)
+                z = _negative_levi_point(J, rng, flip_left=(k % 2 == 0))
+                assert not membership_Zgt0(z), (J, k)
 
 
 def test_positive_retraction():
@@ -301,9 +342,6 @@ def test_positive_retraction():
 
 
 def test_z1_diagnostic_positive_and_negative():
-    from tnncompact.cells import enumerate_cells, sample_cell, top_label
-    from tnncompact.verify import _negative_levi_point
-
     rng = random.Random(14)
     labels = enumerate_cells(3)
     for label, _ in rng.sample(labels, 8):

@@ -30,7 +30,7 @@ from .matgroup import (
     bruhat_position,
     sdot,
 )
-from .strata import CompactPoint
+from .strata import CompactPoint, _trusted_point
 from .tnn import (
     DoubleCellPoint,
     MRChart,
@@ -233,12 +233,8 @@ def sample_cell(label: CellLabel, seed: int) -> tuple[CellSample, CompactPoint]:
     from .tnn import double_cell_evaluate
 
     l = double_cell_evaluate(levi)
-    point = CompactPoint(
-        label.J,
-        g,
-        gp.T.inverse(),
-        g @ l @ gp.T,
-    )
+    # g⁻¹·(g·l·ψ(g'))·ψ(g')⁻¹ = l is block diagonal, so it is its own Levi part
+    point = _trusted_point(label.J, g, gp.T.inverse(), g @ l @ gp.T, l)
     return (CellSample(label, chart1, chart2, levi), point)
 
 

@@ -12,7 +12,7 @@ the Laurent and dual-number matrices of ``laurent`` and ``dual``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -96,15 +96,15 @@ def submatrix(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
     return tuple(tuple(m[i][j] for j in cols) for i in rows)
 
 
-def _integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators, as ints, and the product
-    of those multipliers (so det(m) = det(rows) / product)."""
+def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, as ints, and those
+    multipliers (so det(m) = det(rows) / their product)."""
     rows = []
-    scales = 1
+    scales = []
     for row in m:
         l = lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (l // x.denominator) for x in row])
-        scales *= l
+        scales.append(l)
     return rows, scales
 
 
@@ -131,7 +131,7 @@ def det(m: Matrix) -> Fraction:
             for j in range(k + 1, n):
                 ai[j] = (p * ai[j] - f * pk[j]) // prev
         prev = p
-    return Fraction(sign * prev, scales)
+    return Fraction(sign * prev, prod(scales))
 
 
 def minor(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
@@ -139,22 +139,38 @@ def minor(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
 
 
 def inverse(m: Matrix) -> Matrix:
+    """Inverse by fraction-free (Bareiss) Gauss–Jordan on the integer rows.
+
+    With m = D⁻¹·A for A = _integer_rows(m) and D its diagonal of row
+    multipliers, elimination on [A | I] leaves d·A⁻¹ in the right half,
+    d = ±det A the last pivot, every division exact; then m⁻¹ = A⁻¹·D.
+    Fractions are built only for the n² output entries.
+    """
     n, nc = dims(m)
     if n != nc:
         raise ValueError("inverse of non-square matrix")
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    a, scales = _integer_rows(m)
+    for i, row in enumerate(a):
+        row.extend(int(i == j) for j in range(n))
+    width = 2 * n
+    prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             raise SingularMatrixError("matrix is singular")
         a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
+        pk = a[k]
+        p = pk[k]
         for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return tuple(tuple(row[n:]) for row in a)
+            if i != k:  # columns up to k are never read again
+                ai = a[i]
+                f = ai[k]
+                for j in range(k + 1, width):
+                    ai[j] = (p * ai[j] - f * pk[j]) // prev
+        prev = p
+    return tuple(
+        tuple(Fraction(x * s, prev) for x, s in zip(row[n:], scales)) for row in a
+    )
 
 
 def rank(m: Matrix) -> int:
@@ -258,9 +274,10 @@ def block_ldu(
     d = [[Fraction(0)] * n for _ in range(n)]
     for k, blk in enumerate(blocks):
         dk = tuple(tuple(a[i][j] for j in blk) for i in blk)
-        if det(dk) == 0:
-            raise FactorizationError(f"diagonal block {k} singular in block LDU")
-        dk_inv = inverse(dk)
+        try:
+            dk_inv = inverse(dk)
+        except SingularMatrixError:
+            raise FactorizationError(f"diagonal block {k} singular in block LDU") from None
         for i in blk:
             for j in blk:
                 d[i][j] = a[i][j]

@@ -6,6 +6,16 @@ for even n and only +1 for odd n.  The pinning is the standard one,
 x_i(a) = 1 + a·E_{i,i+1}, y_i(a) its transpose, and ψ (the positivity
 antiautomorphism) is literally matrix transpose.
 
+det = 1 is checked once, where a matrix enters: the public ``GroupMatrix``
+constructor, which JSON readers, the CLI and callers go through.  Every
+matrix this module builds itself (products, inverses, transposes, the
+generators, tori and Weyl lifts, factorization parts, Levi parts) is a
+group element by construction and goes through ``_trusted``, which checks
+nothing.  Those matrices also carry their inverse where it is known in
+closed form: x_i(a)⁻¹ = x_i(-a), ẇ⁻¹ = ẇᵀ, the reciprocal torus,
+(gh)⁻¹ = h⁻¹g⁻¹ and (gᵀ)⁻¹ = (g⁻¹)ᵀ; only the rest are inverted by
+elimination.
+
 Flags and parabolic subgroups are stored by a conjugating group element.
 Relative position is read off the rank profile of lower-left submatrices;
 the associated Borel of a parabolic comes from one Bruhat elimination plus
@@ -17,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from . import linalg as la
@@ -31,7 +41,11 @@ class GroupError(Exception):
 
 @dataclass(frozen=True)
 class GroupMatrix:
-    """Determinant-1 rational matrix, equal to its n-th-root-of-unity rescalings."""
+    """Determinant-1 rational matrix, equal to its n-th-root-of-unity rescalings.
+
+    The constructor checks squareness and det = 1; build a matrix through
+    it whenever the entries come from outside the library.
+    """
 
     m: Matrix
 
@@ -65,15 +79,33 @@ class GroupMatrix:
         return hash(self.canonical())
 
     def __matmul__(self, other: "GroupMatrix") -> "GroupMatrix":
-        return GroupMatrix(la.matmul(self.m, other.m))
+        left, right = self.__dict__.get("_inv"), other.__dict__.get("_inv")
+        return _trusted(
+            la.matmul(self.m, other.m),
+            None if left is None or right is None else right + left,
+        )
 
     def inverse(self) -> "GroupMatrix":
-        return GroupMatrix(la.inverse(self.m))
+        """g⁻¹, from the known factors of the inverse when there are any and
+        by fraction-free elimination otherwise.  Kept on matrices the library
+        built, never on the caller's."""
+        inv = self.__dict__.get("_inv")
+        if inv is None:
+            m = la.inverse(self.m)
+        else:
+            m = reduce(la.matmul, inv) if inv else la.identity(self.n)
+        if "_inv" in self.__dict__:
+            self.__dict__["_inv"] = (m,)
+        return _trusted(m, (self.m,))
 
     @property
     def T(self) -> "GroupMatrix":
         """ψ: the antiautomorphism fixing T and swapping x_i(a) with y_i(a)."""
-        return GroupMatrix(la.transpose(self.m))
+        inv = self.__dict__.get("_inv")
+        return _trusted(
+            la.transpose(self.m),
+            None if inv is None else tuple(la.transpose(f) for f in reversed(inv)),
+        )
 
     def is_identity(self) -> bool:
         return self == identity_g(self.n)
@@ -85,17 +117,43 @@ class GroupMatrix:
         return f"G[{rows}]"
 
 
+def _trusted(m: Matrix, inv: tuple[Matrix, ...] | None = None) -> GroupMatrix:
+    """A GroupMatrix for a square det-1 matrix the library built: skips the
+    ``__post_init__`` check.  inv holds matrices whose product is its
+    inverse (none for the identity), or None when the inverse is unknown."""
+    g = object.__new__(GroupMatrix)
+    g.__dict__.update(m=m, _inv=inv)
+    return g
+
+
+def _diagonal(diag: Sequence[Fraction]) -> GroupMatrix:
+    """The diagonal group element with the given nonzero entries, product 1."""
+    n = len(diag)
+    zero = Fraction(0)
+
+    def build(values):
+        return tuple(
+            tuple(values[i] if i == j else zero for j in range(n)) for i in range(n)
+        )
+
+    return _trusted(build(diag), (build([1 / d for d in diag]),))
+
+
 def identity_g(n: int) -> GroupMatrix:
-    return GroupMatrix(la.identity(n))
+    return _trusted(la.identity(n), ())
 
 
 def generator_x(n: int, i: int, a) -> GroupMatrix:
     if not 1 <= i <= n - 1:
         raise GroupError(f"generator index {i} out of range for n={n}")
     a = frac(a)
-    rows = [list(row) for row in la.identity(n)]
-    rows[i - 1][i] = a
-    return GroupMatrix(la.mat(rows))
+
+    def build(value):
+        rows = [list(row) for row in la.identity(n)]
+        rows[i - 1][i] = value
+        return tuple(tuple(row) for row in rows)
+
+    return _trusted(build(a), (build(-a),))
 
 
 def generator_y(n: int, i: int, a) -> GroupMatrix:
@@ -107,17 +165,13 @@ def torus(values: Sequence) -> GroupMatrix:
     vals = [frac(v) for v in values]
     if any(v == 0 for v in vals):
         raise GroupError("zero torus coordinate")
-    n = len(vals) + 1
     diag = []
     prev = Fraction(1)
     for v in vals:
         diag.append(v / prev)
         prev = v
     diag.append(1 / prev)
-    rows = [
-        [diag[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)
-    ]
-    return GroupMatrix(la.mat(rows))
+    return _diagonal(diag)
 
 
 def sdot(n: int, i: int) -> GroupMatrix:
@@ -141,7 +195,8 @@ def _signed_permutation(perm: tuple[int, ...]) -> GroupMatrix:
     for j, wj in enumerate(perm):
         flips = sum(1 for wi in perm[:j] if wi > wj)
         rows[wj - 1][j] = Fraction(-1 if flips % 2 else 1)
-    return GroupMatrix(la.mat(rows))
+    m = tuple(tuple(row) for row in rows)
+    return _trusted(m, (la.transpose(m),))
 
 
 def psi(g: GroupMatrix) -> GroupMatrix:
@@ -158,7 +213,7 @@ def pi_factor(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
     raises FactorizationError outside it.
     """
     l, d, u = la.ldu(g.m)
-    return GroupMatrix(l), GroupMatrix(d), GroupMatrix(u)
+    return _trusted(l), _diagonal([d[i][i] for i in range(g.n)]), _trusted(u)
 
 
 def pi_T(g: GroupMatrix) -> GroupMatrix:
@@ -192,14 +247,14 @@ def pi_UplusJ(g: GroupMatrix, J: ParabolicSubset) -> GroupMatrix:
     rest; concretely the block-diagonal part of the upper unipotent factor.
     """
     u = pi_Uplus(g)
-    return GroupMatrix(_block_diag_part(u.m, J))
+    return _trusted(_block_diag_part(u.m, J))
 
 
 def pi_UminusJ(u: GroupMatrix, J: ParabolicSubset) -> GroupMatrix:
     """Mirror of pi_UplusJ for lower unipotent input."""
     if not la.is_lower_triangular(u.m):
         raise GroupError("pi_UminusJ expects a lower unipotent argument")
-    return GroupMatrix(_block_diag_part(u.m, J))
+    return _trusted(_block_diag_part(u.m, J))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +407,7 @@ def associated_borel(P: ParabolicPoint, B: FlagPoint) -> FlagPoint:
         J, g = J.star(), g @ wdot(longest_w(P.n))
     b, w = _bruhat_left((g.inverse() @ B.g).m)
     x = w * J.min_rep(w.inverse())
-    return FlagPoint(g @ GroupMatrix(b) @ wdot(x))
+    return FlagPoint(g @ _trusted(b) @ wdot(x))
 
 
 def opposed(P: ParabolicPoint, Q: ParabolicPoint) -> bool:

@@ -26,7 +26,7 @@ from .exterior import (
 )
 from .laurent import Laurent, lmat_from_rational, lmat_limit
 from .linalg import FactorizationError, Matrix
-from .matgroup import GroupMatrix, identity_g, pi_factor
+from .matgroup import GroupMatrix, _trusted, identity_g, pi_factor
 from .tnn import is_tnn_matrix, is_totally_positive, phi_plus, rand_pos_fraction
 from .weyl import ParabolicSubset, WeylElement, lex_min_reduced_word
 
@@ -72,7 +72,7 @@ class CompactPoint:
             _, d, _ = la.block_anti_ldu(h, self.J.blocks0())
         except FactorizationError as e:
             raise StrataError(f"triple violates opposedness: {e}") from e
-        return GroupMatrix(d)
+        return _trusted(d)
 
     def levi_in_frame(self, a: GroupMatrix, b: GroupMatrix) -> GroupMatrix:
         h = (a.inverse() @ self.g @ b).m
@@ -80,7 +80,7 @@ class CompactPoint:
             _, d, _ = la.block_anti_ldu(h, self.J.blocks0())
         except FactorizationError as e:
             raise StrataError(f"frame change left the opposed chart: {e}") from e
-        return GroupMatrix(d)
+        return _trusted(d)
 
     def canonical_levi(self) -> Matrix:
         """Levi part with each diagonal block scaled so its first nonzero
@@ -126,23 +126,40 @@ def _blockwise_normalized(m: Matrix, blocks: list[list[int]]) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
+def _trusted_point(
+    J: ParabolicSubset, a: GroupMatrix, b: GroupMatrix, g: GroupMatrix, levi: GroupMatrix
+) -> CompactPoint:
+    """A CompactPoint whose Levi part is already known: skips the
+    ``__post_init__`` factorization, which stays on every public
+    construction."""
+    z = object.__new__(CompactPoint)
+    z.__dict__.update(J=J, a=a, b=b, g=g, levi=levi)
+    return z
+
+
 def base_point(J: ParabolicSubset) -> CompactPoint:
     e = identity_g(J.n)
-    return CompactPoint(J, e, e, e)
+    return _trusted_point(J, e, e, e, e)
 
 
 def act(g1: GroupMatrix, g2: GroupMatrix, z: CompactPoint) -> CompactPoint:
-    """(g1, g2)·(P, Q, H g U) = (^{g1}P, ^{g2}Q, H (g1 g g2⁻¹) U)."""
-    return CompactPoint(z.J, g1 @ z.a, g2 @ z.b, g1 @ z.g @ g2.inverse())
+    """(g1, g2)·(P, Q, H g U) = (^{g1}P, ^{g2}Q, H (g1 g g2⁻¹) U).
+
+    The base-frame representative (g1·a)⁻¹·(g1·g·g2⁻¹)·(g2·b) = a⁻¹·g·b is
+    unchanged, so the Levi part carries over."""
+    return _trusted_point(
+        z.J, g1 @ z.a, g2 @ z.b, g1 @ z.g @ g2.inverse(), z.levi
+    )
 
 
 def psibar(z: CompactPoint) -> CompactPoint:
-    """Extension of the transpose antiautomorphism: (P,Q,γ) ↦ (ψQ, ψP, ψγ)."""
-    return CompactPoint(
-        z.J,
-        z.b.T.inverse(),
-        z.a.T.inverse(),
-        z.g.T,
+    """Extension of the transpose antiautomorphism: (P,Q,γ) ↦ (ψQ, ψP, ψγ).
+
+    The new base-frame representative is (a⁻¹·g·b)ᵀ, and transposing
+    swaps the two block-unipotent factors, so the Levi part is z's
+    transposed."""
+    return _trusted_point(
+        z.J, z.b.T.inverse(), z.a.T.inverse(), z.g.T, z.levi.T
     )
 
 

@@ -14,7 +14,6 @@ from itertools import product
 from typing import Any, Callable
 
 from . import serialize as ser
-from . import linalg as la
 from .cells import (
     CellLabel,
     EmptyCellError,
@@ -35,6 +34,9 @@ from .matgroup import (
     borel_plus,
     bruhat_position,
     FlagPoint,
+    generator_x,
+    generator_y,
+    identity_g,
 )
 from .strata import (
     CompactPoint,
@@ -268,20 +270,18 @@ def _negative_levi_point(
         lm_coords[0] = -lm_coords[0]
     else:
         lp_coords[0] = -lp_coords[0]
-    lm = GroupMatrix(la.mat(_signed_phi(word_j, lm_coords, lower=True)))
-    lp = GroupMatrix(la.mat(_signed_phi(word_j, lp_coords, lower=False)))
+    lm = _signed_phi(word_j, lm_coords, lower=True)
+    lp = _signed_phi(word_j, lp_coords, lower=False)
     t = torus_g([rand_pos_fraction(rng) for _ in range(n - 1)])
     l = lm @ t @ lp
     return CompactPoint(J, g, gp.T.inverse(), g @ l @ gp.T)
 
 
-def _signed_phi(word: ReducedWord, coords, lower: bool):
-    from .matgroup import generator_x, generator_y, identity_g
-
+def _signed_phi(word: ReducedWord, coords, lower: bool) -> GroupMatrix:
     g = identity_g(word.n)
     for i, a in zip(word.letters, coords):
         g = g @ (generator_y(word.n, i, a) if lower else generator_x(word.n, i, a))
-    return g.m
+    return g
 
 
 def suite_positivity_converse(cfg: VerifyConfig) -> SuiteReport:
@@ -417,7 +417,7 @@ def suite_limits(cfg: VerifyConfig) -> SuiteReport:
     rep = SuiteReport("limits")
     e_exponents = [0, 1, 2]
     for n in range(2, cfg.n + 1):
-        one = GroupMatrix(la.identity(n))
+        one = identity_g(n)
         for c in product(e_exponents, repeat=n - 1):
             J = ParabolicSubset.of(n, (i + 1 for i, x in enumerate(c) if x == 0))
             z = torus_limit(one, c, one)

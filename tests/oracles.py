@@ -3,8 +3,10 @@
 The kernel references are the textbook definitions, written with ring
 operations only (no division, no zero tests), so they apply unchanged to
 Fraction, Laurent and Dual entries and stay independent of the library's
-kernels.  The group-layer references decide flag and parabolic questions
-by subspaces and Lie algebras, independently of the library's eliminations.
+kernels; the one exception is the Gauss–Jordan inverse, which pivots on
+Fractions where the library eliminates over the integers.  The group-layer
+references decide flag and parabolic questions by subspaces and Lie
+algebras, independently of the library's eliminations.
 """
 
 from fractions import Fraction
@@ -25,6 +27,25 @@ def laplace_det(m):
         term = row[0] * laplace_det(rest[:i] + rest[i + 1 :])
         total = total - term if i % 2 else total + term
     return total
+
+
+def gauss_jordan_inverse(m):
+    """Inverse of a nonempty square Fraction matrix by Gauss–Jordan with
+    Fraction pivots; raises la.SingularMatrixError when there is none."""
+    n = len(m)
+    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            raise la.SingularMatrixError("matrix is singular")
+        a[k], a[piv] = a[piv], a[k]
+        inv = 1 / a[k][k]
+        a[k] = [x * inv for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return tuple(tuple(row[n:]) for row in a)
 
 
 def naive_matmul(a, b):
@@ -106,7 +127,7 @@ def lie_algebra(parabolic):
     length n²: g·E_ij·g⁻¹ for every (i, j) on or above (below) the block
     diagonal."""
     n = parabolic.n
-    g, ginv = parabolic.g.m, la.inverse(parabolic.g.m)
+    g, ginv = parabolic.g.m, gauss_jordan_inverse(parabolic.g.m)
     block = {i: k for k, blk in enumerate(parabolic.J.blocks0()) for i in blk}
     cols = []
     for i in range(n):

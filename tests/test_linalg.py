@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import (
     dual_matrices,
+    gauss_jordan_inverse,
     laplace_det,
     naive_matmul,
     rationals,
@@ -64,6 +65,46 @@ def test_inverse_and_rank():
         la.inverse(la.mat([[1, 2], [2, 4]]))
     assert la.rank(la.mat([[1, 2], [2, 4]])) == 1
     assert la.rank(la.zeros(3, 2)) == 0
+
+
+def rand_dense(n, rng):
+    """Every entry nonzero, denominators up to 7."""
+    return la.mat(
+        [
+            [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7)) for _ in range(n)]
+            for _ in range(n)
+        ]
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_inverse_matches_gauss_jordan_oracle(n):
+    rng = random.Random(40 + n)
+    for _ in range(60):
+        m = rand_dense(n, rng)
+        if la.det(m) != 0:
+            assert la.inverse(m) == gauss_jordan_inverse(m)
+    for _ in range(20):
+        m = [list(row) for row in rand_dense(n, rng)]
+        i, j = rng.sample(range(n), 2)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        m[i] = [c * x for x in m[j]]
+        with pytest.raises(la.SingularMatrixError):
+            la.inverse(la.mat(m))
+
+
+@given(square_matrices())
+def test_inverse_matches_gauss_jordan_on_any_matrix(case):
+    _, m = case
+    try:
+        want = gauss_jordan_inverse(m)
+    except la.SingularMatrixError:
+        with pytest.raises(la.SingularMatrixError):
+            la.inverse(m)
+        return
+    got = la.inverse(m)
+    assert got == want
+    assert all(isinstance(x, Fraction) for row in got for x in row)
 
 
 def test_rank_matches_minor_rank():

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import opposed_by_lie_algebra, partial_flag
+from oracles import gauss_jordan_inverse, opposed_by_lie_algebra, partial_flag
 
 from tnncompact import linalg as la
+from tnncompact import serialize as ser
 from tnncompact.linalg import FactorizationError
 from tnncompact.matgroup import (
     FlagPoint,
@@ -37,6 +38,7 @@ from tnncompact.weyl import (
     ParabolicSubset,
     all_parabolic_subsets,
     all_weyl,
+    bruhat_leq,
     longest_w,
     simple_reflection,
 )
@@ -507,7 +509,7 @@ def test_borel_minus_is_built_once(n, monkeypatch):
     monkeypatch.setattr(la, "det", counting("det", la.det))
     matgroup._signed_permutation.cache_clear()
     first = borel_minus(n)
-    assert calls["det"] == 1 and calls["matmul"] == 0
+    assert calls["det"] == 0 and calls["matmul"] == 0  # closed form, trusted
     calls.update(matmul=0, det=0)
     second = borel_minus(n)
     assert calls == {"matmul": 0, "det": 0}
@@ -523,3 +525,92 @@ def test_flag_and_parabolic_points_are_unhashable():
     for point in (borel_plus(3), standard_parabolic(J), opposite_parabolic(J)):
         with pytest.raises(TypeError):
             hash(point)
+
+
+# ---------------------------------------------------------------------------
+# det = 1 checked at entry only; closed-form and fraction-free inverses
+
+
+def no_elimination(*_):
+    raise AssertionError("a closed-form inverse went through elimination")
+
+
+def assert_inverse(g):
+    inv = g.inverse()
+    assert inv.m == gauss_jordan_inverse(g.m)
+    assert inv.inverse().m is g.m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_weyl_lift_inverses_are_closed_form(n, monkeypatch):
+    monkeypatch.setattr(la, "inverse", no_elimination)
+    for w in all_weyl(n):
+        assert_inverse(wdot(w))
+        assert wdot(w).inverse().m == la.transpose(wdot(w).m)
+    for i in range(1, n):
+        assert_inverse(sdot(n, i))
+    for g in (identity_g(n), borel_plus(n).g, borel_minus(n).g):
+        assert_inverse(g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_generator_and_torus_inverses_are_closed_form(n, monkeypatch):
+    monkeypatch.setattr(la, "inverse", no_elimination)
+    rng = random.Random(70 + n)
+    for _ in range(10):
+        i = rng.randint(1, n - 1)
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        for gen in (generator_x, generator_y):
+            assert_inverse(gen(n, i, a))
+            assert gen(n, i, a).inverse().m == gen(n, i, -a).m
+        t = torus([Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1]) for _ in range(n - 1)])
+        assert_inverse(t)
+        assert la.is_diagonal(t.inverse().m)
+
+
+def chart_matrices(n, rng):
+    """Products, inverses and transposes of the matrices the samplers build."""
+    from tnncompact.tnn import mr_chart, mr_evaluate, sample_G_gt0, sample_L_ge0
+
+    ws = sorted(all_weyl(n), key=lambda w: w.perm)
+    w = rng.choice(ws)
+    v = rng.choice([x for x in ws if bruhat_leq(x, w)])
+    g = mr_evaluate(mr_chart(v, w, rng))
+    h = sample_G_gt0(n, rng)
+    l = sample_L_ge0(rng.choice(all_parabolic_subsets(n)), rng)
+    u = rand_factorable(n, rng)
+    return [
+        g, h, l, u, g @ h, h.T, g.inverse(), (g @ l @ h.T).inverse(),
+        g.T.inverse() @ u, (u @ wdot(w)).T, pi_factor(u)[0].inverse(),
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_chart_matrices_stay_in_the_group(n):
+    rng = random.Random(90 + n)
+    one = la.identity(n)
+    for _ in range(4):
+        for g in chart_matrices(n, rng):
+            assert la.det(g.m) == 1
+            assert (g @ g.inverse()).m == one
+            assert (g.inverse() @ g).m == one
+            assert g.inverse().m == gauss_jordan_inverse(g.m)
+            assert g.T.inverse().m == la.transpose(g.inverse().m)
+
+
+def test_inverse_is_not_kept_on_the_callers_matrix():
+    g = GroupMatrix(la.mat([[1, 1], [1, 2]]))
+    inv = g.inverse()
+    assert inv.m == la.mat([[2, -1], [-1, 1]])
+    assert inv.inverse().m is g.m
+    assert vars(g) == {"m": g.m}
+
+
+def test_det_is_checked_where_matrices_enter():
+    with pytest.raises(GroupError):
+        GroupMatrix(la.mat([[2, 0], [0, 1]]))
+    with pytest.raises(GroupError):
+        GroupMatrix(la.mat([[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(GroupError):
+        ser.group_from_json([["2", "0"], ["0", "1"]])
+    assert ser.group_from_json([["1", "1"], ["1", "2"]]).m == la.mat([[1, 1], [1, 2]])

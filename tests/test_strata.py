@@ -164,6 +164,24 @@ def test_psibar_action_compatibility():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_carried_levi_parts_match_the_factorization(n):
+    """sample_cell, act and psibar carry the Levi part instead of factoring
+    a⁻¹·g·b again; ψ̄ transposes it.  Each is checked against the public
+    constructor, which factors."""
+    rng = random.Random(40 + n)
+    strata = all_parabolic_subsets(n)
+    for k in range(36):
+        J = strata[k % len(strata)]
+        label, _ = rng.choice(enumerate_cells(n, J))
+        _, z = sample_cell(label, k)
+        pz = psibar(z)
+        assert pz.levi.m == la.transpose(z.levi.m)
+        moved = act(sample_G_gt0(n, rng), sample_G_gt0(n, rng), z)
+        for point in (z, pz, moved, psibar(moved)):
+            assert point.levi.m == CompactPoint(J, point.a, point.b, point.g).levi.m
+
+
 def test_torus_limit_bare_curve_all_J():
     for n in (2, 3):
         one = identity_g(n)

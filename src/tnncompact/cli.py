@@ -140,6 +140,13 @@ def cmd_tp_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 2 <= args.n <= 5:
+        print("error: --n must be between 2 and 5", file=sys.stderr)
+        return EXIT_USAGE
+    for flag, value in (("--seeds", args.seeds), ("--samples", args.samples)):
+        if value < 1:
+            print(f"error: {flag} must be at least 1", file=sys.stderr)
+            return EXIT_USAGE
     cfg = VerifyConfig(n=args.n, seeds=args.seeds, samples=args.samples)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = []

@@ -368,16 +368,18 @@ def bruhat_position(b1: FlagPoint, b2: FlagPoint) -> WeylElement:
 # ---------------------------------------------------------------------------
 # associated Borel and opposedness
 
-def _bruhat_left(m: Matrix) -> tuple[Matrix, WeylElement]:
-    """(b, w) with b upper unipotent and m ∈ b·ẇ·B^+, for invertible m.
+def _bruhat_left(m: Matrix) -> tuple[Matrix, Matrix, WeylElement]:
+    """(b, b⁻¹, w) with b upper unipotent and m ∈ b·ẇ·B^+, for invertible m.
 
     Column by column, the lowest nonzero row not yet used is the pivot and
     clears the unused rows above it; b holds the multipliers, which are the
-    entries of the inverse row operations.
+    entries of the inverse row operations, and b⁻¹ is the row operations
+    applied to the identity.
     """
     n = len(m)
     a = [list(row) for row in m]
     b = [list(row) for row in la.identity(n)]
+    e = [list(row) for row in la.identity(n)]
     perm = []
     unused = list(range(n))
     for j in range(n):
@@ -392,7 +394,12 @@ def _bruhat_left(m: Matrix) -> tuple[Matrix, WeylElement]:
                 b[i][p] = f
                 for k in range(j, n):
                     a[i][k] -= f * a[p][k]
-    return la.mat(b), WeylElement(tuple(perm))
+                # e is upper unipotent: row p is 0 left of column p, 1 at p
+                e[i][p] -= f
+                for k in range(p + 1, n):
+                    if e[p][k]:
+                        e[i][k] -= f * e[p][k]
+    return tuple(map(tuple, b)), tuple(map(tuple, e)), WeylElement(tuple(perm))
 
 
 def associated_borel(P: ParabolicPoint, B: FlagPoint) -> FlagPoint:
@@ -405,9 +412,9 @@ def associated_borel(P: ParabolicPoint, B: FlagPoint) -> FlagPoint:
     J, g = P.J, P.g
     if P.opposite:
         J, g = J.star(), g @ wdot(longest_w(P.n))
-    b, w = _bruhat_left((g.inverse() @ B.g).m)
+    b, b_inv, w = _bruhat_left((g.inverse() @ B.g).m)
     x = w * J.min_rep(w.inverse())
-    return FlagPoint(g @ _trusted(b) @ wdot(x))
+    return FlagPoint(g @ _trusted(b, (b_inv,)) @ wdot(x))
 
 
 def opposed(P: ParabolicPoint, Q: ParabolicPoint) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any
 
 from .cells import CellError, CellLabel, enumerate_cells
@@ -97,14 +98,19 @@ def point_from_json(data) -> CompactPoint:
 
 
 def label_to_json(label: CellLabel, dim: int | None = None) -> dict[str, Any]:
+    return _label_record(label, dim, list)
+
+
+def _label_record(label: CellLabel, dim: int | None, as_list) -> dict[str, Any]:
+    """{J, v, w, v2, w2, y, y2[, dim]}, each list made by as_list from a tuple."""
     out = {
-        "J": sorted(label.J.J),
-        "v": weyl_to_json(label.v),
-        "w": weyl_to_json(label.w),
-        "v2": weyl_to_json(label.vp),
-        "w2": weyl_to_json(label.wp),
-        "y": weyl_to_json(label.y),
-        "y2": weyl_to_json(label.yp),
+        "J": as_list(tuple(sorted(label.J.J))),
+        "v": as_list(label.v.perm),
+        "w": as_list(label.w.perm),
+        "v2": as_list(label.vp.perm),
+        "w2": as_list(label.wp.perm),
+        "y": as_list(label.y.perm),
+        "y2": as_list(label.yp.perm),
     }
     if dim is not None:
         out["dim"] = dim
@@ -127,12 +133,20 @@ def label_from_json(data, n: int | None = None) -> CellLabel:
 
 
 def cells_to_json(n: int, J: ParabolicSubset | None = None) -> dict[str, Any]:
+    """The census {v, n, count, cells}, one {J, v, w, v2, w2, y, y2, dim}
+    record per cell in ``enumerate_cells`` order.
+
+    Equal permutations and subsets are one list object shared by every
+    record of the call (a few dozen lists instead of seven per cell), so
+    the lists are read-only: mutating one changes every cell that holds it.
+    """
     records = enumerate_cells(n, J)
+    shared = lru_cache(maxsize=None)(list)  # one list per distinct tuple
     return {
         "v": SCHEMA_VERSION,
         "n": n,
         "count": len(records),
-        "cells": [label_to_json(label, dim) for label, dim in records],
+        "cells": [_label_record(label, dim, shared) for label, dim in records],
     }
 
 
@@ -183,10 +197,12 @@ def dumps(data) -> str:
     """``json.dumps(data, indent=1) + "\\n"``, byte for byte.
 
     Each container is rendered to one string, and within one call a list of
-    plain ints and strings is rendered once per content and depth: a census
-    repeats a few dozen permutations and subsets over 10^5 cells.
+    plain ints and strings is rendered once per list object and depth: a
+    census shares a few dozen permutation and subset lists between 10^5
+    cells (see ``cells_to_json``).  The memo holds each such list, so no
+    other object can take its id while the call runs.
     """
-    memo: dict[tuple, str] = {}
+    memo: dict[tuple[int, str], tuple[Any, str]] = {}
 
     def render(x, ind: str) -> str:
         # No value is both a container and a scalar (their layouts conflict),
@@ -194,21 +210,24 @@ def dumps(data) -> str:
         if isinstance(x, (list, tuple)):
             if not x:
                 return "[]"
-            key = (ind, *x) if _PLAIN.issuperset(map(type, x)) else None
-            text = memo.get(key)
-            if text is None:
-                inner = ind + " "
-                text = "[" + inner + ("," + inner).join([render(e, inner) for e in x]) + ind + "]"
-                if key is not None:
-                    memo[key] = text
+            key = (id(x), ind)
+            hit = memo.get(key)
+            if hit is not None:
+                return hit[1]
+            inner = ind + " "
+            text = "[" + inner + ("," + inner).join([render(e, inner) for e in x]) + ind + "]"
+            if _PLAIN.issuperset(map(type, x)):
+                memo[key] = (x, text)
             return text
         if isinstance(x, dict):
             if not x:
                 return "{}"
             inner = ind + " "
+            # a memoized value is looked up here, without a call to render
             return "{" + inner + ("," + inner).join(
                 [
-                    _quote(k if type(k) is str else _key_str(k)) + ": " + render(v, inner)
+                    _quote(k if type(k) is str else _key_str(k)) + ": "
+                    + (hit[1] if (hit := memo.get((id(v), inner))) else render(v, inner))
                     for k, v in x.items()
                 ]
             ) + ind + "}"
@@ -218,8 +237,9 @@ def dumps(data) -> str:
 
 
 _quote = json.encoder.encode_basestring_ascii
-# Equal values of these types render alike; 1, True and 1.0 (or 0.0 and -0.0)
-# are equal but do not, so only lists of these are memoized.
+# A list of exact ints and strs renders without running any caller code (a
+# dict subclass's items() may yield new values on each call), so only such
+# lists are memoized.
 _PLAIN = frozenset((int, str))
 
 

@@ -284,6 +284,26 @@ def test_roundtrip_n4_random_labels():
         assert classify(z) == label
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_classify_needs_no_general_inverse(n, monkeypatch):
+    """Every inverse on the classifier's path of a library-built point is
+    known in closed form or carried from an elimination."""
+    import tnncompact.linalg as la
+
+    rng = random.Random(60 + n)
+    points = [
+        (label, sample_cell(label, k)[1])
+        for k, label in enumerate(_random_nonempty_label(n, rng) for _ in range(12))
+    ]
+
+    def forbidden(*_):
+        raise AssertionError("classify called linalg.inverse")
+
+    monkeypatch.setattr(la, "inverse", forbidden)
+    for label, z in points:
+        assert classify(z) == label
+
+
 @pytest.mark.slow
 def test_limits_and_membership_n4():
     import tnncompact.linalg as la

@@ -295,6 +295,23 @@ def test_cli_sample_rejects_negative_seed(tmp_path, capsys):
     assert_usage_error(main(["sample", "--label-file", str(label_file), "--seed", "-5"]), capsys)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--n", "1"],
+        ["limits", "--n", "7"],
+        ["all", "--n", "0"],
+        ["dimensions", "--n", "2", "--seeds", "-1"],
+        ["dimensions", "--n", "2", "--seeds", "0"],
+        ["census", "--n", "2", "--samples", "0"],
+    ],
+    ids=" ".join,
+)
+def test_cli_verify_rejects_scales_out_of_range(argv, capsys):
+    assert_usage_error(main(["verify", *argv]), capsys)
+    assert capsys.readouterr().out == ""
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2)
     | st.text(max_size=3),

@@ -349,18 +349,21 @@ def test_associated_borel_computes_no_rank_or_span(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bruhat_left_every_pivot_pattern(n):
     """m = u·ẇ·t·u' with sparse or dense upper unipotent u, u' and t in T
-    factors as b·ẇ·(upper) with b upper unipotent, for every w."""
+    factors as b·ẇ·(upper) with b upper unipotent, for every w, and the
+    elimination's b⁻¹ inverts b."""
     rng = random.Random(43 + n)
+    one = la.identity(n)
     for w in all_weyl(n):
         for _ in range(3):
             u = rng.choice([rand_sparse_upper(n, rng), rand_unipotent(n, rng)])
             up = rng.choice([rand_sparse_upper(n, rng), rand_unipotent(n, rng)])
             t = torus([Fraction(rng.choice([-3, 1, 2])) for _ in range(n - 1)])
             m = u @ wdot(w) @ t @ up
-            b, got = _bruhat_left(m.m)
+            b, b_inv, got = _bruhat_left(m.m)
             assert got == w
             assert la.is_upper_triangular(b)
             assert all(b[i][i] == 1 for i in range(n))
+            assert la.matmul(b, b_inv) == one and la.matmul(b_inv, b) == one
             assert la.is_upper_triangular(((GroupMatrix(b) @ wdot(w)).inverse() @ m).m)
 
 

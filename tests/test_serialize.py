@@ -90,6 +90,52 @@ def test_dumps_subclasses_render_as_their_base():
     assert ser.dumps(data) == oracle(data)
 
 
+def test_dumps_memo_is_keyed_by_object_and_depth():
+    shared = [3, 1, 2]
+    twin = [3, 1, 2]
+    for data in (
+        [shared, [shared], {"a": shared, "b": [[shared]]}, shared],
+        [shared, twin, [twin, shared], {"x": twin}],
+        [list(shared) for _ in range(5)] + [[list(shared)]],
+    ):
+        assert ser.dumps(data) == oracle(data)
+
+
+def test_dumps_with_fresh_lists_from_a_dict_subclass():
+    """Each items() call yields new lists; the writer must not take a dead
+    list's id for a later one."""
+
+    class Fresh(dict):
+        def items(self):
+            return [(k, [k, *v]) for k, v in super().items()]
+
+    data = [Fresh(a=[1, 2], b=["x"]), Fresh(a=[2, 1], b=["y"]), {"c": Fresh(a=[1, 2])}]
+    for _ in range(3):
+        assert ser.dumps(data) == oracle(data)
+    assert ser.dumps([Fresh({str(k): [k] for k in range(300)}) for _ in range(4)]) == oracle(
+        [Fresh({str(k): [k] for k in range(300)}) for _ in range(4)]
+    )
+
+
+def test_dumps_renders_a_repeated_list_of_containers_each_time():
+    """Only lists of ints and strs are memoized: a list holding a dict
+    subclass runs its items() at every occurrence, as json.dumps does."""
+
+    class Ticking(dict):
+        ticks = 0
+
+        def items(self):
+            Ticking.ticks += 1
+            return [("t", Ticking.ticks)]
+
+    inner = [Ticking(t=0)]
+    data = [inner, inner, {"k": inner}]
+    Ticking.ticks = 0
+    expected = oracle(data)
+    Ticking.ticks = 0
+    assert ser.dumps(data) == expected
+
+
 @pytest.mark.parametrize(
     "data",
     [Fraction(1, 2), [1, Fraction(1)], [[1], [Fraction(1)]], {"a": {1, 2}}, [object()], {(1, 2): 0}],
@@ -131,3 +177,28 @@ def test_dumps_matches_json_dumps_on_a_verify_failure_report(monkeypatch):
     assert len(rep.failures) == 13
     report = {"v": ser.SCHEMA_VERSION, "failures": rep.failures}
     assert ser.dumps(report) == oracle(report)
+
+
+@pytest.mark.parametrize(
+    "n, J", [(2, None), (3, None), (4, ParabolicSubset.of(4, [2]))]
+)
+def test_cells_to_json_records_equal_label_to_json(n, J):
+    assert ser.cells_to_json(n, J)["cells"] == [
+        ser.label_to_json(label, d) for label, d in enumerate_cells(n, J)
+    ]
+
+
+def test_cells_to_json_shares_one_list_per_permutation_and_subset():
+    cells = ser.cells_to_json(3)["cells"]
+    lists = {id(x): x for cell in cells for x in cell.values() if isinstance(x, list)}
+    subsets = {tuple(cell["J"]) for cell in cells}
+    assert len(subsets) == 4
+    assert len(lists) <= 6 + len(subsets)
+
+
+def test_label_to_json_returns_fresh_lists():
+    label = enumerate_cells(3)[0][0]
+    a, b = ser.label_to_json(label), ser.label_to_json(label)
+    assert a == b
+    lists = [x for rec in (a, b) for x in rec.values()]
+    assert len({id(x) for x in lists}) == len(lists) == 14

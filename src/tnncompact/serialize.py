@@ -223,7 +223,7 @@ def dumps(data) -> str:
             if not x:
                 return "{}"
             inner = ind + " "
-            # a memoized value is looked up here, without a call to render
+            # probing the memo here saves a render call per shared list value
             return "{" + inner + ("," + inner).join(
                 [
                     _quote(k if type(k) is str else _key_str(k)) + ": "

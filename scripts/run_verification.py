@@ -10,19 +10,23 @@ battery can be driven with custom scales, e.g.
 import argparse
 import sys
 
-from tnncompact.verify import VerifyConfig, run_all
+from tnncompact.verify import ConfigError, VerifyConfig, run_all
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=3)
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--samples", type=int, default=100)
     ap.add_argument("--base-seed", type=int, default=20240)
-    args = ap.parse_args()
-    cfg = VerifyConfig(
-        n=args.n, seeds=args.seeds, samples=args.samples, base_seed=args.base_seed
-    )
+    args = ap.parse_args(argv)
+    try:
+        cfg = VerifyConfig(
+            n=args.n, seeds=args.seeds, samples=args.samples, base_seed=args.base_seed
+        )
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     reports = run_all(cfg)
     for rep in reports:
         print(rep.line())

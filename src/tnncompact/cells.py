@@ -17,10 +17,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import linalg as la
-from .dual import DMatrix, Dual, dmat_const, dmat_identity
-from .exterior import compounds, stratum_indicator
+from .dual import DMatrix, Dual
 from .matgroup import (
     FlagPoint,
     ParabolicPoint,
@@ -28,12 +28,16 @@ from .matgroup import (
     borel_minus,
     borel_plus,
     bruhat_position,
-    sdot,
 )
-from .strata import CompactPoint, _trusted_point
+from .strata import CompactPoint, _limit_images, _trusted_point
 from .tnn import (
     DoubleCellPoint,
     MRChart,
+    _double_cell_steps,
+    _evaluate_word,
+    _mr_steps,
+    double_cell_evaluate,
+    mr_chart,
     mr_evaluate,
     rand_pos_fraction,
 )
@@ -223,15 +227,11 @@ def sample_cell(label: CellLabel, seed: int) -> tuple[CellSample, CompactPoint]:
     if not label.is_nonempty():
         raise EmptyCellError(f"refusing to sample the empty cell {label}")
     rng = random.Random(seed)
-    from .tnn import mr_chart
-
     chart1 = mr_chart(label.v, label.w, rng)
     chart2 = mr_chart(label.vp, label.wp, rng)
     levi = _levi_point(label, rng)
     g = mr_evaluate(chart1)
     gp = mr_evaluate(chart2)
-    from .tnn import double_cell_evaluate
-
     l = double_cell_evaluate(levi)
     # g⁻¹·(g·l·ψ(g'))·ψ(g')⁻¹ = l is block diagonal, so it is its own Levi part
     point = _trusted_point(label.J, g, gp.T.inverse(), g @ l @ gp.T, l)
@@ -288,68 +288,10 @@ def _gamma_position(
 # ---------------------------------------------------------------------------
 # exact Jacobian rank of the chart map
 
-def _dual_mr(
-    label_v: WeylElement, label_w: WeylElement, values, offset: int, nvars: int
-) -> DMatrix:
-    """Marsh-Rietsch product with dual-number coordinates at given offset."""
-    n = label_w.n
-    word = lex_min_reduced_word(label_w)
-    psub = positive_subexpression(word, label_v)
-    g = dmat_identity(n, nvars)
-    idx = 0
-    for j, i in enumerate(word.letters, start=1):
-        if j in psub.jcirc:
-            a = Dual.var(values[idx], offset + idx, nvars)
-            f = dmat_identity(n, nvars)
-            f = _set_entry(f, i, i - 1, a)
-            g = la.matmul(g, f)
-            idx += 1
-        else:
-            g = la.matmul(g, dmat_const(sdot(n, i).m, nvars))
-    return g
+_JACOBIAN_TRIES = 3  # chart points tried before a rank deficit is reported
 
 
-def _set_entry(m: DMatrix, r: int, c: int, val: Dual) -> DMatrix:
-    rows = [list(row) for row in m]
-    rows[r][c] = val
-    return tuple(tuple(row) for row in rows)
-
-
-def _dual_phi(
-    w: WeylElement, values, offset: int, nvars: int, lower: bool
-) -> DMatrix:
-    n = w.n
-    word = lex_min_reduced_word(w)
-    g = dmat_identity(n, nvars)
-    for idx, i in enumerate(word.letters):
-        a = Dual.var(values[idx], offset + idx, nvars)
-        f = dmat_identity(n, nvars)
-        if lower:
-            f = _set_entry(f, i, i - 1, a)
-        else:
-            f = _set_entry(f, i - 1, i, a)
-        g = la.matmul(g, f)
-    return g
-
-
-def _dual_levi_torus(J: ParabolicSubset, values, offset: int, nvars: int) -> DMatrix:
-    """Product of coroot one-parameter subgroups over j ∈ J with dual coords."""
-    n = J.n
-    g = dmat_identity(n, nvars)
-    idx = 0
-    for j in sorted(J.J):
-        a = Dual.var(values[idx], offset + idx, nvars)
-        f = dmat_identity(n, nvars)
-        rows = [list(row) for row in f]
-        rows[j - 1][j - 1] = a
-        rows[j][j] = Dual.const(1, nvars) / a
-        f = tuple(tuple(row) for row in rows)
-        g = la.matmul(g, f)
-        idx += 1
-    return g
-
-
-def jacobian_rank_check(label: CellLabel, seed: int, retries: int = 3) -> bool:
+def jacobian_rank_check(label: CellLabel, seed: int) -> bool:
     """True iff the exact Jacobian of the chart map, evaluated at a random
     positive rational chart point, has rank equal to the cell dimension.
 
@@ -358,53 +300,44 @@ def jacobian_rank_check(label: CellLabel, seed: int, retries: int = 3) -> bool:
     j ∈ J.  The chart lands in every fundamental representation at once.
     """
     d = dimension_of(label)
-    for attempt in range(retries):
+    for attempt in range(_JACOBIAN_TRIES):
         rng = random.Random(seed * 1009 + attempt)
         if _jacobian_rank(label, rng) == d:
             return True
     return False
 
 
-def _jacobian_rank(label: CellLabel, rng: random.Random) -> int:
+def _dual_chart(label: CellLabel, values) -> tuple[DMatrix, DMatrix]:
+    """The sampler's chart (g·l, ψ(g')) with one Dual variable per value, in
+    the order: the free steps of both flag charts, the Levi's lower leg, its
+    coroots j ∈ J, its upper leg."""
     J = label.J
-    n = J.n
     w0j = J.longest_element()
-    wm = label.y * w0j
-    wpl = w0j * label.yp
-    word_w = lex_min_reduced_word(label.w)
-    word_wp = lex_min_reduced_word(label.wp)
-    n1 = len(positive_subexpression(word_w, label.v).jcirc)
-    n2 = len(positive_subexpression(word_wp, label.vp).jcirc)
-    n3 = wm.length
-    n4 = len(J.J)
-    n5 = wpl.length
-    nvars = n1 + n2 + n3 + n4 + n5
-    assert nvars == dimension_of(label)
-    vals = [rand_pos_fraction(rng) for _ in range(nvars)]
-    o = 0
-    g = _dual_mr(label.v, label.w, vals[o : o + n1], o, nvars)
-    o += n1
-    gp = _dual_mr(label.vp, label.wp, vals[o : o + n2], o, nvars)
-    o += n2
-    lm = _dual_phi(wm, vals[o : o + n3], o, nvars, lower=True)
-    o += n3
-    lt = _dual_levi_torus(J, vals[o : o + n4], o, nvars)
-    o += n4
-    lp = _dual_phi(wpl, vals[o : o + n5], o, nvars, lower=False)
-    o += n5
-    g1 = la.matmul(la.matmul(la.matmul(g, lm), lt), lp)
-    g2 = la.transpose(gp)
+    wm, wpl = label.y * w0j, w0j * label.yp
+    p1, p2 = (
+        positive_subexpression(lex_min_reduced_word(w), v)
+        for v, w in ((label.v, label.w), (label.vp, label.wp))
+    )
+    x = iter([Dual.var(a, k, len(values)) for k, a in enumerate(values)])
+    one = Dual.const(1, len(values))
+    counts = (len(p1.jcirc), len(p2.jcirc), wm.length)
+    c1, c2, aminus = [list(islice(x, k)) for k in counts]
+    tor = [next(x) if i in J.J else one for i in range(1, J.n)]
+    aplus = list(x)
+    assert len(aplus) == wpl.length, "coordinate count differs from the dimension"
+    steps = _mr_steps(p1, c1) + _double_cell_steps(wm, aminus, tor, wpl, aplus)
+    return (
+        _evaluate_word(J.n, steps, one),
+        la.transpose(_evaluate_word(J.n, _mr_steps(p2, c2), one)),
+    )
+
+
+def _jacobian_rank(label: CellLabel, rng: random.Random) -> int:
+    vals = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
     rows: list[tuple[Fraction, ...]] = []
-    for k, (c1, c2) in enumerate(zip(compounds(g1, n - 1), compounds(g2, n - 1)), 1):
-        dk = dmat_const(stratum_indicator(J, k), nvars)
-        nk = la.matmul(la.matmul(c1, dk), c2)
-        pivot = next(
-            (x for row in nk for x in row if x.val != 0), None
-        )
+    for nk in _limit_images(label.J, *_dual_chart(label, vals)):
+        pivot = next((x for row in nk for x in row if x.val != 0), None)
         if pivot is None:
             return -1
-        for row in nk:
-            for x in row:
-                chart = x / pivot
-                rows.append(chart.grad)
+        rows += [(x / pivot).grad for row in nk for x in row]
     return la.rank(tuple(rows))

@@ -17,7 +17,7 @@ from .cells import classify, sample_cell
 from .matgroup import GroupError, GroupMatrix
 from .strata import StrataError, torus_limit
 from .tnn import is_totally_nonneg, is_totally_positive
-from .verify import SUITES, VerifyConfig, run_suite
+from .verify import SUITES, ConfigError, VerifyConfig, run_suite
 from .weyl import ParabolicSubset
 
 EXIT_OK = 0
@@ -140,13 +140,6 @@ def cmd_tp_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 2 <= args.n <= 5:
-        print("error: --n must be between 2 and 5", file=sys.stderr)
-        return EXIT_USAGE
-    for flag, value in (("--seeds", args.seeds), ("--samples", args.samples)):
-        if value < 1:
-            print(f"error: {flag} must be at least 1", file=sys.stderr)
-            return EXIT_USAGE
     cfg = VerifyConfig(n=args.n, seeds=args.seeds, samples=args.samples)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     reports = []
@@ -214,7 +207,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (
-        OSError, json.JSONDecodeError, ser.SchemaError, GroupError, StrataError
+        OSError, json.JSONDecodeError, ser.SchemaError, GroupError, StrataError,
+        ConfigError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

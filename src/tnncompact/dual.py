@@ -64,16 +64,6 @@ class Dual:
 DMatrix = tuple[tuple[Dual, ...], ...]
 
 
-def dmat_const(m, nvars: int) -> DMatrix:
-    return tuple(tuple(Dual.const(x, nvars) for x in row) for row in m)
-
-
-def dmat_identity(n: int, nvars: int) -> DMatrix:
-    return tuple(
-        tuple(Dual.const(int(i == j), nvars) for j in range(n)) for i in range(n)
-    )
-
-
 # The ring-generic linalg.matmul and exterior.compound under their old names,
 # which the per-layer metrics of BENCHMARK.json still use.
 def dmat_mul(a: DMatrix, b: DMatrix) -> DMatrix:

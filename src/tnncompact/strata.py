@@ -27,8 +27,8 @@ from .exterior import (
 from .laurent import Laurent, lmat_from_rational, lmat_limit
 from .linalg import FactorizationError, Matrix
 from .matgroup import GroupMatrix, _trusted, identity_g, pi_factor
-from .tnn import is_tnn_matrix, is_totally_positive, phi_plus, rand_pos_fraction
-from .weyl import ParabolicSubset, WeylElement, lex_min_reduced_word
+from .tnn import is_tnn_matrix, is_totally_positive, sample_Uplus_gt0
+from .weyl import ParabolicSubset, WeylElement
 
 
 class StrataError(Exception):
@@ -195,19 +195,20 @@ def fundamental_tuple(z: CompactPoint) -> list[Matrix]:
     """The image of z in every fundamental representation: the k-th entry is
     ρ_k(g1)·D_k·ρ_k(g2) with D_k the stratum's limit projector."""
     g1, g2 = action_pair(z)
-    return _limit_images(z.J, g1, g2)
+    return _limit_images(z.J, g1.m, g2.m)
 
 
-def _limit_images(
-    J: ParabolicSubset, g1: GroupMatrix, g2: GroupMatrix
-) -> list[Matrix]:
-    """ρ_k(g1)·D_k·ρ_k(g2) for k = 1..n-1, from one compound pass per side."""
-    return [
-        la.matmul(la.matmul(c1, stratum_indicator(J, k)), c2)
-        for k, (c1, c2) in enumerate(
-            zip(compounds(g1.m, J.n - 1), compounds(g2.m, J.n - 1)), start=1
-        )
-    ]
+def _limit_images(J: ParabolicSubset, m1: Matrix, m2: Matrix) -> list[Matrix]:
+    """ρ_k(m1)·D_k·ρ_k(m2) for k = 1..n-1, from one compound pass per side,
+    over any ring.  D_k is a 0/1 diagonal projector, so it is applied by
+    keeping the columns of ρ_k(m1) and the rows of ρ_k(m2) it selects."""
+    out = []
+    for k, (c1, c2) in enumerate(zip(compounds(m1, J.n - 1), compounds(m2, J.n - 1)), 1):
+        d = stratum_indicator(J, k)
+        keep = [s for s in range(len(d)) if d[s][s]]
+        cols = tuple(tuple(row[s] for s in keep) for row in c1)
+        out.append(la.matmul(cols, tuple(c2[s] for s in keep)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +223,13 @@ def _curve_exponents(c: tuple[int, ...]) -> list[int]:
     return e
 
 
-def torus_limit(
-    g1: GroupMatrix, c, g2: GroupMatrix, verify: bool = True
-) -> CompactPoint:
+def torus_limit(g1: GroupMatrix, c, g2: GroupMatrix) -> CompactPoint:
     """Limit of (g1, g2⁻¹)·t(s) as s → 0 along the torus curve with
     α_i(t(s)) = s^{-c_i}; lands in the stratum J = {i : c_i = 0}.
 
-    The triple is produced by equivariance; when verify is set, every
-    fundamental representation's limit is recomputed from the exact Laurent
-    curve by minimal-valuation normalization and compared projectively.
+    The triple is produced by equivariance; then every fundamental
+    representation's limit is recomputed from the exact Laurent curve by
+    minimal-valuation normalization and compared projectively.
     """
     cs = tuple(c)
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in cs):
@@ -242,8 +241,7 @@ def torus_limit(
         raise StrataError("exponent vector must be nonnegative")
     J = ParabolicSubset.of(n, (i + 1 for i, x in enumerate(cs) if x == 0))
     z = act(g1, g2.inverse(), base_point(J))
-    if verify:
-        _verify_torus_limit(g1, cs, g2, z)
+    _verify_torus_limit(g1, cs, g2, z)
     return z
 
 
@@ -261,7 +259,7 @@ def _verify_torus_limit(
     x = la.matmul(
         la.matmul(lmat_from_rational(g1.m), curve), lmat_from_rational(g2.m)
     )
-    expected = _limit_images(z.J, g1, g2)
+    expected = _limit_images(z.J, g1.m, g2.m)
     for k, (want, cx) in enumerate(zip(expected, compounds(x, n - 1)), start=1):
         if not proj_equal(lmat_limit(cx), want):
             raise LimitVerificationError(
@@ -383,14 +381,9 @@ def z1_membership_diagnostic(
     rng = random.Random(seed)
     n = z.n
     for _ in range(max(1, samples)):
-        u1 = _sample_upper(v.inverse(), rng)
-        u2 = _sample_upper(vprime.inverse(), rng)
+        u1 = sample_Uplus_gt0(n, rng, v.inverse())
+        u2 = sample_Uplus_gt0(n, rng, vprime.inverse())
         translate = act(u1, u2.T.inverse(), z)
         if not z1_normal_form_check(translate):
             return False
     return True
-
-
-def _sample_upper(w: WeylElement, rng: random.Random) -> GroupMatrix:
-    word = lex_min_reduced_word(w)
-    return phi_plus(word, [rand_pos_fraction(rng) for _ in range(len(word))])

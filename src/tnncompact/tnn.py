@@ -2,7 +2,9 @@
 
 phi_plus/phi_minus realize words in the Chevalley generators; Marsh-Rietsch
 charts evaluate to the cells of the flag variety; double Bruhat charts give
-the cells of the monoid of totally nonnegative elements.  Every sampler is
+the cells of the monoid of totally nonnegative elements.  Each chart is a
+word of steps multiplied out by one evaluator over any ring, so the Jacobian
+rank check in ``cells`` differentiates the sampler's own chart.  Every sampler is
 driven by an explicit seeded random.Random, and strict or nonneg positivity
 is always certified a posteriori by exact minor tests, never assumed.
 """
@@ -17,14 +19,7 @@ from typing import Sequence
 from . import linalg as la
 from .exterior import compounds
 from .linalg import frac
-from .matgroup import (
-    GroupMatrix,
-    generator_x,
-    generator_y,
-    identity_g,
-    sdot,
-    torus,
-)
+from .matgroup import GroupMatrix, _trusted, torus
 from .weyl import (
     ParabolicSubset,
     PositiveSubexpression,
@@ -42,27 +37,96 @@ class ParamError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# chart words, evaluated over any ring
+#
+# A word is a list of steps (kind, i, a): ("x", i, a) is x_i(a), ("y", i, a)
+# is y_i(a), ("s", i, None) is ṡ_i and ("t", 0, coords) is the torus element
+# with simple-coroot coordinates coords, as in matgroup.torus.
+
+def _evaluate_word(n: int, steps, one) -> la.Matrix:
+    """The product of the steps, by one column operation each.
+
+    Only +, −, × and / are used, starting from the unit ``one``, so the
+    entries may be Fractions or Duals; zero entries are skipped.
+    """
+    zero = one - one
+    m = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for kind, i, a in steps:
+        if kind == "x":  # column i += a·column i-1
+            for row in m:
+                if row[i - 1]:
+                    row[i] = row[i] + a * row[i - 1]
+        elif kind == "y":  # column i-1 += a·column i
+            for row in m:
+                if row[i]:
+                    row[i - 1] = row[i - 1] + a * row[i]
+        elif kind == "s":  # ṡ_i has 1 at (i+1, i) and −1 at (i, i+1)
+            for row in m:
+                row[i - 1], row[i] = row[i], -row[i - 1]
+        else:  # diag(a_1, a_2/a_1, …, 1/a_{n-1})
+            for k, d in enumerate(c / p for c, p in zip([*a, one], [one, *a])):
+                for row in m:
+                    if row[k]:
+                        row[k] = row[k] * d
+    return tuple(tuple(row) for row in m)
+
+
+_FLIP = {"x": "y", "y": "x"}
+
+
+def _word_element(n: int, steps) -> GroupMatrix:
+    """The group element of a word of Fraction steps, carrying its inverse
+    (F_1···F_m)⁻¹, the transpose of F_1⁻ᵀ···F_m⁻ᵀ, where x_i(a)⁻ᵀ = y_i(−a),
+    ṡ_i⁻ᵀ = ṡ_i and t⁻ᵀ = t⁻¹."""
+    inverse_transposes = [
+        (_FLIP[kind], i, -a) if kind in _FLIP
+        else (kind, i, tuple(1 / c for c in a)) if kind == "t"
+        else (kind, i, a)
+        for kind, i, a in steps
+    ]
+    one = Fraction(1)
+    inv = la.transpose(_evaluate_word(n, inverse_transposes, one))
+    return _trusted(_evaluate_word(n, steps, one), (inv,))
+
+
+def _mr_steps(psub: PositiveSubexpression, coords) -> list:
+    """y_{i_j}(a_j) on the free steps of psub, ṡ_{i_j} on the others."""
+    it = iter(coords)
+    return [
+        ("y", i, next(it)) if j in psub.jcirc else ("s", i, None)
+        for j, i in enumerate(psub.word.letters, start=1)
+    ]
+
+
+def _double_cell_steps(wminus: WeylElement, aminus, tor, wplus: WeylElement, aplus):
+    """y-word(wminus) · torus · x-word(wplus) over lexicographically least
+    reduced words."""
+    return (
+        [("y", i, a) for i, a in zip(lex_min_reduced_word(wminus).letters, aminus)]
+        + [("t", 0, tuple(tor))]
+        + [("x", i, a) for i, a in zip(lex_min_reduced_word(wplus).letters, aplus)]
+    )
+
+
+# ---------------------------------------------------------------------------
 # generator words
 
 def phi_plus(word: ReducedWord, coords: Sequence) -> GroupMatrix:
     """x_{i_1}(a_1)···x_{i_m}(a_m); coordinates must be nonnegative."""
-    return _phi(word, coords, generator_x)
+    return _phi(word, coords, "x")
 
 
 def phi_minus(word: ReducedWord, coords: Sequence) -> GroupMatrix:
-    return _phi(word, coords, generator_y)
+    return _phi(word, coords, "y")
 
 
-def _phi(word: ReducedWord, coords: Sequence, gen) -> GroupMatrix:
+def _phi(word: ReducedWord, coords: Sequence, kind: str) -> GroupMatrix:
     vals = [frac(c) for c in coords]
     if len(vals) != len(word):
         raise ParamError(f"{len(vals)} coordinates for a length-{len(word)} word")
     if any(v < 0 for v in vals):
         raise ParamError("negative coordinate")
-    g = identity_g(word.n)
-    for i, a in zip(word.letters, vals):
-        g = g @ gen(word.n, i, a)
-    return g
+    return _word_element(word.n, [(kind, i, a) for i, a in zip(word.letters, vals)])
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +182,17 @@ def in_unipotent_cell(u: GroupMatrix, w: WeylElement, lower: bool) -> bool:
 # ---------------------------------------------------------------------------
 # seeded rationals
 
-def rand_pos_fraction(rng: random.Random, bound: int = 6) -> Fraction:
-    return Fraction(rng.randint(1, bound), rng.randint(1, bound))
+_BOUND = 6  # numerators and denominators are drawn from 1.._BOUND
 
 
-def rand_nonneg_fraction(rng: random.Random, bound: int = 6) -> Fraction:
+def rand_pos_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, _BOUND), rng.randint(1, _BOUND))
+
+
+def rand_nonneg_fraction(rng: random.Random) -> Fraction:
     if rng.random() < 0.15:
         return Fraction(0)
-    return rand_pos_fraction(rng, bound)
+    return rand_pos_fraction(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +223,9 @@ def sample_L_ge0(J: ParabolicSubset, rng: random.Random) -> GroupMatrix:
     """Block-diagonal TNN sample of the Levi: phi_minus · torus · phi_plus
     built from generators j ∈ J only."""
     w0j = J.longest_element()
-    word = lex_min_reduced_word(w0j)
-    um = phi_minus(word, [rand_nonneg_fraction(rng) for _ in range(len(word))])
-    up = phi_plus(word, [rand_nonneg_fraction(rng) for _ in range(len(word))])
-    return um @ sample_T_gt0(J.n, rng) @ up
+    um, up = ([rand_nonneg_fraction(rng) for _ in range(w0j.length)] for _ in range(2))
+    tor = [rand_pos_fraction(rng) for _ in range(J.n - 1)]
+    return _word_element(J.n, _double_cell_steps(w0j, um, tor, w0j, up))
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +260,8 @@ def mr_chart(v: WeylElement, w: WeylElement, rng: random.Random) -> MRChart:
 def mr_evaluate(chart: MRChart) -> GroupMatrix:
     if any(c <= 0 for c in chart.coords):
         raise ParamError("nonpositive Marsh-Rietsch coordinate")
-    word = chart.psub.word
-    n = word.n
-    g = identity_g(n)
-    it = iter(chart.coords)
-    for j, i in enumerate(word.letters, start=1):
-        if j in chart.psub.jcirc:
-            g = g @ generator_y(n, i, next(it))
-        else:
-            g = g @ sdot(n, i)
-    return g
+    coords = [frac(c) for c in chart.coords]
+    return _word_element(chart.psub.word.n, _mr_steps(chart.psub, coords))
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +289,10 @@ class DoubleCellPoint:
 
 
 def double_cell_evaluate(p: DoubleCellPoint) -> GroupMatrix:
-    um = phi_minus(lex_min_reduced_word(p.wminus), p.aminus)
-    up = phi_plus(lex_min_reduced_word(p.wplus), p.aplus)
-    return um @ torus(p.torus) @ up
+    aminus, tor, aplus = ([frac(c) for c in cs] for cs in (p.aminus, p.torus, p.aplus))
+    return _word_element(
+        p.wminus.n, _double_cell_steps(p.wminus, aminus, tor, p.wplus, aplus)
+    )
 
 
 def recover_double_cell(g: GroupMatrix) -> tuple[WeylElement, WeylElement]:

@@ -29,13 +29,10 @@ from .exterior import (
     strictly_signed,
 )
 from .matgroup import (
-    GroupMatrix,
     borel_minus,
     borel_plus,
     bruhat_position,
     FlagPoint,
-    generator_x,
-    generator_y,
     identity_g,
 )
 from .strata import (
@@ -50,6 +47,8 @@ from .strata import (
 )
 from .tnn import (
     MRChart,
+    _double_cell_steps,
+    _word_element,
     is_totally_positive,
     mr_evaluate,
     phi_minus,
@@ -93,12 +92,26 @@ class SuiteReport:
         )
 
 
+class ConfigError(ValueError):
+    pass
+
+
 @dataclass
 class VerifyConfig:
+    """The scale of a verification run, checked on construction: a suite
+    at n outside 2..5, or with no seeds or samples, would pass vacuously."""
+
     n: int = 3
     seeds: int = 5
     samples: int = 100
     base_seed: int = 20240
+
+    def __post_init__(self):
+        if not 2 <= self.n <= 5:
+            raise ConfigError("n must be between 2 and 5")
+        for name in ("seeds", "samples"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
 
 
 def _timed(fn):
@@ -255,7 +268,6 @@ def _negative_levi_point(
     acquires both signs: the paper's (*) and membership_Zgt0 must reject.
     """
     from .weyl import lex_min_reduced_word
-    from .matgroup import torus as torus_g
 
     n = J.n
     wmax = J.max_coset_rep()
@@ -263,25 +275,15 @@ def _negative_levi_point(
     g = phi_minus(word, [rand_pos_fraction(rng) for _ in range(len(word))])
     gp = phi_minus(word, [rand_pos_fraction(rng) for _ in range(len(word))])
     w0j = J.longest_element()
-    word_j = lex_min_reduced_word(w0j)
-    lm_coords = [rand_pos_fraction(rng) for _ in range(len(word_j))]
-    lp_coords = [rand_pos_fraction(rng) for _ in range(len(word_j))]
+    lm_coords = [rand_pos_fraction(rng) for _ in range(w0j.length)]
+    lp_coords = [rand_pos_fraction(rng) for _ in range(w0j.length)]
     if flip_left:
         lm_coords[0] = -lm_coords[0]
     else:
         lp_coords[0] = -lp_coords[0]
-    lm = _signed_phi(word_j, lm_coords, lower=True)
-    lp = _signed_phi(word_j, lp_coords, lower=False)
-    t = torus_g([rand_pos_fraction(rng) for _ in range(n - 1)])
-    l = lm @ t @ lp
+    t_coords = [rand_pos_fraction(rng) for _ in range(n - 1)]
+    l = _word_element(n, _double_cell_steps(w0j, lm_coords, t_coords, w0j, lp_coords))
     return CompactPoint(J, g, gp.T.inverse(), g @ l @ gp.T)
-
-
-def _signed_phi(word: ReducedWord, coords, lower: bool) -> GroupMatrix:
-    g = identity_g(word.n)
-    for i, a in zip(word.letters, coords):
-        g = g @ (generator_y(word.n, i, a) if lower else generator_x(word.n, i, a))
-    return g
 
 
 def suite_positivity_converse(cfg: VerifyConfig) -> SuiteReport:

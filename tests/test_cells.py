@@ -329,3 +329,31 @@ def test_no_positive_point_classifies_empty():
         g1, g2 = sample_G_gt0(3, rng), sample_G_gt0(3, rng)
         got = classify(act(g1, g2.inverse(), z))
         assert got.is_nonempty()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_dual_chart_is_the_sampled_chart(n):
+    """The Jacobian differentiates the sampler's own chart: at the sampled
+    coordinates, the values of the Dual chart and of its limit images are
+    the sampled point's chart and fundamental tuple."""
+    from tnncompact.cells import _dual_chart
+    from tnncompact.strata import _limit_images, fundamental_tuple
+    from tnncompact.tnn import double_cell_evaluate, mr_evaluate
+
+    def values(m):
+        return tuple(tuple(x.val for x in row) for row in m)
+
+    rng = random.Random(80 + n)
+    for k in range(10):
+        label = _random_nonempty_label(n, rng)
+        sample, z = sample_cell(label, k)
+        levi = sample.levi
+        coords = [*sample.chart1.coords, *sample.chart2.coords, *levi.aminus]
+        coords += [levi.torus[j - 1] for j in sorted(label.J.J)] + list(levi.aplus)
+        assert len(coords) == dimension_of(label)
+        g1, g2 = _dual_chart(label, coords)
+        chart1 = mr_evaluate(sample.chart1) @ double_cell_evaluate(sample.levi)
+        assert values(g1) == chart1.m
+        assert values(g2) == mr_evaluate(sample.chart2).T.m
+        images = _limit_images(label.J, g1, g2)
+        assert [values(m) for m in images] == fundamental_tuple(z)

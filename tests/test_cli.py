@@ -1,5 +1,10 @@
+import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,6 +315,42 @@ def test_cli_sample_rejects_negative_seed(tmp_path, capsys):
 def test_cli_verify_rejects_scales_out_of_range(argv, capsys):
     assert_usage_error(main(["verify", *argv]), capsys)
     assert capsys.readouterr().out == ""
+
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("run_verification", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "2", "--seeds", "0", "--samples", "0"],
+        ["--n", "1"],
+        ["--n", "6"],
+        ["--seeds", "-1"],
+        ["--samples", "0"],
+    ],
+    ids=" ".join,
+)
+def test_verification_script_rejects_scales_out_of_range(argv, capsys):
+    assert_usage_error(_load_script().main(argv), capsys)
+    assert capsys.readouterr().out == ""
+
+
+def test_verification_script_exits_2_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(SCRIPT.parent.parent / "src"))
+    argv = ["--n", "2", "--seeds", "0", "--samples", "0"]
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
 
 
 json_values = st.recursive(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import gauss_jordan_inverse
 
 from tnncompact import linalg as la
 from tnncompact.matgroup import (
@@ -228,3 +229,39 @@ def test_unipotent_absorption():
         u1 = phi_plus(word, [rand_pos_fraction(rng) for _ in range(len(word))])
         assert in_unipotent_cell(u @ u1, w0, lower=False)
         assert in_unipotent_cell(u1 @ u, w0, lower=False)
+
+
+def _random_word(n, rng):
+    """A seeded word of x, y and ṡ steps around one torus step, with
+    coordinates of either sign and zero (nonzero on the torus)."""
+
+    def coord(nonzero=False):
+        a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return Fraction(1) if nonzero and a == 0 else a
+
+    steps = [
+        (kind, rng.randint(1, n - 1), None if kind == "s" else coord())
+        for kind in (rng.choice("xys") for _ in range(rng.randint(0, 8)))
+    ]
+    tor = [coord(nonzero=True) for _ in range(n - 1)]
+    steps.insert(rng.randint(0, len(steps)), ("t", 0, tor))
+    return steps
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_word_evaluator_matches_generator_products(n):
+    from tnncompact.tnn import _word_element
+
+    rng = random.Random(70 + n)
+    gens = {"x": generator_x, "y": generator_y}
+    for _ in range(30):
+        steps = _random_word(n, rng)
+        want = identity_g(n)
+        for kind, i, a in steps:
+            if kind == "t":
+                want = want @ torus(a)
+            else:
+                want = want @ (sdot(n, i) if kind == "s" else gens[kind](n, i, a))
+        g = _word_element(n, steps)
+        assert g.m == want.m
+        assert g.inverse().m == gauss_jordan_inverse(g.m)

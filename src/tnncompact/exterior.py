@@ -131,24 +131,28 @@ def levi_weight_indicator(n: int, k: int, J: ParabolicSubset) -> tuple[Matrix, i
     positions (asserted where it matters, in embedding_data); for general
     (k, J) the projector need not be a basis prefix.
     """
-    subs = subsets_colex(n, k)
-    bounds = J.boundaries()
-    flags = []
-    for s in subs:
-        ok = all(
-            sum(1 for x in s if x <= d) == min(k, d) for d in bounds
-        )
-        flags.append(ok)
-    n0 = sum(flags)
-    dim = len(subs)
+    keep = _levi_weight_positions(n, k, J)
+    dim = len(subsets_colex(n, k))
     diag = tuple(
         tuple(
-            Fraction(1) if (i == j and flags[i]) else Fraction(0)
+            Fraction(1) if (i == j and i in keep) else Fraction(0)
             for j in range(dim)
         )
         for i in range(dim)
     )
-    return diag, n0
+    return diag, len(keep)
+
+
+@lru_cache(maxsize=None)
+def _levi_weight_positions(n: int, k: int, J: ParabolicSubset) -> tuple[int, ...]:
+    """The colex positions of the ones on the diagonal of
+    levi_weight_indicator(n, k, J), computed once per (n, k, J)."""
+    bounds = J.boundaries()
+    return tuple(
+        i
+        for i, s in enumerate(subsets_colex(n, k))
+        if all(sum(1 for x in s if x <= d) == min(k, d) for d in bounds)
+    )
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Used for exact one-parameter torus curves: limits into boundary strata are
 taken by dividing by the minimal valuation and evaluating at 0, with no
-numerical thresholds anywhere.
+numerical thresholds anywhere.  Coefficients are Fractions or ints: ``of``
+validates and converts to Fraction, while ring operations keep whichever
+they are given, so integer curves stay on Python ints.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .linalg import frac, matmul
 class Laurent:
     """Finite Laurent polynomial sum_e coeffs[e] * s^e."""
 
-    coeffs: tuple[tuple[int, Fraction], ...] = field(default_factory=tuple)
+    coeffs: tuple[tuple[int, Fraction | int], ...] = field(default_factory=tuple)
 
     @staticmethod
     def of(data: Mapping[int, Fraction] | int | Fraction | str) -> "Laurent":
@@ -52,8 +54,8 @@ class Laurent:
     def __add__(self, other: "Laurent") -> "Laurent":
         d = dict(self.coeffs)
         for e, c in other.coeffs:
-            d[e] = d.get(e, Fraction(0)) + c
-        return Laurent.of(d)
+            d[e] = d.get(e, 0) + c
+        return _trusted(d)
 
     def __neg__(self) -> "Laurent":
         return Laurent(tuple((e, -c) for e, c in self.coeffs))
@@ -62,12 +64,12 @@ class Laurent:
         return self + (-other)
 
     def __mul__(self, other: "Laurent") -> "Laurent":
-        d: dict[int, Fraction] = {}
+        d: dict[int, Fraction | int] = {}
         for e1, c1 in self.coeffs:
             for e2, c2 in other.coeffs:
                 e = e1 + e2
-                d[e] = d.get(e, Fraction(0)) + c1 * c2
-        return Laurent.of(d)
+                d[e] = d.get(e, 0) + c1 * c2
+        return _trusted(d)
 
     def __repr__(self) -> str:
         if not self:
@@ -75,11 +77,34 @@ class Laurent:
         return " + ".join(f"{c}*s^{e}" for e, c in self.coeffs)
 
 
+def _trusted(d: dict[int, Fraction | int]) -> Laurent:
+    """The Laurent polynomial of a ring result: integer exponents and exact
+    coefficients already, so only zeros are dropped and the terms sorted."""
+    terms = [t for t in d.items() if t[1]]
+    terms.sort()
+    z = object.__new__(Laurent)
+    z.__dict__["coeffs"] = tuple(terms)
+    return z
+
+
 LMatrix = tuple[tuple[Laurent, ...], ...]
 
 
-def lmat_from_rational(m) -> LMatrix:
-    return tuple(tuple(Laurent.of(x) for x in row) for row in m)
+def lmat_torus_curve(m1, exponents, m2) -> LMatrix:
+    """m1·diag(s^e_1, …, s^e_n)·m2 for matrices of Fractions or ints: entry
+    (i, j) collects m1[i][l]·m2[l][j] at the exponent e_l."""
+    cols = tuple(zip(*m2))
+    return tuple(
+        tuple(_curve_entry(row, exponents, col) for col in cols) for row in m1
+    )
+
+
+def _curve_entry(row, exponents, col) -> Laurent:
+    d: dict[int, Fraction | int] = {}
+    for x, e, y in zip(row, exponents, col):
+        if x and y:
+            d[e] = d.get(e, 0) + x * y
+    return _trusted(d)
 
 
 # The ring-generic linalg.matmul and exterior.compound under their old names,

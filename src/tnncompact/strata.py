@@ -15,16 +15,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from . import linalg as la
 from .exterior import (
     EmbeddingData,
+    _levi_weight_positions,
     compounds,
     proj_equal,
     strictly_signed,
-    stratum_indicator,
 )
-from .laurent import Laurent, lmat_from_rational, lmat_limit
+from .laurent import lmat_limit, lmat_torus_curve
 from .linalg import FactorizationError, Matrix
 from .matgroup import GroupMatrix, _trusted, identity_g, pi_factor
 from .tnn import is_tnn_matrix, is_totally_positive, sample_Uplus_gt0
@@ -200,14 +201,39 @@ def fundamental_tuple(z: CompactPoint) -> list[Matrix]:
 
 def _limit_images(J: ParabolicSubset, m1: Matrix, m2: Matrix) -> list[Matrix]:
     """ρ_k(m1)·D_k·ρ_k(m2) for k = 1..n-1, from one compound pass per side,
-    over any ring.  D_k is a 0/1 diagonal projector, so it is applied by
-    keeping the columns of ρ_k(m1) and the rows of ρ_k(m2) it selects."""
+    over any ring.  D_k = stratum_indicator(J, k) is a 0/1 diagonal
+    projector, so it is applied by keeping the columns of ρ_k(m1) and the
+    rows of ρ_k(m2) it selects."""
     out = []
     for k, (c1, c2) in enumerate(zip(compounds(m1, J.n - 1), compounds(m2, J.n - 1)), 1):
-        d = stratum_indicator(J, k)
-        keep = [s for s in range(len(d)) if d[s][s]]
+        keep = _levi_weight_positions(J.n, k, J)
         cols = tuple(tuple(row[s] for s in keep) for row in c1)
         out.append(la.matmul(cols, tuple(c2[s] for s in keep)))
+    return out
+
+
+def _integer_pairs(*pairs: tuple[Matrix, Matrix]) -> list[tuple[Matrix, Matrix]]:
+    """Each square pair (m1, m2) as the integer pair (D1·m1, m2·D2), with the
+    same positive diagonals D1 and D2 for every pair: row i of each m1 times
+    the lcm of the denominators in row i of all of them, and likewise for
+    the columns of the m2.
+
+    ρ_k(D) is a positive diagonal for a positive diagonal D, so every
+    ρ_k(D1·m1)·D_k·ρ_k(m2·D2) is ρ_k(D1)·(ρ_k(m1)·D_k·ρ_k(m2))·ρ_k(D2):
+    entrywise signs, and projective equality between the images of two
+    pairs, are those of the rational pairs."""
+    n = len(pairs[0][0])
+    rows = [lcm(*(x.denominator for m1, _ in pairs for x in m1[i])) for i in range(n)]
+    cols = [lcm(*(m2[i][j].denominator for _, m2 in pairs for i in range(n))) for j in range(n)]
+    out = []
+    for m1, m2 in pairs:
+        left = tuple(
+            tuple(x.numerator * (r // x.denominator) for x in row) for r, row in zip(rows, m1)
+        )
+        right = tuple(
+            tuple(x.numerator * (c // x.denominator) for x, c in zip(row, cols)) for row in m2
+        )
+        out.append((left, right))
     return out
 
 
@@ -229,7 +255,8 @@ def torus_limit(g1: GroupMatrix, c, g2: GroupMatrix) -> CompactPoint:
 
     The triple is produced by equivariance; then every fundamental
     representation's limit is recomputed from the exact Laurent curve by
-    minimal-valuation normalization and compared projectively.
+    minimal-valuation normalization and compared projectively with the
+    triple's image.
     """
     cs = tuple(c)
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in cs):
@@ -240,7 +267,8 @@ def torus_limit(g1: GroupMatrix, c, g2: GroupMatrix) -> CompactPoint:
     if any(x < 0 for x in cs):
         raise StrataError("exponent vector must be nonnegative")
     J = ParabolicSubset.of(n, (i + 1 for i, x in enumerate(cs) if x == 0))
-    z = act(g1, g2.inverse(), base_point(J))
+    # act(g1, g2⁻¹, base_point(J)) in closed form: the base point is all identities
+    z = _trusted_point(J, g1, g2.inverse(), g1 @ g2, identity_g(n))
     _verify_torus_limit(g1, cs, g2, z)
     return z
 
@@ -248,18 +276,16 @@ def torus_limit(g1: GroupMatrix, c, g2: GroupMatrix) -> CompactPoint:
 def _verify_torus_limit(
     g1: GroupMatrix, cs: tuple[int, ...], g2: GroupMatrix, z: CompactPoint
 ) -> None:
+    """Raise LimitVerificationError unless, in every degree k, the limit of
+    ρ_k(g1·t(s)·g2) along the curve of exponents cs is z's image
+    ρ_k(h1)·D_k·ρ_k(h2), (h1, h2) = action_pair(z), projectively.  Both
+    sides run on the integer pairs of _integer_pairs."""
     n = g1.n
     e = _curve_exponents(cs)
-    curve = tuple(
-        tuple(
-            Laurent.monomial(-e[i]) if i == j else Laurent.of(0) for j in range(n)
-        )
-        for i in range(n)
-    )
-    x = la.matmul(
-        la.matmul(lmat_from_rational(g1.m), curve), lmat_from_rational(g2.m)
-    )
-    expected = _limit_images(z.J, g1.m, g2.m)
+    h1, h2 = action_pair(z)
+    (m1, m2), (p1, p2) = _integer_pairs((g1.m, g2.m), (h1.m, h2.m))
+    x = lmat_torus_curve(m1, [-ei for ei in e], m2)
+    expected = _limit_images(z.J, p1, p2)
     for k, (want, cx) in enumerate(zip(expected, compounds(x, n - 1)), start=1):
         if not proj_equal(lmat_limit(cx), want):
             raise LimitVerificationError(
@@ -312,9 +338,12 @@ def membership_Zgt0(z: CompactPoint) -> bool:
     n = 4 cells (J = {2}, where Plücker and Lusztig positivity of partial
     flags differ, included: Bloch and Karp, Adv. Math. 2023) and the n = 5
     top cells.  ψ̄ needs no separate check: it transposes every entry of
-    the tuple.
+    the tuple.  The entries are computed on the integer pair of
+    _integer_pairs, which scales each of them by positive numbers only.
     """
-    return all(strictly_signed(m) for m in fundamental_tuple(z))
+    g1, g2 = action_pair(z)
+    ((m1, m2),) = _integer_pairs((g1.m, g2.m))
+    return all(strictly_signed(m) for m in _limit_images(z.J, m1, m2))
 
 
 def positive_retraction(

@@ -132,12 +132,18 @@ def _phi(word: ReducedWord, coords: Sequence, kind: str) -> GroupMatrix:
 # ---------------------------------------------------------------------------
 # positivity certificates (exact minor tests)
 
+# The minor tests run on la._integer_rows(m): a positive scaling of a row
+# multiplies every minor through that row by a positive number, so every
+# sign is the rational matrix's, and the ladder runs on Python ints.
+
 def is_tnn_matrix(m: la.Matrix) -> bool:
-    return all(x >= 0 for c in compounds(m, len(m)) for row in c for x in row)
+    a = la._integer_rows(m)[0]
+    return all(x >= 0 for c in compounds(a, len(a)) for row in c for x in row)
 
 
 def _all_compound_entries_positive(m: la.Matrix) -> bool:
-    return all(x > 0 for c in compounds(m, len(m)) for row in c for x in row)
+    a = la._integer_rows(m)[0]
+    return all(x > 0 for c in compounds(a, len(a)) for row in c for x in row)
 
 
 def is_totally_positive(g: GroupMatrix) -> bool:

@@ -6,7 +6,11 @@ Fraction, Laurent and Dual entries and stay independent of the library's
 kernels; the one exception is the Gauss–Jordan inverse, which pivots on
 Fractions where the library eliminates over the integers.  The group-layer
 references decide flag and parabolic questions by subspaces and Lie
-algebras, independently of the library's eliminations.
+algebras, independently of the library's eliminations.  The certificate
+references are the library's sign and projective tests as they ran over
+Fractions before the library cleared denominators: the compound ladder on
+the rational matrix, the fundamental tuple of rational images, and the
+torus-limit check on Laurent polynomials with Fraction coefficients.
 """
 
 from fractions import Fraction
@@ -15,6 +19,9 @@ from hypothesis import strategies as st
 
 from tnncompact import linalg as la
 from tnncompact.dual import Dual
+from tnncompact.exterior import compounds, proj_equal, strictly_signed
+from tnncompact.laurent import Laurent, lmat_limit
+from tnncompact.strata import _curve_exponents, fundamental_tuple
 
 
 def laplace_det(m):
@@ -59,6 +66,45 @@ def naive_matmul(a, b):
 
     bt = tuple(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+def fraction_minors(m):
+    """Every minor of the square rational matrix m, from the Fraction ladder."""
+    return [x for c in compounds(m, len(m)) for row in c for x in row]
+
+
+def fraction_is_tnn(m):
+    return all(x >= 0 for x in fraction_minors(m))
+
+
+def fraction_is_totally_positive(g):
+    """Every minor of g, or for even n of −g, strictly positive."""
+    if all(x > 0 for x in fraction_minors(g.m)):
+        return True
+    return g.n % 2 == 0 and all(x > 0 for x in fraction_minors(la.scale(g.m, Fraction(-1))))
+
+
+def fraction_membership(z):
+    """Every rational image ρ_k(g1)·D_k·ρ_k(g2) of z strictly signed."""
+    return all(strictly_signed(m) for m in fundamental_tuple(z))
+
+
+def fraction_limit_check(g1, cs, g2, z):
+    """Whether, in every degree k, the limit of ρ_k(g1·t(s)·g2) along the
+    torus curve of exponents cs, over Fraction Laurent polynomials, is z's
+    rational image projectively."""
+    n = g1.n
+    e = _curve_exponents(cs)
+    curve = tuple(
+        tuple(Laurent.monomial(-e[i]) if i == j else Laurent.of(0) for j in range(n))
+        for i in range(n)
+    )
+    lg1, lg2 = (tuple(tuple(Laurent.of(x) for x in row) for row in g.m) for g in (g1, g2))
+    x = la.matmul(la.matmul(lg1, curve), lg2)
+    return all(
+        proj_equal(lmat_limit(cx), want)
+        for want, cx in zip(fundamental_tuple(z), compounds(x, n - 1))
+    )
 
 
 rationals = st.one_of(

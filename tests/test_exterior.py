@@ -9,6 +9,7 @@ from oracles import dual_matrices, laplace_det, square_matrices
 from tnncompact import linalg as la
 from tnncompact.exterior import (
     FundamentalRep,
+    _levi_weight_positions,
     UnsupportedStratumError,
     compound,
     compounds,
@@ -22,7 +23,7 @@ from tnncompact.exterior import (
 )
 from tnncompact.matgroup import GroupMatrix, generator_x, identity_g
 from tnncompact.tnn import is_totally_positive, sample_G_gt0
-from tnncompact.weyl import ParabolicSubset
+from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets
 
 
 def rand_invertible(n, rng):
@@ -186,6 +187,16 @@ def test_stratum_indicator_matches_embedding_projectors():
     full = ParabolicSubset.of(3, [1, 2])
     assert stratum_indicator(full, 1) == la.identity(3)
     assert stratum_indicator(full, 2) == la.identity(3)
+
+
+def test_cached_positions_are_the_stratum_indicator_diagonal():
+    for n in range(2, 6):
+        for J in all_parabolic_subsets(n):
+            for k in range(1, n):
+                d = stratum_indicator(J, k)
+                assert _levi_weight_positions(n, k, J) == tuple(
+                    s for s in range(len(d)) if d[s][s]
+                ), (J, k)
 
 
 def test_iJ_of_group_element():

@@ -10,10 +10,15 @@ from tnncompact.laurent import (
     Laurent,
     lmat_compound,
     lmat_det,
-    lmat_from_rational,
     lmat_limit,
     lmat_mul,
+    lmat_torus_curve,
 )
+
+
+def lmat_from_rational(m):
+    return tuple(tuple(Laurent.of(x) for x in row) for row in m)
+
 
 coeff_dicts = st.dictionaries(
     st.integers(-3, 3),
@@ -63,8 +68,11 @@ def test_torus_curve_det_is_monomial():
         (Laurent.monomial(-3), Laurent.of(0)),
         (Laurent.of(0), Laurent.monomial(-1)),
     )
-    g = lmat_from_rational(la.mat([[1, 1], [1, 2]]))
+    m = la.mat([[1, 1], [1, 2]])
+    g = lmat_from_rational(m)
     x = lmat_mul(lmat_mul(g, curve), g)
+    assert lmat_torus_curve(m, [-3, -1], m) == x
+    assert lmat_torus_curve([[1, 1], [1, 2]], [-3, -1], [[1, 1], [1, 2]]) == x
     d = lmat_det(x)
     assert d
     assert d == Laurent.monomial(-4)
@@ -92,3 +100,19 @@ def test_compounds_and_det_match_laplace(m):
 def test_bool_is_nonzero():
     assert not Laurent.of(0)
     assert Laurent.monomial(-2) and Laurent.of({3: Fraction(1, 2)})
+
+
+int_coeff_dicts = st.dictionaries(st.integers(-3, 3), st.integers(-5, 5), max_size=4)
+
+
+@given(int_coeff_dicts, int_coeff_dicts)
+def test_int_coefficients_match_fractions(a, b):
+    """Ring results keep int coefficients; they must equal the Fraction
+    polynomials that Laurent.of builds from the same data."""
+    x, y = (Laurent(tuple(sorted((e, c) for e, c in d.items() if c))) for d in (a, b))
+    fx, fy = (Laurent.of({e: Fraction(c) for e, c in d.items()}) for d in (a, b))
+    assert x == fx and y == fy
+    for got, want in ((x + y, fx + fy), (x - y, fx - fy), (x * y, fx * fy)):
+        assert got == want
+        assert all(type(c) is int for _, c in got.coeffs)
+        assert all(c != 0 for _, c in got.coeffs)

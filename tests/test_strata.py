@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import fraction_limit_check, fraction_membership
 
 from tnncompact import linalg as la
+from tnncompact import strata
 from tnncompact.cells import classify, enumerate_cells, sample_cell, top_label
 from tnncompact.exterior import embedding_data, proj_equal, strictly_signed
 from tnncompact.matgroup import (
@@ -15,6 +17,7 @@ from tnncompact.matgroup import (
 )
 from tnncompact.strata import (
     CompactPoint,
+    LimitVerificationError,
     StrataError,
     PositivityCertificateError,
     act,
@@ -23,6 +26,7 @@ from tnncompact.strata import (
     iJ_of_point,
     levi_in_Lge0_ZL,
     membership_Zgt0,
+    _verify_torus_limit,
     positive_retraction,
     psibar,
     torus_limit,
@@ -36,7 +40,7 @@ from tnncompact.tnn import (
     sample_Uminus_gt0,
     sample_Uplus_gt0,
 )
-from tnncompact.verify import _negative_levi_point
+from tnncompact.verify import VerifyConfig, _negative_levi_point, suite_retraction
 from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets, longest_w
 
 ALL_J3 = [[], [1], [2], [1, 2]]
@@ -222,6 +226,45 @@ def test_torus_limit_zero_vector_is_group_point():
     assert z == act(g1, g2.inverse(), base_point(z.J))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_torus_limit_point_is_the_acted_base_point(n):
+    """The closed-form point equals (g1, g2⁻¹)·z°_J for every J."""
+    rng = random.Random(40 + n)
+    for J in all_parabolic_subsets(n):
+        c = tuple(0 if i in J.J else rng.choice([1, 2]) for i in range(1, n))
+        g1, g2 = sample_G_gt0(n, rng), sample_G_gt0(n, rng)
+        z = torus_limit(g1, c, g2)
+        assert z.J == J
+        assert z == act(g1, g2.inverse(), base_point(J))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_limit_check_accepts_only_the_limit_point(n):
+    """The Laurent check fails for a point of another stratum and for a
+    perturbed g2, as its Fraction oracle does.  It passes for the limit,
+    also written with another action pair (g1·t, t⁻¹·g2), t in the torus,
+    whose denominators differ from those of (g1, g2)."""
+    rng = random.Random(50 + n)
+    strata_n = all_parabolic_subsets(n)
+    for J in strata_n:
+        c = tuple(0 if i in J.J else rng.choice([1, 2]) for i in range(1, n))
+        g1, g2 = sample_G_gt0(n, rng), sample_G_gt0(n, rng)
+        z = torus_limit(g1, c, g2)
+        t = sample_T_gt0(n, rng)
+        same = act(g1 @ t, g2.inverse() @ t, base_point(J))
+        assert same == z
+        for point in (z, same):
+            assert fraction_limit_check(g1, c, g2, point)
+            _verify_torus_limit(g1, c, g2, point)
+        other = strata_n[(strata_n.index(J) + 1) % len(strata_n)]
+        wrong = act(g1, g2.inverse(), base_point(other))
+        perturbed = g2 @ generator_x(n, 1, rand_pos_fraction(rng))
+        for h2, point in ((g2, wrong), (perturbed, z)):
+            assert not fraction_limit_check(g1, c, h2, point)
+            with pytest.raises(LimitVerificationError):
+                _verify_torus_limit(g1, c, h2, point)
+
+
 def test_torus_limit_positive_data_lands_positive():
     rng = random.Random(9)
     for n in (2, 3):
@@ -296,6 +339,7 @@ def test_membership_routes_agree_on_the_closure():
             top = top_label(label.J)
             member = membership_Zgt0(z)
             assert member == (label == top), label
+            assert member == fraction_membership(z), label
             data = star.get(label.J)
             if data is not None:
                 pair = iJ_of_point(z, data)
@@ -316,7 +360,9 @@ def test_membership_matches_labels_at_n4():
         labels = [l for l, _ in enumerate_cells(4, J)]
         for label in rng.sample(labels, 36) + [top]:
             _, z = sample_cell(label, 34)
-            assert membership_Zgt0(z) == (label == top), label
+            member = membership_Zgt0(z)
+            assert member == (label == top), label
+            assert member == fraction_membership(z), label
 
 
 def test_membership_accepts_top_cells_at_n5():
@@ -357,6 +403,15 @@ def test_positive_retraction():
     assert membership_Zgt0(out2)
     with pytest.raises(PositivityCertificateError):
         positive_retraction(identity_g(n), h2, z)
+
+
+def test_suite_retraction_reports_every_failed_membership(monkeypatch):
+    """The suite relies on positive_retraction's own membership test: with
+    that test failing, every one of its cases fails."""
+    monkeypatch.setattr(strata, "membership_Zgt0", lambda z: False)
+    rep = suite_retraction(VerifyConfig(n=2))
+    assert rep.cases == 500
+    assert len(rep.failures) == rep.cases
 
 
 def test_z1_diagnostic_positive_and_negative():

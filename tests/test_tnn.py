@@ -3,11 +3,17 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import gauss_jordan_inverse
+from oracles import (
+    fraction_is_tnn,
+    fraction_is_totally_positive,
+    gauss_jordan_inverse,
+    square_matrices,
+)
 
 from tnncompact import linalg as la
 from tnncompact.matgroup import (
     FlagPoint,
+    _trusted,
     borel_minus,
     borel_plus,
     bruhat_position,
@@ -91,6 +97,29 @@ def test_sample_G_gt0_minors_products_psi(n):
         assert is_totally_positive(g)
         assert is_totally_positive(g @ h)
         assert is_totally_positive(g.T)
+
+
+@given(square_matrices())
+def test_integer_minor_tests_match_the_fraction_ladder(case):
+    """The minor tests run on cleared denominators; signs must be those of
+    the rational ladder, on the matrices and on their absolute values."""
+    _, m = case
+    for a in (m, tuple(tuple(abs(x) for x in row) for row in m)):
+        assert is_tnn_matrix(a) == fraction_is_tnn(a)
+        g = _trusted(a)
+        assert is_totally_positive(g) == fraction_is_totally_positive(g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_integer_minor_tests_match_the_fraction_ladder_on_samples(n):
+    """Strictly positive, nonnegative-with-zero-minors and negated samples."""
+    rng = random.Random(90 + n)
+    full = ParabolicSubset.of(n, range(1, n))
+    for _ in range(8):
+        g, l = sample_G_gt0(n, rng), sample_L_ge0(full, rng)
+        for h in (g, l, g @ l, _trusted(la.scale(g.m, Fraction(-1)))):
+            assert is_tnn_matrix(h.m) == fraction_is_tnn(h.m)
+            assert is_totally_positive(h) == fraction_is_totally_positive(h)
 
 
 def test_mr_evaluate_spec_cases():

@@ -89,6 +89,11 @@ def fraction_membership(z):
     return all(strictly_signed(m) for m in fundamental_tuple(z))
 
 
+def lmat_from_rational(m):
+    """The matrix m as constant Laurent polynomials with Fraction coefficients."""
+    return tuple(tuple(Laurent.of(x) for x in row) for row in m)
+
+
 def fraction_limit_check(g1, cs, g2, z):
     """Whether, in every degree k, the limit of ρ_k(g1·t(s)·g2) along the
     torus curve of exponents cs, over Fraction Laurent polynomials, is z's
@@ -99,8 +104,7 @@ def fraction_limit_check(g1, cs, g2, z):
         tuple(Laurent.monomial(-e[i]) if i == j else Laurent.of(0) for j in range(n))
         for i in range(n)
     )
-    lg1, lg2 = (tuple(tuple(Laurent.of(x) for x in row) for row in g.m) for g in (g1, g2))
-    x = la.matmul(la.matmul(lg1, curve), lg2)
+    x = la.matmul(la.matmul(lmat_from_rational(g1.m), curve), lmat_from_rational(g2.m))
     return all(
         proj_equal(lmat_limit(cx), want)
         for want, cx in zip(fundamental_tuple(z), compounds(x, n - 1))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import laplace_det
+from oracles import laplace_det, lmat_from_rational
 
 from tnncompact import linalg as la
 from tnncompact.exterior import compounds, subsets_colex
@@ -14,11 +14,6 @@ from tnncompact.laurent import (
     lmat_mul,
     lmat_torus_curve,
 )
-
-
-def lmat_from_rational(m):
-    return tuple(tuple(Laurent.of(x) for x in row) for row in m)
-
 
 coeff_dicts = st.dictionaries(
     st.integers(-3, 3),

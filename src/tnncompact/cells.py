@@ -81,8 +81,10 @@ class CellLabel:
 
     def is_valid(self) -> bool:
         J = self.J
+        perms = (self.v, self.w, self.vp, self.wp, self.y, self.yp)
         return (
-            bruhat_leq(self.v, self.w)
+            all(p.n == J.n for p in perms)
+            and bruhat_leq(self.v, self.w)
             and bruhat_leq(self.vp, self.wp)
             and J.is_min_rep(self.w)
             and J.is_min_rep(self.wp)

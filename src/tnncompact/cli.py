@@ -207,8 +207,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (
-        OSError, json.JSONDecodeError, ser.SchemaError, GroupError, StrataError,
-        ConfigError,
+        OSError, UnicodeDecodeError, json.JSONDecodeError, ser.SchemaError,
+        GroupError, StrataError, ConfigError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -34,8 +34,6 @@ class FactorizationError(LinAlgError):
 def frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x)
 
 
@@ -257,85 +255,40 @@ def ldu(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return (tuple(tuple(row) for row in lower), d, upper)
 
 
-def block_ldu(
-    m: Matrix, blocks: Sequence[Sequence[int]]
-) -> tuple[Matrix, Matrix, Matrix]:
-    """Block LDU: m = l·d·u, l/u block-unipotent lower/upper, d block-diagonal.
+def levi_part(m: Matrix, blocks: Sequence[Sequence[int]]) -> Matrix:
+    """The block-diagonal l of m = u_p·l·u_q, u_p block-upper-unipotent and
+    u_q block-lower-unipotent (the two-sided parabolic reduction).
 
-    Blocks are consecutive 0-based index ranges in order.  Exists iff the
-    leading principal *block* minors are invertible.
+    Blocks are consecutive 0-based index ranges in order.  The trailing
+    block of m is that of l, and its Schur complement in m is u_p·l·u_q cut
+    to the blocks ahead, so one pass from the last block to the first reads
+    off l.  The factorization exists iff every block met on the way is
+    invertible, i.e. iff the standard parabolic is opposed to the
+    m-conjugate of its opposite; FactorizationError is raised otherwise.
     """
     n, nc = dims(m)
     if n != nc:
-        raise ValueError("block_ldu of non-square matrix")
-    a = [list(row) for row in m]
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    upper = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    d = [[Fraction(0)] * n for _ in range(n)]
-    for k, blk in enumerate(blocks):
-        dk = tuple(tuple(a[i][j] for j in blk) for i in blk)
-        try:
-            dk_inv = inverse(dk)
-        except SingularMatrixError:
-            raise FactorizationError(f"diagonal block {k} singular in block LDU") from None
-        for i in blk:
-            for j in blk:
-                d[i][j] = a[i][j]
-        rest = [i for blk2 in blocks[k + 1 :] for i in blk2]
-        for i in rest:
-            lcoef = [
-                sum(a[i][t] * dk_inv[ti][tj] for ti, t in enumerate(blk))
-                for tj in range(len(blk))
-            ]
-            for tj, j in enumerate(blk):
-                lower[i][j] = lcoef[tj]
-        for j in rest:
-            ucoef = [
-                sum(dk_inv[ti][tj] * a[t2][j] for tj, t2 in enumerate(blk))
-                for ti in range(len(blk))
-            ]
-            for ti, i in enumerate(blk):
-                upper[i][j] = ucoef[ti]
-        for i in rest:
-            for j in rest:
-                a[i][j] -= sum(
-                    lower[i][s] * d[s][t] * upper[t][j] for s in blk for t in blk
-                )
-    return (
-        tuple(tuple(row) for row in lower),
-        tuple(tuple(row) for row in d),
-        tuple(tuple(row) for row in upper),
-    )
-
-
-def reversal(n: int) -> Matrix:
-    """Antidiagonal permutation matrix (its own inverse)."""
-    zero, one = Fraction(0), Fraction(1)
-    return tuple(
-        tuple(one if j == n - 1 - i else zero for j in range(n)) for i in range(n)
-    )
-
-
-def block_anti_ldu(
-    m: Matrix, blocks: Sequence[Sequence[int]]
-) -> tuple[Matrix, Matrix, Matrix]:
-    """Factor m = u_p·l·u_q with u_p block-upper-unipotent, l block-diagonal,
-    u_q block-lower-unipotent (the two-sided parabolic reduction).
-
-    Exists iff trailing principal block minors are invertible, i.e. iff the
-    standard parabolic is opposed to the m-conjugate of its opposite.
-    """
-    n, _ = dims(m)
-    r = reversal(n)
-    rev_blocks = []
+        raise ValueError("levi_part of non-square matrix")
+    l = [list(row) for row in zeros(n, n)]
+    a = m
     for blk in reversed(blocks):
-        rev_blocks.append([n - 1 - i for i in reversed(blk)])
-    lm, dm, um = block_ldu(matmul(matmul(r, m), r), rev_blocks)
-    return (
-        matmul(matmul(r, lm), r),
-        matmul(matmul(r, dm), r),
-        matmul(matmul(r, um), r),
-    )
+        s = blk[0]
+        d = tuple(row[s:] for row in a[s:])
+        try:
+            d_inv = inverse(d)
+        except SingularMatrixError:
+            raise FactorizationError(f"block at {s} singular in two-sided reduction") from None
+        for i, row in zip(blk, d):
+            l[i][s : s + len(row)] = row
+        if s:
+            upd = matmul(
+                matmul(tuple(row[s:] for row in a[:s]), d_inv),
+                tuple(row[:s] for row in a[s:]),
+            )
+            a = tuple(
+                tuple(x - y for x, y in zip(row[:s], urow)) for row, urow in zip(a, upd)
+            )
+    return tuple(tuple(row) for row in l)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ elimination.
 Flags and parabolic subgroups are stored by a conjugating group element.
 Relative position is read off the rank profile of lower-left submatrices;
 the associated Borel of a parabolic comes from one Bruhat elimination plus
-coset arithmetic in W, and opposedness from the two-sided block
-factorization.  All of it is exact and tolerance-free.
+coset arithmetic in W, and opposedness from whether the Levi part of the
+two-sided block factorization exists, read off one Schur-complement pass
+from the trailing block to the leading one.  All of it is exact and
+tolerance-free.
 """
 
 from __future__ import annotations
@@ -419,11 +421,12 @@ def associated_borel(P: ParabolicPoint, B: FlagPoint) -> FlagPoint:
 
 def opposed(P: ParabolicPoint, Q: ParabolicPoint) -> bool:
     """True iff P ∩ Q is a common Levi, i.e. iff P.g⁻¹·Q.g has the two-sided
-    block factorization u_p·l·u_q (see la.block_anti_ldu)."""
+    block factorization u_p·l·u_q, whose Levi part l one trailing
+    Schur-complement pass reads off (la.levi_part)."""
     if P.opposite or not Q.opposite or P.J != Q.J:
         raise GroupError("opposed() expects (type-J standard, type-J* opposite) pair")
     try:
-        la.block_anti_ldu((P.g.inverse() @ Q.g).m, P.J.blocks0())
+        la.levi_part((P.g.inverse() @ Q.g).m, P.J.blocks0())
     except FactorizationError:
         return False
     return True

@@ -68,20 +68,16 @@ class CompactPoint:
 
     @cached_property
     def levi(self) -> GroupMatrix:
-        h = (self.a.inverse() @ self.g @ self.b).m
-        try:
-            _, d, _ = la.block_anti_ldu(h, self.J.blocks0())
-        except FactorizationError as e:
-            raise StrataError(f"triple violates opposedness: {e}") from e
-        return _trusted(d)
+        return self.levi_in_frame(self.a, self.b)
 
     def levi_in_frame(self, a: GroupMatrix, b: GroupMatrix) -> GroupMatrix:
+        """Levi part of the representative a⁻¹·g·b; raises StrataError when
+        the triple, read in the frame (a, b), violates opposedness."""
         h = (a.inverse() @ self.g @ b).m
         try:
-            _, d, _ = la.block_anti_ldu(h, self.J.blocks0())
+            return _trusted(la.levi_part(h, self.J.blocks0()))
         except FactorizationError as e:
-            raise StrataError(f"frame change left the opposed chart: {e}") from e
-        return _trusted(d)
+            raise StrataError(f"triple violates opposedness: {e}") from e
 
     def canonical_levi(self) -> Matrix:
         """Levi part with each diagonal block scaled so its first nonzero

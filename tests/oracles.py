@@ -6,11 +6,14 @@ Fraction, Laurent and Dual entries and stay independent of the library's
 kernels; the one exception is the Gauss–Jordan inverse, which pivots on
 Fractions where the library eliminates over the integers.  The group-layer
 references decide flag and parabolic questions by subspaces and Lie
-algebras, independently of the library's eliminations.  The certificate
-references are the library's sign and projective tests as they ran over
-Fractions before the library cleared denominators: the compound ladder on
-the rational matrix, the fundamental tuple of rational images, and the
-torus-limit check on Laurent polynomials with Fraction coefficients.
+algebras, independently of the library's eliminations.  The two-sided
+block factorization u_p·l·u_q is built whole, as the leading block LDU of
+the matrix conjugated by the reversal permutation, and ``la.levi_part``
+must match its middle factor.  The certificate references are the
+library's sign and projective tests as they ran over Fractions before the
+library cleared denominators: the compound ladder on the rational matrix,
+the fundamental tuple of rational images, and the torus-limit check on
+Laurent polynomials with Fraction coefficients.
 """
 
 from fractions import Fraction
@@ -53,6 +56,53 @@ def gauss_jordan_inverse(m):
                 f = a[i][k]
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return tuple(tuple(row[n:]) for row in a)
+
+
+def block_ldu(m, blocks):
+    """m = l·d·u with l block-lower-unipotent, d block-diagonal and u
+    block-upper-unipotent (blocks consecutive, in order); raises
+    la.FactorizationError when a leading block Schur complement is
+    singular."""
+    n = len(m)
+    a = [list(row) for row in m]
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    upper = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for k, blk in enumerate(blocks):
+        try:
+            dk_inv = gauss_jordan_inverse(tuple(tuple(a[i][j] for j in blk) for i in blk))
+        except la.SingularMatrixError:
+            raise la.FactorizationError(f"diagonal block {k} singular") from None
+        for i in blk:
+            for j in blk:
+                d[i][j] = a[i][j]
+        rest = [i for blk2 in blocks[k + 1 :] for i in blk2]
+        for i in rest:
+            for tj, j in enumerate(blk):
+                lower[i][j] = sum(a[i][t] * dk_inv[ti][tj] for ti, t in enumerate(blk))
+        for j in rest:
+            for ti, i in enumerate(blk):
+                upper[i][j] = sum(dk_inv[ti][tj] * a[t][j] for tj, t in enumerate(blk))
+        for i in rest:
+            for j in rest:
+                a[i][j] -= sum(lower[i][s] * d[s][t] * upper[t][j] for s in blk for t in blk)
+    return tuple(tuple(tuple(row) for row in x) for x in (lower, d, upper))
+
+
+def reversal(n):
+    """Antidiagonal permutation matrix (its own inverse)."""
+    return tuple(tuple(Fraction(int(j == n - 1 - i)) for j in range(n)) for i in range(n))
+
+
+def block_anti_ldu(m, blocks):
+    """m = u_p·l·u_q with u_p block-upper-unipotent, l block-diagonal and u_q
+    block-lower-unipotent: the block LDU of r·m·r for the reversal r, blocks
+    reversed, conjugated back by r."""
+    n = len(m)
+    r = reversal(n)
+    rev_blocks = [[n - 1 - i for i in reversed(blk)] for blk in reversed(blocks)]
+    factors = block_ldu(naive_matmul(naive_matmul(r, m), r), rev_blocks)
+    return tuple(naive_matmul(naive_matmul(r, f), r) for f in factors)
 
 
 def naive_matmul(a, b):

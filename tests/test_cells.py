@@ -46,6 +46,11 @@ def test_label_validity():
         L(3, [1], (1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 3, 2), (1, 2, 3))
     lbl = L(3, [1], (1, 3, 2), (2, 3, 1), (1, 2, 3), (1, 3, 2), (2, 1, 3), (1, 2, 3))
     assert lbl.is_valid() and lbl.is_nonempty()
+    e4, w04 = identity_w(4), longest_w(4)
+    with pytest.raises(CellError):  # permutations of another rank than J
+        CellLabel(ParabolicSubset.of(3, []), e4, w04, e4, w04, e4, e4)
+    with pytest.raises(CellError):  # one permutation of another rank
+        L(3, [1], (1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 3, 4))
 
 
 def test_dimension_spec_cases():

@@ -293,6 +293,21 @@ def test_cli_bad_input_is_one_line_usage_error(case, tmp_path, capsys):
     assert_usage_error(main([command, flag, str(path)]), capsys)
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("classify", "--point-file"),
+        ("sample", "--label-file"),
+        ("limit", "--curve-file"),
+        ("tp-check", "--matrix-file"),
+    ],
+)
+def test_cli_non_utf8_input_is_one_line_usage_error(command, flag, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert_usage_error(main([command, flag, str(path)]), capsys)
+
+
 def test_cli_sample_rejects_negative_seed(tmp_path, capsys):
     label_file = tmp_path / "label.json"
     label = top_label(ParabolicSubset.of(2, [1]))

@@ -5,15 +5,19 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 from oracles import (
+    block_anti_ldu,
+    block_ldu,
     dual_matrices,
     gauss_jordan_inverse,
     laplace_det,
     naive_matmul,
     rationals,
+    reversal,
     square_matrices,
 )
 
 from tnncompact import linalg as la
+from tnncompact.weyl import all_parabolic_subsets
 
 
 def rand_matrix(n, rng, bound=5):
@@ -139,23 +143,33 @@ def test_ldu_reassembly_and_failure():
 
 
 def test_block_ldu_reassembly():
+    """The oracle's leading block LDU reassembles m, and its middle factor
+    is levi_part's of the reversed matrix with the blocks reversed."""
     rng = random.Random(4)
-    blocks = [[0, 1], [2, 3]]
+    blocks, rev_blocks = [[0, 1], [2], [3]], [[0], [1], [2, 3]]
+    r = reversal(4)
+    hits = 0
     for _ in range(30):
         m = rand_invertible(4, rng)
+        rmr = la.matmul(la.matmul(r, m), r)
         try:
-            l, d, u = la.block_ldu(m, blocks)
+            l, d, u = block_ldu(m, blocks)
         except la.FactorizationError:
-            assert la.det(la.submatrix(m, [0, 1], [0, 1])) == 0
+            assert any(la.minor(m, range(k), range(k)) == 0 for k in (2, 3))
+            with pytest.raises(la.FactorizationError):
+                la.levi_part(rmr, rev_blocks)
             continue
+        hits += 1
         assert la.matmul(la.matmul(l, d), u) == m
         assert la.is_block_lower(l, blocks) and la.is_block_upper(u, blocks)
         assert la.is_block_lower(d, blocks) and la.is_block_upper(d, blocks)
+        assert la.levi_part(rmr, rev_blocks) == la.matmul(la.matmul(r, d), r)
+    assert hits > 10
 
 
 def test_block_anti_ldu_unique_middle():
-    """The two-sided reduction exists iff trailing block minors are nonzero,
-    and its middle factor is unique."""
+    """The two-sided reduction exists iff the trailing block Schur
+    complements are invertible, and levi_part is its unique middle factor."""
     rng = random.Random(5)
     blocks = [[0, 1], [2]]
     hits = 0
@@ -163,12 +177,15 @@ def test_block_anti_ldu_unique_middle():
         m = rand_invertible(3, rng)
         trailing_ok = m[2][2] != 0 and la.det(m) != 0
         try:
-            up, l, uq = la.block_anti_ldu(m, blocks)
+            up, l, uq = block_anti_ldu(m, blocks)
         except la.FactorizationError:
             assert not trailing_ok
+            with pytest.raises(la.FactorizationError):
+                la.levi_part(m, blocks)
             continue
         hits += 1
         assert trailing_ok
+        assert la.levi_part(m, blocks) == l
         assert la.matmul(la.matmul(up, l), uq) == m
         assert la.is_block_upper(up, blocks) and la.is_block_lower(uq, blocks)
         # unipotent outer factors: identity diagonal blocks
@@ -178,6 +195,80 @@ def test_block_anti_ldu_unique_middle():
                     want = Fraction(int(i == j))
                     assert up[i][j] == want and uq[i][j] == want
     assert hits > 10
+
+
+def _singular_trailing(m, blocks, rng):
+    """m with its trailing block made singular: the last row of the block
+    replaced by a random combination of its other rows (zero for a 1×1)."""
+    rows = [list(row) for row in m]
+    blk = blocks[-1]
+    last = blk[-1]
+    coefs = [Fraction(rng.randint(-3, 3)) for _ in blk[:-1]]
+    for j in blk:
+        rows[last][j] = sum((c * rows[i][j] for c, i in zip(coefs, blk)), Fraction(0))
+    return la.mat(rows)
+
+
+def _two_sided_factors(blocks, rng, singular=None):
+    """Random u_p (block-upper-unipotent), l (block-diagonal, its block
+    number ``singular`` singular, the others invertible) and u_q
+    (block-lower-unipotent)."""
+    n = blocks[-1][-1] + 1
+    block = {i: k for k, blk in enumerate(blocks) for i in blk}
+    l = [[Fraction(0)] * n for _ in range(n)]
+    for k, blk in enumerate(blocks):
+        d = rand_invertible(len(blk), rng)
+        if k == singular:
+            d = _singular_trailing(d, [list(range(len(blk)))], rng)
+        for ti, i in enumerate(blk):
+            for tj, j in enumerate(blk):
+                l[i][j] = d[ti][tj]
+
+    def unipotent(keep):
+        def entry(i, j):
+            if i == j:
+                return 1
+            return rng.randint(-3, 3) if keep(block[i], block[j]) else 0
+
+        return la.mat([[entry(i, j) for j in range(n)] for i in range(n)])
+
+    return unipotent(lambda bi, bj: bi < bj), la.mat(l), unipotent(lambda bi, bj: bi > bj)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_levi_part_matches_two_sided_oracle(n):
+    """For every J, levi_part equals the middle factor of the oracle's
+    u_p·l·u_q and raises exactly when the oracle does: on random rational
+    matrices, singular ones among them, on matrices whose trailing block
+    is singular, and on reassembled u_p·l·u_q with one Levi block singular."""
+    rng = random.Random(70 + n)
+    outcomes = set()
+    for J in all_parabolic_subsets(n):
+        blocks = J.blocks0()
+        cases = [rand_matrix(n, rng, bound=2) for _ in range(12)]
+        cases += [_singular_trailing(rand_matrix(n, rng), blocks, rng) for _ in range(3)]
+        for case in cases:
+            try:
+                _, want, _ = block_anti_ldu(case, blocks)
+            except la.FactorizationError:
+                outcomes.add(False)
+                with pytest.raises(la.FactorizationError):
+                    la.levi_part(case, blocks)
+                continue
+            outcomes.add(True)
+            assert la.levi_part(case, blocks) == want
+        for k in [None, *range(len(blocks))]:
+            up, l, uq = _two_sided_factors(blocks, rng, singular=k)
+            m = la.matmul(la.matmul(up, l), uq)
+            if k is None:
+                assert la.levi_part(m, blocks) == l
+                assert block_anti_ldu(m, blocks)[1] == l
+                continue
+            with pytest.raises(la.FactorizationError):
+                block_anti_ldu(m, blocks)
+            with pytest.raises(la.FactorizationError):
+                la.levi_part(m, blocks)
+    assert outcomes == {True, False}
 
 
 def test_kernel_and_spans():
@@ -194,14 +285,6 @@ def test_kernel_and_spans():
     assert la.in_span([tuple(col) for col in la.transpose(a)], (0, 1, 0))
     assert not la.in_span([tuple(col) for col in la.transpose(a)], (0, 0, 1))
     assert la.rank(tuple(ra + rb for ra, rb in zip(a, b))) == 3
-
-
-def test_reversal_involution():
-    r = la.reversal(4)
-    assert la.matmul(r, r) == la.identity(4)
-    m = la.mat([[i * 4 + j for j in range(4)] for i in range(4)])
-    rr = la.matmul(la.matmul(r, m), r)
-    assert rr[0][0] == m[3][3] and rr[0][3] == m[3][0]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import gauss_jordan_inverse, opposed_by_lie_algebra, partial_flag
+from oracles import (
+    block_anti_ldu,
+    gauss_jordan_inverse,
+    opposed_by_lie_algebra,
+    partial_flag,
+)
 
 from tnncompact import linalg as la
 from tnncompact import serialize as ser
@@ -422,19 +427,25 @@ def test_opposed_implies_levi_coset_positions():
 
 def test_opposed_matches_two_sided_reduction():
     """Opposedness of (P_J, ^h Q_J), by the Lie-algebra count, coincides with
-    existence of the two-sided block factorization of h."""
-    J = ParabolicSubset.of(3, [1])
-    for w in all_weyl(3):
-        h = wdot(w)
-        via_lie = opposed_by_lie_algebra(
-            standard_parabolic(J), opposite_parabolic(J).conjugate(h)
-        )
-        try:
-            la.block_anti_ldu(h.m, J.blocks0())
-            via_ldu = True
-        except FactorizationError:
-            via_ldu = False
-        assert via_lie == via_ldu, w
+    existence of the two-sided block factorization of h, and levi_part is
+    the middle factor of the oracle's factorization, for every J and every
+    ẇ at n = 3."""
+    for J in all_parabolic_subsets(3):
+        for w in all_weyl(3):
+            h = wdot(w)
+            via_lie = opposed_by_lie_algebra(
+                standard_parabolic(J), opposite_parabolic(J).conjugate(h)
+            )
+            try:
+                _, want, _ = block_anti_ldu(h.m, J.blocks0())
+            except FactorizationError:
+                want = None
+            try:
+                got = la.levi_part(h.m, J.blocks0())
+            except FactorizationError:
+                got = None
+            assert got == want, (J, w)
+            assert via_lie == (got is not None), (J, w)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import fraction_limit_check, fraction_membership
+from oracles import fraction_limit_check, fraction_membership, opposed_by_lie_algebra
 
 from tnncompact import linalg as la
 from tnncompact import strata
@@ -13,7 +13,10 @@ from tnncompact.matgroup import (
     generator_x,
     generator_y,
     identity_g,
+    opposite_parabolic,
+    standard_parabolic,
     torus,
+    wdot,
 )
 from tnncompact.strata import (
     CompactPoint,
@@ -41,7 +44,7 @@ from tnncompact.tnn import (
     sample_Uplus_gt0,
 )
 from tnncompact.verify import VerifyConfig, _negative_levi_point, suite_retraction
-from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets, longest_w
+from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets, all_weyl, longest_w
 
 ALL_J3 = [[], [1], [2], [1, 2]]
 
@@ -137,13 +140,25 @@ def test_point_equality_across_representatives():
 
 
 def test_constructor_rejects_non_opposed():
-    from tnncompact.matgroup import wdot
-    from tnncompact.weyl import simple_reflection
-
-    J = ParabolicSubset.of(2, [])
-    e = identity_g(2)
-    with pytest.raises(StrataError):
-        CompactPoint(J, e, e, wdot(simple_reflection(2, 1)))
+    """CompactPoint(J, e, e, ẇ) constructs exactly when P_J is opposed to
+    ^ẇQ_J by the Lie-algebra count, and raises StrataError otherwise, for
+    every J and every w at n = 2, 3, 4."""
+    for n in (2, 3, 4):
+        e = identity_g(n)
+        outcomes = set()
+        for J in all_parabolic_subsets(n):
+            for w in all_weyl(n):
+                h = wdot(w)
+                expected = opposed_by_lie_algebra(
+                    standard_parabolic(J), opposite_parabolic(J).conjugate(h)
+                )
+                outcomes.add(expected)
+                if expected:
+                    CompactPoint(J, e, e, h)
+                else:
+                    with pytest.raises(StrataError):
+                        CompactPoint(J, e, e, h)
+        assert outcomes == {True, False}
 
 
 def test_psibar_transposes_matrix_pair():
@@ -429,8 +444,6 @@ def test_z1_diagnostic_positive_and_negative():
 
 def test_z1_normal_form_reports_chart_exit():
     # a point whose P-side conjugator is not LDU-factorable counts as False
-    from tnncompact.matgroup import wdot
-
     J = ParabolicSubset.of(2, [1])
     w0 = longest_w(2)
     z = CompactPoint(J, wdot(w0), identity_g(2), wdot(w0))

@@ -36,11 +36,9 @@ from .matgroup import (
 )
 from .exterior import (
     EmbeddingData,
-    FundamentalRep,
     UnsupportedStratumError,
     compound,
     embedding_data,
-    iJ_of_group_element,
 )
 from .tnn import (
     DoubleCellPoint,
@@ -63,7 +61,6 @@ from .strata import (
     positive_retraction,
     psibar,
     torus_limit,
-    z1_membership_diagnostic,
 )
 from .cells import (
     CellLabel,

@@ -5,13 +5,18 @@ matrix (all k×k minors).  The wedge basis e_S, ordered colexicographically,
 is the canonical basis for these minuscule weights; the top subset {1..k}
 comes first and is the highest weight vector.
 
-An EmbeddingData bundles, for a stratum label J, the representation pair
-of the paper's embedding into projective matrix pairs, together with the
-rank-one projector I_1 and the Levi-weight projector I_L.  Only fundamental
-or trivial highest weights are available; strata needing more raise
-UnsupportedStratumError.  Membership in the positive part does not use the
-pair: it reads every fundamental representation at once
-(strata.membership_Zgt0).
+For a stratum J, D_k = stratum_indicator(J, k) is the limit projector of
+ρ_k, and strata.fundamental_tuple maps a point of Z_J to every
+ρ_k(g1)·D_k·ρ_k(g2), k = 1..n−1, at once.  The paper's entrywise
+criterion (*) reads two of them: an EmbeddingData names the degrees k1 and
+k2 of its representation pair, where I_1 = D_{k1} is the rank-one
+projector onto the highest weight line and I_L = D_{k2} the Levi-weight
+projector, so the (*) pair (strata.iJ_of_point) is two entries of the
+fundamental tuple.  Only fundamental or trivial highest weights are
+available; strata needing more raise UnsupportedStratumError.  Membership
+in the positive part reads the whole tuple (strata.membership_Zgt0); it is
+the only positivity test for stratum points, the sampled Z_1 normal-form
+diagnostic being gone.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from typing import Iterator
 
 from . import linalg as la
 from .linalg import Matrix
-from .matgroup import GroupMatrix
 from .weyl import ParabolicSubset
 
 
@@ -37,27 +41,6 @@ def subsets_colex(n: int, k: int) -> list[tuple[int, ...]]:
     subs = list(combinations(range(1, n + 1), k))
     subs.sort(key=lambda s: tuple(reversed(s)))
     return subs
-
-
-@dataclass(frozen=True)
-class FundamentalRep:
-    """Λ^k of the standard representation; k = 0 is the trivial one."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"exterior degree {self.k} out of range for n={self.n}")
-
-    @property
-    def dim(self) -> int:
-        from math import comb
-
-        return comb(self.n, self.k)
-
-    def matrix(self, g: GroupMatrix) -> Matrix:
-        return compound(g.m, self.k)
 
 
 def compound(m: Matrix, k: int) -> Matrix:
@@ -124,29 +107,10 @@ def compounds(m: Matrix, top: int) -> Iterator[Matrix]:
         yield prev
 
 
-def levi_weight_indicator(n: int, k: int, J: ParabolicSubset) -> tuple[Matrix, int]:
-    """Diagonal 0/1 projector onto the basis vectors whose weight differs from
-    the highest weight by a combination of {α_j : j ∈ J} only, plus their
-    count.  For the supported embedding reps these occupy the leading colex
-    positions (asserted where it matters, in embedding_data); for general
-    (k, J) the projector need not be a basis prefix.
-    """
-    keep = _levi_weight_positions(n, k, J)
-    dim = len(subsets_colex(n, k))
-    diag = tuple(
-        tuple(
-            Fraction(1) if (i == j and i in keep) else Fraction(0)
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
-    return diag, len(keep)
-
-
 @lru_cache(maxsize=None)
 def _levi_weight_positions(n: int, k: int, J: ParabolicSubset) -> tuple[int, ...]:
     """The colex positions of the ones on the diagonal of
-    levi_weight_indicator(n, k, J), computed once per (n, k, J)."""
+    stratum_indicator(J, k), computed once per (n, k, J)."""
     bounds = J.boundaries()
     return tuple(
         i
@@ -155,63 +119,58 @@ def _levi_weight_positions(n: int, k: int, J: ParabolicSubset) -> tuple[int, ...
     )
 
 
+def stratum_indicator(J: ParabolicSubset, k: int) -> Matrix:
+    """Limit projector of Λ^k along any one-parameter curve into stratum J:
+    indicator of the k-subsets maximizing the weight, block by block, i.e.
+    of the basis vectors whose weight differs from the highest weight by a
+    combination of {α_j : j ∈ J} only.  Degree 0 gives the 1×1 matrix (1)."""
+    keep = _levi_weight_positions(J.n, k, J)
+    dim = len(subsets_colex(J.n, k))
+    return tuple(
+        tuple(Fraction(int(i == j and i in keep)) for j in range(dim))
+        for i in range(dim)
+    )
+
+
 @dataclass(frozen=True)
 class EmbeddingData:
-    """Representation pair realizing the stratum J, with projectors.
+    """The degrees k1 and k2 of the representation pair realizing the
+    stratum J in the paper's criterion (*), with its projectors I_1 and I_L.
 
-    The highest weights have supports I−J and J, as the paper's entrywise
-    criterion (*) asks, except for J = I at n ≥ 3: there rep2 is Λ¹, whose
-    support {1} is smaller than J, and the pair serves only the forward (*)
-    check and the base-point image.
+    The highest weights have supports I−J and J, as (*) asks, except for
+    J = I at n ≥ 3: there the second degree is 1, whose support {1} is
+    smaller than J, and the pair serves only the forward (*) check and the
+    base-point image.
     """
 
     J: ParabolicSubset
-    rep1: FundamentalRep
-    rep2: FundamentalRep
-    I1: Matrix
-    IL: Matrix
-    n0: int
+    k1: int
+    k2: int
+
+    @property
+    def I1(self) -> Matrix:
+        """Rank-one projector onto the highest weight line of Λ^k1."""
+        return stratum_indicator(self.J, self.k1)
+
+    @property
+    def IL(self) -> Matrix:
+        """Projector onto the Levi-weight vectors of Λ^k2."""
+        return stratum_indicator(self.J, self.k2)
 
 
 def embedding_data(J: ParabolicSubset) -> EmbeddingData:
-    n = J.n
-    I = frozenset(range(1, n))
+    I = frozenset(range(1, J.n))
     complement = I - J.J
-    if len(complement) == 0:
-        rep1 = FundamentalRep(n, 0)
-    elif len(complement) == 1:
-        rep1 = FundamentalRep(n, next(iter(complement)))
-    else:
+    if len(complement) > 1:
         raise UnsupportedStratumError(
             f"no fundamental weight with support I-J = {sorted(complement)}"
         )
-    if len(J.J) == 0:
-        rep2 = FundamentalRep(n, 0)
-    elif len(J.J) == 1:
-        rep2 = FundamentalRep(n, next(iter(J.J)))
-    elif J.J == I:
-        rep2 = FundamentalRep(n, 1)
-    else:
+    if len(J.J) > 1 and J.J != I:
         raise UnsupportedStratumError(
             f"no fundamental weight with support J = {sorted(J.J)}"
         )
-    i1 = tuple(
-        tuple(
-            Fraction(1) if i == 0 and j == 0 else Fraction(0)
-            for j in range(rep1.dim)
-        )
-        for i in range(rep1.dim)
-    )
-    il, n0 = levi_weight_indicator(n, rep2.k, J)
-    if any(il[i][i] == 0 for i in range(n0)):
-        raise AssertionError("Levi-weight vectors must lead the basis")
-    return EmbeddingData(J, rep1, rep2, i1, il, n0)
-
-
-def stratum_indicator(J: ParabolicSubset, k: int) -> Matrix:
-    """Limit projector of Λ^k along any one-parameter curve into stratum J:
-    indicator of the k-subsets maximizing the weight, block by block."""
-    return levi_weight_indicator(J.n, k, J)[0]
+    k2 = 1 if J.J == I else min(J.J, default=0)
+    return EmbeddingData(J, min(complement, default=0), k2)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +191,3 @@ def strictly_signed(m: Matrix) -> bool:
     """All entries strictly positive up to a global sign (projective >0)."""
     entries = [x for row in m for x in row]
     return all(x > 0 for x in entries) or all(x < 0 for x in entries)
-
-
-def iJ_of_group_element(g: GroupMatrix, data: EmbeddingData) -> tuple[Matrix, Matrix]:
-    """([ρ1(g)], [ρ2(g)]) as plain matrices, understood projectively."""
-    return (data.rep1.matrix(g), data.rep2.matrix(g))

@@ -171,28 +171,6 @@ def chart_to_json(chart, seed: int | None = None) -> dict[str, Any]:
     return out
 
 
-def compound_to_json(m: Matrix, n: int, k: int) -> dict[str, Any]:
-    """Compound matrix with its basis-subset labels (self-describing)."""
-    from .exterior import subsets_colex
-
-    return {
-        "v": SCHEMA_VERSION,
-        "degree": k,
-        "basis": [list(s) for s in subsets_colex(n, k)],
-        "m": matrix_to_json(m),
-    }
-
-
-def parabolic_to_json(p) -> dict[str, Any]:
-    """Flag or parabolic subgroup: conjugator plus subset (and side)."""
-    return {
-        "v": SCHEMA_VERSION,
-        "J": sorted(p.J.J),
-        "side": "opposite" if p.opposite else "standard",
-        "g": group_to_json(p.g),
-    }
-
-
 def dumps(data) -> str:
     """``json.dumps(data, indent=1) + "\\n"``, byte for byte.
 

@@ -11,7 +11,6 @@ pairs, limits of torus curves, positivity tests) is computed through it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,9 +26,9 @@ from .exterior import (
 )
 from .laurent import lmat_limit, lmat_torus_curve
 from .linalg import FactorizationError, Matrix
-from .matgroup import GroupMatrix, _trusted, identity_g, pi_factor
-from .tnn import is_tnn_matrix, is_totally_positive, sample_Uplus_gt0
-from .weyl import ParabolicSubset, WeylElement
+from .matgroup import GroupMatrix, _trusted, identity_g
+from .tnn import is_totally_positive
+from .weyl import ParabolicSubset
 
 
 class StrataError(Exception):
@@ -177,15 +176,12 @@ def action_pair(z: CompactPoint) -> tuple[GroupMatrix, GroupMatrix]:
 
 
 def iJ_of_point(z: CompactPoint, data: EmbeddingData) -> tuple[Matrix, Matrix]:
-    """([ρ1(g1)·I_1·ρ1(g2)], [ρ2(g1)·I_L·ρ2(g2)]), understood projectively."""
-    g1, g2 = action_pair(z)
-    m1 = la.matmul(
-        la.matmul(data.rep1.matrix(g1), data.I1), data.rep1.matrix(g2)
-    )
-    m2 = la.matmul(
-        la.matmul(data.rep2.matrix(g1), data.IL), data.rep2.matrix(g2)
-    )
-    return (m1, m2)
+    """The paper's (*) pair ([ρ1(g1)·I_1·ρ1(g2)], [ρ2(g1)·I_L·ρ2(g2)]),
+    understood projectively: the entries of degrees data.k1 and data.k2 of
+    fundamental_tuple(z), since I_1 and I_L are the limit projectors of
+    those degrees.  Degree 0 gives the 1×1 matrix (1)."""
+    images = [((Fraction(1),),), *fundamental_tuple(z)]
+    return (images[data.k1], images[data.k2])
 
 
 def fundamental_tuple(z: CompactPoint) -> list[Matrix]:
@@ -292,28 +288,6 @@ def _verify_torus_limit(
 # ---------------------------------------------------------------------------
 # positivity tests
 
-def levi_in_Lge0_ZL(l: GroupMatrix, J: ParabolicSubset) -> bool:
-    """l ∈ L_{≥0}·Z(L): every diagonal block totally nonnegative up to sign.
-
-    Invertible ±TNN blocks factor as (lower TNN)·(positive diagonal)·
-    (upper TNN), and per-block sign scalars lie in Z(L), so this is exact.
-    """
-    blocks = J.blocks0()
-    lookup = {i: k for k, blk in enumerate(blocks) for i in blk}
-    if any(
-        l.m[i][j] != 0
-        for i in range(l.n)
-        for j in range(l.n)
-        if lookup[i] != lookup[j]
-    ):
-        return False
-    for blk in blocks:
-        sub = la.submatrix(l.m, blk, blk)
-        if not (is_tnn_matrix(sub) or is_tnn_matrix(la.scale(sub, Fraction(-1)))):
-            return False
-    return True
-
-
 def membership_Zgt0(z: CompactPoint) -> bool:
     """Membership of z in the positive part Z_{J,>0} of its stratum: every
     entry ρ_k(g1)·D_k·ρ_k(g2) of the fundamental tuple is strictly signed.
@@ -353,62 +327,3 @@ def positive_retraction(
     if not membership_Zgt0(out):
         raise StrataError("retraction output failed the positivity test")
     return out
-
-
-# ---------------------------------------------------------------------------
-# sampled diagnostic for membership in the nonnegative part
-
-def _lower_tnn_frame(conj: GroupMatrix) -> GroupMatrix | None:
-    """Lower-unipotent coset representative via LDU; None if the chart is
-    left or the factor is not totally nonnegative."""
-    try:
-        um, _, _ = pi_factor(conj)
-    except FactorizationError:
-        return None
-    if not is_tnn_matrix(um.m):
-        return None
-    return um
-
-
-def z1_normal_form_check(z: CompactPoint) -> bool:
-    """Does z admit the one-sided normal form: P and ψ(Q) conjugated by lower
-    TNN unipotents and Levi part in L_{≥0}·Z(L)?"""
-    u1 = _lower_tnn_frame(z.a)
-    if u1 is None:
-        return False
-    u2 = _lower_tnn_frame(z.b.T.inverse())
-    if u2 is None:
-        return False
-    b_frame = u2.T.inverse()
-    try:
-        l = z.levi_in_frame(u1, b_frame)
-    except StrataError:
-        return False
-    return levi_in_Lge0_ZL(l, z.J)
-
-
-def z1_membership_diagnostic(
-    z: CompactPoint,
-    v: WeylElement,
-    vprime: WeylElement,
-    samples: int,
-    seed: int,
-) -> bool:
-    """Necessary-evidence test: for sampled u1 ∈ U^+_{v⁻¹,>0} and
-    u2 ∈ U^+_{v'⁻¹,>0}, the translate (u1, ψ(u2)⁻¹)·z must admit the
-    one-sided normal form.  Factorization failures count as False.
-
-    The normal form is read off the stored conjugators, so the test expects
-    chart-framed points (sampler output); conjugator rescalings inside P_J
-    can only make it more conservative, never accepting.  The universal
-    quantifier over translates is sampled, not proved.
-    """
-    rng = random.Random(seed)
-    n = z.n
-    for _ in range(max(1, samples)):
-        u1 = sample_Uplus_gt0(n, rng, v.inverse())
-        u2 = sample_Uplus_gt0(n, rng, vprime.inverse())
-        translate = act(u1, u2.T.inverse(), z)
-        if not z1_normal_form_check(translate):
-            return False
-    return True

@@ -211,15 +211,15 @@ def suite_dimensions(cfg: VerifyConfig) -> SuiteReport:
 # 3/4. entrywise positivity criterion
 
 def _criterion_strata(nmax: int) -> list[ParabolicSubset]:
+    """Every stratum at n = 2..min(nmax, 3) where the (*) pair exists."""
     out = []
-    if nmax >= 2:
-        out += [ParabolicSubset.of(2, []), ParabolicSubset.of(2, [1])]
-    if nmax >= 3:
-        out += [
-            ParabolicSubset.of(3, [1]),
-            ParabolicSubset.of(3, [2]),
-            ParabolicSubset.of(3, [1, 2]),
-        ]
+    for n in range(2, min(nmax, 3) + 1):
+        for J in all_parabolic_subsets(n):
+            try:
+                embedding_data(J)
+            except UnsupportedStratumError:
+                continue
+            out.append(J)
     return out
 
 

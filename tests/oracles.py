@@ -13,7 +13,11 @@ must match its middle factor.  The certificate references are the
 library's sign and projective tests as they ran over Fractions before the
 library cleared denominators: the compound ladder on the rational matrix,
 the fundamental tuple of rational images, and the torus-limit check on
-Laurent polynomials with Fraction coefficients.
+Laurent polynomials with Fraction coefficients.  The reference for the
+paper's (*) pair is the dense product the library ran before it read the
+pair off the fundamental tuple: full compounds through a dense 0/1
+projector, whose kept basis vectors are chosen by a block count of their
+own.
 """
 
 from fractions import Fraction
@@ -22,9 +26,9 @@ from hypothesis import strategies as st
 
 from tnncompact import linalg as la
 from tnncompact.dual import Dual
-from tnncompact.exterior import compounds, proj_equal, strictly_signed
+from tnncompact.exterior import compound, compounds, proj_equal, strictly_signed, subsets_colex
 from tnncompact.laurent import Laurent, lmat_limit
-from tnncompact.strata import _curve_exponents, fundamental_tuple
+from tnncompact.strata import _curve_exponents, action_pair, fundamental_tuple
 
 
 def laplace_det(m):
@@ -158,6 +162,37 @@ def fraction_limit_check(g1, cs, g2, z):
     return all(
         proj_equal(lmat_limit(cx), want)
         for want, cx in zip(fundamental_tuple(z), compounds(x, n - 1))
+    )
+
+
+def dense_projector(n, k, keep):
+    """The dim×dim diagonal 0/1 Fraction matrix on Λ^k(Q^n) whose ones sit at
+    the colex k-subsets S with keep(S)."""
+    subs = subsets_colex(n, k)
+    return tuple(
+        tuple(Fraction(int(i == j and keep(s))) for j in range(len(subs)))
+        for i, s in enumerate(subs)
+    )
+
+
+def dense_star_pair(z, data):
+    """(ρ_k1(g1)·I_1·ρ_k1(g2), ρ_k2(g1)·I_L·ρ_k2(g2)) for (g1, g2) =
+    action_pair(z), from dense compounds multiplied out by la.matmul.  I_1
+    is the rank-one projector onto the highest weight vector e_{1..k1}; I_L
+    keeps the k2-subsets meeting every J-block in as many elements as
+    {1..k2} does, i.e. the weights that differ from the highest one by
+    roots of J only."""
+    n, k1, k2 = z.n, data.k1, data.k2
+    top = tuple(range(1, k2 + 1))
+    blocks = [{i + 1 for i in blk} for blk in z.J.blocks0()]
+    i1 = dense_projector(n, k1, lambda s: s == tuple(range(1, k1 + 1)))
+    il = dense_projector(
+        n, k2, lambda s: all(len(b.intersection(s)) == len(b.intersection(top)) for b in blocks)
+    )
+    g1, g2 = action_pair(z)
+    return tuple(
+        la.matmul(la.matmul(compound(g1.m, k), proj), compound(g2.m, k))
+        for k, proj in ((k1, i1), (k2, il))
     )
 
 

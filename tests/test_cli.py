@@ -55,16 +55,6 @@ def test_cells_json_schema():
     assert all("dim" in c for c in data["cells"])
 
 
-def test_compound_json_self_describing():
-    from tnncompact.exterior import compound
-
-    rng = random.Random(2)
-    g = sample_G_gt0(3, rng)
-    data = ser.compound_to_json(compound(g.m, 2), 3, 2)
-    assert data["basis"] == [[1, 2], [1, 3], [2, 3]]
-    assert ser.matrix_from_json(data["m"]) == compound(g.m, 2)
-
-
 def test_chart_json_schema():
     from tnncompact.tnn import mr_chart
     from tnncompact.weyl import WeylElement
@@ -73,14 +63,6 @@ def test_chart_json_schema():
     chart = mr_chart(WeylElement((1, 2, 3)), WeylElement((2, 3, 1)), rng)
     data = ser.chart_to_json(chart, seed=9)
     assert set(data) == {"word", "v", "coords", "seed"}
-
-
-def test_parabolic_json():
-    from tnncompact.matgroup import opposite_parabolic, standard_parabolic
-
-    J = ParabolicSubset.of(3, [2])
-    assert ser.parabolic_to_json(standard_parabolic(J))["side"] == "standard"
-    assert ser.parabolic_to_json(opposite_parabolic(J))["J"] == [2]
 
 
 def test_cli_enumerate_deterministic(tmp_path):

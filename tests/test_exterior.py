@@ -8,20 +8,17 @@ from oracles import dual_matrices, laplace_det, square_matrices
 
 from tnncompact import linalg as la
 from tnncompact.exterior import (
-    FundamentalRep,
     _levi_weight_positions,
     UnsupportedStratumError,
     compound,
     compounds,
     embedding_data,
-    iJ_of_group_element,
-    levi_weight_indicator,
     proj_equal,
     stratum_indicator,
     strictly_signed,
     subsets_colex,
 )
-from tnncompact.matgroup import GroupMatrix, generator_x, identity_g
+from tnncompact.matgroup import generator_x
 from tnncompact.tnn import is_totally_positive, sample_G_gt0
 from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets
 
@@ -153,19 +150,50 @@ def test_highest_weight_line_positive_on_upper_positive():
         (3, [1], 2, 1, 2),
         (3, [2], 1, 2, 2),
         (3, [1, 2], 0, 1, 3),
-        (4, [2], 0, 0, 0),  # sentinel, replaced below
     ],
 )
 def test_embedding_data_shapes(n, js, k1, k2, n0):
-    J = ParabolicSubset.of(n, js)
-    if n == 4:
-        with pytest.raises(UnsupportedStratumError):
-            embedding_data(J)
-        return
-    data = embedding_data(J)
-    assert (data.rep1.k, data.rep2.k, data.n0) == (k1, k2, n0)
-    il_diag = [data.IL[i][i] for i in range(data.rep2.dim)]
-    assert il_diag == [1] * n0 + [0] * (data.rep2.dim - n0)
+    """The degrees of the pair, and I_L keeping the leading n0 colex basis
+    vectors of Λ^k2."""
+    data = embedding_data(ParabolicSubset.of(n, js))
+    assert (data.k1, data.k2) == (k1, k2)
+    dim = comb(n, k2)
+    assert [data.IL[i][i] for i in range(dim)] == [1] * n0 + [0] * (dim - n0)
+
+
+# (k1, k2) of every stratum with a (*) pair at n = 2..5.
+STAR_DEGREES = {
+    (2, ()): (1, 0),
+    (2, (1,)): (0, 1),
+    (3, (1,)): (2, 1),
+    (3, (2,)): (1, 2),
+    (3, (1, 2)): (0, 1),
+    (4, (1, 2, 3)): (0, 1),
+    (5, (1, 2, 3, 4)): (0, 1),
+}
+
+
+def test_embedding_data_support_and_degrees():
+    """embedding_data exists exactly when |I−J| ≤ 1 and (|J| ≤ 1 or J = I),
+    with the degrees of the table; every other J at n = 2..5 raises.  I_1
+    is the rank-one projector onto the highest weight line."""
+    seen = set()
+    for n in range(2, 6):
+        full = frozenset(range(1, n))
+        for J in all_parabolic_subsets(n):
+            key = (n, tuple(sorted(J.J)))
+            if len(full - J.J) <= 1 and (len(J.J) <= 1 or J.J == full):
+                seen.add(key)
+                data = embedding_data(J)
+                assert (data.J, data.k1, data.k2) == (J, *STAR_DEGREES[key]), key
+                dim = comb(n, data.k1)
+                assert data.I1 == tuple(
+                    tuple(Fraction(int(i == j == 0)) for j in range(dim)) for i in range(dim)
+                ), key
+            else:
+                with pytest.raises(UnsupportedStratumError):
+                    embedding_data(J)
+    assert seen == set(STAR_DEGREES)
 
 
 def test_embedding_data_spec_examples():
@@ -197,20 +225,6 @@ def test_cached_positions_are_the_stratum_indicator_diagonal():
                 assert _levi_weight_positions(n, k, J) == tuple(
                     s for s in range(len(d)) if d[s][s]
                 ), (J, k)
-
-
-def test_iJ_of_group_element():
-    J = ParabolicSubset.of(2, [])
-    data = embedding_data(J)
-    g = GroupMatrix(la.mat([[1, 1], [1, 2]]))
-    m1, m2 = iJ_of_group_element(g, data)
-    assert m1 == g.m and m2 == ((Fraction(1),),)
-    assert iJ_of_group_element(identity_g(2), data)[0] == la.identity(2)
-    # functoriality up to scalar
-    rng = random.Random(41)
-    h = sample_G_gt0(2, rng)
-    m1gh, _ = iJ_of_group_element(g @ h, data)
-    assert proj_equal(m1gh, la.matmul(m1, iJ_of_group_element(h, data)[0]))
 
 
 def test_proj_helpers():

@@ -11,9 +11,7 @@ from hypothesis import given, settings, strategies as st
 from tnncompact import serialize as ser
 from tnncompact import verify
 from tnncompact.cells import enumerate_cells, sample_cell
-from tnncompact.exterior import compound
-from tnncompact.matgroup import opposite_parabolic, standard_parabolic
-from tnncompact.tnn import mr_chart, sample_G_gt0
+from tnncompact.tnn import mr_chart
 from tnncompact.weyl import ParabolicSubset, WeylElement
 
 
@@ -151,16 +149,10 @@ def _writer_outputs():
     rng = random.Random(5)
     label = enumerate_cells(3)[400][0]
     _, z = sample_cell(label, 11)
-    g = sample_G_gt0(3, rng)
     chart = mr_chart(WeylElement((1, 2, 3)), WeylElement((3, 2, 1)), rng)
-    J = ParabolicSubset.of(3, [2])
     yield ser.point_to_json(z)
     yield ser.chart_to_json(chart, seed=9)
     yield ser.chart_to_json(chart)
-    for k in (1, 2, 3):
-        yield ser.compound_to_json(compound(g.m, k), 3, k)
-    yield ser.parabolic_to_json(standard_parabolic(J))
-    yield ser.parabolic_to_json(opposite_parabolic(J))
     yield ser.label_to_json(label, 5)
     yield ser.cells_to_json(3)
     yield ser.cells_to_json(3, ParabolicSubset.of(3, []))

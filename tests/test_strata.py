@@ -2,12 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import fraction_limit_check, fraction_membership, opposed_by_lie_algebra
+from oracles import (
+    dense_star_pair,
+    fraction_limit_check,
+    fraction_membership,
+    opposed_by_lie_algebra,
+)
 
 from tnncompact import linalg as la
 from tnncompact import strata
 from tnncompact.cells import classify, enumerate_cells, sample_cell, top_label
-from tnncompact.exterior import embedding_data, proj_equal, strictly_signed
+from tnncompact.exterior import (
+    UnsupportedStratumError,
+    embedding_data,
+    proj_equal,
+    strictly_signed,
+)
 from tnncompact.matgroup import (
     GroupMatrix,
     generator_x,
@@ -27,14 +37,11 @@ from tnncompact.strata import (
     base_point,
     fundamental_tuple,
     iJ_of_point,
-    levi_in_Lge0_ZL,
     membership_Zgt0,
     _verify_torus_limit,
     positive_retraction,
     psibar,
     torus_limit,
-    z1_membership_diagnostic,
-    z1_normal_form_check,
 )
 from tnncompact.tnn import (
     rand_pos_fraction,
@@ -44,7 +51,7 @@ from tnncompact.tnn import (
     sample_Uplus_gt0,
 )
 from tnncompact.verify import VerifyConfig, _negative_levi_point, suite_retraction
-from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets, all_weyl, longest_w
+from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets, all_weyl
 
 ALL_J3 = [[], [1], [2], [1, 2]]
 
@@ -299,6 +306,26 @@ def test_fundamental_tuple_consistent_with_embedding():
     assert proj_equal(tup[1], m1)  # degree 2 carries I_1
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_iJ_of_point_matches_the_dense_star_pair(n):
+    """The (*) pair read off the fundamental tuple equals, entry for entry,
+    the dense product through the 0/1 projectors, on every stratum with a
+    (*) pair: positive points, their ψ̄ images, base points and sampled
+    cells of the stratum."""
+    rng = random.Random(60 + n)
+    for J in all_parabolic_subsets(n):
+        try:
+            data = embedding_data(J)
+        except UnsupportedStratumError:
+            continue
+        labels = [label for label, _ in enumerate_cells(n, J)]
+        z = positive_point(J, rng)
+        points = [z, psibar(z), base_point(J)]
+        points += [sample_cell(label, 70 + k)[1] for k, label in enumerate(rng.sample(labels, 4))]
+        for point in points:
+            assert iJ_of_point(point, data) == dense_star_pair(point, data), (J, point)
+
+
 def test_membership_invariant_under_representative_rescaling():
     rng = random.Random(11)
     J = ParabolicSubset.of(3, [1])
@@ -319,17 +346,6 @@ def test_membership_spec_cases():
         z = positive_point(J, rng)
         assert membership_Zgt0(z)
         assert membership_Zgt0(psibar(z))
-
-
-def test_levi_cone_test():
-    J = ParabolicSubset.of(3, [1])
-    good = generator_y(3, 1, 2) @ torus([3, 2]) @ generator_x(3, 1, 5)
-    assert levi_in_Lge0_ZL(good, J)
-    neg = generator_y(3, 1, -2) @ torus([3, 2]) @ generator_x(3, 1, 5)
-    assert not levi_in_Lge0_ZL(neg, J)
-    # a flipped block sign is a central rescaling and stays inside
-    zeta = GroupMatrix(la.mat([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]))
-    assert levi_in_Lge0_ZL(zeta @ good, J)
 
 
 # Strata whose (*) pair has highest-weight supports exactly I−J and J.
@@ -427,27 +443,6 @@ def test_suite_retraction_reports_every_failed_membership(monkeypatch):
     rep = suite_retraction(VerifyConfig(n=2))
     assert rep.cases == 500
     assert len(rep.failures) == rep.cases
-
-
-def test_z1_diagnostic_positive_and_negative():
-    rng = random.Random(14)
-    labels = enumerate_cells(3)
-    for label, _ in rng.sample(labels, 8):
-        _, z = sample_cell(label, 77)
-        assert z1_membership_diagnostic(z, label.v, label.vp, samples=2, seed=5)
-    J = ParabolicSubset.of(3, [1])
-    top = top_label(J)
-    for k in range(6):
-        z = _negative_levi_point(J, random.Random(200 + k), flip_left=(k % 2 == 0))
-        assert not z1_membership_diagnostic(z, top.v, top.vp, samples=2, seed=5)
-
-
-def test_z1_normal_form_reports_chart_exit():
-    # a point whose P-side conjugator is not LDU-factorable counts as False
-    J = ParabolicSubset.of(2, [1])
-    w0 = longest_w(2)
-    z = CompactPoint(J, wdot(w0), identity_g(2), wdot(w0))
-    assert not z1_normal_form_check(z)
 
 
 def test_compact_point_is_unhashable():

@@ -61,10 +61,6 @@ class EmptyCellError(CellError):
     pass
 
 
-class ClassificationError(CellError):
-    pass
-
-
 @dataclass(frozen=True)
 class CellLabel:
     J: ParabolicSubset
@@ -255,8 +251,8 @@ def classify(z: CompactPoint) -> CellLabel:
     """Read the cell label off relative positions.
 
     Valid on points of nonempty positive cells (sampler output, torus limits
-    of nonnegative data, positive retractions); raises ClassificationError
-    when the positions fall outside the expected cosets.
+    of nonnegative data, positive retractions); the CellLabel constructor
+    raises CellError when the positions fall outside the expected cosets.
     """
     J = z.J
     n = z.n
@@ -266,16 +262,8 @@ def classify(z: CompactPoint) -> CellLabel:
     psi_q = ParabolicPoint(J, z.b.T.inverse(), opposite=False)
     v, w = _flag_cell(P)
     vp, wp = _flag_cell(psi_q)
-    for name, x in (("w", w), ("w'", wp)):
-        if not J.is_min_rep(x):
-            raise ClassificationError(f"{name}-position {x} is not a minimal coset rep")
-    if not (bruhat_leq(v, w) and bruhat_leq(vp, wp)):
-        raise ClassificationError("flag positions violate the Bruhat constraint")
     y = _gamma_position(z, P, Q, borel_plus(n)) * w0
     yp = _gamma_position(z, P, Q, borel_minus(n)) * w0
-    for name, x in (("y", y), ("y'", yp)):
-        if not J.contains_w(x):
-            raise ClassificationError(f"{name}-position {x} is outside the Levi group")
     return CellLabel(J, v, w, vp, wp, y, yp)
 
 

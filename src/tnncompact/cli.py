@@ -1,8 +1,11 @@
 """Command-line surface.
 
 Subcommands: enumerate, sample, classify, limit, tp-check, verify.
-Exit codes: 0 ok, 1 failures, 2 usage errors.  All file output is
-byte-deterministic for fixed inputs.
+Exit codes: 0 ok, 1 failures, 2 usage errors.  ``main`` maps every error
+the library reports on bad input to exit 2 with one ``error:`` line; the
+commands raise them and catch nothing but an empty cell (``sample``,
+exit 1) and an unparsable ``--J``.  All file output is byte-deterministic
+for fixed inputs.
 """
 
 from __future__ import annotations
@@ -13,12 +16,12 @@ import sys
 from pathlib import Path
 
 from . import serialize as ser
-from .cells import classify, sample_cell
+from .cells import CellError, EmptyCellError, classify, sample_cell
 from .matgroup import GroupError, GroupMatrix
 from .strata import StrataError, torus_limit
 from .tnn import is_totally_nonneg, is_totally_positive
 from .verify import SUITES, ConfigError, VerifyConfig, run_suite
-from .weyl import ParabolicSubset
+from .weyl import ParabolicSubset, WeylError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -39,14 +42,11 @@ def _write_or_print(payload: str, out: str | None) -> None:
 
 
 def cmd_enumerate(args) -> int:
-    if not 2 <= args.n <= 5:
-        print("error: --n must be between 2 and 5", file=sys.stderr)
-        return EXIT_USAGE
     J = None
     if args.J is not None:
         try:
             J = ParabolicSubset.of(args.n, _parse_J(args.J))
-        except Exception as e:
+        except (ValueError, WeylError) as e:
             print(f"error: bad --J: {e}", file=sys.stderr)
             return EXIT_USAGE
     _write_or_print(ser.dumps(ser.cells_to_json(args.n, J)), args.out)
@@ -62,13 +62,7 @@ def cmd_sample(args) -> int:
         data, n = data.get("label", data), data.get("n")
     else:
         n = None
-    try:
-        label = ser.label_from_json(data, n=n)
-    except ser.SchemaError as e:
-        print(f"error: bad label file: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    from .cells import EmptyCellError
-
+    label = ser.label_from_json(data, n=n)
     try:
         sample, point = sample_cell(label, args.seed)
     except EmptyCellError as e:
@@ -113,11 +107,7 @@ def cmd_classify(args) -> int:
 
 def cmd_limit(args) -> int:
     data = json.loads(Path(args.curve_file).read_text())
-    try:
-        g1, c, g2 = ser.curve_from_json(data)
-    except ser.SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    g1, c, g2 = ser.curve_from_json(data)
     z = torus_limit(g1, c, g2)
     _write_or_print(ser.dumps(ser.point_to_json(z)), args.out)
     return EXIT_OK
@@ -208,7 +198,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (
         OSError, UnicodeDecodeError, json.JSONDecodeError, ser.SchemaError,
-        GroupError, StrataError, ConfigError,
+        CellError, GroupError, StrataError, ConfigError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -82,6 +82,11 @@ class GroupMatrix:
 
     def __matmul__(self, other: "GroupMatrix") -> "GroupMatrix":
         left, right = self.__dict__.get("_inv"), other.__dict__.get("_inv")
+        # only the identity carries an empty inverse (see identity_g)
+        if left == ():
+            return other
+        if right == ():
+            return self
         return _trusted(
             la.matmul(self.m, other.m),
             None if left is None or right is None else right + left,

@@ -124,8 +124,6 @@ def label_from_json(data, n: int | None = None) -> CellLabel:
         weyl_from_json(_field(data, key)) for key in ("v", "w", "v2", "w2", "y", "y2")
     ]
     n = perms[0].n if n is None else _int(n, "n")
-    if any(p.n != n for p in perms):
-        raise SchemaError(f"label permutations must all be of 1..{n}")
     try:
         return CellLabel(_parabolic(n, _field(data, "J")), *perms)
     except CellError as e:
@@ -159,16 +157,13 @@ def curve_from_json(data) -> tuple[GroupMatrix, tuple[int, ...], GroupMatrix]:
     return g1, tuple(_ints(_field(data, "c"), "exponent")), g2
 
 
-def chart_to_json(chart, seed: int | None = None) -> dict[str, Any]:
-    """Marsh-Rietsch chart as {word, v, coords, seed}."""
-    out = {
+def chart_to_json(chart) -> dict[str, Any]:
+    """Marsh-Rietsch chart as {word, v, coords}."""
+    return {
         "word": list(chart.psub.word.letters),
         "v": weyl_to_json(chart.psub.v),
         "coords": [frac_str(c) for c in chart.coords],
     }
-    if seed is not None:
-        out["seed"] = seed
-    return out
 
 
 def dumps(data) -> str:

@@ -3,10 +3,15 @@
 A stratum point is (P, Q, γ) with P conjugate to the standard parabolic of
 type J, Q to its opposite, and γ = H_P·g·U_Q a coset with P opposed to the
 g-conjugate of Q.  We store the pair of conjugators and one coset
-representative; the Levi part of the base-frame representative, taken
-modulo the center of the Levi, is a complete invariant and everything
-(equality, the two-sided action, ψ̄, the embedding into projective matrix
-pairs, limits of torus curves, positivity tests) is computed through it.
+representative, and carry the Levi part of the base-frame representative
+through the two-sided action and ψ̄.
+
+A point is identified by its stratum J and its fundamental tuple, the image
+ρ_k(g1)·D_k·ρ_k(g2) in every P(End Λ^k), k = 1..n-1: the wonderful
+compactification of PGL_n is the closure of PGL_n in ∏_k P(End Λ^k), the
+space of complete collineations (Thaddeus, "Complete collineations
+revisited", Math. Ann. 315, 1999).  Equality, membership in the positive
+part, the paper's (*) pair and the check of torus limits all read it.
 """
 
 from __future__ import annotations
@@ -67,59 +72,31 @@ class CompactPoint:
 
     @cached_property
     def levi(self) -> GroupMatrix:
-        return self.levi_in_frame(self.a, self.b)
-
-    def levi_in_frame(self, a: GroupMatrix, b: GroupMatrix) -> GroupMatrix:
         """Levi part of the representative a⁻¹·g·b; raises StrataError when
-        the triple, read in the frame (a, b), violates opposedness."""
-        h = (a.inverse() @ self.g @ b).m
+        the triple violates opposedness."""
+        h = (self.a.inverse() @ self.g @ self.b).m
         try:
             return _trusted(la.levi_part(h, self.J.blocks0()))
         except FactorizationError as e:
             raise StrataError(f"triple violates opposedness: {e}") from e
-
-    def canonical_levi(self) -> Matrix:
-        """Levi part with each diagonal block scaled so its first nonzero
-        entry is 1: a complete label for γ modulo the center of the Levi."""
-        return _blockwise_normalized(self.levi.m, self.J.blocks0())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompactPoint):
             return NotImplemented
         if self.J != other.J:
             return False
-        p = self.a.inverse() @ other.a
-        if not la.is_block_upper(p.m, self.J.blocks0()):
-            return False
-        q = self.b.inverse() @ other.b
-        if not la.is_block_lower(q.m, self.J.blocks0()):
-            return False
-        try:
-            other_levi = other.levi_in_frame(self.a, self.b)
-        except StrataError:
-            return False
-        return self.canonical_levi() == _blockwise_normalized(
-            other_levi.m, self.J.blocks0()
+        # the fundamental tuples of both points, on one pair of integer scalings
+        (m1, m2), (p1, p2) = _integer_pairs(
+            *((g1.m, g2.m) for g1, g2 in map(action_pair, (self, other)))
         )
+        return all(map(proj_equal, _limit_images(self.J, m1, m2), _limit_images(self.J, p1, p2)))
 
-    __hash__ = None  # equality is coset equality; no canonical form to hash
+    # equality is projective equality of the fundamental tuple; no canonical
+    # form is kept to hash
+    __hash__ = None
 
     def __repr__(self) -> str:
         return f"CompactPoint(J={sorted(self.J.J)}, n={self.n})"
-
-
-def _blockwise_normalized(m: Matrix, blocks: list[list[int]]) -> Matrix:
-    rows = [list(row) for row in m]
-    for blk in blocks:
-        pivot = next(
-            (rows[i][j] for i in blk for j in blk if rows[i][j] != 0), None
-        )
-        if pivot is None:
-            raise StrataError("zero diagonal block in Levi part")
-        for i in blk:
-            for j in blk:
-                rows[i][j] /= pivot
-    return tuple(tuple(row) for row in rows)
 
 
 def _trusted_point(

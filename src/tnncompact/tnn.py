@@ -208,15 +208,13 @@ def sample_T_gt0(n: int, rng: random.Random) -> GroupMatrix:
     return torus([rand_pos_fraction(rng) for _ in range(n - 1)])
 
 
-def sample_Uplus_gt0(n: int, rng: random.Random, w: WeylElement | None = None) -> GroupMatrix:
-    w = w if w is not None else longest_w(n)
-    word = lex_min_reduced_word(w)
+def sample_Uplus_gt0(n: int, rng: random.Random) -> GroupMatrix:
+    word = lex_min_reduced_word(longest_w(n))
     return phi_plus(word, [rand_pos_fraction(rng) for _ in range(len(word))])
 
 
-def sample_Uminus_gt0(n: int, rng: random.Random, w: WeylElement | None = None) -> GroupMatrix:
-    w = w if w is not None else longest_w(n)
-    word = lex_min_reduced_word(w)
+def sample_Uminus_gt0(n: int, rng: random.Random) -> GroupMatrix:
+    word = lex_min_reduced_word(longest_w(n))
     return phi_minus(word, [rand_pos_fraction(rng) for _ in range(len(word))])
 
 

@@ -11,6 +11,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
+from math import comb, prod
 from typing import Any, Callable
 
 from . import serialize as ser
@@ -25,7 +26,6 @@ from .cells import (
 from .exterior import (
     UnsupportedStratumError,
     embedding_data,
-    proj_equal,
     strictly_signed,
 )
 from .matgroup import (
@@ -432,8 +432,20 @@ def suite_limits(cfg: VerifyConfig) -> SuiteReport:
             except UnsupportedStratumError:
                 continue
             m1, m2 = iJ_of_point(base_point(J), data)
+            # [m1] is the rank-one projector onto e_{1..k1}, the first colex
+            # basis vector; m2 is a 0/1 diagonal whose rank is the number of
+            # k2-subsets meeting each J-block in as many elements as {1..k2}
+            ones1, ones2 = (
+                [(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x]
+                for m in (m1, m2)
+            )
+            rank = prod(comb(len(blk), sum(i < data.k2 for i in blk)) for blk in J.blocks0())
             rep.cases += 1
-            if not (proj_equal(m1, data.I1) and proj_equal(m2, data.IL)):
+            if not (
+                [(i, j) for i, j, _ in ones1] == [(0, 0)]
+                and all(i == j and x == 1 for i, j, x in ones2)
+                and len(ones2) == rank
+            ):
                 rep.fail(n=n, J=sorted(J.J), reason="base point image is not ([I1],[IL])")
     return rep
 

@@ -17,7 +17,9 @@ Laurent polynomials with Fraction coefficients.  The reference for the
 paper's (*) pair is the dense product the library ran before it read the
 pair off the fundamental tuple: full compounds through a dense 0/1
 projector, whose kept basis vectors are chosen by a block count of their
-own.
+own.  The reference for point equality is the coset test the library ran
+before it compared fundamental tuples: conjugators equal modulo P_J and
+Q_J, and Levi parts in one frame equal modulo the center of L_J.
 """
 
 from fractions import Fraction
@@ -194,6 +196,36 @@ def dense_star_pair(z, data):
         la.matmul(la.matmul(compound(g1.m, k), proj), compound(g2.m, k))
         for k, proj in ((k1, i1), (k2, il))
     )
+
+
+def coset_equal(z1, z2):
+    """Whether z1 and z2 are one point by cosets: same J, z1.a⁻¹·z2.a in
+    P_J, z1.b⁻¹·z2.b in Q_J, and the Levi parts of z1.a⁻¹·z1.g·z1.b and
+    z1.a⁻¹·z2.g·z1.b equal after each diagonal block is scaled so that its
+    first nonzero entry is 1."""
+    if z1.J != z2.J:
+        return False
+    blocks = z1.J.blocks0()
+    a_inv = z1.a.inverse()
+    if not la.is_block_upper((a_inv @ z2.a).m, blocks):
+        return False
+    if not la.is_block_lower((z1.b.inverse() @ z2.b).m, blocks):
+        return False
+    try:
+        levis = [la.levi_part((a_inv @ z.g @ z1.b).m, blocks) for z in (z1, z2)]
+    except la.FactorizationError:
+        return False
+    return _blockwise_normalized(levis[0], blocks) == _blockwise_normalized(levis[1], blocks)
+
+
+def _blockwise_normalized(m, blocks):
+    rows = [list(row) for row in m]
+    for blk in blocks:
+        pivot = next(rows[i][j] for i in blk for j in blk if rows[i][j] != 0)
+        for i in blk:
+            for j in blk:
+                rows[i][j] /= pivot
+    return rows
 
 
 rationals = st.one_of(

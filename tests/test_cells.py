@@ -221,6 +221,17 @@ def test_classify_group_element_double_cell():
     assert label == top_label(J)
 
 
+def test_classify_raises_when_a_position_leaves_its_coset(monkeypatch):
+    """classify leaves label validity to CellLabel: a Levi position outside
+    W_J raises CellError."""
+    import tnncompact.cells as cells
+
+    z = base_point(ParabolicSubset.of(3, [1]))
+    monkeypatch.setattr(cells, "_gamma_position", lambda *_: identity_w(3))  # y = w0
+    with pytest.raises(CellError):
+        classify(z)
+
+
 def test_roundtrip_all_labels_n2():
     for label, _ in enumerate_cells(2):
         for seed in range(3):

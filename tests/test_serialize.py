@@ -151,7 +151,6 @@ def _writer_outputs():
     _, z = sample_cell(label, 11)
     chart = mr_chart(WeylElement((1, 2, 3)), WeylElement((3, 2, 1)), rng)
     yield ser.point_to_json(z)
-    yield ser.chart_to_json(chart, seed=9)
     yield ser.chart_to_json(chart)
     yield ser.label_to_json(label, 5)
     yield ser.cells_to_json(3)

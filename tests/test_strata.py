@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
+    coset_equal,
     dense_star_pair,
     fraction_limit_check,
     fraction_membership,
@@ -144,6 +145,78 @@ def test_point_equality_across_representatives():
         z2 = CompactPoint(J, z.a, z.b, z.g @ (z.b @ u_q @ z.b.inverse()))
         assert z2 == z
         assert membership_Zgt0(z2) == membership_Zgt0(z)
+
+
+PAIRS_PER_STRATUM = {2: 150, 3: 150, 4: 50, 5: 20}
+
+
+@pytest.mark.parametrize("n", sorted(PAIRS_PER_STRATUM))
+def test_equality_agrees_with_coset_equality(n):
+    """Equality by the fundamental tuple agrees with the coset test on equal
+    pairs (conjugators moved inside P_J and Q_J; Levi parts moved by the
+    center of L_J) and on unequal pairs (a non-central Levi perturbation;
+    the P-conjugator moved off P_J), for every J."""
+    rng = random.Random(70 + n)
+
+    def coeff():
+        return Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2]))
+
+    def unitriangular(below, keep=lambda i, j: True):
+        """Random entries below (or above) the diagonal where keep(i, j)."""
+        return GroupMatrix(la.mat([
+            [1 if i == j else coeff() if (i > j) == below and keep(i, j) else 0 for j in range(n)]
+            for i in range(n)
+        ]))
+
+    counts = {True: 0, False: 0}
+    for J in all_parabolic_subsets(n):
+        blocks = J.blocks0()
+        block_of = {i: k for k, blk in enumerate(blocks) for i in blk}
+        outside = [i for i in range(1, n) if i not in J.J]
+
+        def in_block(i, j):
+            return block_of[i] == block_of[j]
+
+        def levi():
+            t = torus([coeff() for _ in range(n - 1)])
+            return unitriangular(True, in_block) @ t @ unitriangular(False, in_block)
+
+        def center():
+            """A det-1 block scalar: r^|B'| on a block B, r^-|B| on the next B'."""
+            diag = [Fraction(1)] * n
+            for blk, nxt in zip(blocks, blocks[1:]):
+                r = coeff()
+                for i in blk:
+                    diag[i] *= r ** len(nxt)
+                for i in nxt:
+                    diag[i] /= r ** len(blk)
+            return GroupMatrix(la.mat([[diag[i] * (i == j) for j in range(n)] for i in range(n)]))
+
+        pairs = 0
+        while pairs < PAIRS_PER_STRATUM[n]:
+            a = unitriangular(True) @ levi() @ unitriangular(False)
+            b = unitriangular(False) @ levi() @ unitriangular(True)
+            h = unitriangular(False) @ levi() @ unitriangular(True)  # u_p·l·u_q
+            z = CompactPoint(J, a, b, a @ h @ b.inverse())
+            p_J = unitriangular(False) @ levi()
+            q_J = unitriangular(True) @ levi()
+            others = [
+                (True, CompactPoint(J, a @ p_J, b @ q_J, z.g)),
+                (True, CompactPoint(J, a, b, z.g @ b @ center() @ b.inverse())),
+            ]
+            if J.J:
+                x = generator_x(n, rng.choice(sorted(J.J)), coeff())
+                others.append((False, CompactPoint(J, a, b, z.g @ b @ x @ b.inverse())))
+            if outside:
+                m = a @ generator_y(n, rng.choice(outside), coeff()) @ a.inverse()
+                others.append((False, CompactPoint(J, m @ a, b, m @ z.g)))
+            for expected, other in others:
+                assert coset_equal(z, other) == expected, (J, expected)
+                assert (z == other) == expected, (J, expected)
+                counts[expected] += 1
+                pairs += 1
+    assert counts[True] > 0 and counts[False] > 0
+    assert sum(counts.values()) >= PAIRS_PER_STRATUM[n] * len(all_parabolic_subsets(n))
 
 
 def test_constructor_rejects_non_opposed():
@@ -446,7 +519,8 @@ def test_suite_retraction_reports_every_failed_membership(monkeypatch):
 
 
 def test_compact_point_is_unhashable():
-    """Equality is coset equality, so a field hash would disagree with it."""
+    """Equality is projective equality of the fundamental tuple, so a field
+    hash would disagree with it."""
     J = ParabolicSubset.of(3, [1])
     z = base_point(J)
     u = generator_x(3, 2, 3)

@@ -25,12 +25,6 @@ from .matgroup import (
     generator_x,
     generator_y,
     opposed,
-    pi_T,
-    pi_Uminus,
-    pi_UminusJ,
-    pi_Uplus,
-    pi_UplusJ,
-    psi,
     sdot,
     torus,
 )

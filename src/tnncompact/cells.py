@@ -24,6 +24,7 @@ from .dual import DMatrix, Dual
 from .matgroup import (
     FlagPoint,
     ParabolicPoint,
+    _evaluate_word,
     associated_borel,
     borel_minus,
     borel_plus,
@@ -34,7 +35,6 @@ from .tnn import (
     DoubleCellPoint,
     MRChart,
     _double_cell_steps,
-    _evaluate_word,
     _mr_steps,
     double_cell_evaluate,
     mr_chart,

@@ -15,8 +15,7 @@ projector, so the (*) pair (strata.iJ_of_point) is two entries of the
 fundamental tuple.  Only fundamental or trivial highest weights are
 available; strata needing more raise UnsupportedStratumError.  Membership
 in the positive part reads the whole tuple (strata.membership_Zgt0); it is
-the only positivity test for stratum points, the sampled Z_1 normal-form
-diagnostic being gone.
+the only positivity test for stratum points.
 """
 
 from __future__ import annotations
@@ -119,6 +118,8 @@ def _levi_weight_positions(n: int, k: int, J: ParabolicSubset) -> tuple[int, ...
     )
 
 
+# Nothing in the package calls stratum_indicator; it stays while
+# BENCHMARK.json names it as a per-layer metric.
 def stratum_indicator(J: ParabolicSubset, k: int) -> Matrix:
     """Limit projector of Λ^k along any one-parameter curve into stratum J:
     indicator of the k-subsets maximizing the weight, block by block, i.e.
@@ -135,7 +136,8 @@ def stratum_indicator(J: ParabolicSubset, k: int) -> Matrix:
 @dataclass(frozen=True)
 class EmbeddingData:
     """The degrees k1 and k2 of the representation pair realizing the
-    stratum J in the paper's criterion (*), with its projectors I_1 and I_L.
+    stratum J in the paper's criterion (*); its projectors I_1 and I_L are
+    stratum_indicator(J, k1) and stratum_indicator(J, k2).
 
     The highest weights have supports I−J and J, as (*) asks, except for
     J = I at n ≥ 3: there the second degree is 1, whose support {1} is
@@ -146,16 +148,6 @@ class EmbeddingData:
     J: ParabolicSubset
     k1: int
     k2: int
-
-    @property
-    def I1(self) -> Matrix:
-        """Rank-one projector onto the highest weight line of Λ^k1."""
-        return stratum_indicator(self.J, self.k1)
-
-    @property
-    def IL(self) -> Matrix:
-        """Projector onto the Levi-weight vectors of Λ^k2."""
-        return stratum_indicator(self.J, self.k2)
 
 
 def embedding_data(J: ParabolicSubset) -> EmbeddingData:

@@ -78,10 +78,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def matvec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
@@ -222,6 +218,8 @@ def is_block_lower(m: Matrix, blocks: Sequence[Sequence[int]]) -> bool:
     return is_block_upper(transpose(m), blocks)
 
 
+# Only matgroup.pi_factor calls ldu; both stay while BENCHMARK.json names
+# them as per-layer metrics.
 def ldu(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """Factor m = l·d·u with l lower unipotent, d diagonal, u upper unipotent.
 

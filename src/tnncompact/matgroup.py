@@ -8,13 +8,18 @@ antiautomorphism) is literally matrix transpose.
 
 det = 1 is checked once, where a matrix enters: the public ``GroupMatrix``
 constructor, which JSON readers, the CLI and callers go through.  Every
-matrix this module builds itself (products, inverses, transposes, the
-generators, tori and Weyl lifts, factorization parts, Levi parts) is a
-group element by construction and goes through ``_trusted``, which checks
-nothing.  Those matrices also carry their inverse where it is known in
-closed form: x_i(a)⁻¹ = x_i(-a), ẇ⁻¹ = ẇᵀ, the reciprocal torus,
-(gh)⁻¹ = h⁻¹g⁻¹ and (gᵀ)⁻¹ = (g⁻¹)ᵀ; only the rest are inverted by
-elimination.
+matrix this module builds itself (products, inverses, transposes, words,
+Weyl lifts, factorization parts) is a group element by construction and
+goes through ``_trusted``, which checks nothing.
+
+Every group element built from coordinates, other than the identity and
+the Weyl lifts, comes from one word evaluator: a word of steps x_i(a),
+y_i(a), ṡ_i and torus elements is multiplied out by one column operation
+per step, over any ring.  The generators and tori are one-step words, and
+the samplers and charts of ``tnn`` are longer ones.  A word's element carries its inverse, from the
+same evaluator run on the inverse transposes of its steps; the Weyl lifts
+carry ẇ⁻¹ = ẇᵀ, and products and transposes carry (gh)⁻¹ = h⁻¹g⁻¹ and
+(gᵀ)⁻¹ = (g⁻¹)ᵀ.  Only the rest are inverted by elimination.
 
 Flags and parabolic subgroups are stored by a conjugating group element.
 Relative position is read off the rank profile of lower-left submatrices;
@@ -30,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 from . import linalg as la
@@ -82,11 +89,13 @@ class GroupMatrix:
 
     def __matmul__(self, other: "GroupMatrix") -> "GroupMatrix":
         left, right = self.__dict__.get("_inv"), other.__dict__.get("_inv")
-        # only the identity carries an empty inverse (see identity_g)
-        if left == ():
-            return other
-        if right == ():
-            return self
+        # only the identity carries an empty inverse (see identity_g); a size
+        # mismatch falls through to la.matmul's ValueError
+        if len(self.m) == len(other.m):
+            if left == ():
+                return other
+            if right == ():
+                return self
         return _trusted(
             la.matmul(self.m, other.m),
             None if left is None or right is None else right + left,
@@ -133,58 +142,89 @@ def _trusted(m: Matrix, inv: tuple[Matrix, ...] | None = None) -> GroupMatrix:
     return g
 
 
-def _diagonal(diag: Sequence[Fraction]) -> GroupMatrix:
-    """The diagonal group element with the given nonzero entries, product 1."""
-    n = len(diag)
-    zero = Fraction(0)
-
-    def build(values):
-        return tuple(
-            tuple(values[i] if i == j else zero for j in range(n)) for i in range(n)
-        )
-
-    return _trusted(build(diag), (build([1 / d for d in diag]),))
-
-
 def identity_g(n: int) -> GroupMatrix:
     return _trusted(la.identity(n), ())
 
 
-def generator_x(n: int, i: int, a) -> GroupMatrix:
+# ---------------------------------------------------------------------------
+# words, evaluated over any ring
+#
+# A word is a list of steps (kind, i, a): ("x", i, a) is x_i(a), ("y", i, a)
+# is y_i(a), ("s", i, None) is ṡ_i and ("t", 0, coords) is the torus element
+# with simple-coroot coordinates coords, as in torus.
+
+def _evaluate_word(n: int, steps, one) -> la.Matrix:
+    """The product of the steps, by one column operation each.
+
+    Only +, −, × and / are used, starting from the unit ``one``, so the
+    entries may be Fractions or Duals; zero entries are skipped.
+    """
+    zero = one - one
+    m = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for kind, i, a in steps:
+        if kind == "x":  # column i += a·column i-1
+            for row in m:
+                if row[i - 1]:
+                    row[i] = row[i] + a * row[i - 1]
+        elif kind == "y":  # column i-1 += a·column i
+            for row in m:
+                if row[i]:
+                    row[i - 1] = row[i - 1] + a * row[i]
+        elif kind == "s":  # ṡ_i has 1 at (i+1, i) and −1 at (i, i+1)
+            for row in m:
+                row[i - 1], row[i] = row[i], -row[i - 1]
+        else:  # diag(a_1, a_2/a_1, …, 1/a_{n-1})
+            for k, d in enumerate(c / p for c, p in zip([*a, one], [one, *a])):
+                for row in m:
+                    if row[k]:
+                        row[k] = row[k] * d
+    return tuple(tuple(row) for row in m)
+
+
+_FLIP = {"x": "y", "y": "x"}
+
+
+def _word_element(n: int, steps) -> GroupMatrix:
+    """The group element of a word of Fraction steps, carrying its inverse
+    (F_1···F_m)⁻¹, the transpose of F_1⁻ᵀ···F_m⁻ᵀ, where x_i(a)⁻ᵀ = y_i(−a),
+    ṡ_i⁻ᵀ = ṡ_i and t⁻ᵀ = t⁻¹."""
+    inverse_transposes = [
+        (_FLIP[kind], i, -a) if kind in _FLIP
+        else (kind, i, tuple(1 / c for c in a)) if kind == "t"
+        else (kind, i, a)
+        for kind, i, a in steps
+    ]
+    one = Fraction(1)
+    inv = la.transpose(_evaluate_word(n, inverse_transposes, one))
+    return _trusted(_evaluate_word(n, steps, one), (inv,))
+
+
+def _check_index(n: int, i: int) -> None:
     if not 1 <= i <= n - 1:
         raise GroupError(f"generator index {i} out of range for n={n}")
-    a = frac(a)
 
-    def build(value):
-        rows = [list(row) for row in la.identity(n)]
-        rows[i - 1][i] = value
-        return tuple(tuple(row) for row in rows)
 
-    return _trusted(build(a), (build(-a),))
+def generator_x(n: int, i: int, a) -> GroupMatrix:
+    _check_index(n, i)
+    return _word_element(n, [("x", i, frac(a))])
 
 
 def generator_y(n: int, i: int, a) -> GroupMatrix:
-    return generator_x(n, i, a).T
+    _check_index(n, i)
+    return _word_element(n, [("y", i, frac(a))])
 
 
 def torus(values: Sequence) -> GroupMatrix:
     """Product of simple coroots α_i^∨(a_i): diag(a_1, a_2/a_1, …, 1/a_{n-1})."""
-    vals = [frac(v) for v in values]
+    vals = tuple(frac(v) for v in values)
     if any(v == 0 for v in vals):
         raise GroupError("zero torus coordinate")
-    diag = []
-    prev = Fraction(1)
-    for v in vals:
-        diag.append(v / prev)
-        prev = v
-    diag.append(1 / prev)
-    return _diagonal(diag)
+    return _word_element(len(vals) + 1, [("t", 0, vals)])
 
 
 def sdot(n: int, i: int) -> GroupMatrix:
     """ṡ_i = x_i(-1) y_i(1) x_i(-1), a signed permutation matrix."""
-    if not 1 <= i <= n - 1:
-        raise GroupError(f"generator index {i} out of range for n={n}")
+    _check_index(n, i)
     return wdot(simple_reflection(n, i))
 
 
@@ -206,62 +246,21 @@ def _signed_permutation(perm: tuple[int, ...]) -> GroupMatrix:
     return _trusted(m, (la.transpose(m),))
 
 
-def psi(g: GroupMatrix) -> GroupMatrix:
-    return g.T
-
-
 # ---------------------------------------------------------------------------
 # factorization maps
 
+# Nothing in the package calls pi_factor; it stays while BENCHMARK.json
+# names it as a per-layer metric.
 def pi_factor(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
     """g = u·t·u' with u lower unipotent, t in T, u' upper unipotent.
 
     Defined on the open cell B^-·B^+ (all leading principal minors nonzero);
-    raises FactorizationError outside it.
+    raises FactorizationError outside it.  t is the torus element whose
+    coordinates are the prefix products of the pivots.
     """
     l, d, u = la.ldu(g.m)
-    return _trusted(l), _diagonal([d[i][i] for i in range(g.n)]), _trusted(u)
-
-
-def pi_T(g: GroupMatrix) -> GroupMatrix:
-    return pi_factor(g)[1]
-
-
-def pi_Uminus(g: GroupMatrix) -> GroupMatrix:
-    return pi_factor(g)[0]
-
-
-def pi_Uplus(g: GroupMatrix) -> GroupMatrix:
-    return pi_factor(g)[2]
-
-
-def _block_diag_part(m: Matrix, J: ParabolicSubset) -> Matrix:
-    blocks = J.blocks0()
-    lookup = {i: k for k, blk in enumerate(blocks) for i in blk}
-    n = len(m)
-    return tuple(
-        tuple(
-            m[i][j] if lookup[i] == lookup[j] else Fraction(0) for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
-def pi_UplusJ(g: GroupMatrix, J: ParabolicSubset) -> GroupMatrix:
-    """U^+_J-component of g under B^-B^+ ≅ U^-×T×'U^+_J×U^+_J.
-
-    On U^+ this is the homomorphism keeping x_i(a) for i ∈ J and killing the
-    rest; concretely the block-diagonal part of the upper unipotent factor.
-    """
-    u = pi_Uplus(g)
-    return _trusted(_block_diag_part(u.m, J))
-
-
-def pi_UminusJ(u: GroupMatrix, J: ParabolicSubset) -> GroupMatrix:
-    """Mirror of pi_UplusJ for lower unipotent input."""
-    if not la.is_lower_triangular(u.m):
-        raise GroupError("pi_UminusJ expects a lower unipotent argument")
-    return _trusted(_block_diag_part(u.m, J))
+    pivots = (d[i][i] for i in range(g.n - 1))
+    return _trusted(l), torus(accumulate(pivots, mul)), _trusted(u)
 
 
 # ---------------------------------------------------------------------------

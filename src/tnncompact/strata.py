@@ -231,6 +231,8 @@ def torus_limit(g1: GroupMatrix, c, g2: GroupMatrix) -> CompactPoint:
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in cs):
         raise StrataError(f"exponents must be integers, got {cs}")
     n = g1.n
+    if g2.n != n:
+        raise StrataError(f"g1 is {n}×{n} but g2 is {g2.n}×{g2.n}")
     if len(cs) != n - 1:
         raise StrataError(f"need {n - 1} exponents, got {len(cs)}")
     if any(x < 0 for x in cs):

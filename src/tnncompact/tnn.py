@@ -3,9 +3,9 @@
 phi_plus/phi_minus realize words in the Chevalley generators; Marsh-Rietsch
 charts evaluate to the cells of the flag variety; double Bruhat charts give
 the cells of the monoid of totally nonnegative elements.  Each chart is a
-word of steps multiplied out by one evaluator over any ring, so the Jacobian
-rank check in ``cells`` differentiates the sampler's own chart.  Every sampler is
-driven by an explicit seeded random.Random, and strict or nonneg positivity
+word of steps, and ``matgroup``'s word evaluator, which builds every group
+element, multiplies it out over any ring, so the Jacobian rank check in
+``cells`` differentiates the sampler's own chart.  Every sampler is driven by an explicit seeded random.Random, and strict or nonneg positivity
 is always certified a posteriori by exact minor tests, never assumed.
 """
 
@@ -19,7 +19,7 @@ from typing import Sequence
 from . import linalg as la
 from .exterior import compounds
 from .linalg import frac
-from .matgroup import GroupMatrix, _trusted, torus
+from .matgroup import GroupMatrix, _word_element, bruhat_cell, torus
 from .weyl import (
     ParabolicSubset,
     PositiveSubexpression,
@@ -37,57 +37,7 @@ class ParamError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# chart words, evaluated over any ring
-#
-# A word is a list of steps (kind, i, a): ("x", i, a) is x_i(a), ("y", i, a)
-# is y_i(a), ("s", i, None) is ṡ_i and ("t", 0, coords) is the torus element
-# with simple-coroot coordinates coords, as in matgroup.torus.
-
-def _evaluate_word(n: int, steps, one) -> la.Matrix:
-    """The product of the steps, by one column operation each.
-
-    Only +, −, × and / are used, starting from the unit ``one``, so the
-    entries may be Fractions or Duals; zero entries are skipped.
-    """
-    zero = one - one
-    m = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for kind, i, a in steps:
-        if kind == "x":  # column i += a·column i-1
-            for row in m:
-                if row[i - 1]:
-                    row[i] = row[i] + a * row[i - 1]
-        elif kind == "y":  # column i-1 += a·column i
-            for row in m:
-                if row[i]:
-                    row[i - 1] = row[i - 1] + a * row[i]
-        elif kind == "s":  # ṡ_i has 1 at (i+1, i) and −1 at (i, i+1)
-            for row in m:
-                row[i - 1], row[i] = row[i], -row[i - 1]
-        else:  # diag(a_1, a_2/a_1, …, 1/a_{n-1})
-            for k, d in enumerate(c / p for c, p in zip([*a, one], [one, *a])):
-                for row in m:
-                    if row[k]:
-                        row[k] = row[k] * d
-    return tuple(tuple(row) for row in m)
-
-
-_FLIP = {"x": "y", "y": "x"}
-
-
-def _word_element(n: int, steps) -> GroupMatrix:
-    """The group element of a word of Fraction steps, carrying its inverse
-    (F_1···F_m)⁻¹, the transpose of F_1⁻ᵀ···F_m⁻ᵀ, where x_i(a)⁻ᵀ = y_i(−a),
-    ṡ_i⁻ᵀ = ṡ_i and t⁻ᵀ = t⁻¹."""
-    inverse_transposes = [
-        (_FLIP[kind], i, -a) if kind in _FLIP
-        else (kind, i, tuple(1 / c for c in a)) if kind == "t"
-        else (kind, i, a)
-        for kind, i, a in steps
-    ]
-    one = Fraction(1)
-    inv = la.transpose(_evaluate_word(n, inverse_transposes, one))
-    return _trusted(_evaluate_word(n, steps, one), (inv,))
-
+# chart words, in the step format of matgroup._evaluate_word
 
 def _mr_steps(psub: PositiveSubexpression, coords) -> list:
     """y_{i_j}(a_j) on the free steps of psub, ṡ_{i_j} on the others."""
@@ -164,25 +114,19 @@ def is_totally_nonneg(g: GroupMatrix) -> bool:
     return False
 
 
-def unipotent_cell(u: GroupMatrix, lower: bool) -> WeylElement:
-    """For u in U^∓_{w,>0}, recover w from the lower-left rank profile.
+def in_unipotent_cell(u: GroupMatrix, w: WeylElement, lower: bool) -> bool:
+    """Exact membership in U^-_{w,>0} (lower) or U^+_{w,>0} (upper): a
+    unipotent TNN matrix whose lower-left rank profile gives w.
 
     Transposing an upper product reverses its word, so the upper case reads
     the cell of uᵀ and inverts.
     """
-    from .matgroup import bruhat_cell
-
-    return bruhat_cell(u) if lower else bruhat_cell(u.T).inverse()
-
-
-def in_unipotent_cell(u: GroupMatrix, w: WeylElement, lower: bool) -> bool:
-    """Exact membership in U^-_{w,>0} (lower) or U^+_{w,>0} (upper)."""
     tri = la.is_lower_triangular(u.m) if lower else la.is_upper_triangular(u.m)
     if not tri or any(u.m[i][i] != 1 for i in range(u.n)):
         return False
     if not is_tnn_matrix(u.m):
         return False
-    return unipotent_cell(u, lower) == w
+    return (bruhat_cell(u) if lower else bruhat_cell(u.T).inverse()) == w
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +242,3 @@ def double_cell_evaluate(p: DoubleCellPoint) -> GroupMatrix:
         p.wminus.n, _double_cell_steps(p.wminus, aminus, tor, p.wplus, aplus)
     )
 
-
-def recover_double_cell(g: GroupMatrix) -> tuple[WeylElement, WeylElement]:
-    """(wminus, wplus) of a totally nonnegative g, by factoring and reading
-    the rank profiles of the unipotent parts."""
-    from .matgroup import pi_factor
-
-    um, _, up = pi_factor(g)
-    return (unipotent_cell(um, lower=True), unipotent_cell(up, lower=False))

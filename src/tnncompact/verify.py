@@ -33,6 +33,7 @@ from .matgroup import (
     borel_plus,
     bruhat_position,
     FlagPoint,
+    _word_element,
     identity_g,
 )
 from .strata import (
@@ -48,7 +49,6 @@ from .strata import (
 from .tnn import (
     MRChart,
     _double_cell_steps,
-    _word_element,
     is_totally_positive,
     mr_evaluate,
     phi_minus,

@@ -68,9 +68,6 @@ class WeylElement:
     def is_identity(self) -> bool:
         return all(self.perm[i] == i + 1 for i in range(self.n))
 
-    def right_descents(self) -> list[int]:
-        return [i for i in range(1, self.n) if self.perm[i - 1] > self.perm[i]]
-
     def left_descents(self) -> list[int]:
         inv = self.inverse().perm
         return [i for i in range(1, self.n) if inv[i - 1] > inv[i]]

@@ -19,7 +19,9 @@ pair off the fundamental tuple: full compounds through a dense 0/1
 projector, whose kept basis vectors are chosen by a block count of their
 own.  The reference for point equality is the coset test the library ran
 before it compared fundamental tuples: conjugators equal modulo P_J and
-Q_J, and Levi parts in one frame equal modulo the center of L_J.
+Q_J, and Levi parts in one frame equal modulo the center of L_J.  The
+references for the word evaluator are the generator, Weyl-lift and torus
+matrices written out entry by entry and multiplied row by column.
 """
 
 from fractions import Fraction
@@ -122,6 +124,39 @@ def naive_matmul(a, b):
 
     bt = tuple(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
+
+
+def x_matrix(n, i, a):
+    """x_i(a) = 1 + a·E_{i,i+1}, entry by entry."""
+    return tuple(
+        tuple(Fraction(a) if (r, c) == (i - 1, i) else Fraction(int(r == c)) for c in range(n))
+        for r in range(n)
+    )
+
+
+def y_matrix(n, i, a):
+    """y_i(a) = 1 + a·E_{i+1,i}."""
+    return tuple(zip(*x_matrix(n, i, a)))
+
+
+def sdot_matrix(n, i):
+    """ṡ_i = x_i(−1)·y_i(1)·x_i(−1): the identity with the block [[0, −1], [1, 0]]
+    at rows and columns i, i+1."""
+    block = {(i - 1, i - 1): 0, (i - 1, i): -1, (i, i - 1): 1, (i, i): 0}
+    return tuple(
+        tuple(Fraction(block.get((r, c), int(r == c))) for c in range(n)) for r in range(n)
+    )
+
+
+def torus_matrix(coords):
+    """diag(a_1, a_2/a_1, …, a_{n−1}/a_{n−2}, 1/a_{n−1}) for the simple-coroot
+    coordinates a_1..a_{n−1}."""
+    a = [Fraction(1), *map(Fraction, coords), Fraction(1)]
+    n = len(a) - 1
+    return tuple(
+        tuple(a[r + 1] / a[r] if r == c else Fraction(0) for c in range(n))
+        for r in range(n)
+    )
 
 
 def fraction_minors(m):

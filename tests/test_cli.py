@@ -315,10 +315,11 @@ def test_cli_verify_rejects_scales_out_of_range(argv, capsys):
 
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+CENSUS_SCRIPT = SCRIPT.parent / "run_census.py"
 
 
-def _load_script():
-    spec = importlib.util.spec_from_file_location("run_verification", SCRIPT)
+def _load_script(path=SCRIPT):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -348,6 +349,24 @@ def test_verification_script_exits_2_without_traceback():
     )
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("nmax", ["1", "5", "6", "-1"])
+def test_census_script_checks_nmax_before_enumerating(nmax, monkeypatch, capsys):
+    script = _load_script(CENSUS_SCRIPT)
+
+    def no_enumeration(n):
+        raise AssertionError(f"enumerated n={n}")
+
+    monkeypatch.setattr(script, "enumerate_cells", no_enumeration)
+    assert_usage_error(script.main(["--nmax", nmax]), capsys)
+    assert capsys.readouterr().out == ""
+
+
+def test_census_script_prints_the_census(capsys):
+    assert _load_script(CENSUS_SCRIPT).main(["--nmax", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("n=2: 13 cells, alternating sum 1\n")
 
 
 json_values = st.recursive(

@@ -158,7 +158,8 @@ def test_embedding_data_shapes(n, js, k1, k2, n0):
     data = embedding_data(ParabolicSubset.of(n, js))
     assert (data.k1, data.k2) == (k1, k2)
     dim = comb(n, k2)
-    assert [data.IL[i][i] for i in range(dim)] == [1] * n0 + [0] * (dim - n0)
+    il = stratum_indicator(data.J, data.k2)
+    assert [il[i][i] for i in range(dim)] == [1] * n0 + [0] * (dim - n0)
 
 
 # (k1, k2) of every stratum with a (*) pair at n = 2..5.
@@ -187,7 +188,7 @@ def test_embedding_data_support_and_degrees():
                 data = embedding_data(J)
                 assert (data.J, data.k1, data.k2) == (J, *STAR_DEGREES[key]), key
                 dim = comb(n, data.k1)
-                assert data.I1 == tuple(
+                assert stratum_indicator(J, data.k1) == tuple(
                     tuple(Fraction(int(i == j == 0)) for j in range(dim)) for i in range(dim)
                 ), key
             else:
@@ -198,18 +199,18 @@ def test_embedding_data_support_and_degrees():
 
 def test_embedding_data_spec_examples():
     data = embedding_data(ParabolicSubset.of(3, [1]))
-    assert data.IL == la.mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    assert stratum_indicator(data.J, data.k2) == la.mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
     data2 = embedding_data(ParabolicSubset.of(2, []))
-    assert data2.IL == ((Fraction(1),),)
+    assert stratum_indicator(data2.J, data2.k2) == ((Fraction(1),),)
     data3 = embedding_data(ParabolicSubset.of(3, [1, 2]))
-    assert data3.IL == la.identity(3)
+    assert stratum_indicator(data3.J, data3.k2) == la.identity(3)
     with pytest.raises(UnsupportedStratumError):
         embedding_data(ParabolicSubset.of(3, []))
 
 
 def test_stratum_indicator_matches_embedding_projectors():
     J = ParabolicSubset.of(3, [1])
-    assert stratum_indicator(J, 1) == embedding_data(J).IL
+    assert stratum_indicator(J, 1) == stratum_indicator(J, embedding_data(J).k2)
     d2 = stratum_indicator(J, 2)
     assert d2 == la.mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     full = ParabolicSubset.of(3, [1, 2])

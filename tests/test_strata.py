@@ -297,6 +297,12 @@ def test_torus_limit_rejects_negative_exponent():
         torus_limit(one, (-1,), one)
 
 
+def test_torus_limit_rejects_pairs_of_different_sizes():
+    for g1, g2 in ((identity_g(2), identity_g(3)), (identity_g(3), identity_g(2))):
+        with pytest.raises(StrataError):
+            torus_limit(g1, (1,) * (g1.n - 1), g2)
+
+
 @pytest.mark.parametrize("c", [(1.7,), ("2",), (True,)])
 def test_torus_limit_rejects_non_integer_exponent(c):
     one = identity_g(2)

@@ -7,19 +7,27 @@ from oracles import (
     fraction_is_tnn,
     fraction_is_totally_positive,
     gauss_jordan_inverse,
+    naive_matmul,
+    sdot_matrix,
     square_matrices,
+    torus_matrix,
+    x_matrix,
+    y_matrix,
 )
 
 from tnncompact import linalg as la
 from tnncompact.matgroup import (
     FlagPoint,
     _trusted,
+    _word_element,
     borel_minus,
     borel_plus,
+    bruhat_cell,
     bruhat_position,
     generator_x,
     generator_y,
     identity_g,
+    pi_factor,
     sdot,
     torus,
 )
@@ -37,7 +45,6 @@ from tnncompact.tnn import (
     phi_minus,
     phi_plus,
     rand_pos_fraction,
-    recover_double_cell,
     sample_G_gt0,
     sample_L_ge0,
     sample_T_gt0,
@@ -209,6 +216,14 @@ def test_sample_L_ge0():
         assert is_tnn_matrix(la.submatrix(l.m, [0, 1], [0, 1]))
 
 
+def double_cell_of(g):
+    """(wminus, wplus) of a totally nonnegative g, from the rank profiles of
+    the unipotent parts of its factorization; the upper part's word is
+    reversed by the transpose."""
+    um, _, up = pi_factor(g)
+    return bruhat_cell(um), bruhat_cell(up.T).inverse()
+
+
 def test_double_cell_evaluate_and_recover():
     n = 2
     e = identity_w(n)
@@ -220,7 +235,7 @@ def test_double_cell_evaluate_and_recover():
     p = DoubleCellPoint(s1, e, (Fraction(2),), (Fraction(1),), ())
     g = double_cell_evaluate(p)
     assert g.m[0][1] == 0 and g.m[1][0] > 0
-    assert recover_double_cell(g) == (s1, e)
+    assert double_cell_of(g) == (s1, e)
     # (w0, w0) at n=2 gives a strictly positive element
     p2 = DoubleCellPoint(s1, s1, (Fraction(1),), (Fraction(1),), (Fraction(1),))
     assert is_totally_positive(double_cell_evaluate(p2))
@@ -241,7 +256,7 @@ def test_double_cell_recover_roundtrip(n):
             )
             g = double_cell_evaluate(p)
             assert is_totally_nonneg(g)
-            assert recover_double_cell(g) == (wm, wp)
+            assert double_cell_of(g) == (wm, wp)
 
 
 def test_unipotent_absorption():
@@ -279,18 +294,19 @@ def _random_word(n, rng):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_word_evaluator_matches_generator_products(n):
-    from tnncompact.tnn import _word_element
-
+    """The evaluator against x_i(a), y_i(a), ṡ_i and torus matrices written
+    out entry by entry and multiplied row by column."""
     rng = random.Random(70 + n)
-    gens = {"x": generator_x, "y": generator_y}
     for _ in range(30):
         steps = _random_word(n, rng)
-        want = identity_g(n)
+        want = la.identity(n)
         for kind, i, a in steps:
-            if kind == "t":
-                want = want @ torus(a)
-            else:
-                want = want @ (sdot(n, i) if kind == "s" else gens[kind](n, i, a))
+            factor = (
+                torus_matrix(a) if kind == "t"
+                else sdot_matrix(n, i) if kind == "s"
+                else (x_matrix if kind == "x" else y_matrix)(n, i, a)
+            )
+            want = naive_matmul(want, factor)
         g = _word_element(n, steps)
-        assert g.m == want.m
+        assert g.m == want
         assert g.inverse().m == gauss_jordan_inverse(g.m)

@@ -16,18 +16,26 @@ Every group element built from coordinates, other than the identity and
 the Weyl lifts, comes from one word evaluator: a word of steps x_i(a),
 y_i(a), ṡ_i and torus elements is multiplied out by one column operation
 per step, over any ring.  The generators and tori are one-step words, and
-the samplers and charts of ``tnn`` are longer ones.  A word's element carries its inverse, from the
-same evaluator run on the inverse transposes of its steps; the Weyl lifts
-carry ẇ⁻¹ = ẇᵀ, and products and transposes carry (gh)⁻¹ = h⁻¹g⁻¹ and
-(gᵀ)⁻¹ = (g⁻¹)ᵀ.  Only the rest are inverted by elimination.
+the samplers and charts of ``tnn`` are longer ones.  A word's element
+carries its inverse, from the same evaluator run on the inverse
+transposes of its steps, and products and transposes carry (gh)⁻¹ =
+h⁻¹g⁻¹ and (gᵀ)⁻¹ = (g⁻¹)ᵀ, as group elements that ``inverse`` multiplies
+with ``@``.  Only the rest are inverted by elimination.
+
+The Weyl lifts and the identity are signed permutation matrices that carry
+their permutation and signs: a product with one, on either side and inside
+``inverse``, moves and negates rows or columns with no Fraction product,
+and ẇ⁻¹ = ẇᵀ is the lift of the inverse permutation.  The identity is
+marked by an empty inverse, so products with it return the other factor.
+A word of ṡ_i steps alone (a chart with no free step) is built as a lift,
+and so is the trivial upper factor of a Bruhat elimination.
 
 Flags and parabolic subgroups are stored by a conjugating group element.
-Relative position is read off the rank profile of lower-left submatrices;
-the associated Borel of a parabolic comes from one Bruhat elimination plus
-coset arithmetic in W, and opposedness from whether the Levi part of the
-two-sided block factorization exists, read off one Schur-complement pass
-from the trailing block to the leading one.  All of it is exact and
-tolerance-free.
+Relative position is read off one Bruhat elimination; the associated
+Borel of a parabolic comes from one more plus coset arithmetic in W, and
+opposedness from whether the Levi part of the two-sided block
+factorization exists, read off one Schur-complement pass from the trailing
+block to the leading one.  All of it is exact and tolerance-free.
 """
 
 from __future__ import annotations
@@ -88,39 +96,61 @@ class GroupMatrix:
         return hash(self.canonical())
 
     def __matmul__(self, other: "GroupMatrix") -> "GroupMatrix":
-        left, right = self.__dict__.get("_inv"), other.__dict__.get("_inv")
-        # only the identity carries an empty inverse (see identity_g); a size
+        d, e = self.__dict__, other.__dict__
+        left, right = d.get("_inv"), e.get("_inv")
+        a, b = self.m, other.m
+        # only the identity carries an empty inverse (see _lift); a size
         # mismatch falls through to la.matmul's ValueError
-        if len(self.m) == len(other.m):
-            if left == ():
-                return other
-            if right == ():
-                return self
-        return _trusted(
-            la.matmul(self.m, other.m),
-            None if left is None or right is None else right + left,
-        )
+        if len(a) != len(b):
+            m = la.matmul(a, b)
+        elif left == ():
+            return other
+        elif right == ():
+            return self
+        elif "_lift" in d:
+            rows = d["_lift"][0]
+            if "_lift" in e:  # row i of ẇ·ẋ is ±row c of ẋ
+                then = e["_lift"][0]
+                return _lift(tuple((then[c][0], s * then[c][1]) for c, s in rows))
+            # row i of ẇ·b is ±row c of b
+            m = tuple(b[c] if s > 0 else tuple(-x for x in b[c]) for c, s in rows)
+        elif "_lift" in e:
+            # column k of a·ẇ is ±column r of a
+            cols = e["_lift"][1]
+            m = tuple(tuple(row[r] if s > 0 else -row[r] for r, s in cols) for row in a)
+        else:
+            m = la.matmul(a, b)
+        return _trusted(m, None if left is None or right is None else right + left)
 
     def inverse(self) -> "GroupMatrix":
-        """g⁻¹, from the known factors of the inverse when there are any and
-        by fraction-free elimination otherwise.  Kept on matrices the library
-        built, never on the caller's."""
-        inv = self.__dict__.get("_inv")
+        """g⁻¹: the transposed lift of a signed permutation, the product of
+        the known factors of the inverse when there are any, and fraction-free
+        elimination otherwise.  Kept on matrices the library built, never on
+        the caller's."""
+        d = self.__dict__
+        inv = d.get("_inv")
+        if inv == ():
+            return self
+        if "_lift" in d:
+            return _lift(d["_lift"][1])
         if inv is None:
-            m = la.inverse(self.m)
+            h = _trusted(la.inverse(self.m))
         else:
-            m = reduce(la.matmul, inv) if inv else la.identity(self.n)
-        if "_inv" in self.__dict__:
-            self.__dict__["_inv"] = (m,)
-        return _trusted(m, (self.m,))
+            h = reduce(GroupMatrix.__matmul__, inv)
+        if "_inv" in d:
+            d["_inv"] = (h,)
+        return _trusted(h.m, (_trusted(self.m),))
 
     @property
     def T(self) -> "GroupMatrix":
         """ψ: the antiautomorphism fixing T and swapping x_i(a) with y_i(a)."""
-        inv = self.__dict__.get("_inv")
+        d = self.__dict__
+        if "_lift" in d:
+            return _lift(d["_lift"][1])
+        inv = d.get("_inv")
         return _trusted(
             la.transpose(self.m),
-            None if inv is None else tuple(la.transpose(f) for f in reversed(inv)),
+            None if inv is None else tuple(f.T for f in reversed(inv)),
         )
 
     def is_identity(self) -> bool:
@@ -133,17 +163,47 @@ class GroupMatrix:
         return f"G[{rows}]"
 
 
-def _trusted(m: Matrix, inv: tuple[Matrix, ...] | None = None) -> GroupMatrix:
+def _trusted(m: Matrix, inv: tuple[GroupMatrix, ...] | None = None) -> GroupMatrix:
     """A GroupMatrix for a square det-1 matrix the library built: skips the
-    ``__post_init__`` check.  inv holds matrices whose product is its
-    inverse (none for the identity), or None when the inverse is unknown."""
+    ``__post_init__`` check.  inv holds group elements whose product is its
+    inverse, each a lift or carrying no inverse of its own, so that they
+    transpose in one step; () marks the identity and None an unknown
+    inverse."""
     g = object.__new__(GroupMatrix)
     g.__dict__.update(m=m, _inv=inv)
     return g
 
 
+_LIFTS: dict[tuple[tuple[int, int], ...], GroupMatrix] = {}
+
+
+def _lift(rows: tuple[tuple[int, int], ...]) -> GroupMatrix:
+    """The signed permutation matrix with entry s at (i, c) for (c, s) =
+    rows[i], one shared element per matrix.
+
+    It carries (rows, cols) with cols[c] = (i, s), so that a product with it
+    permutes and negates rows or columns, and its inverse is its transpose,
+    the lift of cols.  The identity carries the empty inverse instead.
+    """
+    g = _LIFTS.get(rows)
+    if g is None:
+        n = len(rows)
+        cols: list = [None] * n
+        for i, (c, s) in enumerate(rows):
+            cols[c] = (i, s)
+        entries = {1: Fraction(1), -1: Fraction(-1)}
+        zero = Fraction(0)
+        g = _LIFTS[rows] = _trusted(
+            tuple(tuple(entries[s] if k == c else zero for k in range(n)) for c, s in rows)
+        )
+        g.__dict__["_lift"] = (rows, tuple(cols))
+        identity = all(c == i and s == 1 for i, (c, s) in enumerate(rows))
+        g.__dict__["_inv"] = () if identity else (_lift(tuple(cols)),)
+    return g
+
+
 def identity_g(n: int) -> GroupMatrix:
-    return _trusted(la.identity(n), ())
+    return _lift(tuple((i, 1) for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +245,16 @@ _FLIP = {"x": "y", "y": "x"}
 
 
 def _word_element(n: int, steps) -> GroupMatrix:
-    """The group element of a word of Fraction steps, carrying its inverse
-    (F_1···F_m)⁻¹, the transpose of F_1⁻ᵀ···F_m⁻ᵀ, where x_i(a)⁻ᵀ = y_i(−a),
-    ṡ_i⁻ᵀ = ṡ_i and t⁻ᵀ = t⁻¹."""
+    """The group element of a word of Fraction steps.
+
+    Without its unit torus steps, a word of ṡ_i steps alone is a Weyl lift
+    (the identity when empty).  Any other word's element carries its
+    inverse (F_1···F_m)⁻¹, the transpose of F_1⁻ᵀ···F_m⁻ᵀ, where x_i(a)⁻ᵀ =
+    y_i(−a), ṡ_i⁻ᵀ = ṡ_i and t⁻ᵀ = t⁻¹.
+    """
+    steps = [st for st in steps if st[0] != "t" or any(c != 1 for c in st[2])]
+    if all(kind == "s" for kind, _, _ in steps):
+        return reduce(GroupMatrix.__matmul__, (sdot(n, i) for _, i, _ in steps), identity_g(n))
     inverse_transposes = [
         (_FLIP[kind], i, -a) if kind in _FLIP
         else (kind, i, tuple(1 / c for c in a)) if kind == "t"
@@ -196,7 +263,7 @@ def _word_element(n: int, steps) -> GroupMatrix:
     ]
     one = Fraction(1)
     inv = la.transpose(_evaluate_word(n, inverse_transposes, one))
-    return _trusted(_evaluate_word(n, steps, one), (inv,))
+    return _trusted(_evaluate_word(n, steps, one), (_trusted(inv),))
 
 
 def _check_index(n: int, i: int) -> None:
@@ -235,15 +302,15 @@ def wdot(w: WeylElement) -> GroupMatrix:
 
 @lru_cache(maxsize=None)
 def _signed_permutation(perm: tuple[int, ...]) -> GroupMatrix:
-    """The matrix with entry (-1)^#{i<j : w(i) > w(j)} at (w(j), j), zero
-    elsewhere.  Shared between callers: GroupMatrix is immutable."""
-    n = len(perm)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    """The lift with entry (-1)^#{i<j : w(i) > w(j)} at (w(j), j), zero
+    elsewhere.  ``_lift`` shares one element per signed permutation between
+    callers (GroupMatrix is immutable); the cache here only saves the sign
+    count on each ``wdot`` call, about twelve per sample and classify."""
+    rows: list = [None] * len(perm)
     for j, wj in enumerate(perm):
         flips = sum(1 for wi in perm[:j] if wi > wj)
-        rows[wj - 1][j] = Fraction(-1 if flips % 2 else 1)
-    m = tuple(tuple(row) for row in rows)
-    return _trusted(m, (la.transpose(m),))
+        rows[wj - 1] = (j, -1 if flips % 2 else 1)
+    return _lift(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -341,30 +408,13 @@ def opposite_parabolic(J: ParabolicSubset) -> ParabolicPoint:
 # ---------------------------------------------------------------------------
 # relative position
 
-def _southwest_ranks(m: Matrix) -> list[list[int]]:
-    n = len(m)
-    r = [[0] * (n + 2) for _ in range(n + 2)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            sub = la.submatrix(m, range(i - 1, n), range(j))
-            r[i][j] = la.rank(sub)
-    return r
-
-
 def bruhat_cell(g: GroupMatrix) -> WeylElement:
-    """The w with g ∈ B^+ ẇ B^+, from the lower-left rank profile."""
-    n = g.n
-    r = _southwest_ranks(g.m)
-    perm = [0] * n
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            jump = r[i][j] - r[i + 1][j] - r[i][j - 1] + r[i + 1][j - 1]
-            if jump == 1:
-                perm[j - 1] = i
-                break
-        else:
-            raise GroupError("rank profile is not a permutation (singular input?)")
-    return WeylElement(tuple(perm))
+    """The w with g ∈ B^+ẇB^+, read off one Bruhat elimination
+    (``_bruhat_left``) after one rank of the whole matrix rejects singular
+    input."""
+    if la.rank(g.m) < g.n:
+        raise GroupError("singular matrix has no Bruhat cell")
+    return _bruhat_left(g.m, factors=False)[2]
 
 
 def bruhat_position(b1: FlagPoint, b2: FlagPoint) -> WeylElement:
@@ -374,18 +424,20 @@ def bruhat_position(b1: FlagPoint, b2: FlagPoint) -> WeylElement:
 # ---------------------------------------------------------------------------
 # associated Borel and opposedness
 
-def _bruhat_left(m: Matrix) -> tuple[Matrix, Matrix, WeylElement]:
+def _bruhat_left(m: Matrix, factors: bool = True) -> tuple[Matrix, Matrix, WeylElement]:
     """(b, b⁻¹, w) with b upper unipotent and m ∈ b·ẇ·B^+, for invertible m.
 
     Column by column, the lowest nonzero row not yet used is the pivot and
     clears the unused rows above it; b holds the multipliers, which are the
     entries of the inverse row operations, and b⁻¹ is the row operations
-    applied to the identity.
+    applied to the identity.  Without factors, only w is read off and b and
+    b⁻¹ are returned as ().
     """
     n = len(m)
     a = [list(row) for row in m]
-    b = [list(row) for row in la.identity(n)]
-    e = [list(row) for row in la.identity(n)]
+    if factors:
+        b = [list(row) for row in la.identity(n)]
+        e = [list(row) for row in la.identity(n)]
     perm = []
     unused = list(range(n))
     for j in range(n):
@@ -397,15 +449,20 @@ def _bruhat_left(m: Matrix) -> tuple[Matrix, Matrix, WeylElement]:
                 break
             f = a[i][j] / a[p][j]
             if f:
-                b[i][p] = f
-                for k in range(j, n):
+                for k in range(j + 1, n):
                     a[i][k] -= f * a[p][k]
+                if not factors:
+                    continue
+                b[i][p] = f
                 # e is upper unipotent: row p is 0 left of column p, 1 at p
                 e[i][p] -= f
                 for k in range(p + 1, n):
                     if e[p][k]:
                         e[i][k] -= f * e[p][k]
-    return tuple(map(tuple, b)), tuple(map(tuple, e)), WeylElement(tuple(perm))
+    w = WeylElement(tuple(perm))
+    if not factors:
+        return (), (), w
+    return tuple(map(tuple, b)), tuple(map(tuple, e)), w
 
 
 def associated_borel(P: ParabolicPoint, B: FlagPoint) -> FlagPoint:
@@ -420,7 +477,9 @@ def associated_borel(P: ParabolicPoint, B: FlagPoint) -> FlagPoint:
         J, g = J.star(), g @ wdot(longest_w(P.n))
     b, b_inv, w = _bruhat_left((g.inverse() @ B.g).m)
     x = w * J.min_rep(w.inverse())
-    return FlagPoint(g @ _trusted(b, (b_inv,)) @ wdot(x))
+    # b is unipotent, so diagonal only when no row operation was needed
+    b = identity_g(P.n) if la.is_diagonal(b) else _trusted(b, (_trusted(b_inv),))
+    return FlagPoint(g @ b @ wdot(x))
 
 
 def opposed(P: ParabolicPoint, Q: ParabolicPoint) -> bool:

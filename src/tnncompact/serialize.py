@@ -176,6 +176,13 @@ def dumps(data) -> str:
     other object can take its id while the call runs.
     """
     memo: dict[tuple[int, str], tuple[Any, str]] = {}
+    keys: dict[str, str] = {}  # each distinct str key, quoted once per call
+
+    def quote_key(k) -> str:
+        if type(k) is not str:  # 1, True and 1.0 are equal keys spelled apart
+            return _quote(_key_str(k)) + ": "
+        text = keys[k] = _quote(k) + ": "
+        return text
 
     def render(x, ind: str) -> str:
         # No value is both a container and a scalar (their layouts conflict),
@@ -199,7 +206,7 @@ def dumps(data) -> str:
             # probing the memo here saves a render call per shared list value
             return "{" + inner + ("," + inner).join(
                 [
-                    _quote(k if type(k) is str else _key_str(k)) + ": "
+                    (keys.get(k) or quote_key(k))
                     + (hit[1] if (hit := memo.get((id(v), inner))) else render(v, inner))
                     for k, v in x.items()
                 ]

@@ -13,15 +13,17 @@ must match its middle factor.  The certificate references are the
 library's sign and projective tests as they ran over Fractions before the
 library cleared denominators: the compound ladder on the rational matrix,
 the fundamental tuple of rational images, and the torus-limit check on
-Laurent polynomials with Fraction coefficients.  The reference for the
-paper's (*) pair is the dense product the library ran before it read the
-pair off the fundamental tuple: full compounds through a dense 0/1
-projector, whose kept basis vectors are chosen by a block count of their
-own.  The reference for point equality is the coset test the library ran
-before it compared fundamental tuples: conjugators equal modulo P_J and
-Q_J, and Levi parts in one frame equal modulo the center of L_J.  The
-references for the word evaluator are the generator, Weyl-lift and torus
-matrices written out entry by entry and multiplied row by column.
+Laurent polynomials with Fraction coefficients.  The reference for
+relative position is the whole southwest rank profile, n² ranks, where the
+library reads w off one Bruhat elimination.  The reference for the paper's (*) pair is the dense
+product the library ran before it read the pair off the fundamental tuple:
+full compounds through a dense 0/1 projector, whose kept basis vectors are
+chosen by a block count of their own.  The reference for point equality
+is the coset test the library ran before it compared fundamental tuples:
+conjugators equal modulo P_J and Q_J, and Levi parts in one frame equal
+modulo the center of L_J.  The references for the word evaluator are the
+generator, Weyl-lift and torus matrices written out entry by entry and
+multiplied row by column.
 """
 
 from fractions import Fraction
@@ -32,7 +34,9 @@ from tnncompact import linalg as la
 from tnncompact.dual import Dual
 from tnncompact.exterior import compound, compounds, proj_equal, strictly_signed, subsets_colex
 from tnncompact.laurent import Laurent, lmat_limit
+from tnncompact.matgroup import GroupError
 from tnncompact.strata import _curve_exponents, action_pair, fundamental_tuple
+from tnncompact.weyl import WeylElement
 
 
 def laplace_det(m):
@@ -157,6 +161,53 @@ def torus_matrix(coords):
         tuple(a[r + 1] / a[r] if r == c else Fraction(0) for c in range(n))
         for r in range(n)
     )
+
+
+def southwest_ranks(m):
+    """r[i][j] = rank of rows i..n and columns 1..j of m (1-based), with
+    r[n + 1][j] = r[i][0] = 0: all n² of them, one la.rank call each."""
+    n = len(m)
+    r = [[0] * (n + 2) for _ in range(n + 2)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            r[i][j] = la.rank(la.submatrix(m, range(i - 1, n), range(j)))
+    return r
+
+
+def rank_profile_cell(m):
+    """The w with m ∈ B^+ẇB^+, from the whole southwest rank profile: w(j)
+    is the row where the profile jumps in column j.  Raises GroupError when
+    some column has no jump, as on every singular m."""
+    n = len(m)
+    r = southwest_ranks(m)
+    perm = [0] * n
+    for j in range(1, n + 1):
+        for i in range(1, n + 1):
+            if r[i][j] - r[i + 1][j] - r[i][j - 1] + r[i + 1][j - 1] == 1:
+                perm[j - 1] = i
+                break
+        else:
+            raise GroupError("rank profile is not a permutation (singular input?)")
+    return WeylElement(tuple(perm))
+
+
+def is_signed_permutation(m):
+    """Every row and every column of m holds exactly one nonzero entry, ±1."""
+    return all(
+        sorted(map(abs, line)) == [0] * (len(line) - 1) + [1] for line in (*m, *zip(*m))
+    )
+
+
+def refusing_signed_permutations(matmul):
+    """matmul, failing whenever an operand is a signed permutation matrix:
+    products with Weyl lifts and the identity must be index maps."""
+
+    def guarded(a, b):
+        if is_signed_permutation(a) or is_signed_permutation(b):
+            raise AssertionError("a product with a signed permutation reached matmul")
+        return matmul(a, b)
+
+    return guarded
 
 
 def fraction_minors(m):

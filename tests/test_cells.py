@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
 import pytest
+from oracles import refusing_signed_permutations
 
 from tnncompact.cells import (
     CellError,
@@ -14,6 +17,7 @@ from tnncompact.cells import (
     sample_cell,
     top_label,
 )
+from tnncompact.serialize import label_to_json
 from tnncompact.strata import act, base_point, membership_Zgt0, psibar
 from tnncompact.tnn import sample_G_gt0
 from tnncompact.weyl import (
@@ -23,7 +27,6 @@ from tnncompact.weyl import (
     bruhat_leq,
     identity_w,
     longest_w,
-    simple_reflection,
 )
 
 
@@ -239,6 +242,17 @@ def test_roundtrip_all_labels_n2():
             assert classify(z) == label
 
 
+def test_classify_labels_are_pinned():
+    """The labels classify reads off one sampled point (seed 1) of every
+    nonempty cell at n = 2, 3, pinned by SHA-256: a faster classifier must
+    give them byte for byte."""
+    labels = [label for n in (2, 3) for label, _ in enumerate_cells(n)]
+    got = [label_to_json(classify(sample_cell(label, 1)[1])) for label in labels]
+    assert len(got) == 698
+    digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+    assert digest == "9edbbab81706df8768834c4345d937b8578e2ee5fa48ec9f5c7b6ccf28565ea6"
+
+
 def test_roundtrip_random_labels_n3():
     rng = random.Random(8)
     labels = enumerate_cells(3)
@@ -318,6 +332,20 @@ def test_classify_needs_no_general_inverse(n, monkeypatch):
     monkeypatch.setattr(la, "inverse", forbidden)
     for label, z in points:
         assert classify(z) == label
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sample_and_classify_multiply_no_signed_permutation(n, monkeypatch):
+    """Weyl lifts, the identity and the words that are lifts multiply by
+    index maps on the sample→classify path: no signed permutation reaches
+    linalg.matmul."""
+    import tnncompact.linalg as la
+
+    monkeypatch.setattr(la, "matmul", refusing_signed_permutations(la.matmul))
+    rng = random.Random(65 + n)
+    for k in range(20):
+        label = _random_nonempty_label(n, rng)
+        assert classify(sample_cell(label, k)[1]) == label
 
 
 @pytest.mark.slow

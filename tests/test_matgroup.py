@@ -6,8 +6,12 @@ from hypothesis import given, strategies as st
 from oracles import (
     block_anti_ldu,
     gauss_jordan_inverse,
+    is_signed_permutation,
+    naive_matmul,
     opposed_by_lie_algebra,
     partial_flag,
+    rank_profile_cell,
+    refusing_signed_permutations,
     sdot_matrix,
     torus_matrix,
     x_matrix,
@@ -23,9 +27,11 @@ from tnncompact.matgroup import (
     GroupMatrix,
     ParabolicPoint,
     _bruhat_left,
+    _trusted,
     associated_borel,
     borel_minus,
     borel_plus,
+    bruhat_cell,
     bruhat_position,
     generator_x,
     generator_y,
@@ -43,6 +49,7 @@ from tnncompact.weyl import (
     all_parabolic_subsets,
     all_weyl,
     bruhat_leq,
+    identity_w,
     longest_w,
     simple_reflection,
 )
@@ -344,25 +351,96 @@ def test_associated_borel_computes_no_rank_or_span(monkeypatch):
         associated_borel(P, FlagPoint(rand_factorable(4, rng)))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_bruhat_left_every_pivot_pattern(n):
-    """m = u·ẇ·t·u' with sparse or dense upper unipotent u, u' and t in T
-    factors as b·ẇ·(upper) with b upper unipotent, for every w, and the
-    elimination's b⁻¹ inverts b."""
-    rng = random.Random(43 + n)
-    one = la.identity(n)
+def double_coset_points(n, rng):
+    """(w, u·ẇ·t·u') for every w, with sparse or dense upper unipotent u, u'
+    and t in T."""
     for w in all_weyl(n):
         for _ in range(3):
             u = rng.choice([rand_sparse_upper(n, rng), rand_unipotent(n, rng)])
             up = rng.choice([rand_sparse_upper(n, rng), rand_unipotent(n, rng)])
             t = torus([Fraction(rng.choice([-3, 1, 2])) for _ in range(n - 1)])
-            m = u @ wdot(w) @ t @ up
-            b, b_inv, got = _bruhat_left(m.m)
-            assert got == w
-            assert la.is_upper_triangular(b)
-            assert all(b[i][i] == 1 for i in range(n))
-            assert la.matmul(b, b_inv) == one and la.matmul(b_inv, b) == one
-            assert la.is_upper_triangular(((GroupMatrix(b) @ wdot(w)).inverse() @ m).m)
+            yield w, u @ wdot(w) @ t @ up
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bruhat_left_every_pivot_pattern(n):
+    """m = u·ẇ·t·u' with sparse or dense upper unipotent u, u' and t in T
+    factors as b·ẇ·(upper) with b upper unipotent, for every w, and the
+    elimination's b⁻¹ inverts b."""
+    one = la.identity(n)
+    for w, m in double_coset_points(n, random.Random(43 + n)):
+        b, b_inv, got = _bruhat_left(m.m)
+        assert got == w
+        assert la.is_upper_triangular(b)
+        assert all(b[i][i] == 1 for i in range(n))
+        assert la.matmul(b, b_inv) == one and la.matmul(b_inv, b) == one
+        assert la.is_upper_triangular(((GroupMatrix(b) @ wdot(w)).inverse() @ m).m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bruhat_cell_matches_the_rank_profile(n):
+    for w, g in double_coset_points(n, random.Random(110 + n)):
+        assert bruhat_cell(g) == rank_profile_cell(g.m) == w
+
+
+def test_bruhat_cell_matches_the_rank_profile_n5():
+    """Seeded det-1 words in x_i(a), y_i(a) (a may be 0), ṡ_i and tori."""
+    rng = random.Random(115)
+    n = 5
+    for _ in range(50):
+        g = torus([Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n - 1)])
+        for _ in range(rng.randint(1, 12)):
+            i = rng.randint(1, n - 1)
+            a = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            g = g @ rng.choice([generator_x(n, i, a), generator_y(n, i, a), sdot(n, i)])
+        assert bruhat_cell(g) == rank_profile_cell(g.m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bruhat_cell_rejects_singular_matrices(n):
+    """Zero, repeated, dependent and rank-one rows or columns, let in through
+    _trusted: bruhat_cell and the whole profile both raise."""
+    rng = random.Random(120 + n)
+    for _ in range(30):
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        i, k = rng.sample(range(n), 2)
+        kind = rng.choice(["zero_row", "zero_col", "repeated_row", "dependent_col", "rank_one"])
+        if kind == "zero_row":
+            rows[i] = [Fraction(0)] * n
+        elif kind == "zero_col":
+            for row in rows:
+                row[i] = Fraction(0)
+        elif kind == "repeated_row":
+            rows[i] = list(rows[k])
+        elif kind == "dependent_col":
+            coefs = [rng.randint(-2, 2) if c != i else 0 for c in range(n)]
+            for row in rows:
+                row[i] = sum(a * x for a, x in zip(coefs, row))
+        else:
+            rows = [[x * rows[0][c] for c in range(n)] for x in rows[1]]
+        m = la.mat(rows)
+        assert la.det(m) == 0
+        with pytest.raises(GroupError):
+            bruhat_cell(_trusted(m))
+        with pytest.raises(GroupError):
+            rank_profile_cell(m)
+
+
+def test_bruhat_cell_takes_one_rank(monkeypatch):
+    """At n = 4 the whole profile is 16 ranks; bruhat_cell takes one, of the
+    whole matrix, to reject singular input."""
+    points = list(double_coset_points(4, random.Random(125)))
+    calls = []
+    rank = la.rank
+
+    def counting(m):
+        calls.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(la, "rank", counting)
+    for w, g in points:
+        assert bruhat_cell(g) == w
+    assert len(calls) == len(points)
 
 
 def test_opposed():
@@ -532,6 +610,60 @@ def test_flag_and_parabolic_points_are_unhashable():
     for point in (borel_plus(3), standard_parabolic(J), opposite_parabolic(J)):
         with pytest.raises(TypeError):
             hash(point)
+
+
+# ---------------------------------------------------------------------------
+# products with Weyl lifts and the identity: index maps, no la.matmul
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_identity_keeps_its_mark(n, monkeypatch):
+    """I⁻¹ is I, and wdot(e) is I: products with either return the other
+    factor without a matrix product, also after I.inverse()."""
+    g = rand_factorable(n, random.Random(130 + n))
+    one = identity_g(n)
+    assert one.inverse() is one and one.T is one
+    calls = []
+    monkeypatch.setattr(la, "matmul", lambda *args: calls.append(args))
+    assert (one @ g) is g and (one.inverse() @ g) is g
+    assert (wdot(identity_w(n)) @ g) is g and (g @ one.inverse()) is g
+    assert calls == []
+
+
+def dense_with_known_inverse(n, rng):
+    """A word in x_i(a), y_i(a) with a ≠ 0 and a torus with a_1 = 2: neither
+    it nor a factor of its carried inverse is a signed permutation."""
+    g = torus([Fraction(2)] + [Fraction(rng.choice([-3, 2, 5]), 3) for _ in range(n - 2)])
+    for _ in range(2 * n):
+        i = rng.randint(1, n - 1)
+        a = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+        g = g @ rng.choice([generator_x, generator_y])(n, i, a)
+    return g
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_products_with_lifts_are_index_maps(n, monkeypatch):
+    """ẇ·g and g·ẇ, their transposes and inverses, for every w at n ≤ 4
+    and every ṡ_i at n = 5, against row-by-column products; la.matmul
+    never sees a lift."""
+    rng = random.Random(135 + n)
+    lifts = [sdot(n, i) for i in range(1, n)] if n == 5 else [wdot(w) for w in all_weyl(n)]
+    g = dense_with_known_inverse(n, rng)
+    one = la.identity(n)
+    monkeypatch.setattr(la, "matmul", refusing_signed_permutations(la.matmul))
+    for s in lifts:
+        assert (s @ s.inverse()).m == one and s.inverse().m == la.transpose(s.m)
+        for left, right in ((s, g), (g, s)):
+            h = left @ right
+            want = naive_matmul(left.m, right.m)
+            assert h.m == want
+            assert h.T.m == la.transpose(want)
+            assert naive_matmul(h.inverse().m, want) == one
+            assert naive_matmul(h.T.inverse().m, la.transpose(want)) == one
+            assert h.inverse().inverse().m == want
+        for t in lifts[: 2 * n]:
+            assert (s @ t).m == naive_matmul(s.m, t.m)
+            assert is_signed_permutation((s @ t.T).inverse().m)
 
 
 # ---------------------------------------------------------------------------

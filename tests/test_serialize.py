@@ -67,6 +67,13 @@ def test_dumps_memo_keeps_types_and_depths_apart():
         assert ser.dumps(data) == oracle(data)
 
 
+def test_dumps_quotes_equal_keys_of_other_types_apart():
+    """Keys are quoted once per call, but 1, True, 1.0 and "1" (and 0, False,
+    0.0, -0.0) are equal or alike and spelled apart in separate dicts."""
+    data = [{k: [k]} for k in (1, True, 1.0, "1", 0, False, 0.0, -0.0, "1", 1)]
+    assert ser.dumps(data) == oracle(data)
+
+
 def test_dumps_subclasses_render_as_their_base():
     class Name(str):
         pass

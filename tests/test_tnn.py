@@ -30,6 +30,7 @@ from tnncompact.matgroup import (
     pi_factor,
     sdot,
     torus,
+    wdot,
 )
 from tnncompact.tnn import (
     DoubleCellPoint,
@@ -42,17 +43,14 @@ from tnncompact.tnn import (
     is_totally_positive,
     mr_chart,
     mr_evaluate,
-    phi_minus,
     phi_plus,
     rand_pos_fraction,
     sample_G_gt0,
     sample_L_ge0,
-    sample_T_gt0,
 )
 from tnncompact.weyl import (
     ParabolicSubset,
     ReducedWord,
-    WeylElement,
     all_reduced_words,
     all_weyl,
     bruhat_leq,
@@ -273,6 +271,19 @@ def test_unipotent_absorption():
         u1 = phi_plus(word, [rand_pos_fraction(rng) for _ in range(len(word))])
         assert in_unipotent_cell(u @ u1, w0, lower=False)
         assert in_unipotent_cell(u1 @ u, w0, lower=False)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_words_of_s_steps_are_weyl_lifts(n):
+    """Without its unit torus steps, a word of ṡ_i steps alone is the shared
+    lift ẇ, and the identity when empty; so is a chart with no free step."""
+    unit = ("t", 0, tuple(Fraction(1) for _ in range(n - 1)))
+    rng = random.Random(75 + n)
+    for w in all_weyl(n):
+        word = [("s", i, None) for i in all_reduced_words(w)[-1]]
+        assert _word_element(n, [unit] + word + [unit]) is wdot(w)
+        assert mr_evaluate(mr_chart(w, w, rng)) is wdot(w)
+    assert _word_element(n, [unit]) is identity_g(n) is torus([1] * (n - 1))
 
 
 def _random_word(n, rng):

@@ -5,14 +5,19 @@ floating point kernels and no tolerances.  Matrices are stored as tuples of
 row tuples.  Determinant and rank are computed by fraction-free (Bareiss)
 elimination after clearing denominators, so pivot decisions are exact
 integer zero-tests and no Fraction is built inside the elimination.
-``matmul`` and ``transpose`` use ring operations only, so they also serve
-the Laurent and dual-number matrices of ``laurent`` and ``dual``.
+``matmul`` does the same for rational operands: it clears the left
+operand's row denominators and the right operand's column denominators,
+multiplies the integer rows by the integer columns and builds one Fraction
+per output entry.  On any other entries (ints alone, and the Laurent and
+dual-number matrices of ``laurent`` and ``dual``) it uses ring operations
+only, as ``transpose`` does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -58,13 +63,22 @@ def dims(m: Matrix) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 
 
+_RATIONAL = {int, Fraction}
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Product over any commutative ring whose ``bool`` means "not zero"
-    (Fraction, Laurent, Dual); zero entries are skipped."""
+    (Fraction, Laurent, Dual); zero entries are skipped.  When the entries
+    are ints and Fractions, at least one a Fraction, the product is taken
+    over the integers and every entry of the result is a Fraction."""
     na, ma = dims(a)
     nb, mb = dims(b)
     if ma != nb:
         raise ValueError(f"shape mismatch {dims(a)} @ {dims(b)}")
+    kinds = {type(x) for row in a for x in row}
+    kinds.update(type(x) for row in b for x in row)
+    if Fraction in kinds and kinds <= _RATIONAL:
+        return _rational_matmul(a, b)
     zero = a[0][0] - a[0][0] if na and ma else Fraction(0)
     out = []
     for row in a:
@@ -75,6 +89,28 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                     if y:
                         acc[j] += x * y
         out.append(tuple(acc))
+    return tuple(out)
+
+
+def _rational_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """a·b for rational a and b: with A = D_r·a and B = b·D_c integer
+    (``_integer_rows`` of a and of bᵀ), (a·b)_ij = (A·B)_ij / (r_i·c_j).
+
+    Each integer dot product runs in C (``sum(map(mul, …))``), so zero
+    entries cost no Python step, and each output entry is one Fraction,
+    built with no gcd when r_i·c_j = 1 or the dot product is 0.
+    """
+    rows, rs = _integer_rows(a)
+    cols, cs = _integer_rows(transpose(b))
+    out = []
+    for row, r in zip(rows, rs):
+        dots = [sum(map(mul, row, col)) for col in cols]
+        out.append(
+            tuple(
+                Fraction(s) if d == 1 or not s else Fraction(s, d)
+                for s, d in zip(dots, [r * c for c in cs])
+            )
+        )
     return tuple(out)
 
 

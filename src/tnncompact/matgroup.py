@@ -49,7 +49,7 @@ from typing import Sequence
 
 from . import linalg as la
 from .linalg import FactorizationError, Matrix, frac
-from .weyl import ParabolicSubset, WeylElement, longest_w, simple_reflection
+from .weyl import ParabolicSubset, WeylElement, _trusted_w, longest_w, simple_reflection
 
 
 class GroupError(Exception):
@@ -459,7 +459,7 @@ def _bruhat_left(m: Matrix, factors: bool = True) -> tuple[Matrix, Matrix, WeylE
                 for k in range(p + 1, n):
                     if e[p][k]:
                         e[i][k] -= f * e[p][k]
-    w = WeylElement(tuple(perm))
+    w = _trusted_w(tuple(perm))
     if not factors:
         return (), (), w
     return tuple(map(tuple, b)), tuple(map(tuple, e)), w

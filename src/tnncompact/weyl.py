@@ -7,6 +7,13 @@ multiplication swaps the values i, i+1.  Bruhat order is decided by the
 rank-matrix dominance criterion; reduced-word machinery (positive
 subexpressions, lexicographically least words) lives here too.
 
+The public ``WeylElement`` constructor checks that its tuple is a
+permutation; JSON readers and callers go through it.  Every element this
+module builds from a size or from other elements (products, inverses,
+right multiplication by s_i, coset representatives, the named elements)
+is a permutation by construction and goes through ``_trusted_w``, which
+checks nothing.
+
 Roots are encoded as ordered index pairs (i, j) with i < j standing for
 e_i - e_j; there is no abstract root-system layer.
 """
@@ -51,19 +58,20 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.n != other.n:
             raise WeylError("rank mismatch")
-        return WeylElement(tuple(self.perm[other.perm[i] - 1] for i in range(self.n)))
+        p = self.perm
+        return _trusted_w(tuple(p[j - 1] for j in other.perm))
 
     def inverse(self) -> "WeylElement":
         inv = [0] * self.n
         for i, v in enumerate(self.perm):
             inv[v - 1] = i + 1
-        return WeylElement(tuple(inv))
+        return _trusted_w(tuple(inv))
 
     def right_s(self, i: int) -> "WeylElement":
         """self * s_i (swaps positions i, i+1)."""
         p = list(self.perm)
         p[i - 1], p[i] = p[i], p[i - 1]
-        return WeylElement(tuple(p))
+        return _trusted_w(tuple(p))
 
     def is_identity(self) -> bool:
         return all(self.perm[i] == i + 1 for i in range(self.n))
@@ -76,8 +84,17 @@ class WeylElement:
         return f"W{self.perm}"
 
 
+def _trusted_w(perm: tuple[int, ...]) -> WeylElement:
+    """A WeylElement for a tuple that is a permutation by construction:
+    skips the ``__post_init__`` check, which stays on every public
+    construction."""
+    w = object.__new__(WeylElement)
+    w.__dict__["perm"] = perm
+    return w
+
+
 def identity_w(n: int) -> WeylElement:
-    return WeylElement(tuple(range(1, n + 1)))
+    return _trusted_w(tuple(range(1, n + 1)))
 
 
 def simple_reflection(n: int, i: int) -> WeylElement:
@@ -85,15 +102,15 @@ def simple_reflection(n: int, i: int) -> WeylElement:
         raise WeylError(f"generator index {i} out of range for n={n}")
     p = list(range(1, n + 1))
     p[i - 1], p[i] = p[i], p[i - 1]
-    return WeylElement(tuple(p))
+    return _trusted_w(tuple(p))
 
 
 def longest_w(n: int) -> WeylElement:
-    return WeylElement(tuple(range(n, 0, -1)))
+    return _trusted_w(tuple(range(n, 0, -1)))
 
 
 def all_weyl(n: int) -> list[WeylElement]:
-    return [WeylElement(p) for p in permutations(range(1, n + 1))]
+    return [_trusted_w(p) for p in permutations(range(1, n + 1))]
 
 
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
@@ -147,14 +164,28 @@ class ReducedWord:
 
 
 def lex_min_reduced_word(w: WeylElement) -> ReducedWord:
-    """Lexicographically least reduced word (deterministic chart choice)."""
+    """Lexicographically least reduced word (deterministic chart choice).
+
+    The least letter is the least left descent i of w, i.e. the least
+    descent of q = w⁻¹, and s_i·w has inverse q with positions i, i+1
+    swapped; so the word sorts q by adjacent swaps, always at the leftmost
+    descent.  A swap at i leaves no descent left of i − 1, so the scan
+    resumes there.  Each letter removes one inversion, so the word is
+    reduced by construction and is not re-checked.
+    """
+    q = list(w.inverse().perm)
     letters = []
-    cur = w
-    while not cur.is_identity():
-        i = min(cur.left_descents())
-        letters.append(i)
-        cur = simple_reflection(cur.n, i) * cur
-    return ReducedWord(w.n, tuple(letters))
+    i = 1
+    while i < len(q):
+        if q[i - 1] > q[i]:
+            q[i - 1], q[i] = q[i], q[i - 1]
+            letters.append(i)
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    word = object.__new__(ReducedWord)
+    word.__dict__.update(n=w.n, letters=tuple(letters))
+    return word
 
 
 def all_reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
@@ -248,7 +279,7 @@ class ParabolicSubset:
         for blk in self.blocks():
             lo, hi = blk[0], blk[-1]
             p[lo - 1 : hi] = list(range(hi, lo - 1, -1))
-        return WeylElement(tuple(p))
+        return _trusted_w(tuple(p))
 
     def contains_w(self, w: WeylElement) -> bool:
         """w ∈ W_J iff w permutes within the J-blocks."""
@@ -275,7 +306,7 @@ class ParabolicSubset:
         for blk in self.blocks():
             lo, hi = blk[0], blk[-1]
             p[lo - 1 : hi] = sorted(p[lo - 1 : hi])
-        return WeylElement(tuple(p))
+        return _trusted_w(tuple(p))
 
     def max_coset_rep(self) -> WeylElement:
         """The longest element of W^J, i.e. w_0 · w^J_0."""

@@ -23,7 +23,9 @@ is the coset test the library ran before it compared fundamental tuples:
 conjugators equal modulo P_J and Q_J, and Levi parts in one frame equal
 modulo the center of L_J.  The references for the word evaluator are the
 generator, Weyl-lift and torus matrices written out entry by entry and
-multiplied row by column.
+multiplied row by column.  The reference for the lexicographically least
+reduced word strips the least left descent of a WeylElement one letter at
+a time, building one element per step.
 """
 
 from fractions import Fraction
@@ -36,7 +38,7 @@ from tnncompact.exterior import compound, compounds, proj_equal, strictly_signed
 from tnncompact.laurent import Laurent, lmat_limit
 from tnncompact.matgroup import GroupError
 from tnncompact.strata import _curve_exponents, action_pair, fundamental_tuple
-from tnncompact.weyl import WeylElement
+from tnncompact.weyl import WeylElement, simple_reflection
 
 
 def laplace_det(m):
@@ -189,6 +191,18 @@ def rank_profile_cell(m):
         else:
             raise GroupError("rank profile is not a permutation (singular input?)")
     return WeylElement(tuple(perm))
+
+
+def lex_min_word_by_left_descents(w):
+    """The lexicographically least reduced word of w, as letters: the least
+    left descent i of w, then the word of s_i·w."""
+    letters = []
+    cur = w
+    while not cur.is_identity():
+        i = min(cur.left_descents())
+        letters.append(i)
+        cur = simple_reflection(cur.n, i) * cur
+    return tuple(letters)
 
 
 def is_signed_permutation(m):

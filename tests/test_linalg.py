@@ -333,19 +333,55 @@ def test_det_empty_matrix_is_one():
     assert la.det(()) == 1
 
 
+def draw_operand(data, nr, nc):
+    """An nr×nc matrix of Fractions and ints, dense or with the zero patterns
+    the group layer multiplies: a zero row or column, unipotent triangular,
+    or all zero."""
+    entries = st.one_of(rationals, st.integers(-9, 9))
+    rows = [[data.draw(entries) for _ in range(nc)] for _ in range(nr)]
+    kind = data.draw(st.sampled_from(["dense", "zero_row", "zero_col", "upper", "lower", "zero"]))
+    if kind == "zero_row":
+        rows[data.draw(st.integers(0, nr - 1))] = [0] * nc
+    elif kind == "zero_col":
+        j = data.draw(st.integers(0, nc - 1))
+        for row in rows:
+            row[j] = Fraction(0)
+    elif kind in ("upper", "lower"):
+        keep = (lambda i, j: i < j) if kind == "upper" else (lambda i, j: i > j)
+        rows = [
+            [x if keep(i, j) else int(i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+    elif kind == "zero":
+        rows = [[Fraction(0)] * nc for _ in range(nr)]
+    return tuple(map(tuple, rows))
+
+
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
 def test_matmul_matches_naive_oracle(p, q, r, data):
-    a = la.mat([[data.draw(rationals) for _ in range(q)] for _ in range(p)])
-    b = la.mat([[data.draw(rationals) for _ in range(r)] for _ in range(q)])
+    """With a Fraction in either operand, every entry is a Fraction."""
+    a = draw_operand(data, p, q)
+    b = draw_operand(data, q, r)
     got = la.matmul(a, b)
     assert got == naive_matmul(a, b)
     assert la.dims(got) == (p, r)
-    assert all(isinstance(x, Fraction) for row in got for x in row)
+    kind = Fraction if any(type(x) is Fraction for m in (a, b) for row in m for x in row) else int
+    assert all(type(x) is kind for row in got for x in row)
+
+
+def test_matmul_keeps_ints():
+    got = la.matmul(((1, 2), (0, 4)), ((5,), (6,)))
+    assert got == ((17,), (24,))
+    assert all(type(x) is int for row in got for x in row)
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ValueError):
         la.matmul(la.zeros(2, 3), la.zeros(2, 3))
+
+
+def test_matmul_empty_inner_dimension():
+    assert la.matmul(((), ()), ()) == ((), ())
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())

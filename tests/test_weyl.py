@@ -1,6 +1,10 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
+from oracles import lex_min_word_by_left_descents
 
+from tnncompact.serialize import SchemaError, weyl_from_json
 from tnncompact.weyl import (
     ParabolicSubset,
     ReducedWord,
@@ -257,6 +261,55 @@ def test_lex_min_word_is_reduced_and_minimal(w):
     word = lex_min_reduced_word(w)
     assert word.product() == w and len(word) == w.length
     assert word.letters == min(all_reduced_words(w)) if w.n <= 4 else True
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lex_min_word_matches_left_descent_oracle(n):
+    for w in all_weyl(n):
+        word = lex_min_reduced_word(w)
+        assert word.letters == lex_min_word_by_left_descents(w), w
+        assert ReducedWord(n, word.letters) == word
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_built_elements_equal_public_ones(n):
+    """Elements the library builds skip the permutation check; each equals,
+    and hashes like, the element built publicly from its one-line
+    notation."""
+
+    def same(got, perm):
+        want = WeylElement(tuple(perm))
+        assert got == want and hash(got) == hash(want) and len({got, want}) == 1
+        assert got.perm == want.perm and type(got.perm) is tuple
+
+    ws = all_weyl(n)
+    assert sorted(w.perm for w in ws) == sorted(permutations(range(1, n + 1)))
+    same(identity_w(n), range(1, n + 1))
+    same(longest_w(n), range(n, 0, -1))
+    for i in range(1, n):
+        same(simple_reflection(n, i), [{i: i + 1, i + 1: i}.get(k, k) for k in range(1, n + 1)])
+    for J in all_parabolic_subsets(n):
+        levi = [x for x in ws if J.contains_w(x)]
+        same(J.longest_element(), max(levi, key=lambda x: x.length).perm)
+        for w in ws:
+            same(J.min_rep(w), min((w * x for x in levi), key=lambda u: u.length).perm)
+    for v in ws:
+        same(v.inverse(), [v.perm.index(i) + 1 for i in range(1, n + 1)])
+        for i in range(1, n):
+            p = list(v.perm)
+            p[i - 1], p[i] = p[i], p[i - 1]
+            same(v.right_s(i), p)
+        for w in ws:
+            same(v * w, [v(w(i)) for i in range(1, n + 1)])
+
+
+def test_public_construction_still_checks():
+    with pytest.raises(WeylError):
+        WeylElement((1, 1, 3))
+    with pytest.raises(SchemaError):
+        weyl_from_json([2, 2])
+    with pytest.raises(WeylError):
+        identity_w(2) * identity_w(3)
 
 
 def test_reduced_word_rejects_nonreduced():

@@ -1,10 +1,11 @@
 """Single-variable Laurent polynomials over the rationals.
 
-Used for exact one-parameter torus curves: limits into boundary strata are
-taken by dividing by the minimal valuation and evaluating at 0, with no
-numerical thresholds anywhere.  Coefficients are Fractions or ints: ``of``
-validates and converts to Fraction, while ring operations keep whichever
-they are given, so integer curves stay on Python ints.
+Exact one-parameter torus curves: a limit is taken by dividing by the
+minimal valuation and evaluating at 0, with no numerical thresholds.  The
+library checks torus limits in closed form (strata._verify_torus_limit);
+this ring serves the tests' curve oracle and the wrappers below.
+Coefficients are Fractions or ints: ``of`` validates and converts to
+Fraction, while ring operations keep whichever they are given.
 """
 
 from __future__ import annotations
@@ -88,23 +89,6 @@ def _trusted(d: dict[int, Fraction | int]) -> Laurent:
 
 
 LMatrix = tuple[tuple[Laurent, ...], ...]
-
-
-def lmat_torus_curve(m1, exponents, m2) -> LMatrix:
-    """m1·diag(s^e_1, …, s^e_n)·m2 for matrices of Fractions or ints: entry
-    (i, j) collects m1[i][l]·m2[l][j] at the exponent e_l."""
-    cols = tuple(zip(*m2))
-    return tuple(
-        tuple(_curve_entry(row, exponents, col) for col in cols) for row in m1
-    )
-
-
-def _curve_entry(row, exponents, col) -> Laurent:
-    d: dict[int, Fraction | int] = {}
-    for x, e, y in zip(row, exponents, col):
-        if x and y:
-            d[e] = d.get(e, 0) + x * y
-    return _trusted(d)
 
 
 # The ring-generic linalg.matmul and exterior.compound under their old names,

@@ -2,15 +2,15 @@
 
 Everything in this package runs over ``fractions.Fraction``; there are no
 floating point kernels and no tolerances.  Matrices are stored as tuples of
-row tuples.  Determinant and rank are computed by fraction-free (Bareiss)
-elimination after clearing denominators, so pivot decisions are exact
-integer zero-tests and no Fraction is built inside the elimination.
+row tuples.  Determinant and rank share one fraction-free (Bareiss)
+forward elimination after clearing denominators, so pivot decisions are
+exact integer zero-tests and no Fraction is built inside the elimination.
 ``matmul`` does the same for rational operands: it clears the left
 operand's row denominators and the right operand's column denominators,
 multiplies the integer rows by the integer columns and builds one Fraction
-per output entry.  On any other entries (ints alone, and the Laurent and
-dual-number matrices of ``laurent`` and ``dual``) it uses ring operations
-only, as ``transpose`` does.
+per output entry.  On any other entries (ints alone, dual numbers, and
+the tests' Laurent polynomials) it uses ring operations only, as
+``transpose`` does.
 """
 
 from __future__ import annotations
@@ -132,10 +132,38 @@ def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
     rows = []
     scales = []
     for row in m:
-        l = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (l // x.denominator) for x in row])
+        ratios = [x.as_integer_ratio() for x in row]
+        l = lcm(*(d for _, d in ratios))
+        rows.append([p * (l // d) for p, d in ratios])
         scales.append(l)
     return rows, scales
+
+
+def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) forward elimination of the integer rows a in
+    place: (rank, last pivot, sign of the row swaps).  Every division is
+    exact; for a square a of full rank, sign·(last pivot) = det a."""
+    nr = len(a)
+    r = 0
+    prev = 1
+    sign = 1
+    for c in range(ncols):
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        pr = a[r]
+        p = pr[c]
+        for i in range(r + 1, nr):
+            ai = a[i]
+            f = ai[c]
+            for j in range(c + 1, ncols):
+                ai[j] = (p * ai[j] - f * pr[j]) // prev
+        prev = p
+        r += 1
+    return r, prev, sign
 
 
 def det(m: Matrix) -> Fraction:
@@ -144,24 +172,8 @@ def det(m: Matrix) -> Fraction:
     if n != nc:
         raise ValueError("determinant of non-square matrix")
     a, scales = _integer_rows(m)
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pk = a[k]
-        p = pk[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            f = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (p * ai[j] - f * pk[j]) // prev
-        prev = p
-    return Fraction(sign * prev, prod(scales))
+    r, last, sign = _eliminate(a, n)
+    return Fraction(sign * last, prod(scales)) if r == n else Fraction(0)
 
 
 def minor(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
@@ -205,26 +217,7 @@ def inverse(m: Matrix) -> Matrix:
 
 def rank(m: Matrix) -> int:
     """Exact rank via integer Bareiss elimination (denominators cleared)."""
-    nr, nc = dims(m)
-    if nr == 0 or nc == 0:
-        return 0
-    a, _ = _integer_rows(m)
-    r = 0
-    prev = 1
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == nr:
-            break
-    return r
+    return _eliminate(_integer_rows(m)[0], dims(m)[1])[0]
 
 
 def is_upper_triangular(m: Matrix) -> bool:

@@ -11,7 +11,8 @@ A point is identified by its stratum J and its fundamental tuple, the image
 compactification of PGL_n is the closure of PGL_n in ∏_k P(End Λ^k), the
 space of complete collineations (Thaddeus, "Complete collineations
 revisited", Math. Ann. 315, 1999).  Equality, membership in the positive
-part, the paper's (*) pair and the check of torus limits all read it.
+part, the paper's (*) pair and the Cauchy–Binet check of torus limits
+all read it.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .exterior import (
     compounds,
     proj_equal,
     strictly_signed,
+    subsets_colex,
 )
-from .laurent import lmat_limit, lmat_torus_curve
 from .linalg import FactorizationError, Matrix
 from .matgroup import GroupMatrix, _trusted, identity_g
 from .tnn import is_totally_positive
@@ -173,12 +174,16 @@ def _limit_images(J: ParabolicSubset, m1: Matrix, m2: Matrix) -> list[Matrix]:
     over any ring.  D_k = stratum_indicator(J, k) is a 0/1 diagonal
     projector, so it is applied by keeping the columns of ρ_k(m1) and the
     rows of ρ_k(m2) it selects."""
-    out = []
-    for k, (c1, c2) in enumerate(zip(compounds(m1, J.n - 1), compounds(m2, J.n - 1)), 1):
-        keep = _levi_weight_positions(J.n, k, J)
-        cols = tuple(tuple(row[s] for s in keep) for row in c1)
-        out.append(la.matmul(cols, tuple(c2[s] for s in keep)))
-    return out
+    return [
+        _kept_product(c1, c2, _levi_weight_positions(J.n, k, J))
+        for k, (c1, c2) in enumerate(zip(compounds(m1, J.n - 1), compounds(m2, J.n - 1)), 1)
+    ]
+
+
+def _kept_product(c1: Matrix, c2: Matrix, keep) -> Matrix:
+    """c1·D·c2 for the 0/1 diagonal D with ones at the positions keep: the
+    columns keep of c1 times the rows keep of c2."""
+    return la.matmul(tuple(tuple(row[s] for s in keep) for row in c1), tuple(c2[s] for s in keep))
 
 
 def _integer_pairs(*pairs: tuple[Matrix, Matrix]) -> list[tuple[Matrix, Matrix]]:
@@ -192,18 +197,18 @@ def _integer_pairs(*pairs: tuple[Matrix, Matrix]) -> list[tuple[Matrix, Matrix]]
     entrywise signs, and projective equality between the images of two
     pairs, are those of the rational pairs."""
     n = len(pairs[0][0])
-    rows = [lcm(*(x.denominator for m1, _ in pairs for x in m1[i])) for i in range(n)]
-    cols = [lcm(*(m2[i][j].denominator for _, m2 in pairs for i in range(n))) for j in range(n)]
-    out = []
-    for m1, m2 in pairs:
-        left = tuple(
-            tuple(x.numerator * (r // x.denominator) for x in row) for r, row in zip(rows, m1)
+    ratios = [
+        [[list(map(Fraction.as_integer_ratio, row)) for row in m] for m in pair] for pair in pairs
+    ]
+    rows = [lcm(*(d for r1, _ in ratios for _, d in r1[i])) for i in range(n)]
+    cols = [lcm(*(r2[i][j][1] for _, r2 in ratios for i in range(n))) for j in range(n)]
+    return [
+        (
+            tuple(tuple(p * (r // d) for p, d in row) for r, row in zip(rows, r1)),
+            tuple(tuple(p * (c // d) for (p, d), c in zip(row, cols)) for row in r2),
         )
-        right = tuple(
-            tuple(x.numerator * (c // x.denominator) for x, c in zip(row, cols)) for row in m2
-        )
-        out.append((left, right))
-    return out
+        for r1, r2 in ratios
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +228,8 @@ def torus_limit(g1: GroupMatrix, c, g2: GroupMatrix) -> CompactPoint:
     α_i(t(s)) = s^{-c_i}; lands in the stratum J = {i : c_i = 0}.
 
     The triple is produced by equivariance; then every fundamental
-    representation's limit is recomputed from the exact Laurent curve by
-    minimal-valuation normalization and compared projectively with the
+    representation's limit is recomputed from the curve's exponents by
+    Cauchy–Binet (_verify_torus_limit) and compared projectively with the
     triple's image.
     """
     cs = tuple(c)
@@ -249,19 +254,34 @@ def _verify_torus_limit(
 ) -> None:
     """Raise LimitVerificationError unless, in every degree k, the limit of
     ρ_k(g1·t(s)·g2) along the curve of exponents cs is z's image
-    ρ_k(h1)·D_k·ρ_k(h2), (h1, h2) = action_pair(z), projectively.  Both
-    sides run on the integer pairs of _integer_pairs."""
+    ρ_k(h1)·D_k·ρ_k(h2), (h1, h2) = action_pair(z), projectively.
+
+    With t(s) = diag(s^{-e}), Cauchy–Binet gives ρ_k(g1·t(s)·g2) =
+    Σ_S s^{-e_S}·ρ_k(g1)[:, S]·ρ_k(g2)[S, :] over the k-subsets S, so the
+    limit keeps the S of largest weight e_S = Σ_{i∈S} e_i, found from the
+    exponents, not from z's stratum.  Both sides run on _integer_pairs."""
     n = g1.n
     e = _curve_exponents(cs)
     h1, h2 = action_pair(z)
     (m1, m2), (p1, p2) = _integer_pairs((g1.m, g2.m), (h1.m, h2.m))
-    x = lmat_torus_curve(m1, [-ei for ei in e], m2)
     expected = _limit_images(z.J, p1, p2)
-    for k, (want, cx) in enumerate(zip(expected, compounds(x, n - 1)), start=1):
-        if not proj_equal(lmat_limit(cx), want):
+    levels = zip(expected, compounds(m1, n - 1), compounds(m2, n - 1))
+    for k, (want, c1, c2) in enumerate(levels, start=1):
+        # ρ_k(g1) and ρ_k(g2) are invertible, so their columns and rows at
+        # the kept positions are independent and the top layer never
+        # vanishes: no lower layer is ever needed.
+        if not proj_equal(_kept_product(c1, c2, _top_weight_positions(e, k)), want):
             raise LimitVerificationError(
-                f"Laurent limit disagrees with the equivariant limit at degree {k}"
+                f"Cauchy–Binet limit disagrees with the equivariant limit at degree {k}"
             )
+
+
+def _top_weight_positions(e: list[int], k: int) -> list[int]:
+    """The colex positions of the k-subsets S of {1..n} whose weight
+    e_S = Σ_{i∈S} e_i is largest."""
+    weights = [sum(e[i - 1] for i in s) for s in subsets_colex(len(e), k)]
+    top = max(weights)
+    return [i for i, w in enumerate(weights) if w == top]
 
 
 # ---------------------------------------------------------------------------

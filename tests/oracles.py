@@ -13,7 +13,10 @@ must match its middle factor.  The certificate references are the
 library's sign and projective tests as they ran over Fractions before the
 library cleared denominators: the compound ladder on the rational matrix,
 the fundamental tuple of rational images, and the torus-limit check on
-Laurent polynomials with Fraction coefficients.  The reference for
+Laurent polynomials with Fraction coefficients.  The reference for the
+closed-form (Cauchy–Binet) limit of a torus curve is the curve itself,
+built entry by entry as a Laurent matrix, run through the compound ladder
+and normalized by its lowest valuation.  The reference for
 relative position is the whole southwest rank profile, n² ranks, where the
 library reads w off one Bruhat elimination.  The reference for the paper's (*) pair is the dense
 product the library ran before it read the pair off the fundamental tuple:
@@ -248,6 +251,20 @@ def fraction_membership(z):
 def lmat_from_rational(m):
     """The matrix m as constant Laurent polynomials with Fraction coefficients."""
     return tuple(tuple(Laurent.of(x) for x in row) for row in m)
+
+
+def lmat_torus_curve(m1, exponents, m2):
+    """m1·diag(s^e_1, …, s^e_n)·m2 as a Laurent matrix, for matrices of
+    Fractions or ints: entry (i, j) collects m1[i][l]·m2[l][j] at the
+    exponent e_l."""
+
+    def entry(row, col):
+        d = {}
+        for x, e, y in zip(row, exponents, col):
+            d[e] = d.get(e, 0) + x * y
+        return Laurent(tuple(sorted((e, c) for e, c in d.items() if c)))
+
+    return tuple(tuple(entry(row, col) for col in zip(*m2)) for row in m1)
 
 
 def fraction_limit_check(g1, cs, g2, z):

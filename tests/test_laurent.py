@@ -12,7 +12,6 @@ from tnncompact.laurent import (
     lmat_det,
     lmat_limit,
     lmat_mul,
-    lmat_torus_curve,
 )
 
 coeff_dicts = st.dictionaries(
@@ -66,8 +65,6 @@ def test_torus_curve_det_is_monomial():
     m = la.mat([[1, 1], [1, 2]])
     g = lmat_from_rational(m)
     x = lmat_mul(lmat_mul(g, curve), g)
-    assert lmat_torus_curve(m, [-3, -1], m) == x
-    assert lmat_torus_curve([[1, 1], [1, 2]], [-3, -1], [[1, 1], [1, 2]]) == x
     d = lmat_det(x)
     assert d
     assert d == Laurent.monomial(-4)

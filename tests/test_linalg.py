@@ -124,6 +124,46 @@ def test_rank_matches_minor_rank():
         assert la.rank(m) == by_minors
 
 
+def minor_rank(m):
+    """The largest k with a nonzero k×k minor, by Laplace expansion."""
+    nr, nc = la.dims(m)
+    return max(
+        (
+            k
+            for k in range(1, min(nr, nc) + 1)
+            for r in combinations(range(nr), k)
+            for c in combinations(range(nc), k)
+            if laplace_det(la.submatrix(m, r, c)) != 0
+        ),
+        default=0,
+    )
+
+
+@st.composite
+def rectangular_matrices(draw):
+    """Tall, wide and square rational matrices with zero columns, zero rows
+    and rows combined from the others."""
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.one_of(st.just(Fraction(0)), st.fractions(-4, 4, max_denominator=3))
+    rows = [[draw(entries) for _ in range(nc)] for _ in range(nr)]
+    for j in draw(st.sets(st.integers(0, nc - 1), max_size=nc)):
+        for row in rows:
+            row[j] = Fraction(0)
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, nr - 1))] = [Fraction(0)] * nc
+    for _ in range(draw(st.integers(0, nr - 1))):
+        i = draw(st.integers(0, nr - 1))
+        coefs = [draw(entries) if t != i else 0 for t in range(nr)]
+        rows[i] = [sum(a * row[j] for a, row in zip(coefs, rows)) for j in range(nc)]
+    return la.mat(rows)
+
+
+@given(rectangular_matrices())
+def test_rank_matches_minor_rank_on_rectangular_matrices(m):
+    assert la.rank(m) == minor_rank(m)
+    assert la.rank(la.transpose(m)) == minor_rank(m)
+
+
 def test_ldu_reassembly_and_failure():
     rng = random.Random(3)
     for _ in range(50):

@@ -7,14 +7,18 @@ from oracles import (
     dense_star_pair,
     fraction_limit_check,
     fraction_membership,
+    lmat_torus_curve,
     opposed_by_lie_algebra,
 )
 
 from tnncompact import linalg as la
 from tnncompact import strata
+from tnncompact.laurent import Laurent, lmat_limit
 from tnncompact.cells import classify, enumerate_cells, sample_cell, top_label
 from tnncompact.exterior import (
     UnsupportedStratumError,
+    _levi_weight_positions,
+    compounds,
     embedding_data,
     proj_equal,
     strictly_signed,
@@ -25,6 +29,7 @@ from tnncompact.matgroup import (
     generator_y,
     identity_g,
     opposite_parabolic,
+    sdot,
     standard_parabolic,
     torus,
     wdot,
@@ -339,7 +344,7 @@ def test_torus_limit_point_is_the_acted_base_point(n):
         assert z == act(g1, g2.inverse(), base_point(J))
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_limit_check_accepts_only_the_limit_point(n):
     """The Laurent check fails for a point of another stratum and for a
     perturbed g2, as its Fraction oracle does.  It passes for the limit,
@@ -364,6 +369,56 @@ def test_limit_check_accepts_only_the_limit_point(n):
             assert not fraction_limit_check(g1, c, h2, point)
             with pytest.raises(LimitVerificationError):
                 _verify_torus_limit(g1, c, h2, point)
+
+
+def mixed_sign_element(n, rng):
+    """A seeded det-1 word: a torus element with coordinates of either sign
+    times x_i(a), y_i(a) (a of either sign) and ṡ_i."""
+    g = torus([Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n - 1)])
+    for _ in range(rng.randint(n, 3 * n)):
+        i = rng.randint(1, n - 1)
+        a = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        g = g @ rng.choice([generator_x(n, i, a), generator_y(n, i, a), sdot(n, i)])
+    return g
+
+
+def exponents_into(J, rng):
+    """Curve exponents landing in J: zero on J, ties elsewhere likely."""
+    return tuple(0 if i in J.J else rng.choice([1, 1, 2, 3]) for i in range(1, J.n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cauchy_binet_limit_matches_the_laurent_curve(n):
+    """In every degree, the product of the compounds over the subsets of
+    largest weight is, entry for entry, the lowest-valuation coefficient of
+    the Laurent curve's compound; and those subsets, found from the
+    exponents, are the stratum's Levi-weight positions.  Pairs of mixed
+    sign, exponents with zeros and ties, every J."""
+    rng = random.Random(60 + n)
+    for J in all_parabolic_subsets(n):
+        for _ in range(6):
+            c = exponents_into(J, rng)
+            e = strata._curve_exponents(c)
+            g1, g2 = mixed_sign_element(n, rng), mixed_sign_element(n, rng)
+            curve = lmat_torus_curve(g1.m, [-x for x in e], g2.m)
+            levels = zip(compounds(g1.m, n - 1), compounds(g2.m, n - 1), compounds(curve, n - 1))
+            for k, (c1, c2, cx) in enumerate(levels, start=1):
+                keep = strata._top_weight_positions(e, k)
+                assert tuple(keep) == _levi_weight_positions(n, k, J)
+                assert strata._kept_product(c1, c2, keep) == lmat_limit(cx)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_torus_limit_runs_no_laurent_arithmetic(n, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("Laurent arithmetic in torus_limit")
+
+    monkeypatch.setattr(Laurent, "__mul__", refuse)
+    monkeypatch.setattr(Laurent, "__add__", refuse)
+    rng = random.Random(70 + n)
+    for J in all_parabolic_subsets(n):
+        g1, g2 = mixed_sign_element(n, rng), mixed_sign_element(n, rng)
+        assert torus_limit(g1, exponents_into(J, rng), g2).J == J
 
 
 def test_torus_limit_positive_data_lands_positive():

@@ -13,7 +13,6 @@ from oracles import (
 
 from tnncompact import linalg as la
 from tnncompact import strata
-from tnncompact.laurent import Laurent, lmat_limit
 from tnncompact.cells import classify, enumerate_cells, sample_cell, top_label
 from tnncompact.exterior import (
     UnsupportedStratumError,
@@ -23,6 +22,7 @@ from tnncompact.exterior import (
     proj_equal,
     strictly_signed,
 )
+from tnncompact.laurent import Laurent, lmat_limit
 from tnncompact.matgroup import (
     GroupMatrix,
     generator_x,
@@ -346,7 +346,7 @@ def test_torus_limit_point_is_the_acted_base_point(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_limit_check_accepts_only_the_limit_point(n):
-    """The Laurent check fails for a point of another stratum and for a
+    """The Cauchy–Binet check fails for a point of another stratum and for a
     perturbed g2, as its Fraction oracle does.  It passes for the limit,
     also written with another action pair (g1·t, t⁻¹·g2), t in the torus,
     whose denominators differ from those of (g1, g2)."""

@@ -141,28 +141,12 @@ def enumerate_cells(
     """All nonempty labels (with dimensions) for one stratum or the whole
     compactification, in ``CellLabel.sort_key`` order.
 
-    The order comes from the loops themselves: strata by sorted J, then
-    Bruhat pairs (v, w) of W^J and Levi elements y of W_J by permutation.
-    v ≤ w is decided once per pair, and a dimension is the stratum's base
-    2·l(w^J_0) + |J| plus the gaps l(w) − l(v) and l(w') − l(v') minus
-    l(y) and l(y').  Labels are built from these checked parts without
+    The labels and the order come from ``_stratum_walk``; a dimension is the
+    stratum's base plus the gaps l(w) − l(v) and l(w') − l(v') minus l(y)
+    and l(y').  Labels are built from these checked parts without
     revalidation."""
-    if not 2 <= n <= 5:
-        raise CellError("implementation bound: 2 <= n <= 5")
-    if J is not None and J.n != n:
-        raise CellError(f"stratum {J} is not a stratum of PGL_{n}")
-    subsets = [J] if J is not None else all_parabolic_subsets(n)
     out = []
-    for Js in sorted(subsets, key=lambda K: sorted(K.J)):
-        reps = sorted(Js.min_coset_reps(), key=lambda x: x.perm)
-        pairs = [
-            (v, w, w.length - v.length)
-            for v in reps
-            for w in reps
-            if bruhat_leq(v, w)
-        ]
-        levi = [(y, y.length) for y in _weyl_subgroup(Js)]
-        base = 2 * Js.longest_element().length + len(Js.J)
+    for Js, pairs, levi, base in _stratum_walk(n, J):
         for v, w, gap in pairs:
             for vp, wp, gap2 in pairs:
                 d = base + gap + gap2
@@ -172,6 +156,33 @@ def enumerate_cells(
                             (_trusted_label(Js, v, w, vp, wp, y, yp), d - ly - lyp)
                         )
     return out
+
+
+def _stratum_walk(n: int, J: ParabolicSubset | None = None):
+    """Per stratum J, sorted by J: (J, pairs, levi, base) with the Bruhat
+    pairs (v, w, l(w) − l(v)) of W^J, the Levi elements (y, l(y)) of W_J,
+    both sorted by permutation, and the base 2·l(w^J_0) + |J|.
+
+    Every nonempty label of the stratum is (J, v, w, v', w', y, y') for
+    pairs (v, w), (v', w') and Levi elements y, y', and looping over them in
+    that nesting gives ``CellLabel.sort_key`` order.  v ≤ w is decided once
+    per pair.  Raises CellError when n is outside 2..5 or J is not a
+    stratum of PGL_n."""
+    if not 2 <= n <= 5:
+        raise CellError("implementation bound: 2 <= n <= 5")
+    if J is not None and J.n != n:
+        raise CellError(f"stratum {J} is not a stratum of PGL_{n}")
+    subsets = [J] if J is not None else all_parabolic_subsets(n)
+    for Js in sorted(subsets, key=lambda K: sorted(K.J)):
+        reps = sorted(Js.min_coset_reps(), key=lambda x: x.perm)
+        pairs = [
+            (v, w, w.length - v.length)
+            for v in reps
+            for w in reps
+            if bruhat_leq(v, w)
+        ]
+        levi = [(y, y.length) for y in _weyl_subgroup(Js)]
+        yield Js, pairs, levi, 2 * Js.longest_element().length + len(Js.J)
 
 
 def _weyl_subgroup(J: ParabolicSubset) -> list[WeylElement]:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any
 
-from .cells import CellError, CellLabel, enumerate_cells
+from .cells import CellError, CellLabel, _stratum_walk
 from .linalg import Matrix, mat
 from .matgroup import GroupMatrix
 from .strata import CompactPoint
@@ -98,19 +99,15 @@ def point_from_json(data) -> CompactPoint:
 
 
 def label_to_json(label: CellLabel, dim: int | None = None) -> dict[str, Any]:
-    return _label_record(label, dim, list)
-
-
-def _label_record(label: CellLabel, dim: int | None, as_list) -> dict[str, Any]:
-    """{J, v, w, v2, w2, y, y2[, dim]}, each list made by as_list from a tuple."""
+    """{J, v, w, v2, w2, y, y2[, dim]}, each list a fresh one."""
     out = {
-        "J": as_list(tuple(sorted(label.J.J))),
-        "v": as_list(label.v.perm),
-        "w": as_list(label.w.perm),
-        "v2": as_list(label.vp.perm),
-        "w2": as_list(label.wp.perm),
-        "y": as_list(label.y.perm),
-        "y2": as_list(label.yp.perm),
+        "J": sorted(label.J.J),
+        "v": list(label.v.perm),
+        "w": list(label.w.perm),
+        "v2": list(label.vp.perm),
+        "w2": list(label.wp.perm),
+        "y": list(label.y.perm),
+        "y2": list(label.yp.perm),
     }
     if dim is not None:
         out["dim"] = dim
@@ -134,18 +131,36 @@ def cells_to_json(n: int, J: ParabolicSubset | None = None) -> dict[str, Any]:
     """The census {v, n, count, cells}, one {J, v, w, v2, w2, y, y2, dim}
     record per cell in ``enumerate_cells`` order.
 
-    Equal permutations and subsets are one list object shared by every
-    record of the call (a few dozen lists instead of seven per cell), so
-    the lists are read-only: mutating one changes every cell that holds it.
+    The records come straight from the stratum walk that ``enumerate_cells``
+    builds its labels from, with no CellLabel in between.  Equal
+    permutations and subsets are one list object shared by every record of
+    the call (a few dozen lists instead of seven per cell), so the lists are
+    read-only: mutating one changes every cell that holds it.
     """
-    records = enumerate_cells(n, J)
     shared = lru_cache(maxsize=None)(list)  # one list per distinct tuple
-    return {
-        "v": SCHEMA_VERSION,
-        "n": n,
-        "count": len(records),
-        "cells": [_label_record(label, dim, shared) for label, dim in records],
-    }
+    cells = []
+    for Js, pairs, levi, base in _stratum_walk(n, J):
+        subset = shared(tuple(sorted(Js.J)))
+        pairs = [(shared(v.perm), shared(w.perm), gap) for v, w, gap in pairs]
+        levi = [(shared(y.perm), ly) for y, ly in levi]
+        for v, w, gap in pairs:
+            for vp, wp, gap2 in pairs:
+                d = base + gap + gap2
+                for y, ly in levi:
+                    for yp, lyp in levi:
+                        cells.append(
+                            {
+                                "J": subset,
+                                "v": v,
+                                "w": w,
+                                "v2": vp,
+                                "w2": wp,
+                                "y": y,
+                                "y2": yp,
+                                "dim": d - ly - lyp,
+                            }
+                        )
+    return {"v": SCHEMA_VERSION, "n": n, "count": len(cells), "cells": cells}
 
 
 def curve_from_json(data) -> tuple[GroupMatrix, tuple[int, ...], GroupMatrix]:
@@ -172,10 +187,13 @@ def dumps(data) -> str:
     Each container is rendered to one string, and within one call a list of
     plain ints and strings is rendered once per list object and depth: a
     census shares a few dozen permutation and subset lists between 10^5
-    cells (see ``cells_to_json``).  The memo holds each such list, so no
-    other object can take its id while the call runs.
+    cells (see ``cells_to_json``).  The memo is one dict per indentation,
+    from a list's id to its text; every memoized list is kept alive until
+    the call returns, so no other object can take its id meanwhile.  An
+    exact int dict value is rendered in place.
     """
-    memo: dict[tuple[int, str], tuple[Any, str]] = {}
+    memos: defaultdict[str, dict[int, str]] = defaultdict(dict)  # per indentation: id -> text
+    alive: list = []  # every memoized list
     keys: dict[str, str] = {}  # each distinct str key, quoted once per call
 
     def quote_key(k) -> str:
@@ -190,24 +208,30 @@ def dumps(data) -> str:
         if isinstance(x, (list, tuple)):
             if not x:
                 return "[]"
-            key = (id(x), ind)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit[1]
+            memo = memos[ind]
+            text = memo.get(id(x))
+            if text is not None:
+                return text
             inner = ind + " "
             text = "[" + inner + ("," + inner).join([render(e, inner) for e in x]) + ind + "]"
             if _PLAIN.issuperset(map(type, x)):
-                memo[key] = (x, text)
+                memo[id(x)] = text
+                alive.append(x)
             return text
         if isinstance(x, dict):
             if not x:
                 return "{}"
             inner = ind + " "
+            memo = memos[inner]
             # probing the memo here saves a render call per shared list value
             return "{" + inner + ("," + inner).join(
                 [
                     (keys.get(k) or quote_key(k))
-                    + (hit[1] if (hit := memo.get((id(v), inner))) else render(v, inner))
+                    + (
+                        int.__repr__(v)
+                        if type(v) is int
+                        else memo.get(id(v)) or render(v, inner)
+                    )
                     for k, v in x.items()
                 ]
             ) + ind + "}"

@@ -373,19 +373,24 @@ def test_det_empty_matrix_is_one():
     assert la.det(()) == 1
 
 
-def draw_operand(data, nr, nc):
-    """An nr×nc matrix of Fractions and ints, dense or with the zero patterns
-    the group layer multiplies: a zero row or column, unipotent triangular,
-    or all zero."""
-    entries = st.one_of(rationals, st.integers(-9, 9))
+big_ints = st.integers(10**20, 10**40).flatmap(lambda k: st.sampled_from([k, -k]))
+exact_ints = st.one_of(st.integers(-9, 9), big_ints)
+
+
+def draw_operand(data, nr, nc, ints_only=False):
+    """An nr×nc matrix of Fractions and ints (of ints alone if ints_only),
+    dense or with the zero patterns the group layer multiplies: a zero row
+    or column, unipotent triangular, or all zero."""
+    entries = exact_ints if ints_only else st.one_of(rationals, exact_ints)
+    zero = 0 if ints_only else Fraction(0)
     rows = [[data.draw(entries) for _ in range(nc)] for _ in range(nr)]
     kind = data.draw(st.sampled_from(["dense", "zero_row", "zero_col", "upper", "lower", "zero"]))
-    if kind == "zero_row":
+    if kind == "zero_row" and nr:
         rows[data.draw(st.integers(0, nr - 1))] = [0] * nc
-    elif kind == "zero_col":
+    elif kind == "zero_col" and nc:
         j = data.draw(st.integers(0, nc - 1))
         for row in rows:
-            row[j] = Fraction(0)
+            row[j] = zero
     elif kind in ("upper", "lower"):
         keep = (lambda i, j: i < j) if kind == "upper" else (lambda i, j: i > j)
         rows = [
@@ -393,15 +398,17 @@ def draw_operand(data, nr, nc):
             for i, row in enumerate(rows)
         ]
     elif kind == "zero":
-        rows = [[Fraction(0)] * nc for _ in range(nr)]
+        rows = [[zero] * nc for _ in range(nr)]
     return tuple(map(tuple, rows))
 
 
-@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
-def test_matmul_matches_naive_oracle(p, q, r, data):
-    """With a Fraction in either operand, every entry is a Fraction."""
-    a = draw_operand(data, p, q)
-    b = draw_operand(data, q, r)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5), st.booleans(), st.data())
+def test_matmul_matches_naive_oracle(p, q, r, ints_only, data):
+    """With a Fraction in either operand, every entry is a Fraction; with
+    ints alone (negative and big ones too), every entry is an int.  The
+    right operand may have no columns."""
+    a = draw_operand(data, p, q, ints_only)
+    b = draw_operand(data, q, r, ints_only)
     got = la.matmul(a, b)
     assert got == naive_matmul(a, b)
     assert la.dims(got) == (p, r)
@@ -413,6 +420,11 @@ def test_matmul_keeps_ints():
     got = la.matmul(((1, 2), (0, 4)), ((5,), (6,)))
     assert got == ((17,), (24,))
     assert all(type(x) is int for row in got for x in row)
+    big = 10**40
+    got = la.matmul(((-big, 3), (0, -1)), ((big, -2), (big, 5)))
+    assert got == ((-(big**2) + 3 * big, 2 * big + 15), (-big, -5))
+    assert all(type(x) is int for row in got for x in row)
+    assert la.matmul(((1,), (-2,)), ((),)) == ((), ())
 
 
 def test_matmul_shape_mismatch():

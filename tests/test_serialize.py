@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tnncompact import serialize as ser
-from tnncompact import verify
+from tnncompact import cells, verify
 from tnncompact.cells import enumerate_cells, sample_cell
 from tnncompact.tnn import mr_chart
-from tnncompact.weyl import ParabolicSubset, WeylElement
+from tnncompact.weyl import ParabolicSubset, WeylElement, all_parabolic_subsets
 
 
 def oracle(x) -> str:
@@ -122,6 +122,34 @@ def test_dumps_with_fresh_lists_from_a_dict_subclass():
     )
 
 
+def test_dumps_renders_int_values_in_dicts_beside_shared_lists():
+    """Exact ints render in place; bools, IntEnum members and big ints must
+    keep json's spelling, next to lists shared at three depths and a dict
+    subclass whose items() yields new ints and lists on each call."""
+
+    class Count(IntEnum):
+        ONE = 1
+
+    class Fresh(dict):
+        def items(self):
+            return [(k, v * 10**30 + 1) for k, v in super().items()] + [("l", [7, "s"])]
+
+    big = 10**40
+    shared = [4, 1, 3, 2]
+    subset = [1, 3]
+    values = {"i": 5, "z": 0, "neg": -3, "t": True, "f": False, "e": Count.ONE, "b": big, "nb": -big}
+    data = [
+        {**values, "p": shared, "J": subset},
+        [{"p": shared, "d": 2, "J": subset}, [{"p": shared, "d": -big, "e": Count.ONE}]],
+        {"deep": {"p": shared, "J": subset, "d": True}},
+        Fresh(a=1, b=-2),
+        [Fresh(a=3), {"p": shared, "d": 7}],
+        shared,
+    ]
+    for _ in range(2):
+        assert ser.dumps(data) == oracle(data)
+
+
 def test_dumps_renders_a_repeated_list_of_containers_each_time():
     """Only lists of ints and strs are memoized: a list holding a dict
     subclass runs its items() at every occurrence, as json.dumps does."""
@@ -177,13 +205,33 @@ def test_dumps_matches_json_dumps_on_a_verify_failure_report(monkeypatch):
     assert ser.dumps(report) == oracle(report)
 
 
+_EVERY_STRATUM = [(n, J) for n in (2, 3, 4) for J in all_parabolic_subsets(n)] + [
+    (5, ParabolicSubset.of(5, [1, 2, 3, 4]))
+]
+
+
 @pytest.mark.parametrize(
-    "n, J", [(2, None), (3, None), (4, ParabolicSubset.of(4, [2]))]
+    "n, J",
+    [(2, None), (3, None), (4, ParabolicSubset.of(4, [2]))]
+    + [
+        pytest.param(n, J, id=f"{n}-J{{{','.join(map(str, sorted(J.J)))}}}")
+        for n, J in _EVERY_STRATUM
+    ],
 )
 def test_cells_to_json_records_equal_label_to_json(n, J):
     assert ser.cells_to_json(n, J)["cells"] == [
         ser.label_to_json(label, d) for label, d in enumerate_cells(n, J)
     ]
+
+
+def test_cells_to_json_builds_no_cell_label(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cells_to_json built a CellLabel")
+
+    monkeypatch.setattr(cells, "_trusted_label", refuse)
+    monkeypatch.setattr(cells.CellLabel, "__post_init__", refuse)
+    data = ser.cells_to_json(3)
+    assert data["count"] == len(data["cells"]) == 685
 
 
 def test_cells_to_json_shares_one_list_per_permutation_and_subset():

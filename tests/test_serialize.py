@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tnncompact import cells as cells_mod
 from tnncompact import serialize as ser
-from tnncompact import cells, verify
+from tnncompact import verify
 from tnncompact.cells import enumerate_cells, sample_cell
 from tnncompact.tnn import mr_chart
 from tnncompact.weyl import ParabolicSubset, WeylElement, all_parabolic_subsets
@@ -225,11 +226,14 @@ def test_cells_to_json_records_equal_label_to_json(n, J):
 
 
 def test_cells_to_json_builds_no_cell_label(monkeypatch):
+    """Records come from the stratum walk: no label is built, trusted or
+    checked."""
+
     def refuse(*args, **kwargs):
         raise AssertionError("cells_to_json built a CellLabel")
 
-    monkeypatch.setattr(cells, "_trusted_label", refuse)
-    monkeypatch.setattr(cells.CellLabel, "__post_init__", refuse)
+    monkeypatch.setattr(cells_mod, "_trusted_label", refuse)
+    monkeypatch.setattr(cells_mod.CellLabel, "__post_init__", refuse)
     data = ser.cells_to_json(3)
     assert data["count"] == len(data["cells"]) == 685
 

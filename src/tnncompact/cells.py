@@ -4,8 +4,9 @@ Cells are indexed by labels (J, v, w, v', w', y, y') with v ≤ w and v' ≤ w'
 in W^J and y, y' in W_J; a label is nonempty exactly when v and v' are also
 minimal coset representatives.  The sampler realizes the explicit
 parametrization (Marsh-Rietsch charts for the two flags, a totally positive
-double Bruhat chart of the Levi for the coset part), the classifier reads
-the label back off relative positions, and the dimension formula
+double Bruhat chart of the Levi for the coset part) as the action pair of a
+stratum point, the classifier reads the label back off relative positions
+in the base-point frame, and the dimension formula
 
     d = l(w) + l(w') + 2·l(w^J_0) + |J| - l(v) - l(v') - l(y) - l(y')
 
@@ -25,20 +26,21 @@ from .matgroup import (
     FlagPoint,
     ParabolicPoint,
     _evaluate_word,
+    _word_element,
     associated_borel,
     borel_minus,
     borel_plus,
     bruhat_position,
+    opposite_parabolic,
+    standard_parabolic,
 )
-from .strata import CompactPoint, _limit_images, _trusted_point
+from .strata import CompactPoint, _limit_images
 from .tnn import (
     DoubleCellPoint,
     MRChart,
     _double_cell_steps,
     _mr_steps,
-    double_cell_evaluate,
     mr_chart,
-    mr_evaluate,
     rand_pos_fraction,
 )
 from .weyl import (
@@ -230,21 +232,40 @@ def _levi_point(label: CellLabel, rng: random.Random) -> DoubleCellPoint:
 
 
 def sample_cell(label: CellLabel, seed: int) -> tuple[CellSample, CompactPoint]:
-    """Draw a point of the labeled cell: (^g P_J, ^{ψ(g')⁻¹} Q_J, g·H·l·U·ψ(g'))
-    with g, g' Marsh-Rietsch positive and l in the Levi double cell indexed
-    by (y·w^J_0, w^J_0·y')."""
+    """Draw a point of the labeled cell: (g·l, ψ(g'))·z°_J, that is
+    (^g P_J, ^{ψ(g')⁻¹} Q_J, g·H·l·U·ψ(g')), with g, g' Marsh-Rietsch
+    positive and l in the Levi double cell indexed by (y·w^J_0, w^J_0·y')."""
     if not label.is_nonempty():
         raise EmptyCellError(f"refusing to sample the empty cell {label}")
     rng = random.Random(seed)
     chart1 = mr_chart(label.v, label.w, rng)
     chart2 = mr_chart(label.vp, label.wp, rng)
     levi = _levi_point(label, rng)
-    g = mr_evaluate(chart1)
-    gp = mr_evaluate(chart2)
-    l = double_cell_evaluate(levi)
-    # g⁻¹·(g·l·ψ(g'))·ψ(g')⁻¹ = l is block diagonal, so it is its own Levi part
-    point = _trusted_point(label.J, g, gp.T.inverse(), g @ l @ gp.T, l)
+    tor = (levi.torus[j - 1] for j in sorted(label.J.J))
+    coords = [*chart1.coords, *chart2.coords, *levi.aminus, *tor, *levi.aplus]
+    word1, word2 = _chart_words(label, chart1.psub, chart2.psub, coords, Fraction(1))
+    n = label.J.n
+    point = CompactPoint(label.J, _word_element(n, word1), _word_element(n, word2).T)
     return (CellSample(label, chart1, chart2, levi), point)
+
+
+def _chart_words(label: CellLabel, p1, p2, coords, one) -> tuple[list, list]:
+    """The words of the sampler's chart (g·l, ψ(g')) over any ring: the flag
+    chart over p1 followed by the Levi double cell of (y·w^J_0, w^J_0·y'),
+    and the flag chart over p2, whose element is transposed.
+
+    coords are, in order, the free steps of both flag charts, the Levi's
+    lower leg, its coroots j ∈ J and its upper leg; the coroots outside J
+    are one."""
+    J = label.J
+    w0j = J.longest_element()
+    wm, wpl = label.y * w0j, w0j * label.yp
+    x = iter(coords)
+    c1, c2, aminus = [list(islice(x, k)) for k in (len(p1.jcirc), len(p2.jcirc), wm.length)]
+    tor = [next(x) if i in J.J else one for i in range(1, J.n)]
+    aplus = list(x)
+    assert len(aplus) == wpl.length, "coordinate count differs from the dimension"
+    return _mr_steps(p1, c1) + _double_cell_steps(wm, aminus, tor, wpl, aplus), _mr_steps(p2, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +282,7 @@ def _flag_cell(P: ParabolicPoint) -> tuple[WeylElement, WeylElement]:
 def classify(z: CompactPoint) -> CellLabel:
     """Read the cell label off relative positions.
 
+    The flag cells are those of ^{g1}P_J and ^{ψ(g2)}P_J = ψ(^{g2⁻¹}Q_J).
     Valid on points of nonempty positive cells (sampler output, torus limits
     of nonnegative data, positive retractions); the CellLabel constructor
     raises CellError when the positions fall outside the expected cosets.
@@ -268,22 +290,21 @@ def classify(z: CompactPoint) -> CellLabel:
     J = z.J
     n = z.n
     w0 = longest_w(n)
-    P = ParabolicPoint(J, z.a, opposite=False)
-    Q = ParabolicPoint(J, z.b, opposite=True)
-    psi_q = ParabolicPoint(J, z.b.T.inverse(), opposite=False)
-    v, w = _flag_cell(P)
-    vp, wp = _flag_cell(psi_q)
-    y = _gamma_position(z, P, Q, borel_plus(n)) * w0
-    yp = _gamma_position(z, P, Q, borel_minus(n)) * w0
+    v, w = _flag_cell(ParabolicPoint(J, z.g1))
+    vp, wp = _flag_cell(ParabolicPoint(J, z.g2.T))
+    y = _gamma_position(z, borel_plus(n)) * w0
+    yp = _gamma_position(z, borel_minus(n)) * w0
     return CellLabel(J, v, w, vp, wp, y, yp)
 
 
-def _gamma_position(
-    z: CompactPoint, P: ParabolicPoint, Q: ParabolicPoint, B: FlagPoint
-) -> WeylElement:
-    bp = associated_borel(P, B)
-    bq = associated_borel(Q, B)
-    return bruhat_position(bp, FlagPoint(z.g @ bq.g))
+def _gamma_position(z: CompactPoint, B: FlagPoint) -> WeylElement:
+    """pos(assoc(P, B), γ·assoc(Q, B)) for z = (P, Q, γ) = (^{g1}P_J,
+    ^{g2⁻¹}Q_J, g1·g2), read in the base-point frame: conjugating both
+    Borels by g1⁻¹ gives pos(assoc(P_J, ^{g1⁻¹}B), assoc(Q_J, ^{g2}B)),
+    since associated Borels are equivariant."""
+    bp = associated_borel(standard_parabolic(z.J), B.conjugate(z.g1.inverse()))
+    bq = associated_borel(opposite_parabolic(z.J), B.conjugate(z.g2))
+    return bruhat_position(bp, bq)
 
 
 # ---------------------------------------------------------------------------
@@ -310,27 +331,16 @@ def jacobian_rank_check(label: CellLabel, seed: int) -> bool:
 
 def _dual_chart(label: CellLabel, values) -> tuple[DMatrix, DMatrix]:
     """The sampler's chart (g·l, ψ(g')) with one Dual variable per value, in
-    the order: the free steps of both flag charts, the Levi's lower leg, its
-    coroots j ∈ J, its upper leg."""
-    J = label.J
-    w0j = J.longest_element()
-    wm, wpl = label.y * w0j, w0j * label.yp
+    the coordinate order of ``_chart_words``."""
     p1, p2 = (
         positive_subexpression(lex_min_reduced_word(w), v)
         for v, w in ((label.v, label.w), (label.vp, label.wp))
     )
-    x = iter([Dual.var(a, k, len(values)) for k, a in enumerate(values)])
+    x = [Dual.var(a, k, len(values)) for k, a in enumerate(values)]
     one = Dual.const(1, len(values))
-    counts = (len(p1.jcirc), len(p2.jcirc), wm.length)
-    c1, c2, aminus = [list(islice(x, k)) for k in counts]
-    tor = [next(x) if i in J.J else one for i in range(1, J.n)]
-    aplus = list(x)
-    assert len(aplus) == wpl.length, "coordinate count differs from the dimension"
-    steps = _mr_steps(p1, c1) + _double_cell_steps(wm, aminus, tor, wpl, aplus)
-    return (
-        _evaluate_word(J.n, steps, one),
-        la.transpose(_evaluate_word(J.n, _mr_steps(p2, c2), one)),
-    )
+    word1, word2 = _chart_words(label, p1, p2, x, one)
+    n = label.J.n
+    return (_evaluate_word(n, word1, one), la.transpose(_evaluate_word(n, word2, one)))
 
 
 def _jacobian_rank(label: CellLabel, rng: random.Random) -> int:

@@ -78,13 +78,14 @@ def weyl_from_json(data) -> WeylElement:
 
 
 def point_to_json(z: CompactPoint) -> dict[str, Any]:
+    """The point (g1, g2⁻¹)·z°_J as its triple (a, b, g) = (g1, g2⁻¹, g1·g2)."""
     return {
         "v": SCHEMA_VERSION,
         "n": z.n,
         "J": sorted(z.J.J),
-        "a": group_to_json(z.a),
-        "b": group_to_json(z.b),
-        "g": group_to_json(z.g),
+        "a": group_to_json(z.g1),
+        "b": group_to_json(z.g2.inverse()),
+        "g": group_to_json(z.g1 @ z.g2),
     }
 
 
@@ -95,7 +96,7 @@ def point_from_json(data) -> CompactPoint:
     a, b, g = (group_from_json(_field(data, key)) for key in ("a", "b", "g"))
     if not a.n == b.n == g.n == n:
         raise SchemaError(f"point matrices a, b, g must all be {n}x{n}")
-    return CompactPoint(J, a, b, g)
+    return CompactPoint.of_triple(J, a, b, g)
 
 
 def label_to_json(label: CellLabel, dim: int | None = None) -> dict[str, Any]:

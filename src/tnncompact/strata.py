@@ -1,10 +1,11 @@
-"""Boundary strata of the group compactification as triples.
+"""Boundary strata of the group compactification, one point per action pair.
 
-A stratum point is (P, Q, γ) with P conjugate to the standard parabolic of
-type J, Q to its opposite, and γ = H_P·g·U_Q a coset with P opposed to the
-g-conjugate of Q.  We store the pair of conjugators and one coset
-representative, and carry the Levi part of the base-frame representative
-through the two-sided action and ψ̄.
+A stratum point is (g1, g2⁻¹)·z°_J, where z°_J is the base point of the
+stratum of type J, and we store it as (J, g1, g2).  As a triple it is
+(^{g1}P_J, ^{g2⁻¹}Q_J, H·g1·g2·U): P conjugate to the standard parabolic of
+type J, Q to its opposite, and a coset γ with P opposed to the γ-conjugate
+of Q.  Triples enter through ``CompactPoint.of_triple``, which reads the
+pair off the Levi part of the triple in the base-point frame.
 
 A point is identified by its stratum J and its fundamental tuple, the image
 ρ_k(g1)·D_k·ρ_k(g2) in every P(End Λ^k), k = 1..n-1: the wonderful
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 
 from . import linalg as la
@@ -51,35 +51,38 @@ class LimitVerificationError(StrataError):
 
 @dataclass(frozen=True, eq=False)
 class CompactPoint:
-    """Stratum point (^a P_J, ^b Q_J, H·g·U), carrying its stratum label J.
+    """The point (g1, g2⁻¹)·z°_J of the stratum of type J.
 
-    The base-frame representative a⁻¹·g·b factors as block-upper-unipotent ×
-    block-diagonal × block-lower-unipotent; the middle factor is the Levi
-    part.  Construction fails if the factorization does not exist, i.e. if
-    the triple violates the opposedness constraint.
+    Any pair of group elements of size n is a point; the constructor checks
+    the sizes only.
     """
 
     J: ParabolicSubset
-    a: GroupMatrix
-    b: GroupMatrix
-    g: GroupMatrix
+    g1: GroupMatrix
+    g2: GroupMatrix
 
     def __post_init__(self):
-        self.levi  # validates opposedness
+        _check_sizes(self.J, self.g1, self.g2)
+
+    @classmethod
+    def of_triple(
+        cls, J: ParabolicSubset, a: GroupMatrix, b: GroupMatrix, g: GroupMatrix
+    ) -> CompactPoint:
+        """The point (^a P_J, ^b Q_J, H·g·U), namely (a·l, b⁻¹) with l the
+        Levi part of a⁻¹·g·b: that representative factors as
+        block-upper-unipotent × l × block-lower-unipotent.  Raises
+        StrataError when a size is not J.n or when the factorization does
+        not exist, i.e. when the triple violates opposedness."""
+        _check_sizes(J, a, b, g)
+        try:
+            l = la.levi_part((a.inverse() @ g @ b).m, J.blocks0())
+        except FactorizationError as e:
+            raise StrataError(f"triple violates opposedness: {e}") from e
+        return cls(J, a @ _trusted(l), b.inverse())
 
     @property
     def n(self) -> int:
         return self.J.n
-
-    @cached_property
-    def levi(self) -> GroupMatrix:
-        """Levi part of the representative a⁻¹·g·b; raises StrataError when
-        the triple violates opposedness."""
-        h = (self.a.inverse() @ self.g @ self.b).m
-        try:
-            return _trusted(la.levi_part(h, self.J.blocks0()))
-        except FactorizationError as e:
-            raise StrataError(f"triple violates opposedness: {e}") from e
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompactPoint):
@@ -87,9 +90,7 @@ class CompactPoint:
         if self.J != other.J:
             return False
         # the fundamental tuples of both points, on one pair of integer scalings
-        (m1, m2), (p1, p2) = _integer_pairs(
-            *((g1.m, g2.m) for g1, g2 in map(action_pair, (self, other)))
-        )
+        (m1, m2), (p1, p2) = _integer_pairs((self.g1.m, self.g2.m), (other.g1.m, other.g2.m))
         return all(map(proj_equal, _limit_images(self.J, m1, m2), _limit_images(self.J, p1, p2)))
 
     # equality is projective equality of the fundamental tuple; no canonical
@@ -100,58 +101,36 @@ class CompactPoint:
         return f"CompactPoint(J={sorted(self.J.J)}, n={self.n})"
 
 
-def _trusted_point(
-    J: ParabolicSubset, a: GroupMatrix, b: GroupMatrix, g: GroupMatrix, levi: GroupMatrix
-) -> CompactPoint:
-    """A CompactPoint whose Levi part is already known: skips the
-    ``__post_init__`` factorization, which stays on every public
-    construction."""
-    z = object.__new__(CompactPoint)
-    z.__dict__.update(J=J, a=a, b=b, g=g, levi=levi)
-    return z
+def _check_sizes(J: ParabolicSubset, *gs: GroupMatrix) -> None:
+    if any(g.n != J.n for g in gs):
+        raise StrataError(f"point matrices must all be {J.n}×{J.n}")
 
 
 def base_point(J: ParabolicSubset) -> CompactPoint:
     e = identity_g(J.n)
-    return _trusted_point(J, e, e, e, e)
+    return CompactPoint(J, e, e)
 
 
-def act(g1: GroupMatrix, g2: GroupMatrix, z: CompactPoint) -> CompactPoint:
-    """(g1, g2)·(P, Q, H g U) = (^{g1}P, ^{g2}Q, H (g1 g g2⁻¹) U).
-
-    The base-frame representative (g1·a)⁻¹·(g1·g·g2⁻¹)·(g2·b) = a⁻¹·g·b is
-    unchanged, so the Levi part carries over."""
-    return _trusted_point(
-        z.J, g1 @ z.a, g2 @ z.b, g1 @ z.g @ g2.inverse(), z.levi
-    )
+def act(h1: GroupMatrix, h2: GroupMatrix, z: CompactPoint) -> CompactPoint:
+    """(h1, h2)·(g1, g2⁻¹)·z°_J = (h1·g1, (g2·h2⁻¹)⁻¹)·z°_J."""
+    return CompactPoint(z.J, h1 @ z.g1, z.g2 @ h2.inverse())
 
 
 def psibar(z: CompactPoint) -> CompactPoint:
-    """Extension of the transpose antiautomorphism: (P,Q,γ) ↦ (ψQ, ψP, ψγ).
-
-    The new base-frame representative is (a⁻¹·g·b)ᵀ, and transposing
-    swaps the two block-unipotent factors, so the Levi part is z's
-    transposed."""
-    return _trusted_point(
-        z.J, z.b.T.inverse(), z.a.T.inverse(), z.g.T, z.levi.T
-    )
+    """Extension of the transpose antiautomorphism ψ: (P, Q, γ) ↦ (ψQ, ψP,
+    ψγ).  ψ fixes z°_J, so ψ̄((g1, g2⁻¹)·z°_J) = (ψ(g2), ψ(g1)⁻¹)·z°_J."""
+    return CompactPoint(z.J, z.g2.T, z.g1.T)
 
 
 def group_point(J: ParabolicSubset, g: GroupMatrix) -> CompactPoint:
     """The point of the open stratum Z_I corresponding to g (J must be full)."""
     if not J.full():
         raise StrataError("group_point lives in the open stratum only")
-    e = identity_g(J.n)
-    return CompactPoint(J, e, e, g)
+    return CompactPoint(J, g, identity_g(J.n))
 
 
 # ---------------------------------------------------------------------------
 # embedding into projective matrix pairs
-
-def action_pair(z: CompactPoint) -> tuple[GroupMatrix, GroupMatrix]:
-    """(g1, g2) with z = (g1, g2⁻¹)·z°_J, namely g1 = a·levi and g2 = b⁻¹."""
-    return (z.a @ z.levi, z.b.inverse())
-
 
 def iJ_of_point(z: CompactPoint, data: EmbeddingData) -> tuple[Matrix, Matrix]:
     """The paper's (*) pair ([ρ1(g1)·I_1·ρ1(g2)], [ρ2(g1)·I_L·ρ2(g2)]),
@@ -165,8 +144,7 @@ def iJ_of_point(z: CompactPoint, data: EmbeddingData) -> tuple[Matrix, Matrix]:
 def fundamental_tuple(z: CompactPoint) -> list[Matrix]:
     """The image of z in every fundamental representation: the k-th entry is
     ρ_k(g1)·D_k·ρ_k(g2) with D_k the stratum's limit projector."""
-    g1, g2 = action_pair(z)
-    return _limit_images(z.J, g1.m, g2.m)
+    return _limit_images(z.J, z.g1.m, z.g2.m)
 
 
 def _limit_images(J: ParabolicSubset, m1: Matrix, m2: Matrix) -> list[Matrix]:
@@ -227,24 +205,21 @@ def torus_limit(g1: GroupMatrix, c, g2: GroupMatrix) -> CompactPoint:
     """Limit of (g1, g2⁻¹)·t(s) as s → 0 along the torus curve with
     α_i(t(s)) = s^{-c_i}; lands in the stratum J = {i : c_i = 0}.
 
-    The triple is produced by equivariance; then every fundamental
+    The point is (g1, g2⁻¹)·z°_J by equivariance; then every fundamental
     representation's limit is recomputed from the curve's exponents by
     Cauchy–Binet (_verify_torus_limit) and compared projectively with the
-    triple's image.
+    point's image.
     """
     cs = tuple(c)
     if not all(isinstance(x, int) and not isinstance(x, bool) for x in cs):
         raise StrataError(f"exponents must be integers, got {cs}")
     n = g1.n
-    if g2.n != n:
-        raise StrataError(f"g1 is {n}×{n} but g2 is {g2.n}×{g2.n}")
     if len(cs) != n - 1:
         raise StrataError(f"need {n - 1} exponents, got {len(cs)}")
     if any(x < 0 for x in cs):
         raise StrataError("exponent vector must be nonnegative")
     J = ParabolicSubset.of(n, (i + 1 for i, x in enumerate(cs) if x == 0))
-    # act(g1, g2⁻¹, base_point(J)) in closed form: the base point is all identities
-    z = _trusted_point(J, g1, g2.inverse(), g1 @ g2, identity_g(n))
+    z = CompactPoint(J, g1, g2)
     _verify_torus_limit(g1, cs, g2, z)
     return z
 
@@ -254,7 +229,7 @@ def _verify_torus_limit(
 ) -> None:
     """Raise LimitVerificationError unless, in every degree k, the limit of
     ρ_k(g1·t(s)·g2) along the curve of exponents cs is z's image
-    ρ_k(h1)·D_k·ρ_k(h2), (h1, h2) = action_pair(z), projectively.
+    ρ_k(z.g1)·D_k·ρ_k(z.g2), projectively.
 
     With t(s) = diag(s^{-e}), Cauchy–Binet gives ρ_k(g1·t(s)·g2) =
     Σ_S s^{-e_S}·ρ_k(g1)[:, S]·ρ_k(g2)[S, :] over the k-subsets S, so the
@@ -262,8 +237,7 @@ def _verify_torus_limit(
     exponents, not from z's stratum.  Both sides run on _integer_pairs."""
     n = g1.n
     e = _curve_exponents(cs)
-    h1, h2 = action_pair(z)
-    (m1, m2), (p1, p2) = _integer_pairs((g1.m, g2.m), (h1.m, h2.m))
+    (m1, m2), (p1, p2) = _integer_pairs((g1.m, g2.m), (z.g1.m, z.g2.m))
     expected = _limit_images(z.J, p1, p2)
     levels = zip(expected, compounds(m1, n - 1), compounds(m2, n - 1))
     for k, (want, c1, c2) in enumerate(levels, start=1):
@@ -310,19 +284,19 @@ def membership_Zgt0(z: CompactPoint) -> bool:
     the tuple.  The entries are computed on the integer pair of
     _integer_pairs, which scales each of them by positive numbers only.
     """
-    g1, g2 = action_pair(z)
-    ((m1, m2),) = _integer_pairs((g1.m, g2.m))
+    ((m1, m2),) = _integer_pairs((z.g1.m, z.g2.m))
     return all(strictly_signed(m) for m in _limit_images(z.J, m1, m2))
 
 
 def positive_retraction(
     g1: GroupMatrix, g2: GroupMatrix, z: CompactPoint
 ) -> CompactPoint:
-    """(g1, g2⁻¹)·z for certified strictly positive g1, g2: pushes any point
-    of the nonnegative part into the positive part."""
+    """(g1, g2⁻¹)·z = (g1·z.g1, (z.g2·g2)⁻¹)·z°_J for certified strictly
+    positive g1, g2: pushes any point of the nonnegative part into the
+    positive part."""
     if not is_totally_positive(g1) or not is_totally_positive(g2):
         raise PositivityCertificateError("retraction pair must be strictly positive")
-    out = act(g1, g2.inverse(), z)
+    out = CompactPoint(z.J, g1 @ z.g1, z.g2 @ g2)
     if not membership_Zgt0(out):
         raise StrataError("retraction output failed the positivity test")
     return out

@@ -229,7 +229,7 @@ def _positive_point(J: ParabolicSubset, rng: random.Random) -> CompactPoint:
     u1 = sample_Uminus_gt0(n, rng)
     u2 = sample_Uplus_gt0(n, rng)
     t = sample_T_gt0(n, rng)
-    return act(u1 @ t, u2.inverse(), base_point(J))
+    return CompactPoint(J, u1 @ t, u2)
 
 
 def suite_positivity_forward(cfg: VerifyConfig) -> SuiteReport:
@@ -262,10 +262,11 @@ def _negative_levi_point(
     """Top-chart point with one negated unipotent Levi coordinate, hence a
     coset part outside L_{≥0}·Z(L).
 
-    The frames mirror sample_cell (g and ψ(g')⁻¹ for lower Marsh-Rietsch
-    charts of the longest coset representative), so the first column of the
-    Levi-side projective matrix of z (left flip) or of ψ̄(z) (right flip)
-    acquires both signs: the paper's (*) and membership_Zgt0 must reject.
+    The pair (g·l, ψ(g')) mirrors sample_cell, with g and g' lower
+    Marsh-Rietsch charts of the longest coset representative, so the first
+    column of the Levi-side projective matrix of z (left flip) or of ψ̄(z)
+    (right flip) acquires both signs: the paper's (*) and membership_Zgt0
+    must reject.
     """
     from .weyl import lex_min_reduced_word
 
@@ -283,7 +284,7 @@ def _negative_levi_point(
         lp_coords[0] = -lp_coords[0]
     t_coords = [rand_pos_fraction(rng) for _ in range(n - 1)]
     l = _word_element(n, _double_cell_steps(w0j, lm_coords, t_coords, w0j, lp_coords))
-    return CompactPoint(J, g, gp.T.inverse(), g @ l @ gp.T)
+    return CompactPoint(J, g @ l, gp.T)
 
 
 def suite_positivity_converse(cfg: VerifyConfig) -> SuiteReport:

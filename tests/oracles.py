@@ -40,7 +40,7 @@ from tnncompact.dual import Dual
 from tnncompact.exterior import compound, compounds, proj_equal, strictly_signed, subsets_colex
 from tnncompact.laurent import Laurent, lmat_limit
 from tnncompact.matgroup import GroupError
-from tnncompact.strata import _curve_exponents, action_pair, fundamental_tuple
+from tnncompact.strata import _curve_exponents, fundamental_tuple
 from tnncompact.weyl import WeylElement, simple_reflection
 
 
@@ -295,8 +295,8 @@ def dense_projector(n, k, keep):
 
 
 def dense_star_pair(z, data):
-    """(ρ_k1(g1)·I_1·ρ_k1(g2), ρ_k2(g1)·I_L·ρ_k2(g2)) for (g1, g2) =
-    action_pair(z), from dense compounds multiplied out by la.matmul.  I_1
+    """(ρ_k1(g1)·I_1·ρ_k1(g2), ρ_k2(g1)·I_L·ρ_k2(g2)) for z's action pair
+    (g1, g2), from dense compounds multiplied out by la.matmul.  I_1
     is the rank-one projector onto the highest weight vector e_{1..k1}; I_L
     keeps the k2-subsets meeting every J-block in as many elements as
     {1..k2} does, i.e. the weights that differ from the highest one by
@@ -308,28 +308,34 @@ def dense_star_pair(z, data):
     il = dense_projector(
         n, k2, lambda s: all(len(b.intersection(s)) == len(b.intersection(top)) for b in blocks)
     )
-    g1, g2 = action_pair(z)
     return tuple(
-        la.matmul(la.matmul(compound(g1.m, k), proj), compound(g2.m, k))
+        la.matmul(la.matmul(compound(z.g1.m, k), proj), compound(z.g2.m, k))
         for k, proj in ((k1, i1), (k2, il))
     )
 
 
+def triple(z):
+    """z = (g1, g2⁻¹)·z°_J as the triple (a, b, g) = (g1, g2⁻¹, g1·g2) of
+    conjugators of P_J and Q_J and a coset representative."""
+    return (z.g1, z.g2.inverse(), z.g1 @ z.g2)
+
+
 def coset_equal(z1, z2):
-    """Whether z1 and z2 are one point by cosets: same J, z1.a⁻¹·z2.a in
-    P_J, z1.b⁻¹·z2.b in Q_J, and the Levi parts of z1.a⁻¹·z1.g·z1.b and
-    z1.a⁻¹·z2.g·z1.b equal after each diagonal block is scaled so that its
-    first nonzero entry is 1."""
+    """Whether z1 and z2 are one point by cosets: with (a_i, b_i, g_i) =
+    triple(z_i), same J, a1⁻¹·a2 in P_J, b1⁻¹·b2 in Q_J, and the Levi parts
+    of a1⁻¹·g1·b1 and a1⁻¹·g2·b1 equal after each diagonal block is scaled
+    so that its first nonzero entry is 1."""
     if z1.J != z2.J:
         return False
     blocks = z1.J.blocks0()
-    a_inv = z1.a.inverse()
-    if not la.is_block_upper((a_inv @ z2.a).m, blocks):
+    (a1, b1, g1), (a2, b2, g2) = triple(z1), triple(z2)
+    a_inv = a1.inverse()
+    if not la.is_block_upper((a_inv @ a2).m, blocks):
         return False
-    if not la.is_block_lower((z1.b.inverse() @ z2.b).m, blocks):
+    if not la.is_block_lower((b1.inverse() @ b2).m, blocks):
         return False
     try:
-        levis = [la.levi_part((a_inv @ z.g @ z1.b).m, blocks) for z in (z1, z2)]
+        levis = [la.levi_part((a_inv @ g @ b1).m, blocks) for g in (g1, g2)]
     except la.FactorizationError:
         return False
     return _blockwise_normalized(levis[0], blocks) == _blockwise_normalized(levis[1], blocks)

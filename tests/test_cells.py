@@ -192,7 +192,7 @@ def test_sample_top_cell_open_stratum_is_strictly_positive():
     J = ParabolicSubset.of(2, [1])
     _, z = sample_cell(top_label(J), 3)
     # the open stratum point is a group element: its gamma rep is the matrix
-    assert is_totally_positive(z.a @ z.levi @ z.b.inverse())
+    assert is_totally_positive(z.g1 @ z.g2)
     assert membership_Zgt0(z)
 
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from tnncompact import cells as cells_mod
 from tnncompact import serialize as ser
 from tnncompact import verify
-from tnncompact.cells import enumerate_cells, sample_cell
-from tnncompact.tnn import mr_chart
+from tnncompact.cells import classify, enumerate_cells, sample_cell
+from tnncompact.tnn import double_cell_evaluate, mr_chart, mr_evaluate
 from tnncompact.weyl import ParabolicSubset, WeylElement, all_parabolic_subsets
 
 
@@ -191,6 +191,28 @@ def _writer_outputs():
     yield ser.label_to_json(label, 5)
     yield ser.cells_to_json(3)
     yield ser.cells_to_json(3, ParabolicSubset.of(3, []))
+
+
+def test_point_files_with_the_flag_chart_as_a_read_back_as_the_sample():
+    """A sampled point written as (g, ψ(g')⁻¹, g·l·ψ(g')), with the flag
+    chart g as a where ``sample`` now writes g·l, reads back as the sampled
+    point and classifies to its label, for every label at n ≤ 3."""
+    for n in (2, 3):
+        for k, (label, _) in enumerate(enumerate_cells(n)):
+            sample, z = sample_cell(label, k)
+            g, gp = mr_evaluate(sample.chart1), mr_evaluate(sample.chart2)
+            l = double_cell_evaluate(sample.levi)
+            data = {
+                "v": 1,
+                "n": n,
+                "J": sorted(label.J.J),
+                "a": ser.group_to_json(g),
+                "b": ser.group_to_json(gp.T.inverse()),
+                "g": ser.group_to_json(g @ l @ gp.T),
+            }
+            back = ser.point_from_json(json.loads(json.dumps(data)))
+            assert back == z, label
+            assert classify(back) == label
 
 
 def test_dumps_matches_json_dumps_on_writer_output():

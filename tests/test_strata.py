@@ -9,6 +9,7 @@ from oracles import (
     fraction_membership,
     lmat_torus_curve,
     opposed_by_lie_algebra,
+    triple,
 )
 
 from tnncompact import linalg as la
@@ -50,6 +51,8 @@ from tnncompact.strata import (
     torus_limit,
 )
 from tnncompact.tnn import (
+    double_cell_evaluate,
+    mr_evaluate,
     rand_pos_fraction,
     sample_G_gt0,
     sample_T_gt0,
@@ -75,7 +78,7 @@ def test_base_point_identities():
     for js in ALL_J3:
         J = ParabolicSubset.of(3, js)
         z = base_point(J)
-        assert z.levi == identity_g(3)
+        assert (z.g1, z.g2) == (identity_g(3), identity_g(3))
         assert psibar(z) == z
         assert psibar(psibar(z)) == z
 
@@ -114,11 +117,13 @@ def test_torus_stabilizer_of_base_point():
 def test_point_equality_rejects_different_levi():
     J = ParabolicSubset.of(3, [1])
     e = identity_g(3)
-    z1 = CompactPoint(J, e, e, generator_y(3, 1, 1) @ generator_x(3, 1, 2))
-    z2 = CompactPoint(J, e, e, generator_y(3, 1, 1) @ generator_x(3, 1, 3))
+    z1 = CompactPoint.of_triple(J, e, e, generator_y(3, 1, 1) @ generator_x(3, 1, 2))
+    z2 = CompactPoint.of_triple(J, e, e, generator_y(3, 1, 1) @ generator_x(3, 1, 3))
     assert z1 != z2
     # but gamma is insensitive to U_{Q_J} on the right: x_2-part is absorbed
-    z3 = CompactPoint(J, e, e, generator_y(3, 1, 1) @ generator_x(3, 1, 2) @ generator_x(3, 2, 5))
+    z3 = CompactPoint.of_triple(
+        J, e, e, generator_y(3, 1, 1) @ generator_x(3, 1, 2) @ generator_x(3, 2, 5)
+    )
     assert z1 == z3
 
 
@@ -145,9 +150,10 @@ def test_point_equality_across_representatives():
 
     for _ in range(10):
         z = positive_point(J, rng)
-        assert CompactPoint(J, z.a @ rand_p(), z.b @ rand_q(), z.g) == z
+        a, b, g = triple(z)
+        assert CompactPoint.of_triple(J, a @ rand_p(), b @ rand_q(), g) == z
         u_q = generator_y(3, 2, coeff())  # strictly block-lower for J = {1}
-        z2 = CompactPoint(J, z.a, z.b, z.g @ (z.b @ u_q @ z.b.inverse()))
+        z2 = CompactPoint.of_triple(J, a, b, g @ (b @ u_q @ b.inverse()))
         assert z2 == z
         assert membership_Zgt0(z2) == membership_Zgt0(z)
 
@@ -202,19 +208,20 @@ def test_equality_agrees_with_coset_equality(n):
             a = unitriangular(True) @ levi() @ unitriangular(False)
             b = unitriangular(False) @ levi() @ unitriangular(True)
             h = unitriangular(False) @ levi() @ unitriangular(True)  # u_p·l·u_q
-            z = CompactPoint(J, a, b, a @ h @ b.inverse())
+            g = a @ h @ b.inverse()
+            z = CompactPoint.of_triple(J, a, b, g)
             p_J = unitriangular(False) @ levi()
             q_J = unitriangular(True) @ levi()
             others = [
-                (True, CompactPoint(J, a @ p_J, b @ q_J, z.g)),
-                (True, CompactPoint(J, a, b, z.g @ b @ center() @ b.inverse())),
+                (True, CompactPoint.of_triple(J, a @ p_J, b @ q_J, g)),
+                (True, CompactPoint.of_triple(J, a, b, g @ b @ center() @ b.inverse())),
             ]
             if J.J:
                 x = generator_x(n, rng.choice(sorted(J.J)), coeff())
-                others.append((False, CompactPoint(J, a, b, z.g @ b @ x @ b.inverse())))
+                others.append((False, CompactPoint.of_triple(J, a, b, g @ b @ x @ b.inverse())))
             if outside:
                 m = a @ generator_y(n, rng.choice(outside), coeff()) @ a.inverse()
-                others.append((False, CompactPoint(J, m @ a, b, m @ z.g)))
+                others.append((False, CompactPoint.of_triple(J, m @ a, b, m @ g)))
             for expected, other in others:
                 assert coset_equal(z, other) == expected, (J, expected)
                 assert (z == other) == expected, (J, expected)
@@ -225,7 +232,7 @@ def test_equality_agrees_with_coset_equality(n):
 
 
 def test_constructor_rejects_non_opposed():
-    """CompactPoint(J, e, e, ẇ) constructs exactly when P_J is opposed to
+    """CompactPoint.of_triple(J, e, e, ẇ) constructs exactly when P_J is opposed to
     ^ẇQ_J by the Lie-algebra count, and raises StrataError otherwise, for
     every J and every w at n = 2, 3, 4."""
     for n in (2, 3, 4):
@@ -239,10 +246,10 @@ def test_constructor_rejects_non_opposed():
                 )
                 outcomes.add(expected)
                 if expected:
-                    CompactPoint(J, e, e, h)
+                    CompactPoint.of_triple(J, e, e, h)
                 else:
                     with pytest.raises(StrataError):
-                        CompactPoint(J, e, e, h)
+                        CompactPoint.of_triple(J, e, e, h)
         assert outcomes == {True, False}
 
 
@@ -269,21 +276,40 @@ def test_psibar_action_compatibility():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_carried_levi_parts_match_the_factorization(n):
-    """sample_cell, act and psibar carry the Levi part instead of factoring
-    a⁻¹·g·b again; ψ̄ transposes it.  Each is checked against the public
-    constructor, which factors."""
+def test_triple_formulas_give_the_same_points(n):
+    """The triple formulas of sample_cell, act and ψ̄ on (^a P_J, ^b Q_J,
+    H·g·U), read through of_triple, give the points the action pairs give,
+    by the coset test and by equality:
+    sample (g, ψ(g')⁻¹, g·l·ψ(g')), (h1, h2)·(a, b, g) = (h1·a, h2·b,
+    h1·g·h2⁻¹) and ψ̄(a, b, g) = (ψ(b)⁻¹, ψ(a)⁻¹, ψ(g))."""
     rng = random.Random(40 + n)
     strata = all_parabolic_subsets(n)
+
+    def moved(t, h1, h2):
+        a, b, g = t
+        return (h1 @ a, h2 @ b, h1 @ g @ h2.inverse())
+
+    def transposed(t):
+        a, b, g = t
+        return (b.T.inverse(), a.T.inverse(), g.T)
+
     for k in range(36):
         J = strata[k % len(strata)]
         label, _ = rng.choice(enumerate_cells(n, J))
-        _, z = sample_cell(label, k)
-        pz = psibar(z)
-        assert pz.levi.m == la.transpose(z.levi.m)
-        moved = act(sample_G_gt0(n, rng), sample_G_gt0(n, rng), z)
-        for point in (z, pz, moved, psibar(moved)):
-            assert point.levi.m == CompactPoint(J, point.a, point.b, point.g).levi.m
+        sample, z = sample_cell(label, k)
+        g, gp = mr_evaluate(sample.chart1), mr_evaluate(sample.chart2)
+        t = (g, gp.T.inverse(), g @ double_cell_evaluate(sample.levi) @ gp.T)
+        h1, h2 = sample_G_gt0(n, rng), sample_G_gt0(n, rng)
+        pairs = [
+            (z, t),
+            (psibar(z), transposed(t)),
+            (act(h1, h2, z), moved(t, h1, h2)),
+            (psibar(act(h1, h2, z)), transposed(moved(t, h1, h2))),
+        ]
+        for point, t in pairs:
+            old = CompactPoint.of_triple(J, *t)
+            assert coset_equal(point, old), (label, k)
+            assert point == old
 
 
 def test_torus_limit_bare_curve_all_J():
@@ -467,7 +493,8 @@ def test_membership_invariant_under_representative_rescaling():
     assert membership_Zgt0(z)
     # rescale gamma representative by a central element of the Levi
     zeta = GroupMatrix(la.mat([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]))
-    z2 = CompactPoint(z.J, z.a, z.b, z.g @ (z.b @ zeta @ z.b.inverse()))
+    a, b, g = triple(z)
+    z2 = CompactPoint.of_triple(z.J, a, b, g @ (b @ zeta @ b.inverse()))
     assert z2 == z
     assert membership_Zgt0(z2)
 
@@ -577,6 +604,19 @@ def test_suite_retraction_reports_every_failed_membership(monkeypatch):
     rep = suite_retraction(VerifyConfig(n=2))
     assert rep.cases == 500
     assert len(rep.failures) == rep.cases
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3)])
+def test_constructors_reject_matrices_of_another_size(sizes):
+    """CompactPoint and of_triple raise StrataError, not a bare ValueError
+    from a product or an inverse, when a matrix is not J.n × J.n."""
+    J = ParabolicSubset.of(3, [1])
+    g1, g2 = (identity_g(k) for k in sizes)
+    with pytest.raises(StrataError):
+        CompactPoint(J, g1, g2)
+    for t in ((g1, g2, g1), (g1, g2, g2), (g1, g1, g2)):
+        with pytest.raises(StrataError):
+            CompactPoint.of_triple(J, *t)
 
 
 def test_compact_point_is_unhashable():

@@ -4,7 +4,7 @@ compactification of PGL_n (adjoint type A), at desk scale n ≤ 5.
 Everything is exact rational arithmetic: parametrize, sample, classify and
 verify the positive cells of every boundary stratum, the entrywise
 positivity criterion in fundamental representations, and the cell
-dimension formula via exact Jacobian ranks.
+dimension formula via exact ranks of the chart maps.
 """
 
 from .weyl import (

@@ -10,7 +10,9 @@ in the base-point frame, and the dimension formula
 
     d = l(w) + l(w') + 2·l(w^J_0) + |J| - l(v) - l(v') - l(y) - l(y')
 
-is verified geometrically by exact Jacobian ranks of the chart map.
+is verified geometrically by the exact rank of the chart map: the rank of
+its tangent vectors in gl_n ⊕ gl_n modulo the Lie algebra of the
+stabilizer of z°_J, over Fraction, with no dual numbers and no compounds.
 """
 
 from __future__ import annotations
@@ -21,11 +23,9 @@ from fractions import Fraction
 from itertools import islice
 
 from . import linalg as la
-from .dual import DMatrix, Dual
 from .matgroup import (
     FlagPoint,
     ParabolicPoint,
-    _evaluate_word,
     _word_element,
     associated_borel,
     borel_minus,
@@ -34,7 +34,7 @@ from .matgroup import (
     opposite_parabolic,
     standard_parabolic,
 )
-from .strata import CompactPoint, _limit_images
+from .strata import CompactPoint
 from .tnn import (
     DoubleCellPoint,
     MRChart,
@@ -314,41 +314,112 @@ _JACOBIAN_TRIES = 3  # chart points tried before a rank deficit is reported
 
 
 def jacobian_rank_check(label: CellLabel, seed: int) -> bool:
-    """True iff the exact Jacobian of the chart map, evaluated at a random
-    positive rational chart point, has rank equal to the cell dimension.
+    """True iff the chart map, at a random positive rational chart point,
+    has exact rank equal to the cell dimension.
 
     Coordinates: the free Marsh-Rietsch steps of both charts, the two
     unipotent legs of the Levi double cell, and one coroot coordinate per
-    j ∈ J.  The chart lands in every fundamental representation at once.
+    j ∈ J.  The rank is that of the chart's tangent vectors in the stratum
+    Z_J (``_tangent_rank``), equal to its rank into the fundamental
+    representations, since Z_J embeds in ∏_k P(End Λ^k).
     """
     d = dimension_of(label)
-    for attempt in range(_JACOBIAN_TRIES):
-        rng = random.Random(seed * 1009 + attempt)
-        if _jacobian_rank(label, rng) == d:
-            return True
-    return False
-
-
-def _dual_chart(label: CellLabel, values) -> tuple[DMatrix, DMatrix]:
-    """The sampler's chart (g·l, ψ(g')) with one Dual variable per value, in
-    the coordinate order of ``_chart_words``."""
     p1, p2 = (
         positive_subexpression(lex_min_reduced_word(w), v)
         for v, w in ((label.v, label.w), (label.vp, label.wp))
     )
-    x = [Dual.var(a, k, len(values)) for k, a in enumerate(values)]
-    one = Dual.const(1, len(values))
-    word1, word2 = _chart_words(label, p1, p2, x, one)
-    n = label.J.n
-    return (_evaluate_word(n, word1, one), la.transpose(_evaluate_word(n, word2, one)))
+    for attempt in range(_JACOBIAN_TRIES):
+        rng = random.Random(seed * 1009 + attempt)
+        vals = [rand_pos_fraction(rng) for _ in range(d)]
+        if _tangent_rank(label.J, *_chart_words(label, p1, p2, vals, Fraction(1))) == d:
+            return True
+    return False
 
 
-def _jacobian_rank(label: CellLabel, rng: random.Random) -> int:
-    vals = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
-    rows: list[tuple[Fraction, ...]] = []
-    for nk in _limit_images(label.J, *_dual_chart(label, vals)):
-        pivot = next((x for row in nk for x in row if x.val != 0), None)
-        if pivot is None:
-            return -1
-        rows += [(x / pivot).grad for row in nk for x in row]
-    return la.rank(tuple(rows))
+def _tangent_rank(J: ParabolicSubset, word1, word2) -> int:
+    """Exact rank, at the steps' Fraction values, of the chart
+    (F_1···F_m, (G_1···G_r)ᵀ) of a point (g1, g2⁻¹)·z°_J of Z_J.
+
+    The variables are every x_i and y_i step and the coroots j ∈ J of a
+    torus step.  The orbit map (h1, h2) ↦ (h1, h2)·z°_J is a submersion, so
+    the rank is that of the left-translated tangent vectors (ξ1, ξ2) in
+    gl_n ⊕ gl_n modulo the Lie algebra of the stabilizer of z°_J: the pairs
+    in p_J ⊕ q_J whose Levi parts agree modulo the centre of l_J (De Concini
+    and Procesi, *Complete symmetric varieties*, 1983).  The quotient reads
+    ξ1 below the J-block diagonal, ξ2 above it, and ξ1 − ξ2 on the blocks
+    modulo block scalars (off-diagonal entries and differences of
+    consecutive diagonal entries): n² − (n − |J|) = dim Z_J coordinates.
+    Word 2 enters transposed and inverted, so its vectors are ξ2 = −ξᵀ.
+    """
+    below, within, links = _quotient_layout(J)
+    zeros = [0] * len(below)
+    rows = []
+    for xi in _tangent_vectors(J, word1):
+        rows.append(
+            [xi[r][c] for r, c in below]
+            + zeros
+            + [xi[r][c] for r, c in within]
+            + [xi[j - 1][j - 1] - xi[j][j] for j in links]
+        )
+    for xi in _tangent_vectors(J, word2):
+        rows.append(
+            zeros
+            + [-xi[r][c] for r, c in below]
+            + [xi[c][r] for r, c in within]
+            + [xi[j - 1][j - 1] - xi[j][j] for j in links]
+        )
+    return la.rank(rows)
+
+
+def _quotient_layout(J: ParabolicSubset):
+    """The quotient coordinates of ``_tangent_rank`` for stratum J: the
+    positions (r, c) below the J-block diagonal, the off-diagonal positions
+    inside the blocks, and the j ∈ J whose diagonal entries j−1, j share a
+    block (0-based indices)."""
+    block = [0]
+    for j in range(1, J.n):
+        block.append(block[-1] + (j not in J.J))
+    cells = [(r, c) for r in range(J.n) for c in range(J.n)]
+    below = [(r, c) for r, c in cells if block[r] > block[c]]
+    within = [(r, c) for r, c in cells if r != c and block[r] == block[c]]
+    return below, within, sorted(J.J)
+
+
+def _tangent_vectors(J: ParabolicSubset, word):
+    """For the word F_1···F_m, one tangent vector per variable, up to a
+    nonzero factor: ξ = S⁻¹·(F_k⁻¹·∂F_k)·S with S = F_{k+1}···F_m, in the
+    order of the steps from right to left.
+
+    F_k⁻¹·∂F_k is E_{i−1,i} for x_i and E_{i,i−1} for y_i, so ξ is column
+    p of S⁻¹ times row q of S; for a coroot a_j it is diag(1 at j−1, −1 at
+    j) over a_j.  One pass keeps S by row operations and the columns of S⁻¹
+    by the matching column operations."""
+    n = J.n
+    s = [[int(r == c) for c in range(n)] for r in range(n)]  # S, by rows
+    t = [[int(r == c) for c in range(n)] for r in range(n)]  # S⁻¹, by columns
+
+    def outer(p, q):
+        return [[x * y for y in s[q]] for x in t[p]]
+
+    for kind, i, a in reversed(word):
+        if kind == "x":
+            yield outer(i - 1, i)
+            s[i - 1] = [x + a * y for x, y in zip(s[i - 1], s[i])]
+            t[i] = [x - a * y for x, y in zip(t[i], t[i - 1])]
+        elif kind == "y":
+            yield outer(i, i - 1)
+            s[i] = [x + a * y for x, y in zip(s[i], s[i - 1])]
+            t[i - 1] = [x - a * y for x, y in zip(t[i - 1], t[i])]
+        elif kind == "s":
+            s[i - 1], s[i] = [-x for x in s[i]], s[i - 1]
+            t[i - 1], t[i] = [-x for x in t[i]], t[i - 1]
+        else:
+            for j in sorted(J.J):
+                yield [
+                    [x - y for x, y in zip(r0, r1)]
+                    for r0, r1 in zip(outer(j - 1, j - 1), outer(j, j))
+                ]
+            for k, d in enumerate(c / p for c, p in zip([*a, 1], [1, *a])):
+                if d != 1:
+                    s[k] = [x * d for x in s[k]]
+                    t[k] = [x / d for x in t[k]]

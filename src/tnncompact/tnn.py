@@ -4,8 +4,8 @@ phi_plus/phi_minus realize words in the Chevalley generators; Marsh-Rietsch
 charts evaluate to the cells of the flag variety; double Bruhat charts give
 the cells of the monoid of totally nonnegative elements.  Each chart is a
 word of steps, and ``matgroup``'s word evaluator, which builds every group
-element, multiplies it out over any ring, so the Jacobian rank check in
-``cells`` differentiates the sampler's own chart.  Every sampler is driven by an explicit seeded random.Random, and strict or nonneg positivity
+element, multiplies it out over any ring, and the Jacobian rank check in
+``cells`` reads its tangent vectors off the sampler's own words.  Every sampler is driven by an explicit seeded random.Random, and strict or nonneg positivity
 is always certified a posteriori by exact minor tests, never assumed.
 """
 

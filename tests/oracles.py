@@ -28,7 +28,10 @@ modulo the center of L_J.  The references for the word evaluator are the
 generator, Weyl-lift and torus matrices written out entry by entry and
 multiplied row by column.  The reference for the lexicographically least
 reduced word strips the least left descent of a WeylElement one letter at
-a time, building one element per step.
+a time, building one element per step.  The reference for the Jacobian
+rank check is the rank it took before it read tangent vectors modulo the
+stabilizer: the chart over dual numbers, mapped into every fundamental
+representation through compounds, with one gradient row per entry.
 """
 
 from fractions import Fraction
@@ -36,12 +39,14 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from tnncompact import linalg as la
+from tnncompact.cells import _chart_words, dimension_of
 from tnncompact.dual import Dual
 from tnncompact.exterior import compound, compounds, proj_equal, strictly_signed, subsets_colex
 from tnncompact.laurent import Laurent, lmat_limit
-from tnncompact.matgroup import GroupError
-from tnncompact.strata import _curve_exponents, fundamental_tuple
-from tnncompact.weyl import WeylElement, simple_reflection
+from tnncompact.matgroup import GroupError, _evaluate_word
+from tnncompact.strata import _curve_exponents, _limit_images, fundamental_tuple
+from tnncompact.tnn import rand_pos_fraction
+from tnncompact.weyl import WeylElement, lex_min_reduced_word, positive_subexpression, simple_reflection
 
 
 def laplace_det(m):
@@ -435,3 +440,67 @@ def opposed_by_lie_algebra(P, Q):
     dim_p, dim_q = la.dims(lie_p)[1], la.dims(lie_q)[1]
     dim_sum = la.rank(tuple(rp + rq for rp, rq in zip(lie_p, lie_q)))
     return dim_p + dim_q - dim_sum == sum(len(blk) ** 2 for blk in P.J.blocks0())
+
+
+def chart_subexpressions(label):
+    """The positive subexpressions of the label's two flag charts."""
+    return tuple(
+        positive_subexpression(lex_min_reduced_word(w), v)
+        for v, w in ((label.v, label.w), (label.vp, label.wp))
+    )
+
+
+def dual_chart(label, values):
+    """The sampler's chart (g·l, ψ(g')) with one Dual variable per value, in
+    the coordinate order of ``cells._chart_words``."""
+    x = [Dual.var(a, k, len(values)) for k, a in enumerate(values)]
+    one = Dual.const(1, len(values))
+    word1, word2 = _chart_words(label, *chart_subexpressions(label), x, one)
+    n = label.J.n
+    return (_evaluate_word(n, word1, one), la.transpose(_evaluate_word(n, word2, one)))
+
+
+def dual_words(J, word1, word2):
+    """The chart (F_1···F_m, (G_1···G_r)ᵀ) of two words of Fraction steps
+    over Dual numbers, with one variable per x_i and y_i step and per
+    coroot j ∈ J of a torus step, in word order."""
+    nvars = sum(
+        1 if kind in ("x", "y") else len(J.J) if kind == "t" else 0
+        for kind, _, _ in word1 + word2
+    )
+    index = iter(range(nvars))
+    one = Dual.const(1, nvars)
+
+    def lift(kind, i, a):
+        if kind in ("x", "y"):
+            return (kind, i, Dual.var(a, next(index), nvars))
+        if kind == "t":
+            return (kind, i, tuple(
+                Dual.var(c, next(index), nvars) if j in J.J else Dual.const(c, nvars)
+                for j, c in enumerate(a, 1)
+            ))
+        return (kind, i, a)
+
+    g1 = _evaluate_word(J.n, [lift(*step) for step in word1], one)
+    g2 = _evaluate_word(J.n, [lift(*step) for step in word2], one)
+    return g1, la.transpose(g2)
+
+
+def dual_rank(J, g1, g2):
+    """The exact rank of the Dual chart (g1, g2) into the fundamental
+    representations: the gradients of ρ_k(g1)·D_k·ρ_k(g2), each degree
+    normalized by its first nonzero value."""
+    rows = []
+    for nk in _limit_images(J, g1, g2):
+        pivot = next((x for row in nk for x in row if x.val != 0), None)
+        if pivot is None:
+            return -1
+        rows += [(x / pivot).grad for row in nk for x in row]
+    return la.rank(tuple(rows))
+
+
+def dual_jacobian_rank(label, rng):
+    """The Jacobian rank check's rank before the tangent route: the Dual
+    chart at dimension_of(label) values drawn from rng."""
+    vals = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
+    return dual_rank(label.J, *dual_chart(label, vals))

@@ -1,15 +1,26 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from oracles import refusing_signed_permutations
+from oracles import (
+    chart_subexpressions,
+    dual_chart,
+    dual_jacobian_rank,
+    dual_rank,
+    dual_words,
+    refusing_signed_permutations,
+)
 
 from tnncompact.cells import (
     CellError,
     CellLabel,
     EmptyCellError,
+    _chart_words,
+    _quotient_layout,
+    _tangent_rank,
     classify,
     dimension_of,
     enumerate_cells,
@@ -19,10 +30,11 @@ from tnncompact.cells import (
 )
 from tnncompact.serialize import label_to_json
 from tnncompact.strata import act, base_point, membership_Zgt0, psibar
-from tnncompact.tnn import sample_G_gt0
+from tnncompact.tnn import rand_pos_fraction, sample_G_gt0
 from tnncompact.weyl import (
     ParabolicSubset,
     WeylElement,
+    all_parabolic_subsets,
     all_weyl,
     bruhat_leq,
     identity_w,
@@ -305,6 +317,90 @@ def test_jacobian_n4_random_subset():
         assert jacobian_rank_check(label, 13), label
 
 
+def _tangent_and_dual_ranks(label, seed):
+    """The tangent rank and the Dual oracle's rank at one chart point, drawn
+    from Random(seed) as a try of jacobian_rank_check draws it."""
+    rng = random.Random(seed)
+    vals = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
+    words = _chart_words(label, *chart_subexpressions(label), vals, Fraction(1))
+    return _tangent_rank(label.J, *words), dual_jacobian_rank(label, random.Random(seed))
+
+
+def test_tangent_rank_is_the_dual_rank_on_every_cell_n_le_3():
+    for n in (2, 3):
+        for k, (label, d) in enumerate(enumerate_cells(n)):
+            assert _tangent_and_dual_ranks(label, k * 1009) == (d, d), label
+
+
+@pytest.mark.slow
+def test_tangent_rank_is_the_dual_rank_on_seeded_cells_n4():
+    rng = random.Random(404)
+    for k in range(300):
+        label = _random_nonempty_label(4, rng)
+        tangent, dual = _tangent_and_dual_ranks(label, k)
+        assert tangent == dual == dimension_of(label), label
+
+
+def _n5_labels():
+    rng = random.Random(505)
+    return [_random_nonempty_label(5, rng) for _ in range(20)]
+
+
+def test_jacobian_n5_random_labels():
+    for k, label in enumerate(_n5_labels()):
+        assert jacobian_rank_check(label, k), label
+
+
+@pytest.mark.slow
+def test_tangent_rank_is_the_dual_rank_n5():
+    for k, label in enumerate(_n5_labels()[:5]):
+        tangent, dual = _tangent_and_dual_ranks(label, k * 1009)
+        assert tangent == dual == dimension_of(label), label
+
+
+_A, _B, _C, _D = Fraction(2, 3), Fraction(5, 7), Fraction(3), Fraction(1, 4)
+
+
+@pytest.mark.parametrize(
+    "n, js, word1, word2, rank",
+    [
+        # two adjacent x_1 steps in the open stratum are one step
+        (3, [1, 2], [("x", 1, _A), ("x", 1, _B)], [], 1),
+        (3, [], [("y", 2, _A), ("y", 2, _B)], [("y", 1, _C)], 2),
+        # the two tori meet in the one point g1·g2 of the open stratum
+        (2, [1], [("t", 0, (_A,))], [("t", 0, (_B,))], 1),
+        (3, [1, 2], [("x", 1, _A)], [("y", 1, _B)], 1),
+        # steps inside the stabilizer, B⁺ on side 1 and B⁻ on side 2
+        (3, [], [("x", 2, _A)], [("x", 1, _B)], 0),
+        # the Levi GL_2 of J = {1} modulo its centre has dimension 3
+        (3, [1], [("y", 1, _A), ("t", 0, (_B, 1)), ("x", 1, _C)], [("y", 1, _D)], 3),
+        (3, [], [("x", 2, _A), ("x", 2, _B), ("s", 2, None)], [], 1),
+        (
+            4,
+            [2],
+            [("y", 1, _A), ("s", 3, None), ("y", 2, _B), ("y", 2, _C), ("t", 0, (1, _D, 1))],
+            [("x", 2, _A), ("y", 3, _B), ("y", 3, _C)],
+            4,
+        ),
+    ],
+)
+def test_tangent_rank_of_rank_deficient_words(n, js, word1, word2, rank):
+    """Words the sampler never builds, with fewer independent directions
+    than variables: both routes see the same lower rank."""
+    J = ParabolicSubset.of(n, js)
+    assert _tangent_rank(J, word1, word2) == dual_rank(J, *dual_words(J, word1, word2)) == rank
+
+
+def test_quotient_width_is_the_stratum_dimension():
+    """The stabilizer is not too small: the quotient has dim Z_J
+    coordinates, n² − (n − |J|), for every stratum at n ≤ 6."""
+    for n in range(2, 7):
+        for J in all_parabolic_subsets(n):
+            below, within, links = _quotient_layout(J)
+            width = 2 * len(below) + len(within) + len(links)
+            assert width == n * n - (n - len(J.J)) == dimension_of(top_label(J))
+
+
 @pytest.mark.slow
 def test_roundtrip_n4_random_labels():
     rng = random.Random(12345)
@@ -380,7 +476,6 @@ def test_dual_chart_is_the_sampled_chart(n):
     """The Jacobian differentiates the sampler's own chart: at the sampled
     coordinates, the values of the Dual chart and of its limit images are
     the sampled point's chart and fundamental tuple."""
-    from tnncompact.cells import _dual_chart
     from tnncompact.strata import _limit_images, fundamental_tuple
     from tnncompact.tnn import double_cell_evaluate, mr_evaluate
 
@@ -395,7 +490,7 @@ def test_dual_chart_is_the_sampled_chart(n):
         coords = [*sample.chart1.coords, *sample.chart2.coords, *levi.aminus]
         coords += [levi.torus[j - 1] for j in sorted(label.J.J)] + list(levi.aplus)
         assert len(coords) == dimension_of(label)
-        g1, g2 = _dual_chart(label, coords)
+        g1, g2 = dual_chart(label, coords)
         chart1 = mr_evaluate(sample.chart1) @ double_cell_evaluate(sample.levi)
         assert values(g1) == chart1.m
         assert values(g2) == mr_evaluate(sample.chart2).T.m

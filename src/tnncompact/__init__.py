@@ -13,7 +13,6 @@ from .weyl import (
     ReducedWord,
     WeylElement,
     bruhat_leq,
-    inversion_set,
     positive_subexpression,
 )
 from .matgroup import (

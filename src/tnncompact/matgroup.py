@@ -16,19 +16,17 @@ Every group element built from coordinates, other than the identity and
 the Weyl lifts, comes from one word evaluator: a word of steps x_i(a),
 y_i(a), ṡ_i and torus elements is multiplied out by one column operation
 per step, over any ring.  The generators and tori are one-step words, and
-the samplers and charts of ``tnn`` are longer ones.  A word's element
-carries its inverse, from the same evaluator run on the inverse
-transposes of its steps, and products and transposes carry (gh)⁻¹ =
-h⁻¹g⁻¹ and (gᵀ)⁻¹ = (g⁻¹)ᵀ, as group elements that ``inverse`` multiplies
-with ``@``.  Only the rest are inverted by elimination.
+the samplers and charts of ``tnn`` are longer ones.
 
 The Weyl lifts and the identity are signed permutation matrices that carry
-their permutation and signs: a product with one, on either side and inside
-``inverse``, moves and negates rows or columns with no Fraction product,
-and ẇ⁻¹ = ẇᵀ is the lift of the inverse permutation.  The identity is
-marked by an empty inverse, so products with it return the other factor.
-A word of ṡ_i steps alone (a chart with no free step) is built as a lift,
-and so is the trivial upper factor of a Bruhat elimination.
+their permutation and signs: a product with one, on either side, moves and
+negates rows or columns with no Fraction product, and ẇ⁻¹ = ẇᵀ is the lift
+of the inverse permutation.  The identity is marked by a flag on its lift,
+so products with it return the other factor.  A word of ṡ_i steps alone (a
+chart with no free step) is built as a lift, and so is the trivial upper
+factor of a Bruhat elimination.  Every other matrix is inverted by one
+fraction-free elimination the first time its inverse is asked for; the
+inverse is kept on the matrix and linked back to it.
 
 Flags and parabolic subgroups are stored by a conjugating group element.
 Relative position is read off one Bruhat elimination; the associated
@@ -97,15 +95,13 @@ class GroupMatrix:
 
     def __matmul__(self, other: "GroupMatrix") -> "GroupMatrix":
         d, e = self.__dict__, other.__dict__
-        left, right = d.get("_inv"), e.get("_inv")
         a, b = self.m, other.m
-        # only the identity carries an empty inverse (see _lift); a size
-        # mismatch falls through to la.matmul's ValueError
+        # a size mismatch falls through to la.matmul's ValueError
         if len(a) != len(b):
             m = la.matmul(a, b)
-        elif left == ():
+        elif "_one" in d:
             return other
-        elif right == ():
+        elif "_one" in e:
             return self
         elif "_lift" in d:
             rows = d["_lift"][0]
@@ -120,26 +116,21 @@ class GroupMatrix:
             m = tuple(tuple(row[r] if s > 0 else -row[r] for r, s in cols) for row in a)
         else:
             m = la.matmul(a, b)
-        return _trusted(m, None if left is None or right is None else right + left)
+        return _trusted(m)
 
     def inverse(self) -> "GroupMatrix":
-        """g⁻¹: the transposed lift of a signed permutation, the product of
-        the known factors of the inverse when there are any, and fraction-free
-        elimination otherwise.  Kept on matrices the library built, never on
-        the caller's."""
+        """g⁻¹: a Weyl lift's is the lift of its transpose; any other matrix,
+        the caller's too, is inverted by one fraction-free elimination the
+        first time it is asked, and the result is kept on g and linked
+        back to it."""
         d = self.__dict__
-        inv = d.get("_inv")
-        if inv == ():
-            return self
         if "_lift" in d:
             return _lift(d["_lift"][1])
-        if inv is None:
-            h = _trusted(la.inverse(self.m))
-        else:
-            h = reduce(GroupMatrix.__matmul__, inv)
-        if "_inv" in d:
-            d["_inv"] = (h,)
-        return _trusted(h.m, (_trusted(self.m),))
+        h = d.get("_inv")
+        if h is None:
+            h = d["_inv"] = _trusted(la.inverse(self.m))
+            h.__dict__["_inv"] = self
+        return h
 
     @property
     def T(self) -> "GroupMatrix":
@@ -147,11 +138,7 @@ class GroupMatrix:
         d = self.__dict__
         if "_lift" in d:
             return _lift(d["_lift"][1])
-        inv = d.get("_inv")
-        return _trusted(
-            la.transpose(self.m),
-            None if inv is None else tuple(f.T for f in reversed(inv)),
-        )
+        return _trusted(la.transpose(self.m))
 
     def is_identity(self) -> bool:
         return self == identity_g(self.n)
@@ -163,14 +150,11 @@ class GroupMatrix:
         return f"G[{rows}]"
 
 
-def _trusted(m: Matrix, inv: tuple[GroupMatrix, ...] | None = None) -> GroupMatrix:
+def _trusted(m: Matrix) -> GroupMatrix:
     """A GroupMatrix for a square det-1 matrix the library built: skips the
-    ``__post_init__`` check.  inv holds group elements whose product is its
-    inverse, each a lift or carrying no inverse of its own, so that they
-    transpose in one step; () marks the identity and None an unknown
-    inverse."""
+    ``__post_init__`` check."""
     g = object.__new__(GroupMatrix)
-    g.__dict__.update(m=m, _inv=inv)
+    g.__dict__["m"] = m
     return g
 
 
@@ -183,7 +167,8 @@ def _lift(rows: tuple[tuple[int, int], ...]) -> GroupMatrix:
 
     It carries (rows, cols) with cols[c] = (i, s), so that a product with it
     permutes and negates rows or columns, and its inverse is its transpose,
-    the lift of cols.  The identity carries the empty inverse instead.
+    the lift of cols.  The identity also carries the flag ``_one``, so that
+    products with it return the other factor.
     """
     g = _LIFTS.get(rows)
     if g is None:
@@ -197,8 +182,8 @@ def _lift(rows: tuple[tuple[int, int], ...]) -> GroupMatrix:
             tuple(tuple(entries[s] if k == c else zero for k in range(n)) for c, s in rows)
         )
         g.__dict__["_lift"] = (rows, tuple(cols))
-        identity = all(c == i and s == 1 for i, (c, s) in enumerate(rows))
-        g.__dict__["_inv"] = () if identity else (_lift(tuple(cols)),)
+        if all(c == i and s == 1 for i, (c, s) in enumerate(rows)):
+            g.__dict__["_one"] = True
     return g
 
 
@@ -217,7 +202,8 @@ def _evaluate_word(n: int, steps, one) -> la.Matrix:
     """The product of the steps, by one column operation each.
 
     Only +, −, × and / are used, starting from the unit ``one``, so the
-    entries may be Fractions or Duals; zero entries are skipped.
+    entries may lie in any field: the library runs it over Fraction, and
+    the tests' Jacobian oracle over dual numbers.  Zero entries are skipped.
     """
     zero = one - one
     m = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -241,29 +227,16 @@ def _evaluate_word(n: int, steps, one) -> la.Matrix:
     return tuple(tuple(row) for row in m)
 
 
-_FLIP = {"x": "y", "y": "x"}
-
-
 def _word_element(n: int, steps) -> GroupMatrix:
     """The group element of a word of Fraction steps.
 
     Without its unit torus steps, a word of ṡ_i steps alone is a Weyl lift
-    (the identity when empty).  Any other word's element carries its
-    inverse (F_1···F_m)⁻¹, the transpose of F_1⁻ᵀ···F_m⁻ᵀ, where x_i(a)⁻ᵀ =
-    y_i(−a), ṡ_i⁻ᵀ = ṡ_i and t⁻ᵀ = t⁻¹.
+    (the identity when empty).
     """
     steps = [st for st in steps if st[0] != "t" or any(c != 1 for c in st[2])]
     if all(kind == "s" for kind, _, _ in steps):
         return reduce(GroupMatrix.__matmul__, (sdot(n, i) for _, i, _ in steps), identity_g(n))
-    inverse_transposes = [
-        (_FLIP[kind], i, -a) if kind in _FLIP
-        else (kind, i, tuple(1 / c for c in a)) if kind == "t"
-        else (kind, i, a)
-        for kind, i, a in steps
-    ]
-    one = Fraction(1)
-    inv = la.transpose(_evaluate_word(n, inverse_transposes, one))
-    return _trusted(_evaluate_word(n, steps, one), (_trusted(inv),))
+    return _trusted(_evaluate_word(n, steps, Fraction(1)))
 
 
 def _check_index(n: int, i: int) -> None:
@@ -414,7 +387,7 @@ def bruhat_cell(g: GroupMatrix) -> WeylElement:
     input."""
     if la.rank(g.m) < g.n:
         raise GroupError("singular matrix has no Bruhat cell")
-    return _bruhat_left(g.m, factors=False)[2]
+    return _bruhat_left(g.m, factors=False)[1]
 
 
 def bruhat_position(b1: FlagPoint, b2: FlagPoint) -> WeylElement:
@@ -424,20 +397,18 @@ def bruhat_position(b1: FlagPoint, b2: FlagPoint) -> WeylElement:
 # ---------------------------------------------------------------------------
 # associated Borel and opposedness
 
-def _bruhat_left(m: Matrix, factors: bool = True) -> tuple[Matrix, Matrix, WeylElement]:
-    """(b, b⁻¹, w) with b upper unipotent and m ∈ b·ẇ·B^+, for invertible m.
+def _bruhat_left(m: Matrix, factors: bool = True) -> tuple[Matrix, WeylElement]:
+    """(b, w) with b upper unipotent and m ∈ b·ẇ·B^+, for invertible m.
 
     Column by column, the lowest nonzero row not yet used is the pivot and
     clears the unused rows above it; b holds the multipliers, which are the
-    entries of the inverse row operations, and b⁻¹ is the row operations
-    applied to the identity.  Without factors, only w is read off and b and
-    b⁻¹ are returned as ().
+    entries of the inverse row operations.  Without factors, only w is read
+    off and b is returned as ().
     """
     n = len(m)
     a = [list(row) for row in m]
     if factors:
         b = [list(row) for row in la.identity(n)]
-        e = [list(row) for row in la.identity(n)]
     perm = []
     unused = list(range(n))
     for j in range(n):
@@ -451,18 +422,9 @@ def _bruhat_left(m: Matrix, factors: bool = True) -> tuple[Matrix, Matrix, WeylE
             if f:
                 for k in range(j + 1, n):
                     a[i][k] -= f * a[p][k]
-                if not factors:
-                    continue
-                b[i][p] = f
-                # e is upper unipotent: row p is 0 left of column p, 1 at p
-                e[i][p] -= f
-                for k in range(p + 1, n):
-                    if e[p][k]:
-                        e[i][k] -= f * e[p][k]
-    w = _trusted_w(tuple(perm))
-    if not factors:
-        return (), (), w
-    return tuple(map(tuple, b)), tuple(map(tuple, e)), w
+                if factors:
+                    b[i][p] = f
+    return (tuple(map(tuple, b)) if factors else ()), _trusted_w(tuple(perm))
 
 
 def associated_borel(P: ParabolicPoint, B: FlagPoint) -> FlagPoint:
@@ -475,10 +437,10 @@ def associated_borel(P: ParabolicPoint, B: FlagPoint) -> FlagPoint:
     J, g = P.J, P.g
     if P.opposite:
         J, g = J.star(), g @ wdot(longest_w(P.n))
-    b, b_inv, w = _bruhat_left((g.inverse() @ B.g).m)
+    b, w = _bruhat_left((g.inverse() @ B.g).m)
     x = w * J.min_rep(w.inverse())
     # b is unipotent, so diagonal only when no row operation was needed
-    b = identity_g(P.n) if la.is_diagonal(b) else _trusted(b, (_trusted(b_inv),))
+    b = identity_g(P.n) if la.is_diagonal(b) else _trusted(b)
     return FlagPoint(g @ b @ wdot(x))
 
 

@@ -122,13 +122,6 @@ def psibar(z: CompactPoint) -> CompactPoint:
     return CompactPoint(z.J, z.g2.T, z.g1.T)
 
 
-def group_point(J: ParabolicSubset, g: GroupMatrix) -> CompactPoint:
-    """The point of the open stratum Z_I corresponding to g (J must be full)."""
-    if not J.full():
-        raise StrataError("group_point lives in the open stratum only")
-    return CompactPoint(J, g, identity_g(J.n))
-
-
 # ---------------------------------------------------------------------------
 # embedding into projective matrix pairs
 

@@ -5,8 +5,10 @@ charts evaluate to the cells of the flag variety; double Bruhat charts give
 the cells of the monoid of totally nonnegative elements.  Each chart is a
 word of steps, and ``matgroup``'s word evaluator, which builds every group
 element, multiplies it out over any ring, and the Jacobian rank check in
-``cells`` reads its tangent vectors off the sampler's own words.  Every sampler is driven by an explicit seeded random.Random, and strict or nonneg positivity
-is always certified a posteriori by exact minor tests, never assumed.
+``cells`` reads its tangent vectors off the sampler's own words.  Every
+sampler is driven by an explicit seeded random.Random, and strict or
+nonneg positivity is always certified a posteriori by exact minor tests,
+never assumed.
 """
 
 from __future__ import annotations

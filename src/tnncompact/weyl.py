@@ -13,17 +13,12 @@ module builds from a size or from other elements (products, inverses,
 right multiplication by s_i, coset representatives, the named elements)
 is a permutation by construction and goes through ``_trusted_w``, which
 checks nothing.
-
-Roots are encoded as ordered index pairs (i, j) with i < j standing for
-e_i - e_j; there is no abstract root-system layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-
-Root = tuple[int, int]
 
 
 class WeylError(Exception):
@@ -320,15 +315,3 @@ def all_parabolic_subsets(n: int) -> list[ParabolicSubset]:
     """Every J ⊆ {1..n-1}, by size and then lexicographically."""
     gens = range(1, n)
     return [ParabolicSubset.of(n, js) for r in range(n) for js in combinations(gens, r)]
-
-
-def inversion_set(v: WeylElement) -> frozenset[Root]:
-    """R(v) = positive roots sent to negative ones, as pairs (i, j), i<j."""
-    n = v.n
-    return frozenset(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if v(i) > v(j)
-    )
-

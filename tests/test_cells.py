@@ -199,7 +199,6 @@ def test_sample_cell_refuses_empty():
 
 def test_sample_top_cell_open_stratum_is_strictly_positive():
     from tnncompact.tnn import is_totally_positive
-    from tnncompact.strata import group_point
 
     J = ParabolicSubset.of(2, [1])
     _, z = sample_cell(top_label(J), 3)
@@ -226,12 +225,13 @@ def test_classify_base_point():
 
 
 def test_classify_group_element_double_cell():
-    from tnncompact.strata import group_point
+    from tnncompact.matgroup import identity_g
+    from tnncompact.strata import CompactPoint
 
     rng = random.Random(31)
     J = ParabolicSubset.of(3, [1, 2])
     g = sample_G_gt0(3, rng)
-    label = classify(group_point(J, g))
+    label = classify(CompactPoint(J, g, identity_g(3)))
     # strictly positive elements sit in the big double cell: y = y' = e
     assert label == top_label(J)
 
@@ -411,23 +411,32 @@ def test_roundtrip_n4_random_labels():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_classify_needs_no_general_inverse(n, monkeypatch):
-    """Every inverse on the classifier's path of a library-built point is
-    known in closed form or carried from an elimination."""
+def test_classify_eliminates_no_matrix_twice(n, monkeypatch):
+    """Each matrix classify inverts goes through linalg.inverse at most once,
+    on sampled points and on torus limits of caller-built matrices, whose
+    g1 the flag cell and a γ position both invert."""
     import tnncompact.linalg as la
+    from tnncompact.matgroup import GroupMatrix
+    from tnncompact.strata import torus_limit
 
     rng = random.Random(60 + n)
-    points = [
+    cases = [
         (label, sample_cell(label, k)[1])
-        for k, label in enumerate(_random_nonempty_label(n, rng) for _ in range(12))
+        for k, label in enumerate(_random_nonempty_label(n, rng) for _ in range(8))
     ]
+    for _ in range(8):
+        g1, g2 = (GroupMatrix(sample_G_gt0(n, rng).m) for _ in range(2))
+        c = [rng.choice([0, 1, 2]) for _ in range(n - 1)]
+        cases.append((None, torus_limit(g1, c, g2)))
 
-    def forbidden(*_):
-        raise AssertionError("classify called linalg.inverse")
-
-    monkeypatch.setattr(la, "inverse", forbidden)
-    for label, z in points:
-        assert classify(z) == label
+    eliminated = []
+    inverse = la.inverse
+    monkeypatch.setattr(la, "inverse", lambda m: eliminated.append(m) or inverse(m))
+    for label, z in cases:
+        eliminated.clear()
+        got = classify(z)
+        assert got == label if label else got.is_nonempty()
+        assert len(set(eliminated)) == len(eliminated)
 
 
 @pytest.mark.parametrize("n", [3, 4])

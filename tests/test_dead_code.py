@@ -1,0 +1,66 @@
+"""A guard against dead code: every public module-level function in the
+package has a caller in the package, the CLI or ``scripts/``.
+
+Re-exports in ``__init__.py`` do not count as callers.  Two kinds of
+function are exempt: those that ``BENCHMARK.json`` names as per-layer
+metrics (read from the file, so that retiring a metric exposes its
+function), and the API entry points below.
+"""
+
+import ast
+import json
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "tnncompact"
+
+# Public entry points that nothing in the package needs to call.
+API_ENTRY_POINTS = {
+    "top_label",  # the label of a stratum's open cell
+    "generator_x",  # the pinning's one-parameter subgroups x_i(a), y_i(a)
+    "generator_y",
+    "opposed",  # whether two parabolics meet in a common Levi
+    "sample_L_ge0",  # a nonnegative Levi element
+    "lmat_limit",  # the projective s → 0 limit of a Laurent matrix
+}
+
+
+def _names_used(node) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _metric_functions() -> set[str]:
+    """"module.function" for each per-layer metric "module.function.stat"."""
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    return {metric["name"].rsplit(".", 1)[0] for metric in per_layer}
+
+
+def uncalled_functions() -> list[str]:
+    callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    callers += sorted((ROOT / "scripts").glob("*.py"))
+    trees = {p: ast.parse(p.read_text()) for p in callers}
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    exempt = _metric_functions()
+    dead = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            qualified = f"{path.stem}.{node.name}"
+            if qualified in exempt or node.name in API_ENTRY_POINTS:
+                continue
+            # a function's references to itself do not make it called
+            if used[node.name] == _names_used(node)[node.name]:
+                dead.append(qualified)
+    return dead
+
+
+def test_every_public_function_has_a_caller():
+    assert uncalled_functions() == []

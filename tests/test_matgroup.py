@@ -365,15 +365,12 @@ def double_coset_points(n, rng):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bruhat_left_every_pivot_pattern(n):
     """m = u·ẇ·t·u' with sparse or dense upper unipotent u, u' and t in T
-    factors as b·ẇ·(upper) with b upper unipotent, for every w, and the
-    elimination's b⁻¹ inverts b."""
-    one = la.identity(n)
+    factors as b·ẇ·(upper) with b upper unipotent, for every w."""
     for w, m in double_coset_points(n, random.Random(43 + n)):
-        b, b_inv, got = _bruhat_left(m.m)
+        b, got = _bruhat_left(m.m)
         assert got == w
         assert la.is_upper_triangular(b)
         assert all(b[i][i] == 1 for i in range(n))
-        assert la.matmul(b, b_inv) == one and la.matmul(b_inv, b) == one
         assert la.is_upper_triangular(((GroupMatrix(b) @ wdot(w)).inverse() @ m).m)
 
 
@@ -630,9 +627,9 @@ def test_the_identity_keeps_its_mark(n, monkeypatch):
     assert calls == []
 
 
-def dense_with_known_inverse(n, rng):
-    """A word in x_i(a), y_i(a) with a ≠ 0 and a torus with a_1 = 2: neither
-    it nor a factor of its carried inverse is a signed permutation."""
+def dense_product(n, rng):
+    """A product of x_i(a), y_i(a) with a ≠ 0 and a torus with a_1 = 2: not
+    a signed permutation."""
     g = torus([Fraction(2)] + [Fraction(rng.choice([-3, 2, 5]), 3) for _ in range(n - 2)])
     for _ in range(2 * n):
         i = rng.randint(1, n - 1)
@@ -648,7 +645,7 @@ def test_products_with_lifts_are_index_maps(n, monkeypatch):
     never sees a lift."""
     rng = random.Random(135 + n)
     lifts = [sdot(n, i) for i in range(1, n)] if n == 5 else [wdot(w) for w in all_weyl(n)]
-    g = dense_with_known_inverse(n, rng)
+    g = dense_product(n, rng)
     one = la.identity(n)
     monkeypatch.setattr(la, "matmul", refusing_signed_permutations(la.matmul))
     for s in lifts:
@@ -667,17 +664,18 @@ def test_products_with_lifts_are_index_maps(n, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# det = 1 checked at entry only; closed-form and fraction-free inverses
+# det = 1 checked at entry only; lift inverses by transpose, the rest by one
+# kept elimination
 
 
 def no_elimination(*_):
-    raise AssertionError("a closed-form inverse went through elimination")
+    raise AssertionError("unexpected linalg.inverse call")
 
 
 def assert_inverse(g):
     inv = g.inverse()
     assert inv.m == gauss_jordan_inverse(g.m)
-    assert inv.inverse().m is g.m
+    assert inv.inverse() is g
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -693,8 +691,7 @@ def test_weyl_lift_inverses_are_closed_form(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_generator_and_torus_inverses_are_closed_form(n, monkeypatch):
-    monkeypatch.setattr(la, "inverse", no_elimination)
+def test_generator_and_torus_inverses_are_closed_form(n):
     rng = random.Random(70 + n)
     for _ in range(10):
         i = rng.randint(1, n - 1)
@@ -737,12 +734,14 @@ def test_chart_matrices_stay_in_the_group(n):
             assert g.T.inverse().m == la.transpose(g.inverse().m)
 
 
-def test_inverse_is_not_kept_on_the_callers_matrix():
+def test_inverse_is_kept_and_linked_back(monkeypatch):
+    """The caller's matrix is eliminated once: its inverse is kept on it,
+    and the inverse's inverse is the matrix itself."""
     g = GroupMatrix(la.mat([[1, 1], [1, 2]]))
     inv = g.inverse()
     assert inv.m == la.mat([[2, -1], [-1, 1]])
-    assert inv.inverse().m is g.m
-    assert vars(g) == {"m": g.m}
+    monkeypatch.setattr(la, "inverse", no_elimination)
+    assert g.inverse() is inv and inv.inverse() is g
 
 
 def test_det_is_checked_where_matrices_enter():

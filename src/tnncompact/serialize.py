@@ -10,8 +10,6 @@ sizes disagree.
 from __future__ import annotations
 
 import json
-import math
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any
@@ -135,15 +133,19 @@ def cells_to_json(n: int, J: ParabolicSubset | None = None) -> dict[str, Any]:
     The records come straight from the stratum walk that ``enumerate_cells``
     builds its labels from, with no CellLabel in between.  Equal
     permutations and subsets are one list object shared by every record of
-    the call (a few dozen lists instead of seven per cell), so the lists are
-    read-only: mutating one changes every cell that holds it.
+    the call (a few dozen lists instead of seven per cell).  The "cells"
+    list is a private list subclass that also keeps each stratum's parts
+    (J, Bruhat pairs, Levi elements, base), which ``dumps`` renders from.
+    The records and their lists are read-only: mutating a list changes
+    every cell that holds it, and ``dumps`` does not read the record dicts.
     """
     shared = lru_cache(maxsize=None)(list)  # one list per distinct tuple
-    cells = []
+    cells, strata = _Census(), []
     for Js, pairs, levi, base in _stratum_walk(n, J):
         subset = shared(tuple(sorted(Js.J)))
         pairs = [(shared(v.perm), shared(w.perm), gap) for v, w, gap in pairs]
         levi = [(shared(y.perm), ly) for y, ly in levi]
+        strata.append((subset, pairs, levi, base))
         for v, w, gap in pairs:
             for vp, wp, gap2 in pairs:
                 d = base + gap + gap2
@@ -161,7 +163,16 @@ def cells_to_json(n: int, J: ParabolicSubset | None = None) -> dict[str, Any]:
                                 "dim": d - ly - lyp,
                             }
                         )
+    cells.strata, cells.n, cells.size = strata, n, len(cells)
     return {"v": SCHEMA_VERSION, "n": n, "count": len(cells), "cells": cells}
+
+
+class _Census(list):
+    """``cells_to_json``'s records, with the per-stratum parts
+    (J, [(v, w, gap)], [(y, l(y))], base) they were built from, the n they
+    were built for and their number."""
+
+    __slots__ = ("strata", "n", "size")
 
 
 def curve_from_json(data) -> tuple[GroupMatrix, tuple[int, ...], GroupMatrix]:
@@ -185,99 +196,54 @@ def chart_to_json(chart) -> dict[str, Any]:
 def dumps(data) -> str:
     """``json.dumps(data, indent=1) + "\\n"``, byte for byte.
 
-    Each container is rendered to one string, and within one call a list of
-    plain ints and strings is rendered once per list object and depth: a
-    census shares a few dozen permutation and subset lists between 10^5
-    cells (see ``cells_to_json``).  The memo is one dict per indentation,
-    from a list's id to its text; every memoized list is kept alive until
-    the call returns, so no other object can take its id meanwhile.  An
-    exact int dict value is rendered in place.
+    A census that ``cells_to_json`` built and nobody has re-keyed, recounted
+    or re-listed since is rendered from its strata: each stratum's J, Bruhat
+    pair and Levi pair texts are rendered once and every record is joined
+    from them.  Every other document goes to ``json.dumps``.
     """
-    memos: defaultdict[str, dict[int, str]] = defaultdict(dict)  # per indentation: id -> text
-    alive: list = []  # every memoized list
-    keys: dict[str, str] = {}  # each distinct str key, quoted once per call
-
-    def quote_key(k) -> str:
-        if type(k) is not str:  # 1, True and 1.0 are equal keys spelled apart
-            return _quote(_key_str(k)) + ": "
-        text = keys[k] = _quote(k) + ": "
-        return text
-
-    def render(x, ind: str) -> str:
-        # No value is both a container and a scalar (their layouts conflict),
-        # so testing containers first keeps json's order of type tests.
-        if isinstance(x, (list, tuple)):
-            if not x:
-                return "[]"
-            memo = memos[ind]
-            text = memo.get(id(x))
-            if text is not None:
-                return text
-            inner = ind + " "
-            text = "[" + inner + ("," + inner).join([render(e, inner) for e in x]) + ind + "]"
-            if _PLAIN.issuperset(map(type, x)):
-                memo[id(x)] = text
-                alive.append(x)
-            return text
-        if isinstance(x, dict):
-            if not x:
-                return "{}"
-            inner = ind + " "
-            memo = memos[inner]
-            # probing the memo here saves a render call per shared list value
-            return "{" + inner + ("," + inner).join(
-                [
-                    (keys.get(k) or quote_key(k))
-                    + (
-                        int.__repr__(v)
-                        if type(v) is int
-                        else memo.get(id(v)) or render(v, inner)
-                    )
-                    for k, v in x.items()
-                ]
-            ) + ind + "}"
-        return _scalar_str(x)
-
-    return render(data, "\n") + "\n"
+    if type(data) is dict and list(data) == ["v", "n", "count", "cells"]:
+        *head, cells = data.values()
+        if (
+            type(cells) is _Census
+            and list(map(type, head)) == [int, int, int]
+            and head == [SCHEMA_VERSION, cells.n, len(cells)]
+            and len(cells) == cells.size
+        ):
+            return _census_text(cells)
+    return json.dumps(data, indent=1) + "\n"
 
 
-_quote = json.encoder.encode_basestring_ascii
-# A list of exact ints and strs renders without running any caller code (a
-# dict subclass's items() may yield new values on each call), so only such
-# lists are memoized.
-_PLAIN = frozenset((int, str))
+def _census_text(cells: _Census) -> str:
+    """The census as ``json.dumps(indent=1)`` writes it, from its strata.
 
+    Every record is four pieces, none of them built per record: the J and
+    (v, w) text of its stratum and first Bruhat pair, the (v', w') text of
+    its second, the (y, y') text of its Levi pair, and its dimension with
+    the record's closing brace.  They all go into one list between the
+    header and the footer, so the file is a single join."""
 
-def _scalar_str(x) -> str:
-    """A JSON scalar, tested in json's order (bool before int)."""
-    if isinstance(x, str):
-        return _quote(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        if x != x:
-            return "NaN"
-        if x == math.inf:
-            return "Infinity"
-        if x == -math.inf:
-            return "-Infinity"
-        return float.__repr__(x)
-    raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+    def text(key: str, xs: list) -> str:  # one record field, comma included
+        return f'"{key}": ' + json.dumps(xs, indent=1).replace("\n", "\n   ") + ",\n   "
 
-
-def _key_str(k) -> str:
-    """A dict key as json.dumps spells it before quoting."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, (float, int)) or k is None:
-        return _scalar_str(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    n = cells.n
+    tails = [f"{d}\n  }}" for d in range(n * n)]  # a dimension is at most n² − 1
+    out = [f'{{\n "v": {SCHEMA_VERSION},\n "n": {n},\n "count": {cells.size},\n "cells": [']
+    for subset, pairs, levi, base in cells.strata:
+        head = ",\n  {\n   " + text("J", subset)
+        firsts = [(head + text("v", v) + text("w", w), base + gap) for v, w, gap in pairs]
+        seconds = [(text("v2", v) + text("w2", w), gap) for v, w, gap in pairs]
+        levis = [
+            (text("y", y) + text("y2", yp) + '"dim": ', ly + lyp)
+            for y, ly in levi
+            for yp, lyp in levi
+        ]
+        for first, top in firsts:
+            for second, gap in seconds:
+                for lt, l in levis:
+                    out += first, second, lt, tails[top + gap - l]
+    out[1] = out[1][1:]  # the first record has no comma before it
+    out.append("\n ]\n}\n")
+    return "".join(out)
 
 
 def _check_version(data) -> None:

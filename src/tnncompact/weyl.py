@@ -245,9 +245,6 @@ class ParabolicSubset:
     def of(n: int, js) -> "ParabolicSubset":
         return ParabolicSubset(n, frozenset(js))
 
-    def full(self) -> bool:
-        return len(self.J) == self.n - 1
-
     def blocks(self) -> list[list[int]]:
         """J-blocks: consecutive runs of {1..n} glued along i ∈ J (1-based)."""
         blocks = [[1]]

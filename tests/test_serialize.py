@@ -231,15 +231,14 @@ def test_dumps_matches_json_dumps_on_a_verify_failure_report(monkeypatch):
 _EVERY_STRATUM = [(n, J) for n in (2, 3, 4) for J in all_parabolic_subsets(n)] + [
     (5, ParabolicSubset.of(5, [1, 2, 3, 4]))
 ]
+_STRATUM_PARAMS = [
+    pytest.param(n, J, id=f"{n}-J{{{','.join(map(str, sorted(J.J)))}}}")
+    for n, J in _EVERY_STRATUM
+]
 
 
 @pytest.mark.parametrize(
-    "n, J",
-    [(2, None), (3, None), (4, ParabolicSubset.of(4, [2]))]
-    + [
-        pytest.param(n, J, id=f"{n}-J{{{','.join(map(str, sorted(J.J)))}}}")
-        for n, J in _EVERY_STRATUM
-    ],
+    "n, J", [(2, None), (3, None), (4, ParabolicSubset.of(4, [2]))] + _STRATUM_PARAMS
 )
 def test_cells_to_json_records_equal_label_to_json(n, J):
     assert ser.cells_to_json(n, J)["cells"] == [
@@ -274,3 +273,45 @@ def test_label_to_json_returns_fresh_lists():
     assert a == b
     lists = [x for rec in (a, b) for x in rec.values()]
     assert len({id(x) for x in lists}) == len(lists) == 14
+
+
+@pytest.mark.parametrize("n, J", [(2, None), (3, None)] + _STRATUM_PARAMS)
+def test_dumps_of_a_census_matches_json_dumps(n, J):
+    """The census is rendered from its strata; json.dumps reads its records."""
+    data = ser.cells_to_json(n, J)
+    assert ser.dumps(data) == oracle(data)
+
+
+def test_dumps_of_an_altered_census_takes_json_dumps(monkeypatch):
+    """Only a census as ``cells_to_json`` built it is rendered from its
+    strata; any change to its keys, counts or record list goes to json.dumps."""
+    census_text = ser._census_text
+    rendered = []
+
+    def spy(cells):
+        rendered.append(cells)
+        return census_text(cells)
+
+    monkeypatch.setattr(ser, "_census_text", spy)
+    data = ser.cells_to_json(3)
+    assert ser.dumps(data) == oracle(data)
+    assert rendered == [data["cells"]]
+
+    appended = ser.cells_to_json(3)
+    appended["cells"].append(dict(appended["cells"][0]))
+    recounted = {**appended, "count": len(appended["cells"])}
+    altered = [
+        {**data, "count": 684},
+        {**data, "count": 685.0},
+        {**data, "extra": 1},
+        {**data, "n": True},
+        {**data, "v": True},
+        {key: data[key] for key in ("n", "v", "count", "cells")},
+        appended,
+        recounted,
+        {**data, "cells": list(data["cells"])},
+    ]
+    rendered.clear()
+    for other in altered:
+        assert ser.dumps(other) == oracle(other)
+    assert rendered == []

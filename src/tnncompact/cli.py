@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import serialize as ser
@@ -49,7 +50,9 @@ def cmd_enumerate(args) -> int:
         except (ValueError, WeylError) as e:
             print(f"error: bad --J: {e}", file=sys.stderr)
             return EXIT_USAGE
-    _write_or_print(ser.dumps(ser.cells_to_json(args.n, J)), args.out)
+    chunks = ser.census_chunks(args.n, J)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as f:
+        f.writelines(chunks)
     return EXIT_OK
 
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
-from typing import Any
+from typing import Any, Iterator
 
 from .cells import CellError, CellLabel, _stratum_walk
 from .linalg import Matrix, mat
@@ -131,21 +130,16 @@ def cells_to_json(n: int, J: ParabolicSubset | None = None) -> dict[str, Any]:
     record per cell in ``enumerate_cells`` order.
 
     The records come straight from the stratum walk that ``enumerate_cells``
-    builds its labels from, with no CellLabel in between.  Equal
-    permutations and subsets are one list object shared by every record of
-    the call (a few dozen lists instead of seven per cell).  The "cells"
-    list is a private list subclass that also keeps each stratum's parts
-    (J, Bruhat pairs, Levi elements, base), which ``dumps`` renders from.
-    The records and their lists are read-only: mutating a list changes
-    every cell that holds it, and ``dumps`` does not read the record dicts.
+    builds its labels from, with no CellLabel in between.  Each permutation
+    is the walk's own ``WeylElement.perm`` tuple and each J one sorted tuple
+    per stratum, so the records are read-only and hold no container the
+    garbage collector walks; ``json.dumps`` writes the tuples as arrays.
+    The "cells" list is a private list subclass that also keeps each
+    stratum's parts (J, Bruhat pairs, Levi elements, base), which ``dumps``
+    renders from.
     """
-    shared = lru_cache(maxsize=None)(list)  # one list per distinct tuple
-    cells, strata = _Census(), []
-    for Js, pairs, levi, base in _stratum_walk(n, J):
-        subset = shared(tuple(sorted(Js.J)))
-        pairs = [(shared(v.perm), shared(w.perm), gap) for v, w, gap in pairs]
-        levi = [(shared(y.perm), ly) for y, ly in levi]
-        strata.append((subset, pairs, levi, base))
+    cells, strata = _Census(), _census_strata(n, J)
+    for subset, pairs, levi, base in strata:
         for v, w, gap in pairs:
             for vp, wp, gap2 in pairs:
                 d = base + gap + gap2
@@ -165,6 +159,44 @@ def cells_to_json(n: int, J: ParabolicSubset | None = None) -> dict[str, Any]:
                         )
     cells.strata, cells.n, cells.size = strata, n, len(cells)
     return {"v": SCHEMA_VERSION, "n": n, "count": len(cells), "cells": cells}
+
+
+def census_chunks(n: int, J: ParabolicSubset | None = None) -> Iterator[str]:
+    """``dumps(cells_to_json(n, J))`` in pieces: the header, one text per
+    stratum and the footer, with no record dicts and never the whole file.
+
+    The stratum walk runs on the call, so a bad n or J raises CellError
+    before anything is written; each stratum's text is rendered when the
+    iterator reaches it."""
+    strata = _census_strata(n, J)
+    count = sum(len(pairs) ** 2 * len(levi) ** 2 for _, pairs, levi, _ in strata)
+    return _census_chunks(n, count, strata)
+
+
+def _census_chunks(n: int, count: int, strata: list) -> Iterator[str]:
+    yield _census_head(n, count)
+    for k, stratum in enumerate(strata):
+        pieces = []
+        _render_stratum(pieces, n, *stratum)
+        if not k:
+            pieces[0] = pieces[0][1:]  # the first record has no comma before it
+        yield "".join(pieces)
+    yield _CENSUS_TAIL
+
+
+def _census_strata(n: int, J: ParabolicSubset | None = None) -> list:
+    """``cells._stratum_walk(n, J)`` as tuples: per stratum (sorted J,
+    [(v, w, l(w) − l(v))], [(y, l(y))], base) with every permutation the
+    walk's ``WeylElement.perm``."""
+    return [
+        (
+            tuple(sorted(Js.J)),
+            [(v.perm, w.perm, gap) for v, w, gap in pairs],
+            [(y.perm, ly) for y, ly in levi],
+            base,
+        )
+        for Js, pairs, levi, base in _stratum_walk(n, J)
+    ]
 
 
 class _Census(list):
@@ -199,7 +231,8 @@ def dumps(data) -> str:
     A census that ``cells_to_json`` built and nobody has re-keyed, recounted
     or re-listed since is rendered from its strata: each stratum's J, Bruhat
     pair and Levi pair texts are rendered once and every record is joined
-    from them.  Every other document goes to ``json.dumps``.
+    from them, by the renderer ``census_chunks`` streams.  Every other
+    document goes to ``json.dumps``.
     """
     if type(data) is dict and list(data) == ["v", "n", "count", "cells"]:
         *head, cells = data.values()
@@ -214,36 +247,49 @@ def dumps(data) -> str:
 
 
 def _census_text(cells: _Census) -> str:
-    """The census as ``json.dumps(indent=1)`` writes it, from its strata.
+    """The census as ``json.dumps(indent=1)`` writes it, from its strata:
+    every stratum's pieces go into one list between the header and the
+    footer, so the file is a single join."""
+    out = [_census_head(cells.n, cells.size)]
+    for stratum in cells.strata:
+        _render_stratum(out, cells.n, *stratum)
+    out[1] = out[1][1:]  # the first record has no comma before it
+    out.append(_CENSUS_TAIL)
+    return "".join(out)
+
+
+def _census_head(n: int, count: int) -> str:
+    return f'{{\n "v": {SCHEMA_VERSION},\n "n": {n},\n "count": {count},\n "cells": ['
+
+
+_CENSUS_TAIL = "\n ]\n}\n"
+
+
+def _render_stratum(out: list, n: int, subset: tuple, pairs: list, levi: list, base: int) -> None:
+    """Appends to out one stratum's records as ``json.dumps(indent=1)``
+    writes them inside the "cells" array, each with the comma before it.
 
     Every record is four pieces, none of them built per record: the J and
     (v, w) text of its stratum and first Bruhat pair, the (v', w') text of
     its second, the (y, y') text of its Levi pair, and its dimension with
-    the record's closing brace.  They all go into one list between the
-    header and the footer, so the file is a single join."""
+    the record's closing brace."""
 
-    def text(key: str, xs: list) -> str:  # one record field, comma included
+    def text(key: str, xs: tuple) -> str:  # one record field, comma included
         return f'"{key}": ' + json.dumps(xs, indent=1).replace("\n", "\n   ") + ",\n   "
 
-    n = cells.n
     tails = [f"{d}\n  }}" for d in range(n * n)]  # a dimension is at most n² − 1
-    out = [f'{{\n "v": {SCHEMA_VERSION},\n "n": {n},\n "count": {cells.size},\n "cells": [']
-    for subset, pairs, levi, base in cells.strata:
-        head = ",\n  {\n   " + text("J", subset)
-        firsts = [(head + text("v", v) + text("w", w), base + gap) for v, w, gap in pairs]
-        seconds = [(text("v2", v) + text("w2", w), gap) for v, w, gap in pairs]
-        levis = [
-            (text("y", y) + text("y2", yp) + '"dim": ', ly + lyp)
-            for y, ly in levi
-            for yp, lyp in levi
-        ]
-        for first, top in firsts:
-            for second, gap in seconds:
-                for lt, l in levis:
-                    out += first, second, lt, tails[top + gap - l]
-    out[1] = out[1][1:]  # the first record has no comma before it
-    out.append("\n ]\n}\n")
-    return "".join(out)
+    head = ",\n  {\n   " + text("J", subset)
+    firsts = [(head + text("v", v) + text("w", w), base + gap) for v, w, gap in pairs]
+    seconds = [(text("v2", v) + text("w2", w), gap) for v, w, gap in pairs]
+    levis = [
+        (text("y", y) + text("y2", yp) + '"dim": ', ly + lyp)
+        for y, ly in levi
+        for yp, lyp in levi
+    ]
+    for first, top in firsts:
+        for second, gap in seconds:
+            for lt, l in levis:
+                out += first, second, lt, tails[top + gap - l]
 
 
 def _check_version(data) -> None:

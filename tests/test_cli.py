@@ -112,9 +112,30 @@ def test_cli_enumerate_bytes_are_pinned(args, sha256, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
-def test_cli_enumerate_usage_errors():
+def test_cli_enumerate_streams_without_records(monkeypatch, tmp_path, capsys):
+    """The export is written stratum by stratum from the walk, to a file
+    and to stdout, with no record dicts."""
+    import hashlib
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate built the census records")
+
+    monkeypatch.setattr(ser, "cells_to_json", refuse)
+    sha256 = "de9095a769e115f084ea060c81d57904c726f77a4759c7ebc26747099566ed84"
+    out = tmp_path / "cells.json"
+    assert main(["enumerate", "--n", "4", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+    capsys.readouterr()
+    assert main(["enumerate", "--n", "4"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
+def test_cli_enumerate_usage_errors(tmp_path):
     assert main(["enumerate", "--n", "9"]) == 2
     assert main(["enumerate", "--n", "3", "--J", "7"]) == 2
+    out = tmp_path / "cells.json"
+    assert main(["enumerate", "--n", "6", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_cli_sample_classify_roundtrip(tmp_path):

@@ -1,5 +1,6 @@
 """`serialize.dumps` against its oracle, ``json.dumps(x, indent=1) + "\\n"``."""
 
+import gc
 import json
 import random
 from enum import IntEnum
@@ -241,8 +242,11 @@ _STRATUM_PARAMS = [
     "n, J", [(2, None), (3, None), (4, ParabolicSubset.of(4, [2]))] + _STRATUM_PARAMS
 )
 def test_cells_to_json_records_equal_label_to_json(n, J):
+    """Each record is ``label_to_json`` of its cell with the lists read as
+    tuples."""
     assert ser.cells_to_json(n, J)["cells"] == [
-        ser.label_to_json(label, d) for label, d in enumerate_cells(n, J)
+        {key: tuple(x) if type(x) is list else x for key, x in ser.label_to_json(label, d).items()}
+        for label, d in enumerate_cells(n, J)
     ]
 
 
@@ -259,12 +263,18 @@ def test_cells_to_json_builds_no_cell_label(monkeypatch):
     assert data["count"] == len(data["cells"]) == 685
 
 
-def test_cells_to_json_shares_one_list_per_permutation_and_subset():
-    cells = ser.cells_to_json(3)["cells"]
-    lists = {id(x): x for cell in cells for x in cell.values() if isinstance(x, list)}
-    subsets = {tuple(cell["J"]) for cell in cells}
-    assert len(subsets) == 4
-    assert len(lists) <= 6 + len(subsets)
+@pytest.mark.parametrize("n, J", [(3, None), (4, ParabolicSubset.of(4, [2]))], ids=["3", "4-J{2}"])
+def test_cells_to_json_records_are_untracked_ints_and_int_tuples(n, J):
+    """Records hold only ints and tuples of ints, so none of them is a
+    container the garbage collector tracks."""
+    cells = ser.cells_to_json(n, J)["cells"]
+    assert all(
+        type(x) is int or (type(x) is tuple and all(type(i) is int for i in x))
+        for cell in cells
+        for x in cell.values()
+    )
+    gc.collect()
+    assert not any(gc.is_tracked(cell) for cell in cells)
 
 
 def test_label_to_json_returns_fresh_lists():
@@ -277,9 +287,11 @@ def test_label_to_json_returns_fresh_lists():
 
 @pytest.mark.parametrize("n, J", [(2, None), (3, None)] + _STRATUM_PARAMS)
 def test_dumps_of_a_census_matches_json_dumps(n, J):
-    """The census is rendered from its strata; json.dumps reads its records."""
+    """The census is rendered from its strata; json.dumps reads its records.
+    The streamed export, joined, is the same text."""
     data = ser.cells_to_json(n, J)
     assert ser.dumps(data) == oracle(data)
+    assert "".join(ser.census_chunks(n, J)) == ser.dumps(data)
 
 
 def test_dumps_of_an_altered_census_takes_json_dumps(monkeypatch):

@@ -2,8 +2,8 @@
 
 Exact one-parameter torus curves: a limit is taken by dividing by the
 minimal valuation and evaluating at 0, with no numerical thresholds.  The
-library checks torus limits in closed form (strata._verify_torus_limit);
-this ring serves the tests' curve oracle and the wrappers below.
+library takes torus limits in closed form (strata.torus_limit) and runs no
+curve; this ring serves the tests' curve oracle and the wrappers below.
 Coefficients are Fractions or ints: ``of`` validates and converts to
 Fraction, while ring operations keep whichever they are given.
 """

@@ -6,11 +6,12 @@ for even n and only +1 for odd n.  The pinning is the standard one,
 x_i(a) = 1 + a·E_{i,i+1}, y_i(a) its transpose, and ψ (the positivity
 antiautomorphism) is literally matrix transpose.
 
-det = 1 is checked once, where a matrix enters: the public ``GroupMatrix``
-constructor, which JSON readers, the CLI and callers go through.  Every
-matrix this module builds itself (products, inverses, transposes, words,
-Weyl lifts, factorization parts) is a group element by construction and
-goes through ``_trusted``, which checks nothing.
+det = 1 and exact entries (ints and Fractions, never floats) are checked
+once, where a matrix enters: the public ``GroupMatrix`` constructor, which
+JSON readers, the CLI and callers go through.  Every matrix this module
+builds itself (products, inverses, transposes, words, Weyl lifts,
+factorization parts) is a group element by construction and goes through
+``_trusted``, which checks nothing.
 
 Every group element built from coordinates, other than the identity and
 the Weyl lifts, comes from one word evaluator: a word of steps x_i(a),
@@ -58,8 +59,9 @@ class GroupError(Exception):
 class GroupMatrix:
     """Determinant-1 rational matrix, equal to its n-th-root-of-unity rescalings.
 
-    The constructor checks squareness and det = 1; build a matrix through
-    it whenever the entries come from outside the library.
+    The constructor checks squareness, entry types (int or Fraction) and
+    det = 1; build a matrix through it whenever the entries come from
+    outside the library.
     """
 
     m: Matrix
@@ -68,6 +70,8 @@ class GroupMatrix:
         n, nc = la.dims(self.m)
         if n != nc:
             raise GroupError("group matrix must be square")
+        if any(type(x) not in la._RATIONAL for row in self.m for x in row):
+            raise GroupError("group matrix entries must be ints or Fractions")
         if la.det(self.m) != 1:
             raise GroupError("group matrix must have determinant 1")
 
@@ -319,6 +323,8 @@ class FlagPoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlagPoint):
             return NotImplemented
+        if self.n != other.n:
+            return False
         return la.is_upper_triangular((self.g.inverse() @ other.g).m)
 
     __hash__ = None  # equality is coset equality; no canonical form to hash

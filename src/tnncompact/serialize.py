@@ -233,6 +233,12 @@ def dumps(data) -> str:
     pair and Levi pair texts are rendered once and every record is joined
     from them, by the renderer ``census_chunks`` streams.  Every other
     document goes to ``json.dumps``.
+
+    Precondition: a census's records are read-only.  The fast path checks
+    the header and the record count, not the records, so a census whose
+    records were edited, reordered or replaced in place is rendered as it
+    was built; pass ``dict(census, cells=list(census["cells"]))`` to render
+    edited records.
     """
     if type(data) is dict and list(data) == ["v", "n", "count", "cells"]:
         *head, cells = data.values()

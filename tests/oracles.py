@@ -13,11 +13,12 @@ must match its middle factor.  The certificate references are the
 library's sign and projective tests as they ran over Fractions before the
 library cleared denominators: the compound ladder on the rational matrix,
 the fundamental tuple of rational images, and the torus-limit check on
-Laurent polynomials with Fraction coefficients.  The reference for the
-closed-form (Cauchy–Binet) limit of a torus curve is the curve itself,
-built entry by entry as a Laurent matrix, run through the compound ladder
-and normalized by its lowest valuation.  The reference for
-relative position is the whole southwest rank profile, n² ranks, where the
+Laurent polynomials with Fraction coefficients.  ``torus_limit`` returns
+its closed form unchecked; the reference that the closed form is the limit
+is the Cauchy–Binet check, which keeps the subsets of largest curve
+weight, and its own reference is the curve itself, built entry by entry as
+a Laurent matrix, run through the compound ladder and normalized by its
+lowest valuation.  The reference for relative position is the whole southwest rank profile, n² ranks, where the
 library reads w off one Bruhat elimination.  The reference for the paper's (*) pair is the dense
 product the library ran before it read the pair off the fundamental tuple:
 full compounds through a dense 0/1 projector, whose kept basis vectors are
@@ -44,7 +45,7 @@ from tnncompact.dual import Dual
 from tnncompact.exterior import compound, compounds, proj_equal, strictly_signed, subsets_colex
 from tnncompact.laurent import Laurent, lmat_limit
 from tnncompact.matgroup import GroupError, _evaluate_word
-from tnncompact.strata import _curve_exponents, _limit_images, fundamental_tuple
+from tnncompact.strata import _integer_pairs, _kept_product, _limit_images, fundamental_tuple
 from tnncompact.tnn import rand_pos_fraction
 from tnncompact.weyl import WeylElement, lex_min_reduced_word, positive_subexpression, simple_reflection
 
@@ -272,12 +273,49 @@ def lmat_torus_curve(m1, exponents, m2):
     return tuple(tuple(entry(row, col) for col in zip(*m2)) for row in m1)
 
 
+def curve_exponents(c):
+    """Diagonal exponents e_i = sum of c_m for m >= i (e_n = 0)."""
+    n = len(c) + 1
+    e = [0] * n
+    for i in range(n - 2, -1, -1):
+        e[i] = e[i + 1] + c[i]
+    return e
+
+
+def top_weight_positions(e, k):
+    """The colex positions of the k-subsets S of {1..n} whose weight
+    e_S = Σ_{i∈S} e_i is largest."""
+    weights = [sum(e[i - 1] for i in s) for s in subsets_colex(len(e), k)]
+    top = max(weights)
+    return [i for i, w in enumerate(weights) if w == top]
+
+
+def cauchy_binet_limit_check(g1, cs, g2, z):
+    """Whether, in every degree k, the limit of ρ_k(g1·t(s)·g2) along the
+    torus curve of exponents cs is z's image ρ_k(z.g1)·D_k·ρ_k(z.g2),
+    projectively.
+
+    With t(s) = diag(s^{-e}), Cauchy–Binet gives ρ_k(g1·t(s)·g2) =
+    Σ_S s^{-e_S}·ρ_k(g1)[:, S]·ρ_k(g2)[S, :] over the k-subsets S, so the
+    limit keeps the S of largest weight e_S, found from the exponents, not
+    from z's stratum; ρ_k(g1) and ρ_k(g2) are invertible, so that top layer
+    never vanishes.  Both sides run on one ``_integer_pairs`` scaling."""
+    n = g1.n
+    e = curve_exponents(cs)
+    (m1, m2), (p1, p2) = _integer_pairs((g1.m, g2.m), (z.g1.m, z.g2.m))
+    levels = zip(_limit_images(z.J, p1, p2), compounds(m1, n - 1), compounds(m2, n - 1))
+    return all(
+        proj_equal(_kept_product(c1, c2, top_weight_positions(e, k)), want)
+        for k, (want, c1, c2) in enumerate(levels, start=1)
+    )
+
+
 def fraction_limit_check(g1, cs, g2, z):
     """Whether, in every degree k, the limit of ρ_k(g1·t(s)·g2) along the
     torus curve of exponents cs, over Fraction Laurent polynomials, is z's
     rational image projectively."""
     n = g1.n
-    e = _curve_exponents(cs)
+    e = curve_exponents(cs)
     curve = tuple(
         tuple(Laurent.monomial(-e[i]) if i == j else Laurent.of(0) for j in range(n))
         for i in range(n)

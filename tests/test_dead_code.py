@@ -1,10 +1,11 @@
-"""A guard against dead code: every public module-level function in the
-package has a caller in the package, the CLI or ``scripts/``.
+"""A guard against dead code: every module-level function and class in the
+package, private ones included, and every public method has a caller in
+the package, the CLI or ``scripts/``.
 
-Re-exports in ``__init__.py`` do not count as callers.  Two kinds of
-function are exempt: those that ``BENCHMARK.json`` names as per-layer
+Re-exports in ``__init__.py`` do not count as callers.  Three kinds of
+definition are exempt: those that ``BENCHMARK.json`` names as per-layer
 metrics (read from the file, so that retiring a metric exposes its
-function), and the API entry points below.
+function), the API entry points below, and the oracle constructors below.
 """
 
 import ast
@@ -25,6 +26,14 @@ API_ENTRY_POINTS = {
     "lmat_limit",  # the projective s → 0 limit of a Laurent matrix
 }
 
+# Constructors that only the test oracles call.  Their modules stay while
+# BENCHMARK.json names per-layer metrics in them (laurent.*, dual.*).
+ORACLE_CONSTRUCTORS = {
+    "laurent.Laurent.monomial",  # the torus curve's diagonal s^{-e_i}
+    "dual.Dual.const",  # the Dual chart's constants and variables
+    "dual.Dual.var",
+}
+
 
 def _names_used(node) -> Counter:
     return Counter(
@@ -40,27 +49,36 @@ def _metric_functions() -> set[str]:
     return {metric["name"].rsplit(".", 1)[0] for metric in per_layer}
 
 
-def uncalled_functions() -> list[str]:
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, node) for every module-level function and class and
+    every public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item
+
+
+def uncalled_definitions() -> list[str]:
     callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     callers += sorted((ROOT / "scripts").glob("*.py"))
     trees = {p: ast.parse(p.read_text()) for p in callers}
     used = sum((_names_used(tree) for tree in trees.values()), Counter())
-    exempt = _metric_functions()
+    exempt = _metric_functions() | ORACLE_CONSTRUCTORS
     dead = []
     for path, tree in trees.items():
         if path.parent != PACKAGE:
             continue
-        for node in tree.body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
-                continue
-            qualified = f"{path.stem}.{node.name}"
+        for qualified, node in _definitions(path.stem, tree):
             if qualified in exempt or node.name in API_ENTRY_POINTS:
                 continue
-            # a function's references to itself do not make it called
+            # a definition's references to itself do not make it called
             if used[node.name] == _names_used(node)[node.name]:
                 dead.append(qualified)
     return dead
 
 
 def test_every_public_function_has_a_caller():
-    assert uncalled_functions() == []
+    assert uncalled_definitions() == []

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -752,3 +753,22 @@ def test_det_is_checked_where_matrices_enter():
     with pytest.raises(GroupError):
         ser.group_from_json([["2", "0"], ["0", "1"]])
     assert ser.group_from_json([["1", "1"], ["1", "2"]]).m == la.mat([[1, 1], [1, 2]])
+
+
+@pytest.mark.parametrize("x", [1.0, True, Decimal(1)])
+def test_inexact_entries_are_refused_where_matrices_enter(x):
+    """Floats, bools and Decimals never enter a group matrix, although
+    these matrices have det = 1: their products would leave exact
+    arithmetic."""
+    with pytest.raises(GroupError):
+        GroupMatrix(((x, 1), (0, 1)))
+
+
+def test_int_and_fraction_entries_are_accepted():
+    assert GroupMatrix(((2, 1), (1, 1))) == GroupMatrix(((Fraction(2), 1), (Fraction(1), Fraction(1))))
+    assert GroupMatrix(((Fraction(1, 2), 0), (0, 2))).n == 2
+
+
+def test_flags_of_different_ranks_are_unequal():
+    assert borel_plus(2) != borel_plus(3)
+    assert not borel_minus(3) == borel_minus(2)

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from oracles import (
+    cauchy_binet_limit_check,
     coset_equal,
+    curve_exponents,
     dense_star_pair,
     fraction_limit_check,
     fraction_membership,
     lmat_torus_curve,
     opposed_by_lie_algebra,
+    top_weight_positions,
     triple,
 )
 
@@ -37,7 +41,6 @@ from tnncompact.matgroup import (
 )
 from tnncompact.strata import (
     CompactPoint,
-    LimitVerificationError,
     StrataError,
     PositivityCertificateError,
     act,
@@ -45,7 +48,6 @@ from tnncompact.strata import (
     fundamental_tuple,
     iJ_of_point,
     membership_Zgt0,
-    _verify_torus_limit,
     positive_retraction,
     psibar,
     torus_limit,
@@ -373,7 +375,7 @@ def test_torus_limit_point_is_the_acted_base_point(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_limit_check_accepts_only_the_limit_point(n):
     """The Cauchy–Binet check fails for a point of another stratum and for a
-    perturbed g2, as its Fraction oracle does.  It passes for the limit,
+    perturbed g2, as its Laurent oracle does.  It passes for the limit,
     also written with another action pair (g1·t, t⁻¹·g2), t in the torus,
     whose denominators differ from those of (g1, g2)."""
     rng = random.Random(50 + n)
@@ -387,14 +389,13 @@ def test_limit_check_accepts_only_the_limit_point(n):
         assert same == z
         for point in (z, same):
             assert fraction_limit_check(g1, c, g2, point)
-            _verify_torus_limit(g1, c, g2, point)
+            assert cauchy_binet_limit_check(g1, c, g2, point)
         other = strata_n[(strata_n.index(J) + 1) % len(strata_n)]
         wrong = act(g1, g2.inverse(), base_point(other))
         perturbed = g2 @ generator_x(n, 1, rand_pos_fraction(rng))
         for h2, point in ((g2, wrong), (perturbed, z)):
             assert not fraction_limit_check(g1, c, h2, point)
-            with pytest.raises(LimitVerificationError):
-                _verify_torus_limit(g1, c, h2, point)
+            assert not cauchy_binet_limit_check(g1, c, h2, point)
 
 
 def mixed_sign_element(n, rng):
@@ -424,14 +425,39 @@ def test_cauchy_binet_limit_matches_the_laurent_curve(n):
     for J in all_parabolic_subsets(n):
         for _ in range(6):
             c = exponents_into(J, rng)
-            e = strata._curve_exponents(c)
+            e = curve_exponents(c)
             g1, g2 = mixed_sign_element(n, rng), mixed_sign_element(n, rng)
             curve = lmat_torus_curve(g1.m, [-x for x in e], g2.m)
             levels = zip(compounds(g1.m, n - 1), compounds(g2.m, n - 1), compounds(curve, n - 1))
             for k, (c1, c2, cx) in enumerate(levels, start=1):
-                keep = strata._top_weight_positions(e, k)
+                keep = top_weight_positions(e, k)
                 assert tuple(keep) == _levi_weight_positions(n, k, J)
                 assert strata._kept_product(c1, c2, keep) == lmat_limit(cx)
+
+
+def test_top_weight_positions_are_the_levi_weight_positions():
+    """Why torus_limit needs no check: for every exponent vector with entries
+    0..3 at n = 2..7, the subsets of largest curve weight are, in every
+    degree, the Levi-weight positions of J = {i : c_i = 0}."""
+    for n in range(2, 8):
+        for c in product(range(4), repeat=n - 1):
+            J = ParabolicSubset.of(n, (i for i, x in enumerate(c, 1) if x == 0))
+            e = curve_exponents(c)
+            for k in range(1, n):
+                assert tuple(top_weight_positions(e, k)) == _levi_weight_positions(n, k, J)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_torus_limit_runs_no_compound_ladder(n, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("compound ladder in torus_limit")
+
+    monkeypatch.setattr(strata, "compounds", refuse)
+    monkeypatch.setattr(strata, "_integer_pairs", refuse)
+    rng = random.Random(80 + n)
+    for J in all_parabolic_subsets(n):
+        g1, g2 = mixed_sign_element(n, rng), mixed_sign_element(n, rng)
+        assert torus_limit(g1, exponents_into(J, rng), g2).J == J
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

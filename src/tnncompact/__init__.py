@@ -58,6 +58,7 @@ from .strata import (
 from .cells import (
     CellLabel,
     CellSample,
+    chart_point,
     classify,
     dimension_of,
     enumerate_cells,

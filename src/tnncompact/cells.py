@@ -2,10 +2,14 @@
 
 Cells are indexed by labels (J, v, w, v', w', y, y') with v ≤ w and v' ≤ w'
 in W^J and y, y' in W_J; a label is nonempty exactly when v and v' are also
-minimal coset representatives.  The sampler realizes the explicit
-parametrization (Marsh-Rietsch charts for the two flags, a totally positive
-double Bruhat chart of the Levi for the coset part) as the action pair of a
-stratum point, the classifier reads the label back off relative positions
+minimal coset representatives.  Each cell is the image of one chart, the
+explicit parametrization (Marsh-Rietsch charts for the two flags, a totally
+positive double Bruhat chart of the Levi for the coset part), realized as
+the action pair of a stratum point by ``chart_point``.  Its coordinates are
+laid out in one order: the free steps of flag chart 1, those of flag chart
+2, the coroots j ∈ J, the Levi's lower leg, then its upper leg.  The
+sampler draws them in that order, the Jacobian rank check differentiates
+the same chart, the classifier reads the label back off relative positions
 in the base-point frame, and the dimension formula
 
     d = l(w) + l(w') + 2·l(w^J_0) + |J| - l(v) - l(v') - l(y) - l(y')
@@ -23,6 +27,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import linalg as la
+from .linalg import frac
 from .matgroup import (
     FlagPoint,
     ParabolicPoint,
@@ -40,7 +45,6 @@ from .tnn import (
     MRChart,
     _double_cell_steps,
     _mr_steps,
-    mr_chart,
     rand_pos_fraction,
 )
 from .weyl import (
@@ -213,59 +217,72 @@ class CellSample:
     levi: DoubleCellPoint
 
 
-def _levi_point(label: CellLabel, rng: random.Random) -> DoubleCellPoint:
-    J = label.J
-    w0j = J.longest_element()
-    wm = label.y * w0j
-    wp = w0j * label.yp
-    tor = tuple(
-        rand_pos_fraction(rng) if (i in J.J) else Fraction(1)
-        for i in range(1, J.n)
-    )
-    return DoubleCellPoint(
-        wm,
-        wp,
-        tuple(rand_pos_fraction(rng) for _ in range(wm.length)),
-        tor,
-        tuple(rand_pos_fraction(rng) for _ in range(wp.length)),
-    )
+def chart_point(label: CellLabel, coords) -> CompactPoint:
+    """The image of coords under the label's chart, with coords in the order
+    of ``_chart``.  Positive coords give a point of the cell; zero and
+    negative ones are allowed too, except for a coroot coordinate, which
+    must be nonzero.  Raises CellError when the count is not the chart's
+    or a coroot coordinate is 0."""
+    return _chart_point(label.J, _chart(label, [frac(c) for c in coords], Fraction(1)))
 
 
 def sample_cell(label: CellLabel, seed: int) -> tuple[CellSample, CompactPoint]:
     """Draw a point of the labeled cell: (g·l, ψ(g'))·z°_J, that is
     (^g P_J, ^{ψ(g')⁻¹} Q_J, g·H·l·U·ψ(g')), with g, g' Marsh-Rietsch
-    positive and l in the Levi double cell indexed by (y·w^J_0, w^J_0·y')."""
+    positive and l in the Levi double cell indexed by (y·w^J_0, w^J_0·y').
+
+    The chart's dimension_of(label) coordinates are drawn in the order of
+    ``_chart``."""
     if not label.is_nonempty():
         raise EmptyCellError(f"refusing to sample the empty cell {label}")
     rng = random.Random(seed)
-    chart1 = mr_chart(label.v, label.w, rng)
-    chart2 = mr_chart(label.vp, label.wp, rng)
-    levi = _levi_point(label, rng)
-    tor = (levi.torus[j - 1] for j in sorted(label.J.J))
-    coords = [*chart1.coords, *chart2.coords, *levi.aminus, *tor, *levi.aplus]
-    word1, word2 = _chart_words(label, chart1.psub, chart2.psub, coords, Fraction(1))
-    n = label.J.n
-    point = CompactPoint(label.J, _word_element(n, word1), _word_element(n, word2).T)
-    return (CellSample(label, chart1, chart2, levi), point)
+    coords = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
+    chart = _chart(label, coords, Fraction(1))
+    flag1, flag2, levi = chart
+    sample = CellSample(label, MRChart(*flag1), MRChart(*flag2), DoubleCellPoint(*levi))
+    return (sample, _chart_point(label.J, chart))
 
 
-def _chart_words(label: CellLabel, p1, p2, coords, one) -> tuple[list, list]:
-    """The words of the sampler's chart (g·l, ψ(g')) over any ring: the flag
-    chart over p1 followed by the Levi double cell of (y·w^J_0, w^J_0·y'),
-    and the flag chart over p2, whose element is transposed.
+def _chart(label: CellLabel, coords, one):
+    """The sampler's chart (g·l, ψ(g')) of the label at coords, over any
+    ring: the flag charts (p1, c1) and (p2, c2) over the positive
+    subexpressions for v ≤ w and v' ≤ w' in the lexicographically least
+    reduced words of w and w', and the Levi double cell (y·w^J_0,
+    w^J_0·y', lower leg, torus, upper leg).
 
-    coords are, in order, the free steps of both flag charts, the Levi's
-    lower leg, its coroots j ∈ J and its upper leg; the coroots outside J
-    are one."""
+    coords are cut in one order: the free steps of flag chart 1, those of
+    flag chart 2, the coroots j ∈ J, the Levi's lower leg and its upper
+    leg; the coroots outside J are one.  Raises CellError when the count
+    is not the chart's or a coroot coordinate is 0."""
     J = label.J
     w0j = J.longest_element()
     wm, wpl = label.y * w0j, w0j * label.yp
+    p1, p2 = (
+        positive_subexpression(lex_min_reduced_word(w), v)
+        for v, w in ((label.v, label.w), (label.vp, label.wp))
+    )
+    sizes = (len(p1.jcirc), len(p2.jcirc), len(J.J), wm.length, wpl.length)
+    if len(coords) != sum(sizes):
+        raise CellError(f"{len(coords)} coordinates for a chart of {sum(sizes)} in {label}")
     x = iter(coords)
-    c1, c2, aminus = [list(islice(x, k)) for k in (len(p1.jcirc), len(p2.jcirc), wm.length)]
-    tor = [next(x) if i in J.J else one for i in range(1, J.n)]
-    aplus = list(x)
-    assert len(aplus) == wpl.length, "coordinate count differs from the dimension"
-    return _mr_steps(p1, c1) + _double_cell_steps(wm, aminus, tor, wpl, aplus), _mr_steps(p2, c2)
+    c1, c2, roots, aminus, aplus = (tuple(islice(x, k)) for k in sizes)
+    if not all(roots):
+        raise CellError(f"a coroot coordinate is 0 in {label}")
+    roots = iter(roots)
+    tor = tuple(next(roots) if i in J.J else one for i in range(1, J.n))
+    return (p1, c1), (p2, c2), (wm, wpl, aminus, tor, aplus)
+
+
+def _chart_words(chart) -> tuple[list, list]:
+    """The words of a ``_chart``: flag chart 1 followed by the Levi double
+    cell, and flag chart 2, whose element is transposed."""
+    (p1, c1), (p2, c2), levi = chart
+    return _mr_steps(p1, c1) + _double_cell_steps(*levi), _mr_steps(p2, c2)
+
+
+def _chart_point(J: ParabolicSubset, chart) -> CompactPoint:
+    word1, word2 = _chart_words(chart)
+    return CompactPoint(J, _word_element(J.n, word1), _word_element(J.n, word2).T)
 
 
 # ---------------------------------------------------------------------------
@@ -317,21 +334,18 @@ def jacobian_rank_check(label: CellLabel, seed: int) -> bool:
     """True iff the chart map, at a random positive rational chart point,
     has exact rank equal to the cell dimension.
 
-    Coordinates: the free Marsh-Rietsch steps of both charts, the two
-    unipotent legs of the Levi double cell, and one coroot coordinate per
-    j ∈ J.  The rank is that of the chart's tangent vectors in the stratum
-    Z_J (``_tangent_rank``), equal to its rank into the fundamental
-    representations, since Z_J embeds in ∏_k P(End Λ^k).
+    Coordinates: those of ``_chart``, in its order: the free Marsh-Rietsch
+    steps of both charts, one coroot coordinate per j ∈ J, and the two
+    unipotent legs of the Levi double cell.  The rank is that of the
+    chart's tangent vectors in the stratum Z_J (``_tangent_rank``), equal
+    to its rank into the fundamental representations, since Z_J embeds in
+    ∏_k P(End Λ^k).
     """
     d = dimension_of(label)
-    p1, p2 = (
-        positive_subexpression(lex_min_reduced_word(w), v)
-        for v, w in ((label.v, label.w), (label.vp, label.wp))
-    )
     for attempt in range(_JACOBIAN_TRIES):
         rng = random.Random(seed * 1009 + attempt)
         vals = [rand_pos_fraction(rng) for _ in range(d)]
-        if _tangent_rank(label.J, *_chart_words(label, p1, p2, vals, Fraction(1))) == d:
+        if _tangent_rank(label.J, *_chart_words(_chart(label, vals, Fraction(1)))) == d:
             return True
     return False
 

@@ -2,8 +2,9 @@
 
 Exact one-parameter torus curves: a limit is taken by dividing by the
 minimal valuation and evaluating at 0, with no numerical thresholds.  The
-library takes torus limits in closed form (strata.torus_limit) and runs no
-curve; this ring serves the tests' curve oracle and the wrappers below.
+library takes torus limits in closed form (strata.torus_limit); the
+``limits`` verification suite and the tests' curve oracle run the curve on
+this ring, to check that closed form.
 Coefficients are Fractions or ints: ``of`` validates and converts to
 Fraction, while ring operations keep whichever they are given.
 """

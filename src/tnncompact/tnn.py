@@ -27,10 +27,8 @@ from .weyl import (
     PositiveSubexpression,
     ReducedWord,
     WeylElement,
-    bruhat_leq,
     lex_min_reduced_word,
     longest_w,
-    positive_subexpression,
 )
 
 
@@ -50,7 +48,7 @@ def _mr_steps(psub: PositiveSubexpression, coords) -> list:
     ]
 
 
-def _double_cell_steps(wminus: WeylElement, aminus, tor, wplus: WeylElement, aplus):
+def _double_cell_steps(wminus: WeylElement, wplus: WeylElement, aminus, tor, aplus):
     """y-word(wminus) · torus · x-word(wplus) over lexicographically least
     reduced words."""
     return (
@@ -175,7 +173,7 @@ def sample_L_ge0(J: ParabolicSubset, rng: random.Random) -> GroupMatrix:
     w0j = J.longest_element()
     um, up = ([rand_nonneg_fraction(rng) for _ in range(w0j.length)] for _ in range(2))
     tor = [rand_pos_fraction(rng) for _ in range(J.n - 1)]
-    return _word_element(J.n, _double_cell_steps(w0j, um, tor, w0j, up))
+    return _word_element(J.n, _double_cell_steps(w0j, w0j, um, tor, up))
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +193,6 @@ class MRChart:
             raise ParamError(
                 f"{len(self.coords)} coordinates for {len(self.psub.jcirc)} free steps"
             )
-
-
-def mr_chart(v: WeylElement, w: WeylElement, rng: random.Random) -> MRChart:
-    """Chart for (v, w) over the lexicographically least reduced word of w."""
-    if not bruhat_leq(v, w):
-        raise ParamError(f"{v} not below {w}")
-    word = lex_min_reduced_word(w)
-    psub = positive_subexpression(word, v)
-    coords = tuple(rand_pos_fraction(rng) for _ in range(len(psub.jcirc)))
-    return MRChart(psub, coords)
 
 
 def mr_evaluate(chart: MRChart) -> GroupMatrix:
@@ -241,6 +229,6 @@ class DoubleCellPoint:
 def double_cell_evaluate(p: DoubleCellPoint) -> GroupMatrix:
     aminus, tor, aplus = ([frac(c) for c in cs] for cs in (p.aminus, p.torus, p.aplus))
     return _word_element(
-        p.wminus.n, _double_cell_steps(p.wminus, aminus, tor, p.wplus, aplus)
+        p.wminus.n, _double_cell_steps(p.wminus, p.wplus, aminus, tor, aplus)
     )
 

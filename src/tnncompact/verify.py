@@ -2,7 +2,7 @@
 
 Each suite checks one acceptance property at desk scale with exact
 arithmetic and returns a SuiteReport; failures always embed the seed and a
-JSON witness so they can be replayed.  `run_all` drives every suite.
+JSON witness so they can be replayed.  `run_suite` runs one by name.
 """
 
 from __future__ import annotations
@@ -18,28 +18,32 @@ from . import serialize as ser
 from .cells import (
     CellLabel,
     EmptyCellError,
+    chart_point,
     classify,
+    dimension_of,
     enumerate_cells,
     jacobian_rank_check,
     sample_cell,
+    top_label,
 )
 from .exterior import (
     UnsupportedStratumError,
     embedding_data,
+    proj_equal,
     strictly_signed,
 )
+from .laurent import Laurent, lmat_compound, lmat_limit, lmat_mul
 from .matgroup import (
     borel_minus,
     borel_plus,
     bruhat_position,
     FlagPoint,
-    _word_element,
-    identity_g,
 )
 from .strata import (
     CompactPoint,
     act,
     base_point,
+    fundamental_tuple,
     iJ_of_point,
     membership_Zgt0,
     positive_retraction,
@@ -48,10 +52,8 @@ from .strata import (
 )
 from .tnn import (
     MRChart,
-    _double_cell_steps,
     is_totally_positive,
     mr_evaluate,
-    phi_minus,
     phi_plus,
     rand_pos_fraction,
     sample_G_gt0,
@@ -259,32 +261,17 @@ def suite_positivity_forward(cfg: VerifyConfig) -> SuiteReport:
 def _negative_levi_point(
     J: ParabolicSubset, rng: random.Random, flip_left: bool
 ) -> CompactPoint:
-    """Top-chart point with one negated unipotent Levi coordinate, hence a
-    coset part outside L_{≥0}·Z(L).
-
-    The pair (g·l, ψ(g')) mirrors sample_cell, with g and g' lower
-    Marsh-Rietsch charts of the longest coset representative, so the first
-    column of the Levi-side projective matrix of z (left flip) or of ψ̄(z)
-    (right flip) acquires both signs: the paper's (*) and membership_Zgt0
-    must reject.
+    """A point of the top cell's chart with the first coordinate of the
+    Levi's lower leg (left flip) or upper leg (right flip) negated, hence a
+    coset part outside L_{≥0}·Z(L): the first column of the Levi-side
+    projective matrix of z (left flip) or of ψ̄(z) (right flip) acquires
+    both signs, so the paper's (*) and membership_Zgt0 must reject.
     """
-    from .weyl import lex_min_reduced_word
-
-    n = J.n
-    wmax = J.max_coset_rep()
-    word = lex_min_reduced_word(wmax)
-    g = phi_minus(word, [rand_pos_fraction(rng) for _ in range(len(word))])
-    gp = phi_minus(word, [rand_pos_fraction(rng) for _ in range(len(word))])
-    w0j = J.longest_element()
-    lm_coords = [rand_pos_fraction(rng) for _ in range(w0j.length)]
-    lp_coords = [rand_pos_fraction(rng) for _ in range(w0j.length)]
-    if flip_left:
-        lm_coords[0] = -lm_coords[0]
-    else:
-        lp_coords[0] = -lp_coords[0]
-    t_coords = [rand_pos_fraction(rng) for _ in range(n - 1)]
-    l = _word_element(n, _double_cell_steps(w0j, lm_coords, t_coords, w0j, lp_coords))
-    return CompactPoint(J, g @ l, gp.T)
+    label = top_label(J)
+    coords = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
+    k = len(coords) - (2 if flip_left else 1) * J.longest_element().length
+    coords[k] = -coords[k]
+    return chart_point(label, coords)
 
 
 def suite_positivity_converse(cfg: VerifyConfig) -> SuiteReport:
@@ -416,17 +403,30 @@ def suite_emptiness(cfg: VerifyConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # 8. limits and base points
 
+def _curve_limit_images(g1, c, g2) -> list:
+    """The leading coefficients of ρ_k(g1·diag(s^{−e})·g2), k = 1..n−1, on
+    the torus curve with e_i = c_i + … + c_{n−1}, i.e. α_i = s^{−c_i}."""
+    n = g1.n
+    e = [sum(c[i:]) for i in range(n)]
+    scaled = tuple(tuple(Laurent.monomial(-ej, a) for a, ej in zip(row, e)) for row in g1.m)
+    x = lmat_mul(scaled, tuple(tuple(Laurent.of(a) for a in row) for row in g2.m))
+    return [lmat_limit(lmat_compound(x, k)) for k in range(1, n)]
+
+
 def suite_limits(cfg: VerifyConfig) -> SuiteReport:
     rep = SuiteReport("limits")
     e_exponents = [0, 1, 2]
     for n in range(2, cfg.n + 1):
-        one = identity_g(n)
-        for c in product(e_exponents, repeat=n - 1):
-            J = ParabolicSubset.of(n, (i + 1 for i, x in enumerate(c) if x == 0))
-            z = torus_limit(one, c, one)
+        for k, c in enumerate(product(e_exponents, repeat=n - 1)):
+            seed = cfg.base_seed + 11 * k
+            rng = random.Random(seed)
+            g1, g2 = sample_G_gt0(n, rng), sample_G_gt0(n, rng)
+            want = fundamental_tuple(torus_limit(g1, c, g2))
             rep.cases += 1
-            if z != base_point(J):
-                rep.fail(n=n, c=list(c), reason="bare torus limit misses the base point")
+            if not all(map(proj_equal, _curve_limit_images(g1, c, g2), want)):
+                rep.fail(
+                    n=n, c=list(c), seed=seed, reason="torus limit is not the curve's limit"
+                )
         for J in all_parabolic_subsets(n):
             try:
                 data = embedding_data(J)
@@ -533,7 +533,3 @@ def run_suite(name: str, cfg: VerifyConfig) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return _timed(SUITES[name])(cfg)
-
-
-def run_all(cfg: VerifyConfig) -> list[SuiteReport]:
-    return [run_suite(name, cfg) for name in SUITES]

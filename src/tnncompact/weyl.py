@@ -148,12 +148,6 @@ class ReducedWord:
         if w.length != len(self.letters):
             raise WeylError(f"word {self.letters} is not reduced")
 
-    def product(self) -> WeylElement:
-        w = identity_w(self.n)
-        for i in self.letters:
-            w = w.right_s(i)
-        return w
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -213,10 +207,9 @@ class PositiveSubexpression:
 
 def positive_subexpression(word: ReducedWord, v: WeylElement) -> PositiveSubexpression:
     """Right-to-left greedy computation: step down by s_{i_j} exactly when
-    that shortens the running station."""
-    w = word.product()
-    if not bruhat_leq(v, w):
-        raise WeylError(f"{v} is not Bruhat-below the word product {w}")
+    that shortens the running station.  The greedy reaches the identity
+    exactly when v ≤ w, the product of the word, so it decides that too:
+    raises WeylError when it does not."""
     m = len(word)
     stations: list[WeylElement] = [v] * (m + 1)
     stations[m] = v
@@ -224,7 +217,7 @@ def positive_subexpression(word: ReducedWord, v: WeylElement) -> PositiveSubexpr
         cand = stations[j].right_s(word.letters[j - 1])
         stations[j - 1] = cand if cand.length < stations[j].length else stations[j]
     if not stations[0].is_identity():
-        raise WeylError("greedy subexpression did not reach the identity")
+        raise WeylError(f"{v} is not Bruhat-below the product of {word.letters}")
     jplus = frozenset(j for j in range(1, m + 1) if stations[j - 1] != stations[j])
     jcirc = frozenset(range(1, m + 1)) - jplus
     return PositiveSubexpression(word, tuple(stations), jplus, jcirc)

@@ -40,13 +40,13 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from tnncompact import linalg as la
-from tnncompact.cells import _chart_words, dimension_of
+from tnncompact.cells import _chart, _chart_words, dimension_of
 from tnncompact.dual import Dual
 from tnncompact.exterior import compound, compounds, proj_equal, strictly_signed, subsets_colex
 from tnncompact.laurent import Laurent, lmat_limit
 from tnncompact.matgroup import GroupError, _evaluate_word
 from tnncompact.strata import _integer_pairs, _kept_product, _limit_images, fundamental_tuple
-from tnncompact.tnn import rand_pos_fraction
+from tnncompact.tnn import MRChart, rand_pos_fraction
 from tnncompact.weyl import WeylElement, lex_min_reduced_word, positive_subexpression, simple_reflection
 
 
@@ -480,20 +480,19 @@ def opposed_by_lie_algebra(P, Q):
     return dim_p + dim_q - dim_sum == sum(len(blk) ** 2 for blk in P.J.blocks0())
 
 
-def chart_subexpressions(label):
-    """The positive subexpressions of the label's two flag charts."""
-    return tuple(
-        positive_subexpression(lex_min_reduced_word(w), v)
-        for v, w in ((label.v, label.w), (label.vp, label.wp))
-    )
+def mr_chart(v, w, rng):
+    """A Marsh–Rietsch chart for v ≤ w over the least reduced word of w, at
+    positive coordinates drawn from rng."""
+    psub = positive_subexpression(lex_min_reduced_word(w), v)
+    return MRChart(psub, tuple(rand_pos_fraction(rng) for _ in psub.jcirc))
 
 
 def dual_chart(label, values):
     """The sampler's chart (g·l, ψ(g')) with one Dual variable per value, in
-    the coordinate order of ``cells._chart_words``."""
+    the coordinate order of ``cells._chart``."""
     x = [Dual.var(a, k, len(values)) for k, a in enumerate(values)]
     one = Dual.const(1, len(values))
-    word1, word2 = _chart_words(label, *chart_subexpressions(label), x, one)
+    word1, word2 = _chart_words(_chart(label, x, one))
     n = label.J.n
     return (_evaluate_word(n, word1, one), la.transpose(_evaluate_word(n, word2, one)))
 

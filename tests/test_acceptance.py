@@ -64,9 +64,10 @@ def test_criterion_7_emptiness():
 
 
 def test_criterion_8_limits_and_base_points():
-    """Bare torus curves limit to the base point for every admissible
-    exponent vector, and the base point maps to ([I_1], [I_L]) wherever the
-    embedding pair exists."""
+    """For every exponent vector in {0,1,2}^(n−1), the torus curve through
+    a sampled positive pair limits, in every fundamental representation, to
+    the closed-form torus limit; and the base point maps to ([I_1], [I_L])
+    wherever the embedding pair exists."""
     _run("limits")
 
 

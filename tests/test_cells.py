@@ -6,7 +6,6 @@ from itertools import combinations
 
 import pytest
 from oracles import (
-    chart_subexpressions,
     dual_chart,
     dual_jacobian_rank,
     dual_rank,
@@ -18,9 +17,11 @@ from tnncompact.cells import (
     CellError,
     CellLabel,
     EmptyCellError,
+    _chart,
     _chart_words,
     _quotient_layout,
     _tangent_rank,
+    chart_point,
     classify,
     dimension_of,
     enumerate_cells,
@@ -28,16 +29,19 @@ from tnncompact.cells import (
     sample_cell,
     top_label,
 )
-from tnncompact.serialize import label_to_json
-from tnncompact.strata import act, base_point, membership_Zgt0, psibar
-from tnncompact.tnn import rand_pos_fraction, sample_G_gt0
+from tnncompact.matgroup import generator_x, generator_y, torus
+from tnncompact.serialize import label_to_json, point_to_json
+from tnncompact.strata import CompactPoint, act, base_point, membership_Zgt0, psibar
+from tnncompact.tnn import phi_minus, rand_pos_fraction, sample_G_gt0
 from tnncompact.weyl import (
     ParabolicSubset,
+    ReducedWord,
     WeylElement,
     all_parabolic_subsets,
     all_weyl,
     bruhat_leq,
     identity_w,
+    lex_min_reduced_word,
     longest_w,
 )
 
@@ -265,6 +269,47 @@ def test_classify_labels_are_pinned():
     assert digest == "9edbbab81706df8768834c4345d937b8578e2ee5fa48ec9f5c7b6ccf28565ea6"
 
 
+def test_sampled_points_are_pinned():
+    """The point sample_cell draws (seeds 0 and 1) in every nonempty cell at
+    n = 2, 3, pinned by SHA-256: the sampler's chart and the order it draws
+    coordinates in must give the same points byte for byte."""
+    labels = [label for n in (2, 3) for label, _ in enumerate_cells(n)]
+    got = [point_to_json(sample_cell(label, s)[1]) for label in labels for s in (0, 1)]
+    assert len(got) == 1396
+    digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+    assert digest == "972d05b5009392fbc4c98fbb3b9a90fb1aef3e025f8486b296825027dfa365b4"
+
+
+def test_chart_point_cuts_coordinates_in_one_order():
+    """The top cell of J = {1} at n = 3 has 7 chart coordinates: two free
+    steps per flag chart over the word (1, 2) of s_1·s_2, the coroot of 1,
+    then the Levi's lower and upper legs.  The point is the product written
+    out by generators, and it stays defined for a zero or negative Levi
+    coordinate."""
+    J = ParabolicSubset.of(3, [1])
+    label = top_label(J)
+    word = ReducedWord(3, (1, 2))
+    assert label.w == J.max_coset_rep() and lex_min_reduced_word(label.w) == word
+
+    def by_generators(c):
+        g1 = phi_minus(word, c[:2]) @ generator_y(3, 1, c[5]) @ torus([c[4], 1])
+        return CompactPoint(J, g1 @ generator_x(3, 1, c[6]), phi_minus(word, c[2:4]).T)
+
+    coords = [Fraction(k, 3) for k in range(1, 8)]
+    assert dimension_of(label) == len(coords)
+    for c in [coords] + [coords[:k] + [x] + coords[k + 1 :] for k in (5, 6) for x in (0, -1)]:
+        assert chart_point(label, c) == by_generators(c)
+
+
+def test_chart_point_rejects_bad_coordinates():
+    """A short list, a long list and a zero coroot raise CellError."""
+    label = top_label(ParabolicSubset.of(3, [1]))
+    coords = [Fraction(k, 3) for k in range(1, 8)]
+    for bad in (coords[:-1], coords + [Fraction(1)], coords[:4] + [0] + coords[5:]):
+        with pytest.raises(CellError):
+            chart_point(label, bad)
+
+
 def test_roundtrip_random_labels_n3():
     rng = random.Random(8)
     labels = enumerate_cells(3)
@@ -322,7 +367,7 @@ def _tangent_and_dual_ranks(label, seed):
     from Random(seed) as a try of jacobian_rank_check draws it."""
     rng = random.Random(seed)
     vals = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
-    words = _chart_words(label, *chart_subexpressions(label), vals, Fraction(1))
+    words = _chart_words(_chart(label, vals, Fraction(1)))
     return _tangent_rank(label.J, *words), dual_jacobian_rank(label, random.Random(seed))
 
 
@@ -496,9 +541,10 @@ def test_dual_chart_is_the_sampled_chart(n):
         label = _random_nonempty_label(n, rng)
         sample, z = sample_cell(label, k)
         levi = sample.levi
-        coords = [*sample.chart1.coords, *sample.chart2.coords, *levi.aminus]
-        coords += [levi.torus[j - 1] for j in sorted(label.J.J)] + list(levi.aplus)
+        coords = [*sample.chart1.coords, *sample.chart2.coords]
+        coords += [levi.torus[j - 1] for j in sorted(label.J.J)] + [*levi.aminus, *levi.aplus]
         assert len(coords) == dimension_of(label)
+        assert chart_point(label, coords) == z
         g1, g2 = dual_chart(label, coords)
         chart1 = mr_evaluate(sample.chart1) @ double_cell_evaluate(sample.levi)
         assert values(g1) == chart1.m

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import mr_chart
 
 from tnncompact import linalg as la
 from tnncompact import serialize as ser
@@ -56,7 +57,6 @@ def test_cells_json_schema():
 
 
 def test_chart_json_schema():
-    from tnncompact.tnn import mr_chart
     from tnncompact.weyl import WeylElement
 
     rng = random.Random(3)
@@ -324,6 +324,7 @@ def test_cli_sample_rejects_negative_seed(tmp_path, capsys):
         ["census", "--n", "1"],
         ["limits", "--n", "7"],
         ["all", "--n", "0"],
+        ["all", "--n", "6"],
         ["dimensions", "--n", "2", "--seeds", "-1"],
         ["dimensions", "--n", "2", "--seeds", "0"],
         ["census", "--n", "2", "--samples", "0"],
@@ -335,38 +336,22 @@ def test_cli_verify_rejects_scales_out_of_range(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
-CENSUS_SCRIPT = SCRIPT.parent / "run_census.py"
+ROOT = Path(__file__).resolve().parent.parent
+CENSUS_SCRIPT = ROOT / "scripts" / "run_census.py"
 
 
-def _load_script(path=SCRIPT):
+def _load_script(path):
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--n", "2", "--seeds", "0", "--samples", "0"],
-        ["--n", "1"],
-        ["--n", "6"],
-        ["--seeds", "-1"],
-        ["--samples", "0"],
-    ],
-    ids=" ".join,
-)
-def test_verification_script_rejects_scales_out_of_range(argv, capsys):
-    assert_usage_error(_load_script().main(argv), capsys)
-    assert capsys.readouterr().out == ""
-
-
-def test_verification_script_exits_2_without_traceback():
-    env = dict(os.environ, PYTHONPATH=str(SCRIPT.parent.parent / "src"))
-    argv = ["--n", "2", "--seeds", "0", "--samples", "0"]
+def test_cli_verify_exits_2_without_traceback():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["verify", "all", "--n", "2", "--seeds", "0", "--samples", "0"]
     done = subprocess.run(
-        [sys.executable, str(SCRIPT), *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "tnncompact", *argv], capture_output=True, text=True, env=env
     )
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1

@@ -18,18 +18,15 @@ PACKAGE = ROOT / "src" / "tnncompact"
 
 # Public entry points that nothing in the package needs to call.
 API_ENTRY_POINTS = {
-    "top_label",  # the label of a stratum's open cell
     "generator_x",  # the pinning's one-parameter subgroups x_i(a), y_i(a)
     "generator_y",
     "opposed",  # whether two parabolics meet in a common Levi
     "sample_L_ge0",  # a nonnegative Levi element
-    "lmat_limit",  # the projective s → 0 limit of a Laurent matrix
 }
 
-# Constructors that only the test oracles call.  Their modules stay while
-# BENCHMARK.json names per-layer metrics in them (laurent.*, dual.*).
+# Constructors that only the test oracles call.  Their module stays while
+# BENCHMARK.json names per-layer metrics in it (dual.*).
 ORACLE_CONSTRUCTORS = {
-    "laurent.Laurent.monomial",  # the torus curve's diagonal s^{-e_i}
     "dual.Dual.const",  # the Dual chart's constants and variables
     "dual.Dual.var",
 }

@@ -8,12 +8,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import mr_chart
 
 from tnncompact import cells as cells_mod
 from tnncompact import serialize as ser
 from tnncompact import verify
 from tnncompact.cells import classify, enumerate_cells, sample_cell
-from tnncompact.tnn import double_cell_evaluate, mr_chart, mr_evaluate
+from tnncompact.tnn import double_cell_evaluate, mr_evaluate
 from tnncompact.weyl import ParabolicSubset, WeylElement, all_parabolic_subsets
 
 

@@ -17,7 +17,7 @@ from oracles import (
 )
 
 from tnncompact import linalg as la
-from tnncompact import strata
+from tnncompact import strata, verify
 from tnncompact.cells import classify, enumerate_cells, sample_cell, top_label
 from tnncompact.exterior import (
     UnsupportedStratumError,
@@ -61,7 +61,7 @@ from tnncompact.tnn import (
     sample_Uminus_gt0,
     sample_Uplus_gt0,
 )
-from tnncompact.verify import VerifyConfig, _negative_levi_point, suite_retraction
+from tnncompact.verify import VerifyConfig, _negative_levi_point, suite_limits, suite_retraction
 from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets, all_weyl
 
 ALL_J3 = [[], [1], [2], [1, 2]]
@@ -630,6 +630,29 @@ def test_suite_retraction_reports_every_failed_membership(monkeypatch):
     rep = suite_retraction(VerifyConfig(n=2))
     assert rep.cases == 500
     assert len(rep.failures) == rep.cases
+
+
+def _stratum_of(c, keep_zero):
+    n = len(c) + 1
+    return ParabolicSubset.of(n, (i + 1 for i, x in enumerate(c) if (x == 0) == keep_zero))
+
+
+@pytest.mark.parametrize(
+    "wrong_limit",
+    [
+        lambda g1, c, g2: CompactPoint(_stratum_of(c, keep_zero=False), g1, g2),
+        lambda g1, c, g2: CompactPoint(_stratum_of(c, keep_zero=True), g1, g1),
+    ],
+    ids=["stratum-of-the-nonzero-exponents", "g1-in-place-of-g2"],
+)
+def test_suite_limits_fails_every_curve_of_a_wrong_torus_limit(wrong_limit, monkeypatch):
+    """The suite compares each closed-form limit with the limit of its
+    curve through a sampled positive pair, so a wrong stratum or a wrong
+    group element fails all 12 curve cases at n ≤ 3."""
+    monkeypatch.setattr(verify, "torus_limit", wrong_limit)
+    rep = suite_limits(VerifyConfig(n=3))
+    assert rep.cases == 17
+    assert len(rep.failures) == 12
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (2, 3)])

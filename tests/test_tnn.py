@@ -7,6 +7,7 @@ from oracles import (
     fraction_is_tnn,
     fraction_is_totally_positive,
     gauss_jordan_inverse,
+    mr_chart,
     naive_matmul,
     sdot_matrix,
     square_matrices,
@@ -41,7 +42,6 @@ from tnncompact.tnn import (
     is_tnn_matrix,
     is_totally_nonneg,
     is_totally_positive,
-    mr_chart,
     mr_evaluate,
     phi_plus,
     rand_pos_fraction,

@@ -1,3 +1,4 @@
+from functools import reduce
 from itertools import combinations, permutations
 
 import pytest
@@ -210,7 +211,7 @@ def _all_subexpressions(word, v):
 def test_positive_subexpression_unique_and_distinguished(n):
     """Exhaustive: for every w, every reduced word, every v <= w, exactly one
     subexpression satisfies the distinguished-positivity property, and the
-    greedy computation finds it."""
+    greedy computation finds it; for every other v the greedy raises."""
     for w in all_weyl(n):
         if w.length > 6:
             continue
@@ -218,6 +219,8 @@ def test_positive_subexpression_unique_and_distinguished(n):
             word = ReducedWord(n, letters)
             for v in all_weyl(n):
                 if not bruhat_leq(v, w):
+                    with pytest.raises(WeylError):
+                        positive_subexpression(word, v)
                     continue
                 ps = positive_subexpression(word, v)
                 assert ps.stations[0].is_identity() and ps.stations[-1] == v
@@ -252,7 +255,8 @@ def test_bruhat_pair_count_vs_bruteforce(n):
 @given(st.integers(2, 5).flatmap(perms))
 def test_lex_min_word_is_reduced_and_minimal(w):
     word = lex_min_reduced_word(w)
-    assert word.product() == w and len(word) == w.length
+    assert reduce(WeylElement.right_s, word.letters, identity_w(w.n)) == w
+    assert len(word) == w.length
     assert word.letters == min(all_reduced_words(w)) if w.n <= 4 else True
 
 

@@ -336,6 +336,23 @@ def test_cli_verify_rejects_scales_out_of_range(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "2", "--seeds", "0", "--samples", "0"],
+        ["--n", "1"],
+        ["--seeds", "-1"],
+        ["--samples", "0"],
+    ],
+    ids=" ".join,
+)
+def test_verification_script_rejects_scales_out_of_range(argv, capsys):
+    # `verify all` is the whole verification battery: it refuses a bad scale
+    # before any suite runs, whatever the other options are left at.
+    assert_usage_error(main(["verify", "all", *argv]), capsys)
+    assert capsys.readouterr().out == ""
+
+
 ROOT = Path(__file__).resolve().parent.parent
 CENSUS_SCRIPT = ROOT / "scripts" / "run_census.py"
 

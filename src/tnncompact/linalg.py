@@ -1,16 +1,20 @@
-"""Exact rational linear algebra on immutable tuple-of-tuples matrices.
+"""Exact linear algebra on immutable tuple-of-tuples matrices.
 
-Everything in this package runs over ``fractions.Fraction``; there are no
-floating point kernels and no tolerances.  Matrices are stored as tuples of
-row tuples.  Determinant and rank share one fraction-free (Bareiss)
-forward elimination after clearing denominators, so pivot decisions are
-exact integer zero-tests and no Fraction is built inside the elimination.
-``matmul`` does the same for rational operands: it clears the left
-operand's row denominators and the right operand's column denominators,
-multiplies the integer rows by the integer columns and builds one Fraction
-per output entry.  On any other entries (ints alone, dual numbers, and
-the tests' Laurent polynomials) it uses ring operations only, as
-``transpose`` does.
+There are no floating point kernels and no tolerances.  Matrices are stored
+as tuples of row tuples, with entries in any exact commutative ring:
+Python ints (the group layer stores every group element as an integer
+matrix over one denominator), Fractions (the values callers read), and
+the dual numbers and Laurent polynomials of the Jacobian and curve checks.
+Determinant and rank share one fraction-free (Bareiss) forward
+elimination after clearing denominators, so pivot decisions are exact
+integer zero-tests and no Fraction is built inside the elimination; the
+inverse and the group layer's adjugate share one fraction-free
+Gauss–Jordan pass.  Integer products take one dot product in C per entry
+(``_int_product``), and ``matmul`` does the same for rational operands:
+it clears the left operand's row denominators and the right operand's
+column denominators and builds one Fraction per output entry.  On any
+other entries (ints alone, dual numbers, Laurent polynomials) it uses ring
+operations only, as ``transpose`` does.
 """
 
 from __future__ import annotations
@@ -49,11 +53,6 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
     return m
 
 
-def identity(n: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def zeros(nr: int, nc: int) -> Matrix:
     zero = Fraction(0)
     return tuple((zero,) * nc for _ in range(nr))
@@ -90,6 +89,13 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                         acc[j] += x * y
         out.append(tuple(acc))
     return tuple(out)
+
+
+def _int_product(a, b) -> tuple[tuple[int, ...], ...]:
+    """a·b for integer a and b, one dot product in C (``sum(map(mul, …))``)
+    per entry."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def _rational_matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -181,26 +187,41 @@ def minor(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Inverse by fraction-free (Bareiss) Gauss–Jordan on the integer rows.
+    """Inverse by one fraction-free pass (``_adjugate``) on the integer rows.
 
     With m = D⁻¹·A for A = _integer_rows(m) and D its diagonal of row
-    multipliers, elimination on [A | I] leaves d·A⁻¹ in the right half,
-    d = ±det A the last pivot, every division exact; then m⁻¹ = A⁻¹·D.
-    Fractions are built only for the n² output entries.
+    multipliers, m⁻¹ = A⁻¹·D = adj(A)·D / det A.  Fractions are built only
+    for the n² output entries.
     """
     n, nc = dims(m)
     if n != nc:
         raise ValueError("inverse of non-square matrix")
     a, scales = _integer_rows(m)
+    adj, d = _adjugate(a)
+    return tuple(tuple(Fraction(x * s, d) for x, s in zip(row, scales)) for row in adj)
+
+
+def _adjugate(a: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(adj A, det A) for the square integer rows a, by fraction-free
+    (Bareiss) Gauss–Jordan on [A | I], which consumes a.
+
+    The elimination leaves p·A⁻¹ in the right half, p the last pivot, and
+    every division is exact; p = ±det A, the sign that of the row swaps.
+    Raises SingularMatrixError when det A = 0.
+    """
+    n = len(a)
     for i, row in enumerate(a):
         row.extend(int(i == j) for j in range(n))
     width = 2 * n
     prev = 1
+    sign = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             raise SingularMatrixError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
         pk = a[k]
         p = pk[k]
         for i in range(n):
@@ -210,9 +231,9 @@ def inverse(m: Matrix) -> Matrix:
                 for j in range(k + 1, width):
                     ai[j] = (p * ai[j] - f * pk[j]) // prev
         prev = p
-    return tuple(
-        tuple(Fraction(x * s, prev) for x, s in zip(row[n:], scales)) for row in a
-    )
+    if sign < 0:
+        return [[-x for x in row[n:]] for row in a], -prev
+    return [row[n:] for row in a], prev
 
 
 def rank(m: Matrix) -> int:
@@ -227,11 +248,6 @@ def is_upper_triangular(m: Matrix) -> bool:
 
 def is_lower_triangular(m: Matrix) -> bool:
     return is_upper_triangular(transpose(m))
-
-
-def is_diagonal(m: Matrix) -> bool:
-    n, _ = dims(m)
-    return all(m[i][j] == 0 for i in range(n) for j in range(n) if i != j)
 
 
 def is_block_upper(m: Matrix, blocks: Sequence[Sequence[int]]) -> bool:

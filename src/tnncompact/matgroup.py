@@ -1,10 +1,22 @@
 """Exact matrix model of the adjoint group of type A_{n-1}.
 
 Group elements are determinant-1 rational n×n matrices with projective
-equality: M ~ ζM for the rational n-th roots of unity ζ, which means ±1
+equality: g ~ ζg for the rational n-th roots of unity ζ, which means ±1
 for even n and only +1 for odd n.  The pinning is the standard one,
 x_i(a) = 1 + a·E_{i,i+1}, y_i(a) its transpose, and ψ (the positivity
 antiautomorphism) is literally matrix transpose.
+
+A group element g is stored as one integer matrix over one denominator,
+g = M/d with d > 0, gcd(content(M), d) = 1 and det M = dⁿ; that pair is
+unique for g.  The library computes with (M, d) alone: a product is the
+integer product over the product of the denominators, with their common
+content divided out; g⁻¹ is the integer adjugate of M over d^{n-1}, from
+one fraction-free elimination; a transpose transposes M.  Every sign and
+projective test reads M directly, since a positive scalar changes no sign
+of a minor and no projective point, and every position (Bruhat cells,
+block and triangular zero patterns) reads it too, since no scalar moves a
+zero.  The rational entries ``m`` are a Fraction view, built when a caller
+first reads it (JSON, the tests, the values of a Levi part).
 
 det = 1 and exact entries (ints and Fractions, never floats) are checked
 once, where a matrix enters: the public ``GroupMatrix`` constructor, which
@@ -15,19 +27,19 @@ factorization parts) is a group element by construction and goes through
 
 Every group element built from coordinates, other than the identity and
 the Weyl lifts, comes from one word evaluator: a word of steps x_i(a),
-y_i(a), ṡ_i and torus elements is multiplied out by one column operation
-per step, over any ring.  The generators and tori are one-step words, and
-the samplers and charts of ``tnn`` are longer ones.
+y_i(a), ṡ_i and torus elements is multiplied out by one integer column
+operation per step.  The generators and tori are one-step words, and the
+samplers and charts of ``tnn`` are longer ones.
 
 The Weyl lifts and the identity are signed permutation matrices that carry
 their permutation and signs: a product with one, on either side, moves and
-negates rows or columns with no Fraction product, and ẇ⁻¹ = ẇᵀ is the lift
-of the inverse permutation.  The identity is marked by a flag on its lift,
-so products with it return the other factor.  A word of ṡ_i steps alone (a
-chart with no free step) is built as a lift, and so is the trivial upper
-factor of a Bruhat elimination.  Every other matrix is inverted by one
-fraction-free elimination the first time its inverse is asked for; the
-inverse is kept on the matrix and linked back to it.
+negates rows or columns of M, and ẇ⁻¹ = ẇᵀ is the lift of the inverse
+permutation.  The identity is marked by a flag on its lift, so products
+with it return the other factor.  A word of ṡ_i steps alone (a chart with
+no free step) is built as a lift, and so is the trivial upper factor of a
+Bruhat elimination.  Every other matrix is inverted the first time its
+inverse is asked for; the inverse is kept on the matrix and linked back to
+it.
 
 Flags and parabolic subgroups are stored by a conjugating group element.
 Relative position is read off one Bruhat elimination; the associated
@@ -41,8 +53,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import accumulate
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate, chain
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -50,99 +63,116 @@ from . import linalg as la
 from .linalg import FactorizationError, Matrix, frac
 from .weyl import ParabolicSubset, WeylElement, _trusted_w, longest_w, simple_reflection
 
+IntMatrix = tuple[tuple[int, ...], ...]
+
 
 class GroupError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class GroupMatrix:
-    """Determinant-1 rational matrix, equal to its n-th-root-of-unity rescalings.
+    """Determinant-1 rational matrix, equal to its n-th-root-of-unity
+    rescalings, stored as g = M/d (see the module docstring): ``M`` is the
+    integer matrix and ``d`` the denominator.
 
-    The constructor checks squareness, entry types (int or Fraction) and
-    det = 1; build a matrix through it whenever the entries come from
-    outside the library.
+    The constructor takes the rational entries m and checks squareness,
+    entry types (int or Fraction) and det = 1; build a matrix through it
+    whenever the entries come from outside the library.  It keeps (M, d)
+    only: ``m`` is the Fraction view M/d, built and kept when first read.
     """
 
-    m: Matrix
+    def __init__(self, m: Matrix):
+        self.__post_init__(m)
 
-    def __post_init__(self):
-        n, nc = la.dims(self.m)
+    def __post_init__(self, m: Matrix):
+        n, nc = la.dims(m)
         if n != nc:
             raise GroupError("group matrix must be square")
-        if any(type(x) not in la._RATIONAL for row in self.m for x in row):
+        if any(type(x) not in la._RATIONAL for row in m for x in row):
             raise GroupError("group matrix entries must be ints or Fractions")
-        if la.det(self.m) != 1:
+        M, d = _integer_form(m)
+        if la.det(M) != d**n:
             raise GroupError("group matrix must have determinant 1")
+        self.__dict__.update(M=M, d=d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroupMatrix is immutable; cannot set {name}")
+
+    @cached_property
+    def m(self) -> Matrix:
+        """The entries M/d as Fractions."""
+        d = self.d
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.M)
 
     @property
     def n(self) -> int:
-        return len(self.m)
+        return len(self.M)
 
-    def canonical(self) -> Matrix:
-        """Sign fixed by first nonzero entry > 0, when a sign flip is allowed."""
-        if self.n % 2 == 1:
-            return self.m
-        for row in self.m:
-            for x in row:
-                if x != 0:
-                    return self.m if x > 0 else la.scale(self.m, Fraction(-1))
-        raise GroupError("zero matrix")  # unreachable: det = 1
+    def canonical(self) -> IntMatrix:
+        """M, with the sign fixed by first nonzero entry > 0 when a sign flip
+        is allowed: one key for the whole class of g."""
+        M = self.M
+        if len(M) % 2 == 1 or next(x for x in chain.from_iterable(M) if x) > 0:
+            return M
+        return _negated(M)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupMatrix):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        a, b = self.M, other.M
+        return a == b or (len(a) % 2 == 0 and a == _negated(b))
 
     def __hash__(self) -> int:
         return hash(self.canonical())
 
     def __matmul__(self, other: "GroupMatrix") -> "GroupMatrix":
-        d, e = self.__dict__, other.__dict__
-        a, b = self.m, other.m
-        # a size mismatch falls through to la.matmul's ValueError
+        left, right = self.__dict__, other.__dict__
+        a, b = self.M, other.M
         if len(a) != len(b):
-            m = la.matmul(a, b)
-        elif "_one" in d:
+            raise ValueError(f"shape mismatch: {len(a)}×{len(a)} @ {len(b)}×{len(b)}")
+        if "_one" in left:
             return other
-        elif "_one" in e:
+        if "_one" in right:
             return self
-        elif "_lift" in d:
-            rows = d["_lift"][0]
-            if "_lift" in e:  # row i of ẇ·ẋ is ±row c of ẋ
-                then = e["_lift"][0]
+        if "_lift" in left:
+            rows = left["_lift"][0]
+            if "_lift" in right:  # row i of ẇ·ẋ is ±row c of ẋ
+                then = right["_lift"][0]
                 return _lift(tuple((then[c][0], s * then[c][1]) for c, s in rows))
             # row i of ẇ·b is ±row c of b
-            m = tuple(b[c] if s > 0 else tuple(-x for x in b[c]) for c, s in rows)
-        elif "_lift" in e:
+            return _trusted(
+                tuple(b[c] if s > 0 else tuple(-x for x in b[c]) for c, s in rows), other.d
+            )
+        if "_lift" in right:
             # column k of a·ẇ is ±column r of a
-            cols = e["_lift"][1]
-            m = tuple(tuple(row[r] if s > 0 else -row[r] for r, s in cols) for row in a)
-        else:
-            m = la.matmul(a, b)
-        return _trusted(m)
+            cols = right["_lift"][1]
+            return _trusted(
+                tuple(tuple(row[r] if s > 0 else -row[r] for r, s in cols) for row in a), self.d
+            )
+        return _reduced(la._int_product(a, b), self.d * other.d)
 
     def inverse(self) -> "GroupMatrix":
         """g⁻¹: a Weyl lift's is the lift of its transpose; any other matrix,
-        the caller's too, is inverted by one fraction-free elimination the
-        first time it is asked, and the result is kept on g and linked
-        back to it."""
-        d = self.__dict__
-        if "_lift" in d:
-            return _lift(d["_lift"][1])
-        h = d.get("_inv")
+        the caller's too, is inverted the first time it is asked, and the
+        result is kept on g and linked back to it.  With det M = dⁿ,
+        g⁻¹ = d·M⁻¹ = adj(M)/d^{n-1}, from one fraction-free elimination."""
+        attrs = self.__dict__
+        if "_lift" in attrs:
+            return _lift(attrs["_lift"][1])
+        h = attrs.get("_inv")
         if h is None:
-            h = d["_inv"] = _trusted(la.inverse(self.m))
+            adj, _ = la._adjugate([list(row) for row in self.M])
+            h = attrs["_inv"] = _reduced(tuple(map(tuple, adj)), self.d ** (self.n - 1))
             h.__dict__["_inv"] = self
         return h
 
     @property
     def T(self) -> "GroupMatrix":
         """ψ: the antiautomorphism fixing T and swapping x_i(a) with y_i(a)."""
-        d = self.__dict__
-        if "_lift" in d:
-            return _lift(d["_lift"][1])
-        return _trusted(la.transpose(self.m))
+        attrs = self.__dict__
+        if "_lift" in attrs:
+            return _lift(attrs["_lift"][1])
+        return _trusted(tuple(zip(*self.M)), self.d)
 
     def is_identity(self) -> bool:
         return self == identity_g(self.n)
@@ -154,12 +184,34 @@ class GroupMatrix:
         return f"G[{rows}]"
 
 
-def _trusted(m: Matrix) -> GroupMatrix:
-    """A GroupMatrix for a square det-1 matrix the library built: skips the
+def _negated(M: IntMatrix) -> IntMatrix:
+    return tuple(tuple(-x for x in row) for row in M)
+
+
+def _integer_form(m: Matrix) -> tuple[IntMatrix, int]:
+    """(M, d) with m = M/d: d the lcm of the entries' denominators, so that
+    gcd(content(M), d) = 1."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in m]
+    d = lcm(*(q for row in ratios for _, q in row))
+    return tuple(tuple(p * (d // q) for p, q in row) for row in ratios), d
+
+
+def _trusted(M: IntMatrix, d: int) -> GroupMatrix:
+    """The GroupMatrix M/d for a square integer M and d > 0 the library
+    built, with gcd(content(M), d) = 1 and det M = dⁿ: skips the
     ``__post_init__`` check."""
     g = object.__new__(GroupMatrix)
-    g.__dict__["m"] = m
+    g.__dict__.update(M=M, d=d)
     return g
+
+
+def _reduced(M: IntMatrix, d: int) -> GroupMatrix:
+    """The group element M/d, for det M = dⁿ and d > 0, with the content
+    that M shares with d divided out."""
+    c = gcd(d, *chain.from_iterable(M)) if d > 1 else 1
+    if c > 1:
+        M, d = tuple(tuple(x // c for x in row) for row in M), d // c
+    return _trusted(M, d)
 
 
 _LIFTS: dict[tuple[tuple[int, int], ...], GroupMatrix] = {}
@@ -180,10 +232,8 @@ def _lift(rows: tuple[tuple[int, int], ...]) -> GroupMatrix:
         cols: list = [None] * n
         for i, (c, s) in enumerate(rows):
             cols[c] = (i, s)
-        entries = {1: Fraction(1), -1: Fraction(-1)}
-        zero = Fraction(0)
         g = _LIFTS[rows] = _trusted(
-            tuple(tuple(entries[s] if k == c else zero for k in range(n)) for c, s in rows)
+            tuple(tuple(s if k == c else 0 for k in range(n)) for c, s in rows), 1
         )
         g.__dict__["_lift"] = (rows, tuple(cols))
         if all(c == i and s == 1 for i, (c, s) in enumerate(rows)):
@@ -196,51 +246,61 @@ def identity_g(n: int) -> GroupMatrix:
 
 
 # ---------------------------------------------------------------------------
-# words, evaluated over any ring
+# words
 #
 # A word is a list of steps (kind, i, a): ("x", i, a) is x_i(a), ("y", i, a)
 # is y_i(a), ("s", i, None) is ṡ_i and ("t", 0, coords) is the torus element
-# with simple-coroot coordinates coords, as in torus.
-
-def _evaluate_word(n: int, steps, one) -> la.Matrix:
-    """The product of the steps, by one column operation each.
-
-    Only +, −, × and / are used, starting from the unit ``one``, so the
-    entries may lie in any field: the library runs it over Fraction, and
-    the tests' Jacobian oracle over dual numbers.  Zero entries are skipped.
-    """
-    zero = one - one
-    m = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for kind, i, a in steps:
-        if kind == "x":  # column i += a·column i-1
-            for row in m:
-                if row[i - 1]:
-                    row[i] = row[i] + a * row[i - 1]
-        elif kind == "y":  # column i-1 += a·column i
-            for row in m:
-                if row[i]:
-                    row[i - 1] = row[i - 1] + a * row[i]
-        elif kind == "s":  # ṡ_i has 1 at (i+1, i) and −1 at (i, i+1)
-            for row in m:
-                row[i - 1], row[i] = row[i], -row[i - 1]
-        else:  # diag(a_1, a_2/a_1, …, 1/a_{n-1})
-            for k, d in enumerate(c / p for c, p in zip([*a, one], [one, *a])):
-                for row in m:
-                    if row[k]:
-                        row[k] = row[k] * d
-    return tuple(tuple(row) for row in m)
-
+# with simple-coroot coordinates coords, as in torus.  Coordinates are ints
+# or Fractions.
 
 def _word_element(n: int, steps) -> GroupMatrix:
-    """The group element of a word of Fraction steps.
+    """The group element of a word, by one integer column operation per step.
 
-    Without its unit torus steps, a word of ṡ_i steps alone is a Weyl lift
-    (the identity when empty).
+    Column k is kept as integers over a denominator of its own, reduced
+    (``_reduced_column``), so a step touches only the column it changes;
+    the columns go over one denominator, their lcm, at the end.  Zero steps
+    are skipped.  Without its unit torus steps, a word of ṡ_i steps alone
+    is a Weyl lift (the identity when empty).
     """
     steps = [st for st in steps if st[0] != "t" or any(c != 1 for c in st[2])]
     if all(kind == "s" for kind, _, _ in steps):
         return reduce(GroupMatrix.__matmul__, (sdot(n, i) for _, i, _ in steps), identity_g(n))
-    return _trusted(_evaluate_word(n, steps, Fraction(1)))
+    cols = [[int(i == k) for i in range(n)] for k in range(n)]
+    dens = [1] * n
+    for kind, i, a in steps:
+        if kind == "s":  # ṡ_i has 1 at (i+1, i) and −1 at (i, i+1)
+            cols[i - 1], cols[i] = cols[i], [-x for x in cols[i - 1]]
+            dens[i - 1], dens[i] = dens[i], dens[i - 1]
+        elif kind == "t":  # column k times a_k/a_{k-1}, with a_0 = a_n = 1
+            r = [(1, 1), *(c.as_integer_ratio() for c in a), (1, 1)]
+            for k, ((p, q), (p0, q0)) in enumerate(zip(r[1:], r)):
+                if p * q0 != q * p0:
+                    cols[k], dens[k] = _reduced_column(
+                        [x * p * q0 for x in cols[k]], dens[k] * q * p0
+                    )
+        else:  # x_i: column i += a·column i-1; y_i: column i-1 += a·column i
+            p, q = a.as_integer_ratio()
+            if p:
+                t, u = (i, i - 1) if kind == "x" else (i - 1, i)
+                l = lcm(dens[t], q * dens[u])
+                f, h = l // dens[t], p * (l // (q * dens[u]))
+                cols[t], dens[t] = _reduced_column(
+                    [x * f + y * h for x, y in zip(cols[t], cols[u])], l
+                )
+    d = lcm(*dens)
+    return _trusted(tuple(zip(*([x * (d // e) for x in c] for c, e in zip(cols, dens)))), d)
+
+
+def _reduced_column(col: list[int], den: int) -> tuple[list[int], int]:
+    """col/den with a positive denominator and no content shared with it:
+    then the lcm of the column denominators shares no content with the
+    columns over it either."""
+    if den < 0:
+        col, den = [-x for x in col], -den
+    c = gcd(den, *col)
+    if c > 1:
+        col, den = [x // c for x in col], den // c
+    return col, den
 
 
 def _check_index(n: int, i: int) -> None:
@@ -304,7 +364,7 @@ def pi_factor(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
     """
     l, d, u = la.ldu(g.m)
     pivots = (d[i][i] for i in range(g.n - 1))
-    return _trusted(l), torus(accumulate(pivots, mul)), _trusted(u)
+    return _trusted(*_integer_form(l)), torus(accumulate(pivots, mul)), _trusted(*_integer_form(u))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +385,7 @@ class FlagPoint:
             return NotImplemented
         if self.n != other.n:
             return False
-        return la.is_upper_triangular((self.g.inverse() @ other.g).m)
+        return la.is_upper_triangular((self.g.inverse() @ other.g).M)
 
     __hash__ = None  # equality is coset equality; no canonical form to hash
 
@@ -360,8 +420,8 @@ class ParabolicPoint:
     def _member(self, h: GroupMatrix) -> bool:
         blocks = self.J.blocks0()
         if self.opposite:
-            return la.is_block_lower(h.m, blocks)
-        return la.is_block_upper(h.m, blocks)
+            return la.is_block_lower(h.M, blocks)
+        return la.is_block_upper(h.M, blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParabolicPoint):
@@ -388,12 +448,11 @@ def opposite_parabolic(J: ParabolicSubset) -> ParabolicPoint:
 # relative position
 
 def bruhat_cell(g: GroupMatrix) -> WeylElement:
-    """The w with g ∈ B^+ẇB^+, read off one Bruhat elimination
-    (``_bruhat_left``) after one rank of the whole matrix rejects singular
-    input."""
-    if la.rank(g.m) < g.n:
+    """The w with g ∈ B^+ẇB^+, read off one Bruhat elimination of M
+    (``_bruhat_left``) after one rank of M rejects singular input."""
+    if la.rank(g.M) < g.n:
         raise GroupError("singular matrix has no Bruhat cell")
-    return _bruhat_left(g.m, factors=False)[1]
+    return _bruhat_left(g.M, factors=False)[1]
 
 
 def bruhat_position(b1: FlagPoint, b2: FlagPoint) -> WeylElement:
@@ -403,34 +462,50 @@ def bruhat_position(b1: FlagPoint, b2: FlagPoint) -> WeylElement:
 # ---------------------------------------------------------------------------
 # associated Borel and opposedness
 
-def _bruhat_left(m: Matrix, factors: bool = True) -> tuple[Matrix, WeylElement]:
-    """(b, w) with b upper unipotent and m ∈ b·ẇ·B^+, for invertible m.
+def _bruhat_left(m: IntMatrix, factors: bool = True) -> tuple[GroupMatrix | None, WeylElement]:
+    """(b, w) with b upper unipotent and m ∈ b·ẇ·B^+, for an invertible
+    integer m; b is the group element, the identity when no row operation
+    was needed.
 
     Column by column, the lowest nonzero row not yet used is the pivot and
     clears the unused rows above it; b holds the multipliers, which are the
-    entries of the inverse row operations.  Without factors, only w is read
-    off and b is returned as ().
+    entries of the inverse row operations.  Row i is kept as integers a[i]
+    over a scale s[i]: clearing with pivot row p replaces a[i] by
+    x·a[i] − y·a[p], for x and y the entries in the pivot column, and s[i]
+    by x·s[i], so no Fraction is built and zero tests are exact.  A scalar
+    multiple of m has the same w and the same b.  Without factors, only w
+    is read off and b is returned as None.
     """
     n = len(m)
     a = [list(row) for row in m]
-    if factors:
-        b = [list(row) for row in la.identity(n)]
+    s = [1] * n
+    mult = []  # (i, p, numerator, denominator) of the entry b[i][p]
     perm = []
     unused = list(range(n))
     for j in range(n):
         p = next(i for i in reversed(unused) if a[i][j] != 0)
         unused.remove(p)
         perm.append(p + 1)
+        ap, x = a[p], a[p][j]
         for i in unused:
             if i > p:
                 break
-            f = a[i][j] / a[p][j]
-            if f:
-                for k in range(j + 1, n):
-                    a[i][k] -= f * a[p][k]
+            y = a[i][j]
+            if y:  # columns up to j are never read again
+                a[i] = [x * u - y * v for u, v in zip(a[i], ap)]
                 if factors:
-                    b[i][p] = f
-    return (tuple(map(tuple, b)) if factors else ()), _trusted_w(tuple(perm))
+                    mult.append((i, p, y * s[p], x * s[i]))
+                    s[i] *= x
+    w = _trusted_w(tuple(perm))
+    if not factors:
+        return None, w
+    if not mult:
+        return identity_g(n), w
+    d = lcm(*(abs(q) for *_, q in mult))
+    b = [[d if r == c else 0 for c in range(n)] for r in range(n)]
+    for i, p, num, q in mult:
+        b[i][p] = num * d // q
+    return _reduced(tuple(map(tuple, b)), d), w
 
 
 def associated_borel(P: ParabolicPoint, B: FlagPoint) -> FlagPoint:
@@ -443,21 +518,20 @@ def associated_borel(P: ParabolicPoint, B: FlagPoint) -> FlagPoint:
     J, g = P.J, P.g
     if P.opposite:
         J, g = J.star(), g @ wdot(longest_w(P.n))
-    b, w = _bruhat_left((g.inverse() @ B.g).m)
+    b, w = _bruhat_left((g.inverse() @ B.g).M)
     x = w * J.min_rep(w.inverse())
-    # b is unipotent, so diagonal only when no row operation was needed
-    b = identity_g(P.n) if la.is_diagonal(b) else _trusted(b)
     return FlagPoint(g @ b @ wdot(x))
 
 
 def opposed(P: ParabolicPoint, Q: ParabolicPoint) -> bool:
     """True iff P ∩ Q is a common Levi, i.e. iff P.g⁻¹·Q.g has the two-sided
     block factorization u_p·l·u_q, whose Levi part l one trailing
-    Schur-complement pass reads off (la.levi_part)."""
+    Schur-complement pass reads off (la.levi_part).  Whether it exists does
+    not change under scalars, so the pass runs on M."""
     if P.opposite or not Q.opposite or P.J != Q.J:
         raise GroupError("opposed() expects (type-J standard, type-J* opposite) pair")
     try:
-        la.levi_part((P.g.inverse() @ Q.g).m, P.J.blocks0())
+        la.levi_part((P.g.inverse() @ Q.g).M, P.J.blocks0())
     except FactorizationError:
         return False
     return True

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import linalg as la
 from .exterior import (
@@ -32,7 +31,7 @@ from .exterior import (
     strictly_signed,
 )
 from .linalg import FactorizationError, Matrix
-from .matgroup import GroupMatrix, _trusted, identity_g
+from .matgroup import GroupMatrix, _integer_form, _trusted, identity_g
 from .tnn import is_totally_positive
 from .weyl import ParabolicSubset
 
@@ -74,7 +73,7 @@ class CompactPoint:
             l = la.levi_part((a.inverse() @ g @ b).m, J.blocks0())
         except FactorizationError as e:
             raise StrataError(f"triple violates opposedness: {e}") from e
-        return cls(J, a @ _trusted(l), b.inverse())
+        return cls(J, a @ _trusted(*_integer_form(l)), b.inverse())
 
     @property
     def n(self) -> int:
@@ -85,9 +84,15 @@ class CompactPoint:
             return NotImplemented
         if self.J != other.J:
             return False
-        # the fundamental tuples of both points, on one pair of integer scalings
-        (m1, m2), (p1, p2) = _integer_pairs((self.g1.m, self.g2.m), (other.g1.m, other.g2.m))
-        return all(map(proj_equal, _limit_images(self.J, m1, m2), _limit_images(self.J, p1, p2)))
+        # the fundamental tuples of both points, each on its integer pair
+        # (M1, M2): ρ_k(M1)·D_k·ρ_k(M2) is a positive multiple of its entry
+        return all(
+            map(
+                proj_equal,
+                _limit_images(self.J, self.g1.M, self.g2.M),
+                _limit_images(self.J, other.g1.M, other.g2.M),
+            )
+        )
 
     # equality is projective equality of the fundamental tuple; no canonical
     # form is kept to hash
@@ -153,31 +158,6 @@ def _kept_product(c1: Matrix, c2: Matrix, keep) -> Matrix:
     return la.matmul(tuple(tuple(row[s] for s in keep) for row in c1), tuple(c2[s] for s in keep))
 
 
-def _integer_pairs(*pairs: tuple[Matrix, Matrix]) -> list[tuple[Matrix, Matrix]]:
-    """Each square pair (m1, m2) as the integer pair (D1·m1, m2·D2), with the
-    same positive diagonals D1 and D2 for every pair: row i of each m1 times
-    the lcm of the denominators in row i of all of them, and likewise for
-    the columns of the m2.
-
-    ρ_k(D) is a positive diagonal for a positive diagonal D, so every
-    ρ_k(D1·m1)·D_k·ρ_k(m2·D2) is ρ_k(D1)·(ρ_k(m1)·D_k·ρ_k(m2))·ρ_k(D2):
-    entrywise signs, and projective equality between the images of two
-    pairs, are those of the rational pairs."""
-    n = len(pairs[0][0])
-    ratios = [
-        [[list(map(Fraction.as_integer_ratio, row)) for row in m] for m in pair] for pair in pairs
-    ]
-    rows = [lcm(*(d for r1, _ in ratios for _, d in r1[i])) for i in range(n)]
-    cols = [lcm(*(r2[i][j][1] for _, r2 in ratios for i in range(n))) for j in range(n)]
-    return [
-        (
-            tuple(tuple(p * (r // d) for p, d in row) for r, row in zip(rows, r1)),
-            tuple(tuple(p * (c // d) for (p, d), c in zip(row, cols)) for row in r2),
-        )
-        for r1, r2 in ratios
-    ]
-
-
 # ---------------------------------------------------------------------------
 # torus limits
 
@@ -229,11 +209,10 @@ def membership_Zgt0(z: CompactPoint) -> bool:
     n = 4 cells (J = {2}, where Plücker and Lusztig positivity of partial
     flags differ, included: Bloch and Karp, Adv. Math. 2023) and the n = 5
     top cells.  ψ̄ needs no separate check: it transposes every entry of
-    the tuple.  The entries are computed on the integer pair of
-    _integer_pairs, which scales each of them by positive numbers only.
+    the tuple.  The entries are computed on the integer pair (M1, M2) of
+    g_i = M_i/d_i, which scales the degree-k entry by (d1·d2)^k > 0 only.
     """
-    ((m1, m2),) = _integer_pairs((z.g1.m, z.g2.m))
-    return all(strictly_signed(m) for m in _limit_images(z.J, m1, m2))
+    return all(strictly_signed(m) for m in _limit_images(z.J, z.g1.M, z.g2.M))
 
 
 def positive_retraction(

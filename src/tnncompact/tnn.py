@@ -4,7 +4,7 @@ phi_plus/phi_minus realize words in the Chevalley generators; Marsh-Rietsch
 charts evaluate to the cells of the flag variety; double Bruhat charts give
 the cells of the monoid of totally nonnegative elements.  Each chart is a
 word of steps, and ``matgroup``'s word evaluator, which builds every group
-element, multiplies it out over any ring, and the Jacobian rank check in
+element, multiplies it out over the integers, and the Jacobian rank check in
 ``cells`` reads its tangent vectors off the sampler's own words.  Every
 sampler is driven by an explicit seeded random.Random, and strict or
 nonneg positivity is always certified a posteriori by exact minor tests,
@@ -16,12 +16,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from . import linalg as la
 from .exterior import compounds
 from .linalg import frac
-from .matgroup import GroupMatrix, _word_element, bruhat_cell, torus
+from .matgroup import GroupMatrix, _negated, _word_element, bruhat_cell, torus
 from .weyl import (
     ParabolicSubset,
     PositiveSubexpression,
@@ -37,7 +38,7 @@ class ParamError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# chart words, in the step format of matgroup._evaluate_word
+# chart words, in the step format of matgroup._word_element
 
 def _mr_steps(psub: PositiveSubexpression, coords) -> list:
     """y_{i_j}(a_j) on the free steps of psub, ṡ_{i_j} on the others."""
@@ -82,36 +83,33 @@ def _phi(word: ReducedWord, coords: Sequence, kind: str) -> GroupMatrix:
 # ---------------------------------------------------------------------------
 # positivity certificates (exact minor tests)
 
-# The minor tests run on la._integer_rows(m): a positive scaling of a row
-# multiplies every minor through that row by a positive number, so every
-# sign is the rational matrix's, and the ladder runs on Python ints.
+# The minor tests run on Python ints: on a group element's integer matrix
+# M, and on a rational matrix after la._integer_rows.  A positive scaling
+# of a row multiplies every minor through that row by a positive number,
+# so every sign is the rational matrix's.
 
 def is_tnn_matrix(m: la.Matrix) -> bool:
-    a = la._integer_rows(m)[0]
-    return all(x >= 0 for c in compounds(a, len(a)) for row in c for x in row)
+    return _minors_positive(la._integer_rows(m)[0], strict=False)
 
 
-def _all_compound_entries_positive(m: la.Matrix) -> bool:
-    a = la._integer_rows(m)[0]
-    return all(x > 0 for c in compounds(a, len(a)) for row in c for x in row)
+def _minors_positive(a, strict: bool) -> bool:
+    """Whether every minor of the integer matrix a is > 0 (strict) or ≥ 0,
+    from the least entry of each compound, degree by degree."""
+    for c in compounds(a, len(a)):
+        least = min(chain.from_iterable(c))
+        if least < 0 or (strict and least == 0):
+            return False
+    return True
 
 
 def is_totally_positive(g: GroupMatrix) -> bool:
     """g ∈ G_{>0}: every compound matrix entry strictly positive, projectively."""
-    if _all_compound_entries_positive(g.m):
-        return True
-    if g.n % 2 == 0:
-        return _all_compound_entries_positive(la.scale(g.m, Fraction(-1)))
-    return False
+    return _minors_positive(g.M, True) or (g.n % 2 == 0 and _minors_positive(_negated(g.M), True))
 
 
 def is_totally_nonneg(g: GroupMatrix) -> bool:
     """g ∈ G_{≥0} (projective): some sign representative is a TNN matrix."""
-    if is_tnn_matrix(g.m):
-        return True
-    if g.n % 2 == 0:
-        return is_tnn_matrix(la.scale(g.m, Fraction(-1)))
-    return False
+    return _minors_positive(g.M, False) or (g.n % 2 == 0 and _minors_positive(_negated(g.M), False))
 
 
 def in_unipotent_cell(u: GroupMatrix, w: WeylElement, lower: bool) -> bool:
@@ -121,10 +119,10 @@ def in_unipotent_cell(u: GroupMatrix, w: WeylElement, lower: bool) -> bool:
     Transposing an upper product reverses its word, so the upper case reads
     the cell of uᵀ and inverts.
     """
-    tri = la.is_lower_triangular(u.m) if lower else la.is_upper_triangular(u.m)
-    if not tri or any(u.m[i][i] != 1 for i in range(u.n)):
+    tri = la.is_lower_triangular(u.M) if lower else la.is_upper_triangular(u.M)
+    if not tri or any(u.M[i][i] != u.d for i in range(u.n)):
         return False
-    if not is_tnn_matrix(u.m):
+    if not _minors_positive(u.M, strict=False):
         return False
     return (bruhat_cell(u) if lower else bruhat_cell(u.T).inverse()) == w
 

@@ -4,8 +4,12 @@ The kernel references are the textbook definitions, written with ring
 operations only (no division, no zero tests), so they apply unchanged to
 Fraction, Laurent and Dual entries and stay independent of the library's
 kernels; the one exception is the Gauss–Jordan inverse, which pivots on
-Fractions where the library eliminates over the integers.  The group-layer
-references decide flag and parabolic questions by subspaces and Lie
+Fractions where the library eliminates over the integers.  The group
+layer stores each element as an integer matrix over one denominator; its
+references are the Fraction product it ran before (``rational_matmul``),
+that inverse, and the column operations of its word evaluator run over
+any ring (``evaluate_word``), which also give the Dual charts.  Its flag
+and parabolic references decide those questions by subspaces and Lie
 algebras, independently of the library's eliminations.  The two-sided
 block factorization u_p·l·u_q is built whole, as the leading block LDU of
 the matrix conjugated by the reversal permutation, and ``la.levi_part``
@@ -13,7 +17,9 @@ must match its middle factor.  The certificate references are the
 library's sign and projective tests as they ran over Fractions before the
 library cleared denominators: the compound ladder on the rational matrix,
 the fundamental tuple of rational images, and the torus-limit check on
-Laurent polynomials with Fraction coefficients.  ``torus_limit`` returns
+Laurent polynomials with Fraction coefficients; the Cauchy–Binet check
+runs on the row and column scalings of ``integer_pairs``, which the
+library used before it read integer matrices directly.  ``torus_limit`` returns
 its closed form unchecked; the reference that the closed form is the limit
 is the Cauchy–Binet check, which keeps the subsets of largest curve
 weight, and its own reference is the curve itself, built entry by entry as
@@ -36,6 +42,8 @@ representation through compounds, with one gradient row per entry.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -44,8 +52,8 @@ from tnncompact.cells import _chart, _chart_words, dimension_of
 from tnncompact.dual import Dual
 from tnncompact.exterior import compound, compounds, proj_equal, strictly_signed, subsets_colex
 from tnncompact.laurent import Laurent, lmat_limit
-from tnncompact.matgroup import GroupError, _evaluate_word
-from tnncompact.strata import _integer_pairs, _kept_product, _limit_images, fundamental_tuple
+from tnncompact.matgroup import GroupError, _integer_form, _trusted
+from tnncompact.strata import _kept_product, _limit_images, fundamental_tuple
 from tnncompact.tnn import MRChart, rand_pos_fraction
 from tnncompact.weyl import WeylElement, lex_min_reduced_word, positive_subexpression, simple_reflection
 
@@ -79,6 +87,95 @@ def gauss_jordan_inverse(m):
                 f = a[i][k]
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return tuple(tuple(row[n:]) for row in a)
+
+
+def rational_matmul(a, b):
+    """a·b for rational a and b, as the group layer multiplied Fraction
+    matrices before it stored them over the integers: with A = D_r·a and
+    B = b·D_c integer, (a·b)_ij = (A·B)_ij / (r_i·c_j), one Fraction per
+    entry."""
+
+    def integer_rows(m):
+        ratios = [[x.as_integer_ratio() for x in row] for row in m]
+        scales = [lcm(*(d for _, d in row)) for row in ratios]
+        return [[p * (s // d) for p, d in row] for row, s in zip(ratios, scales)], scales
+
+    rows, rs = integer_rows(a)
+    cols, cs = integer_rows(tuple(zip(*b)))
+    return tuple(
+        tuple(Fraction(sum(map(mul, row, col)), r * c) for col, c in zip(cols, cs))
+        for row, r in zip(rows, rs)
+    )
+
+
+def identity(n):
+    """The n×n identity as a Fraction matrix."""
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def is_diagonal(m):
+    return all(x == 0 for i, row in enumerate(m) for j, x in enumerate(row) if i != j)
+
+
+def trusted(m):
+    """The GroupMatrix of any square rational m, unchecked: m need not have
+    det 1, or be invertible."""
+    return _trusted(*_integer_form(m))
+
+
+def integer_pairs(*pairs):
+    """Each square pair (m1, m2) as the integer pair (D1·m1, m2·D2), with the
+    same positive diagonals D1 and D2 for every pair: row i of each m1 times
+    the lcm of the denominators in row i of all of them, and likewise for
+    the columns of the m2.
+
+    ρ_k(D) is a positive diagonal for a positive diagonal D, so every
+    ρ_k(D1·m1)·D_k·ρ_k(m2·D2) is ρ_k(D1)·(ρ_k(m1)·D_k·ρ_k(m2))·ρ_k(D2):
+    entrywise signs, and projective equality between the images of two
+    pairs, are those of the rational pairs."""
+    n = len(pairs[0][0])
+    ratios = [
+        [[list(map(Fraction.as_integer_ratio, row)) for row in m] for m in pair] for pair in pairs
+    ]
+    rows = [lcm(*(d for r1, _ in ratios for _, d in r1[i])) for i in range(n)]
+    cols = [lcm(*(r2[i][j][1] for _, r2 in ratios for i in range(n))) for j in range(n)]
+    return [
+        (
+            tuple(tuple(p * (r // d) for p, d in row) for r, row in zip(rows, r1)),
+            tuple(tuple(p * (c // d) for (p, d), c in zip(row, cols)) for row in r2),
+        )
+        for r1, r2 in ratios
+    ]
+
+
+def evaluate_word(n, steps, one):
+    """The product of a word of steps (matgroup's step format), by one
+    column operation each.
+
+    Only +, −, × and / are used, starting from the unit ``one``, so the
+    entries may lie in any field: the Dual charts run it over dual numbers.
+    Zero entries are skipped.
+    """
+    zero = one - one
+    m = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for kind, i, a in steps:
+        if kind == "x":  # column i += a·column i-1
+            for row in m:
+                if row[i - 1]:
+                    row[i] = row[i] + a * row[i - 1]
+        elif kind == "y":  # column i-1 += a·column i
+            for row in m:
+                if row[i]:
+                    row[i - 1] = row[i - 1] + a * row[i]
+        elif kind == "s":  # ṡ_i has 1 at (i+1, i) and −1 at (i, i+1)
+            for row in m:
+                row[i - 1], row[i] = row[i], -row[i - 1]
+        else:  # diag(a_1, a_2/a_1, …, 1/a_{n-1})
+            for k, d in enumerate(c / p for c, p in zip([*a, one], [one, *a])):
+                for row in m:
+                    if row[k]:
+                        row[k] = row[k] * d
+    return tuple(tuple(row) for row in m)
 
 
 def block_ldu(m, blocks):
@@ -299,10 +396,10 @@ def cauchy_binet_limit_check(g1, cs, g2, z):
     Σ_S s^{-e_S}·ρ_k(g1)[:, S]·ρ_k(g2)[S, :] over the k-subsets S, so the
     limit keeps the S of largest weight e_S, found from the exponents, not
     from z's stratum; ρ_k(g1) and ρ_k(g2) are invertible, so that top layer
-    never vanishes.  Both sides run on one ``_integer_pairs`` scaling."""
+    never vanishes.  Both sides run on one ``integer_pairs`` scaling."""
     n = g1.n
     e = curve_exponents(cs)
-    (m1, m2), (p1, p2) = _integer_pairs((g1.m, g2.m), (z.g1.m, z.g2.m))
+    (m1, m2), (p1, p2) = integer_pairs((g1.m, g2.m), (z.g1.m, z.g2.m))
     levels = zip(_limit_images(z.J, p1, p2), compounds(m1, n - 1), compounds(m2, n - 1))
     return all(
         proj_equal(_kept_product(c1, c2, top_weight_positions(e, k)), want)
@@ -494,7 +591,7 @@ def dual_chart(label, values):
     one = Dual.const(1, len(values))
     word1, word2 = _chart_words(_chart(label, x, one))
     n = label.J.n
-    return (_evaluate_word(n, word1, one), la.transpose(_evaluate_word(n, word2, one)))
+    return (evaluate_word(n, word1, one), la.transpose(evaluate_word(n, word2, one)))
 
 
 def dual_words(J, word1, word2):
@@ -518,8 +615,8 @@ def dual_words(J, word1, word2):
             ))
         return (kind, i, a)
 
-    g1 = _evaluate_word(J.n, [lift(*step) for step in word1], one)
-    g2 = _evaluate_word(J.n, [lift(*step) for step in word2], one)
+    g1 = evaluate_word(J.n, [lift(*step) for step in word1], one)
+    g2 = evaluate_word(J.n, [lift(*step) for step in word2], one)
     return g1, la.transpose(g2)
 
 

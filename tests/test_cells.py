@@ -10,6 +10,7 @@ from oracles import (
     dual_jacobian_rank,
     dual_rank,
     dual_words,
+    identity,
     refusing_signed_permutations,
 )
 
@@ -457,9 +458,11 @@ def test_roundtrip_n4_random_labels():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_classify_eliminates_no_matrix_twice(n, monkeypatch):
-    """Each matrix classify inverts goes through linalg.inverse at most once,
-    on sampled points and on torus limits of caller-built matrices, whose
-    g1 the flag cell and a γ position both invert."""
+    """Each matrix classify inverts goes through one fraction-free
+    elimination (linalg._adjugate) at most once, on sampled points and on
+    torus limits of caller-built matrices, whose g1 the flag cell and a γ
+    position both invert: the caller's g1 is eliminated on the first
+    classify, and never again."""
     import tnncompact.linalg as la
     from tnncompact.matgroup import GroupMatrix
     from tnncompact.strata import torus_limit
@@ -475,27 +478,41 @@ def test_classify_eliminates_no_matrix_twice(n, monkeypatch):
         cases.append((None, torus_limit(g1, c, g2)))
 
     eliminated = []
-    inverse = la.inverse
-    monkeypatch.setattr(la, "inverse", lambda m: eliminated.append(m) or inverse(m))
+    adjugate = la._adjugate
+
+    def recording(a):
+        eliminated.append(tuple(map(tuple, a)))
+        return adjugate(a)
+
+    monkeypatch.setattr(la, "_adjugate", recording)
     for label, z in cases:
         eliminated.clear()
         got = classify(z)
         assert got == label if label else got.is_nonempty()
         assert len(set(eliminated)) == len(eliminated)
+        if label is None:
+            assert eliminated.count(z.g1.M) == 1
+            eliminated.clear()
+            classify(z)
+            assert z.g1.M not in eliminated
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_sample_and_classify_multiply_no_signed_permutation(n, monkeypatch):
     """Weyl lifts, the identity and the words that are lifts multiply by
     index maps on the sample→classify path: no signed permutation reaches
-    linalg.matmul."""
+    the integer product (linalg._int_product), which the other products
+    go through."""
     import tnncompact.linalg as la
 
-    monkeypatch.setattr(la, "matmul", refusing_signed_permutations(la.matmul))
+    calls = []
+    guarded = refusing_signed_permutations(la._int_product)
+    monkeypatch.setattr(la, "_int_product", lambda a, b: calls.append(a) or guarded(a, b))
     rng = random.Random(65 + n)
     for k in range(20):
         label = _random_nonempty_label(n, rng)
         assert classify(sample_cell(label, k)[1]) == label
+    assert calls
 
 
 @pytest.mark.slow
@@ -505,7 +522,7 @@ def test_limits_and_membership_n4():
     from tnncompact.strata import torus_limit
 
     rng = random.Random(7)
-    one = GroupMatrix(la.identity(4))
+    one = GroupMatrix(identity(4))
     for c in [(1, 0, 1), (0, 1, 0), (2, 1, 3), (0, 0, 1)]:
         J = ParabolicSubset.of(4, [i + 1 for i, x in enumerate(c) if x == 0])
         assert torus_limit(one, c, one) == base_point(J)

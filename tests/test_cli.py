@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import mr_chart
+from oracles import identity, mr_chart
 
 from tnncompact import linalg as la
 from tnncompact import serialize as ser
@@ -198,7 +198,7 @@ def test_cli_limit_and_tp_check(tmp_path):
     mfile = tmp_path / "m.json"
     mfile.write_text(json.dumps(ser.group_to_json(g1)))
     assert main(["tp-check", "--matrix-file", str(mfile)]) == 0
-    mfile.write_text(json.dumps(ser.group_to_json(GroupMatrix(la.identity(2)))))
+    mfile.write_text(json.dumps(ser.group_to_json(GroupMatrix(identity(2)))))
     assert main(["tp-check", "--matrix-file", str(mfile)]) == 1
 
 

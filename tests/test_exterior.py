@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import dual_matrices, laplace_det, square_matrices
+from oracles import dual_matrices, identity, laplace_det, square_matrices
 
 from tnncompact import linalg as la
 from tnncompact.exterior import (
@@ -43,7 +43,7 @@ def test_colex_order():
 
 
 def test_compound_identity_and_det():
-    assert compound(la.identity(3), 2) == la.identity(3)
+    assert compound(identity(3), 2) == identity(3)
     g = la.mat([[1, 2], [1, 3]])
     assert compound(g, 2) == ((Fraction(1),),)
 
@@ -203,7 +203,7 @@ def test_embedding_data_spec_examples():
     data2 = embedding_data(ParabolicSubset.of(2, []))
     assert stratum_indicator(data2.J, data2.k2) == ((Fraction(1),),)
     data3 = embedding_data(ParabolicSubset.of(3, [1, 2]))
-    assert stratum_indicator(data3.J, data3.k2) == la.identity(3)
+    assert stratum_indicator(data3.J, data3.k2) == identity(3)
     with pytest.raises(UnsupportedStratumError):
         embedding_data(ParabolicSubset.of(3, []))
 
@@ -214,8 +214,8 @@ def test_stratum_indicator_matches_embedding_projectors():
     d2 = stratum_indicator(J, 2)
     assert d2 == la.mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     full = ParabolicSubset.of(3, [1, 2])
-    assert stratum_indicator(full, 1) == la.identity(3)
-    assert stratum_indicator(full, 2) == la.identity(3)
+    assert stratum_indicator(full, 1) == identity(3)
+    assert stratum_indicator(full, 2) == identity(3)
 
 
 def test_cached_positions_are_the_stratum_indicator_diagonal():
@@ -231,6 +231,6 @@ def test_cached_positions_are_the_stratum_indicator_diagonal():
 def test_proj_helpers():
     a = la.mat([[1, 2], [3, 4]])
     assert proj_equal(a, la.scale(a, Fraction(-7, 3)))
-    assert not proj_equal(a, la.identity(2))
+    assert not proj_equal(a, identity(2))
     assert strictly_signed(la.scale(a, Fraction(-1)))
     assert not strictly_signed(la.mat([[1, 0], [2, 3]]))

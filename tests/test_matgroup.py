@@ -1,21 +1,28 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 from oracles import (
     block_anti_ldu,
+    evaluate_word,
     gauss_jordan_inverse,
+    identity,
+    is_diagonal,
     is_signed_permutation,
+    laplace_det,
     mr_chart,
     naive_matmul,
     opposed_by_lie_algebra,
     partial_flag,
     rank_profile_cell,
+    rational_matmul,
     refusing_signed_permutations,
     sdot_matrix,
     torus_matrix,
+    trusted,
     x_matrix,
     y_matrix,
 )
@@ -29,7 +36,7 @@ from tnncompact.matgroup import (
     GroupMatrix,
     ParabolicPoint,
     _bruhat_left,
-    _trusted,
+    _word_element,
     associated_borel,
     borel_minus,
     borel_plus,
@@ -70,9 +77,13 @@ def rand_unipotent(n, rng, lower=False):
     return g
 
 
+def torus_of(n, rng):
+    return torus([Fraction(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice([1, -1]) for _ in range(n - 1)])
+
+
 def rand_factorable(n, rng):
     """u t u' is always in the open cell."""
-    t = torus([Fraction(rng.randint(1, 5), rng.randint(1, 5)) * rng.choice([1, -1]) for _ in range(n - 1)])
+    t = torus_of(n, rng)
     return rand_unipotent(n, rng, lower=True) @ t @ rand_unipotent(n, rng)
 
 
@@ -116,7 +127,7 @@ def test_products_with_the_identity_check_sizes():
 def test_commutation_in_rank_two():
     # x_1(2)x_2(3) = x_2(3) · (1 + 6E_13) · x_1(2)
     lhs = generator_x(3, 1, 2) @ generator_x(3, 2, 3)
-    rows = [list(r) for r in la.identity(3)]
+    rows = [list(r) for r in identity(3)]
     rows[0][2] = Fraction(6)
     x12 = GroupMatrix(la.mat(rows))
     rhs = generator_x(3, 2, 3) @ x12 @ generator_x(3, 1, 2)
@@ -369,11 +380,11 @@ def test_bruhat_left_every_pivot_pattern(n):
     """m = u·ẇ·t·u' with sparse or dense upper unipotent u, u' and t in T
     factors as b·ẇ·(upper) with b upper unipotent, for every w."""
     for w, m in double_coset_points(n, random.Random(43 + n)):
-        b, got = _bruhat_left(m.m)
+        b, got = _bruhat_left(m.M)
         assert got == w
-        assert la.is_upper_triangular(b)
-        assert all(b[i][i] == 1 for i in range(n))
-        assert la.is_upper_triangular(((GroupMatrix(b) @ wdot(w)).inverse() @ m).m)
+        assert la.is_upper_triangular(b.m)
+        assert all(b.m[i][i] == 1 for i in range(n))
+        assert la.is_upper_triangular(((b @ wdot(w)).inverse() @ m).m)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -398,7 +409,7 @@ def test_bruhat_cell_matches_the_rank_profile_n5():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bruhat_cell_rejects_singular_matrices(n):
     """Zero, repeated, dependent and rank-one rows or columns, let in through
-    _trusted: bruhat_cell and the whole profile both raise."""
+    unchecked: bruhat_cell and the whole profile both raise."""
     rng = random.Random(120 + n)
     for _ in range(30):
         rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
@@ -420,7 +431,7 @@ def test_bruhat_cell_rejects_singular_matrices(n):
         m = la.mat(rows)
         assert la.det(m) == 0
         with pytest.raises(GroupError):
-            bruhat_cell(_trusted(m))
+            bruhat_cell(trusted(m))
         with pytest.raises(GroupError):
             rank_profile_cell(m)
 
@@ -612,7 +623,7 @@ def test_flag_and_parabolic_points_are_unhashable():
 
 
 # ---------------------------------------------------------------------------
-# products with Weyl lifts and the identity: index maps, no la.matmul
+# products with Weyl lifts and the identity: index maps, no integer product
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -623,7 +634,7 @@ def test_the_identity_keeps_its_mark(n, monkeypatch):
     one = identity_g(n)
     assert one.inverse() is one and one.T is one
     calls = []
-    monkeypatch.setattr(la, "matmul", lambda *args: calls.append(args))
+    monkeypatch.setattr(la, "_int_product", lambda *args: calls.append(args))
     assert (one @ g) is g and (one.inverse() @ g) is g
     assert (wdot(identity_w(n)) @ g) is g and (g @ one.inverse()) is g
     assert calls == []
@@ -643,13 +654,17 @@ def dense_product(n, rng):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_products_with_lifts_are_index_maps(n, monkeypatch):
     """ẇ·g and g·ẇ, their transposes and inverses, for every w at n ≤ 4
-    and every ṡ_i at n = 5, against row-by-column products; la.matmul
+    and every ṡ_i at n = 5, against row-by-column products; the integer
+    product (linalg._int_product), which multiplies the other factors,
     never sees a lift."""
     rng = random.Random(135 + n)
     lifts = [sdot(n, i) for i in range(1, n)] if n == 5 else [wdot(w) for w in all_weyl(n)]
     g = dense_product(n, rng)
-    one = la.identity(n)
-    monkeypatch.setattr(la, "matmul", refusing_signed_permutations(la.matmul))
+    one = identity(n)
+    calls = []
+    guarded = refusing_signed_permutations(la._int_product)
+    monkeypatch.setattr(la, "_int_product", lambda a, b: calls.append(a) or guarded(a, b))
+    assert (g @ g).m == naive_matmul(g.m, g.m) and calls
     for s in lifts:
         assert (s @ s.inverse()).m == one and s.inverse().m == la.transpose(s.m)
         for left, right in ((s, g), (g, s)):
@@ -671,7 +686,7 @@ def test_products_with_lifts_are_index_maps(n, monkeypatch):
 
 
 def no_elimination(*_):
-    raise AssertionError("unexpected linalg.inverse call")
+    raise AssertionError("unexpected linalg._adjugate call")
 
 
 def assert_inverse(g):
@@ -682,7 +697,9 @@ def assert_inverse(g):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_weyl_lift_inverses_are_closed_form(n, monkeypatch):
-    monkeypatch.setattr(la, "inverse", no_elimination)
+    """No lift is eliminated (linalg._adjugate, which inverts every other
+    matrix, is refused), while a generator still is."""
+    monkeypatch.setattr(la, "_adjugate", no_elimination)
     for w in all_weyl(n):
         assert_inverse(wdot(w))
         assert wdot(w).inverse().m == la.transpose(wdot(w).m)
@@ -690,6 +707,8 @@ def test_weyl_lift_inverses_are_closed_form(n, monkeypatch):
         assert_inverse(sdot(n, i))
     for g in (identity_g(n), borel_plus(n).g, borel_minus(n).g):
         assert_inverse(g)
+    with pytest.raises(AssertionError, match="_adjugate"):
+        generator_x(n, 1, 1).inverse()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -703,7 +722,7 @@ def test_generator_and_torus_inverses_are_closed_form(n):
             assert gen(n, i, a).inverse().m == gen(n, i, -a).m
         t = torus([Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1]) for _ in range(n - 1)])
         assert_inverse(t)
-        assert la.is_diagonal(t.inverse().m)
+        assert is_diagonal(t.inverse().m)
 
 
 def chart_matrices(n, rng):
@@ -726,7 +745,7 @@ def chart_matrices(n, rng):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_chart_matrices_stay_in_the_group(n):
     rng = random.Random(90 + n)
-    one = la.identity(n)
+    one = identity(n)
     for _ in range(4):
         for g in chart_matrices(n, rng):
             assert la.det(g.m) == 1
@@ -737,12 +756,16 @@ def test_chart_matrices_stay_in_the_group(n):
 
 
 def test_inverse_is_kept_and_linked_back(monkeypatch):
-    """The caller's matrix is eliminated once: its inverse is kept on it,
-    and the inverse's inverse is the matrix itself."""
+    """The caller's matrix is eliminated once, on its first inverse: its
+    inverse is kept on it, and the inverse's inverse is the matrix itself."""
     g = GroupMatrix(la.mat([[1, 1], [1, 2]]))
+    eliminated = []
+    adjugate = la._adjugate
+    monkeypatch.setattr(la, "_adjugate", lambda a: eliminated.append(tuple(map(tuple, a))) or adjugate(a))
     inv = g.inverse()
+    assert eliminated == [g.M] == [((1, 1), (1, 2))]
     assert inv.m == la.mat([[2, -1], [-1, 1]])
-    monkeypatch.setattr(la, "inverse", no_elimination)
+    monkeypatch.setattr(la, "_adjugate", no_elimination)
     assert g.inverse() is inv and inv.inverse() is g
 
 
@@ -773,3 +796,116 @@ def test_int_and_fraction_entries_are_accepted():
 def test_flags_of_different_ranks_are_unequal():
     assert borel_plus(2) != borel_plus(3)
     assert not borel_minus(3) == borel_minus(2)
+
+
+# ---------------------------------------------------------------------------
+# the integer representation g = M/d against the Fraction oracles
+
+
+def assert_normalized(g):
+    """M is an integer matrix and d > 0, gcd(content(M), d) = 1 and
+    det M = dⁿ: the one stored form of g."""
+    M, d = g.M, g.d
+    assert type(d) is int and all(type(x) is int for row in M for x in row)
+    assert d > 0 and gcd(d, *(x for row in M for x in row)) == 1
+    assert laplace_det(M) == d**g.n
+
+
+@st.composite
+def group_words(draw, n):
+    """A word of x_i(a), y_i(a) and ṡ_i steps around one torus step, a of
+    either sign or zero (nonzero on the torus)."""
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from("xys"), st.integers(1, n - 1), small_fracs), max_size=8
+    ))
+    steps = [(kind, i, None if kind == "s" else a) for kind, i, a in steps]
+    tor = draw(st.lists(small_fracs.filter(bool), min_size=n - 1, max_size=n - 1))
+    steps.insert(draw(st.integers(0, len(steps))), ("t", 0, tuple(tor)))
+    return steps
+
+
+def assert_matches_the_oracles(g, h, w):
+    """Products (with lifts too), inverses and transposes of g and h, in
+    the Fraction view, equal the Fraction oracles entry for entry, and
+    every built matrix keeps the stored form."""
+    s = wdot(w)
+    built = [g @ h, g.inverse(), g.T, s @ g, g @ s, (g @ h).inverse().T]
+    wants = [
+        rational_matmul(g.m, h.m),
+        gauss_jordan_inverse(g.m),
+        la.transpose(g.m),
+        rational_matmul(s.m, g.m),
+        rational_matmul(g.m, s.m),
+        la.transpose(gauss_jordan_inverse(rational_matmul(g.m, h.m))),
+    ]
+    for got, want in zip(built, wants):
+        assert got.m == want
+        assert_normalized(got)
+
+
+@given(st.integers(2, 5), st.data())
+def test_group_layer_matches_the_fraction_oracles(n, data):
+    """Words against the generic column-operation evaluator over Fraction,
+    then products, inverses, transposes and lift products against the
+    Fraction product and the Gauss–Jordan inverse."""
+    words = [data.draw(group_words(n)) for _ in range(2)]
+    g, h = (_word_element(n, word) for word in words)
+    for elem, word in zip((g, h), words):
+        assert elem.m == evaluate_word(n, word, Fraction(1))
+        assert_normalized(elem)
+    assert_matches_the_oracles(g, h, data.draw(st.sampled_from(all_weyl(n))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_chart_words_and_levi_parts_match_the_fraction_oracles(n):
+    """Seeded sampler charts (both words of a cell's chart) against the
+    Fraction evaluator, and the Levi part that ``CompactPoint.of_triple``
+    reads off a triple against the whole two-sided block factorization."""
+    from tnncompact.cells import _chart, _chart_words, dimension_of, top_label
+    from tnncompact.strata import CompactPoint
+    from tnncompact.tnn import rand_pos_fraction
+
+    rng = random.Random(160 + n)
+    for J in all_parabolic_subsets(n):
+        label = top_label(J)
+        coords = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
+        words = _chart_words(_chart(label, coords, Fraction(1)))
+        g, h = (_word_element(n, word) for word in words)
+        for elem, word in zip((g, h), words):
+            assert elem.m == evaluate_word(n, word, Fraction(1))
+            assert_normalized(elem)
+        assert_matches_the_oracles(g, h, rng.choice(all_weyl(n)))
+
+        # a⁻¹·x·b = u·t·u' with u upper and u' lower unipotent: opposed
+        a, b = g, h.T
+        x = a @ rand_unipotent(n, rng) @ torus_of(n, rng) @ rand_unipotent(n, rng, lower=True)
+        x = x @ b.inverse()
+        z = CompactPoint.of_triple(J, a, b, x)
+        m = rational_matmul(rational_matmul(gauss_jordan_inverse(a.m), x.m), b.m)
+        levi = block_anti_ldu(m, J.blocks0())[1]
+        assert z.g1.m == rational_matmul(a.m, levi)
+        assert z.g2.m == gauss_jordan_inverse(b.m)
+        assert_normalized(z.g1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_equality_and_hash_follow_the_stored_form(n):
+    """g and −g are one element at even n (and −g is no group element at
+    odd n); one matrix built by a product and by the public constructor is
+    one element with one stored form and one hash."""
+    rng = random.Random(170 + n)
+    for _ in range(10):
+        g, h = dense_product(n, rng), dense_product(n, rng)
+        gh = g @ h
+        again = GroupMatrix(rational_matmul(g.m, h.m))
+        assert (again.M, again.d) == (gh.M, gh.d)
+        assert again == gh and hash(again) == hash(gh)
+        minus = la.scale(gh.m, Fraction(-1))
+        if n % 2:
+            with pytest.raises(GroupError):
+                GroupMatrix(minus)
+            continue
+        neg = GroupMatrix(minus)
+        assert neg.M == tuple(tuple(-x for x in row) for row in gh.M) and neg.d == gh.d
+        assert neg == gh and hash(neg) == hash(gh)
+        assert len({neg, gh, again}) == 1

@@ -10,6 +10,7 @@ from oracles import (
     dense_star_pair,
     fraction_limit_check,
     fraction_membership,
+    identity,
     lmat_torus_curve,
     opposed_by_lie_algebra,
     top_weight_positions,
@@ -54,6 +55,7 @@ from tnncompact.strata import (
 )
 from tnncompact.tnn import (
     double_cell_evaluate,
+    is_totally_positive,
     mr_evaluate,
     rand_pos_fraction,
     sample_G_gt0,
@@ -90,7 +92,7 @@ def test_base_point_open_stratum_is_identity_element():
     z = base_point(J)
     data = embedding_data(J)
     m1, m2 = iJ_of_point(z, data)
-    assert proj_equal(m2, la.identity(2))
+    assert proj_equal(m2, identity(2))
 
 
 def test_act_identity_and_axiom():
@@ -453,7 +455,6 @@ def test_torus_limit_runs_no_compound_ladder(n, monkeypatch):
         raise AssertionError("compound ladder in torus_limit")
 
     monkeypatch.setattr(strata, "compounds", refuse)
-    monkeypatch.setattr(strata, "_integer_pairs", refuse)
     rng = random.Random(80 + n)
     for J in all_parabolic_subsets(n):
         g1, g2 = mixed_sign_element(n, rng), mixed_sign_element(n, rng)
@@ -471,6 +472,29 @@ def test_torus_limit_runs_no_laurent_arithmetic(n, monkeypatch):
     for J in all_parabolic_subsets(n):
         g1, g2 = mixed_sign_element(n, rng), mixed_sign_element(n, rng)
         assert torus_limit(g1, exponents_into(J, rng), g2).J == J
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_certificates_build_no_fraction(n, monkeypatch):
+    """The certify path (strict total positivity, a torus limit, a positive
+    retraction and membership) runs on the integer matrices of its inputs:
+    on prebuilt caller-built elements it constructs no Fraction."""
+    rng = random.Random(180 + n)
+    g1, g2, h1, h2 = (GroupMatrix(sample_G_gt0(n, rng).m) for _ in range(4))
+    for c in ((1,) * (n - 1), (0,) + (2,) * (n - 2), (1,) * (n - 2) + (0,)):
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(
+            Fraction, "__new__", staticmethod(lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+        )
+        assert Fraction(1, 2) and built  # the count sees Fractions built here
+        built.clear()
+        assert is_totally_positive(g1) and is_totally_positive(g2)
+        z = torus_limit(g1, c, g2)
+        assert membership_Zgt0(positive_retraction(h1, h2, z))
+        assert membership_Zgt0(z)
+        monkeypatch.undo()
+        assert built == []
 
 
 def test_torus_limit_positive_data_lands_positive():

@@ -51,6 +51,7 @@ from .weyl import (
     ParabolicSubset,
     WeylElement,
     all_parabolic_subsets,
+    all_weyl,
     bruhat_leq,
     identity_w,
     lex_min_reduced_word,
@@ -193,8 +194,6 @@ def _stratum_walk(n: int, J: ParabolicSubset | None = None):
 
 def _weyl_subgroup(J: ParabolicSubset) -> list[WeylElement]:
     """W_J, sorted by permutation."""
-    from .weyl import all_weyl
-
     return sorted((w for w in all_weyl(J.n) if J.contains_w(w)), key=lambda w: w.perm)
 
 

@@ -17,7 +17,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from . import serialize as ser
-from .cells import CellError, EmptyCellError, classify, sample_cell
+from .cells import CellError, EmptyCellError, classify, dimension_of, sample_cell
 from .matgroup import GroupError, GroupMatrix
 from .strata import StrataError, torus_limit
 from .tnn import is_totally_nonneg, is_totally_positive
@@ -94,8 +94,6 @@ def cmd_classify(args) -> int:
         data = data.get("point", data)
     point = ser.point_from_json(data)
     label = classify(point)
-    from .cells import dimension_of
-
     _write_or_print(
         ser.dumps(
             {

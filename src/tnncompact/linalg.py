@@ -9,12 +9,10 @@ Determinant and rank share one fraction-free (Bareiss) forward
 elimination after clearing denominators, so pivot decisions are exact
 integer zero-tests and no Fraction is built inside the elimination; the
 inverse and the group layer's adjugate share one fraction-free
-Gauss–Jordan pass.  Integer products take one dot product in C per entry
-(``_int_product``), and ``matmul`` does the same for rational operands:
-it clears the left operand's row denominators and the right operand's
-column denominators and builds one Fraction per output entry.  On any
-other entries (ints alone, dual numbers, Laurent polynomials) it uses ring
-operations only, as ``transpose`` does.
+Gauss–Jordan pass.  The group layer's integer products take one dot
+product in C per entry (``_int_product``); ``matmul`` is one ring loop
+over any entries (ints, Fractions, dual numbers, Laurent polynomials),
+as ``transpose`` is.
 """
 
 from __future__ import annotations
@@ -62,22 +60,14 @@ def dims(m: Matrix) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 
 
-_RATIONAL = {int, Fraction}
-
-
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Product over any commutative ring whose ``bool`` means "not zero"
-    (Fraction, Laurent, Dual); zero entries are skipped.  When the entries
-    are ints and Fractions, at least one a Fraction, the product is taken
-    over the integers and every entry of the result is a Fraction."""
+    (int, Fraction, Laurent, Dual), by ring operations only; zero entries
+    are skipped."""
     na, ma = dims(a)
     nb, mb = dims(b)
     if ma != nb:
         raise ValueError(f"shape mismatch {dims(a)} @ {dims(b)}")
-    kinds = {type(x) for row in a for x in row}
-    kinds.update(type(x) for row in b for x in row)
-    if Fraction in kinds and kinds <= _RATIONAL:
-        return _rational_matmul(a, b)
     zero = a[0][0] - a[0][0] if na and ma else Fraction(0)
     out = []
     for row in a:
@@ -96,28 +86,6 @@ def _int_product(a, b) -> tuple[tuple[int, ...], ...]:
     per entry."""
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
-def _rational_matmul(a: Matrix, b: Matrix) -> Matrix:
-    """a·b for rational a and b: with A = D_r·a and B = b·D_c integer
-    (``_integer_rows`` of a and of bᵀ), (a·b)_ij = (A·B)_ij / (r_i·c_j).
-
-    Each integer dot product runs in C (``sum(map(mul, …))``), so zero
-    entries cost no Python step, and each output entry is one Fraction,
-    built with no gcd when r_i·c_j = 1 or the dot product is 0.
-    """
-    rows, rs = _integer_rows(a)
-    cols, cs = _integer_rows(transpose(b))
-    out = []
-    for row, r in zip(rows, rs):
-        dots = [sum(map(mul, row, col)) for col in cols]
-        out.append(
-            tuple(
-                Fraction(s) if d == 1 or not s else Fraction(s, d)
-                for s, d in zip(dots, [r * c for c in cs])
-            )
-        )
-    return tuple(out)
 
 
 def transpose(m: Matrix) -> Matrix:

@@ -65,6 +65,8 @@ from .weyl import ParabolicSubset, WeylElement, _trusted_w, longest_w, simple_re
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
+_RATIONAL = {int, Fraction}
+
 
 class GroupError(Exception):
     pass
@@ -88,7 +90,7 @@ class GroupMatrix:
         n, nc = la.dims(m)
         if n != nc:
             raise GroupError("group matrix must be square")
-        if any(type(x) not in la._RATIONAL for row in m for x in row):
+        if any(type(x) not in _RATIONAL for row in m for x in row):
             raise GroupError("group matrix entries must be ints or Fractions")
         M, d = _integer_form(m)
         if la.det(M) != d**n:

@@ -11,16 +11,18 @@ A point is identified by its stratum J and its fundamental tuple, the image
 ρ_k(g1)·D_k·ρ_k(g2) in every P(End Λ^k), k = 1..n-1: the wonderful
 compactification of PGL_n is the closure of PGL_n in ∏_k P(End Λ^k), the
 space of complete collineations (Thaddeus, "Complete collineations
-revisited", Math. Ann. 315, 1999).  Equality, membership in the positive
-part and the paper's (*) pair read it.  A torus limit is its closed form,
-the acted base point, with no check: its Cauchy–Binet limit is the point's
-own image in every degree (see ``torus_limit``).
+revisited", Math. Ann. 315, 1999).  Each entry is a projective point, so
+the tuple is computed on the integer pair (M1, M2) of g_i = M_i/d_i: a
+positive multiple of the rational images, built with no Fraction.
+Equality, membership in the positive part and the paper's (*) pair read
+it.  A torus limit is its closed form, the acted base point, with no
+check: its Cauchy–Binet limit is the point's own image in every degree
+(see ``torus_limit``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg as la
 from .exterior import (
@@ -84,15 +86,7 @@ class CompactPoint:
             return NotImplemented
         if self.J != other.J:
             return False
-        # the fundamental tuples of both points, each on its integer pair
-        # (M1, M2): ρ_k(M1)·D_k·ρ_k(M2) is a positive multiple of its entry
-        return all(
-            map(
-                proj_equal,
-                _limit_images(self.J, self.g1.M, self.g2.M),
-                _limit_images(self.J, other.g1.M, other.g2.M),
-            )
-        )
+        return all(map(proj_equal, fundamental_tuple(self), fundamental_tuple(other)))
 
     # equality is projective equality of the fundamental tuple; no canonical
     # form is kept to hash
@@ -128,17 +122,20 @@ def psibar(z: CompactPoint) -> CompactPoint:
 
 def iJ_of_point(z: CompactPoint, data: EmbeddingData) -> tuple[Matrix, Matrix]:
     """The paper's (*) pair ([ρ1(g1)·I_1·ρ1(g2)], [ρ2(g1)·I_L·ρ2(g2)]),
-    understood projectively: the entries of degrees data.k1 and data.k2 of
-    fundamental_tuple(z), since I_1 and I_L are the limit projectors of
-    those degrees.  Degree 0 gives the 1×1 matrix (1)."""
-    images = [((Fraction(1),),), *fundamental_tuple(z)]
+    understood projectively: the integer entries of degrees data.k1 and
+    data.k2 of fundamental_tuple(z), since I_1 and I_L are the limit
+    projectors of those degrees.  Degree 0 gives the 1×1 matrix (1)."""
+    images = [((1,),), *fundamental_tuple(z)]
     return (images[data.k1], images[data.k2])
 
 
 def fundamental_tuple(z: CompactPoint) -> list[Matrix]:
-    """The image of z in every fundamental representation: the k-th entry is
-    ρ_k(g1)·D_k·ρ_k(g2) with D_k the stratum's limit projector."""
-    return _limit_images(z.J, z.g1.m, z.g2.m)
+    """The image of z in every fundamental representation, as integer
+    matrices: with g_i = M_i/d_i, the k-th entry is ρ_k(M1)·D_k·ρ_k(M2),
+    which is exactly (d1·d2)^k times ρ_k(g1)·D_k·ρ_k(g2), D_k the stratum's
+    limit projector.  Each entry is a point of P(End Λ^k), and the positive
+    scalar changes neither that point nor the sign of any entry."""
+    return _limit_images(z.J, z.g1.M, z.g2.M)
 
 
 def _limit_images(J: ParabolicSubset, m1: Matrix, m2: Matrix) -> list[Matrix]:
@@ -209,10 +206,10 @@ def membership_Zgt0(z: CompactPoint) -> bool:
     n = 4 cells (J = {2}, where Plücker and Lusztig positivity of partial
     flags differ, included: Bloch and Karp, Adv. Math. 2023) and the n = 5
     top cells.  ψ̄ needs no separate check: it transposes every entry of
-    the tuple.  The entries are computed on the integer pair (M1, M2) of
-    g_i = M_i/d_i, which scales the degree-k entry by (d1·d2)^k > 0 only.
+    the tuple.  fundamental_tuple's integer entries differ from the rational
+    ones by the factor (d1·d2)^k > 0 only, so they have the same signs.
     """
-    return all(strictly_signed(m) for m in _limit_images(z.J, z.g1.M, z.g2.M))
+    return all(strictly_signed(m) for m in fundamental_tuple(z))
 
 
 def positive_retraction(

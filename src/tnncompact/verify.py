@@ -52,9 +52,11 @@ from .strata import (
 )
 from .tnn import (
     MRChart,
+    in_unipotent_cell,
     is_totally_positive,
     mr_evaluate,
     phi_plus,
+    rand_nonneg_fraction,
     rand_pos_fraction,
     sample_G_gt0,
     sample_T_gt0,
@@ -68,9 +70,14 @@ from .weyl import (
     all_reduced_words,
     all_weyl,
     bruhat_leq,
+    lex_min_reduced_word,
     longest_w,
     positive_subexpression,
 )
+
+# every suite derives its seeds from this one
+BASE_SEED = 20240
+
 
 @dataclass
 class SuiteReport:
@@ -106,7 +113,6 @@ class VerifyConfig:
     n: int = 3
     seeds: int = 5
     samples: int = 100
-    base_seed: int = 20240
 
     def __post_init__(self):
         if not 2 <= self.n <= 5:
@@ -116,24 +122,12 @@ class VerifyConfig:
                 raise ConfigError(f"{name} must be at least 1")
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> SuiteReport:
-        t0 = time.monotonic()
-        rep = fn(*args, **kwargs)
-        rep.wall = time.monotonic() - t0
-        return rep
-
-    return wrapper
-
-
 # ---------------------------------------------------------------------------
 # 1. cell census
 
 def _census_oracle(n: int) -> list[tuple[CellLabel, int]]:
     """Independent brute-force enumeration: filter raw six-tuples and count
     chart coordinates instead of using the closed dimension formula."""
-    from .weyl import lex_min_reduced_word
-
     out = []
     ws = all_weyl(n)
     for J in all_parabolic_subsets(n):
@@ -199,11 +193,11 @@ def suite_dimensions(cfg: VerifyConfig) -> SuiteReport:
     for n in range(2, cfg.n + 1):
         for label, _ in enumerate_cells(n):
             rep.cases += 1
-            if not jacobian_rank_check(label, cfg.base_seed):
+            if not jacobian_rank_check(label, BASE_SEED):
                 rep.fail(
                     n=n,
                     label=ser.label_to_json(label),
-                    seed=cfg.base_seed,
+                    seed=BASE_SEED,
                     reason="jacobian rank differs from cell dimension",
                 )
     return rep
@@ -239,7 +233,7 @@ def suite_positivity_forward(cfg: VerifyConfig) -> SuiteReport:
     for J in _criterion_strata(cfg.n):
         data = embedding_data(J)
         for k in range(cfg.samples):
-            seed = cfg.base_seed + 7 * k
+            seed = BASE_SEED + 7 * k
             rng = random.Random(seed)
             z = _positive_point(J, rng)
             m1, m2 = iJ_of_point(z, data)
@@ -278,7 +272,7 @@ def suite_positivity_converse(cfg: VerifyConfig) -> SuiteReport:
     rep = SuiteReport("positivity-converse")
     J = ParabolicSubset.of(3, [1])
     for k in range(cfg.samples):
-        seed = cfg.base_seed + 13 * k
+        seed = BASE_SEED + 13 * k
         rng = random.Random(seed)
         z = _negative_levi_point(J, rng, flip_left=(k % 2 == 0))
         rep.cases += 1
@@ -303,7 +297,7 @@ def suite_marsh_rietsch(cfg: VerifyConfig) -> SuiteReport:
                         continue
                     psub = positive_subexpression(word, v)
                     for s in range(cfg.seeds):
-                        rng = random.Random(cfg.base_seed + 31 * s)
+                        rng = random.Random(BASE_SEED + 31 * s)
                         chart = MRChart(
                             psub,
                             tuple(
@@ -321,7 +315,7 @@ def suite_marsh_rietsch(cfg: VerifyConfig) -> SuiteReport:
                                 n=n,
                                 word=list(letters),
                                 v=list(v.perm),
-                                seed=cfg.base_seed + 31 * s,
+                                seed=BASE_SEED + 31 * s,
                             )
     return rep
 
@@ -335,7 +329,7 @@ def suite_roundtrip(cfg: VerifyConfig) -> SuiteReport:
         for label, _ in enumerate_cells(n):
             rep.cases += cfg.seeds
             for s in range(cfg.seeds):
-                seed = cfg.base_seed + 97 * s
+                seed = BASE_SEED + 97 * s
                 _, z = sample_cell(label, seed)
                 got = classify(z)
                 if got != label:
@@ -377,15 +371,15 @@ def suite_emptiness(cfg: VerifyConfig) -> SuiteReport:
     for label in empties:
         rep.cases += 1
         try:
-            sample_cell(label, cfg.base_seed)
+            sample_cell(label, BASE_SEED)
             rep.fail(label=ser.label_to_json(label), reason="sampler accepted an empty cell")
         except EmptyCellError:
             pass
-    rng = random.Random(cfg.base_seed)
+    rng = random.Random(BASE_SEED)
     labels = [l for l, _ in enumerate_cells(n)]
     for k in range(40):
         label = labels[rng.randrange(len(labels))]
-        _, z = sample_cell(label, cfg.base_seed + k)
+        _, z = sample_cell(label, BASE_SEED + k)
         g1 = sample_G_gt0(n, rng)
         g2 = sample_G_gt0(n, rng)
         moved = act(g1, g2.inverse(), z)
@@ -395,7 +389,7 @@ def suite_emptiness(cfg: VerifyConfig) -> SuiteReport:
             rep.fail(
                 reason="a positively-constructed point classified into an empty label",
                 label=ser.label_to_json(got),
-                seed=cfg.base_seed + k,
+                seed=BASE_SEED + k,
             )
     return rep
 
@@ -404,12 +398,13 @@ def suite_emptiness(cfg: VerifyConfig) -> SuiteReport:
 # 8. limits and base points
 
 def _curve_limit_images(g1, c, g2) -> list:
-    """The leading coefficients of ρ_k(g1·diag(s^{−e})·g2), k = 1..n−1, on
-    the torus curve with e_i = c_i + … + c_{n−1}, i.e. α_i = s^{−c_i}."""
+    """The leading coefficients of ρ_k(M1·diag(s^{−e})·M2), k = 1..n−1, on
+    the torus curve with e_i = c_i + … + c_{n−1}, i.e. α_i = s^{−c_i}, for
+    g_i = M_i/d_i: projectively, those of ρ_k(g1·diag(s^{−e})·g2)."""
     n = g1.n
     e = [sum(c[i:]) for i in range(n)]
-    scaled = tuple(tuple(Laurent.monomial(-ej, a) for a, ej in zip(row, e)) for row in g1.m)
-    x = lmat_mul(scaled, tuple(tuple(Laurent.of(a) for a in row) for row in g2.m))
+    scaled = tuple(tuple(Laurent.monomial(-ej, a) for a, ej in zip(row, e)) for row in g1.M)
+    x = lmat_mul(scaled, tuple(tuple(Laurent.of(a) for a in row) for row in g2.M))
     return [lmat_limit(lmat_compound(x, k)) for k in range(1, n)]
 
 
@@ -418,7 +413,7 @@ def suite_limits(cfg: VerifyConfig) -> SuiteReport:
     e_exponents = [0, 1, 2]
     for n in range(2, cfg.n + 1):
         for k, c in enumerate(product(e_exponents, repeat=n - 1)):
-            seed = cfg.base_seed + 11 * k
+            seed = BASE_SEED + 11 * k
             rng = random.Random(seed)
             g1, g2 = sample_G_gt0(n, rng), sample_G_gt0(n, rng)
             want = fundamental_tuple(torus_limit(g1, c, g2))
@@ -457,7 +452,7 @@ def suite_limits(cfg: VerifyConfig) -> SuiteReport:
 def suite_retraction(cfg: VerifyConfig) -> SuiteReport:
     rep = SuiteReport("retraction")
     n = cfg.n
-    rng = random.Random(cfg.base_seed)
+    rng = random.Random(BASE_SEED)
     pairs = [
         (sample_G_gt0(n, rng), sample_G_gt0(n, rng)) for _ in range(10)
     ]
@@ -483,12 +478,9 @@ def suite_retraction(cfg: VerifyConfig) -> SuiteReport:
 # 10. monoid / total positivity cross-checks
 
 def suite_monoid(cfg: VerifyConfig) -> SuiteReport:
-    from .tnn import in_unipotent_cell, rand_nonneg_fraction
-    from .weyl import lex_min_reduced_word
-
     rep = SuiteReport("monoid")
     n = cfg.n
-    rng = random.Random(cfg.base_seed)
+    rng = random.Random(BASE_SEED)
     for k in range(30):
         g = sample_G_gt0(n, rng)
         h = sample_G_gt0(n, rng)
@@ -532,4 +524,7 @@ SUITES: dict[str, Callable[[VerifyConfig], SuiteReport]] = {
 def run_suite(name: str, cfg: VerifyConfig) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return _timed(SUITES[name])(cfg)
+    t0 = time.monotonic()
+    rep = SUITES[name](cfg)
+    rep.wall = time.monotonic() - t0
+    return rep

@@ -53,7 +53,7 @@ from tnncompact.dual import Dual
 from tnncompact.exterior import compound, compounds, proj_equal, strictly_signed, subsets_colex
 from tnncompact.laurent import Laurent, lmat_limit
 from tnncompact.matgroup import GroupError, _integer_form, _trusted
-from tnncompact.strata import _kept_product, _limit_images, fundamental_tuple
+from tnncompact.strata import _kept_product, _limit_images
 from tnncompact.tnn import MRChart, rand_pos_fraction
 from tnncompact.weyl import WeylElement, lex_min_reduced_word, positive_subexpression, simple_reflection
 
@@ -346,9 +346,15 @@ def fraction_is_totally_positive(g):
     return g.n % 2 == 0 and all(x > 0 for x in fraction_minors(la.scale(g.m, Fraction(-1))))
 
 
+def rational_tuple(z):
+    """z's rational images ρ_k(g1)·D_k·ρ_k(g2), k = 1..n−1, on the Fraction
+    views of g1 and g2."""
+    return _limit_images(z.J, z.g1.m, z.g2.m)
+
+
 def fraction_membership(z):
     """Every rational image ρ_k(g1)·D_k·ρ_k(g2) of z strictly signed."""
-    return all(strictly_signed(m) for m in fundamental_tuple(z))
+    return all(strictly_signed(m) for m in rational_tuple(z))
 
 
 def lmat_from_rational(m):
@@ -420,7 +426,7 @@ def fraction_limit_check(g1, cs, g2, z):
     x = la.matmul(la.matmul(lmat_from_rational(g1.m), curve), lmat_from_rational(g2.m))
     return all(
         proj_equal(lmat_limit(cx), want)
-        for want, cx in zip(fundamental_tuple(z), compounds(x, n - 1))
+        for want, cx in zip(rational_tuple(z), compounds(x, n - 1))
     )
 
 
@@ -435,12 +441,12 @@ def dense_projector(n, k, keep):
 
 
 def dense_star_pair(z, data):
-    """(ρ_k1(g1)·I_1·ρ_k1(g2), ρ_k2(g1)·I_L·ρ_k2(g2)) for z's action pair
-    (g1, g2), from dense compounds multiplied out by la.matmul.  I_1
-    is the rank-one projector onto the highest weight vector e_{1..k1}; I_L
-    keeps the k2-subsets meeting every J-block in as many elements as
-    {1..k2} does, i.e. the weights that differ from the highest one by
-    roots of J only."""
+    """(ρ_k1(M1)·I_1·ρ_k1(M2), ρ_k2(M1)·I_L·ρ_k2(M2)) for the integer pair
+    (M1, M2) of z's action pair g_i = M_i/d_i, from dense compounds
+    multiplied out by la.matmul.  I_1 is the rank-one projector onto the
+    highest weight vector e_{1..k1}; I_L keeps the k2-subsets meeting every
+    J-block in as many elements as {1..k2} does, i.e. the weights that
+    differ from the highest one by roots of J only."""
     n, k1, k2 = z.n, data.k1, data.k2
     top = tuple(range(1, k2 + 1))
     blocks = [{i + 1 for i in blk} for blk in z.J.blocks0()]
@@ -449,7 +455,7 @@ def dense_star_pair(z, data):
         n, k2, lambda s: all(len(b.intersection(s)) == len(b.intersection(top)) for b in blocks)
     )
     return tuple(
-        la.matmul(la.matmul(compound(z.g1.m, k), proj), compound(z.g2.m, k))
+        la.matmul(la.matmul(compound(z.g1.M, k), proj), compound(z.g2.M, k))
         for k, proj in ((k1, i1), (k2, il))
     )
 

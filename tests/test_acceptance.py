@@ -8,7 +8,7 @@ positivity criterion.
 
 from tnncompact.verify import VerifyConfig, run_suite
 
-CFG = VerifyConfig(n=3, seeds=5, samples=100, base_seed=20240)
+CFG = VerifyConfig(n=3, seeds=5, samples=100)
 
 
 def _run(name: str, cfg: VerifyConfig = CFG):

@@ -546,7 +546,8 @@ def test_no_positive_point_classifies_empty():
 def test_dual_chart_is_the_sampled_chart(n):
     """The Jacobian differentiates the sampler's own chart: at the sampled
     coordinates, the values of the Dual chart and of its limit images are
-    the sampled point's chart and fundamental tuple."""
+    the sampled point's chart and fundamental tuple, the degree-k image
+    scaled by (d1·d2)^k for the point's denominators d1, d2."""
     from tnncompact.strata import _limit_images, fundamental_tuple
     from tnncompact.tnn import double_cell_evaluate, mr_evaluate
 
@@ -566,5 +567,9 @@ def test_dual_chart_is_the_sampled_chart(n):
         chart1 = mr_evaluate(sample.chart1) @ double_cell_evaluate(sample.levi)
         assert values(g1) == chart1.m
         assert values(g2) == mr_evaluate(sample.chart2).T.m
+        scale = z.g1.d * z.g2.d
         images = _limit_images(label.J, g1, g2)
-        assert [values(m) for m in images] == fundamental_tuple(z)
+        assert [
+            tuple(tuple(scale**k * x for x in row) for row in values(m))
+            for k, m in enumerate(images, 1)
+        ] == fundamental_tuple(z)

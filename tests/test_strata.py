@@ -497,6 +497,37 @@ def test_certificates_build_no_fraction(n, monkeypatch):
         assert built == []
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_fundamental_tuple_builds_no_fraction(n, monkeypatch):
+    """The fundamental tuple, the (*) pair and point equality run on the
+    integer pairs (M1, M2): on caller-built points of every stratum they
+    construct no Fraction."""
+    rng = random.Random(190 + n)
+    cases = []
+    for J in all_parabolic_subsets(n):
+        g1, g2 = (GroupMatrix(sample_G_gt0(n, rng).m) for _ in range(2))
+        try:
+            data = embedding_data(J)
+        except UnsupportedStratumError:
+            data = None
+        cases.append((CompactPoint(J, g1, g2), CompactPoint(J, GroupMatrix(g1.m), g2), data))
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(
+        Fraction, "__new__", staticmethod(lambda cls, *a, **k: built.append(a) or new(cls, *a, **k))
+    )
+    assert Fraction(1, 2) and built  # the count sees Fractions built here
+    built.clear()
+    for z, same, data in cases:
+        assert len(fundamental_tuple(z)) == n - 1
+        if data is not None:
+            assert len(iJ_of_point(z, data)) == 2
+        assert z == same and not z == psibar(z)
+    monkeypatch.undo()
+    assert built == []
+    assert any(data is not None for _, _, data in cases)
+
+
 def test_torus_limit_positive_data_lands_positive():
     rng = random.Random(9)
     for n in (2, 3):

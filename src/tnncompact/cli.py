@@ -138,7 +138,7 @@ def cmd_verify(args) -> int:
         rep = run_suite(name, cfg)
         print(rep.line())
         reports.append(rep)
-    failures = [f for r in reports for f in r.failures]
+    failures = [{"suite": r.suite, **f} for r in reports for f in r.failures]
     if args.out and failures:
         Path(args.out).write_text(
             ser.dumps({"v": ser.SCHEMA_VERSION, "failures": failures})

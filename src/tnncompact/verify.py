@@ -1,8 +1,10 @@
 """Orchestrated verification suites.
 
 Each suite checks one acceptance property at desk scale with exact
-arithmetic and returns a SuiteReport; failures always embed the seed and a
-JSON witness so they can be replayed.  `run_suite` runs one by name.
+arithmetic and returns a SuiteReport.  A suite counts a case by one
+``SuiteReport.check`` call where the case is decided; a failed case keeps
+its witness (the seed and what it was run on) as JSON so it can be
+replayed.  `run_suite` runs one by name.
 """
 
 from __future__ import annotations
@@ -90,8 +92,18 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def fail(self, **witness) -> None:
-        self.failures.append(witness)
+    def check(self, ok: bool, **witness) -> None:
+        """Count one case; when it failed, keep its witness as JSON, each
+        CellLabel and CompactPoint in its file form (a passing case builds
+        no JSON)."""
+        self.cases += 1
+        if not ok:
+            for k, x in witness.items():
+                if isinstance(x, CellLabel):
+                    witness[k] = ser.label_to_json(x)
+                elif isinstance(x, CompactPoint):
+                    witness[k] = ser.point_to_json(x)
+            self.failures.append(witness)
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -99,6 +111,15 @@ class SuiteReport:
             f"[{status}] {self.suite}: {self.cases} cases, "
             f"{len(self.failures)} failures, {self.wall:.2f}s"
         )
+
+
+def _raised(exc: type[Exception], fn: Callable, *args) -> Exception | None:
+    """The exception of type exc that fn(*args) raised, or None."""
+    try:
+        fn(*args)
+    except exc as e:
+        return e
+    return None
 
 
 class ConfigError(ValueError):
@@ -155,33 +176,31 @@ def suite_census(cfg: VerifyConfig) -> SuiteReport:
     rep = SuiteReport("census")
     for n in range(2, cfg.n + 1):
         got = enumerate_cells(n)
-        rep.cases += 1
-        if got != sorted(_census_oracle(n), key=lambda p: p[0].sort_key()):
-            rep.fail(
-                n=n,
-                reason="labels, dimensions or order differ from the brute-force oracle",
-            )
+        want = sorted(_census_oracle(n), key=lambda p: p[0].sort_key())
+        rep.check(
+            got == want, n=n,
+            reason="labels, dimensions or order differ from the brute-force oracle",
+        )
         euler = sum((-1) ** d for _, d in got)
-        rep.cases += 1
-        if euler != 1:  # frozen regression constant for n = 2, 3
-            rep.fail(n=n, reason=f"alternating cell sum changed: {euler}")
+        # frozen regression constant for n = 2, 3
+        rep.check(euler == 1, n=n, reason=f"alternating cell sum changed: {euler}")
     got2 = enumerate_cells(2)
-    rep.cases += 3
-    if len(got2) != 13:
-        rep.fail(n=2, reason=f"expected 13 cells, got {len(got2)}")
+    rep.check(len(got2) == 13, n=2, reason=f"expected 13 cells, got {len(got2)}")
     by_j = {}
     for label, d in got2:
         by_j.setdefault(len(label.J.J), []).append(d)
-    if len(by_j.get(0, [])) != 9 or len(by_j.get(1, [])) != 4:
-        rep.fail(n=2, reason="expected 9 cells in the closed stratum and 4 in the open one")
+    rep.check(
+        len(by_j.get(0, [])) == 9 and len(by_j.get(1, [])) == 4,
+        n=2, reason="expected 9 cells in the closed stratum and 4 in the open one",
+    )
     multiset = sorted(d for _, d in got2)
-    if multiset != [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 3]:
-        rep.fail(n=2, reason=f"dimension multiset changed: {multiset}")
-    rep.cases += 1
+    rep.check(
+        multiset == [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 3],
+        n=2, reason=f"dimension multiset changed: {multiset}",
+    )
     t1 = time.monotonic()
     enumerate_cells(2)
-    if time.monotonic() - t1 > 1.0:
-        rep.fail(n=2, reason="n=2 census slower than 1s")
+    rep.check(time.monotonic() - t1 <= 1.0, n=2, reason="n=2 census slower than 1s")
     return rep
 
 
@@ -192,14 +211,11 @@ def suite_dimensions(cfg: VerifyConfig) -> SuiteReport:
     rep = SuiteReport("dimensions")
     for n in range(2, cfg.n + 1):
         for label, _ in enumerate_cells(n):
-            rep.cases += 1
-            if not jacobian_rank_check(label, BASE_SEED):
-                rep.fail(
-                    n=n,
-                    label=ser.label_to_json(label),
-                    seed=BASE_SEED,
-                    reason="jacobian rank differs from cell dimension",
-                )
+            rep.check(
+                jacobian_rank_check(label, BASE_SEED),
+                n=n, label=label, seed=BASE_SEED,
+                reason="jacobian rank differs from cell dimension",
+            )
     return rep
 
 
@@ -238,17 +254,12 @@ def suite_positivity_forward(cfg: VerifyConfig) -> SuiteReport:
             z = _positive_point(J, rng)
             m1, m2 = iJ_of_point(z, data)
             m3, m4 = iJ_of_point(psibar(z), data)
-            rep.cases += 1
-            if not all(strictly_signed(m) for m in (m1, m2, m3, m4)):
-                rep.fail(J=sorted(J.J), n=J.n, seed=seed, point=ser.point_to_json(z))
-            rep.cases += 1
-            if not membership_Zgt0(z):
-                rep.fail(
-                    J=sorted(J.J),
-                    n=J.n,
-                    seed=seed,
-                    reason="membership test rejected a positive point",
-                )
+            signed = all(strictly_signed(m) for m in (m1, m2, m3, m4))
+            rep.check(signed, J=sorted(J.J), n=J.n, seed=seed, point=z)
+            rep.check(
+                membership_Zgt0(z),
+                J=sorted(J.J), n=J.n, seed=seed, reason="membership test rejected a positive point",
+            )
     return rep
 
 
@@ -275,9 +286,7 @@ def suite_positivity_converse(cfg: VerifyConfig) -> SuiteReport:
         seed = BASE_SEED + 13 * k
         rng = random.Random(seed)
         z = _negative_levi_point(J, rng, flip_left=(k % 2 == 0))
-        rep.cases += 1
-        if membership_Zgt0(z):
-            rep.fail(seed=seed, point=ser.point_to_json(z))
+        rep.check(not membership_Zgt0(z), seed=seed, point=z)
     return rep
 
 
@@ -307,16 +316,10 @@ def suite_marsh_rietsch(cfg: VerifyConfig) -> SuiteReport:
                         )
                         g = mr_evaluate(chart)
                         flag = FlagPoint(g)
-                        rep.cases += 1
-                        if bruhat_position(bp, flag) != w or bruhat_position(
-                            bm, flag
-                        ) != w0 * v:
-                            rep.fail(
-                                n=n,
-                                word=list(letters),
-                                v=list(v.perm),
-                                seed=BASE_SEED + 31 * s,
-                            )
+                        rep.check(
+                            bruhat_position(bp, flag) == w and bruhat_position(bm, flag) == w0 * v,
+                            n=n, word=list(letters), v=list(v.perm), seed=BASE_SEED + 31 * s,
+                        )
     return rep
 
 
@@ -327,18 +330,11 @@ def suite_roundtrip(cfg: VerifyConfig) -> SuiteReport:
     rep = SuiteReport("roundtrip")
     for n in range(2, cfg.n + 1):
         for label, _ in enumerate_cells(n):
-            rep.cases += cfg.seeds
             for s in range(cfg.seeds):
                 seed = BASE_SEED + 97 * s
                 _, z = sample_cell(label, seed)
                 got = classify(z)
-                if got != label:
-                    rep.fail(
-                        n=n,
-                        label=ser.label_to_json(label),
-                        got=ser.label_to_json(got),
-                        seed=seed,
-                    )
+                rep.check(got == label, n=n, label=label, got=got, seed=seed)
     return rep
 
 
@@ -369,12 +365,8 @@ def suite_emptiness(cfg: VerifyConfig) -> SuiteReport:
     n = cfg.n
     empties = _empty_labels(n)
     for label in empties:
-        rep.cases += 1
-        try:
-            sample_cell(label, BASE_SEED)
-            rep.fail(label=ser.label_to_json(label), reason="sampler accepted an empty cell")
-        except EmptyCellError:
-            pass
+        refused = _raised(EmptyCellError, sample_cell, label, BASE_SEED) is not None
+        rep.check(refused, label=label, reason="sampler accepted an empty cell")
     rng = random.Random(BASE_SEED)
     labels = [l for l, _ in enumerate_cells(n)]
     for k in range(40):
@@ -384,13 +376,11 @@ def suite_emptiness(cfg: VerifyConfig) -> SuiteReport:
         g2 = sample_G_gt0(n, rng)
         moved = act(g1, g2.inverse(), z)
         got = classify(moved)
-        rep.cases += 1
-        if not got.is_nonempty():
-            rep.fail(
-                reason="a positively-constructed point classified into an empty label",
-                label=ser.label_to_json(got),
-                seed=BASE_SEED + k,
-            )
+        rep.check(
+            got.is_nonempty(),
+            reason="a positively-constructed point classified into an empty label",
+            label=got, seed=BASE_SEED + k,
+        )
     return rep
 
 
@@ -417,11 +407,10 @@ def suite_limits(cfg: VerifyConfig) -> SuiteReport:
             rng = random.Random(seed)
             g1, g2 = sample_G_gt0(n, rng), sample_G_gt0(n, rng)
             want = fundamental_tuple(torus_limit(g1, c, g2))
-            rep.cases += 1
-            if not all(map(proj_equal, _curve_limit_images(g1, c, g2), want)):
-                rep.fail(
-                    n=n, c=list(c), seed=seed, reason="torus limit is not the curve's limit"
-                )
+            rep.check(
+                all(map(proj_equal, _curve_limit_images(g1, c, g2), want)),
+                n=n, c=list(c), seed=seed, reason="torus limit is not the curve's limit",
+            )
         for J in all_parabolic_subsets(n):
             try:
                 data = embedding_data(J)
@@ -436,13 +425,12 @@ def suite_limits(cfg: VerifyConfig) -> SuiteReport:
                 for m in (m1, m2)
             )
             rank = prod(comb(len(blk), sum(i < data.k2 for i in blk)) for blk in J.blocks0())
-            rep.cases += 1
-            if not (
+            rep.check(
                 [(i, j) for i, j, _ in ones1] == [(0, 0)]
                 and all(i == j and x == 1 for i, j, x in ones2)
-                and len(ones2) == rank
-            ):
-                rep.fail(n=n, J=sorted(J.J), reason="base point image is not ([I1],[IL])")
+                and len(ones2) == rank,
+                n=n, J=sorted(J.J), reason="base point image is not ([I1],[IL])",
+            )
     return rep
 
 
@@ -466,11 +454,10 @@ def suite_retraction(cfg: VerifyConfig) -> SuiteReport:
         points.append(torus_limit(g1, csel, g2))
     for zi, z in enumerate(points):
         for pi, (h1, h2) in enumerate(pairs):
-            rep.cases += 1
-            try:  # raises StrataError unless the output passes membership_Zgt0
-                positive_retraction(h1, h2, z)
-            except Exception as e:  # report any failure with its witness
-                rep.fail(point_index=zi, pair_index=pi, reason=str(e))
+            # raises StrataError unless the output passes membership_Zgt0;
+            # any error is reported with its witness
+            e = _raised(Exception, positive_retraction, h1, h2, z)
+            rep.check(e is None, point_index=zi, pair_index=pi, reason=str(e))
     return rep
 
 
@@ -484,24 +471,24 @@ def suite_monoid(cfg: VerifyConfig) -> SuiteReport:
     for k in range(30):
         g = sample_G_gt0(n, rng)
         h = sample_G_gt0(n, rng)
-        rep.cases += 3
-        if not is_totally_positive(g):
-            rep.fail(k=k, reason="sampler output failed the strict minor test")
-        if not is_totally_positive(g @ h):
-            rep.fail(k=k, reason="product left the positive monoid")
-        if not is_totally_positive(g.T):
-            rep.fail(k=k, reason="transpose left the positive monoid")
+        rep.check(is_totally_positive(g), k=k, reason="sampler output failed the strict minor test")
+        rep.check(is_totally_positive(g @ h), k=k, reason="product left the positive monoid")
+        rep.check(is_totally_positive(g.T), k=k, reason="transpose left the positive monoid")
     weyl_all = all_weyl(n)
     for k in range(30):
         u = sample_Uplus_gt0(n, rng)
         w = weyl_all[rng.randrange(len(weyl_all))]
         word = lex_min_reduced_word(w)
         u1 = phi_plus(word, [rand_nonneg_fraction(rng) for _ in range(len(word))])
-        rep.cases += 2
-        if not in_unipotent_cell(u @ u1, longest_w(n), lower=False):
-            rep.fail(k=k, reason="right absorption left the strict unipotent cone")
-        if not in_unipotent_cell(u1 @ u, longest_w(n), lower=False):
-            rep.fail(k=k, reason="left absorption left the strict unipotent cone")
+        w0 = longest_w(n)
+        rep.check(
+            in_unipotent_cell(u @ u1, w0, lower=False),
+            k=k, reason="right absorption left the strict unipotent cone",
+        )
+        rep.check(
+            in_unipotent_cell(u1 @ u, w0, lower=False),
+            k=k, reason="left absorption left the strict unipotent cone",
+        )
     return rep
 
 

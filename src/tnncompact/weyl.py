@@ -4,8 +4,8 @@ Elements are permutations of {1..n} in one-line notation; s_i swaps i and
 i+1.  Composition is function composition, (v*w)(i) = v(w(i)), so right
 multiplication by s_i swaps the entries in positions i, i+1 and left
 multiplication swaps the values i, i+1.  Bruhat order is decided by the
-rank-matrix dominance criterion; reduced-word machinery (positive
-subexpressions, lexicographically least words) lives here too.
+tableau criterion; reduced-word machinery (positive subexpressions,
+lexicographically least words) lives here too.
 
 The public ``WeylElement`` constructor checks that its tuple is a
 permutation; JSON readers and callers go through it.  Every element this
@@ -17,8 +17,10 @@ checks nothing.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from operator import le
 
 
 class WeylError(Exception):
@@ -109,26 +111,17 @@ def all_weyl(n: int) -> list[WeylElement]:
 
 
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order via the dominance criterion on rank matrices.
-
-    v <= w iff #{a <= i : v(a) >= j} <= #{a <= i : w(a) >= j} for all i, j.
-    """
+    """Bruhat order by the tableau criterion (Björner and Brenti,
+    *Combinatorics of Coxeter Groups*, Thm 2.6.3): v ≤ w iff, for every
+    i < n, the sorted values v(1..i) are entrywise ≤ the sorted w(1..i)."""
     if v.n != w.n:
         raise WeylError("rank mismatch")
-    n = v.n
-    for i in range(1, n + 1):
-        cv = cw = 0
-        # scan j downward, maintaining counts of values >= j among first i
-        countv = [0] * (n + 2)
-        countw = [0] * (n + 2)
-        for a in range(i):
-            countv[v.perm[a]] += 1
-            countw[w.perm[a]] += 1
-        for j in range(n, 0, -1):
-            cv += countv[j]
-            cw += countw[j]
-            if cv > cw:
-                return False
+    sv, sw = [], []
+    for a, b in zip(v.perm[:-1], w.perm[:-1]):
+        insort(sv, a)
+        insort(sw, b)
+        if not all(map(le, sv, sw)):
+            return False
     return True
 
 
@@ -207,15 +200,15 @@ class PositiveSubexpression:
 
 def positive_subexpression(word: ReducedWord, v: WeylElement) -> PositiveSubexpression:
     """Right-to-left greedy computation: step down by s_{i_j} exactly when
-    that shortens the running station.  The greedy reaches the identity
-    exactly when v ≤ w, the product of the word, so it decides that too:
-    raises WeylError when it does not."""
+    that shortens the running station u, i.e. when u has a right descent at
+    i_j, u(i_j) > u(i_j + 1).  The greedy reaches the identity exactly when
+    v ≤ w, the product of the word, so it decides that too: raises
+    WeylError when it does not."""
     m = len(word)
     stations: list[WeylElement] = [v] * (m + 1)
-    stations[m] = v
     for j in range(m, 0, -1):
-        cand = stations[j].right_s(word.letters[j - 1])
-        stations[j - 1] = cand if cand.length < stations[j].length else stations[j]
+        i, u = word.letters[j - 1], stations[j]
+        stations[j - 1] = u.right_s(i) if u.perm[i - 1] > u.perm[i] else u
     if not stations[0].is_identity():
         raise WeylError(f"{v} is not Bruhat-below the product of {word.letters}")
     jplus = frozenset(j for j in range(1, m + 1) if stations[j - 1] != stations[j])

@@ -11,56 +11,57 @@ from tnncompact.verify import VerifyConfig, run_suite
 CFG = VerifyConfig(n=3, seeds=5, samples=100)
 
 
-def _run(name: str, cfg: VerifyConfig = CFG):
-    rep = run_suite(name, cfg)
+def _run(name: str, cases: int):
+    """Run one suite at the acceptance config; it passes with exactly
+    ``cases`` cases, the count that every later change must keep."""
+    rep = run_suite(name, CFG)
     print(rep.line())
     assert rep.ok, rep.failures[:3]
+    assert rep.cases == cases
     return rep
 
 
 def test_criterion_1_cell_census():
     """13 cells for n=2 (9 closed + 4 open stratum), dimension multiset from
     the formula, cross-checked against brute-force enumeration, under 1s."""
-    _run("census")
+    _run("census", 8)
 
 
 def test_criterion_2_dimension_formula_vs_geometry():
     """Exact Jacobian rank equals the formula dimension for every nonempty
     label at n=2 and n=3, all strata; zero tolerance."""
-    _run("dimensions")
+    _run("dimensions", 698)
 
 
 def test_criterion_3_entrywise_criterion_forward():
     """100 seeded positive points per supported stratum have all four
     projective matrices strictly positive entrywise; under a minute."""
-    rep = _run("positivity-forward")
+    rep = _run("positivity-forward", 2 * 5 * CFG.samples)
     assert rep.wall < 60.0
-    assert rep.cases == 2 * 5 * CFG.samples
 
 
 def test_criterion_4_entrywise_criterion_converse_evidence():
     """100 points with one negated unipotent Levi coordinate (coset part
     outside L_{≥0}Z(L)) are all rejected."""
-    rep = _run("positivity-converse")
-    assert rep.cases == CFG.samples
+    _run("positivity-converse", CFG.samples)
 
 
 def test_criterion_5_marsh_rietsch_correctness():
     """Every chart for every (v, w) and every reduced word, n ≤ 3, lands in
     its double coset: pos(B^+,·) = w and pos(B^-,·) = w0·v; exhaustive."""
-    _run("marsh-rietsch")
+    _run("marsh-rietsch", 140)
 
 
 def test_criterion_6_roundtrip_classification():
     """classify(sample(label)) == label for every nonempty label, n ≤ 3,
     5 seeds, zero failures."""
-    _run("roundtrip")
+    _run("roundtrip", 3490)
 
 
 def test_criterion_7_emptiness():
     """Labels with v or v' outside W^J refuse to sample, and no positively
     constructed point ever classifies into one."""
-    _run("emptiness")
+    _run("emptiness", 144)
 
 
 def test_criterion_8_limits_and_base_points():
@@ -68,17 +69,16 @@ def test_criterion_8_limits_and_base_points():
     a sampled positive pair limits, in every fundamental representation, to
     the closed-form torus limit; and the base point maps to ([I_1], [I_L])
     wherever the embedding pair exists."""
-    _run("limits")
+    _run("limits", 17)
 
 
 def test_criterion_9_retraction():
     """50 boundary points from limits of positive data, retracted by 10
     strict pairs, all land in the positive part."""
-    rep = _run("retraction")
-    assert rep.cases == 500
+    _run("retraction", 500)
 
 
 def test_criterion_10_monoid_cross_checks():
     """Sampler outputs pass the all-minors test; products and transposes
     stay strictly positive; one-sided absorption keeps unipotent cones."""
-    _run("monoid")
+    _run("monoid", 150)

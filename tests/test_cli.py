@@ -12,6 +12,7 @@ from oracles import identity, mr_chart
 
 from tnncompact import linalg as la
 from tnncompact import serialize as ser
+from tnncompact import verify
 from tnncompact.cells import classify, enumerate_cells, top_label
 from tnncompact.cli import main
 from tnncompact.matgroup import GroupError, GroupMatrix
@@ -206,6 +207,28 @@ def test_cli_verify_single_suite(capsys):
     assert main(["verify", "census", "--n", "2"]) == 0
     out = capsys.readouterr().out
     assert "[PASS] census" in out
+
+
+def test_cli_verify_all_out_names_the_suite_of_each_failure(tmp_path, monkeypatch, capsys):
+    """`verify all --out` writes each failure as {"suite": name, **witness}."""
+    first, _ = enumerate_cells(2)[0]
+    monkeypatch.setattr(verify, "jacobian_rank_check", lambda label, seed: label != first)
+    out = tmp_path / "failures.json"
+    argv = ["verify", "all", "--n", "2", "--seeds", "1", "--samples", "1", "--out", str(out)]
+    assert main(argv) == 1
+    assert "[FAIL] dimensions: 13 cases, 1 failures" in capsys.readouterr().out
+    assert json.loads(out.read_text()) == {
+        "v": ser.SCHEMA_VERSION,
+        "failures": [
+            {
+                "suite": "dimensions",
+                "n": 2,
+                "label": ser.label_to_json(first),
+                "seed": verify.BASE_SEED,
+                "reason": "jacobian rank differs from cell dimension",
+            }
+        ],
+    }
 
 
 def test_cli_bad_file_is_usage_error(tmp_path):

@@ -34,8 +34,6 @@ from .exterior import (
     embedding_data,
 )
 from .tnn import (
-    DoubleCellPoint,
-    MRChart,
     double_cell_evaluate,
     is_totally_nonneg,
     is_totally_positive,
@@ -57,7 +55,6 @@ from .strata import (
 )
 from .cells import (
     CellLabel,
-    CellSample,
     chart_point,
     classify,
     dimension_of,

@@ -40,13 +40,7 @@ from .matgroup import (
     standard_parabolic,
 )
 from .strata import CompactPoint
-from .tnn import (
-    DoubleCellPoint,
-    MRChart,
-    _double_cell_steps,
-    _mr_steps,
-    rand_pos_fraction,
-)
+from .tnn import _double_cell_steps, _mr_steps, rand_pos_fraction
 from .weyl import (
     ParabolicSubset,
     WeylElement,
@@ -208,38 +202,28 @@ def _trusted_label(J, v, w, vp, wp, y, yp) -> CellLabel:
 # ---------------------------------------------------------------------------
 # sampling
 
-@dataclass(frozen=True)
-class CellSample:
-    label: CellLabel
-    chart1: MRChart
-    chart2: MRChart
-    levi: DoubleCellPoint
-
-
 def chart_point(label: CellLabel, coords) -> CompactPoint:
     """The image of coords under the label's chart, with coords in the order
     of ``_chart``.  Positive coords give a point of the cell; zero and
     negative ones are allowed too, except for a coroot coordinate, which
     must be nonzero.  Raises CellError when the count is not the chart's
     or a coroot coordinate is 0."""
-    return _chart_point(label.J, _chart(label, [frac(c) for c in coords], Fraction(1)))
+    n = label.J.n
+    word1, word2 = _chart_words(_chart(label, [frac(c) for c in coords], Fraction(1)))
+    return CompactPoint(label.J, _word_element(n, word1), _word_element(n, word2).T)
 
 
-def sample_cell(label: CellLabel, seed: int) -> tuple[CellSample, CompactPoint]:
-    """Draw a point of the labeled cell: (g·l, ψ(g'))·z°_J, that is
+def sample_cell(label: CellLabel, seed: int) -> tuple[tuple[Fraction, ...], CompactPoint]:
+    """Draw a point of the labeled cell: (coords, chart_point(label,
+    coords)) for dimension_of(label) positive coordinates drawn in the
+    order of ``_chart``.  The point is (g·l, ψ(g'))·z°_J, that is
     (^g P_J, ^{ψ(g')⁻¹} Q_J, g·H·l·U·ψ(g')), with g, g' Marsh-Rietsch
-    positive and l in the Levi double cell indexed by (y·w^J_0, w^J_0·y').
-
-    The chart's dimension_of(label) coordinates are drawn in the order of
-    ``_chart``."""
+    positive and l in the Levi double cell indexed by (y·w^J_0, w^J_0·y')."""
     if not label.is_nonempty():
         raise EmptyCellError(f"refusing to sample the empty cell {label}")
     rng = random.Random(seed)
-    coords = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
-    chart = _chart(label, coords, Fraction(1))
-    flag1, flag2, levi = chart
-    sample = CellSample(label, MRChart(*flag1), MRChart(*flag2), DoubleCellPoint(*levi))
-    return (sample, _chart_point(label.J, chart))
+    coords = tuple(rand_pos_fraction(rng) for _ in range(dimension_of(label)))
+    return coords, chart_point(label, coords)
 
 
 def _chart(label: CellLabel, coords, one):
@@ -277,11 +261,6 @@ def _chart_words(chart) -> tuple[list, list]:
     cell, and flag chart 2, whose element is transposed."""
     (p1, c1), (p2, c2), levi = chart
     return _mr_steps(p1, c1) + _double_cell_steps(*levi), _mr_steps(p2, c2)
-
-
-def _chart_point(J: ParabolicSubset, chart) -> CompactPoint:
-    word1, word2 = _chart_words(chart)
-    return CompactPoint(J, _word_element(J.n, word1), _word_element(J.n, word2).T)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def cmd_sample(args) -> int:
         n = None
     label = ser.label_from_json(data, n=n)
     try:
-        sample, point = sample_cell(label, args.seed)
+        coords, point = sample_cell(label, args.seed)
     except EmptyCellError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAIL
@@ -75,13 +75,7 @@ def cmd_sample(args) -> int:
         "v": ser.SCHEMA_VERSION,
         "seed": args.seed,
         "label": ser.label_to_json(label),
-        "charts": {
-            "flag1": ser.chart_to_json(sample.chart1),
-            "flag2": ser.chart_to_json(sample.chart2),
-            "levi_minus": [ser.frac_str(c) for c in sample.levi.aminus],
-            "levi_torus": [ser.frac_str(c) for c in sample.levi.torus],
-            "levi_plus": [ser.frac_str(c) for c in sample.levi.aplus],
-        },
+        "charts": ser.charts_to_json(label, coords),
         "point": ser.point_to_json(point),
     }
     _write_or_print(ser.dumps(payload), args.out)
@@ -139,10 +133,8 @@ def cmd_verify(args) -> int:
         print(rep.line())
         reports.append(rep)
     failures = [{"suite": r.suite, **f} for r in reports for f in r.failures]
-    if args.out and failures:
-        Path(args.out).write_text(
-            ser.dumps({"v": ser.SCHEMA_VERSION, "failures": failures})
-        )
+    if failures:
+        _write_or_print(ser.dumps({"v": ser.SCHEMA_VERSION, "failures": failures}), args.out)
     return EXIT_FAIL if failures else EXIT_OK
 
 

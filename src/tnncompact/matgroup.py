@@ -112,9 +112,10 @@ class GroupMatrix:
 
     def canonical(self) -> IntMatrix:
         """M, with the sign fixed by first nonzero entry > 0 when a sign flip
-        is allowed: one key for the whole class of g."""
+        is allowed: one key for the whole class of g.  An all-zero M, which
+        only an unchecked matrix can have, is its own key."""
         M = self.M
-        if len(M) % 2 == 1 or next(x for x in chain.from_iterable(M) if x) > 0:
+        if len(M) % 2 == 1 or next((x for x in chain.from_iterable(M) if x), 1) > 0:
             return M
         return _negated(M)
 
@@ -175,9 +176,6 @@ class GroupMatrix:
         if "_lift" in attrs:
             return _lift(attrs["_lift"][1])
         return _trusted(tuple(zip(*self.M)), self.d)
-
-    def is_identity(self) -> bool:
-        return self == identity_g(self.n)
 
     def __repr__(self) -> str:
         rows = "; ".join(

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import Any, Iterator
 
-from .cells import CellError, CellLabel, _stratum_walk
+from .cells import CellError, CellLabel, _chart, _stratum_walk
 from .linalg import Matrix, mat
 from .matgroup import GroupMatrix
 from .strata import CompactPoint
@@ -216,12 +216,25 @@ def curve_from_json(data) -> tuple[GroupMatrix, tuple[int, ...], GroupMatrix]:
     return g1, tuple(_ints(_field(data, "c"), "exponent")), g2
 
 
-def chart_to_json(chart) -> dict[str, Any]:
-    """Marsh-Rietsch chart as {word, v, coords}."""
+def charts_to_json(label: CellLabel, coords) -> dict[str, Any]:
+    """The label's chart at coords, cut as ``cells._chart`` cuts it: each
+    Marsh-Rietsch flag chart as {word, v, coords}, then the Levi's lower
+    leg, torus (one entry per simple root) and upper leg."""
+    (p1, c1), (p2, c2), (_, _, aminus, tor, aplus) = _chart(label, coords, Fraction(1))
+
+    def flag(psub, cs):
+        return {
+            "word": list(psub.word.letters),
+            "v": weyl_to_json(psub.v),
+            "coords": [frac_str(c) for c in cs],
+        }
+
     return {
-        "word": list(chart.psub.word.letters),
-        "v": weyl_to_json(chart.psub.v),
-        "coords": [frac_str(c) for c in chart.coords],
+        "flag1": flag(p1, c1),
+        "flag2": flag(p2, c2),
+        "levi_minus": [frac_str(c) for c in aminus],
+        "levi_torus": [frac_str(c) for c in tor],
+        "levi_plus": [frac_str(c) for c in aplus],
     }
 
 

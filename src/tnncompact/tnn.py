@@ -14,7 +14,6 @@ never assumed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
@@ -22,7 +21,7 @@ from typing import Sequence
 from . import linalg as la
 from .exterior import compounds
 from .linalg import frac
-from .matgroup import GroupMatrix, _negated, _word_element, bruhat_cell, torus
+from .matgroup import GroupMatrix, _word_element, bruhat_cell, torus
 from .weyl import (
     ParabolicSubset,
     PositiveSubexpression,
@@ -86,7 +85,10 @@ def _phi(word: ReducedWord, coords: Sequence, kind: str) -> GroupMatrix:
 # The minor tests run on Python ints: on a group element's integer matrix
 # M, and on a rational matrix after la._integer_rows.  A positive scaling
 # of a row multiplies every minor through that row by a positive number,
-# so every sign is the rational matrix's.
+# so every sign is the rational matrix's.  A group element is tested on
+# its canonical sign representative: the entries of a TNN matrix are ≥ 0,
+# so its first nonzero entry is positive, and at even n ``canonical()``
+# picks the one of ±M that can pass.
 
 def is_tnn_matrix(m: la.Matrix) -> bool:
     return _minors_positive(la._integer_rows(m)[0], strict=False)
@@ -104,12 +106,12 @@ def _minors_positive(a, strict: bool) -> bool:
 
 def is_totally_positive(g: GroupMatrix) -> bool:
     """g ∈ G_{>0}: every compound matrix entry strictly positive, projectively."""
-    return _minors_positive(g.M, True) or (g.n % 2 == 0 and _minors_positive(_negated(g.M), True))
+    return _minors_positive(g.canonical(), True)
 
 
 def is_totally_nonneg(g: GroupMatrix) -> bool:
     """g ∈ G_{≥0} (projective): some sign representative is a TNN matrix."""
-    return _minors_positive(g.M, False) or (g.n % 2 == 0 and _minors_positive(_negated(g.M), False))
+    return _minors_positive(g.canonical(), False)
 
 
 def in_unipotent_cell(u: GroupMatrix, w: WeylElement, lower: bool) -> bool:
@@ -177,56 +179,36 @@ def sample_L_ge0(J: ParabolicSubset, rng: random.Random) -> GroupMatrix:
 # ---------------------------------------------------------------------------
 # Marsh-Rietsch charts
 
-@dataclass(frozen=True)
-class MRChart:
-    """Coordinates on the set of products following a positive subexpression:
-    y_{i_j}(a_j) on the stationary steps, the signed-permutation lift on the
-    climbing ones."""
-
-    psub: PositiveSubexpression
-    coords: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != len(self.psub.jcirc):
-            raise ParamError(
-                f"{len(self.coords)} coordinates for {len(self.psub.jcirc)} free steps"
-            )
-
-
-def mr_evaluate(chart: MRChart) -> GroupMatrix:
-    if any(c <= 0 for c in chart.coords):
+def mr_evaluate(psub: PositiveSubexpression, coords: Sequence) -> GroupMatrix:
+    """The product following a positive subexpression: y_{i_j}(a_j) on the
+    free steps, at the positive coords, and the signed-permutation lift ṡ
+    on the others.  Raises ParamError unless there is one positive
+    coordinate per free step."""
+    coords = [frac(c) for c in coords]
+    if len(coords) != len(psub.jcirc):
+        raise ParamError(f"{len(coords)} coordinates for {len(psub.jcirc)} free steps")
+    if any(c <= 0 for c in coords):
         raise ParamError("nonpositive Marsh-Rietsch coordinate")
-    coords = [frac(c) for c in chart.coords]
-    return _word_element(chart.psub.word.n, _mr_steps(chart.psub, coords))
+    return _word_element(psub.word.n, _mr_steps(psub, coords))
 
 
 # ---------------------------------------------------------------------------
 # double Bruhat cells of the TNN monoid
 
-@dataclass(frozen=True)
-class DoubleCellPoint:
-    """Coordinates for U^-_{wminus,>0} T_{>0} U^+_{wplus,>0}."""
-
-    wminus: WeylElement
-    wplus: WeylElement
-    aminus: tuple[Fraction, ...]
-    torus: tuple[Fraction, ...]
-    aplus: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.aminus) != self.wminus.length:
-            raise ParamError("aminus length mismatch")
-        if len(self.aplus) != self.wplus.length:
-            raise ParamError("aplus length mismatch")
-        if len(self.torus) != self.wminus.n - 1:
-            raise ParamError("torus coordinate count must be the rank")
-        if any(c <= 0 for c in self.aminus + self.aplus + self.torus):
-            raise ParamError("double-cell coordinates must be positive")
-
-
-def double_cell_evaluate(p: DoubleCellPoint) -> GroupMatrix:
-    aminus, tor, aplus = ([frac(c) for c in cs] for cs in (p.aminus, p.torus, p.aplus))
-    return _word_element(
-        p.wminus.n, _double_cell_steps(p.wminus, p.wplus, aminus, tor, aplus)
-    )
-
+def double_cell_evaluate(
+    wminus: WeylElement, wplus: WeylElement, aminus: Sequence, tor: Sequence, aplus: Sequence
+) -> GroupMatrix:
+    """The point of U^-_{wminus,>0} T_{>0} U^+_{wplus,>0} at the positive
+    coordinates of the two legs and the torus.  Raises ParamError unless
+    each leg has one coordinate per letter, the torus one per simple root,
+    and all are positive."""
+    aminus, tor, aplus = ([frac(c) for c in cs] for cs in (aminus, tor, aplus))
+    if len(aminus) != wminus.length:
+        raise ParamError("aminus length mismatch")
+    if len(aplus) != wplus.length:
+        raise ParamError("aplus length mismatch")
+    if len(tor) != wminus.n - 1:
+        raise ParamError("torus coordinate count must be the rank")
+    if any(c <= 0 for c in aminus + tor + aplus):
+        raise ParamError("double-cell coordinates must be positive")
+    return _word_element(wminus.n, _double_cell_steps(wminus, wplus, aminus, tor, aplus))

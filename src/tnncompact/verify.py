@@ -53,7 +53,6 @@ from .strata import (
     torus_limit,
 )
 from .tnn import (
-    MRChart,
     in_unipotent_cell,
     is_totally_positive,
     mr_evaluate,
@@ -307,15 +306,8 @@ def suite_marsh_rietsch(cfg: VerifyConfig) -> SuiteReport:
                     psub = positive_subexpression(word, v)
                     for s in range(cfg.seeds):
                         rng = random.Random(BASE_SEED + 31 * s)
-                        chart = MRChart(
-                            psub,
-                            tuple(
-                                rand_pos_fraction(rng)
-                                for _ in range(len(psub.jcirc))
-                            ),
-                        )
-                        g = mr_evaluate(chart)
-                        flag = FlagPoint(g)
+                        coords = [rand_pos_fraction(rng) for _ in psub.jcirc]
+                        flag = FlagPoint(mr_evaluate(psub, coords))
                         rep.check(
                             bruhat_position(bp, flag) == w and bruhat_position(bm, flag) == w0 * v,
                             n=n, word=list(letters), v=list(v.perm), seed=BASE_SEED + 31 * s,

@@ -54,7 +54,7 @@ from tnncompact.exterior import compound, compounds, proj_equal, strictly_signed
 from tnncompact.laurent import Laurent, lmat_limit
 from tnncompact.matgroup import GroupError, _integer_form, _trusted
 from tnncompact.strata import _kept_product, _limit_images
-from tnncompact.tnn import MRChart, rand_pos_fraction
+from tnncompact.tnn import double_cell_evaluate, mr_evaluate, rand_pos_fraction
 from tnncompact.weyl import WeylElement, lex_min_reduced_word, positive_subexpression, simple_reflection
 
 
@@ -584,10 +584,17 @@ def opposed_by_lie_algebra(P, Q):
 
 
 def mr_chart(v, w, rng):
-    """A Marsh–Rietsch chart for v ≤ w over the least reduced word of w, at
-    positive coordinates drawn from rng."""
+    """A Marsh–Rietsch chart (psub, coords) for v ≤ w over the least reduced
+    word of w, at positive coordinates drawn from rng."""
     psub = positive_subexpression(lex_min_reduced_word(w), v)
-    return MRChart(psub, tuple(rand_pos_fraction(rng) for _ in psub.jcirc))
+    return psub, tuple(rand_pos_fraction(rng) for _ in psub.jcirc)
+
+
+def chart_elements(label, coords):
+    """The flag charts g, g' and the Levi element l of the label's chart at
+    coords, each evaluated on its own: the point is (g·l, ψ(g'))·z°_J."""
+    flag1, flag2, levi = _chart(label, coords, Fraction(1))
+    return mr_evaluate(*flag1), mr_evaluate(*flag2), double_cell_evaluate(*levi)
 
 
 def dual_chart(label, values):

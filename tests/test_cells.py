@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 from oracles import (
+    chart_elements,
     dual_chart,
     dual_jacobian_rank,
     dual_rank,
@@ -281,6 +282,22 @@ def test_sampled_points_are_pinned():
     assert digest == "972d05b5009392fbc4c98fbb3b9a90fb1aef3e025f8486b296825027dfa365b4"
 
 
+def test_sample_cell_returns_the_coordinates_it_drew():
+    """For every nonempty cell at n = 2, 3, sample_cell returns
+    dimension_of(label) positive coordinates, and chart_point replays them
+    to the sampled point: the same integer matrices over the same
+    denominators."""
+    for n in (2, 3):
+        for k, (label, dim) in enumerate(enumerate_cells(n)):
+            coords, z = sample_cell(label, k)
+            assert len(coords) == dim == dimension_of(label)
+            assert all(c > 0 for c in coords)
+            replay = chart_point(label, coords)
+            assert [(g.M, g.d) for g in (replay.g1, replay.g2)] == [
+                (g.M, g.d) for g in (z.g1, z.g2)
+            ], label
+
+
 def test_chart_point_cuts_coordinates_in_one_order():
     """The top cell of J = {1} at n = 3 has 7 chart coordinates: two free
     steps per flag chart over the word (1, 2) of s_1·s_2, the coroot of 1,
@@ -549,7 +566,6 @@ def test_dual_chart_is_the_sampled_chart(n):
     the sampled point's chart and fundamental tuple, the degree-k image
     scaled by (d1·d2)^k for the point's denominators d1, d2."""
     from tnncompact.strata import _limit_images, fundamental_tuple
-    from tnncompact.tnn import double_cell_evaluate, mr_evaluate
 
     def values(m):
         return tuple(tuple(x.val for x in row) for row in m)
@@ -557,16 +573,13 @@ def test_dual_chart_is_the_sampled_chart(n):
     rng = random.Random(80 + n)
     for k in range(10):
         label = _random_nonempty_label(n, rng)
-        sample, z = sample_cell(label, k)
-        levi = sample.levi
-        coords = [*sample.chart1.coords, *sample.chart2.coords]
-        coords += [levi.torus[j - 1] for j in sorted(label.J.J)] + [*levi.aminus, *levi.aplus]
+        coords, z = sample_cell(label, k)
         assert len(coords) == dimension_of(label)
         assert chart_point(label, coords) == z
         g1, g2 = dual_chart(label, coords)
-        chart1 = mr_evaluate(sample.chart1) @ double_cell_evaluate(sample.levi)
-        assert values(g1) == chart1.m
-        assert values(g2) == mr_evaluate(sample.chart2).T.m
+        g, gp, l = chart_elements(label, coords)
+        assert values(g1) == (g @ l).m
+        assert values(g2) == gp.T.m
         scale = z.g1.d * z.g2.d
         images = _limit_images(label.J, g1, g2)
         assert [

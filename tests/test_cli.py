@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import identity, mr_chart
+from oracles import identity
 
 from tnncompact import linalg as la
 from tnncompact import serialize as ser
@@ -58,12 +58,14 @@ def test_cells_json_schema():
 
 
 def test_chart_json_schema():
-    from tnncompact.weyl import WeylElement
-
-    rng = random.Random(3)
-    chart = mr_chart(WeylElement((1, 2, 3)), WeylElement((2, 3, 1)), rng)
-    data = ser.chart_to_json(chart)
-    assert set(data) == {"word", "v", "coords"}
+    label = top_label(ParabolicSubset.of(3, [1]))
+    data = ser.charts_to_json(label, [1, 2, 3, 4, 5, 6, 7])
+    assert list(data) == ["flag1", "flag2", "levi_minus", "levi_torus", "levi_plus"]
+    assert data["flag1"] == {"word": [1, 2], "v": [1, 2, 3], "coords": ["1/1", "2/1"]}
+    assert data["flag2"] == {"word": [1, 2], "v": [1, 2, 3], "coords": ["3/1", "4/1"]}
+    assert [data[k] for k in ("levi_minus", "levi_torus", "levi_plus")] == [
+        ["6/1"], ["5/1", "1/1"], ["7/1"]
+    ]
 
 
 def test_cli_enumerate_deterministic(tmp_path):
@@ -156,6 +158,24 @@ def test_cli_sample_classify_roundtrip(tmp_path):
     assert got["dim"] == 7
 
 
+def test_cli_sample_bytes_are_pinned(tmp_path, capsys):
+    """The bytes ``sample`` prints at seeds 0 and 7 for every n = 2 label and
+    every 100th n = 3 label, pinned by SHA-256: the charts block and the
+    point must stay byte for byte."""
+    import hashlib
+
+    labels = [(n, label) for n, step in ((2, 1), (3, 100)) for label, _ in enumerate_cells(n)[::step]]
+    assert len(labels) == 20
+    label_file = tmp_path / "label.json"
+    digest = hashlib.sha256()
+    for n, label in labels:
+        label_file.write_text(json.dumps({"n": n, "label": ser.label_to_json(label)}))
+        for seed in ("0", "7"):
+            assert main(["sample", "--label-file", str(label_file), "--seed", seed]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "bff03aeaa9a0031af7dca5772485b344bb3910deb03adf485ea6f8130c773cf8"
+
+
 def test_cli_sample_empty_label(tmp_path):
     label_file = tmp_path / "label.json"
     label_file.write_text(
@@ -209,15 +229,26 @@ def test_cli_verify_single_suite(capsys):
     assert "[PASS] census" in out
 
 
-def test_cli_verify_all_out_names_the_suite_of_each_failure(tmp_path, monkeypatch, capsys):
-    """`verify all --out` writes each failure as {"suite": name, **witness}."""
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_cli_verify_all_out_names_the_suite_of_each_failure(to_file, tmp_path, monkeypatch, capsys):
+    """`verify all` writes each failure as {"suite": name, **witness}: to
+    --out when given, else to stdout after the status lines."""
     first, _ = enumerate_cells(2)[0]
     monkeypatch.setattr(verify, "jacobian_rank_check", lambda label, seed: label != first)
     out = tmp_path / "failures.json"
-    argv = ["verify", "all", "--n", "2", "--seeds", "1", "--samples", "1", "--out", str(out)]
-    assert main(argv) == 1
-    assert "[FAIL] dimensions: 13 cases, 1 failures" in capsys.readouterr().out
-    assert json.loads(out.read_text()) == {
+    argv = ["verify", "all", "--n", "2", "--seeds", "1", "--samples", "1"]
+    assert main(argv + ["--out", str(out)] if to_file else argv) == 1
+    printed = capsys.readouterr().out
+    lines, _, document = printed.partition("{")
+    assert len(lines.splitlines()) == len(verify.SUITES)
+    assert "[FAIL] dimensions: 13 cases, 1 failures" in lines
+    if to_file:
+        assert document == ""
+        written = out.read_text()
+    else:
+        assert not out.exists()
+        written = "{" + document
+    assert json.loads(written) == {
         "v": ser.SCHEMA_VERSION,
         "failures": [
             {

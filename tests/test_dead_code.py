@@ -6,6 +6,10 @@ Re-exports in ``__init__.py`` do not count as callers.  Three kinds of
 definition are exempt: those that ``BENCHMARK.json`` names as per-layer
 metrics (read from the file, so that retiring a metric exposes its
 function), the API entry points below, and the oracle constructors below.
+
+Callers are matched by bare name, so a definition counts as called when
+anything of the same name is: an uncalled method that shares its name
+with a called function or method of another class is not caught.
 """
 
 import ast
@@ -79,3 +83,16 @@ def uncalled_definitions() -> list[str]:
 
 def test_every_public_function_has_a_caller():
     assert uncalled_definitions() == []
+
+
+def test_every_allowlist_entry_names_a_definition():
+    """A stale entry of either allowlist would exempt nothing: each must
+    still name a definition in the package."""
+    defined = {
+        qualified
+        for path in PACKAGE.glob("*.py")
+        for qualified, _ in _definitions(path.stem, ast.parse(path.read_text()))
+    }
+    bare = {qualified.rsplit(".", 1)[1] for qualified in defined}
+    assert sorted(API_ENTRY_POINTS - bare) == []
+    assert sorted(ORACLE_CONSTRUCTORS - defined) == []

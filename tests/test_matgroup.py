@@ -260,8 +260,7 @@ def test_associated_borel_spec_cases():
     for v, w in [((1, 2, 3), (2, 3, 1)), ((1, 3, 2), (2, 3, 1)), ((1, 2, 3), (1, 3, 2))]:
         from tnncompact.weyl import WeylElement
 
-        chart = mr_chart(WeylElement(v), WeylElement(w), rng)
-        g = mr_evaluate(chart)
+        g = mr_evaluate(*mr_chart(WeylElement(v), WeylElement(w), rng))
         got = associated_borel(ParabolicPoint(J, g), borel_plus(3))
         assert got == FlagPoint(g)
 
@@ -732,7 +731,7 @@ def chart_matrices(n, rng):
     ws = sorted(all_weyl(n), key=lambda w: w.perm)
     w = rng.choice(ws)
     v = rng.choice([x for x in ws if bruhat_leq(x, w)])
-    g = mr_evaluate(mr_chart(v, w, rng))
+    g = mr_evaluate(*mr_chart(v, w, rng))
     h = sample_G_gt0(n, rng)
     l = sample_L_ge0(rng.choice(all_parabolic_subsets(n)), rng)
     u = rand_factorable(n, rng)

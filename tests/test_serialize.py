@@ -2,20 +2,18 @@
 
 import gc
 import json
-import random
 from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import mr_chart
+from oracles import chart_elements
 
 from tnncompact import cells as cells_mod
 from tnncompact import serialize as ser
 from tnncompact import verify
 from tnncompact.cells import classify, enumerate_cells, sample_cell
-from tnncompact.tnn import double_cell_evaluate, mr_evaluate
-from tnncompact.weyl import ParabolicSubset, WeylElement, all_parabolic_subsets
+from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets
 
 
 def oracle(x) -> str:
@@ -184,12 +182,10 @@ def test_dumps_refuses_what_json_refuses(data):
 
 
 def _writer_outputs():
-    rng = random.Random(5)
     label = enumerate_cells(3)[400][0]
-    _, z = sample_cell(label, 11)
-    chart = mr_chart(WeylElement((1, 2, 3)), WeylElement((3, 2, 1)), rng)
+    coords, z = sample_cell(label, 11)
     yield ser.point_to_json(z)
-    yield ser.chart_to_json(chart)
+    yield ser.charts_to_json(label, coords)
     yield ser.label_to_json(label, 5)
     yield ser.cells_to_json(3)
     yield ser.cells_to_json(3, ParabolicSubset.of(3, []))
@@ -201,9 +197,8 @@ def test_point_files_with_the_flag_chart_as_a_read_back_as_the_sample():
     point and classifies to its label, for every label at n ≤ 3."""
     for n in (2, 3):
         for k, (label, _) in enumerate(enumerate_cells(n)):
-            sample, z = sample_cell(label, k)
-            g, gp = mr_evaluate(sample.chart1), mr_evaluate(sample.chart2)
-            l = double_cell_evaluate(sample.levi)
+            coords, z = sample_cell(label, k)
+            g, gp, l = chart_elements(label, coords)
             data = {
                 "v": 1,
                 "n": n,

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from oracles import (
     cauchy_binet_limit_check,
+    chart_elements,
     coset_equal,
     curve_exponents,
     dense_star_pair,
@@ -54,9 +55,7 @@ from tnncompact.strata import (
     torus_limit,
 )
 from tnncompact.tnn import (
-    double_cell_evaluate,
     is_totally_positive,
-    mr_evaluate,
     rand_pos_fraction,
     sample_G_gt0,
     sample_T_gt0,
@@ -300,9 +299,9 @@ def test_triple_formulas_give_the_same_points(n):
     for k in range(36):
         J = strata[k % len(strata)]
         label, _ = rng.choice(enumerate_cells(n, J))
-        sample, z = sample_cell(label, k)
-        g, gp = mr_evaluate(sample.chart1), mr_evaluate(sample.chart2)
-        t = (g, gp.T.inverse(), g @ double_cell_evaluate(sample.levi) @ gp.T)
+        coords, z = sample_cell(label, k)
+        g, gp, l = chart_elements(label, coords)
+        t = (g, gp.T.inverse(), g @ l @ gp.T)
         h1, h2 = sample_G_gt0(n, rng), sample_G_gt0(n, rng)
         pairs = [
             (z, t),

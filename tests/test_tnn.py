@@ -36,8 +36,6 @@ from tnncompact.matgroup import (
     wdot,
 )
 from tnncompact.tnn import (
-    DoubleCellPoint,
-    MRChart,
     ParamError,
     double_cell_evaluate,
     in_unipotent_cell,
@@ -129,23 +127,42 @@ def test_integer_minor_tests_match_the_fraction_ladder_on_samples(n):
             assert is_totally_positive(h) == fraction_is_totally_positive(h)
 
 
+def test_a_negated_tp_matrix_takes_one_ladder(monkeypatch):
+    """At even n the minor tests run one ladder, on the canonical sign
+    representative: −M of a totally positive g passes on the first call."""
+    import tnncompact.tnn as tnn_mod
+
+    g = sample_G_gt0(4, random.Random(4))
+    neg = trusted(la.scale(g.m, Fraction(-1)))
+    assert neg.M == tuple(tuple(-x for x in row) for row in g.M)
+    real, calls = tnn_mod._minors_positive, []
+
+    def counting(a, strict):
+        calls.append(strict)
+        return real(a, strict)
+
+    monkeypatch.setattr(tnn_mod, "_minors_positive", counting)
+    assert is_totally_positive(neg) and is_totally_nonneg(neg)
+    assert calls == [True, False]
+
+
 def test_mr_evaluate_spec_cases():
     # n=2, word (1), v=e, a=(2) -> y_1(2)
     word = ReducedWord(2, (1,))
     psub = positive_subexpression(word, identity_w(2))
-    g = mr_evaluate(MRChart(psub, (Fraction(2),)))
+    g = mr_evaluate(psub, (Fraction(2),))
     assert g == generator_y(2, 1, 2)
     assert bruhat_position(borel_plus(2), FlagPoint(g)) == simple_reflection(2, 1)
     assert bruhat_position(borel_minus(2), FlagPoint(g)) == longest_w(2)
 
     # v = s_1: no coordinates, evaluates to sdot
     psub2 = positive_subexpression(word, simple_reflection(2, 1))
-    assert mr_evaluate(MRChart(psub2, ())) == sdot(2, 1)
+    assert mr_evaluate(psub2, ()) == sdot(2, 1)
 
     # n=3, word (1,2,1), v=s_1: y_1 y_2 sdot(1), classifies to (v,w)=(s_1,w_0)
     word3 = ReducedWord(3, (1, 2, 1))
     psub3 = positive_subexpression(word3, simple_reflection(3, 1))
-    g3 = mr_evaluate(MRChart(psub3, (Fraction(1), Fraction(2))))
+    g3 = mr_evaluate(psub3, (Fraction(1), Fraction(2)))
     assert g3 == generator_y(3, 1, 1) @ generator_y(3, 2, 2) @ sdot(3, 1)
     assert bruhat_position(borel_plus(3), FlagPoint(g3)) == longest_w(3)
     assert (
@@ -157,8 +174,20 @@ def test_mr_evaluate_spec_cases():
 def test_mr_rejects_nonpositive():
     word = ReducedWord(2, (1,))
     psub = positive_subexpression(word, identity_w(2))
-    with pytest.raises(ParamError):
-        mr_evaluate(MRChart(psub, (Fraction(0),)))
+    for a in (Fraction(0), Fraction(-1)):
+        with pytest.raises(ParamError):
+            mr_evaluate(psub, (a,))
+
+
+def test_mr_rejects_a_count_other_than_the_free_steps():
+    """One coordinate per free step: y_1 over the word (1) at v = e takes
+    one, ṡ_1 at v = s_1 takes none."""
+    word = ReducedWord(2, (1,))
+    for v, bad in ((identity_w(2), [(), (1, 2)]), (simple_reflection(2, 1), [(1,)])):
+        psub = positive_subexpression(word, v)
+        for coords in bad:
+            with pytest.raises(ParamError):
+                mr_evaluate(psub, coords)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -175,12 +204,8 @@ def test_mr_lands_in_its_cell_all_words(n):
                     continue
                 psub = positive_subexpression(word, v)
                 for _ in range(3):
-                    chart = MRChart(
-                        psub,
-                        tuple(rand_pos_fraction(rng) for _ in range(len(psub.jcirc))),
-                    )
-                    g = mr_evaluate(chart)
-                    flag = FlagPoint(g)
+                    coords = [rand_pos_fraction(rng) for _ in psub.jcirc]
+                    flag = FlagPoint(mr_evaluate(psub, coords))
                     assert bruhat_position(bp, flag) == w
                     assert bruhat_position(bm, flag) == w0 * v
 
@@ -191,10 +216,9 @@ def test_mr_injective_spot_check():
     v = identity_w(3)
     seen = {}
     for _ in range(20):
-        chart = mr_chart(v, w, rng)
-        g = mr_evaluate(chart)
-        key = g.canonical()
-        assert seen.setdefault(key, chart.coords) == chart.coords
+        psub, coords = mr_chart(v, w, rng)
+        key = mr_evaluate(psub, coords).canonical()
+        assert seen.setdefault(key, coords) == coords
     assert len(seen) > 1
 
 
@@ -229,16 +253,37 @@ def test_double_cell_evaluate_and_recover():
     e = identity_w(n)
     s1 = simple_reflection(n, 1)
     # identity cell: torus
-    t = double_cell_evaluate(DoubleCellPoint(e, e, (), (Fraction(3),), ()))
+    t = double_cell_evaluate(e, e, (), (Fraction(3),), ())
     assert is_diagonal(t.m)
     # (s1, e): y_1(a) t, with vanishing (1,2) entry and positive det
-    p = DoubleCellPoint(s1, e, (Fraction(2),), (Fraction(1),), ())
-    g = double_cell_evaluate(p)
+    g = double_cell_evaluate(s1, e, (Fraction(2),), (Fraction(1),), ())
     assert g.m[0][1] == 0 and g.m[1][0] > 0
     assert double_cell_of(g) == (s1, e)
     # (w0, w0) at n=2 gives a strictly positive element
-    p2 = DoubleCellPoint(s1, s1, (Fraction(1),), (Fraction(1),), (Fraction(1),))
-    assert is_totally_positive(double_cell_evaluate(p2))
+    one = (Fraction(1),)
+    assert is_totally_positive(double_cell_evaluate(s1, s1, one, one, one))
+
+
+def test_double_cell_evaluate_rejects_bad_coordinates():
+    """A leg whose count is not its word's length, a torus whose count is
+    not the rank, and a nonpositive coordinate on any part."""
+    e, s1 = identity_w(3), simple_reflection(3, 1)
+    good = ((2,), (1, 3), (5,))
+    assert double_cell_of(double_cell_evaluate(s1, s1, *good)) == (s1, s1)
+    bad = [
+        ((), (1, 3), (5,)),
+        ((2,), (1, 3), ()),
+        ((2,), (1,), (5,)),
+        ((2,), (1, 3, 1), (5,)),
+        ((0,), (1, 3), (5,)),
+        ((2,), (1, -3), (5,)),
+        ((2,), (1, 3), (-5,)),
+    ]
+    for aminus, tor, aplus in bad:
+        with pytest.raises(ParamError):
+            double_cell_evaluate(s1, s1, aminus, tor, aplus)
+    with pytest.raises(ParamError):
+        double_cell_evaluate(e, e, (2,), (1, 3), ())
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -247,14 +292,13 @@ def test_double_cell_recover_roundtrip(n):
     ws = all_weyl(n)
     for wm in ws:
         for wp in ws:
-            p = DoubleCellPoint(
+            g = double_cell_evaluate(
                 wm,
                 wp,
                 tuple(rand_pos_fraction(rng) for _ in range(wm.length)),
                 tuple(rand_pos_fraction(rng) for _ in range(n - 1)),
                 tuple(rand_pos_fraction(rng) for _ in range(wp.length)),
             )
-            g = double_cell_evaluate(p)
             assert is_totally_nonneg(g)
             assert double_cell_of(g) == (wm, wp)
 
@@ -284,7 +328,7 @@ def test_words_of_s_steps_are_weyl_lifts(n):
     for w in all_weyl(n):
         word = [("s", i, None) for i in all_reduced_words(w)[-1]]
         assert _word_element(n, [unit] + word + [unit]) is wdot(w)
-        assert mr_evaluate(mr_chart(w, w, rng)) is wdot(w)
+        assert mr_evaluate(*mr_chart(w, w, rng)) is wdot(w)
     assert _word_element(n, [unit]) is identity_g(n) is torus([1] * (n - 1))
 
 

@@ -16,14 +16,11 @@ from .weyl import (
     positive_subexpression,
 )
 from .matgroup import (
-    FlagPoint,
     GroupMatrix,
-    ParabolicPoint,
     associated_borel,
-    bruhat_position,
+    bruhat_cell,
     generator_x,
     generator_y,
-    opposed,
     sdot,
     torus,
 )

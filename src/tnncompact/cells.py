@@ -29,15 +29,12 @@ from itertools import islice
 from . import linalg as la
 from .linalg import frac
 from .matgroup import (
-    FlagPoint,
-    ParabolicPoint,
+    GroupMatrix,
     _word_element,
     associated_borel,
     borel_minus,
-    borel_plus,
-    bruhat_position,
-    opposite_parabolic,
-    standard_parabolic,
+    bruhat_cell,
+    identity_g,
 )
 from .strata import CompactPoint
 from .tnn import _double_cell_steps, _mr_steps, rand_pos_fraction
@@ -266,12 +263,12 @@ def _chart_words(chart) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 # classification
 
-def _flag_cell(P: ParabolicPoint) -> tuple[WeylElement, WeylElement]:
-    n = P.n
-    bp = associated_borel(P, borel_plus(n))
-    w = bruhat_position(borel_plus(n), bp)
-    v = longest_w(n) * bruhat_position(borel_minus(n), bp)
-    return (v, w)
+def _flag_cell(J: ParabolicSubset, g: GroupMatrix) -> tuple[WeylElement, WeylElement]:
+    """(v, w) of the parabolic ^gP_J: the positions of its Borel associated
+    to B^+ from B^+ (w) and from B^- (w₀·v)."""
+    n = J.n
+    b = associated_borel(J, g, identity_g(n))
+    return longest_w(n) * bruhat_cell(borel_minus(n).inverse() @ b), bruhat_cell(b)
 
 
 def classify(z: CompactPoint) -> CellLabel:
@@ -285,21 +282,23 @@ def classify(z: CompactPoint) -> CellLabel:
     J = z.J
     n = z.n
     w0 = longest_w(n)
-    v, w = _flag_cell(ParabolicPoint(J, z.g1))
-    vp, wp = _flag_cell(ParabolicPoint(J, z.g2.T))
-    y = _gamma_position(z, borel_plus(n)) * w0
+    v, w = _flag_cell(J, z.g1)
+    vp, wp = _flag_cell(J, z.g2.T)
+    y = _gamma_position(z, identity_g(n)) * w0
     yp = _gamma_position(z, borel_minus(n)) * w0
     return CellLabel(J, v, w, vp, wp, y, yp)
 
 
-def _gamma_position(z: CompactPoint, B: FlagPoint) -> WeylElement:
+def _gamma_position(z: CompactPoint, h: GroupMatrix) -> WeylElement:
     """pos(assoc(P, B), γ·assoc(Q, B)) for z = (P, Q, γ) = (^{g1}P_J,
-    ^{g2⁻¹}Q_J, g1·g2), read in the base-point frame: conjugating both
-    Borels by g1⁻¹ gives pos(assoc(P_J, ^{g1⁻¹}B), assoc(Q_J, ^{g2}B)),
-    since associated Borels are equivariant."""
-    bp = associated_borel(standard_parabolic(z.J), B.conjugate(z.g1.inverse()))
-    bq = associated_borel(opposite_parabolic(z.J), B.conjugate(z.g2))
-    return bruhat_position(bp, bq)
+    ^{g2⁻¹}Q_J, g1·g2) and B = ^hB^+, read in the base-point frame:
+    conjugating both Borels by g1⁻¹ gives pos(assoc(P_J, ^{g1⁻¹h}B^+),
+    assoc(Q_J, ^{g2·h}B^+)), since associated Borels are equivariant.  Q_J
+    is ^{ẇ₀}P_{J*}."""
+    n = z.n
+    bp = associated_borel(z.J, identity_g(n), z.g1.inverse() @ h)
+    bq = associated_borel(z.J.star(), borel_minus(n), z.g2 @ h)
+    return bruhat_cell(bp.inverse() @ bq)
 
 
 # ---------------------------------------------------------------------------

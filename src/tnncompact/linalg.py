@@ -39,9 +39,13 @@ class FactorizationError(LinAlgError):
 
 
 def frac(x) -> Fraction:
+    """x as a Fraction, for an int or a Fraction; anything else (a float, a
+    string, a Decimal) raises TypeError, so no inexact value is read."""
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"exact entries are ints or Fractions, got {type(x).__name__}")
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
@@ -216,19 +220,6 @@ def is_upper_triangular(m: Matrix) -> bool:
 
 def is_lower_triangular(m: Matrix) -> bool:
     return is_upper_triangular(transpose(m))
-
-
-def is_block_upper(m: Matrix, blocks: Sequence[Sequence[int]]) -> bool:
-    """Zero below the block diagonal (blocks given as 0-based index lists)."""
-    lookup = {i: k for k, blk in enumerate(blocks) for i in blk}
-    n, _ = dims(m)
-    return all(
-        m[i][j] == 0 for i in range(n) for j in range(n) if lookup[i] > lookup[j]
-    )
-
-
-def is_block_lower(m: Matrix, blocks: Sequence[Sequence[int]]) -> bool:
-    return is_block_upper(transpose(m), blocks)
 
 
 # Only matgroup.pi_factor calls ldu; both stay while BENCHMARK.json names

@@ -14,9 +14,9 @@ content divided out; g⁻¹ is the integer adjugate of M over d^{n-1}, from
 one fraction-free elimination; a transpose transposes M.  Every sign and
 projective test reads M directly, since a positive scalar changes no sign
 of a minor and no projective point, and every position (Bruhat cells,
-block and triangular zero patterns) reads it too, since no scalar moves a
-zero.  The rational entries ``m`` are a Fraction view, built when a caller
-first reads it (JSON, the tests, the values of a Levi part).
+triangular zero patterns) reads it too, since no scalar moves a zero.
+The rational entries ``m`` are a Fraction view, built when a caller first
+reads it (JSON, the tests, the values of a Levi part).
 
 det = 1 and exact entries (ints and Fractions, never floats) are checked
 once, where a matrix enters: the public ``GroupMatrix`` constructor, which
@@ -41,17 +41,15 @@ Bruhat elimination.  Every other matrix is inverted the first time its
 inverse is asked for; the inverse is kept on the matrix and linked back to
 it.
 
-Flags and parabolic subgroups are stored by a conjugating group element.
-Relative position is read off one Bruhat elimination; the associated
-Borel of a parabolic comes from one more plus coset arithmetic in W, and
-opposedness from whether the Levi part of the two-sided block
-factorization exists, read off one Schur-complement pass from the trailing
-block to the leading one.  All of it is exact and tolerance-free.
+A flag or a parabolic subgroup is its conjugator: the Borel ^gB^+ and the
+parabolic ^gP_J are the group element g, and the opposite parabolic ^gQ_J
+is ^{g·ẇ₀}P_{J*}.  Relative position is read off one Bruhat elimination,
+and the associated Borel of a parabolic comes from one more plus coset
+arithmetic in W.  All of it is exact and tolerance-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain
@@ -60,7 +58,7 @@ from operator import mul
 from typing import Sequence
 
 from . import linalg as la
-from .linalg import FactorizationError, Matrix, frac
+from .linalg import Matrix, frac
 from .weyl import ParabolicSubset, WeylElement, _trusted_w, longest_w, simple_reflection
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -368,84 +366,13 @@ def pi_factor(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# flags and parabolic subgroups
+# flags and relative position: the position of ^bB^+ from ^aB^+ is
+# bruhat_cell(a⁻¹·b)
 
-@dataclass(frozen=True, eq=False)
-class FlagPoint:
-    """Borel subgroup ^g B^+, stored by the conjugator g."""
+def borel_minus(n: int) -> GroupMatrix:
+    """ẇ₀, the conjugator of B^- = ^{ẇ₀}B^+."""
+    return wdot(longest_w(n))
 
-    g: GroupMatrix
-
-    @property
-    def n(self) -> int:
-        return self.g.n
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FlagPoint):
-            return NotImplemented
-        if self.n != other.n:
-            return False
-        return la.is_upper_triangular((self.g.inverse() @ other.g).M)
-
-    __hash__ = None  # equality is coset equality; no canonical form to hash
-
-    def conjugate(self, h: GroupMatrix) -> "FlagPoint":
-        return FlagPoint(h @ self.g)
-
-
-def borel_plus(n: int) -> FlagPoint:
-    return FlagPoint(identity_g(n))
-
-
-def borel_minus(n: int) -> FlagPoint:
-    return FlagPoint(wdot(longest_w(n)))
-
-
-@dataclass(frozen=True, eq=False)
-class ParabolicPoint:
-    """Parabolic subgroup conjugate to P_J (standard side) or Q_J (opposite).
-
-    P_J is block upper triangular for the J-blocks and has abstract type J;
-    Q_J is block lower triangular and has abstract type J*.
-    """
-
-    J: ParabolicSubset
-    g: GroupMatrix
-    opposite: bool = False
-
-    @property
-    def n(self) -> int:
-        return self.J.n
-
-    def _member(self, h: GroupMatrix) -> bool:
-        blocks = self.J.blocks0()
-        if self.opposite:
-            return la.is_block_lower(h.M, blocks)
-        return la.is_block_upper(h.M, blocks)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParabolicPoint):
-            return NotImplemented
-        if self.J != other.J or self.opposite != other.opposite:
-            return False
-        return self._member(self.g.inverse() @ other.g)
-
-    __hash__ = None  # equality is coset equality; no canonical form to hash
-
-    def conjugate(self, h: GroupMatrix) -> "ParabolicPoint":
-        return ParabolicPoint(self.J, h @ self.g, self.opposite)
-
-
-def standard_parabolic(J: ParabolicSubset) -> ParabolicPoint:
-    return ParabolicPoint(J, identity_g(J.n), opposite=False)
-
-
-def opposite_parabolic(J: ParabolicSubset) -> ParabolicPoint:
-    return ParabolicPoint(J, identity_g(J.n), opposite=True)
-
-
-# ---------------------------------------------------------------------------
-# relative position
 
 def bruhat_cell(g: GroupMatrix) -> WeylElement:
     """The w with g ∈ B^+ẇB^+, read off one Bruhat elimination of M
@@ -455,12 +382,8 @@ def bruhat_cell(g: GroupMatrix) -> WeylElement:
     return _bruhat_left(g.M, factors=False)[1]
 
 
-def bruhat_position(b1: FlagPoint, b2: FlagPoint) -> WeylElement:
-    return bruhat_cell(b1.g.inverse() @ b2.g)
-
-
 # ---------------------------------------------------------------------------
-# associated Borel and opposedness
+# associated Borel
 
 def _bruhat_left(m: IntMatrix, factors: bool = True) -> tuple[GroupMatrix | None, WeylElement]:
     """(b, w) with b upper unipotent and m ∈ b·ẇ·B^+, for an invertible
@@ -508,30 +431,13 @@ def _bruhat_left(m: IntMatrix, factors: bool = True) -> tuple[GroupMatrix | None
     return _reduced(tuple(map(tuple, b)), d), w
 
 
-def associated_borel(P: ParabolicPoint, B: FlagPoint) -> FlagPoint:
-    """(P ∩ B)·U_P: the unique Borel inside P with pos(B, ·) ∈ W^J.
+def associated_borel(J: ParabolicSubset, g: GroupMatrix, h: GroupMatrix) -> GroupMatrix:
+    """The conjugator of (P ∩ B)·U_P for P = ^gP_J and B = ^hB^+: the unique
+    Borel inside P at a position from B in W^J.
 
-    With P = ^g P_J and g⁻¹·B.g ∈ b·ẇ·B^+, the Borels ^{g·b·ẋ}B^+ with x in
-    W_J lie in P at position w⁻¹x from B; x = w·m for m the shortest element
-    of w⁻¹W_J.  The opposite side uses Q_J = ẇ₀·P_{J*}·ẇ₀⁻¹.
+    With g⁻¹·h ∈ b·ẇ·B^+, the Borels ^{g·b·ẋ}B^+ with x in W_J lie in P at
+    position w⁻¹x from B; x = w·m for m the shortest element of w⁻¹W_J.  The
+    opposite parabolic ^gQ_J is ^{g·ẇ₀}P_{J*}.
     """
-    J, g = P.J, P.g
-    if P.opposite:
-        J, g = J.star(), g @ wdot(longest_w(P.n))
-    b, w = _bruhat_left((g.inverse() @ B.g).M)
-    x = w * J.min_rep(w.inverse())
-    return FlagPoint(g @ b @ wdot(x))
-
-
-def opposed(P: ParabolicPoint, Q: ParabolicPoint) -> bool:
-    """True iff P ∩ Q is a common Levi, i.e. iff P.g⁻¹·Q.g has the two-sided
-    block factorization u_p·l·u_q, whose Levi part l one trailing
-    Schur-complement pass reads off (la.levi_part).  Whether it exists does
-    not change under scalars, so the pass runs on M."""
-    if P.opposite or not Q.opposite or P.J != Q.J:
-        raise GroupError("opposed() expects (type-J standard, type-J* opposite) pair")
-    try:
-        la.levi_part((P.g.inverse() @ Q.g).M, P.J.blocks0())
-    except FactorizationError:
-        return False
-    return True
+    b, w = _bruhat_left((g.inverse() @ h).M)
+    return g @ b @ wdot(w * J.min_rep(w.inverse()))

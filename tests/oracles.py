@@ -9,8 +9,10 @@ layer stores each element as an integer matrix over one denominator; its
 references are the Fraction product it ran before (``rational_matmul``),
 that inverse, and the column operations of its word evaluator run over
 any ring (``evaluate_word``), which also give the Dual charts.  Its flag
-and parabolic references decide those questions by subspaces and Lie
-algebras, independently of the library's eliminations.  The two-sided
+and parabolic references, which take a parabolic as its type J, its
+conjugator g and its side, decide those questions by subspaces and Lie
+algebras, independently of the library's eliminations; the block zero
+patterns of parabolics and Levi factors are tested here too.  The two-sided
 block factorization u_p·l·u_q is built whole, as the leading block LDU of
 the matrix conjugated by the reversal permutation, and ``la.levi_part``
 must match its middle factor.  The certificate references are the
@@ -115,6 +117,17 @@ def identity(n):
 
 def is_diagonal(m):
     return all(x == 0 for i, row in enumerate(m) for j, x in enumerate(row) if i != j)
+
+
+def is_block_upper(m, blocks):
+    """Zero below the block diagonal (blocks given as 0-based index lists)."""
+    lookup = {i: k for k, blk in enumerate(blocks) for i in blk}
+    n = len(m)
+    return all(m[i][j] == 0 for i in range(n) for j in range(n) if lookup[i] > lookup[j])
+
+
+def is_block_lower(m, blocks):
+    return is_block_upper(la.transpose(m), blocks)
 
 
 def trusted(m):
@@ -476,9 +489,9 @@ def coset_equal(z1, z2):
     blocks = z1.J.blocks0()
     (a1, b1, g1), (a2, b2, g2) = triple(z1), triple(z2)
     a_inv = a1.inverse()
-    if not la.is_block_upper((a_inv @ a2).m, blocks):
+    if not is_block_upper((a_inv @ a2).m, blocks):
         return False
-    if not la.is_block_lower((b1.inverse() @ b2).m, blocks):
+    if not is_block_lower((b1.inverse() @ b2).m, blocks):
         return False
     try:
         levis = [la.levi_part((a_inv @ g @ b1).m, blocks) for g in (g1, g2)]
@@ -543,13 +556,13 @@ def dual_matrices(nr, nc):
     ).map(tuple)
 
 
-def partial_flag(parabolic):
-    """The proper subspaces a ParabolicPoint stabilizes, as column matrices:
-    spans of its conjugator's columns over the leading J-blocks (the
-    trailing blocks on the opposite side)."""
-    cols = la.transpose(parabolic.g.m)
-    blocks = parabolic.J.blocks0()
-    if parabolic.opposite:
+def partial_flag(J, g, opposite):
+    """The proper subspaces that ^gP_J (or ^gQ_J) stabilizes, as column
+    matrices: spans of g's columns over the leading J-blocks (the trailing
+    blocks on the opposite side)."""
+    cols = la.transpose(g.m)
+    blocks = J.blocks0()
+    if opposite:
         blocks = blocks[::-1]
     chosen, steps = [], []
     for blk in blocks[:-1]:
@@ -558,29 +571,29 @@ def partial_flag(parabolic):
     return steps
 
 
-def lie_algebra(parabolic):
+def lie_algebra(J, g, opposite):
     """Basis of Lie(^g P_J) (or of Lie(^g Q_J)) inside gl_n, as columns of
     length n²: g·E_ij·g⁻¹ for every (i, j) on or above (below) the block
     diagonal."""
-    n = parabolic.n
-    g, ginv = parabolic.g.m, gauss_jordan_inverse(parabolic.g.m)
-    block = {i: k for k, blk in enumerate(parabolic.J.blocks0()) for i in blk}
+    n = J.n
+    gm, ginv = g.m, gauss_jordan_inverse(g.m)
+    block = {i: k for k, blk in enumerate(J.blocks0()) for i in blk}
     cols = []
     for i in range(n):
         for j in range(n):
-            keep = block[i] >= block[j] if parabolic.opposite else block[i] <= block[j]
+            keep = block[i] >= block[j] if opposite else block[i] <= block[j]
             if keep:
-                cols.append(tuple(g[r][i] * ginv[j][c] for r in range(n) for c in range(n)))
+                cols.append(tuple(gm[r][i] * ginv[j][c] for r in range(n) for c in range(n)))
     return la.transpose(tuple(cols))
 
 
-def opposed_by_lie_algebra(P, Q):
-    """P and Q are opposed iff Lie(P) ∩ Lie(Q) has the dimension of the
-    standard Levi."""
-    lie_p, lie_q = lie_algebra(P), lie_algebra(Q)
+def opposed_by_lie_algebra(J, gp, gq):
+    """^gp P_J and ^gq Q_J are opposed iff their Lie algebras meet in the
+    dimension of the standard Levi."""
+    lie_p, lie_q = lie_algebra(J, gp, False), lie_algebra(J, gq, True)
     dim_p, dim_q = la.dims(lie_p)[1], la.dims(lie_q)[1]
     dim_sum = la.rank(tuple(rp + rq for rp, rq in zip(lie_p, lie_q)))
-    return dim_p + dim_q - dim_sum == sum(len(blk) ** 2 for blk in P.J.blocks0())
+    return dim_p + dim_q - dim_sum == sum(len(blk) ** 2 for blk in J.blocks0())
 
 
 def mr_chart(v, w, rng):

@@ -59,8 +59,8 @@ def test_criterion_6_roundtrip_classification():
 
 
 def test_criterion_7_emptiness():
-    """Labels with v or v' outside W^J refuse to sample, and no positively
-    constructed point ever classifies into one."""
+    """Labels with v or v' outside W^J refuse to sample, and a sampled point
+    moved by a positive pair classifies into the top cell of its stratum."""
     _run("emptiness", 144)
 
 

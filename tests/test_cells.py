@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from oracles import (
@@ -33,7 +33,15 @@ from tnncompact.cells import (
 )
 from tnncompact.matgroup import generator_x, generator_y, torus
 from tnncompact.serialize import label_to_json, point_to_json
-from tnncompact.strata import CompactPoint, act, base_point, membership_Zgt0, psibar
+from tnncompact.strata import (
+    CompactPoint,
+    act,
+    base_point,
+    membership_Zgt0,
+    positive_retraction,
+    psibar,
+    torus_limit,
+)
 from tnncompact.tnn import phi_minus, rand_pos_fraction, sample_G_gt0
 from tnncompact.weyl import (
     ParabolicSubset,
@@ -271,6 +279,25 @@ def test_classify_labels_are_pinned():
     assert digest == "9edbbab81706df8768834c4345d937b8578e2ee5fa48ec9f5c7b6ccf28565ea6"
 
 
+def test_limit_and_retraction_labels_are_pinned():
+    """The labels classify reads off torus limits, which the sampler does
+    not draw, and off their positive retractions: for every c in
+    {0, 1, 2}^(n−1) at n = 3, 4, the limit of (g1, g2⁻¹)·t(s) for seeded
+    positive g1, g2 and its retraction by seeded positive h1, h2, pinned by
+    SHA-256."""
+    got = []
+    for n in (3, 4):
+        for k, c in enumerate(product((0, 1, 2), repeat=n - 1)):
+            rng = random.Random(1000 * n + k)
+            g1, g2, h1, h2 = (sample_G_gt0(n, rng) for _ in range(4))
+            z = torus_limit(g1, c, g2)
+            got.append(label_to_json(classify(z)))
+            got.append(label_to_json(classify(positive_retraction(h1, h2, z))))
+    assert len(got) == 72
+    digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+    assert digest == "3d8294a07f3f9bec5bfe5980dc57c751a124044c5b44738eeb652b70d287d413"
+
+
 def test_sampled_points_are_pinned():
     """The point sample_cell draws (seeds 0 and 1) in every nonempty cell at
     n = 2, 3, pinned by SHA-256: the sampler's chart and the order it draws
@@ -357,6 +384,43 @@ def test_jacobian_zero_dimensional():
     lbl = L(2, [], (2, 1), (2, 1), (2, 1), (2, 1), (1, 2), (1, 2))
     assert dimension_of(lbl) == 0
     assert jacobian_rank_check(lbl, 1)
+
+
+def _merged_free_steps(chart_words):
+    """chart_words with word 1's second free step moved next to its first,
+    with the first step's generator and its own coordinate: the chart then
+    runs through z_i(a)·z_i(b) = z_i(a + b), and two of its tangent
+    vectors coincide."""
+
+    def merged(chart):
+        word1, word2 = chart_words(chart)
+        free = [k for k, (kind, _, _) in enumerate(word1) if kind in ("x", "y")]
+        if len(free) >= 2:
+            first, second = free[:2]
+            kind, i, _ = word1[first]
+            step = (kind, i, word1[second][2])
+            word1 = word1[:second] + word1[second + 1 :]
+            word1.insert(first + 1, step)
+        return word1, word2
+
+    return merged
+
+
+def test_jacobian_rank_check_fails_a_chart_with_a_repeated_tangent(monkeypatch):
+    """Negative control: on every n ≤ 3 label with two free steps in word 1,
+    the check is True on the chart and False once those steps are merged."""
+    import tnncompact.cells as cells
+
+    labels = []
+    for n in (2, 3):
+        for label, dim in enumerate_cells(n):
+            word1, _ = _chart_words(_chart(label, [Fraction(1)] * dim, Fraction(1)))
+            if sum(kind in ("x", "y") for kind, _, _ in word1) >= 2:
+                labels.append(label)
+    assert len(labels) == 283
+    assert all(jacobian_rank_check(label, k) for k, label in enumerate(labels))
+    monkeypatch.setattr(cells, "_chart_words", _merged_free_steps(_chart_words))
+    assert not any(jacobian_rank_check(label, k) for k, label in enumerate(labels))
 
 
 def _random_nonempty_label(n, rng):
@@ -536,7 +600,6 @@ def test_sample_and_classify_multiply_no_signed_permutation(n, monkeypatch):
 def test_limits_and_membership_n4():
     import tnncompact.linalg as la
     from tnncompact.matgroup import GroupMatrix
-    from tnncompact.strata import torus_limit
 
     rng = random.Random(7)
     one = GroupMatrix(identity(4))

@@ -24,7 +24,6 @@ PACKAGE = ROOT / "src" / "tnncompact"
 API_ENTRY_POINTS = {
     "generator_x",  # the pinning's one-parameter subgroups x_i(a), y_i(a)
     "generator_y",
-    "opposed",  # whether two parabolics meet in a common Levi
     "sample_L_ge0",  # a nonnegative Levi element
 }
 

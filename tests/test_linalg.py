@@ -10,6 +10,8 @@ from oracles import (
     dual_matrices,
     gauss_jordan_inverse,
     identity,
+    is_block_lower,
+    is_block_upper,
     is_diagonal,
     laplace_det,
     naive_matmul,
@@ -203,8 +205,8 @@ def test_block_ldu_reassembly():
             continue
         hits += 1
         assert la.matmul(la.matmul(l, d), u) == m
-        assert la.is_block_lower(l, blocks) and la.is_block_upper(u, blocks)
-        assert la.is_block_lower(d, blocks) and la.is_block_upper(d, blocks)
+        assert is_block_lower(l, blocks) and is_block_upper(u, blocks)
+        assert is_block_lower(d, blocks) and is_block_upper(d, blocks)
         assert la.levi_part(rmr, rev_blocks) == la.matmul(la.matmul(r, d), r)
     assert hits > 10
 
@@ -229,7 +231,7 @@ def test_block_anti_ldu_unique_middle():
         assert trailing_ok
         assert la.levi_part(m, blocks) == l
         assert la.matmul(la.matmul(up, l), uq) == m
-        assert la.is_block_upper(up, blocks) and la.is_block_lower(uq, blocks)
+        assert is_block_upper(up, blocks) and is_block_lower(uq, blocks)
         # unipotent outer factors: identity diagonal blocks
         for blk in blocks:
             for i in blk:

@@ -10,6 +10,8 @@ from oracles import (
     evaluate_word,
     gauss_jordan_inverse,
     identity,
+    is_block_lower,
+    is_block_upper,
     is_diagonal,
     is_signed_permutation,
     laplace_det,
@@ -31,28 +33,22 @@ from tnncompact import linalg as la
 from tnncompact import serialize as ser
 from tnncompact.linalg import FactorizationError
 from tnncompact.matgroup import (
-    FlagPoint,
     GroupError,
     GroupMatrix,
-    ParabolicPoint,
     _bruhat_left,
     _word_element,
     associated_borel,
     borel_minus,
-    borel_plus,
     bruhat_cell,
-    bruhat_position,
     generator_x,
     generator_y,
     identity_g,
-    opposed,
-    opposite_parabolic,
     pi_factor,
     sdot,
-    standard_parabolic,
     torus,
     wdot,
 )
+from tnncompact.strata import CompactPoint, StrataError
 from tnncompact.weyl import (
     ParabolicSubset,
     all_parabolic_subsets,
@@ -221,37 +217,39 @@ def test_pi_T_multiplicative_across_cell():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bruhat_position_exhaustive(n):
-    bp = borel_plus(n)
+    """The position of ^ẇB^+ from B^+ is w."""
     for w in all_weyl(n):
-        assert bruhat_position(bp, FlagPoint(wdot(w))) == w
+        assert bruhat_cell(wdot(w)) == w
 
 
 def test_bruhat_position_spec_cases():
-    bp = borel_plus(2)
-    assert bruhat_position(bp, bp).is_identity()
-    assert bruhat_position(bp, FlagPoint(sdot(2, 1))) == simple_reflection(2, 1)
-    assert bruhat_position(bp, FlagPoint(generator_y(2, 1, 1))) == simple_reflection(2, 1)
+    assert bruhat_cell(identity_g(2)).is_identity()
+    assert bruhat_cell(sdot(2, 1)) == simple_reflection(2, 1)
+    assert bruhat_cell(generator_y(2, 1, 1)) == simple_reflection(2, 1)
 
 
 def test_bruhat_position_invariant_under_common_conjugation():
+    """The position of ^bB^+ from ^aB^+, bruhat_cell(a⁻¹·b), is that of
+    ^{gb}B^+ from ^{ga}B^+."""
     rng = random.Random(11)
     for _ in range(30):
         n = rng.choice([2, 3])
-        b1 = FlagPoint(rand_factorable(n, rng))
-        b2 = FlagPoint(rand_factorable(n, rng))
-        g = rand_factorable(n, rng)
-        assert bruhat_position(b1, b2) == bruhat_position(
-            b1.conjugate(g), b2.conjugate(g)
-        )
+        a, b, g = (rand_factorable(n, rng) for _ in range(3))
+        assert bruhat_cell(a.inverse() @ b) == bruhat_cell((g @ a).inverse() @ (g @ b))
+
+
+def same_borel(a, b) -> bool:
+    """^aB^+ = ^bB^+: a⁻¹·b is upper triangular."""
+    return la.is_upper_triangular((a.inverse() @ b).m)
 
 
 def test_associated_borel_spec_cases():
     J = ParabolicSubset.of(3, [1])
-    P = standard_parabolic(J)
-    assert associated_borel(P, borel_plus(3)) == borel_plus(3)
+    e = identity_g(3)
+    assert associated_borel(J, e, e) == e
     # for J empty, P is already a Borel
     J0 = ParabolicSubset.of(2, [])
-    assert associated_borel(standard_parabolic(J0), borel_minus(2)) == borel_plus(2)
+    assert associated_borel(J0, identity_g(2), borel_minus(2)) == identity_g(2)
 
     # MR-positive conjugate with w in W^J: (^g P_J)^{B^+} = ^g B^+
     from tnncompact.tnn import mr_evaluate
@@ -261,14 +259,20 @@ def test_associated_borel_spec_cases():
         from tnncompact.weyl import WeylElement
 
         g = mr_evaluate(*mr_chart(WeylElement(v), WeylElement(w), rng))
-        got = associated_borel(ParabolicPoint(J, g), borel_plus(3))
-        assert got == FlagPoint(g)
+        assert same_borel(associated_borel(J, g, e), g)
 
 
-def _borel_inside(parabolic, borel) -> bool:
-    """The full flag of the Borel refines the parabolic's partial flag."""
-    cols = la.transpose(borel.g.m)
-    for step in partial_flag(parabolic):
+def assoc(J, g, opposite, h):
+    """The Borel of ^gP_J, or of ^gQ_J = ^{g·ẇ₀}P_{J*}, associated to ^hB^+."""
+    if opposite:
+        return associated_borel(J.star(), g @ borel_minus(J.n), h)
+    return associated_borel(J, g, h)
+
+
+def _borel_inside(J, g, opposite, b) -> bool:
+    """The full flag of ^bB^+ refines the partial flag of ^gP_J (^gQ_J)."""
+    cols = la.transpose(b.m)
+    for step in partial_flag(J, g, opposite):
         d = la.rank(step)
         lead = la.transpose(tuple(cols[:d]))
         if la.rank(tuple(rs + rl for rs, rl in zip(step, lead))) != d:
@@ -276,17 +280,18 @@ def _borel_inside(parabolic, borel) -> bool:
     return True
 
 
-def check_associated_borel(P, B):
-    """The associated Borel lies in P, at a minimal-coset position from B:
-    in W^J on the standard side and in W^{J*} on the opposite side."""
-    Bp = associated_borel(P, B)
-    assert _borel_inside(P, Bp)
-    pos = bruhat_position(B, Bp)
-    if P.opposite:
-        assert P.J.star().is_min_rep(pos)
+def check_associated_borel(J, g, opposite, h):
+    """The Borel of P = ^gP_J (^gQ_J) associated to ^hB^+ lies in P, at a
+    minimal-coset position from ^hB^+: in W^J on the standard side and in
+    W^{J*} on the opposite side."""
+    b = assoc(J, g, opposite, h)
+    assert _borel_inside(J, g, opposite, b)
+    pos = bruhat_cell(h.inverse() @ b)
+    if opposite:
+        assert J.star().is_min_rep(pos)
     else:
-        assert la.is_block_upper((P.g.inverse() @ Bp.g).m, P.J.blocks0())
-        assert P.J.is_min_rep(pos)
+        assert is_block_upper((g.inverse() @ b).m, J.blocks0())
+        assert J.is_min_rep(pos)
 
 
 def rand_sparse_upper(n, rng):
@@ -302,9 +307,8 @@ def test_associated_borel_properties_random():
     for _ in range(40):
         n = rng.choice([2, 3])
         J = rng.choice(all_parabolic_subsets(n))
-        P = ParabolicPoint(J, rand_factorable(n, rng))
-        B = FlagPoint(rand_factorable(n, rng))
-        check_associated_borel(P, B)
+        g, h = rand_factorable(n, rng), rand_factorable(n, rng)
+        check_associated_borel(J, g, False, h)
 
 
 def test_associated_borel_opposite_side():
@@ -312,9 +316,8 @@ def test_associated_borel_opposite_side():
     for _ in range(25):
         n = rng.choice([2, 3])
         J = rng.choice(all_parabolic_subsets(n))
-        Q = ParabolicPoint(J, rand_factorable(n, rng), opposite=True)
-        B = FlagPoint(rand_factorable(n, rng))
-        check_associated_borel(Q, B)
+        g, h = rand_factorable(n, rng), rand_factorable(n, rng)
+        check_associated_borel(J, g, True, h)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -327,13 +330,10 @@ def test_associated_borel_exhaustive(n):
         for w in all_weyl(n):
             for opposite in (False, True):
                 for g in (identity_g(n), rand_factorable(n, rng)):
-                    check_associated_borel(
-                        ParabolicPoint(J, g, opposite), FlagPoint(wdot(w))
-                    )
+                    check_associated_borel(J, g, opposite, wdot(w))
                 g = rand_factorable(n, rng)
                 u, up = rand_sparse_upper(n, rng), rand_sparse_upper(n, rng)
-                B = FlagPoint(g @ u @ wdot(w) @ up)
-                check_associated_borel(ParabolicPoint(J, g, opposite), B)
+                check_associated_borel(J, g, opposite, g @ u @ wdot(w) @ up)
 
 
 def test_associated_borel_sampled_n4():
@@ -344,8 +344,8 @@ def test_associated_borel_sampled_n4():
         for _ in range(6):
             g = rng.choice([identity_g(n), rand_factorable(n, rng)])
             u, up = rand_sparse_upper(n, rng), rand_sparse_upper(n, rng)
-            B = FlagPoint(g @ u @ wdot(rng.choice(ws)) @ up)
-            check_associated_borel(ParabolicPoint(J, g, rng.random() < 0.5), B)
+            h = g @ u @ wdot(rng.choice(ws)) @ up
+            check_associated_borel(J, g, rng.random() < 0.5, h)
 
 
 def test_associated_borel_computes_no_rank_or_span(monkeypatch):
@@ -359,8 +359,8 @@ def test_associated_borel_computes_no_rank_or_span(monkeypatch):
     rng = random.Random(47)
     J = ParabolicSubset.of(4, [1, 3])
     for opposite in (False, True):
-        P = ParabolicPoint(J, rand_factorable(4, rng), opposite)
-        associated_borel(P, FlagPoint(rand_factorable(4, rng)))
+        g, h = rand_factorable(4, rng), rand_factorable(4, rng)
+        assoc(J, g, opposite, h)
 
 
 def double_coset_points(n, rng):
@@ -452,18 +452,38 @@ def test_bruhat_cell_takes_one_rank(monkeypatch):
     assert len(calls) == len(points)
 
 
+def opposed(J, gp, gq) -> bool:
+    """Whether ^gp P_J and ^gq Q_J are opposed, as the library decides it:
+    gp⁻¹·gq has the two-sided block factorization (la.levi_part), which is
+    when CompactPoint.of_triple(J, gp, gq, e) builds a point."""
+    try:
+        la.levi_part((gp.inverse() @ gq).M, J.blocks0())
+    except FactorizationError:
+        by_levi = False
+    else:
+        by_levi = True
+    try:
+        CompactPoint.of_triple(J, gp, gq, identity_g(J.n))
+    except StrataError:
+        by_triple = False
+    else:
+        by_triple = True
+    assert by_levi == by_triple, J
+    return by_levi
+
+
 def test_opposed():
     J = ParabolicSubset.of(3, [1])
-    assert opposed(standard_parabolic(J), opposite_parabolic(J))
+    e = identity_g(3)
+    assert opposed(J, e, e) and opposed_by_lie_algebra(J, e, e)
     rng = random.Random(23)
     u = rand_unipotent(3, rng)
-    assert opposed(standard_parabolic(J), opposite_parabolic(J).conjugate(u))
+    assert opposed(J, e, u) and opposed_by_lie_algebra(J, e, u)
     # a Borel is not opposed to itself: B^+ = ^{wdot(w0)} B^-
     J0 = ParabolicSubset.of(2, [])
-    q_as_bplus = opposite_parabolic(J0).conjugate(wdot(longest_w(2)))
-    assert not opposed(standard_parabolic(J0), q_as_bplus)
-    with pytest.raises(GroupError):
-        opposed(standard_parabolic(J), opposite_parabolic(ParabolicSubset.of(3, [2])))
+    w0 = wdot(longest_w(2))
+    assert not opposed(J0, identity_g(2), w0)
+    assert not opposed_by_lie_algebra(J0, identity_g(2), w0)
 
 
 def test_star_matches_opposite_parabolic_shape():
@@ -485,23 +505,22 @@ def test_star_matches_opposite_parabolic_shape():
                     )
                     for j in J.J:
                         q = q @ generator_x(n, j, Fraction(rng.randint(-3, 3)))
-                    assert la.is_block_lower(q.m, J.blocks0())
-                    assert la.is_block_upper((r @ q @ r.inverse()).m, blocks_star)
+                    assert is_block_lower(q.m, J.blocks0())
+                    assert is_block_upper((r @ q @ r.inverse()).m, blocks_star)
 
 
 def test_opposed_implies_levi_coset_positions():
-    """When P and Q are opposed, associated Borels sit in W_J·w0 relative
-    position, for any reference flag."""
+    """When P_J and ^uQ_J are opposed, their Borels associated to any
+    ^hB^+ sit in W_J·w0 relative position."""
     rng = random.Random(41)
     J = ParabolicSubset.of(3, [1])
     w0 = longest_w(3)
+    e = identity_g(3)
     for _ in range(10):
         u = rand_unipotent(3, rng)
-        P = standard_parabolic(J)
-        Q = opposite_parabolic(J).conjugate(u)
-        assert opposed(P, Q)
-        B = FlagPoint(rand_factorable(3, rng))
-        pos = bruhat_position(associated_borel(P, B), associated_borel(Q, B))
+        assert opposed(J, e, u)
+        h = rand_factorable(3, rng)
+        pos = bruhat_cell(assoc(J, e, False, h).inverse() @ assoc(J, u, True, h))
         assert J.contains_w(pos * w0)
 
 
@@ -513,9 +532,7 @@ def test_opposed_matches_two_sided_reduction():
     for J in all_parabolic_subsets(3):
         for w in all_weyl(3):
             h = wdot(w)
-            via_lie = opposed_by_lie_algebra(
-                standard_parabolic(J), opposite_parabolic(J).conjugate(h)
-            )
+            via_lie = opposed_by_lie_algebra(J, identity_g(3), h)
             try:
                 _, want, _ = block_anti_ldu(h.m, J.blocks0())
             except FactorizationError:
@@ -530,17 +547,16 @@ def test_opposed_matches_two_sided_reduction():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_opposed_matches_lie_algebra_oracle(n):
-    """opposed() against the Lie-algebra dimension count: every J with every
-    ẇ conjugator, then random unipotent and generic conjugators on both
-    sides."""
+    """Opposedness by la.levi_part and CompactPoint.of_triple against the
+    Lie-algebra dimension count: every J with every ẇ conjugator, then
+    random unipotent and generic conjugators on both sides."""
     rng = random.Random(53 + n)
     seen = set()
+    e = identity_g(n)
     for J in all_parabolic_subsets(n):
-        P = standard_parabolic(J)
         for w in all_weyl(n):
-            Q = opposite_parabolic(J).conjugate(wdot(w))
-            expected = opposed_by_lie_algebra(P, Q)
-            assert opposed(P, Q) == expected, (J, w)
+            expected = opposed_by_lie_algebra(J, e, wdot(w))
+            assert opposed(J, e, wdot(w)) == expected, (J, w)
             seen.add(expected)
         for _ in range(4):
             gp = rng.choice([rand_unipotent(n, rng), rand_factorable(n, rng)])
@@ -551,8 +567,7 @@ def test_opposed_matches_lie_algebra_oracle(n):
                     rand_factorable(n, rng),
                 ]
             )
-            P, Q = ParabolicPoint(J, gp), ParabolicPoint(J, gq, opposite=True)
-            assert opposed(P, Q) == opposed_by_lie_algebra(P, Q), J
+            assert opposed(J, gp, gq) == opposed_by_lie_algebra(J, gp, gq), J
     assert seen == {True, False}
 
 
@@ -607,18 +622,7 @@ def test_borel_minus_is_built_once(n, monkeypatch):
     calls.update(matmul=0, det=0)
     second = borel_minus(n)
     assert calls == {"matmul": 0, "det": 0}
-    assert second.g is first.g
-
-
-def test_flag_and_parabolic_points_are_unhashable():
-    """Equality is coset equality, so a field hash would disagree with it."""
-    J = ParabolicSubset.of(3, [1])
-    u = generator_x(3, 1, 2)
-    assert FlagPoint(u) == borel_plus(3)
-    assert ParabolicPoint(J, u) == standard_parabolic(J)
-    for point in (borel_plus(3), standard_parabolic(J), opposite_parabolic(J)):
-        with pytest.raises(TypeError):
-            hash(point)
+    assert second is first
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +708,7 @@ def test_weyl_lift_inverses_are_closed_form(n, monkeypatch):
         assert wdot(w).inverse().m == la.transpose(wdot(w).m)
     for i in range(1, n):
         assert_inverse(sdot(n, i))
-    for g in (identity_g(n), borel_plus(n).g, borel_minus(n).g):
+    for g in (identity_g(n), borel_minus(n)):
         assert_inverse(g)
     with pytest.raises(AssertionError, match="_adjugate"):
         generator_x(n, 1, 1).inverse()
@@ -793,7 +797,9 @@ def test_int_and_fraction_entries_are_accepted():
 
 
 def test_flags_of_different_ranks_are_unequal():
-    assert borel_plus(2) != borel_plus(3)
+    """A flag is its conjugator: conjugators of different sizes are unequal,
+    with no shape error."""
+    assert identity_g(2) != identity_g(3)
     assert not borel_minus(3) == borel_minus(2)
 
 

@@ -35,9 +35,7 @@ from tnncompact.matgroup import (
     generator_x,
     generator_y,
     identity_g,
-    opposite_parabolic,
     sdot,
-    standard_parabolic,
     torus,
     wdot,
 )
@@ -244,9 +242,7 @@ def test_constructor_rejects_non_opposed():
         for J in all_parabolic_subsets(n):
             for w in all_weyl(n):
                 h = wdot(w)
-                expected = opposed_by_lie_algebra(
-                    standard_parabolic(J), opposite_parabolic(J).conjugate(h)
-                )
+                expected = opposed_by_lie_algebra(J, e, h)
                 outcomes.add(expected)
                 if expected:
                     CompactPoint.of_triple(J, e, e, h)

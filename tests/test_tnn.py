@@ -8,6 +8,8 @@ from oracles import (
     fraction_is_totally_positive,
     gauss_jordan_inverse,
     identity,
+    is_block_lower,
+    is_block_upper,
     is_diagonal,
     mr_chart,
     naive_matmul,
@@ -20,13 +22,11 @@ from oracles import (
 )
 
 from tnncompact import linalg as la
+from tnncompact.cells import chart_point, dimension_of, top_label
 from tnncompact.matgroup import (
-    FlagPoint,
     _word_element,
     borel_minus,
-    borel_plus,
     bruhat_cell,
-    bruhat_position,
     generator_x,
     generator_y,
     identity_g,
@@ -47,6 +47,7 @@ from tnncompact.tnn import (
     rand_pos_fraction,
     sample_G_gt0,
     sample_L_ge0,
+    sample_Uplus_gt0,
 )
 from tnncompact.weyl import (
     ParabolicSubset,
@@ -152,8 +153,8 @@ def test_mr_evaluate_spec_cases():
     psub = positive_subexpression(word, identity_w(2))
     g = mr_evaluate(psub, (Fraction(2),))
     assert g == generator_y(2, 1, 2)
-    assert bruhat_position(borel_plus(2), FlagPoint(g)) == simple_reflection(2, 1)
-    assert bruhat_position(borel_minus(2), FlagPoint(g)) == longest_w(2)
+    assert bruhat_cell(g) == simple_reflection(2, 1)
+    assert bruhat_cell(borel_minus(2).inverse() @ g) == longest_w(2)
 
     # v = s_1: no coordinates, evaluates to sdot
     psub2 = positive_subexpression(word, simple_reflection(2, 1))
@@ -164,11 +165,8 @@ def test_mr_evaluate_spec_cases():
     psub3 = positive_subexpression(word3, simple_reflection(3, 1))
     g3 = mr_evaluate(psub3, (Fraction(1), Fraction(2)))
     assert g3 == generator_y(3, 1, 1) @ generator_y(3, 2, 2) @ sdot(3, 1)
-    assert bruhat_position(borel_plus(3), FlagPoint(g3)) == longest_w(3)
-    assert (
-        bruhat_position(borel_minus(3), FlagPoint(g3))
-        == longest_w(3) * simple_reflection(3, 1)
-    )
+    assert bruhat_cell(g3) == longest_w(3)
+    assert bruhat_cell(borel_minus(3).inverse() @ g3) == longest_w(3) * simple_reflection(3, 1)
 
 
 def test_mr_rejects_nonpositive():
@@ -190,10 +188,41 @@ def test_mr_rejects_a_count_other_than_the_free_steps():
                 mr_evaluate(psub, coords)
 
 
+def _top_chart_point(a):
+    label = top_label(ParabolicSubset.of(2, []))
+    return chart_point(label, (a,) + (Fraction(1),) * (dimension_of(label) - 1))
+
+
+# one coordinate a in each evaluator of coordinates, at n = 2
+COORDINATE_CALLS = {
+    "mr_evaluate": lambda a: mr_evaluate(
+        positive_subexpression(ReducedWord(2, (1,)), identity_w(2)), (a,)
+    ),
+    "double_cell_evaluate": lambda a: double_cell_evaluate(
+        identity_w(2), identity_w(2), (), (a,), ()
+    ),
+    "chart_point": _top_chart_point,
+    "torus": lambda a: torus((a,)),
+    "generator_x": lambda a: generator_x(2, 1, a),
+    "phi_plus": lambda a: phi_plus(ReducedWord(2, (1,)), (a,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_CALLS))
+def test_evaluators_refuse_a_float_coordinate(name):
+    """0.1 is the binary float 3602879701896397/36028797018963968, not 1/10:
+    each evaluator takes 1/10 as a Fraction and refuses the float with
+    TypeError."""
+    call = COORDINATE_CALLS[name]
+    call(Fraction(1, 10))
+    with pytest.raises(TypeError):
+        call(0.1)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_mr_lands_in_its_cell_all_words(n):
     """Exhaustive over (v, w) and reduced words, randomized coordinates."""
-    bp, bm = borel_plus(n), borel_minus(n)
+    bm_inv = borel_minus(n).inverse()
     w0 = longest_w(n)
     rng = random.Random(9)
     for w in all_weyl(n):
@@ -205,9 +234,9 @@ def test_mr_lands_in_its_cell_all_words(n):
                 psub = positive_subexpression(word, v)
                 for _ in range(3):
                     coords = [rand_pos_fraction(rng) for _ in psub.jcirc]
-                    flag = FlagPoint(mr_evaluate(psub, coords))
-                    assert bruhat_position(bp, flag) == w
-                    assert bruhat_position(bm, flag) == w0 * v
+                    flag = mr_evaluate(psub, coords)
+                    assert bruhat_cell(flag) == w
+                    assert bruhat_cell(bm_inv @ flag) == w0 * v
 
 
 def test_mr_injective_spot_check():
@@ -234,7 +263,7 @@ def test_sample_L_ge0():
     J = ParabolicSubset.of(3, [1])
     for _ in range(10):
         l = sample_L_ge0(J, rng)
-        assert la.is_block_upper(l.m, J.blocks0()) and la.is_block_lower(
+        assert is_block_upper(l.m, J.blocks0()) and is_block_lower(
             l.m, J.blocks0()
         )
         assert is_tnn_matrix(la.submatrix(l.m, [0, 1], [0, 1]))
@@ -307,7 +336,6 @@ def test_unipotent_absorption():
     rng = random.Random(37)
     n = 3
     w0 = longest_w(n)
-    from tnncompact.tnn import sample_Uplus_gt0
     from tnncompact.weyl import lex_min_reduced_word
 
     for _ in range(20):
@@ -317,6 +345,24 @@ def test_unipotent_absorption():
         u1 = phi_plus(word, [rand_pos_fraction(rng) for _ in range(len(word))])
         assert in_unipotent_cell(u @ u1, w0, lower=False)
         assert in_unipotent_cell(u1 @ u, w0, lower=False)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_in_unipotent_cell_needs_the_minor_test(n):
+    """Negative control: x = x_1(−t)·u for u in U^+_{>0} and t one more than
+    u's (1, 2) entry is upper unipotent with the lower-left rank profile of
+    w0, so only the TNN minor test tells it from U^+_{w0,>0}: its (1, 2)
+    entry is −1.  The row operation changes only the corner minor in row 1,
+    the (1, n) entry, which stays nonzero on these draws."""
+    rng = random.Random(90 + n)
+    w0 = longest_w(n)
+    for _ in range(5):
+        u = sample_Uplus_gt0(n, rng)
+        x = generator_x(n, 1, -(u.m[0][1] + 1)) @ u
+        assert x.m[0][1] == -1
+        assert bruhat_cell(x.T).inverse() == w0
+        assert in_unipotent_cell(u, w0, lower=False)
+        assert not in_unipotent_cell(x, w0, lower=False)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

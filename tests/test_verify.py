@@ -17,7 +17,7 @@ CFG = verify.VerifyConfig(n=2, seeds=2, samples=3)
 # the true answers, read before any test patches them
 _classify, _sample_cell = verify.classify, verify.sample_cell
 _enumerate_cells, _membership = verify.enumerate_cells, verify.membership_Zgt0
-_bruhat_position = verify.bruhat_position
+_bruhat_cell = verify.bruhat_cell
 
 
 def _next_label(z):
@@ -44,7 +44,7 @@ WRONG = {
     ),
     "positivity-converse": (CFG, {"membership_Zgt0": lambda z: not _membership(z)}),
     "marsh-rietsch": (
-        CFG, {"bruhat_position": lambda b1, b2: _bruhat_position(b1, b2) * longest_w(b1.g.n)}
+        CFG, {"bruhat_cell": lambda g: _bruhat_cell(g) * longest_w(g.n)}
     ),
     "roundtrip": (CFG, {"classify": _next_label}),
     # every label at n = 2 is nonempty, so the refusal cases start at n = 3

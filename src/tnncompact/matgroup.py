@@ -369,9 +369,16 @@ def pi_factor(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
 # flags and relative position: the position of ^bB^+ from ^aB^+ is
 # bruhat_cell(a⁻¹·b)
 
+_BOREL_MINUS: dict[int, GroupMatrix] = {}
+
+
 def borel_minus(n: int) -> GroupMatrix:
-    """ẇ₀, the conjugator of B^- = ^{ẇ₀}B^+."""
-    return wdot(longest_w(n))
+    """ẇ₀, the conjugator of B^- = ^{ẇ₀}B^+, built once per n and shared
+    (GroupMatrix is immutable); ``classify`` asks for it five times."""
+    g = _BOREL_MINUS.get(n)
+    if g is None:
+        g = _BOREL_MINUS[n] = wdot(longest_w(n))
+    return g
 
 
 def bruhat_cell(g: GroupMatrix) -> WeylElement:

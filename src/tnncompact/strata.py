@@ -15,9 +15,12 @@ revisited", Math. Ann. 315, 1999).  Each entry is a projective point, so
 the tuple is computed on the integer pair (M1, M2) of g_i = M_i/d_i: a
 positive multiple of the rational images, built with no Fraction.
 Equality, membership in the positive part and the paper's (*) pair read
-it.  A torus limit is its closed form, the acted base point, with no
-check: its Cauchy–Binet limit is the point's own image in every degree
-(see ``torus_limit``).
+it.  A point computes its tuple the first time one of them asks and keeps
+it on itself, as a GroupMatrix keeps its inverse: J, g1 and g2 never
+change, so the kept tuple is never stale, and no tuple passes from one
+point to another.  A torus limit is its closed form, the acted base
+point, with no check: its Cauchy–Binet limit is the point's own image in
+every degree (see ``torus_limit``).
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ class CompactPoint:
     """The point (g1, g2⁻¹)·z°_J of the stratum of type J.
 
     Any pair of group elements of size n is a point; the constructor checks
-    the sizes only.
+    the sizes only.  Its fundamental tuple is computed once, when first
+    read, and kept on the point (see ``fundamental_tuple``).
     """
 
     J: ParabolicSubset
@@ -134,8 +138,16 @@ def fundamental_tuple(z: CompactPoint) -> list[Matrix]:
     matrices: with g_i = M_i/d_i, the k-th entry is ρ_k(M1)·D_k·ρ_k(M2),
     which is exactly (d1·d2)^k times ρ_k(g1)·D_k·ρ_k(g2), D_k the stratum's
     limit projector.  Each entry is a point of P(End Λ^k), and the positive
-    scalar changes neither that point nor the sign of any entry."""
-    return _limit_images(z.J, z.g1.M, z.g2.M)
+    scalar changes neither that point nor the sign of any entry.
+
+    The entries are computed the first time the tuple of z is asked for
+    and kept on z: its fields are immutable, so they stay its images.
+    Each call returns a new list of the kept (immutable) matrices."""
+    attrs = z.__dict__
+    kept = attrs.get("_images")
+    if kept is None:
+        kept = attrs["_images"] = tuple(_limit_images(z.J, z.g1.M, z.g2.M))
+    return list(kept)
 
 
 def _limit_images(J: ParabolicSubset, m1: Matrix, m2: Matrix) -> list[Matrix]:
@@ -205,9 +217,11 @@ def membership_Zgt0(z: CompactPoint) -> bool:
     labels of sampled points and the classifier: every n = 3 cell, sampled
     n = 4 cells (J = {2}, where Plücker and Lusztig positivity of partial
     flags differ, included: Bloch and Karp, Adv. Math. 2023) and the n = 5
-    top cells.  ψ̄ needs no separate check: it transposes every entry of
-    the tuple.  fundamental_tuple's integer entries differ from the rational
-    ones by the factor (d1·d2)^k > 0 only, so they have the same signs.
+    top cells; the positivity-converse suite samples lower cells of every
+    stratum at its n.  ψ̄ needs no separate check: it transposes every
+    entry of the tuple.  fundamental_tuple's integer entries differ from
+    the rational ones by the factor (d1·d2)^k > 0 only, so they have the
+    same signs.
     """
     return all(strictly_signed(m) for m in fundamental_tuple(z))
 

@@ -20,6 +20,7 @@ from . import serialize as ser
 from .cells import (
     CellLabel,
     EmptyCellError,
+    _stratum_walk,
     chart_point,
     classify,
     dimension_of,
@@ -273,6 +274,23 @@ def _negative_levi_point(
     return chart_point(label, coords)
 
 
+def _lower_cell_points(n: int, count: int, seed: int):
+    """count sampled points per stratum J at n, each of a seeded uniform
+    label other than top_label(J), that is of a lower cell of Z_{J,≥0}:
+    points of the nonnegative part outside Z_{J,>0}.  Yields (label, sample
+    seed, point)."""
+    rng = random.Random(seed)
+    for J, pairs, levi, _ in _stratum_walk(n):
+        top = top_label(J)
+        for k in range(count):
+            label = top
+            while label == top:
+                (v, w, _), (vp, wp, _) = rng.choice(pairs), rng.choice(pairs)
+                label = CellLabel(J, v, w, vp, wp, rng.choice(levi)[0], rng.choice(levi)[0])
+            s = seed + k
+            yield label, s, sample_cell(label, s)[1]
+
+
 def suite_positivity_converse(cfg: VerifyConfig) -> SuiteReport:
     rep = SuiteReport("positivity-converse")
     J = ParabolicSubset.of(3, [1])
@@ -281,6 +299,12 @@ def suite_positivity_converse(cfg: VerifyConfig) -> SuiteReport:
         rng = random.Random(seed)
         z = _negative_levi_point(J, rng, flip_left=(k % 2 == 0))
         rep.check(not membership_Zgt0(z), seed=seed, point=z)
+    # every lower cell of Z_{J,≥0} makes some entry of the tuple vanish
+    for label, seed, z in _lower_cell_points(cfg.n, cfg.samples, BASE_SEED + 17):
+        rep.check(
+            not membership_Zgt0(z),
+            label=label, seed=seed, reason="membership test accepted a lower-cell point",
+        )
     return rep
 
 
@@ -446,6 +470,21 @@ def suite_retraction(cfg: VerifyConfig) -> SuiteReport:
             # any error is reported with its witness
             e = _raised(Exception, positive_retraction, h1, h2, z)
             rep.check(e is None, point_index=zi, pair_index=pi, reason=str(e))
+    # negative control: a lower-cell point is outside Z_{J,>0}, and its
+    # retraction passes the membership test and lands in the top cell
+    lower = _lower_cell_points(n, 10, BASE_SEED + 19)
+    for k, (label, seed, z) in enumerate(lower):
+        h1, h2 = pairs[k % len(pairs)]
+        before = membership_Zgt0(z)
+        try:
+            got = classify(positive_retraction(h1, h2, z))
+        except Exception as e:
+            got = e
+        rep.check(
+            not before and got == top_label(z.J),
+            label=label, seed=seed, pair_index=k % len(pairs),
+            reason=f"membership before {before}, retracted to {got}",
+        )
     return rep
 
 

@@ -42,8 +42,9 @@ def test_criterion_3_entrywise_criterion_forward():
 
 def test_criterion_4_entrywise_criterion_converse_evidence():
     """100 points with one negated unipotent Levi coordinate (coset part
-    outside L_{≥0}Z(L)) are all rejected."""
-    _run("positivity-converse", CFG.samples)
+    outside L_{≥0}Z(L)), and 100 points of lower cells of each of the 4
+    strata at n=3, are all rejected."""
+    _run("positivity-converse", CFG.samples + 4 * CFG.samples)
 
 
 def test_criterion_5_marsh_rietsch_correctness():
@@ -74,8 +75,10 @@ def test_criterion_8_limits_and_base_points():
 
 def test_criterion_9_retraction():
     """50 boundary points from limits of positive data, retracted by 10
-    strict pairs, all land in the positive part."""
-    _run("retraction", 500)
+    strict pairs, all land in the positive part; 10 lower-cell points of
+    each of the 4 strata at n=3 start outside it and retract into the top
+    cell of their stratum."""
+    _run("retraction", 500 + 4 * 10)
 
 
 def test_criterion_10_monoid_cross_checks():

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import identity
 
-from tnncompact import linalg as la
 from tnncompact import serialize as ser
 from tnncompact import verify
 from tnncompact.cells import classify, enumerate_cells, top_label

@@ -542,6 +542,67 @@ def test_fundamental_tuple_consistent_with_embedding():
     assert proj_equal(tup[1], m1)  # degree 2 carries I_1
 
 
+def points_of_every_kind(n, rng):
+    """Points of every stratum at n from each way of making one: the
+    constructor, act, ψ̄, torus_limit, positive_retraction and of_triple."""
+    for J in all_parabolic_subsets(n):
+        g1, g2 = mixed_sign_element(n, rng), mixed_sign_element(n, rng)
+        p1, p2, h1, h2 = (sample_G_gt0(n, rng) for _ in range(4))
+        z = CompactPoint(J, g1, g2)
+        yield from (z, act(h1, h2, z), psibar(z), torus_limit(g1, exponents_into(J, rng), g2))
+        yield positive_retraction(h1, h2, CompactPoint(J, p1, p2))
+        yield CompactPoint.of_triple(J, h1, h2, h1 @ p1 @ h2.inverse())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kept_tuple_is_the_points_own_images(n):
+    """The tuple a point keeps is its own: equal, entry for entry, to a
+    fresh compound pass on its pair, before and after equality and
+    membership read it, and on a point that equality read first."""
+    rng = random.Random(200 + n)
+    for z in points_of_every_kind(n, rng):
+        fresh = strata._limit_images(z.J, z.g1.M, z.g2.M)
+        assert fundamental_tuple(z) == fresh
+        same = CompactPoint(z.J, z.g1, z.g2)
+        assert same == z
+        # ψ̄ transposes every entry of the tuple
+        assert (z == psibar(z)) == all(proj_equal(m, tuple(zip(*m))) for m in fresh)
+        membership_Zgt0(z)
+        assert fundamental_tuple(z) == fresh
+        assert fundamental_tuple(same) == fresh
+
+
+def test_membership_of_a_retraction_runs_one_compound_pass(monkeypatch):
+    """positive_retraction's own membership test computes the output's
+    tuple; the caller's membership test and equality read the kept one."""
+    calls = []
+    images = strata._limit_images
+    monkeypatch.setattr(strata, "_limit_images", lambda *a: calls.append(a) or images(*a))
+    rng = random.Random(220)
+    for n in (2, 3, 4, 5):
+        for J in all_parabolic_subsets(n):
+            g1, g2, h1, h2 = (sample_G_gt0(n, rng) for _ in range(4))
+            z = torus_limit(g1, exponents_into(J, rng), g2)
+            calls.clear()
+            out = positive_retraction(h1, h2, z)
+            assert membership_Zgt0(out)
+            assert len(calls) == 1
+            assert out == out and membership_Zgt0(out)
+            assert len(calls) == 1
+
+
+def test_fundamental_tuple_returns_a_new_list():
+    """Changing the returned list changes neither the kept tuple nor the
+    next answer; its entries are tuples, which cannot be changed."""
+    z = positive_point(ParabolicSubset.of(4, [2]), random.Random(230))
+    want = fundamental_tuple(z)
+    got = fundamental_tuple(z)
+    assert got is not want and all(type(m) is tuple for m in got)
+    got[0] = ((0,),)
+    got.pop()
+    assert fundamental_tuple(z) == want
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_iJ_of_point_matches_the_dense_star_pair(n):
     """The (*) pair read off the fundamental tuple equals, entry for entry,
@@ -675,10 +736,11 @@ def test_positive_retraction():
 
 def test_suite_retraction_reports_every_failed_membership(monkeypatch):
     """The suite relies on positive_retraction's own membership test: with
-    that test failing, every one of its cases fails."""
+    that test failing, every one of its cases fails, the 10 lower-cell
+    starts of each of the 2 strata at n = 2 included."""
     monkeypatch.setattr(strata, "membership_Zgt0", lambda z: False)
     rep = suite_retraction(VerifyConfig(n=2))
-    assert rep.cases == 500
+    assert rep.cases == 500 + 2 * 10
     assert len(rep.failures) == rep.cases
 
 

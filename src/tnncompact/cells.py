@@ -265,10 +265,11 @@ def _chart_words(chart) -> tuple[list, list]:
 
 def _flag_cell(J: ParabolicSubset, g: GroupMatrix) -> tuple[WeylElement, WeylElement]:
     """(v, w) of the parabolic ^gP_J: the positions of its Borel associated
-    to B^+ from B^+ (w) and from B^- (w₀·v)."""
+    to B^+ from B^+ (w, which ``associated_borel`` returns with it) and
+    from B^- (w₀·v, one Bruhat cell)."""
     n = J.n
-    b = associated_borel(J, g, identity_g(n))
-    return longest_w(n) * bruhat_cell(borel_minus(n).inverse() @ b), bruhat_cell(b)
+    b, w = associated_borel(J, g, identity_g(n))
+    return longest_w(n) * bruhat_cell(borel_minus(n).inverse() @ b), w
 
 
 def classify(z: CompactPoint) -> CellLabel:
@@ -296,8 +297,8 @@ def _gamma_position(z: CompactPoint, h: GroupMatrix) -> WeylElement:
     assoc(Q_J, ^{g2·h}B^+)), since associated Borels are equivariant.  Q_J
     is ^{ẇ₀}P_{J*}."""
     n = z.n
-    bp = associated_borel(z.J, identity_g(n), z.g1.inverse() @ h)
-    bq = associated_borel(z.J.star(), borel_minus(n), z.g2 @ h)
+    bp, _ = associated_borel(z.J, identity_g(n), z.g1.inverse() @ h)
+    bq, _ = associated_borel(z.J.star(), borel_minus(n), z.g2 @ h)
     return bruhat_cell(bp.inverse() @ bq)
 
 

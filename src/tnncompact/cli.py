@@ -21,7 +21,7 @@ from .cells import CellError, EmptyCellError, classify, dimension_of, sample_cel
 from .matgroup import GroupError, GroupMatrix
 from .strata import StrataError, torus_limit
 from .tnn import is_totally_nonneg, is_totally_positive
-from .verify import SUITES, ConfigError, VerifyConfig, run_suite
+from .verify import SUITES, ConfigError, VerifyConfig, check_scale, run_suite
 from .weyl import ParabolicSubset, WeylError
 
 EXIT_OK = 0
@@ -127,6 +127,8 @@ def cmd_tp_check(args) -> int:
 def cmd_verify(args) -> int:
     cfg = VerifyConfig(n=args.n, seeds=args.seeds, samples=args.samples)
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    for name in names:
+        check_scale(name, cfg)
     reports = []
     for name in names:
         rep = run_suite(name, cfg)

@@ -209,8 +209,13 @@ def _adjugate(a: list[list[int]]) -> tuple[list[list[int]], int]:
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank via integer Bareiss elimination (denominators cleared)."""
-    return _eliminate(_integer_rows(m)[0], dims(m)[1])[0]
+    """Exact rank via integer Bareiss elimination: an all-int matrix is
+    eliminated as it is, any other after its denominators are cleared."""
+    if all(type(x) is int for row in m for x in row):
+        a = [list(row) for row in m]
+    else:
+        a = _integer_rows(m)[0]
+    return _eliminate(a, dims(m)[1])[0]
 
 
 def is_upper_triangular(m: Matrix) -> bool:

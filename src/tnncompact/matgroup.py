@@ -44,8 +44,10 @@ it.
 A flag or a parabolic subgroup is its conjugator: the Borel ^gB^+ and the
 parabolic ^gP_J are the group element g, and the opposite parabolic ^gQ_J
 is ^{g·ẇ₀}P_{J*}.  Relative position is read off one Bruhat elimination,
-and the associated Borel of a parabolic comes from one more plus coset
-arithmetic in W.  All of it is exact and tolerance-free.
+and the associated Borel of a parabolic, with its position, comes from one
+more plus coset arithmetic in W; the eliminated element keeps that
+elimination, as it keeps its inverse.  All of it is exact and
+tolerance-free.
 """
 
 from __future__ import annotations
@@ -78,7 +80,11 @@ class GroupMatrix:
     The constructor takes the rational entries m and checks squareness,
     entry types (int or Fraction) and det = 1; build a matrix through it
     whenever the entries come from outside the library.  It keeps (M, d)
-    only: ``m`` is the Fraction view M/d, built and kept when first read.
+    only.  What is computed from g later is kept on g the first time it is
+    asked for: ``m``, the Fraction view M/d; the inverse, linked back to g
+    (``inverse``); and the Bruhat elimination (b, w) with g ∈ b·ẇ·B^+
+    (``_bruhat``, which ``associated_borel`` reads).  A Weyl lift is shared
+    between callers, so what it keeps outlives the call that computed it.
     """
 
     def __init__(self, m: Matrix):
@@ -383,7 +389,11 @@ def borel_minus(n: int) -> GroupMatrix:
 
 def bruhat_cell(g: GroupMatrix) -> WeylElement:
     """The w with g ∈ B^+ẇB^+, read off one Bruhat elimination of M
-    (``_bruhat_left``) after one rank of M rejects singular input."""
+    (``_bruhat_left``) after one rank of M rejects singular input.
+
+    The rank cannot fail on a matrix the constructor or the library built
+    (det M = dⁿ ≠ 0), only on an unchecked one; it stays while the
+    benchmark's tracer test pins a rank per ``classify``."""
     if la.rank(g.M) < g.n:
         raise GroupError("singular matrix has no Bruhat cell")
     return _bruhat_left(g.M, factors=False)[1]
@@ -438,13 +448,30 @@ def _bruhat_left(m: IntMatrix, factors: bool = True) -> tuple[GroupMatrix | None
     return _reduced(tuple(map(tuple, b)), d), w
 
 
-def associated_borel(J: ParabolicSubset, g: GroupMatrix, h: GroupMatrix) -> GroupMatrix:
-    """The conjugator of (P ∩ B)·U_P for P = ^gP_J and B = ^hB^+: the unique
-    Borel inside P at a position from B in W^J.
+def _bruhat(g: GroupMatrix) -> tuple[GroupMatrix, WeylElement]:
+    """``_bruhat_left`` of g's M, run the first time it is asked for and
+    kept on g, as its inverse is: (b, w) with g ∈ b·ẇ·B^+."""
+    attrs = g.__dict__
+    bw = attrs.get("_bruhat")
+    if bw is None:
+        bw = attrs["_bruhat"] = _bruhat_left(g.M)
+    return bw
+
+
+def associated_borel(
+    J: ParabolicSubset, g: GroupMatrix, h: GroupMatrix
+) -> tuple[GroupMatrix, WeylElement]:
+    """(a, u): the conjugator a of (P ∩ B)·U_P for P = ^gP_J and B = ^hB^+,
+    the unique Borel inside P at a position from B in W^J, and that
+    position u.
 
     With g⁻¹·h ∈ b·ẇ·B^+, the Borels ^{g·b·ẋ}B^+ with x in W_J lie in P at
-    position w⁻¹x from B; x = w·m for m the shortest element of w⁻¹W_J.  The
-    opposite parabolic ^gQ_J is ^{g·ẇ₀}P_{J*}.
+    position w⁻¹x from B; x = w·u for u the shortest element of w⁻¹W_J,
+    and a = g·b·ẋ.  Then h⁻¹·a ∈ B^+·ẇ⁻¹ẋ = B^+·u̇·T, so u is read off the
+    same elimination.  The elimination of g⁻¹·h is kept on that matrix
+    (``_bruhat``), so a later call that eliminates the same element reads
+    it.  The opposite parabolic ^gQ_J is ^{g·ẇ₀}P_{J*}.
     """
-    b, w = _bruhat_left((g.inverse() @ h).M)
-    return g @ b @ wdot(w * J.min_rep(w.inverse()))
+    b, w = _bruhat(g.inverse() @ h)
+    u = J.min_rep(w.inverse())
+    return g @ b @ wdot(w * u), u

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -576,6 +577,96 @@ def test_classify_eliminates_no_matrix_twice(n, monkeypatch):
             eliminated.clear()
             classify(z)
             assert z.g1.M not in eliminated
+
+
+def test_classify_reads_positions_off_its_eliminations(monkeypatch):
+    """Each classify makes 6 associated_borel calls, 4 Bruhat cells (one
+    rank each) and at most 9 Bruhat eliminations: a flag cell's w is the
+    position associated_borel returns, and the flag cell of g1 and the
+    first γ position eliminate the same kept g1⁻¹.  On sampled n = 3, 4
+    points, a torus limit and its positive retraction."""
+    import tnncompact.cells as cells
+    import tnncompact.linalg as la
+    import tnncompact.matgroup as matgroup
+
+    rng = random.Random(70)
+    cases = [
+        (label, sample_cell(label, k)[1])
+        for n in (3, 4)
+        for k, label in enumerate(_random_nonempty_label(n, rng) for _ in range(6))
+    ]
+    g1, g2, h1, h2 = (sample_G_gt0(4, rng) for _ in range(4))
+    z = torus_limit(g1, (1, 0, 2), g2)
+    cases += [(None, z), (None, positive_retraction(h1, h2, z))]
+
+    calls = Counter()
+    for mod, name in (
+        (cells, "associated_borel"),
+        (cells, "bruhat_cell"),
+        (la, "rank"),
+        (matgroup, "_bruhat_left"),
+    ):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(
+            mod, name, lambda *a, name=name, fn=fn, **k: calls.update([name]) or fn(*a, **k)
+        )
+    for label, z in cases:
+        calls.clear()
+        got = classify(z)
+        assert got == label if label else got.is_nonempty()
+        assert calls["associated_borel"] == 6
+        assert calls["bruhat_cell"] == calls["rank"] == 4
+        assert calls["_bruhat_left"] <= 9
+
+
+def test_a_kept_bruhat_elimination_is_a_fresh_one(monkeypatch):
+    """associated_borel keeps the elimination (b, w) of g⁻¹·h on that
+    matrix, and what is kept equals a fresh _bruhat_left of its M: on
+    caller-built matrices, on Weyl lifts, which are shared and keep theirs
+    across calls and strata, and on the library-built matrices classify
+    eliminates."""
+    import tnncompact.matgroup as matgroup
+    from tnncompact.matgroup import (
+        GroupMatrix,
+        _bruhat_left,
+        associated_borel,
+        identity_g,
+        wdot,
+    )
+
+    kept = []
+    bruhat = matgroup._bruhat
+    monkeypatch.setattr(matgroup, "_bruhat", lambda g: kept.append(g) or bruhat(g))
+
+    def check(g):
+        assert "_bruhat" in g.__dict__
+        b, w = g.__dict__["_bruhat"]
+        fresh_b, fresh_w = _bruhat_left(g.M)
+        assert w == fresh_w and b == fresh_b and b.M == fresh_b.M
+
+    rng = random.Random(75)
+    for n in (3, 4):
+        e = identity_g(n)
+        strata_n = all_parabolic_subsets(n)
+        caller = [GroupMatrix(sample_G_gt0(n, rng).m) for _ in range(3)]
+        for J in strata_n:
+            for h in caller:
+                associated_borel(J, e, h)
+            for x in all_weyl(n):
+                _, u = associated_borel(J, e, wdot(x))
+                assert u == J.min_rep(x.inverse())
+        for g in caller + [wdot(x) for x in all_weyl(n)]:
+            check(g)
+        kept.clear()
+        for k in range(4):
+            label = _random_nonempty_label(n, rng)
+            assert classify(sample_cell(label, k)[1]) == label
+        z = torus_limit(GroupMatrix(sample_G_gt0(n, rng).m), [0] * (n - 2) + [1], e)
+        assert classify(z) == classify(z)
+        assert classify(base_point(ParabolicSubset.of(n, [1]))).is_nonempty()
+        assert kept
+        for g in kept:
+            check(g)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -427,6 +427,33 @@ def test_cli_verify_exits_2_without_traceback():
     assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("suite", ["all", "census", "dimensions", "roundtrip", "emptiness"])
+def test_cli_verify_refuses_label_enumeration_at_n5(suite, capsys, monkeypatch):
+    """The suites that enumerate every label (43.4M at n = 5) refuse n = 5
+    before any suite runs."""
+    from tnncompact import verify
+
+    for name in ("enumerate_cells", "_empty_labels"):
+        monkeypatch.setattr(verify, name, lambda *_: pytest.fail("enumerated"))
+    assert_usage_error(main(["verify", suite, "--n", "5", "--seeds", "1", "--samples", "1"]), capsys)
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_verify_census_n5_exits_2_at_once():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "tnncompact", "verify", "census", "--n", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+
+
+def test_cli_verify_monoid_n5_passes(capsys):
+    assert main(["verify", "monoid", "--n", "5", "--seeds", "1", "--samples", "1"]) == 0
+    assert capsys.readouterr().out.startswith("[PASS] monoid: ")
+
+
 @pytest.mark.parametrize("nmax", ["1", "5", "6", "-1"])
 def test_census_script_checks_nmax_before_enumerating(nmax, monkeypatch, capsys):
     script = _load_script(CENSUS_SCRIPT)

@@ -168,6 +168,65 @@ def test_rank_matches_minor_rank_on_rectangular_matrices(m):
     assert la.rank(la.transpose(m)) == minor_rank(m)
 
 
+@st.composite
+def integer_matrices(draw):
+    """Tall, wide and square int matrices with entries up to ±10^40, some
+    of them singular: a row is a combination of the others."""
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
+    rows = [[draw(entries) for _ in range(nc)] for _ in range(nr)]
+    if nr > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, nr - 1))
+        coefs = [draw(st.integers(-3, 3)) if t != i else 0 for t in range(nr)]
+        rows[i] = [sum(a * row[j] for a, row in zip(coefs, rows)) for j in range(nc)]
+    return tuple(map(tuple, rows))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the all-int rank built a Fraction or cleared denominators")
+
+
+@given(integer_matrices())
+def test_rank_of_an_int_matrix_clears_no_denominators(m):
+    """An all-int matrix is eliminated as it is: the rank is that of the
+    denominator-clearing route, with no ``_integer_rows`` call and no
+    Fraction built."""
+    want = la._eliminate(la._integer_rows(m)[0], la.dims(m)[1])[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(la, "_integer_rows", _refuse)
+        mp.setattr(Fraction, "__new__", _refuse)
+        got = la.rank(m)
+    assert got == want
+
+
+@given(rectangular_matrices(), st.data())
+def test_rank_of_a_fraction_or_mixed_matrix_clears_denominators(m, data):
+    """Fraction input, and int input with one Fraction in it, keep the
+    ``_integer_rows`` route."""
+    mixed = tuple(tuple(int(x) if x.denominator == 1 else x for x in row) for row in m)
+    i = data.draw(st.integers(0, len(m) - 1))
+    mixed = mixed[:i] + ((Fraction(mixed[i][0]),) + mixed[i][1:],) + mixed[i + 1:]
+    calls = []
+    route = la._integer_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(la, "_integer_rows", lambda a: calls.append(a) or route(a))
+        assert la.rank(m) == la.rank(mixed) == minor_rank(m)
+    assert calls == [m, mixed]
+
+
+def test_tangent_rank_takes_the_fraction_route(monkeypatch):
+    """The Jacobian rank check's rows hold Fractions, so its rank clears
+    denominators."""
+    from tnncompact.cells import jacobian_rank_check, top_label
+    from tnncompact.weyl import ParabolicSubset
+
+    calls = []
+    route = la._integer_rows
+    monkeypatch.setattr(la, "_integer_rows", lambda a: calls.append(a) or route(a))
+    assert jacobian_rank_check(top_label(ParabolicSubset.of(3, [1])), 0)
+    assert calls and any(type(x) is Fraction for row in calls[-1] for x in row)
+
+
 def test_ldu_reassembly_and_failure():
     rng = random.Random(3)
     for _ in range(50):

@@ -246,10 +246,10 @@ def same_borel(a, b) -> bool:
 def test_associated_borel_spec_cases():
     J = ParabolicSubset.of(3, [1])
     e = identity_g(3)
-    assert associated_borel(J, e, e) == e
+    assert associated_borel(J, e, e) == (e, identity_w(3))
     # for J empty, P is already a Borel
     J0 = ParabolicSubset.of(2, [])
-    assert associated_borel(J0, identity_g(2), borel_minus(2)) == identity_g(2)
+    assert associated_borel(J0, identity_g(2), borel_minus(2)) == (identity_g(2), longest_w(2))
 
     # MR-positive conjugate with w in W^J: (^g P_J)^{B^+} = ^g B^+
     from tnncompact.tnn import mr_evaluate
@@ -259,11 +259,13 @@ def test_associated_borel_spec_cases():
         from tnncompact.weyl import WeylElement
 
         g = mr_evaluate(*mr_chart(WeylElement(v), WeylElement(w), rng))
-        assert same_borel(associated_borel(J, g, e), g)
+        a, u = associated_borel(J, g, e)
+        assert same_borel(a, g) and u == WeylElement(w)
 
 
 def assoc(J, g, opposite, h):
-    """The Borel of ^gP_J, or of ^gQ_J = ^{g·ẇ₀}P_{J*}, associated to ^hB^+."""
+    """(a, u): the Borel of ^gP_J, or of ^gQ_J = ^{g·ẇ₀}P_{J*}, associated
+    to ^hB^+, and its position from ^hB^+."""
     if opposite:
         return associated_borel(J.star(), g @ borel_minus(J.n), h)
     return associated_borel(J, g, h)
@@ -283,15 +285,17 @@ def _borel_inside(J, g, opposite, b) -> bool:
 def check_associated_borel(J, g, opposite, h):
     """The Borel of P = ^gP_J (^gQ_J) associated to ^hB^+ lies in P, at a
     minimal-coset position from ^hB^+: in W^J on the standard side and in
-    W^{J*} on the opposite side."""
-    b = assoc(J, g, opposite, h)
+    W^{J*} on the opposite side.  The position associated_borel returns is
+    that one."""
+    b, u = assoc(J, g, opposite, h)
     assert _borel_inside(J, g, opposite, b)
     pos = bruhat_cell(h.inverse() @ b)
+    assert pos == u
     if opposite:
-        assert J.star().is_min_rep(pos)
+        assert J.star().is_min_rep(u)
     else:
         assert is_block_upper((g.inverse() @ b).m, J.blocks0())
-        assert J.is_min_rep(pos)
+        assert J.is_min_rep(u)
 
 
 def rand_sparse_upper(n, rng):
@@ -520,7 +524,7 @@ def test_opposed_implies_levi_coset_positions():
         u = rand_unipotent(3, rng)
         assert opposed(J, e, u)
         h = rand_factorable(3, rng)
-        pos = bruhat_cell(assoc(J, e, False, h).inverse() @ assoc(J, u, True, h))
+        pos = bruhat_cell(assoc(J, e, False, h)[0].inverse() @ assoc(J, u, True, h)[0])
         assert J.contains_w(pos * w0)
 
 

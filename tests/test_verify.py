@@ -77,6 +77,24 @@ def test_every_counted_case_can_fail(name, monkeypatch):
     assert len(rep.failures) == rep.cases - (name == "census")
 
 
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_a_suite_that_enumerates_every_label_refuses_n5(name, monkeypatch):
+    """census, dimensions, roundtrip and emptiness enumerate every label
+    (43.4M at n = 5): run_suite raises ConfigError at n = 5 before the
+    suite starts, and lets the other suites run."""
+    started = []
+    monkeypatch.setitem(verify.SUITES, name, lambda cfg: started.append(cfg) or verify.SuiteReport(name))
+    cfg = verify.VerifyConfig(n=5, seeds=1, samples=1)
+    if name in ("census", "dimensions", "roundtrip", "emptiness"):
+        with pytest.raises(verify.ConfigError):
+            verify.run_suite(name, cfg)
+        assert not started
+    else:
+        verify.run_suite(name, cfg)
+        assert started == [cfg]
+    verify.run_suite(name, verify.VerifyConfig(n=4, seeds=1, samples=1))
+
+
 def _no_writer(*args):
     raise AssertionError("a passing case wrote a witness")
 

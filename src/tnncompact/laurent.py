@@ -26,7 +26,7 @@ class Laurent:
     coeffs: tuple[tuple[int, Fraction | int], ...] = field(default_factory=tuple)
 
     @staticmethod
-    def of(data: Mapping[int, Fraction] | int | Fraction | str) -> "Laurent":
+    def of(data: Mapping[int, Fraction] | int | Fraction) -> "Laurent":
         if isinstance(data, Mapping):
             items = {int(e): frac(c) for e, c in data.items() if frac(c) != 0}
         else:

@@ -30,6 +30,7 @@ from .cells import (
     top_label,
 )
 from .exterior import (
+    EmbeddingData,
     UnsupportedStratumError,
     embedding_data,
     proj_equal,
@@ -141,36 +142,43 @@ class VerifyConfig:
 # ---------------------------------------------------------------------------
 # 1. cell census
 
-def _census_oracle(n: int) -> list[tuple[CellLabel, int]]:
-    """Independent brute-force enumeration: filter raw six-tuples and count
-    chart coordinates instead of using the closed dimension formula."""
-    out = []
+def _brute_labels(n: int):
+    """Every valid label at n, by brute force over W and independent of the
+    census it checks: per stratum J, the Bruhat pairs (v, w) of W × W with w
+    in W^J, taken twice, times W_J × W_J.  Yields the parts (J, v, w, v',
+    w', y, y') and whether v and v' are both in W^J."""
     ws = all_weyl(n)
     for J in all_parabolic_subsets(n):
-        wj = [w for w in ws if J.contains_w(w)]
-        for v, w, vp, wp, y, yp in product(ws, ws, ws, ws, wj, wj):
-            if not (J.is_min_rep(w) and J.is_min_rep(wp)):
-                continue
-            if not (J.is_min_rep(v) and J.is_min_rep(vp)):
-                continue
-            if not (bruhat_leq(v, w) and bruhat_leq(vp, wp)):
-                continue
-            w0j = J.longest_element()
-            dim = (
-                len(positive_subexpression(lex_min_reduced_word(w), v).jcirc)
-                + len(positive_subexpression(lex_min_reduced_word(wp), vp).jcirc)
-                + (y * w0j).length
-                + (w0j * yp).length
-                + len(J.J)
-            )
-            out.append((CellLabel(J, v, w, vp, wp, y, yp), dim))
+        wj = [y for y in ws if J.contains_w(y)]
+        pairs = [(v, w) for w in ws if J.is_min_rep(w) for v in ws if bruhat_leq(v, w)]
+        for (v, w), (vp, wp), y, yp in product(pairs, pairs, wj, wj):
+            yield (J, v, w, vp, wp, y, yp), J.is_min_rep(v) and J.is_min_rep(vp)
+
+
+def _census_oracle(n: int) -> list[tuple[CellLabel, int]]:
+    """The brute-force labels with v and v' in W^J, each dimension counted
+    from chart coordinates instead of the closed formula."""
+    out = []
+    for (J, v, w, vp, wp, y, yp), in_quotient in _brute_labels(n):
+        if not in_quotient:
+            continue
+        w0j = J.longest_element()
+        dim = (
+            len(positive_subexpression(lex_min_reduced_word(w), v).jcirc)
+            + len(positive_subexpression(lex_min_reduced_word(wp), vp).jcirc)
+            + (y * w0j).length
+            + (w0j * yp).length
+            + len(J.J)
+        )
+        out.append((CellLabel(J, v, w, vp, wp, y, yp), dim))
     return out
 
 
 def suite_census(cfg: VerifyConfig) -> SuiteReport:
     rep = SuiteReport("census")
+    census = {}
     for n in range(2, cfg.n + 1):
-        got = enumerate_cells(n)
+        got = census[n] = enumerate_cells(n)
         want = sorted(_census_oracle(n), key=lambda p: p[0].sort_key())
         rep.check(
             got == want, n=n,
@@ -179,7 +187,7 @@ def suite_census(cfg: VerifyConfig) -> SuiteReport:
         euler = sum((-1) ** d for _, d in got)
         # frozen regression constant for n = 2, 3
         rep.check(euler == 1, n=n, reason=f"alternating cell sum changed: {euler}")
-    got2 = enumerate_cells(2)
+    got2 = census[2]
     rep.check(len(got2) == 13, n=2, reason=f"expected 13 cells, got {len(got2)}")
     by_j = {}
     for label, d in got2:
@@ -217,17 +225,13 @@ def suite_dimensions(cfg: VerifyConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # 3/4. entrywise positivity criterion
 
-def _criterion_strata(nmax: int) -> list[ParabolicSubset]:
-    """Every stratum at n = 2..min(nmax, 3) where the (*) pair exists."""
-    out = []
-    for n in range(2, min(nmax, 3) + 1):
-        for J in all_parabolic_subsets(n):
-            try:
-                embedding_data(J)
-            except UnsupportedStratumError:
-                continue
-            out.append(J)
-    return out
+def _criterion_data(n: int) -> list[EmbeddingData]:
+    """The (*) pair of every stratum of PGL_n that has one."""
+    return [
+        embedding_data(J)
+        for J in all_parabolic_subsets(n)
+        if _raised(UnsupportedStratumError, embedding_data, J) is None
+    ]
 
 
 def _positive_point(J: ParabolicSubset, rng: random.Random) -> CompactPoint:
@@ -241,8 +245,8 @@ def _positive_point(J: ParabolicSubset, rng: random.Random) -> CompactPoint:
 
 def suite_positivity_forward(cfg: VerifyConfig) -> SuiteReport:
     rep = SuiteReport("positivity-forward")
-    for J in _criterion_strata(cfg.n):
-        data = embedding_data(J)
+    for data in (d for n in range(2, min(cfg.n, 3) + 1) for d in _criterion_data(n)):
+        J = data.J
         for k in range(cfg.samples):
             seed = BASE_SEED + 7 * k
             rng = random.Random(seed)
@@ -351,24 +355,7 @@ def suite_roundtrip(cfg: VerifyConfig) -> SuiteReport:
 
 def _empty_labels(n: int) -> list[CellLabel]:
     """Every valid label with v or v' outside the minimal coset reps."""
-    out = []
-    for J in all_parabolic_subsets(n):
-        reps = J.min_coset_reps()
-        wj = [w for w in all_weyl(n) if J.contains_w(w)]
-        pairs = [
-            (v, w)
-            for w in reps
-            for v in all_weyl(n)
-            if bruhat_leq(v, w)
-        ]
-        for v, w in pairs:
-            for vp, wp in pairs:
-                if J.is_min_rep(v) and J.is_min_rep(vp):
-                    continue
-                for y in wj:
-                    for yp in wj:
-                        out.append(CellLabel(J, v, w, vp, wp, y, yp))
-    return out
+    return [CellLabel(*parts) for parts, in_quotient in _brute_labels(n) if not in_quotient]
 
 
 def suite_emptiness(cfg: VerifyConfig) -> SuiteReport:
@@ -423,11 +410,8 @@ def suite_limits(cfg: VerifyConfig) -> SuiteReport:
                 all(map(proj_equal, _curve_limit_images(g1, c, g2), want)),
                 n=n, c=list(c), seed=seed, reason="torus limit is not the curve's limit",
             )
-        for J in all_parabolic_subsets(n):
-            try:
-                data = embedding_data(J)
-            except UnsupportedStratumError:
-                continue
+        for data in _criterion_data(n):
+            J = data.J
             m1, m2 = iJ_of_point(base_point(J), data)
             # [m1] is the rank-one projector onto e_{1..k1}, the first colex
             # basis vector; m2 is a 0/1 diagonal whose rank is the number of

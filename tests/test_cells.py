@@ -163,7 +163,7 @@ def test_enumerate_rejects_a_stratum_of_another_rank():
         cells_to_json(4, J)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_census_matches_brute_force_oracle(n):
     """Labels, dimensions and order equal the brute-force census (dimensions
     counted from chart coordinates) sorted by sort_key."""
@@ -172,6 +172,38 @@ def test_census_matches_brute_force_oracle(n):
     got = enumerate_cells(n)
     assert got == sorted(_census_oracle(n), key=lambda t: t[0].sort_key())
     assert all(label.is_valid() and label.is_nonempty() for label, _ in got)
+
+
+@pytest.mark.parametrize(
+    "n, count", [(2, 0), (3, 104), pytest.param(4, 53852, marks=pytest.mark.slow)]
+)
+def test_empty_label_count(n, count):
+    """The valid labels with v or v' outside W^J: the brute-force walk's
+    complement of the census."""
+    from tnncompact.verify import _empty_labels
+
+    empties = _empty_labels(n)
+    assert len(empties) == count
+    assert not any(label.is_nonempty() for label in empties)
+
+
+def test_brute_force_labels_do_not_read_the_census(monkeypatch):
+    """The oracle and the empty labels walk W themselves: with the census
+    walk, enumeration, dimension formula, coset reps and emptiness test all
+    failing, they still find the 685 cells and the 104 empty labels at
+    n = 3."""
+    from tnncompact import cells, verify
+
+    def fail(*_):
+        pytest.fail("the brute-force walk read the census")
+
+    for module in (cells, verify):
+        for name in ("_stratum_walk", "enumerate_cells", "dimension_of"):
+            monkeypatch.setattr(module, name, fail)
+    monkeypatch.setattr(ParabolicSubset, "min_coset_reps", fail)
+    monkeypatch.setattr(CellLabel, "is_nonempty", fail)
+    assert len(verify._census_oracle(3)) == 685
+    assert len(verify._empty_labels(3)) == 104
 
 
 def test_census_n4_sampled_labels_are_valid():

@@ -433,7 +433,7 @@ def test_cli_verify_refuses_label_enumeration_at_n5(suite, capsys, monkeypatch):
     before any suite runs."""
     from tnncompact import verify
 
-    for name in ("enumerate_cells", "_empty_labels"):
+    for name in ("enumerate_cells", "_empty_labels", "_brute_labels"):
         monkeypatch.setattr(verify, name, lambda *_: pytest.fail("enumerated"))
     assert_usage_error(main(["verify", suite, "--n", "5", "--seeds", "1", "--samples", "1"]), capsys)
     assert capsys.readouterr().out == ""

@@ -40,6 +40,10 @@ def test_valuation_and_limit():
     assert lmat_limit(m) == la.mat([[1, 0], [0, 2]])
     with pytest.raises(ValueError):
         Laurent.of(0).valuation()
+    # coefficients are exact: a string or a float is refused, as by linalg.frac
+    for bad in ("1/2", {0: "1/2"}, 0.5):
+        with pytest.raises(TypeError):
+            Laurent.of(bad)
 
 
 def test_det_and_compound_vs_rational():

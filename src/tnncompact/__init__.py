@@ -19,8 +19,6 @@ from .matgroup import (
     GroupMatrix,
     associated_borel,
     bruhat_cell,
-    generator_x,
-    generator_y,
     sdot,
     torus,
 )
@@ -38,7 +36,6 @@ from .tnn import (
     phi_minus,
     phi_plus,
     sample_G_gt0,
-    sample_L_ge0,
 )
 from .strata import (
     CompactPoint,

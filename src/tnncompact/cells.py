@@ -277,8 +277,10 @@ def classify(z: CompactPoint) -> CellLabel:
 
     The flag cells are those of ^{g1}P_J and ^{ψ(g2)}P_J = ψ(^{g2⁻¹}Q_J).
     Valid on points of nonempty positive cells (sampler output, torus limits
-    of nonnegative data, positive retractions); the CellLabel constructor
-    raises CellError when the positions fall outside the expected cosets.
+    of nonnegative data, positive retractions).  Raises CellError when the
+    positions fall outside the expected cosets (the CellLabel constructor),
+    and EmptyCellError when they form an empty label: no point of the
+    nonnegative part lies in it.
     """
     J = z.J
     n = z.n
@@ -287,7 +289,10 @@ def classify(z: CompactPoint) -> CellLabel:
     vp, wp = _flag_cell(J, z.g2.T)
     y = _gamma_position(z, identity_g(n)) * w0
     yp = _gamma_position(z, borel_minus(n)) * w0
-    return CellLabel(J, v, w, vp, wp, y, yp)
+    label = CellLabel(J, v, w, vp, wp, y, yp)
+    if not label.is_nonempty():
+        raise EmptyCellError(f"the point classifies to the empty cell {label}")
+    return label
 
 
 def _gamma_position(z: CompactPoint, h: GroupMatrix) -> WeylElement:

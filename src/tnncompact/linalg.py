@@ -223,10 +223,6 @@ def is_upper_triangular(m: Matrix) -> bool:
     return all(m[i][j] == 0 for i in range(n) for j in range(i))
 
 
-def is_lower_triangular(m: Matrix) -> bool:
-    return is_upper_triangular(transpose(m))
-
-
 # Only matgroup.pi_factor calls ldu; both stay while BENCHMARK.json names
 # them as per-layer metrics.
 def ldu(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:

@@ -28,8 +28,8 @@ factorization parts) is a group element by construction and goes through
 Every group element built from coordinates, other than the identity and
 the Weyl lifts, comes from one word evaluator: a word of steps x_i(a),
 y_i(a), ṡ_i and torus elements is multiplied out by one integer column
-operation per step.  The generators and tori are one-step words, and the
-samplers and charts of ``tnn`` are longer ones.
+operation per step.  A torus element is a one-step word, and the samplers
+and charts of ``tnn`` are longer ones.
 
 The Weyl lifts and the identity are signed permutation matrices that carry
 their permutation and signs: a product with one, on either side, moves and
@@ -307,21 +307,6 @@ def _reduced_column(col: list[int], den: int) -> tuple[list[int], int]:
     return col, den
 
 
-def _check_index(n: int, i: int) -> None:
-    if not 1 <= i <= n - 1:
-        raise GroupError(f"generator index {i} out of range for n={n}")
-
-
-def generator_x(n: int, i: int, a) -> GroupMatrix:
-    _check_index(n, i)
-    return _word_element(n, [("x", i, frac(a))])
-
-
-def generator_y(n: int, i: int, a) -> GroupMatrix:
-    _check_index(n, i)
-    return _word_element(n, [("y", i, frac(a))])
-
-
 def torus(values: Sequence) -> GroupMatrix:
     """Product of simple coroots α_i^∨(a_i): diag(a_1, a_2/a_1, …, 1/a_{n-1})."""
     vals = tuple(frac(v) for v in values)
@@ -332,7 +317,8 @@ def torus(values: Sequence) -> GroupMatrix:
 
 def sdot(n: int, i: int) -> GroupMatrix:
     """ṡ_i = x_i(-1) y_i(1) x_i(-1), a signed permutation matrix."""
-    _check_index(n, i)
+    if not 1 <= i <= n - 1:
+        raise GroupError(f"generator index {i} out of range for n={n}")
     return wdot(simple_reflection(n, i))
 
 

@@ -23,7 +23,6 @@ from .exterior import compounds
 from .linalg import frac
 from .matgroup import GroupMatrix, _word_element, bruhat_cell, torus
 from .weyl import (
-    ParabolicSubset,
     PositiveSubexpression,
     ReducedWord,
     WeylElement,
@@ -114,21 +113,6 @@ def is_totally_nonneg(g: GroupMatrix) -> bool:
     return _minors_positive(g.canonical(), False)
 
 
-def in_unipotent_cell(u: GroupMatrix, w: WeylElement, lower: bool) -> bool:
-    """Exact membership in U^-_{w,>0} (lower) or U^+_{w,>0} (upper): a
-    unipotent TNN matrix whose lower-left rank profile gives w.
-
-    Transposing an upper product reverses its word, so the upper case reads
-    the cell of uᵀ and inverts.
-    """
-    tri = la.is_lower_triangular(u.M) if lower else la.is_upper_triangular(u.M)
-    if not tri or any(u.M[i][i] != u.d for i in range(u.n)):
-        return False
-    if not _minors_positive(u.M, strict=False):
-        return False
-    return (bruhat_cell(u) if lower else bruhat_cell(u.T).inverse()) == w
-
-
 # ---------------------------------------------------------------------------
 # seeded rationals
 
@@ -157,6 +141,14 @@ def sample_Uplus_gt0(n: int, rng: random.Random) -> GroupMatrix:
     return phi_plus(word, [rand_pos_fraction(rng) for _ in range(len(word))])
 
 
+def in_Uplus_gt0(u: GroupMatrix) -> bool:
+    """Exact membership in U^+_{>0} = U^+_{≥0} ∩ B^-ẇ₀B^-: an upper
+    unipotent TNN matrix whose transpose lies in B^+ẇ₀B^+."""
+    if not la.is_upper_triangular(u.M) or any(u.M[i][i] != u.d for i in range(u.n)):
+        return False
+    return _minors_positive(u.M, strict=False) and bruhat_cell(u.T) == longest_w(u.n)
+
+
 def sample_Uminus_gt0(n: int, rng: random.Random) -> GroupMatrix:
     word = lex_min_reduced_word(longest_w(n))
     return phi_minus(word, [rand_pos_fraction(rng) for _ in range(len(word))])
@@ -165,15 +157,6 @@ def sample_Uminus_gt0(n: int, rng: random.Random) -> GroupMatrix:
 def sample_G_gt0(n: int, rng: random.Random) -> GroupMatrix:
     """U^-_{>0} T_{>0} U^+_{>0}; all minors strictly positive (certified in tests)."""
     return sample_Uminus_gt0(n, rng) @ sample_T_gt0(n, rng) @ sample_Uplus_gt0(n, rng)
-
-
-def sample_L_ge0(J: ParabolicSubset, rng: random.Random) -> GroupMatrix:
-    """Block-diagonal TNN sample of the Levi: phi_minus · torus · phi_plus
-    built from generators j ∈ J only."""
-    w0j = J.longest_element()
-    um, up = ([rand_nonneg_fraction(rng) for _ in range(w0j.length)] for _ in range(2))
-    tor = [rand_pos_fraction(rng) for _ in range(J.n - 1)]
-    return _word_element(J.n, _double_cell_steps(w0j, w0j, um, tor, up))
 
 
 # ---------------------------------------------------------------------------

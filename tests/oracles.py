@@ -41,6 +41,9 @@ a time, building one element per step.  The reference for the Jacobian
 rank check is the rank it took before it read tangent vectors modulo the
 stabilizer: the chart over dual numbers, mapped into every fundamental
 representation through compounds, with one gradient row per entry.
+The pinning's generators x_i(a) and y_i(a), and a nonnegative sample of a
+Levi factor, which the library itself never builds alone, are words of its
+word evaluator here.
 """
 
 from fractions import Fraction
@@ -54,9 +57,15 @@ from tnncompact.cells import _chart, _chart_words, dimension_of
 from tnncompact.dual import Dual
 from tnncompact.exterior import compound, compounds, proj_equal, strictly_signed, subsets_colex
 from tnncompact.laurent import Laurent, lmat_limit
-from tnncompact.matgroup import GroupError, _integer_form, _trusted
+from tnncompact.matgroup import GroupError, _integer_form, _trusted, _word_element
 from tnncompact.strata import _kept_product, _limit_images
-from tnncompact.tnn import double_cell_evaluate, mr_evaluate, rand_pos_fraction
+from tnncompact.tnn import (
+    _double_cell_steps,
+    double_cell_evaluate,
+    mr_evaluate,
+    rand_nonneg_fraction,
+    rand_pos_fraction,
+)
 from tnncompact.weyl import WeylElement, lex_min_reduced_word, positive_subexpression, simple_reflection
 
 
@@ -128,6 +137,10 @@ def is_block_upper(m, blocks):
 
 def is_block_lower(m, blocks):
     return is_block_upper(la.transpose(m), blocks)
+
+
+def is_lower_triangular(m):
+    return la.is_upper_triangular(la.transpose(m))
 
 
 def trusted(m):
@@ -262,6 +275,26 @@ def x_matrix(n, i, a):
 def y_matrix(n, i, a):
     """y_i(a) = 1 + a·E_{i+1,i}."""
     return tuple(zip(*x_matrix(n, i, a)))
+
+
+def generator_x(n, i, a):
+    """x_i(a) as the one-step word of the library's word evaluator."""
+    return _word_element(n, [("x", i, la.frac(a))])
+
+
+def generator_y(n, i, a):
+    """y_i(a) as the one-step word of the library's word evaluator."""
+    return _word_element(n, [("y", i, la.frac(a))])
+
+
+def sample_L_ge0(J, rng):
+    """A block-diagonal TNN element of the Levi L_J: the y-word of w₀^J, a
+    positive torus element and the x-word of w₀^J, at leg coordinates drawn
+    nonnegative from rng."""
+    w0j = J.longest_element()
+    um, up = ([rand_nonneg_fraction(rng) for _ in range(w0j.length)] for _ in range(2))
+    tor = [rand_pos_fraction(rng) for _ in range(J.n - 1)]
+    return _word_element(J.n, _double_cell_steps(w0j, w0j, um, tor, up))
 
 
 def sdot_matrix(n, i):

@@ -12,6 +12,8 @@ from oracles import (
     dual_jacobian_rank,
     dual_rank,
     dual_words,
+    generator_x,
+    generator_y,
     identity,
     refusing_signed_permutations,
 )
@@ -32,7 +34,7 @@ from tnncompact.cells import (
     sample_cell,
     top_label,
 )
-from tnncompact.matgroup import generator_x, generator_y, torus
+from tnncompact.matgroup import torus
 from tnncompact.serialize import label_to_json, point_to_json
 from tnncompact.strata import (
     CompactPoint,
@@ -242,6 +244,33 @@ def test_sample_cell_refuses_empty():
     empty = L(3, [1], (2, 1, 3), (2, 3, 1), (1, 2, 3), (1, 3, 2), (1, 2, 3), (1, 2, 3))
     with pytest.raises(EmptyCellError):
         sample_cell(empty, 1)
+
+
+# (1, h)·z for z sampled in a nonempty cell at a seed: each point's
+# relative positions form an empty label, with v' = 2143 outside W^J.
+EMPTY_LABEL_POINTS = [
+    (
+        L(4, [3], (1, 3, 2, 4), (2, 3, 1, 4), (2, 1, 3, 4), (4, 1, 2, 3),
+          (1, 2, 3, 4), (1, 2, 4, 3)),
+        844036,
+        generator_x(4, 2, 3),
+    ),
+    (
+        L(4, [2, 3], (1, 2, 3, 4), (2, 1, 3, 4), (2, 1, 3, 4), (4, 1, 2, 3),
+          (1, 3, 4, 2), (1, 3, 4, 2)),
+        286387,
+        generator_y(4, 3, 1),
+    ),
+]
+
+
+@pytest.mark.parametrize("label, seed, h", EMPTY_LABEL_POINTS, ids=["J3", "J23"])
+def test_classify_refuses_an_empty_label(label, seed, h):
+    from tnncompact.matgroup import identity_g
+
+    z = act(identity_g(4), h, sample_cell(label, seed)[1])
+    with pytest.raises(EmptyCellError, match=r"v'=\(2, 1, 4, 3\)"):
+        classify(z)
 
 
 def test_sample_top_cell_open_stratum_is_strictly_positive():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import identity
+from oracles import generator_x, identity
 
 from tnncompact import serialize as ser
 from tnncompact import verify
@@ -265,6 +265,23 @@ def test_cli_bad_file_is_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["classify", "--point-file", str(bad)]) == 2
+
+
+def test_cli_classify_refuses_an_empty_label(tmp_path, capsys):
+    """A point whose relative positions form an empty label (v' = 2143
+    outside W^J for J = {3}): exit 2 with one error line."""
+    from tnncompact.cells import CellLabel, sample_cell
+    from tnncompact.matgroup import identity_g
+    from tnncompact.strata import act
+    from tnncompact.weyl import WeylElement
+
+    perms = ((1, 3, 2, 4), (2, 3, 1, 4), (2, 1, 3, 4), (4, 1, 2, 3), (1, 2, 3, 4), (1, 2, 4, 3))
+    label = CellLabel(ParabolicSubset.of(4, [3]), *map(WeylElement, perms))
+    z = act(identity_g(4), generator_x(4, 2, 3), sample_cell(label, 844036)[1])
+    point_file = tmp_path / "point.json"
+    point_file.write_text(ser.dumps(ser.point_to_json(z)))
+    assert_usage_error(main(["classify", "--point-file", str(point_file)]), capsys)
+    assert capsys.readouterr().out == ""
 
 
 IDENTITY_2 = [["1", "0"], ["0", "1"]]

@@ -4,7 +4,14 @@ from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import dual_matrices, identity, laplace_det, square_matrices
+from oracles import (
+    dual_matrices,
+    generator_x,
+    generator_y,
+    identity,
+    laplace_det,
+    square_matrices,
+)
 
 from tnncompact import linalg as la
 from tnncompact.exterior import (
@@ -18,7 +25,6 @@ from tnncompact.exterior import (
     strictly_signed,
     subsets_colex,
 )
-from tnncompact.matgroup import generator_x
 from tnncompact.tnn import is_totally_positive, sample_G_gt0
 from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets
 
@@ -124,7 +130,7 @@ def test_total_positivity_iff_compound_entries():
         for k in range(1, n):
             assert all(x > 0 for row in compound(g.m, k) for x in row)
     # borderline TNN element fails the strict test
-    from tnncompact.matgroup import generator_y, torus
+    from tnncompact.matgroup import torus
 
     g = generator_y(3, 1, 1) @ torus([1, 1]) @ generator_x(3, 1, 1)
     assert not is_totally_positive(g)

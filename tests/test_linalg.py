@@ -13,6 +13,7 @@ from oracles import (
     is_block_lower,
     is_block_upper,
     is_diagonal,
+    is_lower_triangular,
     laplace_det,
     naive_matmul,
     rationals,
@@ -240,7 +241,7 @@ def test_ldu_reassembly_and_failure():
             )
             continue
         assert la.matmul(la.matmul(l, d), u) == m
-        assert la.is_lower_triangular(l) and la.is_upper_triangular(u)
+        assert is_lower_triangular(l) and la.is_upper_triangular(u)
         assert is_diagonal(d)
         assert all(l[i][i] == 1 and u[i][i] == 1 for i in range(n))
 

@@ -11,6 +11,8 @@ from oracles import (
     dense_star_pair,
     fraction_limit_check,
     fraction_membership,
+    generator_x,
+    generator_y,
     identity,
     lmat_torus_curve,
     opposed_by_lie_algebra,
@@ -32,8 +34,6 @@ from tnncompact.exterior import (
 from tnncompact.laurent import Laurent, lmat_limit
 from tnncompact.matgroup import (
     GroupMatrix,
-    generator_x,
-    generator_y,
     identity_g,
     sdot,
     torus,

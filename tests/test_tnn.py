@@ -7,12 +7,15 @@ from oracles import (
     fraction_is_tnn,
     fraction_is_totally_positive,
     gauss_jordan_inverse,
+    generator_x,
+    generator_y,
     identity,
     is_block_lower,
     is_block_upper,
     is_diagonal,
     mr_chart,
     naive_matmul,
+    sample_L_ge0,
     sdot_matrix,
     square_matrices,
     torus_matrix,
@@ -27,8 +30,6 @@ from tnncompact.matgroup import (
     _word_element,
     borel_minus,
     bruhat_cell,
-    generator_x,
-    generator_y,
     identity_g,
     pi_factor,
     sdot,
@@ -38,7 +39,7 @@ from tnncompact.matgroup import (
 from tnncompact.tnn import (
     ParamError,
     double_cell_evaluate,
-    in_unipotent_cell,
+    in_Uplus_gt0,
     is_tnn_matrix,
     is_totally_nonneg,
     is_totally_positive,
@@ -46,7 +47,6 @@ from tnncompact.tnn import (
     phi_plus,
     rand_pos_fraction,
     sample_G_gt0,
-    sample_L_ge0,
     sample_Uplus_gt0,
 )
 from tnncompact.weyl import (
@@ -335,7 +335,6 @@ def test_double_cell_recover_roundtrip(n):
 def test_unipotent_absorption():
     rng = random.Random(37)
     n = 3
-    w0 = longest_w(n)
     from tnncompact.weyl import lex_min_reduced_word
 
     for _ in range(20):
@@ -343,8 +342,8 @@ def test_unipotent_absorption():
         w = all_weyl(n)[rng.randrange(6)]
         word = lex_min_reduced_word(w)
         u1 = phi_plus(word, [rand_pos_fraction(rng) for _ in range(len(word))])
-        assert in_unipotent_cell(u @ u1, w0, lower=False)
-        assert in_unipotent_cell(u1 @ u, w0, lower=False)
+        assert in_Uplus_gt0(u @ u1)
+        assert in_Uplus_gt0(u1 @ u)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -361,8 +360,8 @@ def test_in_unipotent_cell_needs_the_minor_test(n):
         x = generator_x(n, 1, -(u.m[0][1] + 1)) @ u
         assert x.m[0][1] == -1
         assert bruhat_cell(x.T).inverse() == w0
-        assert in_unipotent_cell(u, w0, lower=False)
-        assert not in_unipotent_cell(x, w0, lower=False)
+        assert in_Uplus_gt0(u)
+        assert not in_Uplus_gt0(x)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

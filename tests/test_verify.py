@@ -57,10 +57,7 @@ WRONG = {
     ),
     "limits": (CFG, {"proj_equal": lambda a, b: False, "iJ_of_point": _zero_images}),
     "retraction": (CFG, {"positive_retraction": _refuse}),
-    "monoid": (
-        CFG,
-        {"is_totally_positive": lambda g: False, "in_unipotent_cell": lambda u, w, lower: False},
-    ),
+    "monoid": (CFG, {"is_totally_positive": lambda g: False, "in_Uplus_gt0": lambda u: False}),
 }
 
 

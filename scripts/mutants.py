@@ -1,0 +1,93 @@
+"""The mutant catalog: one-line faults that ``tnncompact verify all`` must catch.
+
+Each mutant is an exact-string edit of one module.  For each, the script
+copies ``src/`` to a temporary directory, applies that edit alone, runs
+
+    tnncompact verify all --n 3 --seeds 2 --samples 40
+
+on the copy and prints, as JSON, ``{mutant: {"exit", "failed",
+"traceback"}}``: the exit code, the suites that printed a ``[FAIL]`` line,
+and whether stderr holds a traceback.  A caught mutant exits 1 with at
+least one failed suite and no traceback.  Standard library only:
+
+    python3 scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+VERIFY = ("verify", "all", "--n", "3", "--seeds", "2", "--samples", "40")
+
+# name -> (module under src/tnncompact, exact text, replacement); each
+# text occurs exactly once in its module
+MUTANTS = {
+    "the TP ladder accepts zero minors": (
+        "tnn.py",
+        "if least < 0 or (strict and least == 0):",
+        "if least < 0:",
+    ),
+    "in_Uplus_gt0 skips its minor test": (
+        "tnn.py",
+        "return _minors_positive(u.M, strict=False) and bruhat_cell(u.T) == longest_w(u.n)",
+        "return bruhat_cell(u.T) == longest_w(u.n)",
+    ),
+    "mr_evaluate accepts a zero coordinate": (
+        "tnn.py",
+        "if any(c <= 0 for c in coords):",
+        "if any(c < 0 for c in coords):",
+    ),
+    "bruhat_leq skips its last prefix": (
+        "weyl.py",
+        "zip(v.perm[:-1], w.perm[:-1])",
+        "zip(v.perm[:-2], w.perm[:-2])",
+    ),
+    "dimension_of adds |J| twice": ("cells.py", "+ len(J.J)", "+ 2 * len(J.J)"),
+    "associated_borel drops J.min_rep": (
+        "matgroup.py",
+        "u = J.min_rep(w.inverse())",
+        "u = w.inverse()",
+    ),
+}
+
+
+def run_mutant(name: str, argv=VERIFY) -> dict:
+    """Run ``tnncompact *argv`` on a copy of src/ with the named edit."""
+    module, old, new = MUTANTS[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "tnncompact" / module
+        text = path.read_text()
+        if text.count(old) != 1:
+            raise SystemExit(f"mutant {name!r}: {old!r} occurs {text.count(old)} times in {module}")
+        path.write_text(text.replace(old, new))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tnncompact", *argv],
+            cwd=tmp,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+        )
+    failed = [
+        line[len("[FAIL] "):].split(":")[0]
+        for line in proc.stdout.splitlines()
+        if line.startswith("[FAIL] ")
+    ]
+    return {"exit": proc.returncode, "failed": failed, "traceback": "Traceback" in proc.stderr}
+
+
+def main() -> int:
+    print(json.dumps({name: run_mutant(name) for name in MUTANTS}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

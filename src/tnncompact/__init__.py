@@ -33,7 +33,6 @@ from .tnn import (
     is_totally_nonneg,
     is_totally_positive,
     mr_evaluate,
-    phi_minus,
     phi_plus,
     sample_G_gt0,
 )

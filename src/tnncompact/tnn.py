@@ -1,14 +1,14 @@
 """Samplers and evaluators for the totally nonnegative parametrizations.
 
-phi_plus/phi_minus realize words in the Chevalley generators; Marsh-Rietsch
+phi_plus realizes words in the Chevalley generators x_i; Marsh-Rietsch
 charts evaluate to the cells of the flag variety; double Bruhat charts give
-the cells of the monoid of totally nonnegative elements.  Each chart is a
-word of steps, and ``matgroup``'s word evaluator, which builds every group
-element, multiplies it out over the integers, and the Jacobian rank check in
-``cells`` reads its tangent vectors off the sampler's own words.  Every
-sampler is driven by an explicit seeded random.Random, and strict or
-nonneg positivity is always certified a posteriori by exact minor tests,
-never assumed.
+the cells of the monoid of totally nonnegative elements, and G_{>0} is the
+chart of (w₀, w₀).  Each chart is a word of steps, and ``matgroup``'s word
+evaluator, which builds every group element, multiplies it out over the
+integers, and the Jacobian rank check in ``cells`` reads its tangent vectors
+off the sampler's own words.  Every sampler is driven by an explicit
+seeded random.Random, and strict or nonneg positivity is always certified
+a posteriori by exact minor tests, never assumed.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 from . import linalg as la
 from .exterior import compounds
 from .linalg import frac
-from .matgroup import GroupMatrix, _word_element, bruhat_cell, torus
+from .matgroup import GroupMatrix, _word_element, bruhat_cell
 from .weyl import (
     PositiveSubexpression,
     ReducedWord,
@@ -62,20 +62,12 @@ def _double_cell_steps(wminus: WeylElement, wplus: WeylElement, aminus, tor, apl
 
 def phi_plus(word: ReducedWord, coords: Sequence) -> GroupMatrix:
     """x_{i_1}(a_1)···x_{i_m}(a_m); coordinates must be nonnegative."""
-    return _phi(word, coords, "x")
-
-
-def phi_minus(word: ReducedWord, coords: Sequence) -> GroupMatrix:
-    return _phi(word, coords, "y")
-
-
-def _phi(word: ReducedWord, coords: Sequence, kind: str) -> GroupMatrix:
     vals = [frac(c) for c in coords]
     if len(vals) != len(word):
         raise ParamError(f"{len(vals)} coordinates for a length-{len(word)} word")
     if any(v < 0 for v in vals):
         raise ParamError("negative coordinate")
-    return _word_element(word.n, [(kind, i, a) for i, a in zip(word.letters, vals)])
+    return _word_element(word.n, [("x", i, a) for i, a in zip(word.letters, vals)])
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +124,6 @@ def rand_nonneg_fraction(rng: random.Random) -> Fraction:
 # ---------------------------------------------------------------------------
 # samplers
 
-def sample_T_gt0(n: int, rng: random.Random) -> GroupMatrix:
-    return torus([rand_pos_fraction(rng) for _ in range(n - 1)])
-
-
 def sample_Uplus_gt0(n: int, rng: random.Random) -> GroupMatrix:
     word = lex_min_reduced_word(longest_w(n))
     return phi_plus(word, [rand_pos_fraction(rng) for _ in range(len(word))])
@@ -149,14 +137,14 @@ def in_Uplus_gt0(u: GroupMatrix) -> bool:
     return _minors_positive(u.M, strict=False) and bruhat_cell(u.T) == longest_w(u.n)
 
 
-def sample_Uminus_gt0(n: int, rng: random.Random) -> GroupMatrix:
-    word = lex_min_reduced_word(longest_w(n))
-    return phi_minus(word, [rand_pos_fraction(rng) for _ in range(len(word))])
-
-
 def sample_G_gt0(n: int, rng: random.Random) -> GroupMatrix:
-    """U^-_{>0} T_{>0} U^+_{>0}; all minors strictly positive (certified in tests)."""
-    return sample_Uminus_gt0(n, rng) @ sample_T_gt0(n, rng) @ sample_Uplus_gt0(n, rng)
+    """A point of G_{>0} = U^-_{>0} T_{>0} U^+_{>0}, the double Bruhat chart
+    of (w₀, w₀), drawn lower leg, torus, upper leg; all minors strictly
+    positive (certified in tests)."""
+    w0 = longest_w(n)
+    l = w0.length
+    am, tor, ap = ([rand_pos_fraction(rng) for _ in range(k)] for k in (l, n - 1, l))
+    return double_cell_evaluate(w0, w0, am, tor, ap)
 
 
 # ---------------------------------------------------------------------------

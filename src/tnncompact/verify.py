@@ -50,15 +50,16 @@ from .strata import (
     torus_limit,
 )
 from .tnn import (
+    ParamError,
+    double_cell_evaluate,
     in_Uplus_gt0,
+    is_totally_nonneg,
     is_totally_positive,
     mr_evaluate,
     phi_plus,
     rand_nonneg_fraction,
     rand_pos_fraction,
     sample_G_gt0,
-    sample_T_gt0,
-    sample_Uminus_gt0,
     sample_Uplus_gt0,
 )
 from .weyl import (
@@ -68,6 +69,7 @@ from .weyl import (
     all_reduced_words,
     all_weyl,
     bruhat_leq,
+    identity_w,
     lex_min_reduced_word,
     longest_w,
     positive_subexpression,
@@ -233,12 +235,13 @@ def _criterion_data(n: int) -> list[EmbeddingData]:
 
 
 def _positive_point(J: ParabolicSubset, rng: random.Random) -> CompactPoint:
-    """(u1·t, u2⁻¹)·z°_J with strictly positive unipotents and torus."""
-    n = J.n
-    u1 = sample_Uminus_gt0(n, rng)
+    """(u1·t, u2⁻¹)·z°_J with strictly positive unipotents and torus; u1·t
+    is the double Bruhat chart of (w₀, e), and the draws run u1, u2, t."""
+    n, w0 = J.n, longest_w(J.n)
+    am = [rand_pos_fraction(rng) for _ in range(w0.length)]
     u2 = sample_Uplus_gt0(n, rng)
-    t = sample_T_gt0(n, rng)
-    return CompactPoint(J, u1 @ t, u2)
+    tor = [rand_pos_fraction(rng) for _ in range(n - 1)]
+    return CompactPoint(J, double_cell_evaluate(w0, identity_w(n), am, tor, ()), u2)
 
 
 def suite_positivity_forward(cfg: VerifyConfig) -> SuiteReport:
@@ -324,6 +327,14 @@ def suite_marsh_rietsch(cfg: VerifyConfig) -> SuiteReport:
                     if not bruhat_leq(v, w):
                         continue
                     psub = positive_subexpression(word, v)
+                    if psub.jcirc:
+                        # negative control: a zero coordinate is outside the chart
+                        zero = [0] + [1] * (len(psub.jcirc) - 1)
+                        rep.check(
+                            _raised(ParamError, mr_evaluate, psub, zero) is not None,
+                            n=n, word=list(letters), v=list(v.perm),
+                            reason="chart accepted a zero coordinate",
+                        )
                     for s in range(cfg.seeds):
                         rng = random.Random(BASE_SEED + 31 * s)
                         coords = [rand_pos_fraction(rng) for _ in psub.jcirc]
@@ -501,6 +512,21 @@ def suite_monoid(cfg: VerifyConfig) -> SuiteReport:
         rep.check(
             in_Uplus_gt0(u1 @ u), k=k, reason="left absorption left the strict unipotent cone"
         )
+    # negative controls: u⁻¹ is upper unipotent in B⁻ẇ₀B⁻ with a negative
+    # (1, 2) entry, and uᵀ·x-word(w₀) with one zero coordinate is TNN, not TP
+    w0_word = lex_min_reduced_word(longest_w(n))
+    for k in range(30):
+        u = sample_Uplus_gt0(n, rng)
+        b = [rand_pos_fraction(rng) for _ in range(len(w0_word))]
+        b[k % len(b)] = 0
+        g = u.T @ phi_plus(w0_word, b)
+        rep.check(
+            not in_Uplus_gt0(u.inverse()), k=k, reason="an inverse unipotent passed as positive"
+        )
+        rep.check(
+            is_totally_nonneg(g) and not is_totally_positive(g),
+            k=k, reason="a word with a zero coordinate passed as totally positive",
+        )
     return rep
 
 
@@ -537,6 +563,11 @@ def run_suite(name: str, cfg: VerifyConfig) -> SuiteReport:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     check_scale(name, cfg)
     t0 = time.monotonic()
-    rep = SUITES[name](cfg)
+    try:
+        rep = SUITES[name](cfg)
+    except Exception as e:
+        # a suite that raises is one failed case, and the run goes on
+        rep = SuiteReport(name)
+        rep.check(False, reason="suite raised", error=f"{type(e).__name__}: {e}")
     rep.wall = time.monotonic() - t0
     return rep

@@ -49,8 +49,9 @@ def test_criterion_4_entrywise_criterion_converse_evidence():
 
 def test_criterion_5_marsh_rietsch_correctness():
     """Every chart for every (v, w) and every reduced word, n ≤ 3, lands in
-    its double coset: pos(B^+,·) = w and pos(B^-,·) = w0·v; exhaustive."""
-    _run("marsh-rietsch", 140)
+    its double coset: pos(B^+,·) = w and pos(B^-,·) = w0·v; exhaustive.
+    Each chart with a free step refuses a zero coordinate."""
+    _run("marsh-rietsch", 159)
 
 
 def test_criterion_6_roundtrip_classification():
@@ -83,5 +84,7 @@ def test_criterion_9_retraction():
 
 def test_criterion_10_monoid_cross_checks():
     """Sampler outputs pass the all-minors test; products and transposes
-    stay strictly positive; one-sided absorption keeps unipotent cones."""
-    _run("monoid", 150)
+    stay strictly positive; one-sided absorption keeps unipotent cones.
+    Inverses of positive unipotents and words with a zero coordinate are
+    refused."""
+    _run("monoid", 210)

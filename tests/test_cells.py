@@ -45,7 +45,7 @@ from tnncompact.strata import (
     psibar,
     torus_limit,
 )
-from tnncompact.tnn import phi_minus, rand_pos_fraction, sample_G_gt0
+from tnncompact.tnn import rand_pos_fraction, sample_G_gt0
 from tnncompact.weyl import (
     ParabolicSubset,
     ReducedWord,
@@ -398,9 +398,12 @@ def test_chart_point_cuts_coordinates_in_one_order():
     word = ReducedWord(3, (1, 2))
     assert label.w == J.max_coset_rep() and lex_min_reduced_word(label.w) == word
 
+    def y_word(a):  # y_1(a_1)·y_2(a_2), the y-word of (1, 2)
+        return generator_y(3, 1, a[0]) @ generator_y(3, 2, a[1])
+
     def by_generators(c):
-        g1 = phi_minus(word, c[:2]) @ generator_y(3, 1, c[5]) @ torus([c[4], 1])
-        return CompactPoint(J, g1 @ generator_x(3, 1, c[6]), phi_minus(word, c[2:4]).T)
+        g1 = y_word(c[:2]) @ generator_y(3, 1, c[5]) @ torus([c[4], 1])
+        return CompactPoint(J, g1 @ generator_x(3, 1, c[6]), y_word(c[2:4]).T)
 
     coords = [Fraction(k, 3) for k in range(1, 8)]
     assert dimension_of(label) == len(coords)

@@ -17,7 +17,7 @@ from tnncompact.cli import main
 from tnncompact.matgroup import GroupError, GroupMatrix
 from tnncompact.strata import StrataError, torus_limit
 from tnncompact.tnn import sample_G_gt0
-from tnncompact.weyl import ParabolicSubset
+from tnncompact.weyl import ParabolicSubset, WeylError
 
 
 def test_frac_roundtrip():
@@ -220,6 +220,24 @@ def test_cli_limit_and_tp_check(tmp_path):
     assert main(["tp-check", "--matrix-file", str(mfile)]) == 0
     mfile.write_text(json.dumps(ser.group_to_json(GroupMatrix(identity(2)))))
     assert main(["tp-check", "--matrix-file", str(mfile)]) == 1
+
+
+def test_cli_verify_all_goes_on_past_a_suite_that_raises(monkeypatch, capsys):
+    """A suite that raises is one failed case: every suite still prints
+    its status line, the raising one FAILs, and nothing reaches stderr."""
+
+    def _raise(label, seed):
+        raise WeylError("forced")
+
+    monkeypatch.setattr(verify, "jacobian_rank_check", _raise)
+    assert main(["verify", "all", "--n", "2"]) == 1
+    captured = capsys.readouterr()
+    lines = [line for line in captured.out.splitlines() if line.startswith("[")]
+    assert len(lines) == len(verify.SUITES) == 10
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] dimensions: 1 cases, 1 failures")
+    assert '"error": "WeylError: forced"' in captured.out
+    assert captured.err == ""
 
 
 def test_cli_verify_single_suite(capsys):
@@ -425,6 +443,7 @@ def test_verification_script_rejects_scales_out_of_range(argv, capsys):
 
 ROOT = Path(__file__).resolve().parent.parent
 CENSUS_SCRIPT = ROOT / "scripts" / "run_census.py"
+MUTANTS_SCRIPT = ROOT / "scripts" / "mutants.py"
 
 
 def _load_script(path):
@@ -533,3 +552,13 @@ def test_readers_raise_only_reported_errors(kind, data):
         reader(record)
     except (ser.SchemaError, GroupError, StrataError):
         pass
+
+
+def test_mutant_catalog_entry_fails_its_suite():
+    """The catalog's mr_evaluate mutant, applied to a copy of src/, makes
+    `verify marsh-rietsch --n 2` exit 1 on a [FAIL] line, not a traceback."""
+    mutants = _load_script(MUTANTS_SCRIPT)
+    got = mutants.run_mutant(
+        "mr_evaluate accepts a zero coordinate", ("verify", "marsh-rietsch", "--n", "2")
+    )
+    assert got == {"exit": 1, "failed": ["marsh-rietsch"], "traceback": False}

@@ -39,7 +39,6 @@ METRIC_ONLY = {
     "linalg.span_intersection",
     "matgroup.pi_factor",
     "serialize.cells_to_json",
-    "tnn.double_cell_evaluate",
     "tnn.is_tnn_matrix",
 }
 

@@ -138,10 +138,11 @@ def test_total_positivity_iff_compound_entries():
 
 def test_highest_weight_line_positive_on_upper_positive():
     rng = random.Random(5)
-    from tnncompact.tnn import sample_Uplus_gt0, sample_T_gt0
+    from tnncompact.matgroup import torus
+    from tnncompact.tnn import rand_pos_fraction, sample_Uplus_gt0
 
     for n in (2, 3, 4):
-        b = sample_T_gt0(n, rng) @ sample_Uplus_gt0(n, rng)
+        b = torus([rand_pos_fraction(rng) for _ in range(n - 1)]) @ sample_Uplus_gt0(n, rng)
         for k in range(1, n):
             c = compound(b.m, k)
             assert c[0][0] > 0

@@ -53,23 +53,25 @@ from tnncompact.strata import (
     torus_limit,
 )
 from tnncompact.tnn import (
+    double_cell_evaluate,
     is_totally_positive,
     rand_pos_fraction,
     sample_G_gt0,
-    sample_T_gt0,
-    sample_Uminus_gt0,
     sample_Uplus_gt0,
 )
 from tnncompact.verify import VerifyConfig, _negative_levi_point, suite_limits, suite_retraction
-from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets, all_weyl
+from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets, all_weyl, identity_w, longest_w
 
 ALL_J3 = [[], [1], [2], [1, 2]]
 
 
 def positive_point(J, rng):
-    n = J.n
+    """(u1·t, u2⁻¹)·z°_J, drawn u1, t, u2; u1·t is the (w₀, e) chart."""
+    n, w0 = J.n, longest_w(J.n)
+    am = [rand_pos_fraction(rng) for _ in range(w0.length)]
+    tor = [rand_pos_fraction(rng) for _ in range(n - 1)]
     return act(
-        sample_Uminus_gt0(n, rng) @ sample_T_gt0(n, rng),
+        double_cell_evaluate(w0, identity_w(n), am, tor, ()),
         sample_Uplus_gt0(n, rng).inverse(),
         base_point(J),
     )
@@ -381,7 +383,7 @@ def test_limit_check_accepts_only_the_limit_point(n):
         c = tuple(0 if i in J.J else rng.choice([1, 2]) for i in range(1, n))
         g1, g2 = sample_G_gt0(n, rng), sample_G_gt0(n, rng)
         z = torus_limit(g1, c, g2)
-        t = sample_T_gt0(n, rng)
+        t = torus([rand_pos_fraction(rng) for _ in range(n - 1)])
         same = act(g1 @ t, g2.inverse() @ t, base_point(J))
         assert same == z
         for point in (z, same):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 from oracles import (
+    evaluate_word,
     fraction_is_tnn,
     fraction_is_totally_positive,
     gauss_jordan_inverse,
@@ -26,6 +27,7 @@ from oracles import (
 
 from tnncompact import linalg as la
 from tnncompact.cells import chart_point, dimension_of, top_label
+from tnncompact.verify import _positive_point
 from tnncompact.matgroup import (
     _word_element,
     borel_minus,
@@ -56,6 +58,7 @@ from tnncompact.weyl import (
     all_weyl,
     bruhat_leq,
     identity_w,
+    lex_min_reduced_word,
     longest_w,
     positive_subexpression,
     simple_reflection,
@@ -103,6 +106,33 @@ def test_sample_G_gt0_minors_products_psi(n):
         assert is_totally_positive(g)
         assert is_totally_positive(g @ h)
         assert is_totally_positive(g.T)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_positive_samplers_are_one_chart_word(n):
+    """sample_G_gt0 is the (w₀, w₀) chart, drawn lower leg, torus, upper
+    leg, and a positive point is (u1·t, u2) with u1·t the (w₀, e) chart,
+    drawn u1, u2, t: each equals its y-word, torus and x-word multiplied out
+    over Fraction from the same draws."""
+    letters = lex_min_reduced_word(longest_w(n)).letters
+    l, one = len(letters), Fraction(1)
+
+    def draws(rng, k):
+        return [rand_pos_fraction(rng) for _ in range(k)]
+
+    def leg(kind, coords):
+        return [(kind, i, a) for i, a in zip(letters, coords)]
+
+    for s in range(50):
+        rng = random.Random(s)
+        am, tor, ap = draws(rng, l), draws(rng, n - 1), draws(rng, l)
+        want = evaluate_word(n, leg("y", am) + [("t", 0, tor)] + leg("x", ap), one)
+        assert sample_G_gt0(n, random.Random(s)).m == want
+        rng = random.Random(s)
+        am, ap, tor = draws(rng, l), draws(rng, l), draws(rng, n - 1)
+        z = _positive_point(ParabolicSubset.of(n, []), random.Random(s))
+        assert z.g1.m == evaluate_word(n, leg("y", am) + [("t", 0, tor)], one)
+        assert z.g2.m == evaluate_word(n, leg("x", ap), one)
 
 
 @given(square_matrices())

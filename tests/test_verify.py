@@ -18,6 +18,7 @@ CFG = verify.VerifyConfig(n=2, seeds=2, samples=3)
 _classify, _sample_cell = verify.classify, verify.sample_cell
 _enumerate_cells, _membership = verify.enumerate_cells, verify.membership_Zgt0
 _bruhat_cell = verify.bruhat_cell
+_tp, _in_Uplus, _mr_evaluate = verify.is_totally_positive, verify.in_Uplus_gt0, verify.mr_evaluate
 
 
 def _next_label(z):
@@ -43,8 +44,13 @@ WRONG = {
         CFG, {"iJ_of_point": _zero_images, "membership_Zgt0": lambda z: not _membership(z)}
     ),
     "positivity-converse": (CFG, {"membership_Zgt0": lambda z: not _membership(z)}),
+    # an mr_evaluate that takes a zero coordinate as 1 accepts zeros
     "marsh-rietsch": (
-        CFG, {"bruhat_cell": lambda g: _bruhat_cell(g) * longest_w(g.n)}
+        CFG,
+        {
+            "bruhat_cell": lambda g: _bruhat_cell(g) * longest_w(g.n),
+            "mr_evaluate": lambda psub, coords: _mr_evaluate(psub, [c or 1 for c in coords]),
+        },
     ),
     "roundtrip": (CFG, {"classify": _next_label}),
     # every label at n = 2 is nonempty, so the refusal cases start at n = 3
@@ -57,21 +63,25 @@ WRONG = {
     ),
     "limits": (CFG, {"proj_equal": lambda a, b: False, "iJ_of_point": _zero_images}),
     "retraction": (CFG, {"positive_retraction": _refuse}),
-    "monoid": (CFG, {"is_totally_positive": lambda g: False, "in_Uplus_gt0": lambda u: False}),
+    "monoid": (
+        CFG,
+        {"is_totally_positive": lambda g: not _tp(g), "in_Uplus_gt0": lambda u: not _in_Uplus(u)},
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(verify.SUITES))
 def test_every_counted_case_can_fail(name, monkeypatch):
     """With its library calls answering wrongly, a suite fails every case
-    it counts; census keeps its wall-clock case, which no wrong answer
-    slows down."""
+    it counts, each by its own check and not by raising; census keeps its
+    wall-clock case, which no wrong answer slows down."""
     cfg, fakes = WRONG[name]
     for attr, fake in fakes.items():
         monkeypatch.setattr(verify, attr, fake)
     rep = verify.run_suite(name, cfg)
     assert rep.cases > 0
     assert len(rep.failures) == rep.cases - (name == "census")
+    assert all(f.get("reason") != "suite raised" for f in rep.failures)
 
 
 @pytest.mark.parametrize("name", list(verify.SUITES))

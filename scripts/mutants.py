@@ -50,6 +50,16 @@ MUTANTS = {
         "zip(v.perm[:-2], w.perm[:-2])",
     ),
     "dimension_of adds |J| twice": ("cells.py", "+ len(J.J)", "+ 2 * len(J.J)"),
+    "the full-rank decision always returns True": (
+        "cells.py",
+        "    return rank == d",
+        "    return True",
+    ),
+    "the full-rank decision accepts rank ≥ d − 1": (
+        "cells.py",
+        "    return rank == d",
+        "    return rank >= d - 1",
+    ),
     "associated_borel drops J.min_rep": (
         "matgroup.py",
         "u = J.min_rep(w.inverse())",

@@ -16,7 +16,9 @@ in the base-point frame, and the dimension formula
 
 is verified geometrically by the exact rank of the chart map: the rank of
 its tangent vectors in gl_n ⊕ gl_n modulo the Lie algebra of the
-stabilizer of z°_J, over Fraction, with no dual numbers and no compounds.
+stabilizer of z°_J, with no dual numbers and no compounds.  A rank of d
+mod p = 2^61 − 1 certifies it, since the chart has d tangent vectors and
+reduction mod p can only lower a rank; only a miss runs it over Fraction.
 """
 
 from __future__ import annotations
@@ -311,6 +313,7 @@ def _gamma_position(z: CompactPoint, h: GroupMatrix) -> WeylElement:
 # exact Jacobian rank of the chart map
 
 _JACOBIAN_TRIES = 3  # chart points tried before a rank deficit is reported
+_P = 2**61 - 1  # the prime of the full-rank certificate
 
 
 def jacobian_rank_check(label: CellLabel, seed: int) -> bool:
@@ -323,19 +326,39 @@ def jacobian_rank_check(label: CellLabel, seed: int) -> bool:
     chart's tangent vectors in the stratum Z_J (``_tangent_rank``), equal
     to its rank into the fundamental representations, since Z_J embeds in
     ∏_k P(End Λ^k).
+
+    ``_full_rank`` certifies rank d mod p = 2^61 − 1 first, and runs the
+    exact rank only on a miss.  That is sound: the chart has d tangent
+    vectors, and reduction mod p can only lower a rank, so a rank of d mod
+    p proves the exact rank is d.
     """
     d = dimension_of(label)
     for attempt in range(_JACOBIAN_TRIES):
         rng = random.Random(seed * 1009 + attempt)
         vals = [rand_pos_fraction(rng) for _ in range(d)]
-        if _tangent_rank(label.J, *_chart_words(_chart(label, vals, Fraction(1)))) == d:
+        if _full_rank(label.J, *_chart_words(_chart(label, vals, Fraction(1))), d):
             return True
     return False
 
 
-def _tangent_rank(J: ParabolicSubset, word1, word2) -> int:
+def _full_rank(J: ParabolicSubset, word1, word2, d: int) -> bool:
+    """True iff ``_tangent_rank(J, word1, word2)`` is d, for the words of a
+    chart of dimension d: by the rank mod ``_P`` (``jacobian_rank_check``),
+    and by the exact rank on a miss, which includes a residue with no
+    inverse."""
+    try:
+        rank = _tangent_rank(J, word1, word2, _P)
+    except ValueError:  # a residue with no inverse mod p
+        rank = None
+    if rank != d:
+        rank = _tangent_rank(J, word1, word2)
+    return rank == d
+
+
+def _tangent_rank(J: ParabolicSubset, word1, word2, p: int | None = None) -> int:
     """Exact rank, at the steps' Fraction values, of the chart
-    (F_1···F_m, (G_1···G_r)ᵀ) of a point (g1, g2⁻¹)·z°_J of Z_J.
+    (F_1···F_m, (G_1···G_r)ᵀ) of a point (g1, g2⁻¹)·z°_J of Z_J; over Z/p
+    when p is given (``_tangent_vectors``), which can only lower it.
 
     The variables are every x_i and y_i step and the coroots j ∈ J of a
     torus step.  The orbit map (h1, h2) ↦ (h1, h2)·z°_J is a submersion, so
@@ -351,21 +374,21 @@ def _tangent_rank(J: ParabolicSubset, word1, word2) -> int:
     below, within, links = _quotient_layout(J)
     zeros = [0] * len(below)
     rows = []
-    for xi in _tangent_vectors(J, word1):
+    for xi in _tangent_vectors(J, word1, p):
         rows.append(
             [xi[r][c] for r, c in below]
             + zeros
             + [xi[r][c] for r, c in within]
             + [xi[j - 1][j - 1] - xi[j][j] for j in links]
         )
-    for xi in _tangent_vectors(J, word2):
+    for xi in _tangent_vectors(J, word2, p):
         rows.append(
             zeros
             + [-xi[r][c] for r, c in below]
             + [xi[c][r] for r, c in within]
             + [xi[j - 1][j - 1] - xi[j][j] for j in links]
         )
-    return la.rank(rows)
+    return la.rank(rows) if p is None else la._rank_mod_p(rows, p)
 
 
 def _quotient_layout(J: ParabolicSubset):
@@ -382,29 +405,34 @@ def _quotient_layout(J: ParabolicSubset):
     return below, within, sorted(J.J)
 
 
-def _tangent_vectors(J: ParabolicSubset, word):
+def _tangent_vectors(J: ParabolicSubset, word, p: int | None = None):
     """For the word F_1···F_m, one tangent vector per variable, up to a
     nonzero factor: ξ = S⁻¹·(F_k⁻¹·∂F_k)·S with S = F_{k+1}···F_m, in the
     order of the steps from right to left.
 
     F_k⁻¹·∂F_k is E_{i−1,i} for x_i and E_{i,i−1} for y_i, so ξ is column
-    p of S⁻¹ times row q of S; for a coroot a_j it is diag(1 at j−1, −1 at
+    u of S⁻¹ times row v of S; for a coroot a_j it is diag(1 at j−1, −1 at
     j) over a_j.  One pass keeps S by row operations and the columns of S⁻¹
-    by the matching column operations."""
+    by the matching column operations.  When p is given, each value a/b
+    is read as a·b⁻¹ mod p, so the integer entries are congruent mod p to
+    the rational ones; ``pow`` raises ValueError when p divides b."""
     n = J.n
+    ratio = Fraction if p is None else (lambda a, b: a * pow(b, -1, p) % p)
     s = [[int(r == c) for c in range(n)] for r in range(n)]  # S, by rows
     t = [[int(r == c) for c in range(n)] for r in range(n)]  # S⁻¹, by columns
 
-    def outer(p, q):
-        return [[x * y for y in s[q]] for x in t[p]]
+    def outer(u, v):
+        return [[x * y for y in s[v]] for x in t[u]]
 
     for kind, i, a in reversed(word):
         if kind == "x":
             yield outer(i - 1, i)
+            a = ratio(a.numerator, a.denominator)
             s[i - 1] = [x + a * y for x, y in zip(s[i - 1], s[i])]
             t[i] = [x - a * y for x, y in zip(t[i], t[i - 1])]
         elif kind == "y":
             yield outer(i, i - 1)
+            a = ratio(a.numerator, a.denominator)
             s[i] = [x + a * y for x, y in zip(s[i], s[i - 1])]
             t[i - 1] = [x - a * y for x, y in zip(t[i - 1], t[i])]
         elif kind == "s":
@@ -416,7 +444,9 @@ def _tangent_vectors(J: ParabolicSubset, word):
                     [x - y for x, y in zip(r0, r1)]
                     for r0, r1 in zip(outer(j - 1, j - 1), outer(j, j))
                 ]
-            for k, d in enumerate(c / p for c, p in zip([*a, 1], [1, *a])):
-                if d != 1:
+            a = [ratio(x.numerator, x.denominator) for x in a]
+            for k, (c, q) in enumerate(zip([*a, 1], [1, *a])):
+                if c != q:
+                    d, e = ratio(c, q), ratio(q, c)
                     s[k] = [x * d for x in s[k]]
-                    t[k] = [x / d for x in t[k]]
+                    t[k] = [x * e for x in t[k]]

@@ -144,6 +144,29 @@ def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, int, int]:
     return r, prev, sign
 
 
+def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank over Z/p, p prime, of the integer rows, by Gaussian elimination
+    on their residues; it stops once every row has a pivot."""
+    a = [[x % p for x in row] for row in rows]
+    nr = len(a)
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, nr) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pr = a[r]
+        inv = pow(pr[c], -1, p)
+        for i in range(r + 1, nr):
+            f = a[i][c] * inv % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], pr)]
+        r += 1
+        if r == nr:
+            break
+    return r
+
+
 def det(m: Matrix) -> Fraction:
     """Determinant by integer Bareiss elimination (denominators cleared)."""
     n, nc = dims(m)

@@ -20,6 +20,9 @@ from . import serialize as ser
 from .cells import (
     CellLabel,
     EmptyCellError,
+    _chart,
+    _chart_words,
+    _full_rank,
     _stratum_walk,
     chart_point,
     classify,
@@ -210,16 +213,48 @@ def suite_census(cfg: VerifyConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # 2. dimension formula vs geometry
 
+_MERGED_CONTROLS = 1000  # labels per n that the merged-step controls draw from
+
+
 def suite_dimensions(cfg: VerifyConfig) -> SuiteReport:
+    """Every label's chart has rank d; controls: with two free steps of word
+    1 merged, it has not (every label at n ≤ 3, a seeded sample beyond)."""
     rep = SuiteReport("dimensions")
     for n in range(2, cfg.n + 1):
-        for label, _ in enumerate_cells(n):
+        labels = [label for label, _ in enumerate_cells(n)]
+        for label in labels:
             rep.check(
                 jacobian_rank_check(label, BASE_SEED),
                 n=n, label=label, seed=BASE_SEED,
                 reason="jacobian rank differs from cell dimension",
             )
+        for label in random.Random(BASE_SEED).sample(labels, min(len(labels), _MERGED_CONTROLS)):
+            words = _merged_chart_words(label, BASE_SEED)
+            if words is not None:
+                rep.check(
+                    not _full_rank(label.J, *words, dimension_of(label)),
+                    n=n, label=label, seed=BASE_SEED,
+                    reason="a chart with two merged steps has full rank",
+                )
     return rep
+
+
+def _merged_chart_words(label: CellLabel, seed: int):
+    """The chart words of label at the coordinates of sample_cell(label,
+    seed), with word 1's second free step moved next to its first and
+    given the first's generator, or None when word 1 has fewer than two
+    free steps.  The chart then runs through z_i(a)·z_i(b) = z_i(a + b), so
+    two of its d tangent vectors coincide and its rank is below d."""
+    rng = random.Random(seed)
+    coords = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
+    word1, word2 = _chart_words(_chart(label, coords, 1))
+    free = [k for k, (kind, _, _) in enumerate(word1) if kind in ("x", "y")]
+    if len(free) < 2:
+        return None
+    first, second = free[:2]
+    step = word1.pop(second)
+    word1.insert(first + 1, word1[first][:2] + step[2:])
+    return word1, word2
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,38 @@ def test_jacobian_rank_check_fails_a_chart_with_a_repeated_tangent(monkeypatch):
     assert not any(jacobian_rank_check(label, k) for k, label in enumerate(labels))
 
 
+def test_full_rank_certificate_falls_back_on_every_miss(monkeypatch):
+    """With p = 5 the certificate misses often, on a rank drop mod 5 or a
+    value 5 with no inverse, the exact rank decides, and every n ≤ 3
+    verdict stays True."""
+    import tnncompact.cells as cells
+
+    exact = cells._tangent_rank
+    fallbacks = []
+    monkeypatch.setattr(cells, "_P", 5)
+    monkeypatch.setattr(cells, "_tangent_rank", lambda *words: fallbacks.append(words) or exact(*words))
+    labels = [label for n in (2, 3) for label, _ in enumerate_cells(n)]
+    assert all(jacobian_rank_check(label, k) for k, label in enumerate(labels))
+    assert fallbacks
+
+
+@pytest.mark.parametrize(
+    "js, word1",
+    [([], [("y", 1, Fraction(1, 5))]), ([1], [("t", 0, (Fraction(5),))])],
+    ids=["denominator", "torus-numerator"],
+)
+def test_full_rank_treats_a_residue_with_no_inverse_as_a_miss(js, word1, monkeypatch):
+    """A denominator, or a torus value's numerator, divisible by p has no
+    inverse mod p: the certificate misses and the exact rank decides."""
+    import tnncompact.cells as cells
+
+    J = ParabolicSubset.of(2, js)
+    with pytest.raises(ValueError):
+        cells._tangent_rank(J, word1, [], 5)
+    monkeypatch.setattr(cells, "_P", 5)
+    assert cells._full_rank(J, word1, [], 1)
+
+
 def _random_nonempty_label(n, rng):
     gens = list(range(1, n))
     js = rng.choice([c for r in range(n) for c in combinations(gens, r)])

@@ -258,7 +258,7 @@ def test_cli_verify_all_out_names_the_suite_of_each_failure(to_file, tmp_path, m
     printed = capsys.readouterr().out
     lines, _, document = printed.partition("{")
     assert len(lines.splitlines()) == len(verify.SUITES)
-    assert "[FAIL] dimensions: 13 cases, 1 failures" in lines
+    assert "[FAIL] dimensions: 14 cases, 1 failures" in lines
     if to_file:
         assert document == ""
         written = out.read_text()
@@ -562,3 +562,13 @@ def test_mutant_catalog_entry_fails_its_suite():
         "mr_evaluate accepts a zero coordinate", ("verify", "marsh-rietsch", "--n", "2")
     )
     assert got == {"exit": 1, "failed": ["marsh-rietsch"], "traceback": False}
+
+
+def test_mutant_catalog_full_rank_entry_fails_dimensions():
+    """The catalog's always-True full-rank decision, applied to a copy of
+    src/, fails the one merged-step control of `verify dimensions --n 2`."""
+    mutants = _load_script(MUTANTS_SCRIPT)
+    got = mutants.run_mutant(
+        "the full-rank decision always returns True", ("verify", "dimensions", "--n", "2")
+    )
+    assert got == {"exit": 1, "failed": ["dimensions"], "traceback": False}

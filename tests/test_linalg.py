@@ -216,16 +216,31 @@ def test_rank_of_a_fraction_or_mixed_matrix_clears_denominators(m, data):
 
 
 def test_tangent_rank_takes_the_fraction_route(monkeypatch):
-    """The Jacobian rank check's rows hold Fractions, so its rank clears
-    denominators."""
-    from tnncompact.cells import jacobian_rank_check, top_label
+    """The exact tangent rank's rows hold Fractions, so its rank clears
+    denominators: here on the chart words of the first point that
+    ``jacobian_rank_check(label, 0)`` tries."""
+    from tnncompact.cells import _chart, _chart_words, _tangent_rank, dimension_of, top_label
+    from tnncompact.tnn import rand_pos_fraction
     from tnncompact.weyl import ParabolicSubset
 
+    label = top_label(ParabolicSubset.of(3, [1]))
+    rng = random.Random(0)
+    vals = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
+    words = _chart_words(_chart(label, vals, Fraction(1)))
     calls = []
     route = la._integer_rows
     monkeypatch.setattr(la, "_integer_rows", lambda a: calls.append(a) or route(a))
-    assert jacobian_rank_check(top_label(ParabolicSubset.of(3, [1])), 0)
+    assert _tangent_rank(label.J, *words) == dimension_of(label)
     assert calls and any(type(x) is Fraction for row in calls[-1] for x in row)
+
+
+@given(st.one_of(integer_matrices(), rectangular_matrices()), st.sampled_from([2, 3, 5, 2**61 - 1]))
+def test_rank_mod_p_never_exceeds_the_rank(m, p):
+    """Reduction mod p can only lower a rank: on int and Fraction matrices,
+    tall and wide, the rank over Z/p of the rows with denominators cleared
+    is at most the exact rank.  The Jacobian check's full-rank certificate
+    rests on this."""
+    assert la._rank_mod_p(la._integer_rows(m)[0], p) <= la.rank(m)
 
 
 def test_ldu_reassembly_and_failure():

@@ -377,7 +377,7 @@ def test_unipotent_absorption():
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_in_unipotent_cell_needs_the_minor_test(n):
+def test_in_Uplus_gt0_needs_the_minor_test(n):
     """Negative control: x = x_1(−t)·u for u in U^+_{>0} and t one more than
     u's (1, 2) entry is upper unipotent with the lower-left rank profile of
     w0, so only the TNN minor test tells it from U^+_{w0,>0}: its (1, 2)

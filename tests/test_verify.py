@@ -39,7 +39,11 @@ def _zero_images(z, data):
 WRONG = {
     # drops the first cell: wrong labels, count, strata split, multiset and sum
     "census": (CFG, {"enumerate_cells": lambda n: _enumerate_cells(n)[1:]}),
-    "dimensions": (CFG, {"jacobian_rank_check": lambda label, seed: False}),
+    # every chart is rank-deficient, and a merged-step chart has full rank
+    "dimensions": (
+        CFG,
+        {"jacobian_rank_check": lambda label, seed: False, "_full_rank": lambda J, w1, w2, d: True},
+    ),
     "positivity-forward": (
         CFG, {"iJ_of_point": _zero_images, "membership_Zgt0": lambda z: not _membership(z)}
     ),

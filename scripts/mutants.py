@@ -65,6 +65,16 @@ MUTANTS = {
         "u = J.min_rep(w.inverse())",
         "u = w.inverse()",
     ),
+    "proj_equal returns True": (
+        "exterior.py",
+        "return la.scale(a, cb) == la.scale(b, ca)",
+        "return True",
+    ),
+    "positive_retraction drops its membership check": (
+        "strata.py",
+        "if not membership_Zgt0(out):",
+        "if False:",
+    ),
 }
 
 

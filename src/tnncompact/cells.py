@@ -7,10 +7,12 @@ explicit parametrization (Marsh-Rietsch charts for the two flags, a totally
 positive double Bruhat chart of the Levi for the coset part), realized as
 the action pair of a stratum point by ``chart_point``.  Its coordinates are
 laid out in one order: the free steps of flag chart 1, those of flag chart
-2, the coroots j ∈ J, the Levi's lower leg, then its upper leg.  The
-sampler draws them in that order, the Jacobian rank check differentiates
-the same chart, the classifier reads the label back off relative positions
-in the base-point frame, and the dimension formula
+2, the coroots j ∈ J, the Levi's lower leg, then its upper leg.  A sample
+at a seed is one chart point, drawn from Random(seed) in that order; the
+Jacobian rank check differentiates the chart at that point (``tnncompact
+sample --label-file <label> --seed <seed>`` replays it), the classifier
+reads the label back off relative positions in the base-point frame, and
+the dimension formula
 
     d = l(w) + l(w') + 2·l(w^J_0) + |J| - l(v) - l(v') - l(y) - l(y')
 
@@ -214,15 +216,21 @@ def chart_point(label: CellLabel, coords) -> CompactPoint:
 
 def sample_cell(label: CellLabel, seed: int) -> tuple[tuple[Fraction, ...], CompactPoint]:
     """Draw a point of the labeled cell: (coords, chart_point(label,
-    coords)) for dimension_of(label) positive coordinates drawn in the
-    order of ``_chart``.  The point is (g·l, ψ(g'))·z°_J, that is
-    (^g P_J, ^{ψ(g')⁻¹} Q_J, g·H·l·U·ψ(g')), with g, g' Marsh-Rietsch
-    positive and l in the Levi double cell indexed by (y·w^J_0, w^J_0·y')."""
+    coords)) for dimension_of(label) positive coordinates drawn from
+    Random(seed) in the order of ``_chart``.  The point is
+    (g·l, ψ(g'))·z°_J, that is (^g P_J, ^{ψ(g')⁻¹} Q_J, g·H·l·U·ψ(g')),
+    with g, g' Marsh-Rietsch positive and l in the Levi double cell indexed
+    by (y·w^J_0, w^J_0·y')."""
     if not label.is_nonempty():
         raise EmptyCellError(f"refusing to sample the empty cell {label}")
-    rng = random.Random(seed)
-    coords = tuple(rand_pos_fraction(rng) for _ in range(dimension_of(label)))
+    coords = _sample_coords(label, seed)
     return coords, chart_point(label, coords)
+
+
+def _sample_coords(label: CellLabel, seed: int) -> tuple[Fraction, ...]:
+    """sample_cell's coordinates: dimension_of(label) draws from Random(seed)."""
+    rng = random.Random(seed)
+    return tuple(rand_pos_fraction(rng) for _ in range(dimension_of(label)))
 
 
 def _chart(label: CellLabel, coords, one):
@@ -312,13 +320,14 @@ def _gamma_position(z: CompactPoint, h: GroupMatrix) -> WeylElement:
 # ---------------------------------------------------------------------------
 # exact Jacobian rank of the chart map
 
-_JACOBIAN_TRIES = 3  # chart points tried before a rank deficit is reported
 _P = 2**61 - 1  # the prime of the full-rank certificate
 
 
 def jacobian_rank_check(label: CellLabel, seed: int) -> bool:
-    """True iff the chart map, at a random positive rational chart point,
-    has exact rank equal to the cell dimension.
+    """True iff the chart map has exact rank equal to the cell dimension at
+    one chart point: the coordinates of ``sample_cell(label, seed)``, so
+    ``tnncompact sample --label-file <label> --seed <seed>`` replays the
+    point, and its ``charts`` block holds the coordinates that were ranked.
 
     Coordinates: those of ``_chart``, in its order: the free Marsh-Rietsch
     steps of both charts, one coroot coordinate per j ∈ J, and the two
@@ -332,13 +341,8 @@ def jacobian_rank_check(label: CellLabel, seed: int) -> bool:
     vectors, and reduction mod p can only lower a rank, so a rank of d mod
     p proves the exact rank is d.
     """
-    d = dimension_of(label)
-    for attempt in range(_JACOBIAN_TRIES):
-        rng = random.Random(seed * 1009 + attempt)
-        vals = [rand_pos_fraction(rng) for _ in range(d)]
-        if _full_rank(label.J, *_chart_words(_chart(label, vals, Fraction(1))), d):
-            return True
-    return False
+    coords = _sample_coords(label, seed)
+    return _full_rank(label.J, *_chart_words(_chart(label, coords, 1)), len(coords))
 
 
 def _full_rank(J: ParabolicSubset, word1, word2, d: int) -> bool:

@@ -23,6 +23,7 @@ from .cells import (
     _chart,
     _chart_words,
     _full_rank,
+    _sample_coords,
     _stratum_walk,
     chart_point,
     classify,
@@ -43,6 +44,7 @@ from .laurent import Laurent, lmat_compound, lmat_limit, lmat_mul
 from .matgroup import borel_minus, bruhat_cell
 from .strata import (
     CompactPoint,
+    StrataError,
     act,
     base_point,
     fundamental_tuple,
@@ -213,7 +215,13 @@ def suite_census(cfg: VerifyConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # 2. dimension formula vs geometry
 
-_MERGED_CONTROLS = 1000  # labels per n that the merged-step controls draw from
+_CONTROLS = 1000  # labels per n that the per-label controls draw from
+
+
+def _control_labels(labels: list) -> list:
+    """The labels a per-label control runs on: all of them when there are
+    at most ``_CONTROLS``, else a seeded sample of that many."""
+    return random.Random(BASE_SEED).sample(labels, min(len(labels), _CONTROLS))
 
 
 def suite_dimensions(cfg: VerifyConfig) -> SuiteReport:
@@ -228,7 +236,7 @@ def suite_dimensions(cfg: VerifyConfig) -> SuiteReport:
                 n=n, label=label, seed=BASE_SEED,
                 reason="jacobian rank differs from cell dimension",
             )
-        for label in random.Random(BASE_SEED).sample(labels, min(len(labels), _MERGED_CONTROLS)):
+        for label in _control_labels(labels):
             words = _merged_chart_words(label, BASE_SEED)
             if words is not None:
                 rep.check(
@@ -245,9 +253,7 @@ def _merged_chart_words(label: CellLabel, seed: int):
     given the first's generator, or None when word 1 has fewer than two
     free steps.  The chart then runs through z_i(a)·z_i(b) = z_i(a + b), so
     two of its d tangent vectors coincide and its rank is below d."""
-    rng = random.Random(seed)
-    coords = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
-    word1, word2 = _chart_words(_chart(label, coords, 1))
+    word1, word2 = _chart_words(_chart(label, _sample_coords(label, seed), 1))
     free = [k for k, (kind, _, _) in enumerate(word1) if kind in ("x", "y")]
     if len(free) < 2:
         return None
@@ -298,17 +304,15 @@ def suite_positivity_forward(cfg: VerifyConfig) -> SuiteReport:
     return rep
 
 
-def _negative_levi_point(
-    J: ParabolicSubset, rng: random.Random, flip_left: bool
-) -> CompactPoint:
-    """A point of the top cell's chart with the first coordinate of the
+def _negative_levi_point(J: ParabolicSubset, seed: int, flip_left: bool) -> CompactPoint:
+    """The top cell's sample at seed with the first coordinate of the
     Levi's lower leg (left flip) or upper leg (right flip) negated, hence a
     coset part outside L_{≥0}·Z(L): the first column of the Levi-side
     projective matrix of z (left flip) or of ψ̄(z) (right flip) acquires
     both signs, so the paper's (*) and membership_Zgt0 must reject.
     """
     label = top_label(J)
-    coords = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
+    coords = list(_sample_coords(label, seed))
     k = len(coords) - (2 if flip_left else 1) * J.longest_element().length
     coords[k] = -coords[k]
     return chart_point(label, coords)
@@ -336,8 +340,7 @@ def suite_positivity_converse(cfg: VerifyConfig) -> SuiteReport:
     J = ParabolicSubset.of(3, [1])
     for k in range(cfg.samples):
         seed = BASE_SEED + 13 * k
-        rng = random.Random(seed)
-        z = _negative_levi_point(J, rng, flip_left=(k % 2 == 0))
+        z = _negative_levi_point(J, seed, flip_left=(k % 2 == 0))
         rep.check(not membership_Zgt0(z), seed=seed, point=z)
     # every lower cell of Z_{J,≥0} makes some entry of the tuple vanish
     for label, seed, z in _lower_cell_points(cfg.n, cfg.samples, BASE_SEED + 17):
@@ -386,14 +389,26 @@ def suite_marsh_rietsch(cfg: VerifyConfig) -> SuiteReport:
 # 6/7. round-trip classification and emptiness
 
 def suite_roundtrip(cfg: VerifyConfig) -> SuiteReport:
+    """classify reads every label back off its samples; controls: with two
+    seeds or more, the samples at s = 0 and s = 1 of a label of positive
+    dimension are unequal points (every label at n ≤ 3, a seeded sample
+    beyond)."""
     rep = SuiteReport("roundtrip")
+    seeds = [BASE_SEED + 97 * s for s in range(cfg.seeds)]
     for n in range(2, cfg.n + 1):
-        for label, _ in enumerate_cells(n):
-            for s in range(cfg.seeds):
-                seed = BASE_SEED + 97 * s
-                _, z = sample_cell(label, seed)
+        cells = enumerate_cells(n)
+        controls = set(_control_labels([label for label, d in cells if d > 0]))
+        for label, _ in cells:
+            points = [sample_cell(label, seed)[1] for seed in seeds]
+            for seed, z in zip(seeds, points):
                 got = classify(z)
                 rep.check(got == label, n=n, label=label, got=got, seed=seed)
+            if len(points) >= 2 and label in controls:
+                rep.check(
+                    points[0] != points[1],
+                    n=n, label=label, seeds=seeds[:2],
+                    reason="the samples at two seeds are one point",
+                )
     return rep
 
 
@@ -483,6 +498,9 @@ def suite_limits(cfg: VerifyConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 # 9. retraction
 
+_RAISE_SEARCH = 1000  # negative-Levi points searched for one that fails to retract
+
+
 def suite_retraction(cfg: VerifyConfig) -> SuiteReport:
     rep = SuiteReport("retraction")
     n = cfg.n
@@ -504,8 +522,33 @@ def suite_retraction(cfg: VerifyConfig) -> SuiteReport:
             # any error is reported with its witness
             e = _raised(Exception, positive_retraction, h1, h2, z)
             rep.check(e is None, point_index=zi, pair_index=pi, reason=str(e))
-    # negative control: a lower-cell point is outside Z_{J,>0}, and its
-    # retraction passes the membership test and lands in the top cell
+    # controls: a negative-Levi point of J = {1} is outside the closure, so
+    # its retraction raises StrataError or lands in the positive part, and
+    # some such point raises
+    J = ParabolicSubset.of(n, [1])
+
+    def retract(k):
+        """The retraction of point k by pair k mod 10, or None if it raised."""
+        z = _negative_levi_point(J, BASE_SEED + 23 * k, flip_left=(k % 2 == 0))
+        h1, h2 = pairs[k % len(pairs)]
+        try:
+            return positive_retraction(h1, h2, z)
+        except StrataError:
+            return None
+
+    for k in range(cfg.samples):
+        out = retract(k)
+        rep.check(
+            out is None or membership_Zgt0(out),
+            seed=BASE_SEED + 23 * k, pair_index=k % len(pairs),
+            reason="a retraction returned a point outside the positive part",
+        )
+    rep.check(
+        any(retract(k) is None for k in range(_RAISE_SEARCH)),
+        reason=f"none of {_RAISE_SEARCH} negative-Levi points made the retraction raise",
+    )
+    # a lower-cell point is outside Z_{J,>0}, and its retraction passes the
+    # membership test and lands in the top cell
     lower = _lower_cell_points(n, 10, BASE_SEED + 19)
     for k, (label, seed, z) in enumerate(lower):
         h1, h2 = pairs[k % len(pairs)]

@@ -182,38 +182,34 @@ def all_reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class PositiveSubexpression:
-    """The distinguished subexpression of a reduced word multiplying to v.
-
-    stations[j] is v_(j); jplus/jcirc partition word positions 1..m into the
-    steps where the station moves up and where it stays.
-    """
+    """The positive distinguished subexpression of a reduced word for v
+    (Marsh and Rietsch, Represent. Theory 8, 2004), kept as what its chart
+    reads: the word, v, and jcirc, the word positions 1..m where the
+    station stays put, which are the chart's free steps."""
 
     word: ReducedWord
-    stations: tuple[WeylElement, ...]
-    jplus: frozenset[int]
+    v: WeylElement
     jcirc: frozenset[int]
-
-    @property
-    def v(self) -> WeylElement:
-        return self.stations[-1]
 
 
 def positive_subexpression(word: ReducedWord, v: WeylElement) -> PositiveSubexpression:
-    """Right-to-left greedy computation: step down by s_{i_j} exactly when
-    that shortens the running station u, i.e. when u has a right descent at
-    i_j, u(i_j) > u(i_j + 1).  The greedy reaches the identity exactly when
+    """Right-to-left greedy computation on one permutation, the running
+    station u, starting at v: step down by s_{i_j} exactly when that
+    shortens u, i.e. when u has a right descent at i_j, u(i_j) > u(i_j + 1);
+    otherwise j is free.  The greedy reaches the identity exactly when
     v ≤ w, the product of the word, so it decides that too: raises
     WeylError when it does not."""
-    m = len(word)
-    stations: list[WeylElement] = [v] * (m + 1)
-    for j in range(m, 0, -1):
-        i, u = word.letters[j - 1], stations[j]
-        stations[j - 1] = u.right_s(i) if u.perm[i - 1] > u.perm[i] else u
-    if not stations[0].is_identity():
+    u = list(v.perm)
+    jcirc = []
+    for j in range(len(word), 0, -1):
+        i = word.letters[j - 1]
+        if u[i - 1] > u[i]:
+            u[i - 1], u[i] = u[i], u[i - 1]
+        else:
+            jcirc.append(j)
+    if u != sorted(u):
         raise WeylError(f"{v} is not Bruhat-below the product of {word.letters}")
-    jplus = frozenset(j for j in range(1, m + 1) if stations[j - 1] != stations[j])
-    jcirc = frozenset(range(1, m + 1)) - jplus
-    return PositiveSubexpression(word, tuple(stations), jplus, jcirc)
+    return PositiveSubexpression(word, v, frozenset(jcirc))
 
 
 @dataclass(frozen=True)

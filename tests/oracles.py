@@ -37,7 +37,9 @@ modulo the center of L_J.  The references for the word evaluator are the
 generator, Weyl-lift and torus matrices written out entry by entry and
 multiplied row by column.  The reference for the lexicographically least
 reduced word strips the least left descent of a WeylElement one letter at
-a time, building one element per step.  The reference for the Jacobian
+a time, building one element per step; the reference for a positive
+subexpression's free steps is its list of stations, each step decided by
+comparing lengths.  The reference for the Jacobian
 rank check is the rank it took before it read tangent vectors modulo the
 stabilizer: the chart over dual numbers, mapped into every fundamental
 representation through compounds, with one gradient row per entry.
@@ -355,6 +357,19 @@ def lex_min_word_by_left_descents(w):
         letters.append(i)
         cur = simple_reflection(cur.n, i) * cur
     return tuple(letters)
+
+
+def positive_subexpression_stations(word, v):
+    """The stations v_(0), …, v_(m) of the positive subexpression of word
+    for v, as the library built them before it kept one permutation: v_(m)
+    = v, and v_(j−1) is v_(j)·s_{i_j} when that is shorter, else v_(j).
+    None when v_(0) is not the identity, that is when v is not below the
+    word's product."""
+    stations = [v] * (len(word.letters) + 1)
+    for j in range(len(word.letters), 0, -1):
+        down = stations[j].right_s(word.letters[j - 1])
+        stations[j - 1] = down if down.length < stations[j].length else stations[j]
+    return tuple(stations) if stations[0].is_identity() else None
 
 
 def is_signed_permutation(m):

@@ -45,7 +45,7 @@ from tnncompact.strata import (
     psibar,
     torus_limit,
 )
-from tnncompact.tnn import rand_pos_fraction, sample_G_gt0
+from tnncompact.tnn import sample_G_gt0
 from tnncompact.weyl import (
     ParabolicSubset,
     ReducedWord,
@@ -488,6 +488,27 @@ def test_jacobian_rank_check_fails_a_chart_with_a_repeated_tangent(monkeypatch):
     assert not any(jacobian_rank_check(label, k) for k, label in enumerate(labels))
 
 
+def test_jacobian_rank_check_ranks_the_sample_once(monkeypatch):
+    """One _full_rank call per check, on the chart words at the coordinates
+    of sample_cell(label, seed), for every label at n ≤ 3; a chart with two
+    merged free steps is refused at that one point too, with no retry."""
+    import tnncompact.cells as cells
+
+    full, calls = cells._full_rank, []
+    monkeypatch.setattr(cells, "_full_rank", lambda *args: calls.append(args) or full(*args))
+    for n in (2, 3):
+        for k, (label, d) in enumerate(enumerate_cells(n)):
+            calls.clear()
+            assert jacobian_rank_check(label, k)
+            words = _chart_words(_chart(label, sample_cell(label, k)[0], Fraction(1)))
+            assert calls == [(label.J, *words, d)], label
+    label = top_label(ParabolicSubset.of(3, []))
+    monkeypatch.setattr(cells, "_chart_words", _merged_free_steps(_chart_words))
+    calls.clear()
+    assert not jacobian_rank_check(label, 0)
+    assert len(calls) == 1
+
+
 def test_full_rank_certificate_falls_back_on_every_miss(monkeypatch):
     """With p = 5 the certificate misses often, on a rank drop mod 5 or a
     value 5 with no inverse, the exact rank decides, and every n ≤ 3
@@ -542,18 +563,18 @@ def test_jacobian_n4_random_subset():
 
 
 def _tangent_and_dual_ranks(label, seed):
-    """The tangent rank and the Dual oracle's rank at one chart point, drawn
-    from Random(seed) as a try of jacobian_rank_check draws it."""
-    rng = random.Random(seed)
-    vals = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
-    words = _chart_words(_chart(label, vals, Fraction(1)))
+    """The tangent rank and the Dual oracle's rank at the one chart point
+    that jacobian_rank_check(label, seed) ranks: the coordinates of
+    sample_cell(label, seed), which the oracle draws again from
+    Random(seed)."""
+    words = _chart_words(_chart(label, sample_cell(label, seed)[0], Fraction(1)))
     return _tangent_rank(label.J, *words), dual_jacobian_rank(label, random.Random(seed))
 
 
 def test_tangent_rank_is_the_dual_rank_on_every_cell_n_le_3():
     for n in (2, 3):
         for k, (label, d) in enumerate(enumerate_cells(n)):
-            assert _tangent_and_dual_ranks(label, k * 1009) == (d, d), label
+            assert _tangent_and_dual_ranks(label, k) == (d, d), label
 
 
 @pytest.mark.slow
@@ -578,7 +599,7 @@ def test_jacobian_n5_random_labels():
 @pytest.mark.slow
 def test_tangent_rank_is_the_dual_rank_n5():
     for k, label in enumerate(_n5_labels()[:5]):
-        tangent, dual = _tangent_and_dual_ranks(label, k * 1009)
+        tangent, dual = _tangent_and_dual_ranks(label, k)
         assert tangent == dual == dimension_of(label), label
 
 

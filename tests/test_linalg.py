@@ -217,8 +217,9 @@ def test_rank_of_a_fraction_or_mixed_matrix_clears_denominators(m, data):
 
 def test_tangent_rank_takes_the_fraction_route(monkeypatch):
     """The exact tangent rank's rows hold Fractions, so its rank clears
-    denominators: here on the chart words of the first point that
-    ``jacobian_rank_check(label, 0)`` tries."""
+    denominators: here on the chart words at the one point that
+    ``jacobian_rank_check(label, 0)`` ranks, the coordinates of
+    ``sample_cell(label, 0)``, drawn from Random(0)."""
     from tnncompact.cells import _chart, _chart_words, _tangent_rank, dimension_of, top_label
     from tnncompact.tnn import rand_pos_fraction
     from tnncompact.weyl import ParabolicSubset

@@ -710,8 +710,7 @@ def test_membership_rejects_negative_levi_points():
             if not J.J:
                 continue
             for k in range(4):
-                rng = random.Random(300 + k)
-                z = _negative_levi_point(J, rng, flip_left=(k % 2 == 0))
+                z = _negative_levi_point(J, 300 + k, flip_left=(k % 2 == 0))
                 assert not membership_Zgt0(z), (J, k)
 
 
@@ -738,12 +737,14 @@ def test_positive_retraction():
 
 def test_suite_retraction_reports_every_failed_membership(monkeypatch):
     """The suite relies on positive_retraction's own membership test: with
-    that test failing, every one of its cases fails, the 10 lower-cell
-    starts of each of the 2 strata at n = 2 included."""
+    that test failing, every case that expects a retraction fails, the 10
+    lower-cell starts of each of the 2 strata at n = 2 included.  The 100
+    negative-Levi controls and their count of raises pass, since a raise is
+    their expected answer."""
     monkeypatch.setattr(strata, "membership_Zgt0", lambda z: False)
     rep = suite_retraction(VerifyConfig(n=2))
-    assert rep.cases == 500 + 2 * 10
-    assert len(rep.failures) == rep.cases
+    assert rep.cases == 500 + 100 + 1 + 2 * 10
+    assert len(rep.failures) == 500 + 2 * 10
 
 
 def _stratum_of(c, keep_zero):

@@ -27,8 +27,12 @@ def _next_label(z):
     return labels[(labels.index(_classify(z)) + 1) % len(labels)]
 
 
-def _refuse(*args):
-    raise StrataError("forced failure")
+def _retract_nothing(h1, h2, z):
+    """A retraction that moves nothing: it refuses the points of the
+    positive part and returns every other point as it is."""
+    if _membership(z):
+        raise StrataError("forced failure")
+    return z
 
 
 def _zero_images(z, data):
@@ -56,7 +60,14 @@ WRONG = {
             "mr_evaluate": lambda psub, coords: _mr_evaluate(psub, [c or 1 for c in coords]),
         },
     ),
-    "roundtrip": (CFG, {"classify": _next_label}),
+    # every seed gives the seed-0 sample, so two seeds give one point
+    "roundtrip": (
+        CFG,
+        {
+            "classify": _next_label,
+            "sample_cell": lambda label, seed: _sample_cell(label, verify.BASE_SEED),
+        },
+    ),
     # every label at n = 2 is nonempty, so the refusal cases start at n = 3
     "emptiness": (
         verify.VerifyConfig(n=3, seeds=2, samples=3),
@@ -66,7 +77,7 @@ WRONG = {
         },
     ),
     "limits": (CFG, {"proj_equal": lambda a, b: False, "iJ_of_point": _zero_images}),
-    "retraction": (CFG, {"positive_retraction": _refuse}),
+    "retraction": (CFG, {"positive_retraction": _retract_nothing}),
     "monoid": (
         CFG,
         {"is_totally_positive": lambda g: not _tp(g), "in_Uplus_gt0": lambda u: not _in_Uplus(u)},

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import lex_min_word_by_left_descents
+from oracles import lex_min_word_by_left_descents, positive_subexpression_stations
 
 from tnncompact.serialize import SchemaError, weyl_from_json
 from tnncompact.weyl import (
@@ -165,23 +165,34 @@ def test_star(n, js, expected):
     assert J.star().star() == J
 
 
+def _stations(ps):
+    """The stations v_(0), …, v_(m) of ps, rebuilt from its free steps: v_(j)
+    is v_(j−1) on a free step j and v_(j−1)·s_{i_j} on the others."""
+    stations = [identity_w(ps.word.n)]
+    for j, i in enumerate(ps.word.letters, start=1):
+        stations.append(stations[-1] if j in ps.jcirc else stations[-1].right_s(i))
+    return tuple(stations)
+
+
 def test_positive_subexpression_spec_cases():
     s1 = simple_reflection(3, 1)
     word = ReducedWord(3, (1, 2, 1))
     ps = positive_subexpression(word, s1)
-    assert [s.perm for s in ps.stations] == [
+    assert (ps.word, ps.v) == (word, s1)
+    assert [s.perm for s in _stations(ps)] == [
         (1, 2, 3),
         (1, 2, 3),
         (1, 2, 3),
         (2, 1, 3),
     ]
-    assert sorted(ps.jcirc) == [1, 2] and sorted(ps.jplus) == [3]
+    assert sorted(ps.jcirc) == [1, 2]
 
     word1 = ReducedWord(2, (1,))
     ps_e = positive_subexpression(word1, identity_w(2))
     assert sorted(ps_e.jcirc) == [1]
     ps_s = positive_subexpression(word1, simple_reflection(2, 1))
-    assert sorted(ps_s.jplus) == [1]
+    assert sorted(ps_s.jcirc) == []
+    assert [s.perm for s in _stations(ps_s)] == [(1, 2), (2, 1)]
 
 
 def test_positive_subexpression_rejects_incomparable():
@@ -223,7 +234,8 @@ def test_positive_subexpression_unique_and_distinguished(n):
                         positive_subexpression(word, v)
                     continue
                 ps = positive_subexpression(word, v)
-                assert ps.stations[0].is_identity() and ps.stations[-1] == v
+                want = _stations(ps)
+                assert ps.v == v and want[-1] == v
                 matches = 0
                 for trace in _all_subexpressions(word, v):
                     stations = trace + (v,)
@@ -238,8 +250,31 @@ def test_positive_subexpression_unique_and_distinguished(n):
                             break
                     if ok:
                         matches += 1
-                        assert stations == ps.stations
+                        assert stations == want
                 assert matches == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_jcirc_is_where_the_oracle_stations_stay(n):
+    """For every w at n ≤ 4, every reduced word of w and every v, the
+    one-permutation greedy keeps (word, v) and its jcirc is the set of steps
+    where the station-list oracle stays put; it raises exactly where the
+    oracle does not reach the identity."""
+    for w in all_weyl(n):
+        for letters in all_reduced_words(w):
+            word = ReducedWord(n, letters)
+            for v in all_weyl(n):
+                stations = positive_subexpression_stations(word, v)
+                if stations is None:
+                    assert not bruhat_leq(v, w)
+                    with pytest.raises(WeylError):
+                        positive_subexpression(word, v)
+                    continue
+                ps = positive_subexpression(word, v)
+                assert (ps.word, ps.v) == (word, v)
+                assert ps.jcirc == {
+                    j for j in range(1, len(letters) + 1) if stations[j - 1] == stations[j]
+                }
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -75,6 +75,50 @@ MUTANTS = {
         "if not membership_Zgt0(out):",
         "if False:",
     ),
+    "strictly_signed accepts zeros": (
+        "exterior.py",
+        "return all(x > 0 for x in entries) or all(x < 0 for x in entries)",
+        "return all(x >= 0 for x in entries) or all(x <= 0 for x in entries)",
+    ),
+    "act forgets to invert h2": ("strata.py", "z.g2 @ h2.inverse())", "z.g2 @ h2)"),
+    "positive_retraction acts on the left only": (
+        "strata.py",
+        "out = CompactPoint(z.J, g1 @ z.g1, z.g2 @ g2)",
+        "out = CompactPoint(z.J, g1 @ z.g1, z.g2)",
+    ),
+    "membership_Zgt0 returns True": (
+        "strata.py",
+        "return all(strictly_signed(m) for m in fundamental_tuple(z))",
+        "return True",
+    ),
+    "membership_Zgt0 reads degree 1 only": (
+        "strata.py",
+        "return all(strictly_signed(m) for m in fundamental_tuple(z))",
+        "return all(strictly_signed(m) for m in fundamental_tuple(z)[:1])",
+    ),
+    "psibar does not swap g1 and g2": (
+        "strata.py",
+        "return CompactPoint(z.J, z.g2.T, z.g1.T)",
+        "return CompactPoint(z.J, z.g1.T, z.g2.T)",
+    ),
+    "classify swaps y and y′": (
+        "cells.py",
+        "label = CellLabel(J, v, w, vp, wp, y, yp)",
+        "label = CellLabel(J, v, w, vp, wp, yp, y)",
+    ),
+    "torus_limit transposes g2": (
+        "strata.py",
+        "return CompactPoint(J, g1, g2)",
+        "return CompactPoint(J, g1, g2.T)",
+    ),
+    "the kept tuple is computed for J = I": (
+        "strata.py",
+        "tuple(_limit_images(z.J, z.g1.M, z.g2.M))",
+        "tuple(_limit_images(ParabolicSubset.of(z.n, range(1, z.n)), z.g1.M, z.g2.M))",
+    ),
+    # Left out as equivalent: CompactPoint.__eq__ ignoring J.  A point's
+    # fundamental tuple determines its stratum (its degree-j entry has rank
+    # at least 2 exactly when j ∈ J), so equal tuples already mean equal J.
 }
 
 

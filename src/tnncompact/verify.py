@@ -1,10 +1,13 @@
 """Orchestrated verification suites.
 
 Each suite checks one acceptance property at desk scale with exact
-arithmetic and returns a SuiteReport.  A suite counts a case by one
-``SuiteReport.check`` call where the case is decided; a failed case keeps
-its witness (the seed and what it was run on) as JSON so it can be
-replayed.  `run_suite` runs one by name.
+arithmetic.  A suite yields cases ``(check, witness)``: a zero-argument
+check, and the witness to keep as JSON if it fails (the seed and what it
+was run on), so the case can be replayed.  `run_suite` alone runs, counts
+and catches them.  A case passes only when its check returns True.  A
+check's value that is not a bool joins the witness as ``got`` (so
+``lambda: (got := f(x)) == want or got`` reports what it got); a check that
+raises fails with ``error`` in its witness, and the suite goes on.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import product
 from math import comb, prod
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import serialize as ser
 from .cells import (
@@ -83,6 +86,9 @@ from .weyl import (
 # every suite derives its seeds from this one
 BASE_SEED = 20240
 
+# a zero-argument check, and the witness to keep if it fails
+Case = tuple[Callable[[], object], dict]
+
 
 @dataclass
 class SuiteReport:
@@ -96,9 +102,9 @@ class SuiteReport:
         return not self.failures
 
     def check(self, ok: bool, **witness) -> None:
-        """Count one case; when it failed, keep its witness as JSON, each
-        CellLabel and CompactPoint in its file form (a passing case builds
-        no JSON)."""
+        """Count one case (`run_suite` calls this once per case); when it
+        failed, keep its witness as JSON, each CellLabel and CompactPoint in
+        its file form (a passing case builds no JSON)."""
         self.cases += 1
         if not ok:
             for k, x in witness.items():
@@ -179,37 +185,33 @@ def _census_oracle(n: int) -> list[tuple[CellLabel, int]]:
     return out
 
 
-def suite_census(cfg: VerifyConfig) -> SuiteReport:
-    rep = SuiteReport("census")
+def suite_census(cfg: VerifyConfig) -> Iterator[Case]:
     census = {}
     for n in range(2, cfg.n + 1):
         got = census[n] = enumerate_cells(n)
         want = sorted(_census_oracle(n), key=lambda p: p[0].sort_key())
-        rep.check(
-            got == want, n=n,
-            reason="labels, dimensions or order differ from the brute-force oracle",
+        yield lambda: got == want, dict(
+            n=n, reason="labels, dimensions or order differ from the brute-force oracle"
         )
         euler = sum((-1) ** d for _, d in got)
         # frozen regression constant for n = 2, 3
-        rep.check(euler == 1, n=n, reason=f"alternating cell sum changed: {euler}")
+        yield lambda: euler == 1, dict(n=n, reason=f"alternating cell sum changed: {euler}")
     got2 = census[2]
-    rep.check(len(got2) == 13, n=2, reason=f"expected 13 cells, got {len(got2)}")
+    yield lambda: len(got2) == 13, dict(n=2, reason=f"expected 13 cells, got {len(got2)}")
     by_j = {}
     for label, d in got2:
         by_j.setdefault(len(label.J.J), []).append(d)
-    rep.check(
-        len(by_j.get(0, [])) == 9 and len(by_j.get(1, [])) == 4,
-        n=2, reason="expected 9 cells in the closed stratum and 4 in the open one",
+    yield lambda: len(by_j.get(0, [])) == 9 and len(by_j.get(1, [])) == 4, dict(
+        n=2, reason="expected 9 cells in the closed stratum and 4 in the open one"
     )
     multiset = sorted(d for _, d in got2)
-    rep.check(
-        multiset == [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 3],
-        n=2, reason=f"dimension multiset changed: {multiset}",
+    yield lambda: multiset == [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 3], dict(
+        n=2, reason=f"dimension multiset changed: {multiset}"
     )
     t1 = time.monotonic()
     enumerate_cells(2)
-    rep.check(time.monotonic() - t1 <= 1.0, n=2, reason="n=2 census slower than 1s")
-    return rep
+    elapsed = time.monotonic() - t1
+    yield lambda: elapsed <= 1.0, dict(n=2, reason="n=2 census slower than 1s")
 
 
 # ---------------------------------------------------------------------------
@@ -224,27 +226,22 @@ def _control_labels(labels: list) -> list:
     return random.Random(BASE_SEED).sample(labels, min(len(labels), _CONTROLS))
 
 
-def suite_dimensions(cfg: VerifyConfig) -> SuiteReport:
+def suite_dimensions(cfg: VerifyConfig) -> Iterator[Case]:
     """Every label's chart has rank d; controls: with two free steps of word
     1 merged, it has not (every label at n ≤ 3, a seeded sample beyond)."""
-    rep = SuiteReport("dimensions")
     for n in range(2, cfg.n + 1):
         labels = [label for label, _ in enumerate_cells(n)]
         for label in labels:
-            rep.check(
-                jacobian_rank_check(label, BASE_SEED),
-                n=n, label=label, seed=BASE_SEED,
-                reason="jacobian rank differs from cell dimension",
+            yield lambda: jacobian_rank_check(label, BASE_SEED), dict(
+                n=n, label=label, seed=BASE_SEED, reason="jacobian rank differs from cell dimension"
             )
         for label in _control_labels(labels):
             words = _merged_chart_words(label, BASE_SEED)
             if words is not None:
-                rep.check(
-                    not _full_rank(label.J, *words, dimension_of(label)),
+                yield lambda: not _full_rank(label.J, *words, dimension_of(label)), dict(
                     n=n, label=label, seed=BASE_SEED,
                     reason="a chart with two merged steps has full rank",
                 )
-    return rep
 
 
 def _merged_chart_words(label: CellLabel, seed: int):
@@ -285,23 +282,18 @@ def _positive_point(J: ParabolicSubset, rng: random.Random) -> CompactPoint:
     return CompactPoint(J, double_cell_evaluate(w0, identity_w(n), am, tor, ()), u2)
 
 
-def suite_positivity_forward(cfg: VerifyConfig) -> SuiteReport:
-    rep = SuiteReport("positivity-forward")
+def suite_positivity_forward(cfg: VerifyConfig) -> Iterator[Case]:
     for data in (d for n in range(2, min(cfg.n, 3) + 1) for d in _criterion_data(n)):
         J = data.J
         for k in range(cfg.samples):
             seed = BASE_SEED + 7 * k
-            rng = random.Random(seed)
-            z = _positive_point(J, rng)
-            m1, m2 = iJ_of_point(z, data)
-            m3, m4 = iJ_of_point(psibar(z), data)
-            signed = all(strictly_signed(m) for m in (m1, m2, m3, m4))
-            rep.check(signed, J=sorted(J.J), n=J.n, seed=seed, point=z)
-            rep.check(
-                membership_Zgt0(z),
-                J=sorted(J.J), n=J.n, seed=seed, reason="membership test rejected a positive point",
+            z = _positive_point(J, random.Random(seed))
+            yield lambda: all(
+                strictly_signed(m) for m in (*iJ_of_point(z, data), *iJ_of_point(psibar(z), data))
+            ), dict(J=sorted(J.J), n=J.n, seed=seed, point=z)
+            yield lambda: membership_Zgt0(z), dict(
+                J=sorted(J.J), n=J.n, seed=seed, reason="membership test rejected a positive point"
             )
-    return rep
 
 
 def _negative_levi_point(J: ParabolicSubset, seed: int, flip_left: bool) -> CompactPoint:
@@ -335,27 +327,23 @@ def _lower_cell_points(n: int, count: int, seed: int):
             yield label, s, sample_cell(label, s)[1]
 
 
-def suite_positivity_converse(cfg: VerifyConfig) -> SuiteReport:
-    rep = SuiteReport("positivity-converse")
+def suite_positivity_converse(cfg: VerifyConfig) -> Iterator[Case]:
     J = ParabolicSubset.of(3, [1])
     for k in range(cfg.samples):
         seed = BASE_SEED + 13 * k
         z = _negative_levi_point(J, seed, flip_left=(k % 2 == 0))
-        rep.check(not membership_Zgt0(z), seed=seed, point=z)
+        yield lambda: not membership_Zgt0(z), dict(seed=seed, point=z)
     # every lower cell of Z_{J,≥0} makes some entry of the tuple vanish
     for label, seed, z in _lower_cell_points(cfg.n, cfg.samples, BASE_SEED + 17):
-        rep.check(
-            not membership_Zgt0(z),
-            label=label, seed=seed, reason="membership test accepted a lower-cell point",
+        yield lambda: not membership_Zgt0(z), dict(
+            label=label, seed=seed, reason="membership test accepted a lower-cell point"
         )
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # 5. Marsh-Rietsch correctness
 
-def suite_marsh_rietsch(cfg: VerifyConfig) -> SuiteReport:
-    rep = SuiteReport("marsh-rietsch")
+def suite_marsh_rietsch(cfg: VerifyConfig) -> Iterator[Case]:
     for n in range(2, min(cfg.n, 3) + 1):
         w0 = longest_w(n)
         for w in all_weyl(n):
@@ -368,32 +356,30 @@ def suite_marsh_rietsch(cfg: VerifyConfig) -> SuiteReport:
                     if psub.jcirc:
                         # negative control: a zero coordinate is outside the chart
                         zero = [0] + [1] * (len(psub.jcirc) - 1)
-                        rep.check(
-                            _raised(ParamError, mr_evaluate, psub, zero) is not None,
-                            n=n, word=list(letters), v=list(v.perm),
-                            reason="chart accepted a zero coordinate",
+                        yield (
+                            lambda: _raised(ParamError, mr_evaluate, psub, zero) is not None,
+                            dict(
+                                n=n, word=list(letters), v=list(v.perm),
+                                reason="chart accepted a zero coordinate",
+                            ),
                         )
                     for s in range(cfg.seeds):
                         rng = random.Random(BASE_SEED + 31 * s)
                         coords = [rand_pos_fraction(rng) for _ in psub.jcirc]
-                        flag = mr_evaluate(psub, coords)
-                        rep.check(
-                            bruhat_cell(flag) == w
-                            and bruhat_cell(borel_minus(n).inverse() @ flag) == w0 * v,
-                            n=n, word=list(letters), v=list(v.perm), seed=BASE_SEED + 31 * s,
-                        )
-    return rep
+                        yield lambda: (
+                            bruhat_cell(flag := mr_evaluate(psub, coords)) == w
+                            and bruhat_cell(borel_minus(n).inverse() @ flag) == w0 * v
+                        ), dict(n=n, word=list(letters), v=list(v.perm), seed=BASE_SEED + 31 * s)
 
 
 # ---------------------------------------------------------------------------
 # 6/7. round-trip classification and emptiness
 
-def suite_roundtrip(cfg: VerifyConfig) -> SuiteReport:
+def suite_roundtrip(cfg: VerifyConfig) -> Iterator[Case]:
     """classify reads every label back off its samples; controls: with two
     seeds or more, the samples at s = 0 and s = 1 of a label of positive
     dimension are unequal points (every label at n ≤ 3, a seeded sample
     beyond)."""
-    rep = SuiteReport("roundtrip")
     seeds = [BASE_SEED + 97 * s for s in range(cfg.seeds)]
     for n in range(2, cfg.n + 1):
         cells = enumerate_cells(n)
@@ -401,15 +387,14 @@ def suite_roundtrip(cfg: VerifyConfig) -> SuiteReport:
         for label, _ in cells:
             points = [sample_cell(label, seed)[1] for seed in seeds]
             for seed, z in zip(seeds, points):
-                got = classify(z)
-                rep.check(got == label, n=n, label=label, got=got, seed=seed)
+                yield lambda: (got := classify(z)) == label or got, dict(
+                    n=n, label=label, seed=seed
+                )
             if len(points) >= 2 and label in controls:
-                rep.check(
-                    points[0] != points[1],
+                yield lambda: points[0] != points[1], dict(
                     n=n, label=label, seeds=seeds[:2],
                     reason="the samples at two seeds are one point",
                 )
-    return rep
 
 
 def _empty_labels(n: int) -> list[CellLabel]:
@@ -423,13 +408,12 @@ def _empty_labels(n: int) -> list[CellLabel]:
     ]
 
 
-def suite_emptiness(cfg: VerifyConfig) -> SuiteReport:
-    rep = SuiteReport("emptiness")
+def suite_emptiness(cfg: VerifyConfig) -> Iterator[Case]:
     n = cfg.n
-    empties = _empty_labels(n)
-    for label in empties:
-        refused = _raised(EmptyCellError, sample_cell, label, BASE_SEED) is not None
-        rep.check(refused, label=label, reason="sampler accepted an empty cell")
+    for label in _empty_labels(n):
+        yield lambda: _raised(EmptyCellError, sample_cell, label, BASE_SEED) is not None, dict(
+            label=label, reason="sampler accepted an empty cell"
+        )
     rng = random.Random(BASE_SEED)
     labels = [l for l, _ in enumerate_cells(n)]
     for k in range(40):
@@ -439,13 +423,10 @@ def suite_emptiness(cfg: VerifyConfig) -> SuiteReport:
         g2 = sample_G_gt0(n, rng)
         # (g1, g2⁻¹) with g1, g2 positive moves any point of Z_{J,≥0} into
         # Z_{J,>0}, the top cell of its stratum
-        got = classify(act(g1, g2.inverse(), z))
-        rep.check(
-            got == top_label(z.J),
+        yield lambda: (got := classify(act(g1, g2.inverse(), z))) == top_label(z.J) or got, dict(
             reason="a positively-moved point left the top cell of its stratum",
-            label=got, seed=BASE_SEED + k,
+            label=label, seed=BASE_SEED + k,
         )
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -462,37 +443,39 @@ def _curve_limit_images(g1, c, g2) -> list:
     return [lmat_limit(lmat_compound(x, k)) for k in range(1, n)]
 
 
-def suite_limits(cfg: VerifyConfig) -> SuiteReport:
-    rep = SuiteReport("limits")
+def _is_base_image(data: EmbeddingData) -> bool:
+    """Whether iJ of the base point z°_J is ([I1], [IL]): [m1] is the
+    rank-one projector onto e_{1..k1}, the first colex basis vector, and m2
+    is a 0/1 diagonal whose rank is the number of k2-subsets meeting each
+    J-block in as many elements as {1..k2}."""
+    ones1, ones2 = (
+        [(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x]
+        for m in iJ_of_point(base_point(data.J), data)
+    )
+    rank = prod(comb(len(blk), sum(i < data.k2 for i in blk)) for blk in data.J.blocks0())
+    return (
+        [(i, j) for i, j, _ in ones1] == [(0, 0)]
+        and all(i == j and x == 1 for i, j, x in ones2)
+        and len(ones2) == rank
+    )
+
+
+def suite_limits(cfg: VerifyConfig) -> Iterator[Case]:
     e_exponents = [0, 1, 2]
     for n in range(2, cfg.n + 1):
         for k, c in enumerate(product(e_exponents, repeat=n - 1)):
             seed = BASE_SEED + 11 * k
             rng = random.Random(seed)
             g1, g2 = sample_G_gt0(n, rng), sample_G_gt0(n, rng)
-            want = fundamental_tuple(torus_limit(g1, c, g2))
-            rep.check(
-                all(map(proj_equal, _curve_limit_images(g1, c, g2), want)),
-                n=n, c=list(c), seed=seed, reason="torus limit is not the curve's limit",
-            )
+            yield lambda: all(map(
+                proj_equal,
+                _curve_limit_images(g1, c, g2),
+                fundamental_tuple(torus_limit(g1, c, g2)),
+            )), dict(n=n, c=list(c), seed=seed, reason="torus limit is not the curve's limit")
         for data in _criterion_data(n):
-            J = data.J
-            m1, m2 = iJ_of_point(base_point(J), data)
-            # [m1] is the rank-one projector onto e_{1..k1}, the first colex
-            # basis vector; m2 is a 0/1 diagonal whose rank is the number of
-            # k2-subsets meeting each J-block in as many elements as {1..k2}
-            ones1, ones2 = (
-                [(i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x]
-                for m in (m1, m2)
+            yield lambda: _is_base_image(data), dict(
+                n=n, J=sorted(data.J.J), reason="base point image is not ([I1],[IL])"
             )
-            rank = prod(comb(len(blk), sum(i < data.k2 for i in blk)) for blk in J.blocks0())
-            rep.check(
-                [(i, j) for i, j, _ in ones1] == [(0, 0)]
-                and all(i == j and x == 1 for i, j, x in ones2)
-                and len(ones2) == rank,
-                n=n, J=sorted(J.J), reason="base point image is not ([I1],[IL])",
-            )
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -501,94 +484,83 @@ def suite_limits(cfg: VerifyConfig) -> SuiteReport:
 _RAISE_SEARCH = 1000  # negative-Levi points searched for one that fails to retract
 
 
-def suite_retraction(cfg: VerifyConfig) -> SuiteReport:
-    rep = SuiteReport("retraction")
+def suite_retraction(cfg: VerifyConfig) -> Iterator[Case]:
     n = cfg.n
     rng = random.Random(BASE_SEED)
-    pairs = [
-        (sample_G_gt0(n, rng), sample_G_gt0(n, rng)) for _ in range(10)
-    ]
-    points = []
-    for k in range(50):
+    pairs = [(sample_G_gt0(n, rng), sample_G_gt0(n, rng)) for _ in range(10)]
+    for zi in range(50):
         csel = [rng.choice([0, 1, 2]) for _ in range(n - 1)]
         if all(x == 0 for x in csel):
             csel[rng.randrange(n - 1)] = 1
-        g1 = sample_G_gt0(n, rng)
-        g2 = sample_G_gt0(n, rng)
-        points.append(torus_limit(g1, csel, g2))
-    for zi, z in enumerate(points):
+        z = torus_limit(sample_G_gt0(n, rng), csel, sample_G_gt0(n, rng))
         for pi, (h1, h2) in enumerate(pairs):
-            # raises StrataError unless the output passes membership_Zgt0;
-            # any error is reported with its witness
-            e = _raised(Exception, positive_retraction, h1, h2, z)
-            rep.check(e is None, point_index=zi, pair_index=pi, reason=str(e))
+            yield lambda: membership_Zgt0(positive_retraction(h1, h2, z)), dict(
+                point_index=zi, pair_index=pi,
+                reason="a torus limit did not retract into the positive part",
+            )
     # controls: a negative-Levi point of J = {1} is outside the closure, so
     # its retraction raises StrataError or lands in the positive part, and
     # some such point raises
     J = ParabolicSubset.of(n, [1])
 
-    def retract(k):
-        """The retraction of point k by pair k mod 10, or None if it raised."""
+    def control(k):
+        """The retraction arguments of control k: pair k mod 10 and point k."""
         z = _negative_levi_point(J, BASE_SEED + 23 * k, flip_left=(k % 2 == 0))
-        h1, h2 = pairs[k % len(pairs)]
-        try:
-            return positive_retraction(h1, h2, z)
-        except StrataError:
-            return None
+        return (*pairs[k % len(pairs)], z)
+
+    def refused(args) -> bool:
+        return _raised(StrataError, positive_retraction, *args) is not None
 
     for k in range(cfg.samples):
-        out = retract(k)
-        rep.check(
-            out is None or membership_Zgt0(out),
+        args = control(k)
+        yield lambda: refused(args) or membership_Zgt0(positive_retraction(*args)), dict(
             seed=BASE_SEED + 23 * k, pair_index=k % len(pairs),
             reason="a retraction returned a point outside the positive part",
         )
-    rep.check(
-        any(retract(k) is None for k in range(_RAISE_SEARCH)),
-        reason=f"none of {_RAISE_SEARCH} negative-Levi points made the retraction raise",
+    yield lambda: any(refused(control(k)) for k in range(_RAISE_SEARCH)), dict(
+        reason=f"none of {_RAISE_SEARCH} negative-Levi points made the retraction raise"
     )
     # a lower-cell point is outside Z_{J,>0}, and its retraction passes the
     # membership test and lands in the top cell
-    lower = _lower_cell_points(n, 10, BASE_SEED + 19)
-    for k, (label, seed, z) in enumerate(lower):
+    for k, (label, seed, z) in enumerate(_lower_cell_points(n, 10, BASE_SEED + 19)):
         h1, h2 = pairs[k % len(pairs)]
-        before = membership_Zgt0(z)
-        try:
-            got = classify(positive_retraction(h1, h2, z))
-        except Exception as e:
-            got = e
-        rep.check(
-            not before and got == top_label(z.J),
+        yield lambda: not membership_Zgt0(z) and (
+            (got := classify(positive_retraction(h1, h2, z))) == top_label(z.J) or got
+        ), dict(
             label=label, seed=seed, pair_index=k % len(pairs),
-            reason=f"membership before {before}, retracted to {got}",
+            reason="a lower-cell point passed the membership test or retracted off the top cell",
         )
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # 10. monoid / total positivity cross-checks
 
-def suite_monoid(cfg: VerifyConfig) -> SuiteReport:
-    rep = SuiteReport("monoid")
+def suite_monoid(cfg: VerifyConfig) -> Iterator[Case]:
     n = cfg.n
     rng = random.Random(BASE_SEED)
     for k in range(30):
         g = sample_G_gt0(n, rng)
         h = sample_G_gt0(n, rng)
-        rep.check(is_totally_positive(g), k=k, reason="sampler output failed the strict minor test")
-        rep.check(is_totally_positive(g @ h), k=k, reason="product left the positive monoid")
-        rep.check(is_totally_positive(g.T), k=k, reason="transpose left the positive monoid")
+        yield lambda: is_totally_positive(g), dict(
+            k=k, reason="sampler output failed the strict minor test"
+        )
+        yield lambda: is_totally_positive(g @ h), dict(
+            k=k, reason="product left the positive monoid"
+        )
+        yield lambda: is_totally_positive(g.T), dict(
+            k=k, reason="transpose left the positive monoid"
+        )
     weyl_all = all_weyl(n)
     for k in range(30):
         u = sample_Uplus_gt0(n, rng)
         w = weyl_all[rng.randrange(len(weyl_all))]
         word = lex_min_reduced_word(w)
         u1 = phi_plus(word, [rand_nonneg_fraction(rng) for _ in range(len(word))])
-        rep.check(
-            in_Uplus_gt0(u @ u1), k=k, reason="right absorption left the strict unipotent cone"
+        yield lambda: in_Uplus_gt0(u @ u1), dict(
+            k=k, reason="right absorption left the strict unipotent cone"
         )
-        rep.check(
-            in_Uplus_gt0(u1 @ u), k=k, reason="left absorption left the strict unipotent cone"
+        yield lambda: in_Uplus_gt0(u1 @ u), dict(
+            k=k, reason="left absorption left the strict unipotent cone"
         )
     # negative controls: u⁻¹ is upper unipotent in B⁻ẇ₀B⁻ with a negative
     # (1, 2) entry, and uᵀ·x-word(w₀) with one zero coordinate is TNN, not TP
@@ -598,19 +570,17 @@ def suite_monoid(cfg: VerifyConfig) -> SuiteReport:
         b = [rand_pos_fraction(rng) for _ in range(len(w0_word))]
         b[k % len(b)] = 0
         g = u.T @ phi_plus(w0_word, b)
-        rep.check(
-            not in_Uplus_gt0(u.inverse()), k=k, reason="an inverse unipotent passed as positive"
+        yield lambda: not in_Uplus_gt0(u.inverse()), dict(
+            k=k, reason="an inverse unipotent passed as positive"
         )
-        rep.check(
-            is_totally_nonneg(g) and not is_totally_positive(g),
-            k=k, reason="a word with a zero coordinate passed as totally positive",
+        yield lambda: is_totally_nonneg(g) and not is_totally_positive(g), dict(
+            k=k, reason="a word with a zero coordinate passed as totally positive"
         )
-    return rep
 
 
 # ---------------------------------------------------------------------------
 
-SUITES: dict[str, Callable[[VerifyConfig], SuiteReport]] = {
+SUITES: dict[str, Callable[[VerifyConfig], Iterator[Case]]] = {
     "census": suite_census,
     "dimensions": suite_dimensions,
     "positivity-forward": suite_positivity_forward,
@@ -637,15 +607,33 @@ def check_scale(name: str, cfg: VerifyConfig) -> None:
 
 
 def run_suite(name: str, cfg: VerifyConfig) -> SuiteReport:
+    """Run the named suite at cfg and count the cases it yields.  A case
+    passes only when its check returns True; a check that raises is one
+    failed case, with ``error`` in its witness, and the suite goes on.  When
+    the suite's own code raises, that is one more failed case, and the suite
+    ends with the cases it counted."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     check_scale(name, cfg)
+    rep = SuiteReport(name)
     t0 = time.monotonic()
-    try:
-        rep = SUITES[name](cfg)
-    except Exception as e:
-        # a suite that raises is one failed case, and the run goes on
-        rep = SuiteReport(name)
-        rep.check(False, reason="suite raised", error=f"{type(e).__name__}: {e}")
+    cases = SUITES[name](cfg)
+    while True:
+        try:
+            case = next(cases, None)
+        except Exception as e:
+            rep.check(False, reason="suite raised", error=f"{type(e).__name__}: {e}")
+            break
+        if case is None:
+            break
+        check, witness = case
+        # run the check before the suite resumes: a check closes over the
+        # suite's loop variables, so run later it would see later values
+        try:
+            got = check()
+            extra = {} if isinstance(got, bool) else {"got": got}
+        except Exception as e:
+            got, extra = False, {"error": f"{type(e).__name__}: {e}"}
+        rep.check(got is True, **witness, **extra)
     rep.wall = time.monotonic() - t0
     return rep

@@ -223,8 +223,9 @@ def test_cli_limit_and_tp_check(tmp_path):
 
 
 def test_cli_verify_all_goes_on_past_a_suite_that_raises(monkeypatch, capsys):
-    """A suite that raises is one failed case: every suite still prints
-    its status line, the raising one FAILs, and nothing reaches stderr."""
+    """A check that raises is one failed case: every suite still prints
+    its status line, and dimensions FAILs on its 13 raising rank checks
+    while its merged-step control passes; nothing reaches stderr."""
 
     def _raise(label, seed):
         raise WeylError("forced")
@@ -235,7 +236,7 @@ def test_cli_verify_all_goes_on_past_a_suite_that_raises(monkeypatch, capsys):
     lines = [line for line in captured.out.splitlines() if line.startswith("[")]
     assert len(lines) == len(verify.SUITES) == 10
     failed = [line for line in lines if line.startswith("[FAIL]")]
-    assert len(failed) == 1 and failed[0].startswith("[FAIL] dimensions: 1 cases, 1 failures")
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] dimensions: 14 cases, 13 failures")
     assert '"error": "WeylError: forced"' in captured.out
     assert captured.err == ""
 
@@ -552,6 +553,17 @@ def test_readers_raise_only_reported_errors(kind, data):
         reader(record)
     except (ser.SchemaError, GroupError, StrataError):
         pass
+
+
+def test_mutant_catalog_entries_each_edit_one_line_once():
+    """Every catalog entry's text is one line that occurs exactly once in
+    its module, so a refactor that breaks an entry fails here, not only
+    when the script runs."""
+    mutants = _load_script(MUTANTS_SCRIPT)
+    assert len(mutants.MUTANTS) == 19
+    for name, (module, old, new) in mutants.MUTANTS.items():
+        text = (ROOT / "src" / "tnncompact" / module).read_text()
+        assert text.count(old) == 1 and "\n" not in old + new and old != new, name
 
 
 def test_mutant_catalog_entry_fails_its_suite():

@@ -219,7 +219,7 @@ def test_dumps_matches_json_dumps_on_writer_output():
 
 def test_dumps_matches_json_dumps_on_a_verify_failure_report(monkeypatch):
     monkeypatch.setattr(verify, "jacobian_rank_check", lambda label, seed: False)
-    rep = verify.suite_dimensions(verify.VerifyConfig(n=2))
+    rep = verify.run_suite("dimensions", verify.VerifyConfig(n=2))
     assert len(rep.failures) == 13
     report = {"v": ser.SCHEMA_VERSION, "failures": rep.failures}
     assert ser.dumps(report) == oracle(report)

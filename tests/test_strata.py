@@ -59,7 +59,7 @@ from tnncompact.tnn import (
     sample_G_gt0,
     sample_Uplus_gt0,
 )
-from tnncompact.verify import VerifyConfig, _negative_levi_point, suite_limits, suite_retraction
+from tnncompact.verify import VerifyConfig, _negative_levi_point, run_suite
 from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets, all_weyl, identity_w, longest_w
 
 ALL_J3 = [[], [1], [2], [1, 2]]
@@ -742,7 +742,7 @@ def test_suite_retraction_reports_every_failed_membership(monkeypatch):
     negative-Levi controls and their count of raises pass, since a raise is
     their expected answer."""
     monkeypatch.setattr(strata, "membership_Zgt0", lambda z: False)
-    rep = suite_retraction(VerifyConfig(n=2))
+    rep = run_suite("retraction", VerifyConfig(n=2))
     assert rep.cases == 500 + 100 + 1 + 2 * 10
     assert len(rep.failures) == 500 + 2 * 10
 
@@ -765,7 +765,7 @@ def test_suite_limits_fails_every_curve_of_a_wrong_torus_limit(wrong_limit, monk
     curve through a sampled positive pair, so a wrong stratum or a wrong
     group element fails all 12 curve cases at n ≤ 3."""
     monkeypatch.setattr(verify, "torus_limit", wrong_limit)
-    rep = suite_limits(VerifyConfig(n=3))
+    rep = run_suite("limits", VerifyConfig(n=3))
     assert rep.cases == 17
     assert len(rep.failures) == 12
 

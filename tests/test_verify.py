@@ -9,8 +9,8 @@ import pytest
 
 from tnncompact import serialize as ser
 from tnncompact import verify
-from tnncompact.strata import StrataError
-from tnncompact.weyl import longest_w
+from tnncompact.strata import base_point
+from tnncompact.weyl import WeylError, longest_w
 
 CFG = verify.VerifyConfig(n=2, seeds=2, samples=3)
 
@@ -27,12 +27,10 @@ def _next_label(z):
     return labels[(labels.index(_classify(z)) + 1) % len(labels)]
 
 
-def _retract_nothing(h1, h2, z):
-    """A retraction that moves nothing: it refuses the points of the
-    positive part and returns every other point as it is."""
-    if _membership(z):
-        raise StrataError("forced failure")
-    return z
+def _retract_to_base(h1, h2, z):
+    """A retraction that never refuses and returns the base point of z's
+    stratum, which lies outside the positive part and its top cell."""
+    return base_point(z.J)
 
 
 def _zero_images(z, data):
@@ -77,7 +75,7 @@ WRONG = {
         },
     ),
     "limits": (CFG, {"proj_equal": lambda a, b: False, "iJ_of_point": _zero_images}),
-    "retraction": (CFG, {"positive_retraction": _retract_nothing}),
+    "retraction": (CFG, {"positive_retraction": _retract_to_base}),
     "monoid": (
         CFG,
         {"is_totally_positive": lambda g: not _tp(g), "in_Uplus_gt0": lambda u: not _in_Uplus(u)},
@@ -88,15 +86,16 @@ WRONG = {
 @pytest.mark.parametrize("name", list(verify.SUITES))
 def test_every_counted_case_can_fail(name, monkeypatch):
     """With its library calls answering wrongly, a suite fails every case
-    it counts, each by its own check and not by raising; census keeps its
-    wall-clock case, which no wrong answer slows down."""
+    it counts, each by its own check and not by raising (no failure carries
+    ``error``); census keeps its wall-clock case, which no wrong answer
+    slows down."""
     cfg, fakes = WRONG[name]
     for attr, fake in fakes.items():
         monkeypatch.setattr(verify, attr, fake)
     rep = verify.run_suite(name, cfg)
     assert rep.cases > 0
     assert len(rep.failures) == rep.cases - (name == "census")
-    assert all(f.get("reason") != "suite raised" for f in rep.failures)
+    assert not any("error" in f for f in rep.failures)
 
 
 @pytest.mark.parametrize("name", list(verify.SUITES))
@@ -105,7 +104,7 @@ def test_a_suite_that_enumerates_every_label_refuses_n5(name, monkeypatch):
     (43.4M at n = 5): run_suite raises ConfigError at n = 5 before the
     suite starts, and lets the other suites run."""
     started = []
-    monkeypatch.setitem(verify.SUITES, name, lambda cfg: started.append(cfg) or verify.SuiteReport(name))
+    monkeypatch.setitem(verify.SUITES, name, lambda cfg: started.append(cfg) or iter(()))
     cfg = verify.VerifyConfig(n=5, seeds=1, samples=1)
     if name in ("census", "dimensions", "roundtrip", "emptiness"):
         with pytest.raises(verify.ConfigError):
@@ -143,3 +142,56 @@ def test_check_counts_every_case_and_writes_only_failures():
         {"seed": 3, "label": ser.label_to_json(label), "point": ser.point_to_json(z), "reason": "r"}
     ]
     assert list(rep.failures[0]) == ["seed", "label", "point", "reason"]
+
+
+def test_a_check_that_raises_is_one_failed_case(monkeypatch):
+    """A rank check that raises at one label fails that case alone, with
+    the error in its witness; the suite's other 13 cases still count."""
+    first, _ = _enumerate_cells(2)[0]
+    rank_check = verify.jacobian_rank_check
+
+    def _raise_at_first(label, seed):
+        if label == first:
+            raise WeylError("forced")
+        return rank_check(label, seed)
+
+    monkeypatch.setattr(verify, "jacobian_rank_check", _raise_at_first)
+    rep = verify.run_suite("dimensions", CFG)
+    assert rep.cases == 14
+    assert rep.failures == [
+        {
+            "n": 2,
+            "label": ser.label_to_json(first),
+            "seed": verify.BASE_SEED,
+            "reason": "jacobian rank differs from cell dimension",
+            "error": "WeylError: forced",
+        }
+    ]
+
+
+def test_a_suite_that_raises_keeps_the_cases_it_counted(monkeypatch):
+    """When the suite's own code raises partway (here enumerate_cells at
+    n = 3), the cases counted at n = 2 stay, and the raise is one more
+    failed case."""
+
+    def _enumerate_to_2(n):
+        if n > 2:
+            raise WeylError("forced")
+        return _enumerate_cells(n)
+
+    monkeypatch.setattr(verify, "enumerate_cells", _enumerate_to_2)
+    rep = verify.run_suite("census", verify.VerifyConfig(n=3, seeds=1, samples=1))
+    assert rep.cases == 3
+    assert rep.failures == [{"reason": "suite raised", "error": "WeylError: forced"}]
+
+
+def test_a_failing_roundtrip_witness_carries_the_label_it_got(monkeypatch):
+    """A check's value that is not a bool joins the witness as ``got``, in
+    file form: roundtrip's failures name the label classify returned."""
+    monkeypatch.setattr(verify, "classify", _next_label)
+    rep = verify.run_suite("roundtrip", CFG)
+    failed = [f for f in rep.failures if "got" in f]
+    assert len(failed) == 26
+    for f in failed:
+        _, z = _sample_cell(ser.label_from_json(f["label"]), f["seed"])
+        assert f["got"] == ser.label_to_json(_next_label(z)) != f["label"]

@@ -163,11 +163,13 @@ def cells_to_json(n: int, J: ParabolicSubset | None = None) -> dict[str, Any]:
 
 def census_chunks(n: int, J: ParabolicSubset | None = None) -> Iterator[str]:
     """``dumps(cells_to_json(n, J))`` in pieces: the header, one text per
-    stratum and the footer, with no record dicts and never the whole file.
+    stratum and first Bruhat pair, and the footer, with no record dicts and
+    never a whole stratum in memory.
 
-    The stratum walk runs on the call, so a bad n or J raises CellError
-    before anything is written; each stratum's text is rendered when the
-    iterator reaches it."""
+    A chunk holds at most |Bruhat pairs of W^J|·|W_J|² records, about
+    1.5 MB at n = 5.  The stratum walk runs on the call, so a bad n or J
+    raises CellError before anything is written; each chunk is rendered
+    when the iterator reaches it."""
     strata = _census_strata(n, J)
     count = sum(len(pairs) ** 2 * len(levi) ** 2 for _, pairs, levi, _ in strata)
     return _census_chunks(n, count, strata)
@@ -175,12 +177,13 @@ def census_chunks(n: int, J: ParabolicSubset | None = None) -> Iterator[str]:
 
 def _census_chunks(n: int, count: int, strata: list) -> Iterator[str]:
     yield _census_head(n, count)
-    for k, stratum in enumerate(strata):
-        pieces = []
-        _render_stratum(pieces, n, *stratum)
-        if not k:
-            pieces[0] = pieces[0][1:]  # the first record has no comma before it
-        yield "".join(pieces)
+    first = True
+    for stratum in strata:
+        for pieces in _render_stratum(n, *stratum):
+            if first:
+                pieces[0] = pieces[0][1:]  # the first record has no comma before it
+                first = False
+            yield "".join(pieces)
     yield _CENSUS_TAIL
 
 
@@ -242,10 +245,11 @@ def dumps(data) -> str:
     """``json.dumps(data, indent=1) + "\\n"``, byte for byte.
 
     A census that ``cells_to_json`` built and nobody has re-keyed, recounted
-    or re-listed since is rendered from its strata: each stratum's J, Bruhat
-    pair and Levi pair texts are rendered once and every record is joined
-    from them, by the renderer ``census_chunks`` streams.  Every other
-    document goes to ``json.dumps``.
+    or re-listed since is rendered from its strata by the renderer
+    ``census_chunks`` streams: each J, Bruhat pair and Levi element text is
+    a string join of its ints, made once with no JSON encoder call, and
+    every record is joined from those texts.  Every other document goes to
+    ``json.dumps``.
 
     Precondition: a census's records are read-only.  The fast path checks
     the header and the record count, not the records, so a census whose
@@ -267,11 +271,12 @@ def dumps(data) -> str:
 
 def _census_text(cells: _Census) -> str:
     """The census as ``json.dumps(indent=1)`` writes it, from its strata:
-    every stratum's pieces go into one list between the header and the
+    every chunk's pieces go into one list between the header and the
     footer, so the file is a single join."""
     out = [_census_head(cells.n, cells.size)]
     for stratum in cells.strata:
-        _render_stratum(out, cells.n, *stratum)
+        for pieces in _render_stratum(cells.n, *stratum):
+            out += pieces
     out[1] = out[1][1:]  # the first record has no comma before it
     out.append(_CENSUS_TAIL)
     return "".join(out)
@@ -284,31 +289,38 @@ def _census_head(n: int, count: int) -> str:
 _CENSUS_TAIL = "\n ]\n}\n"
 
 
-def _render_stratum(out: list, n: int, subset: tuple, pairs: list, levi: list, base: int) -> None:
-    """Appends to out one stratum's records as ``json.dumps(indent=1)``
-    writes them inside the "cells" array, each with the comma before it.
+def _field_text(key: str, xs: tuple) -> str:
+    """One record field as ``json.dumps(xs, indent=1)`` writes it at record
+    depth, with the comma and indent after it: xs is a tuple of ints."""
+    if not xs:
+        return f'"{key}": [],\n   '
+    return f'"{key}": [\n    ' + ",\n    ".join(map(str, xs)) + "\n   ],\n   "
 
-    Every record is four pieces, none of them built per record: the J and
-    (v, w) text of its stratum and first Bruhat pair, the (v', w') text of
-    its second, the (y, y') text of its Levi pair, and its dimension with
-    the record's closing brace."""
 
-    def text(key: str, xs: tuple) -> str:  # one record field, comma included
-        return f'"{key}": ' + json.dumps(xs, indent=1).replace("\n", "\n   ") + ",\n   "
+def _render_stratum(n: int, subset: tuple, pairs: list, levi: list, base: int) -> Iterator[list]:
+    """One stratum's records as ``json.dumps(indent=1)`` writes them inside
+    the "cells" array, each with the comma before it: one list of pieces
+    per first Bruhat pair (v, w), in record order.
 
+    A record is two pieces: the J and (v, w) text of its stratum and first
+    Bruhat pair, and the rest, its (v', w') and (y, y') texts and its
+    dimension with the record's closing brace.  The rests depend on (v, w)
+    only through l(w) − l(v), so each is built once per stratum and length
+    gap, not per record.  Each field text is a string join of its ints,
+    made once per stratum, Bruhat pair or Levi element."""
     tails = [f"{d}\n  }}" for d in range(n * n)]  # a dimension is at most n² − 1
-    head = ",\n  {\n   " + text("J", subset)
-    firsts = [(head + text("v", v) + text("w", w), base + gap) for v, w, gap in pairs]
-    seconds = [(text("v2", v) + text("w2", w), gap) for v, w, gap in pairs]
-    levis = [
-        (text("y", y) + text("y2", yp) + '"dim": ', ly + lyp)
-        for y, ly in levi
-        for yp, lyp in levi
-    ]
-    for first, top in firsts:
-        for second, gap in seconds:
-            for lt, l in levis:
-                out += first, second, lt, tails[top + gap - l]
+    head = ",\n  {\n   " + _field_text("J", subset)
+    seconds = [(_field_text("v2", v) + _field_text("w2", w), gap) for v, w, gap in pairs]
+    ys = [(_field_text("y", y), _field_text("y2", y) + '"dim": ', ly) for y, ly in levi]
+    levis = [(ty + ty2, ly + lyp) for ty, _, ly in ys for _, ty2, lyp in ys]
+    rests = {}  # base + l(w) − l(v) → the rest of every record after (v, w)
+    for v, w, gap in pairs:
+        top = base + gap
+        if top not in rests:
+            rests[top] = [second + lt + tails[top + g - l] for second, g in seconds for lt, l in levis]
+        pieces = [head + _field_text("v", v) + _field_text("w", w)] * (2 * len(rests[top]))
+        pieces[1::2] = rests[top]
+        yield pieces
 
 
 def _check_version(data) -> None:

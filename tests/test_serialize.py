@@ -1,9 +1,12 @@
 """`serialize.dumps` against its oracle, ``json.dumps(x, indent=1) + "\\n"``."""
 
 import gc
+import hashlib
 import json
+import tracemalloc
 from enum import IntEnum
 from fractions import Fraction
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -288,6 +291,44 @@ def test_dumps_of_a_census_matches_json_dumps(n, J):
     data = ser.cells_to_json(n, J)
     assert ser.dumps(data) == oracle(data)
     assert "".join(ser.census_chunks(n, J)) == ser.dumps(data)
+
+
+def test_census_field_text_matches_json_dumps():
+    """Every census field, from a string join of its ints, is the text
+    json.dumps(indent=1) writes for it at record depth: every permutation
+    and every sorted J at n ≤ 5, the empty J included, under every key."""
+    tuples = [p for n in range(1, 6) for p in permutations(range(1, n + 1))]
+    tuples += [tuple(sorted(J.J)) for n in range(1, 6) for J in all_parabolic_subsets(n)]
+    assert () in tuples
+    for key in ("J", "v", "w", "v2", "w2", "y", "y2"):
+        for xs in tuples:
+            expected = f'"{key}": ' + json.dumps(xs, indent=1).replace("\n", "\n   ") + ",\n   "
+            assert ser._field_text(key, xs) == expected, (key, xs)
+
+
+def test_census_export_calls_no_json_encoder(monkeypatch):
+    """The census, streamed and in one piece, is rendered without json.dumps."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census export called json.dumps")
+
+    monkeypatch.setattr(ser.json, "dumps", refuse)
+    sha256 = "b369f2289fbdc0133b7032ec8cf5bc3e963864878d56bfd2fcd7962de4109dc5"
+    for text in ("".join(ser.census_chunks(3)), ser.dumps(ser.cells_to_json(3))):
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+def test_census_chunks_stream_each_stratum_by_bruhat_pair():
+    """At n = 5 a stratum is hundreds of MB of text; the export holds one
+    first Bruhat pair's records at a time."""
+    tracemalloc.start()
+    try:
+        chunks = ser.census_chunks(5, ParabolicSubset.of(5, [1, 3]))
+        assert len(list(islice(chunks, 3))) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_dumps_of_an_altered_census_takes_json_dumps(monkeypatch):

@@ -65,11 +65,17 @@ MUTANTS = {
         "u = J.min_rep(w.inverse())",
         "u = w.inverse()",
     ),
-    "proj_equal returns True": (
-        "exterior.py",
-        "return la.scale(a, cb) == la.scale(b, ca)",
-        "return True",
+    "the point key keeps only J": (
+        "strata.py",
+        'key = attrs["_key"] = (z.J, tuple(map(proj_key, fundamental_tuple(z))))',
+        'key = attrs["_key"] = (z.J,)',
     ),
+    "proj_key skips the gcd division": (
+        "exterior.py",
+        "g = gcd(*(x for row in M for x in row))",
+        "g = 1",
+    ),
+    "proj_key skips the sign step": ("exterior.py", "        g = -g", "        pass"),
     "positive_retraction drops its membership check": (
         "strata.py",
         "if not membership_Zgt0(out):",
@@ -116,7 +122,7 @@ MUTANTS = {
         "tuple(_limit_images(z.J, z.g1.M, z.g2.M))",
         "tuple(_limit_images(ParabolicSubset.of(z.n, range(1, z.n)), z.g1.M, z.g2.M))",
     ),
-    # Left out as equivalent: CompactPoint.__eq__ ignoring J.  A point's
+    # Left out as equivalent: the point key without J.  A point's
     # fundamental tuple determines its stratum (its degree-j entry has rank
     # at least 2 exactly when j ∈ J), so equal tuples already mean equal J.
 }

@@ -4,7 +4,9 @@ Subcommands: enumerate, sample, classify, limit, tp-check, verify.
 Exit codes: 0 ok, 1 failures, 2 usage errors.  ``main`` maps every error
 the library reports on bad input to exit 2 with one ``error:`` line; the
 commands raise them and catch nothing but an empty cell (``sample``,
-exit 1) and an unparsable ``--J``.  All file output is byte-deterministic
+exit 1) and an unparsable ``--J``.  A reader that closes stdout early
+(``tnncompact enumerate --n 4 | head``) is no usage error: ``main`` exits
+1 and writes nothing to stderr.  All file output is byte-deterministic
 for fixed inputs.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -191,6 +194,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed stdout: send the exit flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except (
         OSError, UnicodeDecodeError, json.JSONDecodeError, ser.SchemaError,
         CellError, GroupError, StrataError, ConfigError,

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
 from typing import Iterator
 
-from . import linalg as la
 from .linalg import Matrix
 from .weyl import ParabolicSubset
 
@@ -168,15 +168,17 @@ def embedding_data(J: ParabolicSubset) -> EmbeddingData:
 # ---------------------------------------------------------------------------
 # projective matrices
 
-def proj_equal(a: Matrix, b: Matrix) -> bool:
-    """Equality in P(End V): a = c·b for a nonzero rational c."""
-    if la.dims(a) != la.dims(b):
-        return False
-    ca = next((x for row in a for x in row if x != 0), None)
-    cb = next((x for row in b for x in row if x != 0), None)
-    if ca is None or cb is None:
-        return ca is None and cb is None
-    return la.scale(a, cb) == la.scale(b, ca)
+def proj_key(m: Matrix) -> Matrix:
+    """The primitive integer matrix of the point of P(End V) of a nonzero m:
+    m with its denominators cleared, divided by the gcd of its entries, and
+    negated when its first nonzero entry is negative.  Two nonzero
+    matrices are one projective point exactly when their keys are equal."""
+    d = lcm(*(x.denominator for row in m for x in row))
+    M = tuple(tuple(int(x * d) for x in row) for row in m)
+    g = gcd(*(x for row in M for x in row))
+    if next(x for row in M for x in row if x) < 0:
+        g = -g
+    return tuple(tuple(x // g for x in row) for row in M)
 
 
 def strictly_signed(m: Matrix) -> bool:

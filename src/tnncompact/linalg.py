@@ -96,10 +96,6 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
-def scale(m: Matrix, c: Fraction) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in m)
-
-
 def submatrix(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
     return tuple(tuple(m[i][j] for j in cols) for i in rows)
 

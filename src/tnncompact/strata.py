@@ -14,13 +14,14 @@ space of complete collineations (Thaddeus, "Complete collineations
 revisited", Math. Ann. 315, 1999).  Each entry is a projective point, so
 the tuple is computed on the integer pair (M1, M2) of g_i = M_i/d_i: a
 positive multiple of the rational images, built with no Fraction.
-Equality, membership in the positive part and the paper's (*) pair read
-it.  A point computes its tuple the first time one of them asks and keeps
-it on itself, as a GroupMatrix keeps its inverse: J, g1 and g2 never
-change, so the kept tuple is never stale, and no tuple passes from one
-point to another.  A torus limit is its closed form, the acted base
-point, with no check: its Cauchy–Binet limit is the point's own image in
-every degree (see ``torus_limit``).
+Membership in the positive part and the paper's (*) pair read its signs;
+``==`` and ``hash`` read its normal form ``point_key``, J and the
+primitive integer matrix of each entry.  A point computes the tuple and
+the key the first time each is asked for and keeps them on itself, as a
+GroupMatrix keeps its inverse: J, g1 and g2 never change, so neither is
+ever stale, and neither passes from one point to another.  A torus limit
+is its closed form, the acted base point, with no check: its Cauchy–Binet
+limit is the point's own image in every degree (see ``torus_limit``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .exterior import (
     EmbeddingData,
     _levi_weight_positions,
     compounds,
-    proj_equal,
+    proj_key,
     strictly_signed,
 )
 from .linalg import FactorizationError, Matrix
@@ -54,8 +55,9 @@ class CompactPoint:
     """The point (g1, g2⁻¹)·z°_J of the stratum of type J.
 
     Any pair of group elements of size n is a point; the constructor checks
-    the sizes only.  Its fundamental tuple is computed once, when first
-    read, and kept on the point (see ``fundamental_tuple``).
+    the sizes only.  ``==`` and ``hash`` read its key (``point_key``), and
+    signs its fundamental tuple; each is computed when first read and kept
+    on the point.
     """
 
     J: ParabolicSubset
@@ -88,13 +90,10 @@ class CompactPoint:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompactPoint):
             return NotImplemented
-        if self.J != other.J:
-            return False
-        return all(map(proj_equal, fundamental_tuple(self), fundamental_tuple(other)))
+        return point_key(self) == point_key(other)
 
-    # equality is projective equality of the fundamental tuple; no canonical
-    # form is kept to hash
-    __hash__ = None
+    def __hash__(self) -> int:
+        return hash(point_key(self))
 
     def __repr__(self) -> str:
         return f"CompactPoint(J={sorted(self.J.J)}, n={self.n})"
@@ -148,6 +147,17 @@ def fundamental_tuple(z: CompactPoint) -> list[Matrix]:
     if kept is None:
         kept = attrs["_images"] = tuple(_limit_images(z.J, z.g1.M, z.g2.M))
     return list(kept)
+
+
+def point_key(z: CompactPoint) -> tuple:
+    """The normal form of z: its stratum J and the proj_key of each entry
+    of its fundamental tuple, which ``==`` and ``hash`` read.  Built the
+    first time it is asked for and kept on z, as the tuple is."""
+    attrs = z.__dict__
+    key = attrs.get("_key")
+    if key is None:
+        key = attrs["_key"] = (z.J, tuple(map(proj_key, fundamental_tuple(z))))
+    return key
 
 
 def _limit_images(J: ParabolicSubset, m1: Matrix, m2: Matrix) -> list[Matrix]:

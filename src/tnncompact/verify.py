@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 from math import comb, prod
 from typing import Any, Callable, Iterator
@@ -40,19 +41,19 @@ from .exterior import (
     EmbeddingData,
     UnsupportedStratumError,
     embedding_data,
-    proj_equal,
+    proj_key,
     strictly_signed,
 )
 from .laurent import Laurent, lmat_compound, lmat_limit, lmat_mul
-from .matgroup import borel_minus, bruhat_cell
+from .matgroup import GroupMatrix, borel_minus, bruhat_cell
 from .strata import (
     CompactPoint,
     StrataError,
     act,
     base_point,
-    fundamental_tuple,
     iJ_of_point,
     membership_Zgt0,
+    point_key,
     positive_retraction,
     psibar,
     torus_limit,
@@ -375,11 +376,24 @@ def suite_marsh_rietsch(cfg: VerifyConfig) -> Iterator[Case]:
 # ---------------------------------------------------------------------------
 # 6/7. round-trip classification and emptiness
 
+def _levi_centre(J: ParabolicSubset) -> GroupMatrix:
+    """A diagonal t of det 1, constant on each J-block, so central in L_J
+    and fixing z°_J: the first block scaled by 2^{|B2|}, the second by
+    2^{−|B1|}, and all of t negated at even n."""
+    b1, b2, *_ = [*J.blocks0(), []]
+    scale = {i: Fraction(2 ** len(b2)) for i in b1} | {i: Fraction(1, 2 ** len(b1)) for i in b2}
+    sign = -1 if J.n % 2 == 0 else 1
+    return GroupMatrix(tuple(
+        tuple(sign * scale.get(i, 1) if i == j else 0 for j in range(J.n)) for i in range(J.n)
+    ))
+
+
 def suite_roundtrip(cfg: VerifyConfig) -> Iterator[Case]:
-    """classify reads every label back off its samples; controls: with two
-    seeds or more, the samples at s = 0 and s = 1 of a label of positive
-    dimension are unequal points (every label at n ≤ 3, a seeded sample
-    beyond)."""
+    """classify reads every label back off its samples; controls on each
+    label of positive dimension (every label at n ≤ 3, a seeded sample
+    beyond): with two seeds or more, its samples at s = 0 and s = 1 are
+    unequal points, and its sample z at s = 0 equals (J, z.g1·t, z.g2) for
+    t = _levi_centre(J), except at J = I for odd n, where t = 1."""
     seeds = [BASE_SEED + 97 * s for s in range(cfg.seeds)]
     for n in range(2, cfg.n + 1):
         cells = enumerate_cells(n)
@@ -394,6 +408,12 @@ def suite_roundtrip(cfg: VerifyConfig) -> Iterator[Case]:
                 yield lambda: points[0] != points[1], dict(
                     n=n, label=label, seeds=seeds[:2],
                     reason="the samples at two seeds are one point",
+                )
+            if label in controls and (n % 2 == 0 or len(label.J.J) < n - 1):
+                z, t = points[0], _levi_centre(label.J)
+                yield lambda: z == CompactPoint(z.J, z.g1 @ t, z.g2), dict(
+                    n=n, label=label, seed=seeds[0],
+                    reason="a point moved by the centre of its Levi factor is another point",
                 )
 
 
@@ -467,11 +487,9 @@ def suite_limits(cfg: VerifyConfig) -> Iterator[Case]:
             seed = BASE_SEED + 11 * k
             rng = random.Random(seed)
             g1, g2 = sample_G_gt0(n, rng), sample_G_gt0(n, rng)
-            yield lambda: all(map(
-                proj_equal,
-                _curve_limit_images(g1, c, g2),
-                fundamental_tuple(torus_limit(g1, c, g2)),
-            )), dict(n=n, c=list(c), seed=seed, reason="torus limit is not the curve's limit")
+            yield lambda: point_key(torus_limit(g1, c, g2))[1] == tuple(
+                map(proj_key, _curve_limit_images(g1, c, g2))
+            ), dict(n=n, c=list(c), seed=seed, reason="torus limit is not the curve's limit")
         for data in _criterion_data(n):
             yield lambda: _is_base_image(data), dict(
                 n=n, J=sorted(data.J.J), reason="base point image is not ([I1],[IL])"

@@ -33,7 +33,9 @@ full compounds through a dense 0/1 projector, whose kept basis vectors are
 chosen by a block count of their own.  The reference for point equality
 is the coset test the library ran before it compared fundamental tuples:
 conjugators equal modulo P_J and Q_J, and Levi parts in one frame equal
-modulo the center of L_J.  The references for the word evaluator are the
+modulo the center of L_J.  The reference for the projective key of a
+matrix is the cross-multiplication ``proj_equal`` that the library ran
+before it compared keys.  The references for the word evaluator are the
 generator, Weyl-lift and torus matrices written out entry by entry and
 multiplied row by column.  The reference for the lexicographically least
 reduced word strips the least left descent of a WeylElement one letter at
@@ -57,10 +59,10 @@ from hypothesis import strategies as st
 from tnncompact import linalg as la
 from tnncompact.cells import _chart, _chart_words, dimension_of
 from tnncompact.dual import Dual
-from tnncompact.exterior import compound, compounds, proj_equal, strictly_signed, subsets_colex
+from tnncompact.exterior import compound, compounds, strictly_signed, subsets_colex
 from tnncompact.laurent import Laurent, lmat_limit
 from tnncompact.matgroup import GroupError, _integer_form, _trusted, _word_element
-from tnncompact.strata import _kept_product, _limit_images
+from tnncompact.strata import _kept_product, _limit_images, fundamental_tuple
 from tnncompact.tnn import (
     _double_cell_steps,
     double_cell_evaluate,
@@ -124,6 +126,24 @@ def rational_matmul(a, b):
 def identity(n):
     """The n×n identity as a Fraction matrix."""
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def scale(m, c):
+    """c·m, entry by entry."""
+    return tuple(tuple(c * x for x in row) for row in m)
+
+
+def proj_equal(a, b):
+    """Equality in P(End V), by cross-multiplication: a = c·b for a nonzero
+    rational c.  The reference for ``exterior.proj_key``, which the library
+    compares instead."""
+    if la.dims(a) != la.dims(b):
+        return False
+    ca = next((x for row in a for x in row if x != 0), None)
+    cb = next((x for row in b for x in row if x != 0), None)
+    if ca is None or cb is None:
+        return ca is None and cb is None
+    return scale(a, cb) == scale(b, ca)
 
 
 def is_diagonal(m):
@@ -404,13 +424,20 @@ def fraction_is_totally_positive(g):
     """Every minor of g, or for even n of −g, strictly positive."""
     if all(x > 0 for x in fraction_minors(g.m)):
         return True
-    return g.n % 2 == 0 and all(x > 0 for x in fraction_minors(la.scale(g.m, Fraction(-1))))
+    return g.n % 2 == 0 and all(x > 0 for x in fraction_minors(scale(g.m, Fraction(-1))))
 
 
 def rational_tuple(z):
     """z's rational images ρ_k(g1)·D_k·ρ_k(g2), k = 1..n−1, on the Fraction
     views of g1 and g2."""
     return _limit_images(z.J, z.g1.m, z.g2.m)
+
+
+def point_equal(z, w):
+    """Point equality as the library decided it before it compared keys:
+    one stratum, and every entry of the fundamental tuples one projective
+    point by cross-multiplication."""
+    return z.J == w.J and all(map(proj_equal, fundamental_tuple(z), fundamental_tuple(w)))
 
 
 def fraction_membership(z):

@@ -464,6 +464,22 @@ def test_cli_verify_exits_2_without_traceback():
     assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
 
 
+def test_cli_reader_closing_stdout_is_no_usage_error():
+    """A reader that stops after 10 bytes of the n = 3 census (176 kB, more
+    than a pipe holds) closes stdout under the writer: exit 1 and nothing
+    on stderr, no `error:` line and no exit-flush complaint."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tnncompact", "enumerate", "--n", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 @pytest.mark.parametrize("suite", ["all", "census", "dimensions", "roundtrip", "emptiness"])
 def test_cli_verify_refuses_label_enumeration_at_n5(suite, capsys, monkeypatch):
     """The suites that enumerate every label (43.4M at n = 5) refuse n = 5
@@ -560,7 +576,7 @@ def test_mutant_catalog_entries_each_edit_one_line_once():
     its module, so a refactor that breaks an entry fails here, not only
     when the script runs."""
     mutants = _load_script(MUTANTS_SCRIPT)
-    assert len(mutants.MUTANTS) == 19
+    assert len(mutants.MUTANTS) == 21
     for name, (module, old, new) in mutants.MUTANTS.items():
         text = (ROOT / "src" / "tnncompact" / module).read_text()
         assert text.count(old) == 1 and "\n" not in old + new and old != new, name

@@ -10,6 +10,8 @@ from oracles import (
     generator_y,
     identity,
     laplace_det,
+    proj_equal,
+    scale,
     square_matrices,
 )
 
@@ -20,7 +22,7 @@ from tnncompact.exterior import (
     compound,
     compounds,
     embedding_data,
-    proj_equal,
+    proj_key,
     stratum_indicator,
     strictly_signed,
     subsets_colex,
@@ -237,7 +239,23 @@ def test_cached_positions_are_the_stratum_indicator_diagonal():
 
 def test_proj_helpers():
     a = la.mat([[1, 2], [3, 4]])
-    assert proj_equal(a, la.scale(a, Fraction(-7, 3)))
+    assert proj_equal(a, scale(a, Fraction(-7, 3)))
     assert not proj_equal(a, identity(2))
-    assert strictly_signed(la.scale(a, Fraction(-1)))
+    assert proj_key(a) == proj_key(scale(a, Fraction(-7, 3))) == ((1, 2), (3, 4))
+    assert proj_key(((0, -4), (6, Fraction(2, 3)))) == ((0, 6), (-9, -1))
+    assert strictly_signed(scale(a, Fraction(-1)))
     assert not strictly_signed(la.mat([[1, 0], [2, 3]]))
+
+
+@given(square_matrices(max_n=3), square_matrices(max_n=3), st.fractions().filter(bool))
+def test_proj_key_is_the_projective_point(a, b, c):
+    """Two nonzero matrices have one key exactly when the oracle's
+    cross-multiplication calls them one projective point; a key is an
+    integer matrix of a's shape, and a nonzero multiple of a has a's key."""
+    (_, a), (_, b) = a, b
+    if not any(map(any, a)) or not any(map(any, b)):
+        return
+    assert proj_key(scale(a, c)) == proj_key(a)
+    assert all(type(x) is int for row in proj_key(a) for x in row)
+    assert la.dims(proj_key(a)) == la.dims(a)
+    assert (proj_key(a) == proj_key(b)) == proj_equal(a, b)

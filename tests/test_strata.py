@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import (
     cauchy_binet_limit_check,
     chart_elements,
@@ -16,19 +17,21 @@ from oracles import (
     identity,
     lmat_torus_curve,
     opposed_by_lie_algebra,
+    point_equal,
+    proj_equal,
+    scale,
     top_weight_positions,
     triple,
 )
 
 from tnncompact import linalg as la
 from tnncompact import strata, verify
-from tnncompact.cells import classify, enumerate_cells, sample_cell, top_label
+from tnncompact.cells import classify, dimension_of, enumerate_cells, sample_cell, top_label
 from tnncompact.exterior import (
     UnsupportedStratumError,
     _levi_weight_positions,
     compounds,
     embedding_data,
-    proj_equal,
     strictly_signed,
 )
 from tnncompact.laurent import Laurent, lmat_limit
@@ -48,6 +51,7 @@ from tnncompact.strata import (
     fundamental_tuple,
     iJ_of_point,
     membership_Zgt0,
+    point_key,
     positive_retraction,
     psibar,
     torus_limit,
@@ -59,7 +63,7 @@ from tnncompact.tnn import (
     sample_G_gt0,
     sample_Uplus_gt0,
 )
-from tnncompact.verify import VerifyConfig, _negative_levi_point, run_suite
+from tnncompact.verify import VerifyConfig, _lower_cell_points, _negative_levi_point, run_suite
 from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets, all_weyl, identity_w, longest_w
 
 ALL_J3 = [[], [1], [2], [1, 2]]
@@ -161,6 +165,22 @@ def test_point_equality_across_representatives():
         assert membership_Zgt0(z2) == membership_Zgt0(z)
 
 
+def levi_centre(J, rng):
+    """A random det-1 element of the centre of L_J, which fixes z°_J: a
+    block scalar r^|B'| on a block B and r^-|B| on the next B', negated at
+    even n."""
+    n = J.n
+    blocks = J.blocks0()
+    diag = [Fraction(-1 if n % 2 == 0 else 1)] * n
+    for blk, nxt in zip(blocks, blocks[1:]):
+        r = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        for i in blk:
+            diag[i] *= r ** len(nxt)
+        for i in nxt:
+            diag[i] /= r ** len(blk)
+    return GroupMatrix(la.mat([[diag[i] * (i == j) for j in range(n)] for i in range(n)]))
+
+
 PAIRS_PER_STRATUM = {2: 150, 3: 150, 4: 50, 5: 20}
 
 
@@ -184,8 +204,7 @@ def test_equality_agrees_with_coset_equality(n):
 
     counts = {True: 0, False: 0}
     for J in all_parabolic_subsets(n):
-        blocks = J.blocks0()
-        block_of = {i: k for k, blk in enumerate(blocks) for i in blk}
+        block_of = {i: k for k, blk in enumerate(J.blocks0()) for i in blk}
         outside = [i for i in range(1, n) if i not in J.J]
 
         def in_block(i, j):
@@ -194,17 +213,6 @@ def test_equality_agrees_with_coset_equality(n):
         def levi():
             t = torus([coeff() for _ in range(n - 1)])
             return unitriangular(True, in_block) @ t @ unitriangular(False, in_block)
-
-        def center():
-            """A det-1 block scalar: r^|B'| on a block B, r^-|B| on the next B'."""
-            diag = [Fraction(1)] * n
-            for blk, nxt in zip(blocks, blocks[1:]):
-                r = coeff()
-                for i in blk:
-                    diag[i] *= r ** len(nxt)
-                for i in nxt:
-                    diag[i] /= r ** len(blk)
-            return GroupMatrix(la.mat([[diag[i] * (i == j) for j in range(n)] for i in range(n)]))
 
         pairs = 0
         while pairs < PAIRS_PER_STRATUM[n]:
@@ -217,7 +225,7 @@ def test_equality_agrees_with_coset_equality(n):
             q_J = unitriangular(True) @ levi()
             others = [
                 (True, CompactPoint.of_triple(J, a @ p_J, b @ q_J, g)),
-                (True, CompactPoint.of_triple(J, a, b, g @ b @ center() @ b.inverse())),
+                (True, CompactPoint.of_triple(J, a, b, g @ b @ levi_centre(J, rng) @ b.inverse())),
             ]
             if J.J:
                 x = generator_x(n, rng.choice(sorted(J.J)), coeff())
@@ -496,9 +504,9 @@ def test_certificates_build_no_fraction(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_fundamental_tuple_builds_no_fraction(n, monkeypatch):
-    """The fundamental tuple, the (*) pair and point equality run on the
-    integer pairs (M1, M2): on caller-built points of every stratum they
-    construct no Fraction."""
+    """The fundamental tuple, the (*) pair, point equality and the hash run
+    on the integer pairs (M1, M2): on caller-built points of every stratum
+    they construct no Fraction."""
     rng = random.Random(190 + n)
     cases = []
     for J in all_parabolic_subsets(n):
@@ -519,7 +527,7 @@ def test_fundamental_tuple_builds_no_fraction(n, monkeypatch):
         assert len(fundamental_tuple(z)) == n - 1
         if data is not None:
             assert len(iJ_of_point(z, data)) == 2
-        assert z == same and not z == psibar(z)
+        assert z == same and not z == psibar(z) and hash(z) == hash(same)
     monkeypatch.undo()
     assert built == []
     assert any(data is not None for _, _, data in cases)
@@ -783,12 +791,97 @@ def test_constructors_reject_matrices_of_another_size(sizes):
             CompactPoint.of_triple(J, *t)
 
 
-def test_compact_point_is_unhashable():
-    """Equality is projective equality of the fundamental tuple, so a field
-    hash would disagree with it."""
-    J = ParabolicSubset.of(3, [1])
-    z = base_point(J)
-    u = generator_x(3, 2, 3)
-    assert act(u, identity_g(3), z) == z
-    with pytest.raises(TypeError):
-        hash(z)
+def stabilizer_pair(J, rng):
+    """(p, q) fixing z°_J: p = u·l·c and q = u′·l for l in L_J, c in its
+    centre, u in the unipotent radical of P_J and u′ in that of Q_J."""
+    n = J.n
+    block_of = {i: k for k, blk in enumerate(J.blocks0()) for i in blk}
+
+    def unitriangular(below, same_block):
+        return GroupMatrix(la.mat([
+            [
+                1 if i == j
+                else Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2))
+                if (i > j) == below and (block_of[i] == block_of[j]) == same_block
+                else 0
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]))
+
+    l = unitriangular(True, True) @ levi_centre(J, rng) @ unitriangular(False, True)
+    return unitriangular(False, False) @ l @ levi_centre(J, rng), unitriangular(True, False) @ l
+
+
+def equal_partners(z, rng):
+    """Other representatives of the point z: ψ̄(ψ̄(z)), z's pair moved by
+    the centre of L_J and by a pair fixing z°_J, and, at even n, −g1."""
+    p, q = stabilizer_pair(z.J, rng)
+    yield psibar(psibar(z))
+    yield CompactPoint(z.J, z.g1 @ levi_centre(z.J, rng), z.g2)
+    yield CompactPoint(z.J, z.g1 @ p, q.inverse() @ z.g2)
+    if z.n % 2 == 0:
+        yield CompactPoint(z.J, GroupMatrix(scale(z.g1.m, Fraction(-1))), z.g2)
+
+
+@settings(max_examples=10)
+@given(st.integers(2, 4), st.randoms(use_true_random=False))
+def test_equal_points_hash_equally(n, rng):
+    """Equal points have one hash and make one element of a set, whichever
+    way they were made and however their pairs were moved."""
+    for z in points_of_every_kind(n, rng):
+        same = list(equal_partners(z, rng))
+        for w in same:
+            assert w == z and hash(w) == hash(z)
+        assert len({z, *same}) == 1
+
+
+def test_hashes_are_not_degenerate():
+    """The samples of every n = 3 label at two seeds give as many distinct
+    hashes as distinct points.  The oracle counts the points: samples of
+    two labels lie in disjoint cells, and the two samples of one label are
+    one point exactly when the oracle's cross-multiplication says so, which
+    is on the 36 cells of dimension 0."""
+    samples = [
+        (label, [sample_cell(label, seed)[1] for seed in (1, 2)])
+        for label, _ in enumerate_cells(3)
+    ]
+    distinct = sum(1 if point_equal(*zs) else 2 for _, zs in samples)
+    points = [z for _, zs in samples for z in zs]
+    assert distinct == 2 * len(samples) - sum(dimension_of(label) == 0 for label, _ in samples)
+    assert len({hash(z) for z in points}) == distinct == len(set(points))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_point_key_agrees_with_the_oracle(n):
+    """Keys, and so ==, agree with the oracle's cross-multiplication of
+    fundamental tuples on equal pairs (z and ψ̄(ψ̄(z)); z's pair moved by
+    the centre of L_J, by a pair fixing z°_J and, at even n, by −1) and on
+    unequal pairs (the samples at two seeds of a cell of positive
+    dimension; samples of two cells)."""
+    rng = random.Random(240 + n)
+    pairs = [(True, z, w) for z in points_of_every_kind(n, rng) for w in equal_partners(z, rng)]
+    cells = list(_lower_cell_points(n, 3, 250 + n))
+    for (label, seed, z), (other, _, w) in zip(cells, cells[1:]):
+        pairs.append((dimension_of(label) == 0, z, sample_cell(label, seed + 1)[1]))
+        if other != label:
+            pairs.append((False, z, w))
+    for expected, z, w in pairs:
+        assert point_equal(z, w) == expected
+        assert (point_key(z) == point_key(w)) == expected
+        assert (z == w) == expected
+    assert {expected for expected, _, _ in pairs} == {True, False}
+
+
+def test_signs_read_the_raw_tuple_and_build_no_key():
+    """membership_Zgt0 and positive_retraction read the kept tuple's signs:
+    neither builds the key of its input or of its output."""
+    rng = random.Random(260)
+    for n in (2, 3, 4):
+        for J in all_parabolic_subsets(n):
+            g1, g2, h1, h2 = (sample_G_gt0(n, rng) for _ in range(4))
+            z = torus_limit(g1, exponents_into(J, rng), g2)
+            out = positive_retraction(h1, h2, z)
+            assert membership_Zgt0(z) and membership_Zgt0(out)
+            assert "_images" in out.__dict__
+            assert "_key" not in z.__dict__ and "_key" not in out.__dict__

@@ -17,6 +17,7 @@ from oracles import (
     mr_chart,
     naive_matmul,
     sample_L_ge0,
+    scale,
     sdot_matrix,
     square_matrices,
     torus_matrix,
@@ -153,7 +154,7 @@ def test_integer_minor_tests_match_the_fraction_ladder_on_samples(n):
     full = ParabolicSubset.of(n, range(1, n))
     for _ in range(8):
         g, l = sample_G_gt0(n, rng), sample_L_ge0(full, rng)
-        for h in (g, l, g @ l, trusted(la.scale(g.m, Fraction(-1)))):
+        for h in (g, l, g @ l, trusted(scale(g.m, Fraction(-1)))):
             assert is_tnn_matrix(h.m) == fraction_is_tnn(h.m)
             assert is_totally_positive(h) == fraction_is_totally_positive(h)
 
@@ -164,7 +165,7 @@ def test_a_negated_tp_matrix_takes_one_ladder(monkeypatch):
     import tnncompact.tnn as tnn_mod
 
     g = sample_G_gt0(4, random.Random(4))
-    neg = trusted(la.scale(g.m, Fraction(-1)))
+    neg = trusted(scale(g.m, Fraction(-1)))
     assert neg.M == tuple(tuple(-x for x in row) for row in g.M)
     real, calls = tnn_mod._minors_positive, []
 

@@ -6,6 +6,7 @@ them there to answer wrongly must fail every case the suite counts.
 """
 
 import pytest
+from oracles import generator_y
 
 from tnncompact import serialize as ser
 from tnncompact import verify
@@ -58,12 +59,14 @@ WRONG = {
             "mr_evaluate": lambda psub, coords: _mr_evaluate(psub, [c or 1 for c in coords]),
         },
     ),
-    # every seed gives the seed-0 sample, so two seeds give one point
+    # every seed gives the seed-0 sample, so two seeds give one point; and
+    # y_1(1), in place of the Levi centre, moves every base point
     "roundtrip": (
         CFG,
         {
             "classify": _next_label,
             "sample_cell": lambda label, seed: _sample_cell(label, verify.BASE_SEED),
+            "_levi_centre": lambda J: generator_y(J.n, 1, 1),
         },
     ),
     # every label at n = 2 is nonempty, so the refusal cases start at n = 3
@@ -74,7 +77,7 @@ WRONG = {
             "classify": lambda z: verify._empty_labels(z.J.n)[0],
         },
     ),
-    "limits": (CFG, {"proj_equal": lambda a, b: False, "iJ_of_point": _zero_images}),
+    "limits": (CFG, {"point_key": lambda z: (z.J, ()), "iJ_of_point": _zero_images}),
     "retraction": (CFG, {"positive_retraction": _retract_to_base}),
     "monoid": (
         CFG,

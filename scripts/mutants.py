@@ -49,6 +49,11 @@ MUTANTS = {
         "zip(v.perm[:-1], w.perm[:-1])",
         "zip(v.perm[:-2], w.perm[:-2])",
     ),
+    "the kept positive subexpression ignores v": (
+        "weyl.py",
+        "    key = v.perm",
+        "    key = len(v.perm)",
+    ),
     "dimension_of adds |J| twice": ("cells.py", "+ len(J.J)", "+ 2 * len(J.J)"),
     "the full-rank decision always returns True": (
         "cells.py",

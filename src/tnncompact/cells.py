@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 from . import linalg as la
@@ -395,18 +396,19 @@ def _tangent_rank(J: ParabolicSubset, word1, word2, p: int | None = None) -> int
     return la.rank(rows) if p is None else la._rank_mod_p(rows, p)
 
 
+@cache
 def _quotient_layout(J: ParabolicSubset):
     """The quotient coordinates of ``_tangent_rank`` for stratum J: the
     positions (r, c) below the J-block diagonal, the off-diagonal positions
     inside the blocks, and the j ∈ J whose diagonal entries j−1, j share a
-    block (0-based indices)."""
+    block (0-based indices), computed once per J."""
     block = [0]
     for j in range(1, J.n):
         block.append(block[-1] + (j not in J.J))
     cells = [(r, c) for r in range(J.n) for c in range(J.n)]
-    below = [(r, c) for r, c in cells if block[r] > block[c]]
-    within = [(r, c) for r, c in cells if r != c and block[r] == block[c]]
-    return below, within, sorted(J.J)
+    below = tuple((r, c) for r, c in cells if block[r] > block[c])
+    within = tuple((r, c) for r, c in cells if r != c and block[r] == block[c])
+    return below, within, tuple(sorted(J.J))
 
 
 def _tangent_vectors(J: ParabolicSubset, word, p: int | None = None):

@@ -8,17 +8,22 @@ tableau criterion; reduced-word machinery (positive subexpressions,
 lexicographically least words) lives here too.
 
 The public ``WeylElement`` constructor checks that its tuple is a
-permutation; JSON readers and callers go through it.  Every element this
-module builds from a size or from other elements (products, inverses,
-right multiplication by s_i, coset representatives, the named elements)
-is a permutation by construction and goes through ``_trusted_w``, which
-checks nothing.
+permutation of ints (no floats, no bools); JSON readers and callers go
+through it.  Every element this module builds from a size or from other
+elements (products, inverses, right multiplication by s_i, coset
+representatives, the named elements) is a permutation by construction and
+goes through ``_trusted_w``, which checks nothing and returns the one
+shared element of its permutation.  An element keeps what it is first
+asked for: its length, its inverse (linked back) and its lex-min reduced
+word, which keeps its positive subexpression per v; a ``ParabolicSubset``
+keeps its blocks, longest element and J*.  Every kept value is immutable.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, permutations
 from operator import le
 
@@ -35,7 +40,8 @@ class WeylElement:
 
     def __post_init__(self):
         n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)):
+        ints = type(self.perm) is tuple and all(type(x) is int for x in self.perm)
+        if not ints or sorted(self.perm) != list(range(1, n + 1)):
             raise WeylError(f"not a permutation of 1..{n}: {self.perm}")
 
     @property
@@ -45,12 +51,9 @@ class WeylElement:
     def __call__(self, i: int) -> int:
         return self.perm[i - 1]
 
-    @property
+    @cached_property
     def length(self) -> int:
-        p = self.perm
-        return sum(
-            1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j]
-        )
+        return _inversions(self.perm)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.n != other.n:
@@ -59,10 +62,11 @@ class WeylElement:
         return _trusted_w(tuple(p[j - 1] for j in other.perm))
 
     def inverse(self) -> "WeylElement":
-        inv = [0] * self.n
-        for i, v in enumerate(self.perm):
-            inv[v - 1] = i + 1
-        return _trusted_w(tuple(inv))
+        inv = self.__dict__.get("_inv")
+        if inv is None:  # the positions 1..n ordered by their values
+            inv = self.__dict__["_inv"] = _trusted_w(tuple(sorted(range(1, self.n + 1), key=self)))
+            inv.__dict__["_inv"] = _trusted_w(self.perm)
+        return inv
 
     def right_s(self, i: int) -> "WeylElement":
         """self * s_i (swaps positions i, i+1)."""
@@ -81,12 +85,21 @@ class WeylElement:
         return f"W{self.perm}"
 
 
+def _inversions(p: tuple[int, ...]) -> int:
+    return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
+
+
+_ELEMENTS: dict[tuple[int, ...], WeylElement] = {}
+
+
 def _trusted_w(perm: tuple[int, ...]) -> WeylElement:
-    """A WeylElement for a tuple that is a permutation by construction:
-    skips the ``__post_init__`` check, which stays on every public
-    construction."""
-    w = object.__new__(WeylElement)
-    w.__dict__["perm"] = perm
+    """The shared WeylElement of a tuple that is a permutation by
+    construction: skips the ``__post_init__`` check, which stays on every
+    public construction."""
+    w = _ELEMENTS.get(perm)
+    if w is None:
+        w = _ELEMENTS[perm] = object.__new__(WeylElement)
+        w.__dict__["perm"] = perm
     return w
 
 
@@ -146,27 +159,26 @@ class ReducedWord:
 
 
 def lex_min_reduced_word(w: WeylElement) -> ReducedWord:
-    """Lexicographically least reduced word (deterministic chart choice).
+    """Lexicographically least reduced word (deterministic chart choice),
+    kept on w (``_lex_min_word``)."""
+    word = w.__dict__.get("_word")
+    if word is None:
+        word = w.__dict__["_word"] = _lex_min_word(w)
+    return word
 
-    The least letter is the least left descent i of w, i.e. the least
-    descent of q = w⁻¹, and s_i·w has inverse q with positions i, i+1
-    swapped; so the word sorts q by adjacent swaps, always at the leftmost
-    descent.  A swap at i leaves no descent left of i − 1, so the scan
-    resumes there.  Each letter removes one inversion, so the word is
-    reduced by construction and is not re-checked.
-    """
-    q = list(w.inverse().perm)
-    letters = []
-    i = 1
-    while i < len(q):
-        if q[i - 1] > q[i]:
-            q[i - 1], q[i] = q[i], q[i - 1]
-            letters.append(i)
-            i = max(i - 1, 1)
-        else:
-            i += 1
+
+def _lex_min_word(w: WeylElement) -> ReducedWord:
+    """The least letter is the least left descent i of w, i.e. the least
+    descent of w⁻¹, and the rest is the kept word of s_i·w, one shorter.
+    Each letter removes one inversion, so the word is reduced by
+    construction and is not re-checked."""
+    q = w.inverse().perm
+    i = next((i for i in range(1, w.n) if q[i - 1] > q[i]), 0)
+    letters = ()
+    if i:
+        letters = (i, *lex_min_reduced_word(simple_reflection(w.n, i) * w).letters)
     word = object.__new__(ReducedWord)
-    word.__dict__.update(n=w.n, letters=tuple(letters))
+    word.__dict__.update(n=w.n, letters=letters)
     return word
 
 
@@ -193,6 +205,17 @@ class PositiveSubexpression:
 
 
 def positive_subexpression(word: ReducedWord, v: WeylElement) -> PositiveSubexpression:
+    """The positive subexpression of word for v, kept on the word per v
+    (``_positive_subexpression``)."""
+    kept = word.__dict__.setdefault("_psubs", {})
+    key = v.perm
+    psub = kept.get(key)
+    if psub is None:
+        psub = kept[key] = _positive_subexpression(word, v)
+    return psub
+
+
+def _positive_subexpression(word: ReducedWord, v: WeylElement) -> PositiveSubexpression:
     """Right-to-left greedy computation on one permutation, the running
     station u, starting at v: step down by s_{i_j} exactly when that
     shortens u, i.e. when u has a right descent at i_j, u(i_j) > u(i_j + 1);
@@ -220,14 +243,15 @@ class ParabolicSubset:
     J: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if not all(1 <= j <= self.n - 1 for j in self.J):
-            raise WeylError(f"J={set(self.J)} not inside 1..{self.n - 1}")
+        if type(self.n) is not int or not all(type(j) is int and 0 < j < self.n for j in self.J):
+            raise WeylError(f"J={set(self.J)} is not a set of ints in 1..n-1 for n={self.n!r}")
 
     @staticmethod
     def of(n: int, js) -> "ParabolicSubset":
         return ParabolicSubset(n, frozenset(js))
 
-    def blocks(self) -> list[list[int]]:
+    @cached_property
+    def _blocks(self) -> tuple[tuple[int, ...], ...]:
         """J-blocks: consecutive runs of {1..n} glued along i ∈ J (1-based)."""
         blocks = [[1]]
         for i in range(1, self.n):
@@ -235,29 +259,41 @@ class ParabolicSubset:
                 blocks[-1].append(i + 1)
             else:
                 blocks.append([i + 1])
-        return blocks
+        return tuple(map(tuple, blocks))
+
+    def blocks(self) -> list[list[int]]:
+        """The J-blocks, as fresh lists."""
+        return [list(blk) for blk in self._blocks]
 
     def blocks0(self) -> list[list[int]]:
         """Same blocks with 0-based matrix indices."""
-        return [[i - 1 for i in blk] for blk in self.blocks()]
+        return [[i - 1 for i in blk] for blk in self._blocks]
 
     def boundaries(self) -> list[int]:
         """Proper cumulative block dimensions, i.e. {1..n-1} minus J."""
         return [d for d in range(1, self.n) if d not in self.J]
 
     def star(self) -> "ParabolicSubset":
+        return self._star
+
+    @cached_property
+    def _star(self) -> "ParabolicSubset":
         return ParabolicSubset(self.n, frozenset(self.n - j for j in self.J))
 
     def longest_element(self) -> WeylElement:
+        return self._longest
+
+    @cached_property
+    def _longest(self) -> WeylElement:
         p = list(range(1, self.n + 1))
-        for blk in self.blocks():
+        for blk in self._blocks:
             lo, hi = blk[0], blk[-1]
-            p[lo - 1 : hi] = list(range(hi, lo - 1, -1))
+            p[lo - 1 : hi] = range(hi, lo - 1, -1)
         return _trusted_w(tuple(p))
 
     def contains_w(self, w: WeylElement) -> bool:
         """w ∈ W_J iff w permutes within the J-blocks."""
-        for blk in self.blocks():
+        for blk in self._blocks:
             lo, hi = blk[0], blk[-1]
             if any(not lo <= w(i) <= hi for i in blk):
                 return False
@@ -277,7 +313,7 @@ class ParabolicSubset:
         """The shortest element of the coset w·W_J: w's entries sorted within
         each J-block of positions."""
         p = list(w.perm)
-        for blk in self.blocks():
+        for blk in self._blocks:
             lo, hi = blk[0], blk[-1]
             p[lo - 1 : hi] = sorted(p[lo - 1 : hi])
         return _trusted_w(tuple(p))

@@ -39,7 +39,9 @@ before it compared keys.  The references for the word evaluator are the
 generator, Weyl-lift and torus matrices written out entry by entry and
 multiplied row by column.  The reference for the lexicographically least
 reduced word strips the least left descent of a WeylElement one letter at
-a time, building one element per step; the reference for a positive
+a time, building one element per step; a second one is the adjacent-swap
+sort of w⁻¹ that the library ran on every call before it kept one word
+per element; the reference for a positive
 subexpression's free steps is its list of stations, each step decided by
 comparing lengths.  The reference for the Jacobian
 rank check is the rank it took before it read tangent vectors modulo the
@@ -376,6 +378,25 @@ def lex_min_word_by_left_descents(w):
         i = min(cur.left_descents())
         letters.append(i)
         cur = simple_reflection(cur.n, i) * cur
+    return tuple(letters)
+
+
+def lex_min_word_by_swaps(w):
+    """The lexicographically least reduced word of w, as letters: sort
+    q = w⁻¹ by adjacent swaps, always at the leftmost descent.  The least
+    left descent i of w is the least descent of q, and s_i·w has inverse q
+    with positions i, i+1 swapped; a swap at i leaves no descent left of
+    i − 1, so the scan resumes there."""
+    q = list(w.inverse().perm)
+    letters = []
+    i = 1
+    while i < len(q):
+        if q[i - 1] > q[i]:
+            q[i - 1], q[i] = q[i], q[i - 1]
+            letters.append(i)
+            i = max(i - 1, 1)
+        else:
+            i += 1
     return tuple(letters)
 
 

@@ -240,6 +240,41 @@ def test_enumerate_checks_bruhat_once_per_pair(monkeypatch):
     )
 
 
+def test_label_only_work_runs_once_per_label(monkeypatch):
+    """Repeated samples and Jacobian checks of one n = 3 label compute each
+    lex-min word and each positive subexpression once, and a repeated
+    dimension_of computes no inversion count.  The label's parts are built
+    publicly, so nothing is kept on them before the first call."""
+    from tnncompact import weyl
+
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(weyl, name)
+
+        def wrapped(*args):
+            calls[(name, *map(id, args))] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(weyl, name, wrapped)
+
+    for name in ("_inversions", "_lex_min_word", "_positive_subexpression"):
+        counting(name)
+    label = L(3, [1], (1, 2, 3), (2, 3, 1), (1, 3, 2), (1, 3, 2), (2, 1, 3), (1, 2, 3))
+    first = [sample_cell(label, 1), jacobian_rank_check(label, 1)]
+    assert all(k == 1 for key, k in calls.items() if key[0] != "_inversions")
+    assert {("_lex_min_word", id(label.w)), ("_lex_min_word", id(label.wp))} <= set(calls)
+    assert sum(key[0] == "_positive_subexpression" for key in calls) == 2
+    calls.clear()
+    for seed in (1, 2, 3):
+        assert jacobian_rank_check(label, seed)
+        coords, z = sample_cell(label, seed)
+        assert len(coords) == dimension_of(label) == dimension_of(label)
+        assert classify(z) == label
+    assert [sample_cell(label, 1), jacobian_rank_check(label, 1)] == first
+    assert not calls
+
+
 def test_sample_cell_refuses_empty():
     empty = L(3, [1], (2, 1, 3), (2, 3, 1), (1, 2, 3), (1, 3, 2), (1, 2, 3), (1, 2, 3))
     with pytest.raises(EmptyCellError):

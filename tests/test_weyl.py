@@ -3,8 +3,13 @@ from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import lex_min_word_by_left_descents, positive_subexpression_stations
+from oracles import (
+    lex_min_word_by_left_descents,
+    lex_min_word_by_swaps,
+    positive_subexpression_stations,
+)
 
+from tnncompact import weyl
 from tnncompact.serialize import SchemaError, weyl_from_json
 from tnncompact.weyl import (
     ParabolicSubset,
@@ -342,6 +347,99 @@ def test_public_construction_still_checks():
         weyl_from_json([2, 2])
     with pytest.raises(WeylError):
         identity_w(2) * identity_w(3)
+
+
+@pytest.mark.parametrize(
+    "perm", [(2.0, 1.0, 3.0), (True, 2), (1, True), (1, 2.0), (1.5,), ("1",), [2, 1, 3]]
+)
+def test_weyl_element_refuses_non_integer_entries(perm):
+    """A float perm compares and hashes like the int one, so accepting it
+    would let one caller leave a float element where ints are expected; a
+    list is no key for the kept values."""
+    with pytest.raises(WeylError):
+        WeylElement(perm)
+
+
+@pytest.mark.parametrize(
+    "n,js",
+    [(3, [1.0]), (3, [True]), (3, [1, 2.0]), (3.0, []), (True, []), (3, ["1"]), ("3", [1])],
+)
+def test_parabolic_subset_refuses_non_integer_entries(n, js):
+    with pytest.raises(WeylError):
+        ParabolicSubset.of(n, js)
+
+
+def _inversion_count(w):
+    return sum(w(i) > w(j) for i, j in combinations(range(1, w.n + 1), 2))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_one_shared_element_per_permutation_and_its_kept_values(n):
+    """Every permutation at n ≤ 5: the library builds one object for it,
+    whatever the route, and the values kept on it are those of brute
+    force: an inversion count, w⁻¹·w = e, and the adjacent-swap word."""
+    ws = all_weyl(n)
+    e = identity_w(n)
+    assert e is identity_w(n) and longest_w(n) is longest_w(n)
+    for w, again in zip(ws, all_weyl(n)):
+        assert w is again and (w * e) is w and (e * w) is w
+        assert w.length == _inversion_count(w)
+        inv = w.inverse()
+        assert inv * w is e and w * inv is e
+        assert inv.inverse() is w and w.inverse() is inv
+        for i in range(1, n):
+            assert w.right_s(i).right_s(i) is w
+        word = lex_min_reduced_word(w)
+        assert word.letters == lex_min_word_by_swaps(w), w
+        assert lex_min_reduced_word(w) is word
+        public = WeylElement(w.perm)
+        assert public == w and hash(public) == hash(w) and public is not w
+        assert public.length == w.length and public.inverse() is inv
+        assert lex_min_reduced_word(public) == word
+    for J in all_parabolic_subsets(n):
+        assert J.longest_element() is J.longest_element()
+        assert J.max_coset_rep() is J.max_coset_rep()
+        assert J.star() is J.star() and J.star().star() == J
+        shared = {id(w) for w in ws}
+        assert all(id(x) in shared for x in J.min_coset_reps())
+        assert all(id(J.min_rep(w)) in shared for w in ws)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kept_positive_subexpression_is_keyed_by_word_and_v(n):
+    """For every reduced word of every w at n ≤ 4 and every v ≤ w, the kept
+    subexpression equals a fresh computation after all of them have been
+    kept.  Two words of one w give one v different free steps, so a key
+    without the word (or without v) would return another pair's value."""
+    differ = 0
+    for w in all_weyl(n):
+        below = [v for v in all_weyl(n) if bruhat_leq(v, w)]
+        words = [ReducedWord(n, letters) for letters in all_reduced_words(w)]
+        words.append(lex_min_reduced_word(w))
+        kept = {
+            (k, v): positive_subexpression(word, v)
+            for k, word in enumerate(words)
+            for v in below
+        }
+        for (k, v), psub in kept.items():
+            fresh = weyl._positive_subexpression(words[k], v)
+            assert positive_subexpression(words[k], v) is psub
+            assert psub == fresh and psub.v == v and psub.word == words[k]
+        for v in below:
+            differ += len({kept[k, v].jcirc for k in range(len(words))}) > 1
+    assert differ > 0 or n == 2
+
+
+def test_blocks_are_fresh_lists_over_kept_blocks():
+    J = ParabolicSubset.of(4, [1, 3])
+    blocks, blocks0 = J.blocks(), J.blocks0()
+    blocks[0].append(9)
+    blocks.append([7])
+    blocks0[1].clear()
+    assert J.blocks() == [[1, 2], [3, 4]] and J.blocks0() == [[0, 1], [2, 3]]
+    assert J.blocks() is not J.blocks()
+    assert J.contains_w(WeylElement((2, 1, 4, 3)))
+    assert J.longest_element().perm == (2, 1, 4, 3)
 
 
 def test_reduced_word_rejects_nonreduced():

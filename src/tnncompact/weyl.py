@@ -261,10 +261,6 @@ class ParabolicSubset:
                 blocks.append([i + 1])
         return tuple(map(tuple, blocks))
 
-    def blocks(self) -> list[list[int]]:
-        """The J-blocks, as fresh lists."""
-        return [list(blk) for blk in self._blocks]
-
     def blocks0(self) -> list[list[int]]:
         """Same blocks with 0-based matrix indices."""
         return [[i - 1 for i in blk] for blk in self._blocks]

@@ -49,7 +49,8 @@ stabilizer: the chart over dual numbers, mapped into every fundamental
 representation through compounds, with one gradient row per entry.
 The pinning's generators x_i(a) and y_i(a), and a nonnegative sample of a
 Levi factor, which the library itself never builds alone, are words of its
-word evaluator here.
+word evaluator here.  The 1-based J-blocks of a parabolic (``blocks``),
+which the library reads only 0-based, are read off its kept blocks here.
 """
 
 from fractions import Fraction
@@ -379,6 +380,11 @@ def lex_min_word_by_left_descents(w):
         letters.append(i)
         cur = simple_reflection(cur.n, i) * cur
     return tuple(letters)
+
+
+def blocks(J):
+    """The J-blocks of a ParabolicSubset, 1-based, as fresh lists."""
+    return [list(blk) for blk in J._blocks]
 
 
 def lex_min_word_by_swaps(w):

@@ -9,9 +9,13 @@ function), and the oracle constructors below.  The definitions that only
 a metric keeps are pinned below, so that a change to the metrics shows
 what it frees.
 
-Callers are matched by bare name, so a definition counts as called when
-anything of the same name is: an uncalled method that shares its name
-with a called function or method of another class is not caught.
+Callers are matched by name, leaving out a definition's uses of its own
+name inside its body.  A module-level function or class counts as called
+when its name is used at all, bare or as an attribute.  A public method
+counts as called only when its name is used as an attribute (``x.name``):
+a local variable or function that shares a method's name does not keep
+the method, though a call of a same-named method of another class still
+does.
 """
 
 import ast
@@ -51,6 +55,10 @@ def _names_used(node) -> Counter:
     )
 
 
+def _attributes_used(node) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
 def _metric_functions() -> set[str]:
     """"module.function" for each per-layer metric "module.function.stat"."""
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
@@ -74,6 +82,7 @@ def uncalled_definitions(exempt: set[str]) -> list[str]:
     callers += sorted((ROOT / "scripts").glob("*.py"))
     trees = {p: ast.parse(p.read_text()) for p in callers}
     used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    attributes = sum((_attributes_used(tree) for tree in trees.values()), Counter())
     dead = []
     for path, tree in trees.items():
         if path.parent != PACKAGE:
@@ -81,8 +90,12 @@ def uncalled_definitions(exempt: set[str]) -> list[str]:
         for qualified, node in _definitions(path.stem, tree):
             if qualified in exempt:
                 continue
+            if qualified.count(".") == 2:  # a method is reached as x.name
+                uses, total = _attributes_used, attributes
+            else:
+                uses, total = _names_used, used
             # a definition's references to itself do not make it called
-            if used[node.name] == _names_used(node)[node.name]:
+            if total[node.name] == uses(node)[node.name]:
                 dead.append(qualified)
     return dead
 

@@ -276,6 +276,23 @@ def test_cells_to_json_records_are_untracked_ints_and_int_tuples(n, J):
     assert not any(gc.is_tracked(cell) for cell in cells)
 
 
+@pytest.mark.parametrize("n, J", [(3, None), (4, ParabolicSubset.of(4, [2]))], ids=["3", "4-J{2}"])
+def test_cells_to_json_records_are_independent_and_in_key_order(n, J):
+    """Records that share a stratum's head and rest pieces are still one
+    dict each, keyed in record order: editing one edits no other, and the
+    next census is built afresh."""
+    cells = ser.cells_to_json(n, J)["cells"]
+    assert len({id(cell) for cell in cells}) == len(cells)
+    assert all(list(cell) == ["J", "v", "w", "v2", "w2", "y", "y2", "dim"] for cell in cells)
+    before = [dict(cell) for cell in cells]
+    for k in (0, len(cells) // 2, len(cells) - 1):
+        cells[k]["dim"], cells[k]["y"] = -1, ()
+        assert [cell for i, cell in enumerate(cells) if cell != before[i]] == [cells[k]]
+        cells[k].update(before[k])
+    cells[0]["dim"] = -1
+    assert ser.cells_to_json(n, J)["cells"] == before
+
+
 def test_label_to_json_returns_fresh_lists():
     label = enumerate_cells(3)[0][0]
     a, b = ser.label_to_json(label), ser.label_to_json(label)

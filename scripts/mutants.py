@@ -127,6 +127,11 @@ MUTANTS = {
         "tuple(_limit_images(z.J, z.g1.M, z.g2.M))",
         "tuple(_limit_images(ParabolicSubset.of(z.n, range(1, z.n)), z.g1.M, z.g2.M))",
     ),
+    "the kept ladder drops its alternating sign": (
+        "strata.py",
+        "((s[j] - 1) * n + n * n * ((j + k) % 2 == 0), below[s[:j] + s[j + 1 :]])",
+        "((s[j] - 1) * n, below[s[:j] + s[j + 1 :]])",
+    ),
     # Left out as equivalent: the point key without J.  A point's
     # fundamental tuple determines its stratum (its degree-j entry has rank
     # at least 2 exactly when j ∈ J), so equal tuples already mean equal J.

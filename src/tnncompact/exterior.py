@@ -7,7 +7,12 @@ comes first and is the highest weight vector.
 
 For a stratum J, D_k = stratum_indicator(J, k) is the limit projector of
 ρ_k, and strata.fundamental_tuple maps a point of Z_J to every
-ρ_k(g1)·D_k·ρ_k(g2), k = 1..n−1, at once.  The paper's entrywise
+ρ_k(g1)·D_k·ρ_k(g2), k = 1..n−1, at once.  It builds no whole compound:
+D_k keeps the Levi-weight k-subsets K_k only, so each entry is summed over
+K_k from the minors of g1 on the columns K_k and of g2 on the rows K_k,
+which a ladder of its own builds (strata._kept_minors); on J = I, where
+K_k is every subset, it is the compound of g1·g2.  The whole compounds
+(compounds) serve the total positivity tests.  The paper's entrywise
 criterion (*) reads two of them: an EmbeddingData names the degrees k1 and
 k2 of its representation pair, where I_1 = D_{k1} is the rank-one
 projector onto the highest weight line and I_L = D_{k2} the Levi-weight

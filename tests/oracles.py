@@ -21,7 +21,11 @@ library cleared denominators: the compound ladder on the rational matrix,
 the fundamental tuple of rational images, and the torus-limit check on
 Laurent polynomials with Fraction coefficients; the Cauchy–Binet check
 runs on the row and column scalings of ``integer_pairs``, which the
-library used before it read integer matrices directly.  ``torus_limit`` returns
+library used before it read integer matrices directly.  The reference
+for the fundamental tuple's kernel is the compound pass the library ran before it
+built only the minors D_k keeps: two full compound ladders, and the kept
+columns of one times the kept rows of the other
+(``compound_pass_images``).  ``torus_limit`` returns
 its closed form unchecked; the reference that the closed form is the limit
 is the Cauchy–Binet check, which keeps the subsets of largest curve
 weight, and its own reference is the curve itself, built entry by entry as
@@ -62,10 +66,16 @@ from hypothesis import strategies as st
 from tnncompact import linalg as la
 from tnncompact.cells import _chart, _chart_words, dimension_of
 from tnncompact.dual import Dual
-from tnncompact.exterior import compound, compounds, strictly_signed, subsets_colex
+from tnncompact.exterior import (
+    _levi_weight_positions,
+    compound,
+    compounds,
+    strictly_signed,
+    subsets_colex,
+)
 from tnncompact.laurent import Laurent, lmat_limit
 from tnncompact.matgroup import GroupError, _integer_form, _trusted, _word_element
-from tnncompact.strata import _kept_product, _limit_images, fundamental_tuple
+from tnncompact.strata import _limit_images, fundamental_tuple
 from tnncompact.tnn import (
     _double_cell_steps,
     double_cell_evaluate,
@@ -454,6 +464,24 @@ def fraction_is_totally_positive(g):
     return g.n % 2 == 0 and all(x > 0 for x in fraction_minors(scale(g.m, Fraction(-1))))
 
 
+def compound_pass_images(J, m1, m2):
+    """ρ_k(m1)·D_k·ρ_k(m2) for k = 1..n−1, from one compound pass per side,
+    over any ring, as the library built the fundamental tuple before it
+    built only the kept minors: D_k = stratum_indicator(J, k) is a 0/1
+    diagonal projector, applied by keeping the columns of ρ_k(m1) and the
+    rows of ρ_k(m2) it selects."""
+    return [
+        kept_product(c1, c2, _levi_weight_positions(J.n, k, J))
+        for k, (c1, c2) in enumerate(zip(compounds(m1, J.n - 1), compounds(m2, J.n - 1)), 1)
+    ]
+
+
+def kept_product(c1, c2, keep):
+    """c1·D·c2 for the 0/1 diagonal D with ones at the positions keep: the
+    columns keep of c1 times the rows keep of c2."""
+    return la.matmul(tuple(tuple(row[s] for s in keep) for row in c1), tuple(c2[s] for s in keep))
+
+
 def rational_tuple(z):
     """z's rational images ρ_k(g1)·D_k·ρ_k(g2), k = 1..n−1, on the Fraction
     views of g1 and g2."""
@@ -523,7 +551,7 @@ def cauchy_binet_limit_check(g1, cs, g2, z):
     (m1, m2), (p1, p2) = integer_pairs((g1.m, g2.m), (z.g1.m, z.g2.m))
     levels = zip(_limit_images(z.J, p1, p2), compounds(m1, n - 1), compounds(m2, n - 1))
     return all(
-        proj_equal(_kept_product(c1, c2, top_weight_positions(e, k)), want)
+        proj_equal(kept_product(c1, c2, top_weight_positions(e, k)), want)
         for k, (want, c1, c2) in enumerate(levels, start=1)
     )
 

@@ -7,14 +7,18 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     cauchy_binet_limit_check,
     chart_elements,
+    compound_pass_images,
     coset_equal,
     curve_exponents,
     dense_star_pair,
+    dual_chart,
     fraction_limit_check,
     fraction_membership,
     generator_x,
     generator_y,
     identity,
+    kept_product,
+    lmat_from_rational,
     lmat_torus_curve,
     opposed_by_lie_algebra,
     point_equal,
@@ -33,6 +37,7 @@ from tnncompact.exterior import (
     compounds,
     embedding_data,
     strictly_signed,
+    subsets_colex,
 )
 from tnncompact.laurent import Laurent, lmat_limit
 from tnncompact.matgroup import (
@@ -439,7 +444,7 @@ def test_cauchy_binet_limit_matches_the_laurent_curve(n):
             for k, (c1, c2, cx) in enumerate(levels, start=1):
                 keep = top_weight_positions(e, k)
                 assert tuple(keep) == _levi_weight_positions(n, k, J)
-                assert strata._kept_product(c1, c2, keep) == lmat_limit(cx)
+                assert kept_product(c1, c2, keep) == lmat_limit(cx)
 
 
 def test_top_weight_positions_are_the_levi_weight_positions():
@@ -459,7 +464,7 @@ def test_torus_limit_runs_no_compound_ladder(n, monkeypatch):
     def refuse(*_):
         raise AssertionError("compound ladder in torus_limit")
 
-    monkeypatch.setattr(strata, "compounds", refuse)
+    monkeypatch.setattr(strata, "_kept_minors", refuse)
     rng = random.Random(80 + n)
     for J in all_parabolic_subsets(n):
         g1, g2 = mixed_sign_element(n, rng), mixed_sign_element(n, rng)
@@ -580,6 +585,97 @@ def test_kept_tuple_is_the_points_own_images(n):
         membership_Zgt0(z)
         assert fundamental_tuple(z) == fresh
         assert fundamental_tuple(same) == fresh
+
+
+def assert_limit_images_match_the_compound_pass(J, m1, m2):
+    assert strata._limit_images(J, m1, m2) == compound_pass_images(J, m1, m2)
+
+
+def sampled_points(n, rng):
+    """Sampled points of every stratum at n ≤ 5, of J = ∅, {2} and I at
+    n = 6: each stratum's top cell and a seeded lower cell, and a pair of
+    mixed sign."""
+    if n <= 5:
+        Js = all_parabolic_subsets(n)
+        yield from (z for _, _, z in _lower_cell_points(n, 1, 250 + n))
+    else:
+        Js = [ParabolicSubset.of(n, js) for js in ((), (2,), range(1, n))]
+    for J in Js:
+        yield sample_cell(top_label(J), rng.randrange(100))[1]
+        yield CompactPoint(J, mixed_sign_element(n, rng), mixed_sign_element(n, rng))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_limit_images_match_the_compound_pass_on_sampled_points(n):
+    """_limit_images builds only the minors D_k keeps, and on J = I reads
+    ρ_k(M1·M2); entry for entry it is the compound pass of two full
+    ladders, on the integer pairs and on the rational views of sampled
+    points."""
+    rng = random.Random(250 + n)
+    for z in sampled_points(n, rng):
+        assert_limit_images_match_the_compound_pass(z.J, z.g1.M, z.g2.M)
+        assert_limit_images_match_the_compound_pass(z.J, z.g1.m, z.g2.m)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_limit_images_match_the_compound_pass_on_limits_and_retractions(n):
+    """Torus limits into every stratum, of positive and of mixed-sign
+    pairs, and positive retractions of the positive ones, over int,
+    Fraction and constant Laurent entries."""
+    rng = random.Random(260 + n)
+    for J in all_parabolic_subsets(n):
+        g1, g2, h1, h2 = (sample_G_gt0(n, rng) for _ in range(4))
+        z = torus_limit(g1, exponents_into(J, rng), g2)
+        f1, f2 = mixed_sign_element(n, rng), mixed_sign_element(n, rng)
+        mixed = torus_limit(f1, exponents_into(J, rng), f2)
+        for p in (z, positive_retraction(h1, h2, z), mixed):
+            assert_limit_images_match_the_compound_pass(J, p.g1.M, p.g2.M)
+            assert_limit_images_match_the_compound_pass(J, p.g1.m, p.g2.m)
+            assert_limit_images_match_the_compound_pass(
+                J, lmat_from_rational(p.g1.m), lmat_from_rational(p.g2.m)
+            )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_limit_images_match_the_compound_pass_over_dual_and_laurent_entries(n):
+    """The kernel is ring-generic: on the Dual charts of sampled labels at
+    their sampled coordinates, and on Laurent torus curves g1·t(s)·h of
+    every stratum, it is the compound pass's entry for entry."""
+    rng = random.Random(270 + n)
+    for label, seed, _ in _lower_cell_points(n, 1, 270 + n):
+        coords, _ = sample_cell(label, seed)
+        assert_limit_images_match_the_compound_pass(label.J, *dual_chart(label, coords))
+    for J in all_parabolic_subsets(n):
+        m1, m2 = (
+            lmat_torus_curve(
+                mixed_sign_element(n, rng).m,
+                curve_exponents(exponents_into(J, rng)),
+                sample_G_gt0(n, rng).m,
+            )
+            for _ in range(2)
+        )
+        assert_limit_images_match_the_compound_pass(J, m1, m2)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_kept_sets_are_closed_under_dropping_their_largest_element(n):
+    """The kept ladder rests on this: for every J at n ≤ 7, a kept k-subset
+    minus its largest element is a kept (k−1)-subset, so every kept minor
+    expands along its last column over kept minors."""
+    for J in all_parabolic_subsets(n):
+        kept = [
+            {subsets_colex(n, k)[i] for i in _levi_weight_positions(n, k, J)} for k in range(1, n)
+        ]
+        for below, level in zip(kept, kept[1:]):
+            assert all(t[:-1] in below for t in level)
+        assert len(strata._kept_plan(J)[0][1]) == n - 2  # one step per degree 2..n−1
+
+
+def test_a_point_of_size_one_has_an_empty_tuple():
+    """At n = 1 there is no degree 1..n−1: the tuple is empty and the
+    point is in the positive part."""
+    z = CompactPoint(ParabolicSubset.of(1, ()), identity_g(1), identity_g(1))
+    assert fundamental_tuple(z) == [] and membership_Zgt0(z)
 
 
 def test_membership_of_a_retraction_runs_one_compound_pass(monkeypatch):

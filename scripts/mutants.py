@@ -128,7 +128,7 @@ MUTANTS = {
         "tuple(_limit_images(ParabolicSubset.of(z.n, range(1, z.n)), z.g1.M, z.g2.M))",
     ),
     "the kept ladder drops its alternating sign": (
-        "strata.py",
+        "exterior.py",
         "((s[j] - 1) * n + n * n * ((j + k) % 2 == 0), below[s[:j] + s[j + 1 :]])",
         "((s[j] - 1) * n, below[s[:j] + s[j + 1 :]])",
     ),

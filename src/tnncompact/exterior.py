@@ -5,15 +5,19 @@ matrix (all k×k minors).  The wedge basis e_S, ordered colexicographically,
 is the canonical basis for these minuscule weights; the top subset {1..k}
 comes first and is the highest weight vector.
 
-For a stratum J, D_k = stratum_indicator(J, k) is the limit projector of
-ρ_k, and strata.fundamental_tuple maps a point of Z_J to every
-ρ_k(g1)·D_k·ρ_k(g2), k = 1..n−1, at once.  It builds no whole compound:
-D_k keeps the Levi-weight k-subsets K_k only, so each entry is summed over
-K_k from the minors of g1 on the columns K_k and of g2 on the rows K_k,
-which a ladder of its own builds (strata._kept_minors); on J = I, where
-K_k is every subset, it is the compound of g1·g2.  The whole compounds
-(compounds) serve the total positivity tests.  The paper's entrywise
-criterion (*) reads two of them: an EmbeddingData names the degrees k1 and
+All minors come from one ladder, ``_kept_minors``: it builds the minors
+of a matrix on chosen column sets, over every row set, degree by degree,
+each by expansion along its last column over minors of the degree below,
+and it runs a flat index plan (``_ladder``) in one pass per degree.  The
+plan of every column set gives the whole compounds (``compounds``) and the
+total positivity tests.  For a stratum J, D_k = stratum_indicator(J, k) is
+the limit projector of ρ_k, and strata.fundamental_tuple maps a point of
+Z_J to every ρ_k(g1)·D_k·ρ_k(g2), k = 1..n−1, at once.  D_k keeps the
+Levi-weight k-subsets K_k only, so each entry is summed over K_k from the
+minors of g1 on the columns K_k and of g2 on the rows K_k, which the
+ladder builds on the plan of the kept sets; on J = I, where K_k is every
+subset, the entry is the compound of g1·g2.  The paper's entrywise
+criterion (*) reads two degrees: an EmbeddingData names the degrees k1 and
 k2 of its representation pair, where I_1 = D_{k1} is the rank-one
 projector onto the highest weight line and I_L = D_{k2} the Levi-weight
 projector, so the (*) pair (strata.iJ_of_point) is two entries of the
@@ -28,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import gcd, lcm
+from itertools import chain, combinations, repeat
+from math import comb, gcd, lcm
+from operator import itemgetter, mul, neg
 from typing import Iterator
 
 from .linalg import Matrix
@@ -56,59 +61,95 @@ def compound(m: Matrix, k: int) -> Matrix:
     return level
 
 
-@lru_cache(maxsize=None)
-def _ladder_plan(n: int, k: int):
-    """Index plan for building degree-k minors from degree-(k-1) ones.
-
-    Rows: for each k-subset S (colex), its first element and the position of
-    S minus that element.  Columns: for each k-subset T, the triples
-    (t_j, position of T minus t_j, j odd) of the first-row expansion.
-    """
-    below = {s: i for i, s in enumerate(subsets_colex(n, k - 1))}
-    subs = subsets_colex(n, k)
-    rows = tuple((s[0] - 1, below[s[1:]]) for s in subs)
-    cols = tuple(
-        tuple((t[j] - 1, below[t[:j] + t[j + 1 :]], j % 2) for j in range(k))
-        for t in subs
-    )
-    return rows, cols
-
-
 def compounds(m: Matrix, top: int) -> Iterator[Matrix]:
-    """Yield the compounds of degree 1, 2, ..., top of the square matrix m.
+    """The compounds of degree 1, 2, ..., top of the square matrix m, one
+    after the other.
 
-    Degree k is built from degree k-1 by expanding each k-minor along its
-    first row, det m[S, T] = Σ_j (−1)^j m[s_1, t_j] · det m[S∖s_1, T∖t_j].
-    Only +, − and × are used and terms with a zero factor are skipped, so
-    entries may come from any commutative ring whose ``bool`` means "not
-    zero": Fraction, Laurent and Dual alike.
+    They are read off the minor ladder of mᵀ on every column set
+    (``_full_ladder``): the minors of mᵀ on the columns T, over every row
+    set, are row T of ρ_k(m).  Only +, − and × are used, and the zero every
+    sum starts from is read off the entries, so they may come from any
+    commutative ring: int (the compounds of an int matrix are ints),
+    Fraction, Laurent and Dual alike.
     """
     n = len(m)
     if not 0 <= top <= n:
         raise ValueError(f"compound degree {top} out of range")
-    if top == 0:
-        return
-    zero = m[0][0] - m[0][0]
-    prev = m
-    yield prev
-    for k in range(2, top + 1):
-        rows, cols = _ladder_plan(n, k)
-        level = []
-        for first, rest in rows:
-            a, minors = m[first], prev[rest]
-            out = []
-            for terms in cols:
-                acc = zero
-                for j, r, odd in terms:
-                    x = a[j]
-                    if x:
-                        y = minors[r]
-                        if y:
-                            acc = acc - x * y if odd else acc + x * y
-                out.append(acc)
-            level.append(tuple(out))
-        prev = tuple(level)
-        yield prev
+    return _compound_rows(tuple(chain.from_iterable(zip(*m))), n, top)
+
+
+def _compound_rows(x: tuple, n: int, top: int) -> Iterator[Matrix]:
+    """The compounds of degree 1..top of the n×n matrix whose transpose is
+    x, read row-major: each level of the full ladder, C(n, k) entries at a
+    time."""
+    if top:
+        for k, level in zip(range(1, top + 1), _kept_minors(x, _full_ladder(n))):
+            yield tuple(zip(*[iter(level)] * comb(n, k)))
+
+
+@lru_cache(maxsize=None)
+def _expansion(n: int, k: int):
+    """The terms of every k-minor det X[S, T] of an n×n matrix X expanded
+    along its last column, Σ_j (−1)^{j+k}·X[s_j, t_k]·det X[S∖s_j, T∖t_k],
+    S in colex order and j = 1..k within S: where row s_j starts in X
+    read row-major and followed by its negation (in the negated copy when
+    the sign is −), and the colex position of S∖s_j; and C(n, k−1)."""
+    below = {s: i for i, s in enumerate(subsets_colex(n, k - 1))}
+    terms = tuple(
+        ((s[j] - 1) * n + n * n * ((j + k) % 2 == 0), below[s[:j] + s[j + 1 :]])
+        for s in subsets_colex(n, k)
+        for j in range(k)
+    )
+    return len(below), terms
+
+
+def _ladder(n: int, kept: list[list[tuple[int, ...]]]):
+    """The plan of ``_kept_minors`` for the minors of an n×n matrix X on
+    the column sets kept[k−1], k = 1, 2, ..., over every row set.  Each set
+    T of degree k ≥ 2 minus its largest element t_k must be a set T′ of
+    degree k−1, so that its minors expand along their last column over
+    minors of the degree below (``_expansion``).  The plan is the getter of
+    degree 1 and, per degree k ≥ 2, k and the getters of every term's
+    ±X[s_j, t_k] and det X[S∖s_j, T′]."""
+    cells = [s * n + t - 1 for (t,) in kept[0] for s in range(n)]
+    # a getter of one index returns the entry itself, not a 1-tuple (n = 1)
+    first = itemgetter(*cells) if len(cells) > 1 else lambda x: x[:1]
+    steps = []
+    for k in range(2, len(kept) + 1):
+        width, terms = _expansion(n, k)
+        parent = {t: i * width for i, t in enumerate(kept[k - 2])}
+        ends = [(t[-1] - 1, parent[t[:-1]]) for t in kept[k - 1]]
+        pick = itemgetter(*(x + c for c, _ in ends for x, _ in terms))
+        below = itemgetter(*(y + p for _, p in ends for _, y in terms))
+        steps.append((k, pick, below))
+    return first, tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def _full_ladder(n: int):
+    """The ladder of every column set, degrees 1..n: all minors of X."""
+    return _ladder(n, [subsets_colex(n, k) for k in range(1, n + 1)])
+
+
+def _kept_minors(x: tuple, ladder) -> Iterator[tuple]:
+    """Degree after degree, the minors of the n×n matrix X, given row-major
+    as the flat tuple x, on the column sets of the ladder (see ``_ladder``),
+    as one flat tuple per degree: column set after column set, each over
+    the k-subsets of rows in colex order.
+
+    Each degree is one pass over the terms of its expansion: the products
+    of the two picks, summed k at a time.  Only +, − and × are used, and
+    the zero every sum starts from is read off the entries, so they may
+    come from any commutative ring: int, Fraction, Laurent and Dual
+    alike."""
+    first, steps = ladder
+    zero = x[0] - x[0]
+    signed = x + tuple(map(neg, x))
+    level = first(signed)
+    yield level
+    for k, pick, below in steps:
+        level = tuple(map(sum, zip(*[map(mul, pick(signed), below(level))] * k), repeat(zero)))
+        yield level
 
 
 @lru_cache(maxsize=None)

@@ -5,8 +5,10 @@ minimal valuation and evaluating at 0, with no numerical thresholds.  The
 library takes torus limits in closed form (strata.torus_limit); the
 ``limits`` verification suite and the tests' curve oracle run the curve on
 this ring, to check that closed form.
-Coefficients are Fractions or ints: ``of`` validates and converts to
-Fraction, while ring operations keep whichever they are given.
+Coefficients are Fractions or ints: ``of`` refuses any other value (a
+float, a string), as linalg.frac does, and keeps each coefficient as it is
+given, as the ring operations do, so a curve of integer matrices is
+computed over the integers.
 """
 
 from __future__ import annotations
@@ -27,16 +29,12 @@ class Laurent:
 
     @staticmethod
     def of(data: Mapping[int, Fraction] | int | Fraction) -> "Laurent":
-        if isinstance(data, Mapping):
-            items = {int(e): frac(c) for e, c in data.items() if frac(c) != 0}
-        else:
-            c = frac(data)
-            items = {0: c} if c != 0 else {}
-        return Laurent(tuple(sorted(items.items())))
+        items = data if isinstance(data, Mapping) else {0: data}
+        return _trusted({int(e): c if isinstance(c, int) else frac(c) for e, c in items.items()})
 
     @staticmethod
     def monomial(e: int, c=1) -> "Laurent":
-        return Laurent.of({e: frac(c)})
+        return Laurent.of({e: c})
 
     def __bool__(self) -> bool:
         """True unless this is the zero polynomial."""

@@ -30,12 +30,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from math import comb
-from operator import itemgetter, mul, neg
-from typing import Iterator
+from operator import itemgetter, mul
 
 from . import linalg as la
 from .exterior import (
     EmbeddingData,
+    _compound_rows,
+    _kept_minors,
+    _ladder,
     _levi_weight_positions,
     proj_key,
     strictly_signed,
@@ -171,22 +173,16 @@ def _limit_images(J: ParabolicSubset, m1: Matrix, m2: Matrix) -> list[Matrix]:
     D_k = stratum_indicator(J, k) is a 0/1 diagonal projector onto the
     kept (Levi-weight) k-subsets K_k, so the entry is A_k·B_kᵀ summed over
     K_k, where A_k holds the minors of m1 on the columns K_k and B_k those
-    of m2ᵀ, over every row set: only those minors are built
-    (``_kept_minors``), and the entry is an outer product when
-    |K_k| = 1.  On J = I every subset is kept and D_k = 1, so the entry is
-    ρ_k(m1·m2) by Cauchy–Binet: one product and one ladder."""
-    if J.n == 1:
-        return []
-    ladder, products = _kept_plan(J)
+    of m2ᵀ, over every row set: only those minors are built (the ladder of
+    ``_kept_plan``), and the entry is an outer product when |K_k| = 1.  On
+    J = I every subset is kept and D_k = 1, so the entry is ρ_k(m1·m2) by
+    Cauchy–Binet: one product and the ladder that ``compounds`` runs."""
     zero = m1[0][0] - m1[0][0]
     if len(J.J) == J.n - 1:
-        # the ladder on (m1·m2)ᵀ, whose minors on rows S and columns T are
-        # the entries (T, S) of ρ_k(m1·m2): each kept T is a row
-        pt = tuple(sum(map(mul, row, col), zero) for col in zip(*m2) for row in m1)
-        return [
-            tuple(zip(*[iter(level)] * rows))
-            for level, (rows, *_) in zip(_kept_minors(pt, ladder), products)
-        ]
+        # (m1·m2)ᵀ row-major, as ``_compound_rows`` reads a matrix
+        pt =tuple(sum(map(mul, row, col), zero) for col in zip(*m2) for row in m1)
+        return list(_compound_rows(pt, J.n, J.n - 1))
+    ladder, products = _kept_plan(J)
     images = []
     for a, b, (rows, q, left, right) in zip(
         _kept_minors(tuple(chain.from_iterable(m1)), ladder),
@@ -201,22 +197,6 @@ def _limit_images(J: ParabolicSubset, m1: Matrix, m2: Matrix) -> list[Matrix]:
 
 
 @lru_cache(maxsize=None)
-def _expansion(n: int, k: int):
-    """The terms of every k-minor det X[S, T] of an n×n matrix X expanded
-    along its last column, Σ_j (−1)^{j+k}·X[s_j, t_k]·det X[S∖s_j, T∖t_k],
-    S in colex order and j = 1..k within S: where row s_j starts in X
-    read row-major and followed by its negation (in the negated copy when
-    the sign is −), and the colex position of S∖s_j; and C(n, k−1)."""
-    below = {s: i for i, s in enumerate(subsets_colex(n, k - 1))}
-    terms = tuple(
-        ((s[j] - 1) * n + n * n * ((j + k) % 2 == 0), below[s[:j] + s[j + 1 :]])
-        for s in subsets_colex(n, k)
-        for j in range(k)
-    )
-    return len(below), terms
-
-
-@lru_cache(maxsize=None)
 def _pairing(rows: int, q: int):
     """Two getters that pair A[T, S1] with B[T, S2] for every (S1, S2, T),
     S1 and S2 in range(rows) and T in range(q), in that order, out of two
@@ -227,58 +207,23 @@ def _pairing(rows: int, q: int):
 
 @lru_cache(maxsize=None)
 def _kept_plan(J: ParabolicSubset):
-    """Index plans for the minors of an n×n matrix X on the kept column
-    sets K_k = _levi_weight_positions(n, k, J), k = 1..n−1, over every row
-    set, and for the entries A_k·B_kᵀ summed over K_k from two such
-    families.  A family is one flat tuple, kept set after kept set, each
-    over the k-subsets of rows in colex order.
+    """The ladder (``exterior._ladder``) of the minors of an n×n matrix on
+    the kept column sets K_k = _levi_weight_positions(n, k, J),
+    k = 1..n−1, over every row set, and per degree C(n, k), |K_k| and the
+    ``_pairing`` getters that sum A_k·B_kᵀ over K_k from two such families.
 
     A kept set is B_<i ∪ S′ with S′ inside the one block B_i that k
-    reaches, so dropping its largest element t_k leaves a kept set T′ of
-    degree k−1: each kept minor expands along its last column over kept
-    minors (``_expansion``).  The ladder is the getter of degree 1 and, per
-    degree k ≥ 2, k and the getters of every term's ±X[s_j, t_k] and
-    det X[S∖s_j, T′].  The products are, per degree, C(n, k), |K_k| and
-    the ``_pairing`` getters, which J = I (whole compounds) does without."""
+    reaches, so dropping its largest element leaves a kept set of degree
+    k−1, as the ladder asks."""
     n = J.n
     kept = [
         [subsets_colex(n, k)[i] for i in _levi_weight_positions(n, k, J)] for k in range(1, n)
     ]
-    first = itemgetter(*(s * n + t - 1 for (t,) in kept[0] for s in range(n)))
-    steps = []
-    for k in range(2, n):
-        width, terms = _expansion(n, k)
-        parent = {t: i * width for i, t in enumerate(kept[k - 2])}
-        ends = [(t[-1] - 1, parent[t[:-1]]) for t in kept[k - 1]]
-        pick = itemgetter(*(x + c for c, _ in ends for x, _ in terms))
-        below = itemgetter(*(y + p for _, p in ends for _, y in terms))
-        steps.append((k, pick, below))
-    rows = [comb(n, k) for k in range(1, n)]
-    if len(J.J) == n - 1:
-        products = tuple((r, r, None, None) for r in rows)
-    else:
-        products = tuple((r, len(level), *_pairing(r, len(level))) for r, level in zip(rows, kept))
-    return (first, tuple(steps)), products
-
-
-def _kept_minors(x: tuple, ladder) -> Iterator[tuple]:
-    """For k = 1..n−1, the minors of the n×n matrix X, given row-major as
-    the flat tuple x, on the kept column sets of the ladder's stratum, as
-    one flat tuple per degree (see ``_kept_plan``).
-
-    Each degree is one pass over the terms of its expansion: the products
-    of the two picks, summed k at a time.  Only +, − and × are used, and
-    the zero every sum starts from is read off the entries, so they may
-    come from any commutative ring: int, Fraction, Laurent and Dual
-    alike."""
-    first, steps = ladder
-    zero = x[0] - x[0]
-    signed = x + tuple(map(neg, x))
-    level = first(signed)
-    yield level
-    for k, pick, below in steps:
-        level = tuple(map(sum, zip(*[map(mul, pick(signed), below(level))] * k), repeat(zero)))
-        yield level
+    products = tuple(
+        (comb(n, k), len(level), *_pairing(comb(n, k), len(level)))
+        for k, level in enumerate(kept, 1)
+    )
+    return _ladder(n, kept), products
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Sequence
 
 from . import linalg as la
-from .exterior import compounds
+from .exterior import _full_ladder, _kept_minors
 from .linalg import frac
 from .matgroup import GroupMatrix, _word_element, bruhat_cell
 from .weyl import (
@@ -87,9 +87,9 @@ def is_tnn_matrix(m: la.Matrix) -> bool:
 
 def _minors_positive(a, strict: bool) -> bool:
     """Whether every minor of the integer matrix a is > 0 (strict) or ≥ 0,
-    from the least entry of each compound, degree by degree."""
-    for c in compounds(a, len(a)):
-        least = min(chain.from_iterable(c))
+    from the least minor of each degree, degree by degree."""
+    for level in _kept_minors(tuple(chain.from_iterable(a)), _full_ladder(len(a))):
+        least = min(level)
         if least < 0 or (strict and least == 0):
             return False
     return True

@@ -40,11 +40,12 @@ from .cells import (
 from .exterior import (
     EmbeddingData,
     UnsupportedStratumError,
+    compounds,
     embedding_data,
     proj_key,
     strictly_signed,
 )
-from .laurent import Laurent, lmat_compound, lmat_limit, lmat_mul
+from .laurent import Laurent, lmat_limit, lmat_mul
 from .matgroup import GroupMatrix, borel_minus, bruhat_cell
 from .strata import (
     CompactPoint,
@@ -460,7 +461,7 @@ def _curve_limit_images(g1, c, g2) -> list:
     e = [sum(c[i:]) for i in range(n)]
     scaled = tuple(tuple(Laurent.monomial(-ej, a) for a, ej in zip(row, e)) for row in g1.M)
     x = lmat_mul(scaled, tuple(tuple(Laurent.of(a) for a in row) for row in g2.M))
-    return [lmat_limit(lmat_compound(x, k)) for k in range(1, n)]
+    return [lmat_limit(level) for level in compounds(x, n - 1)]
 
 
 def _is_base_image(data: EmbeddingData) -> bool:

@@ -222,6 +222,14 @@ def test_cli_limit_and_tp_check(tmp_path):
     assert main(["tp-check", "--matrix-file", str(mfile)]) == 1
 
 
+def test_cli_tp_check_of_a_one_by_one_matrix(tmp_path):
+    """[[1]] is the one group element at n = 1, and it has no minor but
+    itself: tp-check calls it strictly positive."""
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps([["1"]]))
+    assert main(["tp-check", "--matrix-file", str(mfile)]) == 0
+
+
 def test_cli_verify_all_goes_on_past_a_suite_that_raises(monkeypatch, capsys):
     """A check that raises is one failed case: every suite still prints
     its status line, and dimensions FAILs on its 13 raising rank checks

@@ -38,6 +38,7 @@ METRIC_ONLY = {
     "dual.dmat_compound",
     "dual.dmat_mul",
     "exterior.stratum_indicator",
+    "laurent.lmat_compound",
     "laurent.lmat_det",
     "linalg.minor",
     "linalg.span_intersection",

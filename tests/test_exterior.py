@@ -10,6 +10,8 @@ from oracles import (
     generator_y,
     identity,
     laplace_det,
+    lmat_from_rational,
+    lmat_torus_curve,
     proj_equal,
     scale,
     square_matrices,
@@ -27,6 +29,8 @@ from tnncompact.exterior import (
     strictly_signed,
     subsets_colex,
 )
+from tnncompact.laurent import Laurent
+from tnncompact.matgroup import GroupMatrix
 from tnncompact.tnn import is_totally_positive, sample_G_gt0
 from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets
 
@@ -85,6 +89,50 @@ def test_compounds_match_bareiss_minors(case):
     _check_against(levels, len(m), lambda r, c: la.minor(m, r, c))
     assert all(isinstance(x, Fraction) for lv in levels for row in lv for x in row)
     assert compound(m, len(m)) == levels[-1]
+
+
+def int_matrices(n):
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n).map(tuple)
+    return st.lists(row, min_size=n, max_size=n).map(tuple)
+
+
+@given(st.integers(1, 5).flatmap(int_matrices))
+def test_compounds_of_int_matrices_stay_int(m):
+    """Over the integers the ladder builds no Fraction: every minor is the
+    int Laplace minor, of type int."""
+    n = len(m)
+    levels = list(compounds(m, n))
+    _check_against(levels, n, lambda r, c: laplace_det(la.submatrix(m, r, c)))
+    assert all(type(x) is int for lv in levels for row in lv for x in row)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            int_matrices(n), int_matrices(n), st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        )
+    )
+)
+def test_laurent_compounds_match_laplace(case):
+    """Constant Laurent matrices and torus curves m1·diag(s^e)·m2, whose
+    entries share exponents and cancel, as in the limits suite."""
+    m1, m2, e = case
+    n = len(m1)
+    for m in (lmat_from_rational(m1), lmat_torus_curve(m1, e, m2)):
+        _check_against(
+            list(compounds(m, n)), n, lambda r, c: laplace_det(la.submatrix(m, r, c))
+        )
+
+
+def test_compounds_of_a_one_by_one_matrix():
+    """At n = 1 the ladder's degree-1 getter has one index, where
+    itemgetter would return the entry itself instead of a 1-tuple."""
+    for x in (5, Fraction(-2, 3), Laurent.monomial(-1, 2)):
+        m = ((x,),)
+        assert list(compounds(m, 1)) == [m]
+        assert compound(m, 1) == m
+        assert compound(m, 0) == ((Fraction(1),),)
+    assert is_totally_positive(GroupMatrix(la.mat([[1]])))
 
 
 @given(st.integers(1, 4).flatmap(lambda n: dual_matrices(n, n)))

@@ -29,7 +29,7 @@ from oracles import (
 )
 
 from tnncompact import linalg as la
-from tnncompact import strata, verify
+from tnncompact import exterior, strata, tnn, verify
 from tnncompact.cells import classify, dimension_of, enumerate_cells, sample_cell, top_label
 from tnncompact.exterior import (
     UnsupportedStratumError,
@@ -464,7 +464,9 @@ def test_torus_limit_runs_no_compound_ladder(n, monkeypatch):
     def refuse(*_):
         raise AssertionError("compound ladder in torus_limit")
 
-    monkeypatch.setattr(strata, "_kept_minors", refuse)
+    # the one minor ladder, under every name the package binds it to
+    for module in (exterior, strata, tnn):
+        monkeypatch.setattr(module, "_kept_minors", refuse)
     rng = random.Random(80 + n)
     for J in all_parabolic_subsets(n):
         g1, g2 = mixed_sign_element(n, rng), mixed_sign_element(n, rng)
@@ -668,7 +670,9 @@ def test_kept_sets_are_closed_under_dropping_their_largest_element(n):
         ]
         for below, level in zip(kept, kept[1:]):
             assert all(t[:-1] in below for t in level)
-        assert len(strata._kept_plan(J)[0][1]) == n - 2  # one step per degree 2..n−1
+        (_, steps), products = strata._kept_plan(J)
+        assert [k for k, *_ in steps] == list(range(2, n))  # one step per degree 2..n−1
+        assert [q for _, q, *_ in products] == [len(level) for level in kept]
 
 
 def test_a_point_of_size_one_has_an_empty_tuple():

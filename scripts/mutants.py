@@ -75,6 +75,11 @@ MUTANTS = {
         'key = attrs["_key"] = (z.J, tuple(map(proj_key, fundamental_tuple(z))))',
         'key = attrs["_key"] = (z.J,)',
     ),
+    "embedding_data refuses every stratum with a nonempty complement": (
+        "exterior.py",
+        "if len(complement) > 1:",
+        "if len(complement) > 0:",
+    ),
     "proj_key skips the gcd division": (
         "exterior.py",
         "g = gcd(*(x for row in M for x in row))",

@@ -9,10 +9,10 @@ Determinant and rank share one fraction-free (Bareiss) forward
 elimination after clearing denominators, so pivot decisions are exact
 integer zero-tests and no Fraction is built inside the elimination; the
 inverse and the group layer's adjugate share one fraction-free
-Gauss–Jordan pass.  The group layer's integer products take one dot
-product in C per entry (``_int_product``); ``matmul`` is one ring loop
-over any entries (ints, Fractions, dual numbers, Laurent polynomials),
-as ``transpose`` is.
+Gauss–Jordan pass.  Every product is one dot product in C per entry
+(``_product``) over any entries (ints, Fractions, dual numbers, Laurent
+polynomials), as ``transpose`` is: ``matmul`` checks shapes and calls it,
+and the group layer calls it directly.
 """
 
 from __future__ import annotations
@@ -65,31 +65,21 @@ def dims(m: Matrix) -> tuple[int, int]:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Product over any commutative ring whose ``bool`` means "not zero"
-    (int, Fraction, Laurent, Dual), by ring operations only; zero entries
-    are skipped."""
-    na, ma = dims(a)
-    nb, mb = dims(b)
-    if ma != nb:
+    """a·b over any commutative ring (int, Fraction, Laurent, Dual), after
+    a shape check: ``_product``."""
+    if dims(a)[1] != len(b):
         raise ValueError(f"shape mismatch {dims(a)} @ {dims(b)}")
-    zero = a[0][0] - a[0][0] if na and ma else Fraction(0)
-    out = []
-    for row in a:
-        acc = [zero] * mb
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
+    return _product(a, b)
 
 
-def _int_product(a, b) -> tuple[tuple[int, ...], ...]:
-    """a·b for integer a and b, one dot product in C (``sum(map(mul, …))``)
-    per entry."""
+def _product(a: Matrix, b: Matrix) -> Matrix:
+    """a·b, one dot product in C (``sum(map(mul, …))``) per entry, by ring
+    operations only, in list comprehensions (cheaper than generators on
+    small matrices).  Every sum starts from the zero read off the entries,
+    so ints stay ints and all entries must come from one ring."""
+    zero = a[0][0] - a[0][0] if a and b else 0
     cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    return tuple([tuple([sum(map(mul, row, col), zero) for col in cols]) for row in a])
 
 
 def transpose(m: Matrix) -> Matrix:

@@ -156,7 +156,7 @@ class GroupMatrix:
             return _trusted(
                 tuple(tuple(row[r] if s > 0 else -row[r] for r, s in cols) for row in a), self.d
             )
-        return _reduced(la._int_product(a, b), self.d * other.d)
+        return _reduced(la._product(a, b), self.d * other.d)
 
     def inverse(self) -> "GroupMatrix":
         """g⁻¹: a Weyl lift's is the lift of its transpose; any other matrix,

@@ -35,10 +35,10 @@ from operator import itemgetter, mul
 from . import linalg as la
 from .exterior import (
     EmbeddingData,
-    _compound_rows,
     _kept_minors,
     _ladder,
     _levi_weight_positions,
+    compounds,
     proj_key,
     strictly_signed,
     subsets_colex,
@@ -176,12 +176,10 @@ def _limit_images(J: ParabolicSubset, m1: Matrix, m2: Matrix) -> list[Matrix]:
     of m2ᵀ, over every row set: only those minors are built (the ladder of
     ``_kept_plan``), and the entry is an outer product when |K_k| = 1.  On
     J = I every subset is kept and D_k = 1, so the entry is ρ_k(m1·m2) by
-    Cauchy–Binet: one product and the ladder that ``compounds`` runs."""
-    zero = m1[0][0] - m1[0][0]
+    Cauchy–Binet: the ``compounds`` of one ``linalg.matmul``."""
     if len(J.J) == J.n - 1:
-        # (m1·m2)ᵀ row-major, as ``_compound_rows`` reads a matrix
-        pt =tuple(sum(map(mul, row, col), zero) for col in zip(*m2) for row in m1)
-        return list(_compound_rows(pt, J.n, J.n - 1))
+        return list(compounds(la.matmul(m1, m2), J.n - 1))
+    zero = m1[0][0] - m1[0][0]
     ladder, products = _kept_plan(J)
     images = []
     for a, b, (rows, q, left, right) in zip(

@@ -284,7 +284,17 @@ def _positive_point(J: ParabolicSubset, rng: random.Random) -> CompactPoint:
     return CompactPoint(J, double_cell_evaluate(w0, identity_w(n), am, tor, ()), u2)
 
 
+# the strata with a (*) pair: those with I − J and J each of one simple
+# root at most, or J = I
+_STAR_STRATA = {2: [(), (1,)], 3: [(1,), (1, 2), (2,)]}
+
+
 def suite_positivity_forward(cfg: VerifyConfig) -> Iterator[Case]:
+    for n in range(2, min(cfg.n, 3) + 1):
+        strata = sorted(tuple(sorted(d.J.J)) for d in _criterion_data(n))
+        yield lambda: strata == _STAR_STRATA[n], dict(
+            n=n, strata=strata, reason="the strata with a (*) pair are not the expected ones"
+        )
     for data in (d for n in range(2, min(cfg.n, 3) + 1) for d in _criterion_data(n)):
         J = data.J
         for k in range(cfg.samples):

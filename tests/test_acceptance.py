@@ -36,8 +36,9 @@ def test_criterion_2_dimension_formula_vs_geometry():
 
 def test_criterion_3_entrywise_criterion_forward():
     """100 seeded positive points per supported stratum have all four
-    projective matrices strictly positive entrywise; under a minute."""
-    rep = _run("positivity-forward", 2 * 5 * CFG.samples)
+    projective matrices strictly positive entrywise, and the supported
+    strata are the expected ones at n = 2 and 3; under a minute."""
+    rep = _run("positivity-forward", 2 + 2 * 5 * CFG.samples)
     assert rep.wall < 60.0
 
 

@@ -825,13 +825,13 @@ def test_a_kept_bruhat_elimination_is_a_fresh_one(monkeypatch):
 def test_sample_and_classify_multiply_no_signed_permutation(n, monkeypatch):
     """Weyl lifts, the identity and the words that are lifts multiply by
     index maps on the sample→classify path: no signed permutation reaches
-    the integer product (linalg._int_product), which the other products
+    the product kernel (linalg._product), which the other products
     go through."""
     import tnncompact.linalg as la
 
     calls = []
-    guarded = refusing_signed_permutations(la._int_product)
-    monkeypatch.setattr(la, "_int_product", lambda a, b: calls.append(a) or guarded(a, b))
+    guarded = refusing_signed_permutations(la._product)
+    monkeypatch.setattr(la, "_product", lambda a, b: calls.append(a) or guarded(a, b))
     rng = random.Random(65 + n)
     for k in range(20):
         label = _random_nonempty_label(n, rng)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from oracles import (
     block_anti_ldu,
     block_ldu,
+    curve_exponents,
     dual_matrices,
     gauss_jordan_inverse,
     identity,
@@ -15,6 +16,8 @@ from oracles import (
     is_diagonal,
     is_lower_triangular,
     laplace_det,
+    lmat_from_rational,
+    lmat_torus_curve,
     naive_matmul,
     rationals,
     reversal,
@@ -22,6 +25,7 @@ from oracles import (
 )
 
 from tnncompact import linalg as la
+from tnncompact.laurent import Laurent
 from tnncompact.weyl import all_parabolic_subsets
 
 
@@ -485,7 +489,8 @@ def draw_operand(data, nr, nc, ints_only=False):
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5), st.booleans(), st.data())
 def test_matmul_matches_naive_oracle(p, q, r, ints_only, data):
     """With ints alone (negative and big ones too), every entry is an int.
-    The right operand may have no columns."""
+    The right operand may have no columns.  As constant Laurent
+    polynomials, the operands multiply as their coefficients do."""
     a = draw_operand(data, p, q, ints_only)
     b = draw_operand(data, q, r, ints_only)
     got = la.matmul(a, b)
@@ -493,6 +498,8 @@ def test_matmul_matches_naive_oracle(p, q, r, ints_only, data):
     assert la.dims(got) == (p, r)
     if not any(type(x) is Fraction for m in (a, b) for row in m for x in row):
         assert all(type(x) is int for row in got for x in row)
+    left, right = lmat_from_rational(a), lmat_from_rational(b)
+    assert la.matmul(left, right) == naive_matmul(left, right) == lmat_from_rational(got)
 
 
 def test_matmul_keeps_ints():
@@ -521,6 +528,20 @@ def test_matmul_over_duals_matches_naive_oracle(p, q, r, data):
     a = data.draw(dual_matrices(p, q))
     b = data.draw(dual_matrices(q, r))
     assert la.matmul(a, b) == naive_matmul(a, b)
+
+
+@given(st.integers(2, 4), st.data())
+def test_matmul_over_a_torus_curve_matches_naive_oracle(n, data):
+    """M1·diag(s^{−e})·M2 as the ``limits`` suite builds it: M1 with its
+    columns scaled by s^{−e_j}, times M2 as constants; entry (i, j) holds
+    M1[i][l]·M2[l][j] at the exponent −e_l."""
+    c = data.draw(st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1))
+    m1, m2 = draw_operand(data, n, n, True), draw_operand(data, n, n, True)
+    e = curve_exponents(c)
+    scaled = tuple(tuple(Laurent.monomial(-ej, x) for x, ej in zip(row, e)) for row in m1)
+    got = la.matmul(scaled, lmat_from_rational(m2))
+    assert got == naive_matmul(scaled, lmat_from_rational(m2))
+    assert got == lmat_torus_curve(m1, [-x for x in e], m2)
 
 
 def test_matmul_keeps_zero_value_dual():

@@ -631,7 +631,7 @@ def test_borel_minus_is_built_once(n, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# products with Weyl lifts and the identity: index maps, no integer product
+# products with Weyl lifts and the identity: index maps, no matrix product
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -642,7 +642,7 @@ def test_the_identity_keeps_its_mark(n, monkeypatch):
     one = identity_g(n)
     assert one.inverse() is one and one.T is one
     calls = []
-    monkeypatch.setattr(la, "_int_product", lambda *args: calls.append(args))
+    monkeypatch.setattr(la, "_product", lambda *args: calls.append(args))
     assert (one @ g) is g and (one.inverse() @ g) is g
     assert (wdot(identity_w(n)) @ g) is g and (g @ one.inverse()) is g
     assert calls == []
@@ -663,15 +663,15 @@ def dense_product(n, rng):
 def test_products_with_lifts_are_index_maps(n, monkeypatch):
     """ẇ·g and g·ẇ, their transposes and inverses, for every w at n ≤ 4
     and every ṡ_i at n = 5, against row-by-column products; the integer
-    product (linalg._int_product), which multiplies the other factors,
+    product kernel (linalg._product), which multiplies the other factors,
     never sees a lift."""
     rng = random.Random(135 + n)
     lifts = [sdot(n, i) for i in range(1, n)] if n == 5 else [wdot(w) for w in all_weyl(n)]
     g = dense_product(n, rng)
     one = identity(n)
     calls = []
-    guarded = refusing_signed_permutations(la._int_product)
-    monkeypatch.setattr(la, "_int_product", lambda a, b: calls.append(a) or guarded(a, b))
+    guarded = refusing_signed_permutations(la._product)
+    monkeypatch.setattr(la, "_product", lambda a, b: calls.append(a) or guarded(a, b))
     assert (g @ g).m == naive_matmul(g.m, g.m) and calls
     for s in lifts:
         assert (s @ s.inverse()).m == one and s.inverse().m == la.transpose(s.m)

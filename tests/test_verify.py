@@ -10,6 +10,7 @@ from oracles import generator_y
 
 from tnncompact import serialize as ser
 from tnncompact import verify
+from tnncompact.exterior import UnsupportedStratumError
 from tnncompact.strata import base_point
 from tnncompact.weyl import WeylError, longest_w
 
@@ -18,7 +19,7 @@ CFG = verify.VerifyConfig(n=2, seeds=2, samples=3)
 # the true answers, read before any test patches them
 _classify, _sample_cell = verify.classify, verify.sample_cell
 _enumerate_cells, _membership = verify.enumerate_cells, verify.membership_Zgt0
-_bruhat_cell = verify.bruhat_cell
+_bruhat_cell, _embedding_data = verify.bruhat_cell, verify.embedding_data
 _tp, _in_Uplus, _mr_evaluate = verify.is_totally_positive, verify.in_Uplus_gt0, verify.mr_evaluate
 
 
@@ -38,6 +39,13 @@ def _zero_images(z, data):
     return [[0]], [[0]]
 
 
+def _embedding_data_of_I_only(J):
+    """An embedding_data that refuses every stratum but J = I."""
+    if len(J.J) < J.n - 1:
+        raise UnsupportedStratumError("refused")
+    return _embedding_data(J)
+
+
 # suite -> (config, {name in verify: wrong answer})
 WRONG = {
     # drops the first cell: wrong labels, count, strata split, multiset and sum
@@ -47,8 +55,14 @@ WRONG = {
         CFG,
         {"jacobian_rank_check": lambda label, seed: False, "_full_rank": lambda J, w1, w2, d: True},
     ),
+    # one stratum with a (*) pair is lost
     "positivity-forward": (
-        CFG, {"iJ_of_point": _zero_images, "membership_Zgt0": lambda z: not _membership(z)}
+        CFG,
+        {
+            "embedding_data": _embedding_data_of_I_only,
+            "iJ_of_point": _zero_images,
+            "membership_Zgt0": lambda z: not _membership(z),
+        },
     ),
     "positivity-converse": (CFG, {"membership_Zgt0": lambda z: not _membership(z)}),
     # an mr_evaluate that takes a zero coordinate as 1 accepts zeros

@@ -36,7 +36,7 @@ MUTANTS = {
     ),
     "in_Uplus_gt0 skips its minor test": (
         "tnn.py",
-        "return _minors_positive(u.M, strict=False) and bruhat_cell(u.T) == longest_w(u.n)",
+        "return _minors_positive(M, strict=False) and bruhat_cell(u.T) == longest_w(u.n)",
         "return bruhat_cell(u.T) == longest_w(u.n)",
     ),
     "mr_evaluate accepts a zero coordinate": (

@@ -53,8 +53,8 @@ def subsets_colex(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 def compound(m: Matrix, k: int) -> Matrix:
-    """k-th compound: entry (S, T) is the minor with rows S and columns T.
-    Degree 0 is the 1×1 matrix (1)."""
+    """k-th compound of the square matrix m: entry (S, T) is the minor with
+    rows S and columns T.  Degree 0 is the 1×1 matrix (1)."""
     level: Matrix = ((Fraction(1),),)
     for level in compounds(m, k):
         pass
@@ -70,9 +70,12 @@ def compounds(m: Matrix, top: int) -> Iterator[Matrix]:
     set, are row T of ρ_k(m).  Only +, − and × are used, and the zero every
     sum starts from is read off the entries, so they may come from any
     commutative ring: int (the compounds of an int matrix are ints),
-    Fraction, Laurent and Dual alike.
+    Fraction, Laurent and Dual alike.  A ragged or non-square m raises
+    ValueError.
     """
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("compound of a ragged or non-square matrix")
     if not 0 <= top <= n:
         raise ValueError(f"compound degree {top} out of range")
     return _compound_rows(tuple(chain.from_iterable(zip(*m))), n, top)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Iterator
 
 from .cells import CellError, CellLabel, _chart, _stratum_walk
@@ -145,7 +146,8 @@ def cells_to_json(n: int, J: ParabolicSubset | None = None) -> dict[str, Any]:
 
     The "cells" list is a private list subclass that also keeps each
     stratum's parts (J, Bruhat pairs, Levi elements, base), which ``dumps``
-    renders from.
+    renders from through ``_census_pieces``, the stream ``census_chunks``
+    writes.
     """
     cells, strata = _Census(), _census_strata(n, J)
     for subset, pairs, levi, base in strata:
@@ -168,7 +170,8 @@ def cells_to_json(n: int, J: ParabolicSubset | None = None) -> dict[str, Any]:
 def census_chunks(n: int, J: ParabolicSubset | None = None) -> Iterator[str]:
     """``dumps(cells_to_json(n, J))`` in pieces: the header, one text per
     stratum and first Bruhat pair, and the footer, with no record dicts and
-    never a whole stratum in memory.
+    never a whole stratum in memory.  Each chunk is one list of
+    ``_census_pieces`` joined, the stream ``dumps`` renders a census from.
 
     A chunk holds at most |Bruhat pairs of W^J|·|W_J|² records, about
     1.5 MB at n = 5.  The stratum walk runs on the call, so a bad n or J
@@ -176,19 +179,21 @@ def census_chunks(n: int, J: ParabolicSubset | None = None) -> Iterator[str]:
     when the iterator reaches it."""
     strata = _census_strata(n, J)
     count = sum(len(pairs) ** 2 * len(levi) ** 2 for _, pairs, levi, _ in strata)
-    return _census_chunks(n, count, strata)
+    return map("".join, _census_pieces(n, count, strata))
 
 
-def _census_chunks(n: int, count: int, strata: list) -> Iterator[str]:
-    yield _census_head(n, count)
-    first = True
-    for stratum in strata:
-        for pieces in _render_stratum(n, *stratum):
-            if first:
-                pieces[0] = pieces[0][1:]  # the first record has no comma before it
-                first = False
-            yield "".join(pieces)
-    yield _CENSUS_TAIL
+def _census_pieces(n: int, count: int, strata: list) -> Iterator[list]:
+    """The census text as ``json.dumps(indent=1)`` writes it, in lists of
+    pieces: the header, one list per stratum and first Bruhat pair from
+    ``_render_stratum``, and the footer.  Joining every piece of every list
+    gives the file."""
+    yield [f'{{\n "v": {SCHEMA_VERSION},\n "n": {n},\n "count": {count},\n "cells": [']
+    chunks = chain.from_iterable(_render_stratum(n, *stratum) for stratum in strata)
+    first = next(chunks)
+    first[0] = first[0][1:]  # the first record has no comma before it
+    yield first
+    yield from chunks
+    yield ["\n ]\n}\n"]
 
 
 def _census_strata(n: int, J: ParabolicSubset | None = None) -> list:
@@ -249,10 +254,11 @@ def dumps(data) -> str:
     """``json.dumps(data, indent=1) + "\\n"``, byte for byte.
 
     A census that ``cells_to_json`` built and nobody has re-keyed, recounted
-    or re-listed since is rendered from its strata by the renderer
-    ``census_chunks`` streams: each J, Bruhat pair and Levi element text is
-    a string join of its ints, made once with no JSON encoder call, and
-    every record is joined from those texts.  Every other document goes to
+    or re-listed since is rendered from its strata by ``_census_pieces``,
+    the stream ``census_chunks`` writes chunk by chunk, with every piece
+    joined in one pass: each J, Bruhat pair and Levi element text is a
+    string join of its ints, made once with no JSON encoder call, and every
+    record is joined from those texts.  Every other document goes to
     ``json.dumps``.
 
     Precondition: a census's records are read-only.  The fast path checks
@@ -269,28 +275,8 @@ def dumps(data) -> str:
             and head == [SCHEMA_VERSION, cells.n, len(cells)]
             and len(cells) == cells.size
         ):
-            return _census_text(cells)
+            return "".join(chain.from_iterable(_census_pieces(cells.n, cells.size, cells.strata)))
     return json.dumps(data, indent=1) + "\n"
-
-
-def _census_text(cells: _Census) -> str:
-    """The census as ``json.dumps(indent=1)`` writes it, from its strata:
-    every chunk's pieces go into one list between the header and the
-    footer, so the file is a single join."""
-    out = [_census_head(cells.n, cells.size)]
-    for stratum in cells.strata:
-        for pieces in _render_stratum(cells.n, *stratum):
-            out += pieces
-    out[1] = out[1][1:]  # the first record has no comma before it
-    out.append(_CENSUS_TAIL)
-    return "".join(out)
-
-
-def _census_head(n: int, count: int) -> str:
-    return f'{{\n "v": {SCHEMA_VERSION},\n "n": {n},\n "count": {count},\n "cells": ['
-
-
-_CENSUS_TAIL = "\n ]\n}\n"
 
 
 def _field_text(key: str, xs: tuple) -> str:

@@ -82,7 +82,13 @@ def phi_plus(word: ReducedWord, coords: Sequence) -> GroupMatrix:
 # picks the one of ±M that can pass.
 
 def is_tnn_matrix(m: la.Matrix) -> bool:
-    return _minors_positive(la._integer_rows(m)[0], strict=False)
+    """Whether every minor of the rational matrix m is ≥ 0.  A rectangular
+    m is tested padded to square with zero rows or columns, which add only
+    zero minors."""
+    a = la._integer_rows(la.mat(m))[0]
+    n = max(len(a), len(a[0]))
+    square = [row + [0] * (n - len(row)) for row in a] + [[0] * n] * (n - len(a))
+    return _minors_positive(square, strict=False)
 
 
 def _minors_positive(a, strict: bool) -> bool:
@@ -132,9 +138,10 @@ def sample_Uplus_gt0(n: int, rng: random.Random) -> GroupMatrix:
 def in_Uplus_gt0(u: GroupMatrix) -> bool:
     """Exact membership in U^+_{>0} = U^+_{≥0} ∩ B^-ẇ₀B^-: an upper
     unipotent TNN matrix whose transpose lies in B^+ẇ₀B^+."""
-    if not la.is_upper_triangular(u.M) or any(u.M[i][i] != u.d for i in range(u.n)):
+    M = u.canonical()
+    if not la.is_upper_triangular(M) or any(M[i][i] != u.d for i in range(u.n)):
         return False
-    return _minors_positive(u.M, strict=False) and bruhat_cell(u.T) == longest_w(u.n)
+    return _minors_positive(M, strict=False) and bruhat_cell(u.T) == longest_w(u.n)
 
 
 def sample_G_gt0(n: int, rng: random.Random) -> GroupMatrix:

@@ -29,7 +29,8 @@ from tnncompact.exterior import (
     strictly_signed,
     subsets_colex,
 )
-from tnncompact.laurent import Laurent
+from tnncompact.dual import dmat_compound
+from tnncompact.laurent import Laurent, lmat_compound
 from tnncompact.matgroup import GroupMatrix
 from tnncompact.tnn import is_totally_positive, sample_G_gt0
 from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets
@@ -68,6 +69,16 @@ def test_compound_degree_zero_and_range():
     for k in (-1, 3):
         with pytest.raises(ValueError):
             compound(m, k)
+
+
+def test_compounds_refuse_a_ragged_or_non_square_matrix():
+    """The minor ladder reads its matrix as n×n, so a rectangular or ragged
+    one raises, as det and inverse do, under every name and degree."""
+    for m in (((1, 2, 3), (4, 5, 6)), ((1, 2), (3, 4), (5, 6)), ((1, 2), (3,))):
+        for f in (compound, compounds, lmat_compound, dmat_compound):
+            for k in (0, 1, 2):
+                with pytest.raises(ValueError):
+                    f(m, k)
 
 
 def _check_against(levels, n, minor):

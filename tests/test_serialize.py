@@ -335,6 +335,18 @@ def test_census_export_calls_no_json_encoder(monkeypatch):
         assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "J, chunks", [(None, 34), ((), 21), ((1,), 8), ((2,), 8), ((1, 2), 3)]
+)
+def test_census_chunks_are_a_header_a_chunk_per_bruhat_pair_and_a_footer(J, chunks):
+    """``enumerate`` streams one chunk per stratum and first Bruhat pair,
+    between the header and the footer."""
+    J = None if J is None else ParabolicSubset.of(3, J)
+    strata = ser._census_strata(3, J)
+    assert len(list(ser.census_chunks(3, J))) == chunks
+    assert chunks == 2 + sum(len(pairs) for _, pairs, _, _ in strata)
+
+
 def test_census_chunks_stream_each_stratum_by_bruhat_pair():
     """At n = 5 a stratum is hundreds of MB of text; the export holds one
     first Bruhat pair's records at a time."""
@@ -351,17 +363,18 @@ def test_census_chunks_stream_each_stratum_by_bruhat_pair():
 def test_dumps_of_an_altered_census_takes_json_dumps(monkeypatch):
     """Only a census as ``cells_to_json`` built it is rendered from its
     strata; any change to its keys, counts or record list goes to json.dumps."""
-    census_text = ser._census_text
+    census_pieces = ser._census_pieces
     rendered = []
 
-    def spy(cells):
-        rendered.append(cells)
-        return census_text(cells)
+    def spy(n, count, strata):
+        rendered.append((n, count, strata))
+        return census_pieces(n, count, strata)
 
-    monkeypatch.setattr(ser, "_census_text", spy)
+    monkeypatch.setattr(ser, "_census_pieces", spy)
     data = ser.cells_to_json(3)
     assert ser.dumps(data) == oracle(data)
-    assert rendered == [data["cells"]]
+    assert rendered == [(3, 685, data["cells"].strata)]
+    assert rendered[0][2] is data["cells"].strata
 
     appended = ser.cells_to_json(3)
     appended["cells"].append(dict(appended["cells"][0]))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from oracles import (
     is_block_lower,
     is_block_upper,
     is_diagonal,
+    laplace_det,
     mr_chart,
     naive_matmul,
     sample_L_ge0,
@@ -30,6 +32,7 @@ from tnncompact import linalg as la
 from tnncompact.cells import chart_point, dimension_of, top_label
 from tnncompact.verify import _positive_point
 from tnncompact.matgroup import (
+    GroupMatrix,
     _word_element,
     borel_minus,
     bruhat_cell,
@@ -157,6 +160,35 @@ def test_integer_minor_tests_match_the_fraction_ladder_on_samples(n):
         for h in (g, l, g @ l, trusted(scale(g.m, Fraction(-1)))):
             assert is_tnn_matrix(h.m) == fraction_is_tnn(h.m)
             assert is_totally_positive(h) == fraction_is_totally_positive(h)
+
+
+def test_is_tnn_matrix_reads_every_minor_of_a_rectangular_matrix():
+    """A rectangular matrix is TNN when every minor, by Laplace expansion
+    over every choice of rows and columns, is ≥ 0."""
+
+    def brute(m):
+        nr, nc = la.dims(m)
+        return all(
+            laplace_det([[m[i][j] for j in cols] for i in rows]) >= 0
+            for k in range(1, min(nr, nc) + 1)
+            for rows in combinations(range(nr), k)
+            for cols in combinations(range(nc), k)
+        )
+
+    rng = random.Random(49)
+    entries = [Fraction(0), Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-1)]
+    cases = [la.mat([[1, 2, 3], [4, 5, 6]]), la.mat([[1, 2], [3, 4], [5, 6]])]
+    cases += [
+        la.mat([[rng.choice(entries) for _ in range(nc)] for _ in range(nr)])
+        for nr, nc in [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(400)]
+    ]
+    verdicts = [is_tnn_matrix(m) for m in cases]
+    assert verdicts == [brute(m) for m in cases]
+    assert verdicts[:2] == [False, False]
+    rectangular = {v for m, v in zip(cases, verdicts) if la.dims(m)[0] != la.dims(m)[1]}
+    assert rectangular == {False, True}
+    with pytest.raises(ValueError):
+        is_tnn_matrix(((Fraction(1), Fraction(2)), (Fraction(3),)))
 
 
 def test_a_negated_tp_matrix_takes_one_ladder(monkeypatch):
@@ -393,6 +425,20 @@ def test_in_Uplus_gt0_needs_the_minor_test(n):
         assert bruhat_cell(x.T).inverse() == w0
         assert in_Uplus_gt0(u)
         assert not in_Uplus_gt0(x)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_in_Uplus_gt0_reads_the_element_not_its_sign(n):
+    """At even n, M and −M are one element: the verdict is the same for
+    both, members of U^+_{>0} and the negative control alike."""
+    rng = random.Random(49 + n)
+    for _ in range(5):
+        u = sample_Uplus_gt0(n, rng)
+        x = generator_x(n, 1, -(u.m[0][1] + 1)) @ u
+        for g, member in ((u, True), (x, False)):
+            neg = GroupMatrix(scale(g.m, Fraction(-1)))
+            assert neg == g and hash(neg) == hash(g)
+            assert in_Uplus_gt0(g) == in_Uplus_gt0(neg) == member
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

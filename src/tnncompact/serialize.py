@@ -136,13 +136,11 @@ def cells_to_json(n: int, J: ParabolicSubset | None = None) -> dict[str, Any]:
     per stratum, so the records are read-only and hold no container the
     garbage collector walks; ``json.dumps`` writes the tuples as arrays.
 
-    A record is built per (stratum, first Bruhat pair) as ``head | rest``,
-    the two pieces ``_render_stratum`` joins as text: the head (J, v, w)
-    and a rest (v2, w2, y, y2, dim).  The rests depend on (v, w) only
-    through l(w) − l(v), so each list of them is built once per stratum
-    and length gap.  The head holds all eight keys in record order, with
-    placeholders the rest overwrites, so a merge copies its key table and
-    resizes nothing; every record is its own dict.
+    A record's fields after (v, w) depend on (v, w) only through
+    l(w) − l(v), so the records of the first Bruhat pair of each stratum
+    and length gap are built as eight-key dict displays, and each later
+    pair's as ``first | {"v": v, "w": w}``: one key-table copy and two
+    overwrites, with no resize.  Every record is its own dict.
 
     The "cells" list is a private list subclass that also keeps each
     stratum's parts (J, Bruhat pairs, Levi elements, base), which ``dumps``
@@ -152,17 +150,23 @@ def cells_to_json(n: int, J: ParabolicSubset | None = None) -> dict[str, Any]:
     cells, strata = _Census(), _census_strata(n, J)
     for subset, pairs, levi, base in strata:
         levis = [(y, yp, ly + lyp) for y, ly in levi for yp, lyp in levi]
-        rests = {}  # base + l(w) − l(v) → the rest of every record after (v, w)
+        firsts = {}  # base + l(w) − l(v) → the records of its first Bruhat pair
         for v, w, gap in pairs:
             top = base + gap
-            if top not in rests:
-                rests[top] = [
-                    {"v2": vp, "w2": wp, "y": y, "y2": yp, "dim": top + g - l}
+            first = firsts.get(top)
+            if first is None:
+                first = firsts[top] = [
+                    {
+                        "J": subset, "v": v, "w": w, "v2": vp, "w2": wp,
+                        "y": y, "y2": yp, "dim": top + g - l,
+                    }
                     for vp, wp, g in pairs
                     for y, yp, l in levis
                 ]
-            head = {"J": subset, "v": v, "w": w, "v2": 0, "w2": 0, "y": 0, "y2": 0, "dim": 0}
-            cells.extend(map(head.__or__, rests[top]))
+                cells.extend(first)
+            else:
+                vw = {"v": v, "w": w}
+                cells.extend([record | vw for record in first])
     cells.strata, cells.n, cells.size = strata, n, len(cells)
     return {"v": SCHEMA_VERSION, "n": n, "count": len(cells), "cells": cells}
 

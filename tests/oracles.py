@@ -17,8 +17,9 @@ block factorization u_p·l·u_q is built whole, as the leading block LDU of
 the matrix conjugated by the reversal permutation, and ``la.levi_part``
 must match its middle factor.  The certificate references are the
 library's sign and projective tests as they ran over Fractions before the
-library cleared denominators: the compound ladder on the rational matrix,
-the fundamental tuple of rational images, and the torus-limit check on
+library cleared denominators: every minor of the rational matrix, each by
+Laplace expansion and not by the library's minor ladder, the fundamental
+tuple of rational images, and the torus-limit check on
 Laurent polynomials with Fraction coefficients; the Cauchy–Binet check
 runs on the row and column scalings of ``integer_pairs``, which the
 library used before it read integer matrices directly.  The reference
@@ -58,6 +59,7 @@ which the library reads only 0-based, are read off its kept blocks here.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from operator import mul
 
@@ -449,8 +451,15 @@ def refusing_signed_permutations(matmul):
 
 
 def fraction_minors(m):
-    """Every minor of the square rational matrix m, from the Fraction ladder."""
-    return [x for c in compounds(m, len(m)) for row in c for x in row]
+    """Every minor of the square rational matrix m, each the Laplace
+    expansion of its rows and columns."""
+    idx = range(len(m))
+    return [
+        laplace_det([[m[i][j] for j in cols] for i in rows])
+        for k in idx
+        for rows in combinations(idx, k + 1)
+        for cols in combinations(idx, k + 1)
+    ]
 
 
 def fraction_is_tnn(m):

@@ -16,7 +16,7 @@ from tnncompact import cells as cells_mod
 from tnncompact import serialize as ser
 from tnncompact import verify
 from tnncompact.cells import classify, enumerate_cells, sample_cell
-from tnncompact.weyl import ParabolicSubset, all_parabolic_subsets
+from tnncompact.weyl import ParabolicSubset, WeylElement, all_parabolic_subsets
 
 
 def oracle(x) -> str:
@@ -278,9 +278,10 @@ def test_cells_to_json_records_are_untracked_ints_and_int_tuples(n, J):
 
 @pytest.mark.parametrize("n, J", [(3, None), (4, ParabolicSubset.of(4, [2]))], ids=["3", "4-J{2}"])
 def test_cells_to_json_records_are_independent_and_in_key_order(n, J):
-    """Records that share a stratum's head and rest pieces are still one
-    dict each, keyed in record order: editing one edits no other, and the
-    next census is built afresh."""
+    """Records cloned from their stratum's first Bruhat pair of a length
+    gap are still one dict each, keyed in record order: editing one edits
+    no other, neither a record of a first pair nor one of a later pair of
+    the same stratum and gap, and the next census is built afresh."""
     cells = ser.cells_to_json(n, J)["cells"]
     assert len({id(cell) for cell in cells}) == len(cells)
     assert all(list(cell) == ["J", "v", "w", "v2", "w2", "y", "y2", "dim"] for cell in cells)
@@ -288,6 +289,16 @@ def test_cells_to_json_records_are_independent_and_in_key_order(n, J):
     for k in (0, len(cells) // 2, len(cells) - 1):
         cells[k]["dim"], cells[k]["y"] = -1, ()
         assert [cell for i, cell in enumerate(cells) if cell != before[i]] == [cells[k]]
+        cells[k].update(before[k])
+    gaps = {}  # (J, l(w) − l(v)) → {(v, w): the index of its first record}
+    for k, cell in enumerate(cells):
+        gap = WeylElement(cell["w"]).length - WeylElement(cell["v"]).length
+        gaps.setdefault((cell["J"], gap), {}).setdefault((cell["v"], cell["w"]), k)
+    first, later = next(list(pairs.values())[:2] for pairs in gaps.values() if len(pairs) > 1)
+    for k in (first, later):
+        cells[k]["dim"], cells[k]["v2"] = -1, ()
+    assert [i for i, cell in enumerate(cells) if cell != before[i]] == [first, later]
+    for k in (first, later):
         cells[k].update(before[k])
     cells[0]["dim"] = -1
     assert ser.cells_to_json(n, J)["cells"] == before

@@ -72,8 +72,8 @@ MUTANTS = {
     ),
     "the point key keeps only J": (
         "strata.py",
-        'key = attrs["_key"] = (z.J, tuple(map(proj_key, fundamental_tuple(z))))',
-        'key = attrs["_key"] = (z.J,)',
+        "return (self.J, tuple(map(proj_key, self._images)))",
+        "return (self.J,)",
     ),
     "embedding_data refuses every stratum with a nonempty complement": (
         "exterior.py",
@@ -129,8 +129,8 @@ MUTANTS = {
     ),
     "the kept tuple is computed for J = I": (
         "strata.py",
-        "tuple(_limit_images(z.J, z.g1.M, z.g2.M))",
-        "tuple(_limit_images(ParabolicSubset.of(z.n, range(1, z.n)), z.g1.M, z.g2.M))",
+        "tuple(_limit_images(self.J, self.g1.M, self.g2.M))",
+        "tuple(_limit_images(ParabolicSubset.of(self.n, range(1, self.n)), self.g1.M, self.g2.M))",
     ),
     "the kept ladder drops its alternating sign": (
         "exterior.py",

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import chain, combinations, repeat
 from math import comb, gcd, lcm
 from operator import itemgetter, mul, neg
@@ -90,7 +90,7 @@ def _compound_rows(x: tuple, n: int, top: int) -> Iterator[Matrix]:
             yield tuple(zip(*[iter(level)] * comb(n, k)))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _expansion(n: int, k: int):
     """The terms of every k-minor det X[S, T] of an n×n matrix X expanded
     along its last column, Σ_j (−1)^{j+k}·X[s_j, t_k]·det X[S∖s_j, T∖t_k],
@@ -128,7 +128,7 @@ def _ladder(n: int, kept: list[list[tuple[int, ...]]]):
     return first, tuple(steps)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _full_ladder(n: int):
     """The ladder of every column set, degrees 1..n: all minors of X."""
     return _ladder(n, [subsets_colex(n, k) for k in range(1, n + 1)])
@@ -155,7 +155,7 @@ def _kept_minors(x: tuple, ladder) -> Iterator[tuple]:
         yield level
 
 
-@lru_cache(maxsize=None)
+@cache
 def _levi_weight_positions(n: int, k: int, J: ParabolicSubset) -> tuple[int, ...]:
     """The colex positions of the ones on the diagonal of
     stratum_indicator(J, k), computed once per (n, k, J)."""

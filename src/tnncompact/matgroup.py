@@ -38,8 +38,7 @@ permutation.  The identity is marked by a flag on its lift, so products
 with it return the other factor.  A word of ṡ_i steps alone (a chart with
 no free step) is built as a lift, and so is the trivial upper factor of a
 Bruhat elimination.  Every other matrix is inverted the first time its
-inverse is asked for; the inverse is kept on the matrix and linked back to
-it.
+inverse is asked for, and the inverse is kept on the matrix.
 
 A flag or a parabolic subgroup is its conjugator: the Borel ^gB^+ and the
 parabolic ^gP_J are the group element g, and the opposite parabolic ^gQ_J
@@ -53,7 +52,7 @@ tolerance-free.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import accumulate, chain
 from math import gcd, lcm
 from operator import mul
@@ -80,11 +79,11 @@ class GroupMatrix:
     The constructor takes the rational entries m and checks squareness,
     entry types (int or Fraction) and det = 1; build a matrix through it
     whenever the entries come from outside the library.  It keeps (M, d)
-    only.  What is computed from g later is kept on g the first time it is
-    asked for: ``m``, the Fraction view M/d; the inverse, linked back to g
-    (``inverse``); and the Bruhat elimination (b, w) with g ∈ b·ẇ·B^+
-    (``_bruhat``, which ``associated_borel`` reads).  A Weyl lift is shared
-    between callers, so what it keeps outlives the call that computed it.
+    only.  What is computed from g later is a cached property of g: ``m``,
+    the Fraction view M/d; the inverse ``_inv``; and the Bruhat elimination
+    (b, w) with g ∈ b·ẇ·B^+ (``_bruhat``, which ``associated_borel``
+    reads).  A Weyl lift is shared between callers (``_lift``), so what it
+    keeps outlives the call that computed it.
     """
 
     def __init__(self, m: Matrix):
@@ -160,18 +159,21 @@ class GroupMatrix:
 
     def inverse(self) -> "GroupMatrix":
         """g⁻¹: a Weyl lift's is the lift of its transpose; any other matrix,
-        the caller's too, is inverted the first time it is asked, and the
-        result is kept on g and linked back to it.  With det M = dⁿ,
-        g⁻¹ = d·M⁻¹ = adj(M)/d^{n-1}, from one fraction-free elimination."""
+        the caller's too, is inverted once and keeps the result (``_inv``)."""
+        return self._inv
+
+    @cached_property
+    def _inv(self) -> "GroupMatrix":
+        """g⁻¹ = d·M⁻¹ = adj(M)/d^{n-1} (det M = dⁿ), by one fraction-free elimination."""
         attrs = self.__dict__
         if "_lift" in attrs:
             return _lift(attrs["_lift"][1])
-        h = attrs.get("_inv")
-        if h is None:
-            adj, _ = la._adjugate([list(row) for row in self.M])
-            h = attrs["_inv"] = _reduced(tuple(map(tuple, adj)), self.d ** (self.n - 1))
-            h.__dict__["_inv"] = self
-        return h
+        adj, _ = la._adjugate([list(row) for row in self.M])
+        return _reduced(tuple(map(tuple, adj)), self.d ** (self.n - 1))
+
+    @cached_property
+    def _bruhat(self) -> tuple["GroupMatrix", WeylElement]:
+        return _bruhat_left(self.M)
 
     @property
     def T(self) -> "GroupMatrix":
@@ -218,9 +220,7 @@ def _reduced(M: IntMatrix, d: int) -> GroupMatrix:
     return _trusted(M, d)
 
 
-_LIFTS: dict[tuple[tuple[int, int], ...], GroupMatrix] = {}
-
-
+@cache
 def _lift(rows: tuple[tuple[int, int], ...]) -> GroupMatrix:
     """The signed permutation matrix with entry s at (i, c) for (c, s) =
     rows[i], one shared element per matrix.
@@ -230,18 +230,14 @@ def _lift(rows: tuple[tuple[int, int], ...]) -> GroupMatrix:
     the lift of cols.  The identity also carries the flag ``_one``, so that
     products with it return the other factor.
     """
-    g = _LIFTS.get(rows)
-    if g is None:
-        n = len(rows)
-        cols: list = [None] * n
-        for i, (c, s) in enumerate(rows):
-            cols[c] = (i, s)
-        g = _LIFTS[rows] = _trusted(
-            tuple(tuple(s if k == c else 0 for k in range(n)) for c, s in rows), 1
-        )
-        g.__dict__["_lift"] = (rows, tuple(cols))
-        if all(c == i and s == 1 for i, (c, s) in enumerate(rows)):
-            g.__dict__["_one"] = True
+    n = len(rows)
+    cols: list = [None] * n
+    for i, (c, s) in enumerate(rows):
+        cols[c] = (i, s)
+    g = _trusted(tuple(tuple(s if k == c else 0 for k in range(n)) for c, s in rows), 1)
+    g.__dict__["_lift"] = (rows, tuple(cols))
+    if all(c == i and s == 1 for i, (c, s) in enumerate(rows)):
+        g.__dict__["_one"] = True
     return g
 
 
@@ -327,12 +323,11 @@ def wdot(w: WeylElement) -> GroupMatrix:
     return _signed_permutation(w.perm)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _signed_permutation(perm: tuple[int, ...]) -> GroupMatrix:
     """The lift with entry (-1)^#{i<j : w(i) > w(j)} at (w(j), j), zero
-    elsewhere.  ``_lift`` shares one element per signed permutation between
-    callers (GroupMatrix is immutable); the cache here only saves the sign
-    count on each ``wdot`` call, about twelve per sample and classify."""
+    elsewhere: ``_lift``'s shared element, kept here too only to save the
+    sign count of each ``wdot`` call."""
     rows: list = [None] * len(perm)
     for j, wj in enumerate(perm):
         flips = sum(1 for wi in perm[:j] if wi > wj)
@@ -361,16 +356,9 @@ def pi_factor(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
 # flags and relative position: the position of ^bB^+ from ^aB^+ is
 # bruhat_cell(a⁻¹·b)
 
-_BOREL_MINUS: dict[int, GroupMatrix] = {}
-
-
 def borel_minus(n: int) -> GroupMatrix:
-    """ẇ₀, the conjugator of B^- = ^{ẇ₀}B^+, built once per n and shared
-    (GroupMatrix is immutable); ``classify`` asks for it five times."""
-    g = _BOREL_MINUS.get(n)
-    if g is None:
-        g = _BOREL_MINUS[n] = wdot(longest_w(n))
-    return g
+    """ẇ₀, the conjugator of B^- = ^{ẇ₀}B^+: the one shared lift of w₀."""
+    return wdot(longest_w(n))
 
 
 def bruhat_cell(g: GroupMatrix) -> WeylElement:
@@ -434,16 +422,6 @@ def _bruhat_left(m: IntMatrix, factors: bool = True) -> tuple[GroupMatrix | None
     return _reduced(tuple(map(tuple, b)), d), w
 
 
-def _bruhat(g: GroupMatrix) -> tuple[GroupMatrix, WeylElement]:
-    """``_bruhat_left`` of g's M, run the first time it is asked for and
-    kept on g, as its inverse is: (b, w) with g ∈ b·ẇ·B^+."""
-    attrs = g.__dict__
-    bw = attrs.get("_bruhat")
-    if bw is None:
-        bw = attrs["_bruhat"] = _bruhat_left(g.M)
-    return bw
-
-
 def associated_borel(
     J: ParabolicSubset, g: GroupMatrix, h: GroupMatrix
 ) -> tuple[GroupMatrix, WeylElement]:
@@ -455,9 +433,9 @@ def associated_borel(
     position w⁻¹x from B; x = w·u for u the shortest element of w⁻¹W_J,
     and a = g·b·ẋ.  Then h⁻¹·a ∈ B^+·ẇ⁻¹ẋ = B^+·u̇·T, so u is read off the
     same elimination.  The elimination of g⁻¹·h is kept on that matrix
-    (``_bruhat``), so a later call that eliminates the same element reads
-    it.  The opposite parabolic ^gQ_J is ^{g·ẇ₀}P_{J*}.
+    (``GroupMatrix._bruhat``), so a later call that eliminates the same
+    element reads it.  The opposite parabolic ^gQ_J is ^{g·ẇ₀}P_{J*}.
     """
-    b, w = _bruhat(g.inverse() @ h)
+    b, w = (g.inverse() @ h)._bruhat
     u = J.min_rep(w.inverse())
     return g @ b @ wdot(w * u), u

@@ -10,6 +10,7 @@ sizes disagree.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import chain
 from typing import Any, Iterator
@@ -32,8 +33,9 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(s: int | str) -> Fraction:
-    """A JSON integer or a "p/q" string; floats are refused as inexact."""
-    if isinstance(s, bool) or not isinstance(s, (int, str)):
+    """A JSON integer or a "p/q" string of ASCII digits, signed or not; floats
+    are refused as inexact, and so is any other text ``Fraction`` reads."""
+    if type(s) is not int and not (type(s) is str and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s)):
         raise SchemaError(f"bad rational {s!r}: use an integer or a 'p/q' string")
     try:
         return Fraction(s)

@@ -16,18 +16,17 @@ the tuple is computed on the integer pair (M1, M2) of g_i = M_i/d_i: a
 positive multiple of the rational images, built with no Fraction.
 Membership in the positive part and the paper's (*) pair read its signs;
 ``==`` and ``hash`` read its normal form ``point_key``, J and the
-primitive integer matrix of each entry.  A point computes the tuple and
-the key the first time each is asked for and keeps them on itself, as a
-GroupMatrix keeps its inverse: J, g1 and g2 never change, so neither is
-ever stale, and neither passes from one point to another.  A torus limit
-is its closed form, the acted base point, with no check: its Cauchy–Binet
-limit is the point's own image in every degree (see ``torus_limit``).
+primitive integer matrix of each entry.  Both are cached properties of
+the point: J, g1 and g2 never change, so neither is ever stale, and
+neither passes from one point to another.  A torus limit is its closed
+form, the acted base point, with no check: its Cauchy–Binet limit is the
+point's own image in every degree (see ``torus_limit``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, cached_property
 from itertools import chain, repeat
 from math import comb
 from operator import itemgetter, mul
@@ -63,8 +62,8 @@ class CompactPoint:
 
     Any pair of group elements of size n is a point; the constructor checks
     the sizes only.  ``==`` and ``hash`` read its key (``point_key``), and
-    signs its fundamental tuple; each is computed when first read and kept
-    on the point.
+    signs its fundamental tuple (``_key`` and ``_images``, each a cached
+    property).
     """
 
     J: ParabolicSubset
@@ -73,6 +72,14 @@ class CompactPoint:
 
     def __post_init__(self):
         _check_sizes(self.J, self.g1, self.g2)
+
+    @cached_property
+    def _images(self) -> tuple[Matrix, ...]:
+        return tuple(_limit_images(self.J, self.g1.M, self.g2.M))
+
+    @cached_property
+    def _key(self) -> tuple:
+        return (self.J, tuple(map(proj_key, self._images)))
 
     @classmethod
     def of_triple(
@@ -146,25 +153,17 @@ def fundamental_tuple(z: CompactPoint) -> list[Matrix]:
     limit projector.  Each entry is a point of P(End Λ^k), and the positive
     scalar changes neither that point nor the sign of any entry.
 
-    The entries are computed the first time the tuple of z is asked for
-    and kept on z: its fields are immutable, so they stay its images.
-    Each call returns a new list of the kept (immutable) matrices."""
-    attrs = z.__dict__
-    kept = attrs.get("_images")
-    if kept is None:
-        kept = attrs["_images"] = tuple(_limit_images(z.J, z.g1.M, z.g2.M))
-    return list(kept)
+    The entries are kept on z (``CompactPoint._images``): its fields are
+    immutable, so they stay its images.  Each call returns a new list of
+    the kept (immutable) matrices."""
+    return list(z._images)
 
 
 def point_key(z: CompactPoint) -> tuple:
     """The normal form of z: its stratum J and the proj_key of each entry
-    of its fundamental tuple, which ``==`` and ``hash`` read.  Built the
-    first time it is asked for and kept on z, as the tuple is."""
-    attrs = z.__dict__
-    key = attrs.get("_key")
-    if key is None:
-        key = attrs["_key"] = (z.J, tuple(map(proj_key, fundamental_tuple(z))))
-    return key
+    of its fundamental tuple, which ``==`` and ``hash`` read, kept on z
+    (``CompactPoint._key``) as the tuple is."""
+    return z._key
 
 
 def _limit_images(J: ParabolicSubset, m1: Matrix, m2: Matrix) -> list[Matrix]:
@@ -194,7 +193,7 @@ def _limit_images(J: ParabolicSubset, m1: Matrix, m2: Matrix) -> list[Matrix]:
     return images
 
 
-@lru_cache(maxsize=None)
+@cache
 def _pairing(rows: int, q: int):
     """Two getters that pair A[T, S1] with B[T, S2] for every (S1, S2, T),
     S1 and S2 in range(rows) and T in range(q), in that order, out of two
@@ -203,7 +202,7 @@ def _pairing(rows: int, q: int):
     return itemgetter(*(t + a for a, _, t in cells)), itemgetter(*(t + b for _, b, t in cells))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _kept_plan(J: ParabolicSubset):
     """The ladder (``exterior._ladder``) of the minors of an n×n matrix on
     the kept column sets K_k = _levi_weight_positions(n, k, J),

@@ -178,8 +178,10 @@ def double_cell_evaluate(
 ) -> GroupMatrix:
     """The point of U^-_{wminus,>0} T_{>0} U^+_{wplus,>0} at the positive
     coordinates of the two legs and the torus.  Raises ParamError unless
-    each leg has one coordinate per letter, the torus one per simple root,
-    and all are positive."""
+    wminus and wplus have one rank, each leg has one coordinate per letter,
+    the torus one per simple root, and all are positive."""
+    if wminus.n != wplus.n:
+        raise ParamError("rank mismatch")
     aminus, tor, aplus = ([frac(c) for c in cs] for cs in (aminus, tor, aplus))
     if len(aminus) != wminus.length:
         raise ParamError("aminus length mismatch")

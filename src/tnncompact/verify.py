@@ -139,14 +139,16 @@ class ConfigError(ValueError):
 
 @dataclass
 class VerifyConfig:
-    """The scale of a verification run, checked on construction: a suite
-    at n outside 2..5, or with no seeds or samples, would pass vacuously."""
+    """The scale of a verification run, three ints checked on construction:
+    a suite at n outside 2..5, or with no seeds or samples, passes vacuously."""
 
     n: int = 3
     seeds: int = 5
     samples: int = 100
 
     def __post_init__(self):
+        if any(type(getattr(self, name)) is not int for name in ("n", "seeds", "samples")):
+            raise ConfigError("n, seeds and samples must be ints")
         if not 2 <= self.n <= 5:
             raise ConfigError("n must be between 2 and 5")
         for name in ("seeds", "samples"):

@@ -13,17 +13,17 @@ through it.  Every element this module builds from a size or from other
 elements (products, inverses, right multiplication by s_i, coset
 representatives, the named elements) is a permutation by construction and
 goes through ``_trusted_w``, which checks nothing and returns the one
-shared element of its permutation.  An element keeps what it is first
-asked for: its length, its inverse (linked back) and its lex-min reduced
-word, which keeps its positive subexpression per v; a ``ParabolicSubset``
-keeps its blocks, longest element and J*.  Every kept value is immutable.
+shared element of its permutation.  An element's cached properties are
+its length, its inverse (linked back) and its lex-min reduced word, which
+keeps its positive subexpression per v; a ``ParabolicSubset`` keeps its
+blocks, longest element and J*.  Every kept value is immutable.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, permutations
 from operator import le
 
@@ -62,11 +62,18 @@ class WeylElement:
         return _trusted_w(tuple(p[j - 1] for j in other.perm))
 
     def inverse(self) -> "WeylElement":
-        inv = self.__dict__.get("_inv")
-        if inv is None:  # the positions 1..n ordered by their values
-            inv = self.__dict__["_inv"] = _trusted_w(tuple(sorted(range(1, self.n + 1), key=self)))
-            inv.__dict__["_inv"] = _trusted_w(self.perm)
+        return self._inv
+
+    @cached_property
+    def _inv(self) -> "WeylElement":
+        """The positions 1..n by value; linked back, as shared elements are never freed."""
+        inv = _trusted_w(tuple(sorted(range(1, self.n + 1), key=self)))
+        inv.__dict__["_inv"] = _trusted_w(self.perm)
         return inv
+
+    @cached_property
+    def _word(self) -> "ReducedWord":
+        return _lex_min_word(self)
 
     def right_s(self, i: int) -> "WeylElement":
         """self * s_i (swaps positions i, i+1)."""
@@ -89,17 +96,13 @@ def _inversions(p: tuple[int, ...]) -> int:
     return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
 
 
-_ELEMENTS: dict[tuple[int, ...], WeylElement] = {}
-
-
+@cache
 def _trusted_w(perm: tuple[int, ...]) -> WeylElement:
     """The shared WeylElement of a tuple that is a permutation by
     construction: skips the ``__post_init__`` check, which stays on every
     public construction."""
-    w = _ELEMENTS.get(perm)
-    if w is None:
-        w = _ELEMENTS[perm] = object.__new__(WeylElement)
-        w.__dict__["perm"] = perm
+    w = object.__new__(WeylElement)
+    w.__dict__["perm"] = perm
     return w
 
 
@@ -157,14 +160,15 @@ class ReducedWord:
     def __len__(self) -> int:
         return len(self.letters)
 
+    @cached_property
+    def _psubs(self) -> dict[tuple[int, ...], "PositiveSubexpression"]:
+        return {}
+
 
 def lex_min_reduced_word(w: WeylElement) -> ReducedWord:
     """Lexicographically least reduced word (deterministic chart choice),
-    kept on w (``_lex_min_word``)."""
-    word = w.__dict__.get("_word")
-    if word is None:
-        word = w.__dict__["_word"] = _lex_min_word(w)
-    return word
+    kept on w (``WeylElement._word``)."""
+    return w._word
 
 
 def _lex_min_word(w: WeylElement) -> ReducedWord:
@@ -206,12 +210,13 @@ class PositiveSubexpression:
 
 def positive_subexpression(word: ReducedWord, v: WeylElement) -> PositiveSubexpression:
     """The positive subexpression of word for v, kept on the word per v
-    (``_positive_subexpression``)."""
-    kept = word.__dict__.setdefault("_psubs", {})
+    (``ReducedWord._psubs``).  Raises WeylError when their ranks differ."""
+    if word.n != v.n:
+        raise WeylError("rank mismatch")
     key = v.perm
-    psub = kept.get(key)
+    psub = word._psubs.get(key)
     if psub is None:
-        psub = kept[key] = _positive_subexpression(word, v)
+        psub = word._psubs[key] = _positive_subexpression(word, v)
     return psub
 
 

@@ -28,7 +28,7 @@ def test_frac_roundtrip():
     with pytest.raises(ser.SchemaError):
         ser.parse_frac("1/0")
     assert ser.parse_frac(3) == 3
-    for bad in (0.1, 1.0, None, True, [1], {"p": 1}):
+    for bad in (0.1, 1.0, None, True, [1], {"p": 1}, "0.5", "1e3", "1_000", " 1/2 ", "١", "9" * 5000):
         with pytest.raises(ser.SchemaError):
             ser.parse_frac(bad)
 

@@ -700,7 +700,7 @@ def no_elimination(*_):
 def assert_inverse(g):
     inv = g.inverse()
     assert inv.m == gauss_jordan_inverse(g.m)
-    assert inv.inverse() is g
+    assert inv.inverse() == g
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -711,6 +711,7 @@ def test_weyl_lift_inverses_are_closed_form(n, monkeypatch):
     for w in all_weyl(n):
         assert_inverse(wdot(w))
         assert wdot(w).inverse().m == la.transpose(wdot(w).m)
+        assert wdot(w).inverse().inverse() is wdot(w)
     for i in range(1, n):
         assert_inverse(sdot(n, i))
     for g in (identity_g(n), borel_minus(n)):
@@ -763,9 +764,9 @@ def test_chart_matrices_stay_in_the_group(n):
             assert g.T.inverse().m == la.transpose(g.inverse().m)
 
 
-def test_inverse_is_kept_and_linked_back(monkeypatch):
-    """The caller's matrix is eliminated once, on its first inverse: its
-    inverse is kept on it, and the inverse's inverse is the matrix itself."""
+def test_inverse_is_kept(monkeypatch):
+    """The caller's matrix is eliminated once, on its first inverse, and
+    its inverse is kept on it."""
     g = GroupMatrix(la.mat([[1, 1], [1, 2]]))
     eliminated = []
     adjugate = la._adjugate
@@ -774,7 +775,7 @@ def test_inverse_is_kept_and_linked_back(monkeypatch):
     assert eliminated == [g.M] == [((1, 1), (1, 2))]
     assert inv.m == la.mat([[2, -1], [-1, 1]])
     monkeypatch.setattr(la, "_adjugate", no_elimination)
-    assert g.inverse() is inv and inv.inverse() is g
+    assert g.inverse() is inv
 
 
 def test_det_is_checked_where_matrices_enter():

@@ -58,6 +58,7 @@ from tnncompact.tnn import (
 from tnncompact.weyl import (
     ParabolicSubset,
     ReducedWord,
+    WeylElement,
     all_reduced_words,
     all_weyl,
     bruhat_leq,
@@ -354,6 +355,16 @@ def test_double_cell_evaluate_and_recover():
     # (w0, w0) at n=2 gives a strictly positive element
     one = (Fraction(1),)
     assert is_totally_positive(double_cell_evaluate(s1, s1, one, one, one))
+
+
+def test_double_cell_evaluate_rejects_a_rank_mismatch():
+    """Two legs of different ranks are refused, in either order, with one
+    coordinate per letter and per simple root of the first leg."""
+    w2, w3 = longest_w(2), longest_w(3)
+    for wminus, wplus in ((w2, WeylElement((2, 1, 3))), (w2, w3), (w3, w2)):
+        legs = ((1,) * wminus.length, (1,) * (wminus.n - 1), (1,) * wplus.length)
+        with pytest.raises(ParamError, match="rank mismatch"):
+            double_cell_evaluate(wminus, wplus, *legs)
 
 
 def test_double_cell_evaluate_rejects_bad_coordinates():

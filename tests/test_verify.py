@@ -115,6 +115,17 @@ def test_every_counted_case_can_fail(name, monkeypatch):
     assert not any("error" in f for f in rep.failures)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"seeds": 2.5}, {"samples": True}, {"n": 3.0}, {"seeds": "2"}, {"n": 6}, {"samples": 0}],
+)
+def test_verify_config_refuses_a_scale_that_is_not_an_int_in_range(fields):
+    """A float or a bool would run a suite that fails on a TypeError or
+    counts True as one sample; each is refused where the config is built."""
+    with pytest.raises(verify.ConfigError):
+        verify.VerifyConfig(**fields)
+
+
 @pytest.mark.parametrize("name", list(verify.SUITES))
 def test_a_suite_that_enumerates_every_label_refuses_n5(name, monkeypatch):
     """census, dimensions, roundtrip and emptiness enumerate every label

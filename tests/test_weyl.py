@@ -83,6 +83,15 @@ def test_bruhat_rank_mismatch():
         bruhat_leq(identity_w(2), identity_w(3))
 
 
+def test_positive_subexpression_rank_mismatch():
+    """A word and a v of different ranks are refused, as bruhat_leq refuses
+    them, whether v is longer or shorter than the word's rank."""
+    word = ReducedWord(2, (1,))
+    for v in (WeylElement((2, 1, 3)), WeylElement((1,))):
+        with pytest.raises(WeylError, match="rank mismatch"):
+            positive_subexpression(word, v)
+
+
 @pytest.mark.parametrize(
     "n,js,expected",
     [

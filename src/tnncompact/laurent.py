@@ -8,7 +8,8 @@ this ring, to check that closed form.
 Coefficients are Fractions or ints: ``of`` refuses any other value (a
 float, a string), as linalg.frac does, and keeps each coefficient as it is
 given, as the ring operations do, so a curve of integer matrices is
-computed over the integers.
+computed over the integers.  Exponents are ints: ``of`` refuses any other
+key (a float, a string, a bool) with TypeError rather than truncate it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ class Laurent:
     @staticmethod
     def of(data: Mapping[int, Fraction] | int | Fraction) -> "Laurent":
         items = data if isinstance(data, Mapping) else {0: data}
-        return _trusted({int(e): c if isinstance(c, int) else frac(c) for e, c in items.items()})
+        if any(type(e) is not int for e in items):
+            raise TypeError(f"Laurent exponents must be ints: {list(items)}")
+        return _trusted({e: c if isinstance(c, int) else frac(c) for e, c in items.items()})
 
     @staticmethod
     def monomial(e: int, c=1) -> "Laurent":

@@ -6,17 +6,17 @@ for even n and only +1 for odd n.  The pinning is the standard one,
 x_i(a) = 1 + a·E_{i,i+1}, y_i(a) its transpose, and ψ (the positivity
 antiautomorphism) is literally matrix transpose.
 
-A group element g is stored as one integer matrix over one denominator,
-g = M/d with d > 0, gcd(content(M), d) = 1 and det M = dⁿ; that pair is
-unique for g.  The library computes with (M, d) alone: a product is the
-integer product over the product of the denominators, with their common
-content divided out; g⁻¹ is the integer adjugate of M over d^{n-1}, from
-one fraction-free elimination; a transpose transposes M.  Every sign and
-projective test reads M directly, since a positive scalar changes no sign
-of a minor and no projective point, and every position (Bruhat cells,
-triangular zero patterns) reads it too, since no scalar moves a zero.
-The rational entries ``m`` are a Fraction view, built when a caller first
-reads it (JSON, the tests, the values of a Levi part).
+A group element g is stored as one primitive integer matrix M (content
+1) with det M = dⁿ > 0, so that g = M/d; M is unique for g, and d is
+no stored state.  The library computes with M alone: a product is the
+primitive part of the integer product; g⁻¹ is the primitive part of the
+integer adjugate of M, from one fraction-free elimination; a transpose
+transposes M.  Every sign and projective test reads M directly, since a
+positive scalar changes no sign of a minor and no projective point, and
+every position (Bruhat cells, triangular zero patterns) reads it too,
+since no scalar moves a zero.  The rational entries ``m`` are a Fraction
+view, built when a caller first reads it (JSON, the tests, the values of
+a Levi part): d is then the exact integer n-th root of det M.
 
 det = 1 and exact entries (ints and Fractions, never floats) are checked
 once, where a matrix enters: the public ``GroupMatrix`` constructor, which
@@ -73,14 +73,14 @@ class GroupError(Exception):
 
 class GroupMatrix:
     """Determinant-1 rational matrix, equal to its n-th-root-of-unity
-    rescalings, stored as g = M/d (see the module docstring): ``M`` is the
-    integer matrix and ``d`` the denominator.
+    rescalings, stored as its primitive integer matrix ``M`` (see the
+    module docstring).
 
-    The constructor takes the rational entries m and checks squareness,
-    entry types (int or Fraction) and det = 1; build a matrix through it
-    whenever the entries come from outside the library.  It keeps (M, d)
-    only.  What is computed from g later is a cached property of g: ``m``,
-    the Fraction view M/d; the inverse ``_inv``; and the Bruhat elimination
+    The constructor takes the rational entries m and checks that they form
+    a nonempty square of ints or Fractions with det = 1; build a matrix
+    through it whenever the entries come from outside the library.  It
+    keeps M only.  What is computed from g later is a cached property of
+    g: ``m``, the Fraction view M/d; the inverse ``_inv``; and the Bruhat elimination
     (b, w) with g ∈ b·ẇ·B^+ (``_bruhat``, which ``associated_borel``
     reads).  A Weyl lift is shared between callers (``_lift``), so what it
     keeps outlives the call that computed it.
@@ -90,23 +90,27 @@ class GroupMatrix:
         self.__post_init__(m)
 
     def __post_init__(self, m: Matrix):
-        n, nc = la.dims(m)
-        if n != nc:
-            raise GroupError("group matrix must be square")
+        n = len(m)
+        if not n or any(len(row) != n for row in m):
+            raise GroupError("group matrix must be square and nonempty")
         if any(type(x) not in _RATIONAL for row in m for x in row):
             raise GroupError("group matrix entries must be ints or Fractions")
-        M, d = _integer_form(m)
-        if la.det(M) != d**n:
+        if la.det(m) != 1:
             raise GroupError("group matrix must have determinant 1")
-        self.__dict__.update(M=M, d=d)
+        self.__dict__["M"] = _integer_form(m)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GroupMatrix is immutable; cannot set {name}")
 
     @cached_property
     def m(self) -> Matrix:
-        """The entries M/d as Fractions."""
-        d = self.d
+        """The entries M/d as Fractions, d = ⁿ√det M by Newton steps on ints
+        down from 2^⌈bits/n⌉ ≥ d: exact at any size, where a float root
+        fails past 2^1024."""
+        det, n = abs(la.det(self.M).numerator), self.n
+        d = 1 << -(-det.bit_length() // n)
+        while (s := ((n - 1) * d + det // d ** (n - 1)) // n) < d:
+            d = s
         return tuple(tuple(Fraction(x, d) for x in row) for row in self.M)
 
     @property
@@ -146,16 +150,12 @@ class GroupMatrix:
                 then = right["_lift"][0]
                 return _lift(tuple((then[c][0], s * then[c][1]) for c, s in rows))
             # row i of ẇ·b is ±row c of b
-            return _trusted(
-                tuple(b[c] if s > 0 else tuple(-x for x in b[c]) for c, s in rows), other.d
-            )
+            return _trusted(tuple(b[c] if s > 0 else tuple(-x for x in b[c]) for c, s in rows))
         if "_lift" in right:
             # column k of a·ẇ is ±column r of a
             cols = right["_lift"][1]
-            return _trusted(
-                tuple(tuple(row[r] if s > 0 else -row[r] for r, s in cols) for row in a), self.d
-            )
-        return _reduced(la._product(a, b), self.d * other.d)
+            return _trusted(tuple(tuple(x[r] if s > 0 else -x[r] for r, s in cols) for x in a))
+        return _reduced(la._product(a, b))
 
     def inverse(self) -> "GroupMatrix":
         """g⁻¹: a Weyl lift's is the lift of its transpose; any other matrix,
@@ -164,12 +164,12 @@ class GroupMatrix:
 
     @cached_property
     def _inv(self) -> "GroupMatrix":
-        """g⁻¹ = d·M⁻¹ = adj(M)/d^{n-1} (det M = dⁿ), by one fraction-free elimination."""
-        attrs = self.__dict__
-        if "_lift" in attrs:
-            return _lift(attrs["_lift"][1])
+        """g⁻¹ = d·M⁻¹ = adj(M)/d^{n-1} (det M = dⁿ): the primitive part of
+        adj(M), from one fraction-free elimination."""
+        if "_lift" in self.__dict__:
+            return _lift(self._lift[1])
         adj, _ = la._adjugate([list(row) for row in self.M])
-        return _reduced(tuple(map(tuple, adj)), self.d ** (self.n - 1))
+        return _reduced(tuple(map(tuple, adj)))
 
     @cached_property
     def _bruhat(self) -> tuple["GroupMatrix", WeylElement]:
@@ -178,15 +178,12 @@ class GroupMatrix:
     @property
     def T(self) -> "GroupMatrix":
         """ψ: the antiautomorphism fixing T and swapping x_i(a) with y_i(a)."""
-        attrs = self.__dict__
-        if "_lift" in attrs:
-            return _lift(attrs["_lift"][1])
-        return _trusted(tuple(zip(*self.M)), self.d)
+        if "_lift" in self.__dict__:
+            return _lift(self._lift[1])
+        return _trusted(tuple(zip(*self.M)))
 
     def __repr__(self) -> str:
-        rows = "; ".join(
-            " ".join(str(x) for x in row) for row in self.m
-        )
+        rows = "; ".join(" ".join(map(str, row)) for row in self.m)
         return f"G[{rows}]"
 
 
@@ -194,30 +191,28 @@ def _negated(M: IntMatrix) -> IntMatrix:
     return tuple(tuple(-x for x in row) for row in M)
 
 
-def _integer_form(m: Matrix) -> tuple[IntMatrix, int]:
-    """(M, d) with m = M/d: d the lcm of the entries' denominators, so that
-    gcd(content(M), d) = 1."""
+def _integer_form(m: Matrix) -> IntMatrix:
+    """M = d·m for d the lcm of the entries' denominators, so that
+    gcd(content(M), d) = 1: the primitive matrix of m when det m = 1, since
+    a prime of content(M) would divide det M = dⁿ, hence d."""
     ratios = [[x.as_integer_ratio() for x in row] for row in m]
     d = lcm(*(q for row in ratios for _, q in row))
-    return tuple(tuple(p * (d // q) for p, q in row) for row in ratios), d
+    return tuple(tuple(p * (d // q) for p, q in row) for row in ratios)
 
 
-def _trusted(M: IntMatrix, d: int) -> GroupMatrix:
-    """The GroupMatrix M/d for a square integer M and d > 0 the library
-    built, with gcd(content(M), d) = 1 and det M = dⁿ: skips the
-    ``__post_init__`` check."""
+def _trusted(M: IntMatrix) -> GroupMatrix:
+    """The GroupMatrix of a square primitive integer M with det M = dⁿ > 0
+    that the library built: skips the ``__post_init__`` check."""
     g = object.__new__(GroupMatrix)
-    g.__dict__.update(M=M, d=d)
+    g.__dict__["M"] = M
     return g
 
 
-def _reduced(M: IntMatrix, d: int) -> GroupMatrix:
-    """The group element M/d, for det M = dⁿ and d > 0, with the content
-    that M shares with d divided out."""
-    c = gcd(d, *chain.from_iterable(M)) if d > 1 else 1
-    if c > 1:
-        M, d = tuple(tuple(x // c for x in row) for row in M), d // c
-    return _trusted(M, d)
+def _reduced(M: IntMatrix) -> GroupMatrix:
+    """The group element of an integer M with det M a positive n-th power:
+    M divided by its content, taken row by row."""
+    c = gcd(*[gcd(*row) for row in M])
+    return _trusted(M if c == 1 else tuple(tuple(x // c for x in row) for row in M))
 
 
 @cache
@@ -234,7 +229,7 @@ def _lift(rows: tuple[tuple[int, int], ...]) -> GroupMatrix:
     cols: list = [None] * n
     for i, (c, s) in enumerate(rows):
         cols[c] = (i, s)
-    g = _trusted(tuple(tuple(s if k == c else 0 for k in range(n)) for c, s in rows), 1)
+    g = _trusted(tuple(tuple(s if k == c else 0 for k in range(n)) for c, s in rows))
     g.__dict__["_lift"] = (rows, tuple(cols))
     if all(c == i and s == 1 for i, (c, s) in enumerate(rows)):
         g.__dict__["_one"] = True
@@ -258,7 +253,8 @@ def _word_element(n: int, steps) -> GroupMatrix:
 
     Column k is kept as integers over a denominator of its own, reduced
     (``_reduced_column``), so a step touches only the column it changes;
-    the columns go over one denominator, their lcm, at the end.  Zero steps
+    the columns go over one denominator, their lcm, at the end, and M is
+    the columns' integers over it, primitive since det = 1.  Zero steps
     are skipped.  Without its unit torus steps, a word of ṡ_i steps alone
     is a Weyl lift (the identity when empty).
     """
@@ -288,7 +284,7 @@ def _word_element(n: int, steps) -> GroupMatrix:
                     [x * f + y * h for x, y in zip(cols[t], cols[u])], l
                 )
     d = lcm(*dens)
-    return _trusted(tuple(zip(*([x * (d // e) for x in c] for c, e in zip(cols, dens)))), d)
+    return _trusted(tuple(zip(*([x * (d // e) for x in c] for c, e in zip(cols, dens)))))
 
 
 def _reduced_column(col: list[int], den: int) -> tuple[list[int], int]:
@@ -349,7 +345,7 @@ def pi_factor(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
     """
     l, d, u = la.ldu(g.m)
     pivots = (d[i][i] for i in range(g.n - 1))
-    return _trusted(*_integer_form(l)), torus(accumulate(pivots, mul)), _trusted(*_integer_form(u))
+    return _trusted(_integer_form(l)), torus(accumulate(pivots, mul)), _trusted(_integer_form(u))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +362,7 @@ def bruhat_cell(g: GroupMatrix) -> WeylElement:
     (``_bruhat_left``) after one rank of M rejects singular input.
 
     The rank cannot fail on a matrix the constructor or the library built
-    (det M = dⁿ ≠ 0), only on an unchecked one; it stays while the
+    (det M ≠ 0), only on an unchecked one; it stays while the
     benchmark's tracer test pins a rank per ``classify``."""
     if la.rank(g.M) < g.n:
         raise GroupError("singular matrix has no Bruhat cell")
@@ -419,7 +415,7 @@ def _bruhat_left(m: IntMatrix, factors: bool = True) -> tuple[GroupMatrix | None
     b = [[d if r == c else 0 for c in range(n)] for r in range(n)]
     for i, p, num, q in mult:
         b[i][p] = num * d // q
-    return _reduced(tuple(map(tuple, b)), d), w
+    return _reduced(tuple(map(tuple, b))), w
 
 
 def associated_borel(

@@ -12,8 +12,9 @@ A point is identified by its stratum J and its fundamental tuple, the image
 compactification of PGL_n is the closure of PGL_n in ∏_k P(End Λ^k), the
 space of complete collineations (Thaddeus, "Complete collineations
 revisited", Math. Ann. 315, 1999).  Each entry is a projective point, so
-the tuple is computed on the integer pair (M1, M2) of g_i = M_i/d_i: a
-positive multiple of the rational images, built with no Fraction.
+the tuple is computed on the integer pair (M1, M2), M_i a positive
+multiple of g_i: a positive multiple of the rational images, built with
+no Fraction.
 Membership in the positive part and the paper's (*) pair read its signs;
 ``==`` and ``hash`` read its normal form ``point_key``, J and the
 primitive integer matrix of each entry.  Both are cached properties of
@@ -95,7 +96,7 @@ class CompactPoint:
             l = la.levi_part((a.inverse() @ g @ b).m, J.blocks0())
         except FactorizationError as e:
             raise StrataError(f"triple violates opposedness: {e}") from e
-        return cls(J, a @ _trusted(*_integer_form(l)), b.inverse())
+        return cls(J, a @ _trusted(_integer_form(l)), b.inverse())
 
     @property
     def n(self) -> int:
@@ -148,9 +149,9 @@ def iJ_of_point(z: CompactPoint, data: EmbeddingData) -> tuple[Matrix, Matrix]:
 
 def fundamental_tuple(z: CompactPoint) -> list[Matrix]:
     """The image of z in every fundamental representation, as integer
-    matrices: with g_i = M_i/d_i, the k-th entry is ρ_k(M1)·D_k·ρ_k(M2),
-    which is exactly (d1·d2)^k times ρ_k(g1)·D_k·ρ_k(g2), D_k the stratum's
-    limit projector.  Each entry is a point of P(End Λ^k), and the positive
+    matrices: the k-th entry is ρ_k(M1)·D_k·ρ_k(M2), a positive multiple of
+    ρ_k(g1)·D_k·ρ_k(g2) since M_i is one of g_i, D_k the stratum's limit
+    projector.  Each entry is a point of P(End Λ^k), and the positive
     scalar changes neither that point nor the sign of any entry.
 
     The entries are kept on z (``CompactPoint._images``): its fields are
@@ -275,9 +276,8 @@ def membership_Zgt0(z: CompactPoint) -> bool:
     flags differ, included: Bloch and Karp, Adv. Math. 2023) and the n = 5
     top cells; the positivity-converse suite samples lower cells of every
     stratum at its n.  ψ̄ needs no separate check: it transposes every
-    entry of the tuple.  fundamental_tuple's integer entries differ from
-    the rational ones by the factor (d1·d2)^k > 0 only, so they have the
-    same signs.
+    entry of the tuple.  fundamental_tuple's integer entries are positive
+    multiples of the rational ones, so they have the same signs.
     """
     return all(strictly_signed(m) for m in fundamental_tuple(z))
 

@@ -137,9 +137,11 @@ def sample_Uplus_gt0(n: int, rng: random.Random) -> GroupMatrix:
 
 def in_Uplus_gt0(u: GroupMatrix) -> bool:
     """Exact membership in U^+_{>0} = U^+_{≥0} ∩ B^-ẇ₀B^-: an upper
-    unipotent TNN matrix whose transpose lies in B^+ẇ₀B^+."""
+    unipotent TNN matrix whose transpose lies in B^+ẇ₀B^+.  u is unipotent
+    when M is upper triangular with a constant diagonal, since M is u up to
+    a scalar; the minor test then refuses a negative one."""
     M = u.canonical()
-    if not la.is_upper_triangular(M) or any(M[i][i] != u.d for i in range(u.n)):
+    if not la.is_upper_triangular(M) or any(M[i][i] != M[0][0] for i in range(u.n)):
         return False
     return _minors_positive(M, strict=False) and bruhat_cell(u.T) == longest_w(u.n)
 

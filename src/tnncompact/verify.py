@@ -137,10 +137,11 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyConfig:
-    """The scale of a verification run, three ints checked on construction:
-    a suite at n outside 2..5, or with no seeds or samples, passes vacuously."""
+    """The scale of a verification run, three ints checked on construction
+    and frozen after it: a suite at n outside 2..5, or with no seeds or
+    samples, passes vacuously."""
 
     n: int = 3
     seeds: int = 5
@@ -151,9 +152,8 @@ class VerifyConfig:
             raise ConfigError("n, seeds and samples must be ints")
         if not 2 <= self.n <= 5:
             raise ConfigError("n must be between 2 and 5")
-        for name in ("seeds", "samples"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
+        if min(self.seeds, self.samples) < 1:
+            raise ConfigError("seeds and samples must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +468,8 @@ def suite_emptiness(cfg: VerifyConfig) -> Iterator[Case]:
 def _curve_limit_images(g1, c, g2) -> list:
     """The leading coefficients of ρ_k(M1·diag(s^{−e})·M2), k = 1..n−1, on
     the torus curve with e_i = c_i + … + c_{n−1}, i.e. α_i = s^{−c_i}, for
-    g_i = M_i/d_i: projectively, those of ρ_k(g1·diag(s^{−e})·g2)."""
+    M_i a positive multiple of g_i: projectively, those of
+    ρ_k(g1·diag(s^{−e})·g2)."""
     n = g1.n
     e = [sum(c[i:]) for i in range(n)]
     scaled = tuple(tuple(Laurent.monomial(-ej, a) for a, ej in zip(row, e)) for row in g1.M)

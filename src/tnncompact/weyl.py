@@ -201,11 +201,17 @@ class PositiveSubexpression:
     """The positive distinguished subexpression of a reduced word for v
     (Marsh and Rietsch, Represent. Theory 8, 2004), kept as what its chart
     reads: the word, v, and jcirc, the word positions 1..m where the
-    station stays put, which are the chart's free steps."""
+    station stays put, which are the chart's free steps.  The public
+    constructor checks that jcirc is the word's one for v (and that the
+    ranks agree); ``positive_subexpression`` builds the kept one unchecked."""
 
     word: ReducedWord
     v: WeylElement
     jcirc: frozenset[int]
+
+    def __post_init__(self):
+        if positive_subexpression(self.word, self.v).jcirc != self.jcirc:
+            raise WeylError(f"{sorted(self.jcirc)} is not the positive subexpression for {self.v}")
 
 
 def positive_subexpression(word: ReducedWord, v: WeylElement) -> PositiveSubexpression:
@@ -226,7 +232,9 @@ def _positive_subexpression(word: ReducedWord, v: WeylElement) -> PositiveSubexp
     shortens u, i.e. when u has a right descent at i_j, u(i_j) > u(i_j + 1);
     otherwise j is free.  The greedy reaches the identity exactly when
     v ≤ w, the product of the word, so it decides that too: raises
-    WeylError when it does not."""
+    WeylError when it does not.  The result is set field by field, as the
+    dataclass's own ``__init__`` does, but without ``__post_init__``, whose
+    check would run this greedy again."""
     u = list(v.perm)
     jcirc = []
     for j in range(len(word), 0, -1):
@@ -237,7 +245,10 @@ def _positive_subexpression(word: ReducedWord, v: WeylElement) -> PositiveSubexp
             jcirc.append(j)
     if u != sorted(u):
         raise WeylError(f"{v} is not Bruhat-below the product of {word.letters}")
-    return PositiveSubexpression(word, v, frozenset(jcirc))
+    psub = object.__new__(PositiveSubexpression)
+    for name, value in zip(("word", "v", "jcirc"), (word, v, frozenset(jcirc))):
+        object.__setattr__(psub, name, value)
+    return psub
 
 
 @dataclass(frozen=True)

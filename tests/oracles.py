@@ -182,8 +182,17 @@ def is_lower_triangular(m):
 
 def trusted(m):
     """The GroupMatrix of any square rational m, unchecked: m need not have
-    det 1, or be invertible."""
-    return _trusted(*_integer_form(m))
+    det 1, or be invertible.  Its M is m with its denominators cleared, and
+    its ``m`` is m itself, since a singular M has no d to derive."""
+    g = _trusted(_integer_form(m))
+    g.__dict__["m"] = m
+    return g
+
+
+def denominator(g):
+    """The d of g = M/d, read off the Fraction view: the lcm of the
+    denominators of ``g.m``."""
+    return lcm(*(x.denominator for row in g.m for x in row))
 
 
 def integer_pairs(*pairs):

@@ -9,6 +9,7 @@ from itertools import combinations, product
 import pytest
 from oracles import (
     chart_elements,
+    denominator,
     dual_chart,
     dual_jacobian_rank,
     dual_rank,
@@ -418,8 +419,8 @@ def test_sample_cell_returns_the_coordinates_it_drew():
             assert len(coords) == dim == dimension_of(label)
             assert all(c > 0 for c in coords)
             replay = chart_point(label, coords)
-            assert [(g.M, g.d) for g in (replay.g1, replay.g2)] == [
-                (g.M, g.d) for g in (z.g1, z.g2)
+            assert [(g.M, denominator(g)) for g in (replay.g1, replay.g2)] == [
+                (g.M, denominator(g)) for g in (z.g1, z.g2)
             ], label
 
 
@@ -907,7 +908,7 @@ def test_dual_chart_is_the_sampled_chart(n):
         g, gp, l = chart_elements(label, coords)
         assert values(g1) == (g @ l).m
         assert values(g2) == gp.T.m
-        scale = z.g1.d * z.g2.d
+        scale = denominator(z.g1) * denominator(z.g2)
         images = _limit_images(label.J, g1, g2)
         assert [
             tuple(tuple(scale**k * x for x in row) for row in values(m))

@@ -46,6 +46,14 @@ def test_valuation_and_limit():
             Laurent.of(bad)
 
 
+@pytest.mark.parametrize("bad", [{2.9: 1}, {"3": 1}, {True: 5}, {Fraction(2): 1}])
+def test_exponents_that_are_not_ints_are_refused(bad):
+    """A float, string, bool or Fraction exponent raises TypeError; none is
+    truncated to an int (2.9 to s², True to s)."""
+    with pytest.raises(TypeError):
+        Laurent.of(bad)
+
+
 def test_det_and_compound_vs_rational():
     m = la.mat([[1, 2, 0], [3, 4, 1], [0, 1, 5]])
     lm = lmat_from_rational(m)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import (
     block_anti_ldu,
+    denominator,
     evaluate_word,
     gauss_jordan_inverse,
     generator_x,
@@ -788,6 +789,14 @@ def test_det_is_checked_where_matrices_enter():
     assert ser.group_from_json([["1", "1"], ["1", "2"]]).m == la.mat([[1, 1], [1, 2]])
 
 
+def test_an_empty_or_ragged_matrix_is_no_group_element():
+    """The empty determinant is 1, but a 0×0 matrix is no element of PGL_n;
+    a ragged matrix is refused as not square, before any determinant."""
+    for bad in ((), [], ((1, 0), (0,)), ((1, 0, 0), (0, 1), (0, 0, 1))):
+        with pytest.raises(GroupError):
+            GroupMatrix(bad)
+
+
 @pytest.mark.parametrize("x", [1.0, True, Decimal(1)])
 def test_inexact_entries_are_refused_where_matrices_enter(x):
     """Floats, bools and Decimals never enter a group matrix, although
@@ -814,12 +823,13 @@ def test_flags_of_different_ranks_are_unequal():
 
 
 def assert_normalized(g):
-    """M is an integer matrix and d > 0, gcd(content(M), d) = 1 and
-    det M = dⁿ: the one stored form of g."""
-    M, d = g.M, g.d
-    assert type(d) is int and all(type(x) is int for row in M for x in row)
-    assert d > 0 and gcd(d, *(x for row in M for x in row)) == 1
+    """M is an integer matrix with content 1, det M = dⁿ for d the lcm of
+    the denominators of g.m, and g.m = M/d: the one stored form of g."""
+    M, d = g.M, denominator(g)
+    assert all(type(x) is int for row in M for x in row)
+    assert gcd(*(x for row in M for x in row)) == 1
     assert laplace_det(M) == d**g.n
+    assert g.m == tuple(tuple(Fraction(x, d) for x in row) for row in M)
 
 
 @st.composite
@@ -900,6 +910,39 @@ def test_chart_words_and_levi_parts_match_the_fraction_oracles(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_derived_denominator_is_exact_past_float_range(n):
+    """A group element stores M alone; ``.m`` derives d as the integer n-th
+    root of det M.  Words of many steps over large denominators give
+    det M = dⁿ > 2^1100, which no float can hold, and the Fraction view of
+    each word, of their product and of an inverse is still the Fraction
+    oracle's, with det M = dⁿ."""
+    rng = random.Random(180 + n)
+
+    def big():
+        return Fraction(rng.choice((1, -1)) * rng.randint(1, 10**6), rng.randint(10**5, 10**6))
+
+    words = []
+    for _ in range(2):
+        steps = [(rng.choice("xy"), rng.randint(1, n - 1), big()) for _ in range(60)]
+        steps.insert(30, ("t", 0, tuple(abs(big()) for _ in range(n - 1))))
+        words.append(steps)
+    g, h = (_word_element(n, word) for word in words)
+    assert not hasattr(g, "d")
+    for elem, word in zip((g, h), words):
+        assert laplace_det(elem.M) > 2**1100
+        with pytest.raises(OverflowError):
+            float(laplace_det(elem.M))
+        assert elem.m == evaluate_word(n, word, Fraction(1))
+        assert_normalized(elem)
+    for got, want in [
+        (g @ h, rational_matmul(g.m, h.m)),
+        (g.inverse(), gauss_jordan_inverse(g.m)),
+    ]:
+        assert got.m == want
+        assert_normalized(got)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_equality_and_hash_follow_the_stored_form(n):
     """g and −g are one element at even n (and −g is no group element at
     odd n); one matrix built by a product and by the public constructor is
@@ -909,7 +952,8 @@ def test_equality_and_hash_follow_the_stored_form(n):
         g, h = dense_product(n, rng), dense_product(n, rng)
         gh = g @ h
         again = GroupMatrix(rational_matmul(g.m, h.m))
-        assert (again.M, again.d) == (gh.M, gh.d)
+        assert again.M == gh.M and again.m == gh.m
+        assert_normalized(again)
         assert again == gh and hash(again) == hash(gh)
         minus = scale(gh.m, Fraction(-1))
         if n % 2:
@@ -917,6 +961,8 @@ def test_equality_and_hash_follow_the_stored_form(n):
                 GroupMatrix(minus)
             continue
         neg = GroupMatrix(minus)
-        assert neg.M == tuple(tuple(-x for x in row) for row in gh.M) and neg.d == gh.d
+        assert neg.M == tuple(tuple(-x for x in row) for row in gh.M)
+        assert denominator(neg) == denominator(gh)
+        assert_normalized(neg)
         assert neg == gh and hash(neg) == hash(gh)
         assert len({neg, gh, again}) == 1

@@ -126,6 +126,15 @@ def test_verify_config_refuses_a_scale_that_is_not_an_int_in_range(fields):
         verify.VerifyConfig(**fields)
 
 
+@pytest.mark.parametrize("name", ["n", "seeds", "samples"])
+def test_verify_config_is_frozen_after_its_checks(name):
+    """An assignment after construction would get past the checks."""
+    cfg = verify.VerifyConfig()
+    with pytest.raises(AttributeError):
+        setattr(cfg, name, 2.5)
+    assert cfg == verify.VerifyConfig(n=3, seeds=5, samples=100)
+
+
 @pytest.mark.parametrize("name", list(verify.SUITES))
 def test_a_suite_that_enumerates_every_label_refuses_n5(name, monkeypatch):
     """census, dimensions, roundtrip and emptiness enumerate every label

@@ -216,6 +216,22 @@ def test_positive_subexpression_rejects_incomparable():
         positive_subexpression(word, simple_reflection(3, 2))
 
 
+def test_positive_subexpression_constructor_checks_its_jcirc():
+    """The public constructor takes only the word's positive subexpression
+    for v: a foreign jcirc would make mr_evaluate drop a coordinate."""
+    word = ReducedWord(3, (1, 2))
+    v = WeylElement((1, 2, 3))
+    kept = positive_subexpression(word, v)
+    assert weyl.PositiveSubexpression(word, v, frozenset({1, 2})) == kept
+    for jcirc in (frozenset({5}), frozenset({1}), frozenset()):
+        with pytest.raises(WeylError):
+            weyl.PositiveSubexpression(word, v, jcirc)
+    with pytest.raises(WeylError):  # rank mismatch
+        weyl.PositiveSubexpression(word, WeylElement((1, 2)), frozenset({1, 2}))
+    with pytest.raises(WeylError):  # v is not below the word's product
+        weyl.PositiveSubexpression(ReducedWord(3, (1,)), simple_reflection(3, 2), frozenset())
+
+
 def _all_subexpressions(word, v):
     """Every station sequence hitting v: brute enumerator for uniqueness."""
     n = word.n

@@ -211,7 +211,7 @@ def chart_point(label: CellLabel, coords) -> CompactPoint:
     must be nonzero.  Raises CellError when the count is not the chart's
     or a coroot coordinate is 0."""
     n = label.J.n
-    word1, word2 = _chart_words(_chart(label, [frac(c) for c in coords], Fraction(1)))
+    word1, word2 = _chart_words(_chart(label, [frac(c) for c in coords]))
     return CompactPoint(label.J, _word_element(n, word1), _word_element(n, word2).T)
 
 
@@ -234,17 +234,17 @@ def _sample_coords(label: CellLabel, seed: int) -> tuple[Fraction, ...]:
     return tuple(rand_pos_fraction(rng) for _ in range(dimension_of(label)))
 
 
-def _chart(label: CellLabel, coords, one):
-    """The sampler's chart (g·l, ψ(g')) of the label at coords, over any
-    ring: the flag charts (p1, c1) and (p2, c2) over the positive
-    subexpressions for v ≤ w and v' ≤ w' in the lexicographically least
-    reduced words of w and w', and the Levi double cell (y·w^J_0,
-    w^J_0·y', lower leg, torus, upper leg).
+def _chart(label: CellLabel, coords):
+    """The sampler's chart (g·l, ψ(g')) of the label at coords: the flag
+    charts (p1, c1) and (p2, c2) over the positive subexpressions for
+    v ≤ w and v' ≤ w' in the lexicographically least reduced words of w
+    and w', and the Levi double cell (y·w^J_0, w^J_0·y', lower leg, torus,
+    upper leg).
 
     coords are cut in one order: the free steps of flag chart 1, those of
     flag chart 2, the coroots j ∈ J, the Levi's lower leg and its upper
-    leg; the coroots outside J are one.  Raises CellError when the count
-    is not the chart's or a coroot coordinate is 0."""
+    leg; the coroots outside J are the int 1.  Raises CellError when the
+    count is not the chart's or a coroot coordinate is 0."""
     J = label.J
     w0j = J.longest_element()
     wm, wpl = label.y * w0j, w0j * label.yp
@@ -260,7 +260,7 @@ def _chart(label: CellLabel, coords, one):
     if not all(roots):
         raise CellError(f"a coroot coordinate is 0 in {label}")
     roots = iter(roots)
-    tor = tuple(next(roots) if i in J.J else one for i in range(1, J.n))
+    tor = tuple(next(roots) if i in J.J else 1 for i in range(1, J.n))
     return (p1, c1), (p2, c2), (wm, wpl, aminus, tor, aplus)
 
 
@@ -343,7 +343,7 @@ def jacobian_rank_check(label: CellLabel, seed: int) -> bool:
     p proves the exact rank is d.
     """
     coords = _sample_coords(label, seed)
-    return _full_rank(label.J, *_chart_words(_chart(label, coords, 1)), len(coords))
+    return _full_rank(label.J, *_chart_words(_chart(label, coords)), len(coords))
 
 
 def _full_rank(J: ParabolicSubset, word1, word2, d: int) -> bool:
@@ -402,9 +402,7 @@ def _quotient_layout(J: ParabolicSubset):
     positions (r, c) below the J-block diagonal, the off-diagonal positions
     inside the blocks, and the j ∈ J whose diagonal entries j−1, j share a
     block (0-based indices), computed once per J."""
-    block = [0]
-    for j in range(1, J.n):
-        block.append(block[-1] + (j not in J.J))
+    block = [k for k, blk in enumerate(J.blocks0()) for _ in blk]
     cells = [(r, c) for r in range(J.n) for c in range(J.n)]
     below = tuple((r, c) for r, c in cells if block[r] > block[c])
     within = tuple((r, c) for r, c in cells if r != c and block[r] == block[c])

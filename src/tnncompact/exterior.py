@@ -37,7 +37,7 @@ from math import comb, gcd, lcm
 from operator import itemgetter, mul, neg
 from typing import Iterator
 
-from .linalg import Matrix
+from .linalg import Matrix, dims
 from .weyl import ParabolicSubset
 
 
@@ -70,12 +70,12 @@ def compounds(m: Matrix, top: int) -> Iterator[Matrix]:
     set, are row T of ρ_k(m).  Only +, − and × are used, and the zero every
     sum starts from is read off the entries, so they may come from any
     commutative ring: int (the compounds of an int matrix are ints),
-    Fraction, Laurent and Dual alike.  A ragged or non-square m raises
+    Fraction and Laurent alike.  A ragged or non-square m raises
     ValueError.
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("compound of a ragged or non-square matrix")
+    n, nc = dims(m)
+    if n != nc:
+        raise ValueError("compound of a non-square matrix")
     if not 0 <= top <= n:
         raise ValueError(f"compound degree {top} out of range")
     return _compound_rows(tuple(chain.from_iterable(zip(*m))), n, top)
@@ -143,8 +143,7 @@ def _kept_minors(x: tuple, ladder) -> Iterator[tuple]:
     Each degree is one pass over the terms of its expansion: the products
     of the two picks, summed k at a time.  Only +, − and × are used, and
     the zero every sum starts from is read off the entries, so they may
-    come from any commutative ring: int, Fraction, Laurent and Dual
-    alike."""
+    come from any commutative ring: int, Fraction and Laurent alike."""
     first, steps = ladder
     zero = x[0] - x[0]
     signed = x + tuple(map(neg, x))

@@ -6,10 +6,11 @@ library takes torus limits in closed form (strata.torus_limit); the
 ``limits`` verification suite and the tests' curve oracle run the curve on
 this ring, to check that closed form.
 Coefficients are Fractions or ints: ``of`` refuses any other value (a
-float, a string), as linalg.frac does, and keeps each coefficient as it is
-given, as the ring operations do, so a curve of integer matrices is
-computed over the integers.  Exponents are ints: ``of`` refuses any other
-key (a float, a string, a bool) with TypeError rather than truncate it.
+bool, a float, a string), as linalg.frac does, and keeps each coefficient
+as it is given, as the ring operations do, so a curve of integer matrices
+is computed over the integers.  Exponents are ints: ``of`` refuses any
+other key (a float, a string, a bool) with TypeError rather than truncate
+it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class Laurent:
         items = data if isinstance(data, Mapping) else {0: data}
         if any(type(e) is not int for e in items):
             raise TypeError(f"Laurent exponents must be ints: {list(items)}")
-        return _trusted({e: c if isinstance(c, int) else frac(c) for e, c in items.items()})
+        return _trusted({e: c if type(c) is int else frac(c) for e, c in items.items()})
 
     @staticmethod
     def monomial(e: int, c=1) -> "Laurent":

@@ -1,16 +1,17 @@
 """Exact linear algebra on immutable tuple-of-tuples matrices.
 
 There are no floating point kernels and no tolerances.  Matrices are stored
-as tuples of row tuples, with entries in any exact commutative ring:
-Python ints (the group layer stores every group element as an integer
-matrix over one denominator), Fractions (the values callers read), and
-the dual numbers and Laurent polynomials of the Jacobian and curve checks.
+as tuples of row tuples of one length (``dims`` refuses ragged rows), with
+entries in any exact commutative ring: Python ints (the group layer stores
+every group element as its primitive integer matrix), Fractions (the values
+callers read, and the Jacobian rank check's tangent vectors), and the
+Laurent polynomials of the ``limits`` suite's torus curves.
 Determinant and rank share one fraction-free (Bareiss) forward
 elimination after clearing denominators, so pivot decisions are exact
 integer zero-tests and no Fraction is built inside the elimination; the
 inverse and the group layer's adjugate share one fraction-free
 Gauss–Jordan pass.  Every product is one dot product in C per entry
-(``_product``) over any entries (ints, Fractions, dual numbers, Laurent
+(``_product``) over any ring's entries (ints, Fractions, Laurent
 polynomials), as ``transpose`` is: ``matmul`` checks shapes and calls it,
 and the group layer calls it directly.
 """
@@ -39,19 +40,19 @@ class FactorizationError(LinAlgError):
 
 
 def frac(x) -> Fraction:
-    """x as a Fraction, for an int or a Fraction; anything else (a float, a
-    string, a Decimal) raises TypeError, so no inexact value is read."""
+    """x as a Fraction, for an int or a Fraction; anything else (a bool, a
+    float, a string, a Decimal) raises TypeError, so no inexact value and
+    no truth value is read as a number."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"exact entries are ints or Fractions, got {type(x).__name__}")
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
     m = tuple(tuple(frac(x) for x in row) for row in rows)
-    if m and any(len(row) != len(m[0]) for row in m):
-        raise ValueError("ragged rows")
+    dims(m)
     return m
 
 
@@ -61,13 +62,17 @@ def zeros(nr: int, nc: int) -> Matrix:
 
 
 def dims(m: Matrix) -> tuple[int, int]:
-    return (len(m), len(m[0]) if m else 0)
+    """(rows, columns) of m; raises ValueError when its rows differ in length."""
+    nc = len(m[0]) if m else 0
+    if any(len(row) != nc for row in m):
+        raise ValueError("ragged rows")
+    return len(m), nc
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """a·b over any commutative ring (int, Fraction, Laurent, Dual), after
-    a shape check: ``_product``."""
-    if dims(a)[1] != len(b):
+    """a·b over any commutative ring (int, Fraction, Laurent), after a
+    shape check of both operands: ``_product``."""
+    if dims(a)[1] != dims(b)[0]:
         raise ValueError(f"shape mismatch {dims(a)} @ {dims(b)}")
     return _product(a, b)
 
@@ -220,11 +225,12 @@ def _adjugate(a: list[list[int]]) -> tuple[list[list[int]], int]:
 def rank(m: Matrix) -> int:
     """Exact rank via integer Bareiss elimination: an all-int matrix is
     eliminated as it is, any other after its denominators are cleared."""
+    nc = dims(m)[1]
     if all(type(x) is int for row in m for x in row):
         a = [list(row) for row in m]
     else:
         a = _integer_rows(m)[0]
-    return _eliminate(a, dims(m)[1])[0]
+    return _eliminate(a, nc)[0]
 
 
 def is_upper_triangular(m: Matrix) -> bool:

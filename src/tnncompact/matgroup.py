@@ -129,8 +129,7 @@ class GroupMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupMatrix):
             return NotImplemented
-        a, b = self.M, other.M
-        return a == b or (len(a) % 2 == 0 and a == _negated(b))
+        return self.canonical() == other.canonical()
 
     def __hash__(self) -> int:
         return hash(self.canonical())

@@ -238,7 +238,7 @@ def charts_to_json(label: CellLabel, coords) -> dict[str, Any]:
     """The label's chart at coords, cut as ``cells._chart`` cuts it: each
     Marsh-Rietsch flag chart as {word, v, coords}, then the Levi's lower
     leg, torus (one entry per simple root) and upper leg."""
-    (p1, c1), (p2, c2), (_, _, aminus, tor, aplus) = _chart(label, coords, Fraction(1))
+    (p1, c1), (p2, c2), (_, _, aminus, tor, aplus) = _chart(label, coords)
 
     def flag(psub, cs):
         return {

@@ -254,7 +254,7 @@ def _merged_chart_words(label: CellLabel, seed: int):
     given the first's generator, or None when word 1 has fewer than two
     free steps.  The chart then runs through z_i(a)·z_i(b) = z_i(a + b), so
     two of its d tangent vectors coincide and its rank is below d."""
-    word1, word2 = _chart_words(_chart(label, _sample_coords(label, seed), 1))
+    word1, word2 = _chart_words(_chart(label, _sample_coords(label, seed)))
     free = [k for k, (kind, _, _) in enumerate(word1) if kind in ("x", "y")]
     if len(free) < 2:
         return None

@@ -176,10 +176,10 @@ def _lex_min_word(w: WeylElement) -> ReducedWord:
     descent of w⁻¹, and the rest is the kept word of s_i·w, one shorter.
     Each letter removes one inversion, so the word is reduced by
     construction and is not re-checked."""
-    q = w.inverse().perm
-    i = next((i for i in range(1, w.n) if q[i - 1] > q[i]), 0)
+    descents = w.left_descents()
     letters = ()
-    if i:
+    if descents:
+        i = descents[0]
         letters = (i, *lex_min_reduced_word(simple_reflection(w.n, i) * w).letters)
     word = object.__new__(ReducedWord)
     word.__dict__.update(n=w.n, letters=letters)
@@ -202,14 +202,17 @@ class PositiveSubexpression:
     (Marsh and Rietsch, Represent. Theory 8, 2004), kept as what its chart
     reads: the word, v, and jcirc, the word positions 1..m where the
     station stays put, which are the chart's free steps.  The public
-    constructor checks that jcirc is the word's one for v (and that the
-    ranks agree); ``positive_subexpression`` builds the kept one unchecked."""
+    constructor checks that jcirc is a frozenset, so the value hashes, and
+    that it is the word's one for v (and that the ranks agree);
+    ``positive_subexpression`` builds the kept one unchecked."""
 
     word: ReducedWord
     v: WeylElement
     jcirc: frozenset[int]
 
     def __post_init__(self):
+        if type(self.jcirc) is not frozenset:
+            raise WeylError(f"jcirc must be a frozenset, got {type(self.jcirc).__name__}")
         if positive_subexpression(self.word, self.v).jcirc != self.jcirc:
             raise WeylError(f"{sorted(self.jcirc)} is not the positive subexpression for {self.v}")
 
@@ -313,9 +316,7 @@ class ParabolicSubset:
 
     def min_coset_reps(self) -> list[WeylElement]:
         """W^J = {w : w(j) < w(j+1) for all j in J}, sorted by (length, perm)."""
-        reps = [
-            w for w in all_weyl(self.n) if all(w(j) < w(j + 1) for j in self.J)
-        ]
+        reps = [w for w in all_weyl(self.n) if self.is_min_rep(w)]
         return sorted(reps, key=lambda w: (w.length, w.perm))
 
     def is_min_rep(self, w: WeylElement) -> bool:

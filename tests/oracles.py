@@ -4,8 +4,10 @@ The kernel references are the textbook definitions, written with ring
 operations only (no division, no zero tests), so they apply unchanged to
 Fraction, Laurent and Dual entries and stay independent of the library's
 kernels; the one exception is the Gauss–Jordan inverse, which pivots on
-Fractions where the library eliminates over the integers.  The group
-layer stores each element as an integer matrix over one denominator; its
+Fractions where the library eliminates over the integers.  The
+dual-number ring those references run on (``Dual``) is defined here: the
+library itself computes over ℤ, ℚ and Laurent curves only.  The group
+layer stores each element as its primitive integer matrix; its
 references are the Fraction product it ran before (``rational_matmul``),
 that inverse, and the column operations of its word evaluator run over
 any ring (``evaluate_word``), which also give the Dual charts.  Its flag
@@ -58,6 +60,7 @@ word evaluator here.  The 1-based J-blocks of a parabolic (``blocks``),
 which the library reads only 0-based, are read off its kept blocks here.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -67,7 +70,6 @@ from hypothesis import strategies as st
 
 from tnncompact import linalg as la
 from tnncompact.cells import _chart, _chart_words, dimension_of
-from tnncompact.dual import Dual
 from tnncompact.exterior import (
     _levi_weight_positions,
     compound,
@@ -86,6 +88,58 @@ from tnncompact.tnn import (
     rand_pos_fraction,
 )
 from tnncompact.weyl import WeylElement, lex_min_reduced_word, positive_subexpression, simple_reflection
+
+
+@dataclass(frozen=True)
+class Dual:
+    """A forward-mode dual number over the rationals: a value and an exact
+    gradient vector, so products and minors of Dual matrices propagate
+    derivatives by the product rule and a Jacobian is an exact rational
+    matrix.  The oracles run the library's ring-generic kernels on it."""
+
+    val: Fraction
+    grad: tuple[Fraction, ...]
+
+    @staticmethod
+    def const(x, nvars: int) -> "Dual":
+        return Dual(la.frac(x), (Fraction(0),) * nvars)
+
+    @staticmethod
+    def var(x, index: int, nvars: int) -> "Dual":
+        g = [Fraction(0)] * nvars
+        g[index] = Fraction(1)
+        return Dual(la.frac(x), tuple(g))
+
+    def __add__(self, o: "Dual") -> "Dual":
+        return Dual(self.val + o.val, tuple(a + b for a, b in zip(self.grad, o.grad)))
+
+    def __sub__(self, o: "Dual") -> "Dual":
+        return Dual(self.val - o.val, tuple(a - b for a, b in zip(self.grad, o.grad)))
+
+    def __neg__(self) -> "Dual":
+        return Dual(-self.val, tuple(-a for a in self.grad))
+
+    def __mul__(self, o: "Dual") -> "Dual":
+        return Dual(
+            self.val * o.val,
+            tuple(self.val * b + o.val * a for a, b in zip(self.grad, o.grad)),
+        )
+
+    def __truediv__(self, o: "Dual") -> "Dual":
+        if o.val == 0:
+            raise ZeroDivisionError("dual division by zero value")
+        v = self.val / o.val
+        return Dual(
+            v,
+            tuple(
+                (a - v * b) / o.val for a, b in zip(self.grad, o.grad)
+            ),
+        )
+
+    def __bool__(self) -> bool:
+        """True unless this is the ring zero: a zero value with a nonzero
+        gradient is not zero."""
+        return self.val != 0 or any(self.grad)
 
 
 def laplace_det(m):
@@ -226,7 +280,8 @@ def evaluate_word(n, steps, one):
 
     Only +, −, × and / are used, starting from the unit ``one``, so the
     entries may lie in any field: the Dual charts run it over dual numbers.
-    Zero entries are skipped.
+    A torus entry is read as one·a, so over Fraction the int 1s that a chart
+    puts at the coroots outside J stay exact.  Zero entries are skipped.
     """
     zero = one - one
     m = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -243,6 +298,7 @@ def evaluate_word(n, steps, one):
             for row in m:
                 row[i - 1], row[i] = row[i], -row[i - 1]
         else:  # diag(a_1, a_2/a_1, …, 1/a_{n-1})
+            a = [one * c for c in a]
             for k, d in enumerate(c / p for c, p in zip([*a, one], [one, *a])):
                 for row in m:
                     if row[k]:
@@ -754,7 +810,7 @@ def mr_chart(v, w, rng):
 def chart_elements(label, coords):
     """The flag charts g, g' and the Levi element l of the label's chart at
     coords, each evaluated on its own: the point is (g·l, ψ(g'))·z°_J."""
-    flag1, flag2, levi = _chart(label, coords, Fraction(1))
+    flag1, flag2, levi = _chart(label, coords)
     return mr_evaluate(*flag1), mr_evaluate(*flag2), double_cell_evaluate(*levi)
 
 
@@ -763,7 +819,9 @@ def dual_chart(label, values):
     the coordinate order of ``cells._chart``."""
     x = [Dual.var(a, k, len(values)) for k, a in enumerate(values)]
     one = Dual.const(1, len(values))
-    word1, word2 = _chart_words(_chart(label, x, one))
+    flag1, flag2, (wm, wpl, aminus, tor, aplus) = _chart(label, x)
+    tor = tuple(c if isinstance(c, Dual) else one for c in tor)  # the coroots outside J
+    word1, word2 = _chart_words((flag1, flag2, (wm, wpl, aminus, tor, aplus)))
     n = label.J.n
     return (evaluate_word(n, word1, one), la.transpose(evaluate_word(n, word2, one)))
 

@@ -516,7 +516,7 @@ def test_jacobian_rank_check_fails_a_chart_with_a_repeated_tangent(monkeypatch):
     labels = []
     for n in (2, 3):
         for label, dim in enumerate_cells(n):
-            word1, _ = _chart_words(_chart(label, [Fraction(1)] * dim, Fraction(1)))
+            word1, _ = _chart_words(_chart(label, [Fraction(1)] * dim))
             if sum(kind in ("x", "y") for kind, _, _ in word1) >= 2:
                 labels.append(label)
     assert len(labels) == 283
@@ -537,7 +537,7 @@ def test_jacobian_rank_check_ranks_the_sample_once(monkeypatch):
         for k, (label, d) in enumerate(enumerate_cells(n)):
             calls.clear()
             assert jacobian_rank_check(label, k)
-            words = _chart_words(_chart(label, sample_cell(label, k)[0], Fraction(1)))
+            words = _chart_words(_chart(label, sample_cell(label, k)[0]))
             assert calls == [(label.J, *words, d)], label
     label = top_label(ParabolicSubset.of(3, []))
     monkeypatch.setattr(cells, "_chart_words", _merged_free_steps(_chart_words))
@@ -604,7 +604,7 @@ def _tangent_and_dual_ranks(label, seed):
     that jacobian_rank_check(label, seed) ranks: the coordinates of
     sample_cell(label, seed), which the oracle draws again from
     Random(seed)."""
-    words = _chart_words(_chart(label, sample_cell(label, seed)[0], Fraction(1)))
+    words = _chart_words(_chart(label, sample_cell(label, seed)[0]))
     return _tangent_rank(label.J, *words), dual_jacobian_rank(label, random.Random(seed))
 
 

@@ -2,12 +2,11 @@
 package, private ones included, and every public method has a caller in
 the package, the CLI or ``scripts/``.
 
-Re-exports in ``__init__.py`` do not count as callers.  Two kinds of
-definition are exempt: those that ``BENCHMARK.json`` names as per-layer
+Re-exports in ``__init__.py`` do not count as callers.  The one exempt
+kind of definition is those that ``BENCHMARK.json`` names as per-layer
 metrics (read from the file, so that retiring a metric exposes its
-function), and the oracle constructors below.  The definitions that only
-a metric keeps are pinned below, so that a change to the metrics shows
-what it frees.
+function).  The definitions that only a metric keeps are pinned below, so
+that a change to the metrics shows what it frees.
 
 Callers are matched by name, leaving out a definition's uses of its own
 name inside its body.  A module-level function or class counts as called
@@ -25,13 +24,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "tnncompact"
-
-# Constructors that only the test oracles call.  Their module stays while
-# BENCHMARK.json names per-layer metrics in it (dual.*).
-ORACLE_CONSTRUCTORS = {
-    "dual.Dual.const",  # the Dual chart's constants and variables
-    "dual.Dual.var",
-}
 
 # Definitions with no caller that a BENCHMARK.json metric alone keeps.
 METRIC_ONLY = {
@@ -102,19 +94,8 @@ def uncalled_definitions(exempt: set[str]) -> list[str]:
 
 
 def test_every_public_function_has_a_caller():
-    assert uncalled_definitions(_metric_functions() | ORACLE_CONSTRUCTORS) == []
+    assert uncalled_definitions(_metric_functions()) == []
 
 
 def test_the_benchmark_metrics_alone_keep_these_definitions():
-    assert sorted(uncalled_definitions(ORACLE_CONSTRUCTORS)) == sorted(METRIC_ONLY)
-
-
-def test_every_allowlist_entry_names_a_definition():
-    """A stale entry of the allowlist would exempt nothing: each must still
-    name a definition in the package."""
-    defined = {
-        qualified
-        for path in PACKAGE.glob("*.py")
-        for qualified, _ in _definitions(path.stem, ast.parse(path.read_text()))
-    }
-    assert sorted(ORACLE_CONSTRUCTORS - defined) == []
+    assert sorted(uncalled_definitions(set())) == sorted(METRIC_ONLY)

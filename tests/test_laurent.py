@@ -40,10 +40,12 @@ def test_valuation_and_limit():
     assert lmat_limit(m) == la.mat([[1, 0], [0, 2]])
     with pytest.raises(ValueError):
         Laurent.of(0).valuation()
-    # coefficients are exact: a string or a float is refused, as by linalg.frac
-    for bad in ("1/2", {0: "1/2"}, 0.5):
+    # coefficients are exact numbers: a string, a float or a bool is refused,
+    # as by linalg.frac, and an int is kept as the int it is
+    for bad in ("1/2", {0: "1/2"}, 0.5, True, {1: False}):
         with pytest.raises(TypeError):
             Laurent.of(bad)
+    assert all(type(c) is int for _, c in Laurent.of({0: 1, 2: -3}).coeffs)
 
 
 @pytest.mark.parametrize("bad", [{2.9: 1}, {"3": 1}, {True: 5}, {Fraction(2): 1}])

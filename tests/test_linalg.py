@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 from oracles import (
+    Dual,
     block_anti_ldu,
     block_ldu,
     curve_exponents,
@@ -231,7 +232,7 @@ def test_tangent_rank_takes_the_fraction_route(monkeypatch):
     label = top_label(ParabolicSubset.of(3, [1]))
     rng = random.Random(0)
     vals = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
-    words = _chart_words(_chart(label, vals, Fraction(1)))
+    words = _chart_words(_chart(label, vals))
     calls = []
     route = la._integer_rows
     monkeypatch.setattr(la, "_integer_rows", lambda a: calls.append(a) or route(a))
@@ -522,6 +523,39 @@ def test_matmul_empty_inner_dimension():
     assert la.matmul(((), ()), ()) == ((), ())
 
 
+def test_frac_refuses_a_bool():
+    """True is a truth value, not the number 1: frac refuses it with
+    TypeError, as it refuses a float, and reads the ints 1 and 0."""
+    for b in (True, False):
+        with pytest.raises(TypeError):
+            la.frac(b)
+    assert la.frac(1) == Fraction(1) and la.frac(0) == Fraction(0)
+    with pytest.raises(TypeError):
+        la.mat([[True, 0], [0, 1]])
+
+
+RAGGED = (((1,), (0, 1)), ((1, 0), (0,)), ((1, 2), (0,)))
+
+
+@pytest.mark.parametrize("m", RAGGED)
+def test_a_ragged_matrix_is_refused_by_every_shape_check(m):
+    """dims reads every row, so a ragged matrix raises ValueError in each
+    kernel, not IndexError or an answer read off the first row's length."""
+    with pytest.raises(ValueError):
+        la.dims(m)
+    for f in (la.det, la.inverse, la.rank, la.is_upper_triangular, la.mat):
+        with pytest.raises(ValueError):
+            f(m)
+
+
+def test_matmul_checks_both_operands():
+    with pytest.raises(ValueError):
+        la.matmul(((1, 0),), ((1, 2), (3,)))
+    with pytest.raises(ValueError):
+        la.matmul(((1, 0), (2,)), ((1,), (3,)))
+    assert la.matmul(((1, 0),), ((1, 2), (3, 4))) == ((1, 2),)
+
+
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.data())
 def test_matmul_over_duals_matches_naive_oracle(p, q, r, data):
     """Entries with value 0 and a nonzero gradient are not skipped."""
@@ -545,8 +579,6 @@ def test_matmul_over_a_torus_curve_matches_naive_oracle(n, data):
 
 
 def test_matmul_keeps_zero_value_dual():
-    from tnncompact.dual import Dual
-
     eps = Dual(Fraction(0), (Fraction(1),))
     one = Dual.const(1, 1)
     got = la.matmul(((eps,),), ((one,),))

@@ -42,6 +42,7 @@ from tnncompact.matgroup import (
     GroupError,
     GroupMatrix,
     _bruhat_left,
+    _trusted,
     _word_element,
     associated_borel,
     borel_minus,
@@ -177,6 +178,24 @@ def test_projective_equality_even_rank():
     assert g == GroupMatrix(scale(g.m, Fraction(-1)))
     with pytest.raises(GroupError):
         GroupMatrix(la.mat([[2, 0], [0, 1]]))
+
+
+def test_equality_is_the_stored_form_up_to_sign_at_even_n():
+    """g == h iff M_g = M_h, or M_g = −M_h at even n, on unchecked matrices
+    too: −g at odd n, which is no group element, and the all-zero matrix;
+    == and the hash read one key, ``canonical``."""
+    mats = [
+        ((0, -1), (1, 0)), ((0, 1), (-1, 0)), ((1, 0), (0, 1)), ((-1, 0), (0, -1)),
+        ((0, 0), (0, 0)), ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((-1, 0, 0), (0, -1, 0), (0, 0, -1)), ((0, 0, 0),) * 3,
+    ]
+    for a in mats:
+        for b in mats:
+            negated = tuple(tuple(-x for x in row) for row in b)
+            want = a == b or (len(a) % 2 == 0 and a == negated)
+            assert (_trusted(a) == _trusted(b)) is want, (a, b)
+            if want:
+                assert hash(_trusted(a)) == hash(_trusted(b))
 
 
 def test_pi_factor_spec_cases():
@@ -890,7 +909,7 @@ def test_chart_words_and_levi_parts_match_the_fraction_oracles(n):
     for J in all_parabolic_subsets(n):
         label = top_label(J)
         coords = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
-        words = _chart_words(_chart(label, coords, Fraction(1)))
+        words = _chart_words(_chart(label, coords))
         g, h = (_word_element(n, word) for word in words)
         for elem, word in zip((g, h), words):
             assert elem.m == evaluate_word(n, word, Fraction(1))

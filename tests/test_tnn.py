@@ -276,11 +276,14 @@ COORDINATE_CALLS = {
 def test_evaluators_refuse_a_float_coordinate(name):
     """0.1 is the binary float 3602879701896397/36028797018963968, not 1/10:
     each evaluator takes 1/10 as a Fraction and refuses the float with
-    TypeError."""
+    TypeError.  It refuses True too, a truth value and not the number 1, as
+    the GroupMatrix constructor refuses a bool entry."""
     call = COORDINATE_CALLS[name]
     call(Fraction(1, 10))
-    with pytest.raises(TypeError):
-        call(0.1)
+    call(1)
+    for bad in (0.1, True):
+        with pytest.raises(TypeError):
+            call(bad)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -218,12 +218,15 @@ def test_positive_subexpression_rejects_incomparable():
 
 def test_positive_subexpression_constructor_checks_its_jcirc():
     """The public constructor takes only the word's positive subexpression
-    for v: a foreign jcirc would make mr_evaluate drop a coordinate."""
+    for v: a foreign jcirc would make mr_evaluate drop a coordinate.  The
+    right positions in a set, list or tuple are refused too, as a
+    WeylElement's perm must be a tuple, so every accepted value hashes."""
     word = ReducedWord(3, (1, 2))
     v = WeylElement((1, 2, 3))
     kept = positive_subexpression(word, v)
     assert weyl.PositiveSubexpression(word, v, frozenset({1, 2})) == kept
-    for jcirc in (frozenset({5}), frozenset({1}), frozenset()):
+    assert hash(weyl.PositiveSubexpression(word, v, frozenset({1, 2}))) == hash(kept)
+    for jcirc in (frozenset({5}), frozenset({1}), frozenset(), {1, 2}, [1, 2], (1, 2)):
         with pytest.raises(WeylError):
             weyl.PositiveSubexpression(word, v, jcirc)
     with pytest.raises(WeylError):  # rank mismatch

@@ -137,6 +137,11 @@ MUTANTS = {
         "((s[j] - 1) * n + n * n * ((j + k) % 2 == 0), below[s[:j] + s[j + 1 :]])",
         "((s[j] - 1) * n, below[s[:j] + s[j + 1 :]])",
     ),
+    "the strict ladder reads the column-initial sets only": (
+        "exterior.py",
+        "[[tuple(range(j, j + k)) for j in range(1, n - k + 2)] for k in range(1, n + 1)]",
+        "[[tuple(range(1, k + 1))] for k in range(1, n + 1)]",
+    ),
     # Left out as equivalent: the point key without J.  A point's
     # fundamental tuple determines its stratum (its degree-j entry has rank
     # at least 2 exactly when j ∈ J), so equal tuples already mean equal J.

@@ -10,9 +10,10 @@ of a matrix on chosen column sets, over every row set, degree by degree,
 each by expansion along its last column over minors of the degree below,
 and it runs a flat index plan (``_ladder``) in one pass per degree.  The
 plan of every column set gives the whole compounds (``compounds``) and the
-total positivity tests.  For a stratum J, D_k = stratum_indicator(J, k) is
-the limit projector of ρ_k, and strata.fundamental_tuple maps a point of
-Z_J to every ρ_k(g1)·D_k·ρ_k(g2), k = 1..n−1, at once.  D_k keeps the
+TNN tests, that of the interval column sets (every initial minor) the TP
+test.  For a stratum J, D_k = stratum_indicator(J, k) is the limit
+projector of ρ_k, and strata.fundamental_tuple maps a point of Z_J to
+every ρ_k(g1)·D_k·ρ_k(g2), k = 1..n−1, at once.  D_k keeps the
 Levi-weight k-subsets K_k only, so each entry is summed over K_k from the
 minors of g1 on the columns K_k and of g2 on the rows K_k, which the
 ladder builds on the plan of the kept sets; on J = I, where K_k is every
@@ -132,6 +133,12 @@ def _ladder(n: int, kept: list[list[tuple[int, ...]]]):
 def _full_ladder(n: int):
     """The ladder of every column set, degrees 1..n: all minors of X."""
     return _ladder(n, [subsets_colex(n, k) for k in range(1, n + 1)])
+
+
+@cache
+def _interval_ladder(n: int):
+    """The ladder of the interval column sets {j..j+k−1}: every initial minor."""
+    return _ladder(n, [[tuple(range(j, j + k)) for j in range(1, n - k + 2)] for k in range(1, n + 1)])
 
 
 def _kept_minors(x: tuple, ladder) -> Iterator[tuple]:

@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Sequence
 
 from . import linalg as la
-from .exterior import _full_ladder, _kept_minors
+from .exterior import _full_ladder, _interval_ladder, _kept_minors
 from .linalg import frac
 from .matgroup import GroupMatrix, _word_element, bruhat_cell
 from .weyl import (
@@ -74,17 +74,19 @@ def phi_plus(word: ReducedWord, coords: Sequence) -> GroupMatrix:
 # positivity certificates (exact minor tests)
 
 # The minor tests run on Python ints: on a group element's integer matrix
-# M, and on a rational matrix after la._integer_rows.  A positive scaling
-# of a row multiplies every minor through that row by a positive number,
-# so every sign is the rational matrix's.  A group element is tested on
-# its canonical sign representative: the entries of a TNN matrix are ≥ 0,
-# so its first nonzero entry is positive, and at even n ``canonical()``
-# picks the one of ±M that can pass.
+# M, or on a rational matrix after la._integer_rows, whose positive row
+# scalings keep the sign of every minor.  A group element is tested on its
+# canonical sign representative: a TNN matrix has entries ≥ 0, so its
+# first nonzero entry is positive, and at even n ``canonical()`` picks the
+# one of ±M that can pass.  The TP test reads the interval column sets, as
+# all initial minors > 0 make a matrix TP (Gasca–Peña); TNN reads them all.
 
 def is_tnn_matrix(m: la.Matrix) -> bool:
     """Whether every minor of the rational matrix m is ≥ 0.  A rectangular
     m is tested padded to square with zero rows or columns, which add only
     zero minors."""
+    if not min(la.dims(m)):
+        raise ValueError("minor test of an empty matrix")
     a = la._integer_rows(la.mat(m))[0]
     n = max(len(a), len(a[0]))
     square = [row + [0] * (n - len(row)) for row in a] + [[0] * n] * (n - len(a))
@@ -94,7 +96,8 @@ def is_tnn_matrix(m: la.Matrix) -> bool:
 def _minors_positive(a, strict: bool) -> bool:
     """Whether every minor of the integer matrix a is > 0 (strict) or ≥ 0,
     from the least minor of each degree, degree by degree."""
-    for level in _kept_minors(tuple(chain.from_iterable(a)), _full_ladder(len(a))):
+    ladder = (_interval_ladder if strict else _full_ladder)(len(a))
+    for level in _kept_minors(tuple(chain.from_iterable(a)), ladder):
         least = min(level)
         if least < 0 or (strict and least == 0):
             return False

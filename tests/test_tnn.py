@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from oracles import (
     evaluate_word,
     fraction_is_tnn,
     fraction_is_totally_positive,
+    fraction_minors,
     gauss_jordan_inverse,
     generator_x,
     generator_y,
@@ -30,6 +32,7 @@ from oracles import (
 
 from tnncompact import linalg as la
 from tnncompact.cells import chart_point, dimension_of, top_label
+from tnncompact.exterior import _interval_ladder, _kept_minors, subsets_colex
 from tnncompact.verify import _positive_point
 from tnncompact.matgroup import (
     GroupMatrix,
@@ -44,6 +47,7 @@ from tnncompact.matgroup import (
 )
 from tnncompact.tnn import (
     ParamError,
+    _minors_positive,
     double_cell_evaluate,
     in_Uplus_gt0,
     is_tnn_matrix,
@@ -165,7 +169,8 @@ def test_integer_minor_tests_match_the_fraction_ladder_on_samples(n):
 
 def test_is_tnn_matrix_reads_every_minor_of_a_rectangular_matrix():
     """A rectangular matrix is TNN when every minor, by Laplace expansion
-    over every choice of rows and columns, is ≥ 0."""
+    over every choice of rows and columns, is ≥ 0.  A ragged matrix, and
+    one with no entry, raise ValueError."""
 
     def brute(m):
         nr, nc = la.dims(m)
@@ -188,8 +193,9 @@ def test_is_tnn_matrix_reads_every_minor_of_a_rectangular_matrix():
     assert verdicts[:2] == [False, False]
     rectangular = {v for m, v in zip(cases, verdicts) if la.dims(m)[0] != la.dims(m)[1]}
     assert rectangular == {False, True}
-    with pytest.raises(ValueError):
-        is_tnn_matrix(((Fraction(1), Fraction(2)), (Fraction(3),)))
+    for bad in (((Fraction(1), Fraction(2)), (Fraction(3),)), (), ((),)):
+        with pytest.raises(ValueError):
+            is_tnn_matrix(bad)
 
 
 def test_a_negated_tp_matrix_takes_one_ladder(monkeypatch):
@@ -209,6 +215,93 @@ def test_a_negated_tp_matrix_takes_one_ladder(monkeypatch):
     monkeypatch.setattr(tnn_mod, "_minors_positive", counting)
     assert is_totally_positive(neg) and is_totally_nonneg(neg)
     assert calls == [True, False]
+
+
+def _intervals(n, k):
+    return [tuple(range(j, j + k)) for j in range(1, n - k + 2)]
+
+
+def _minor(a, rows, cols):
+    return laplace_det([[a[i - 1][j - 1] for j in cols] for i in rows])
+
+
+def _initial_block(i, j):
+    """Rows and columns of the initial minor with lower-right corner (i, j):
+    both solid, of size min(i, j), so one of them starts at 1."""
+    k = min(i, j)
+    return range(i - k + 1, i + 1), range(j - k + 1, j + 1)
+
+
+def _from_initial_minors(n, value):
+    """The integer n×n matrix whose initial minor at each corner (i, j) has
+    the sign of value[i, j].  Filled row by row, that minor is affine in
+    a_ij with slope the earlier initial minor at (i − 1, j − 1), so a_ij
+    makes it value[i, j] exactly; a positive scaling clears denominators."""
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in value:
+        rows, cols = _initial_block(i, j)
+        slope = _minor(a, rows[:-1], cols[:-1]) if len(rows) > 1 else 1
+        a[i - 1][j - 1] = (value[i, j] - _minor(a, rows, cols)) / slope
+    d = lcm(*(x.denominator for row in a for x in row))
+    return [[int(x * d) for x in row] for row in a]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_interval_ladder_builds_every_minor_on_an_interval_column_set(n):
+    """Level k holds the k-minors on the interval column sets {j..j+k−1},
+    j ascending, each over every row set in colex order, as the Laplace
+    expansion gives them.  n = 1 runs the ladder's one-index getter."""
+    rng = random.Random(540 + n)
+    for _ in range(5):
+        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        levels = list(_kept_minors(tuple(chain.from_iterable(a)), _interval_ladder(n)))
+        assert levels == [
+            tuple(_minor(a, rows, cols) for cols in _intervals(n, k) for rows in subsets_colex(n, k))
+            for k in range(1, n + 1)
+        ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_strict_verdict_is_the_laplace_verdict(n):
+    """On seeded small-integer matrices, on a totally positive one, and on
+    its n² near misses, each with exactly one initial minor driven to 0 (on
+    the last row or column) or to −1 (elsewhere, where a later entry
+    divides by it), the strict test says what every minor by Laplace
+    expansion says."""
+    rng = random.Random(5400 + n)
+    cases = [[[rng.randint(-1, 9) for _ in range(n)] for _ in range(n)] for _ in range(30)]
+    corners = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for miss in [None, *corners]:
+        value = {c: rng.randint(1, 3) for c in corners}
+        if miss:
+            value[miss] = 0 if n in miss else -1
+        a = _from_initial_minors(n, value)
+        assert [_minor(a, *_initial_block(*c)) > 0 for c in corners] == [c != miss for c in corners]
+        cases.append(a)
+    verdicts = [_minors_positive(a, True) for a in cases]
+    assert verdicts == [all(x > 0 for x in fraction_minors(a)) for a in cases]
+    assert verdicts[30:] == [True] + [False] * n * n
+
+
+def test_one_strict_test_builds_the_interval_minors_only(monkeypatch):
+    """A totally positive g reads 16, 43 and 106 minors at n = 3, 4, 5, by
+    degree 16/18/8/1 at n = 4 and 25/40/30/10/1 at n = 5."""
+    import tnncompact.tnn as tnn_mod
+
+    real, sizes = tnn_mod._kept_minors, []
+
+    def spy(x, ladder):
+        for level in real(x, ladder):
+            sizes.append(len(level))
+            yield level
+
+    monkeypatch.setattr(tnn_mod, "_kept_minors", spy)
+    want = {3: [9, 6, 1], 4: [16, 18, 8, 1], 5: [25, 40, 30, 10, 1]}
+    for n, levels in want.items():
+        sizes.clear()
+        assert is_totally_positive(sample_G_gt0(n, random.Random(n)))
+        assert sizes == levels
+    assert [sum(s) for s in want.values()] == [16, 43, 106]
 
 
 def test_mr_evaluate_spec_cases():

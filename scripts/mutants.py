@@ -142,6 +142,11 @@ MUTANTS = {
         "[[tuple(range(j, j + k)) for j in range(1, n - k + 2)] for k in range(1, n + 1)]",
         "[[tuple(range(1, k + 1))] for k in range(1, n + 1)]",
     ),
+    "the integer form drops the lcm": (
+        "linalg.py",
+        "d = lcm(*(q for row in ratios for _, q in row))",
+        "d = 1",
+    ),
     # Left out as equivalent: the point key without J.  A point's
     # fundamental tuple determines its stratum (its degree-j entry has rank
     # at least 2 exactly when j ∈ J), so equal tuples already mean equal J.

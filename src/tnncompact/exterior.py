@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, repeat
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import itemgetter, mul, neg
 from typing import Iterator
 
@@ -56,7 +56,7 @@ def subsets_colex(n: int, k: int) -> list[tuple[int, ...]]:
 def compound(m: Matrix, k: int) -> Matrix:
     """k-th compound of the square matrix m: entry (S, T) is the minor with
     rows S and columns T.  Degree 0 is the 1×1 matrix (1)."""
-    level: Matrix = ((Fraction(1),),)
+    level: Matrix = ((1,),)
     for level in compounds(m, k):
         pass
     return level
@@ -223,14 +223,14 @@ def embedding_data(J: ParabolicSubset) -> EmbeddingData:
 # ---------------------------------------------------------------------------
 # projective matrices
 
-def proj_key(m: Matrix) -> Matrix:
-    """The primitive integer matrix of the point of P(End V) of a nonzero m:
-    m with its denominators cleared, divided by the gcd of its entries, and
-    negated when its first nonzero entry is negative.  Two nonzero
-    matrices are one projective point exactly when their keys are equal."""
-    d = lcm(*(x.denominator for row in m for x in row))
-    M = tuple(tuple(int(x * d) for x in row) for row in m)
+def proj_key(M: Matrix) -> Matrix:
+    """The primitive integer matrix of the point of P(End V) of a nonzero
+    integer M: M over the gcd of its entries, negated when its first
+    nonzero entry is negative, so that two nonzero M are one point exactly
+    when their keys are equal.  The zero matrix raises ValueError."""
     g = gcd(*(x for row in M for x in row))
+    if not g:
+        raise ValueError("the zero matrix is no projective point")
     if next(x for row in M for x in row if x) < 0:
         g = -g
     return tuple(tuple(x // g for x in row) for row in M)

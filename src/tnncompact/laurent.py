@@ -49,11 +49,11 @@ class Laurent:
             raise ValueError("valuation of zero")
         return self.coeffs[0][0]
 
-    def coeff(self, e: int) -> Fraction:
+    def coeff(self, e: int) -> Fraction | int:
         for ee, c in self.coeffs:
             if ee == e:
                 return c
-        return Fraction(0)
+        return 0
 
     def __add__(self, other: "Laurent") -> "Laurent":
         d = dict(self.coeffs)

@@ -7,7 +7,8 @@ every group element as its primitive integer matrix), Fractions (the values
 callers read, and the Jacobian rank check's tangent vectors), and the
 Laurent polynomials of the ``limits`` suite's torus curves.
 Determinant and rank share one fraction-free (Bareiss) forward
-elimination after clearing denominators, so pivot decisions are exact
+elimination of the integer form d·m (``_integer_form``, the one place a
+rational matrix loses its denominators), so pivot decisions are exact
 integer zero-tests and no Fraction is built inside the elimination; the
 inverse and the group layer's adjugate share one fraction-free
 Gauss–Jordan pass.  Every product is one dot product in C per entry
@@ -19,7 +20,7 @@ and the group layer calls it directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -95,17 +96,15 @@ def submatrix(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Matrix:
     return tuple(tuple(m[i][j] for j in cols) for i in rows)
 
 
-def _integer_rows(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, as ints, and those
-    multipliers (so det(m) = det(rows) / their product)."""
-    rows = []
-    scales = []
-    for row in m:
-        ratios = [x.as_integer_ratio() for x in row]
-        l = lcm(*(d for _, d in ratios))
-        rows.append([p * (l // d) for p, d in ratios])
-        scales.append(l)
-    return rows, scales
+def _integer_form(m: Matrix) -> tuple[list[list[int]], int]:
+    """(A, d): the rows of A = d·m as ints, for d the lcm of the entries'
+    denominators, the one place a rational matrix enters the integer
+    kernel.  An all-int m is copied as it is, with d = 1."""
+    if all(type(x) is int for row in m for x in row):
+        return [list(row) for row in m], 1
+    ratios = [[x.as_integer_ratio() for x in row] for row in m]
+    d = lcm(*(q for row in ratios for _, q in row))
+    return [[p * (d // q) for p, q in row] for row in ratios], d
 
 
 def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, int, int]:
@@ -163,9 +162,9 @@ def det(m: Matrix) -> Fraction:
     n, nc = dims(m)
     if n != nc:
         raise ValueError("determinant of non-square matrix")
-    a, scales = _integer_rows(m)
+    a, d = _integer_form(m)
     r, last, sign = _eliminate(a, n)
-    return Fraction(sign * last, prod(scales)) if r == n else Fraction(0)
+    return Fraction(sign * last, d**n) if r == n else Fraction(0)
 
 
 def minor(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
@@ -173,18 +172,17 @@ def minor(m: Matrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Inverse by one fraction-free pass (``_adjugate``) on the integer rows.
+    """Inverse by one fraction-free pass (``_adjugate``) on the integer form.
 
-    With m = D⁻¹·A for A = _integer_rows(m) and D its diagonal of row
-    multipliers, m⁻¹ = A⁻¹·D = adj(A)·D / det A.  Fractions are built only
-    for the n² output entries.
+    With m = A/d for (A, d) = _integer_form(m), m⁻¹ = d·adj(A) / det A.
+    Fractions are built only for the n² output entries.
     """
     n, nc = dims(m)
     if n != nc:
         raise ValueError("inverse of non-square matrix")
-    a, scales = _integer_rows(m)
-    adj, d = _adjugate(a)
-    return tuple(tuple(Fraction(x * s, d) for x, s in zip(row, scales)) for row in adj)
+    a, d = _integer_form(m)
+    adj, det_a = _adjugate(a)
+    return tuple(tuple(Fraction(x * d, det_a) for x in row) for row in adj)
 
 
 def _adjugate(a: list[list[int]]) -> tuple[list[list[int]], int]:
@@ -223,14 +221,8 @@ def _adjugate(a: list[list[int]]) -> tuple[list[list[int]], int]:
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank via integer Bareiss elimination: an all-int matrix is
-    eliminated as it is, any other after its denominators are cleared."""
-    nc = dims(m)[1]
-    if all(type(x) is int for row in m for x in row):
-        a = [list(row) for row in m]
-    else:
-        a = _integer_rows(m)[0]
-    return _eliminate(a, nc)[0]
+    """Exact rank via integer Bareiss elimination of the integer form."""
+    return _eliminate(_integer_form(m)[0], dims(m)[1])[0]
 
 
 def is_upper_triangular(m: Matrix) -> bool:

@@ -15,15 +15,16 @@ transposes M.  Every sign and projective test reads M directly, since a
 positive scalar changes no sign of a minor and no projective point, and
 every position (Bruhat cells, triangular zero patterns) reads it too,
 since no scalar moves a zero.  The rational entries ``m`` are a Fraction
-view, built when a caller first reads it (JSON, the tests, the values of
-a Levi part): d is then the exact integer n-th root of det M.
+view, built when a value leaves the package (JSON, ``repr``, the tests):
+d is then the exact integer n-th root of det M.
 
-det = 1 and exact entries (ints and Fractions, never floats) are checked
+Exact entries (ints and Fractions, never floats) and det = 1 are checked
 once, where a matrix enters: the public ``GroupMatrix`` constructor, which
-JSON readers, the CLI and callers go through.  Every matrix this module
-builds itself (products, inverses, transposes, words, Weyl lifts,
-factorization parts) is a group element by construction and goes through
-``_trusted``, which checks nothing.
+JSON readers, the CLI and callers go through, clears the denominators of
+m once (``linalg._integer_form``: M = d·m) and checks det M = dⁿ.  Every
+matrix this module builds itself (products, inverses, transposes, words,
+Weyl lifts, factorization parts) is a group element by construction and
+goes through ``_trusted``, which checks nothing.
 
 Every group element built from coordinates, other than the identity and
 the Weyl lifts, comes from one word evaluator: a word of steps x_i(a),
@@ -79,8 +80,10 @@ class GroupMatrix:
     The constructor takes the rational entries m and checks that they form
     a nonempty square of ints or Fractions with det = 1; build a matrix
     through it whenever the entries come from outside the library.  It
-    keeps M only.  What is computed from g later is a cached property of
-    g: ``m``, the Fraction view M/d; the inverse ``_inv``; and the Bruhat elimination
+    keeps M = d·m only, d the lcm of m's denominators: a prime of the
+    content of M would divide det M = dⁿ, but not every entry of d·m.
+    What is computed from g later is a cached property of g: ``m``, the
+    Fraction view M/d; the inverse ``_inv``; and the Bruhat elimination
     (b, w) with g ∈ b·ẇ·B^+ (``_bruhat``, which ``associated_borel``
     reads).  A Weyl lift is shared between callers (``_lift``), so what it
     keeps outlives the call that computed it.
@@ -95,9 +98,10 @@ class GroupMatrix:
             raise GroupError("group matrix must be square and nonempty")
         if any(type(x) not in _RATIONAL for row in m for x in row):
             raise GroupError("group matrix entries must be ints or Fractions")
-        if la.det(m) != 1:
+        a, d = la._integer_form(m)
+        if la.det(a) != d**n:
             raise GroupError("group matrix must have determinant 1")
-        self.__dict__["M"] = _integer_form(m)
+        self.__dict__["M"] = tuple(map(tuple, a))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GroupMatrix is immutable; cannot set {name}")
@@ -188,15 +192,6 @@ class GroupMatrix:
 
 def _negated(M: IntMatrix) -> IntMatrix:
     return tuple(tuple(-x for x in row) for row in M)
-
-
-def _integer_form(m: Matrix) -> IntMatrix:
-    """M = d·m for d the lcm of the entries' denominators, so that
-    gcd(content(M), d) = 1: the primitive matrix of m when det m = 1, since
-    a prime of content(M) would divide det M = dⁿ, hence d."""
-    ratios = [[x.as_integer_ratio() for x in row] for row in m]
-    d = lcm(*(q for row in ratios for _, q in row))
-    return tuple(tuple(p * (d // q) for p, q in row) for row in ratios)
 
 
 def _trusted(M: IntMatrix) -> GroupMatrix:
@@ -344,7 +339,8 @@ def pi_factor(g: GroupMatrix) -> tuple[GroupMatrix, GroupMatrix, GroupMatrix]:
     """
     l, d, u = la.ldu(g.m)
     pivots = (d[i][i] for i in range(g.n - 1))
-    return _trusted(_integer_form(l)), torus(accumulate(pivots, mul)), _trusted(_integer_form(u))
+    lower, upper = (_trusted(tuple(map(tuple, la._integer_form(x)[0]))) for x in (l, u))
+    return lower, torus(accumulate(pivots, mul)), upper
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ A stratum point is (g1, g2⁻¹)·z°_J, where z°_J is the base point of the
 stratum of type J, and we store it as (J, g1, g2).  As a triple it is
 (^{g1}P_J, ^{g2⁻¹}Q_J, H·g1·g2·U): P conjugate to the standard parabolic of
 type J, Q to its opposite, and a coset γ with P opposed to the γ-conjugate
-of Q.  Triples enter through ``CompactPoint.of_triple``, which reads the
-pair off the Levi part of the triple in the base-point frame.
+of Q.  ``CompactPoint.of_triple`` reads the pair of a triple off the Levi
+part of its integer matrix in the base-point frame.
 
 A point is identified by its stratum J and its fundamental tuple, the image
 ρ_k(g1)·D_k·ρ_k(g2) in every P(End Λ^k), k = 1..n-1: the wonderful
@@ -44,7 +44,7 @@ from .exterior import (
     subsets_colex,
 )
 from .linalg import FactorizationError, Matrix
-from .matgroup import GroupMatrix, _integer_form, _trusted, identity_g
+from .matgroup import GroupMatrix, _reduced, identity_g
 from .tnn import is_totally_positive
 from .weyl import ParabolicSubset
 
@@ -88,15 +88,17 @@ class CompactPoint:
     ) -> CompactPoint:
         """The point (^a P_J, ^b Q_J, H·g·U), namely (a·l, b⁻¹) with l the
         Levi part of a⁻¹·g·b: that representative factors as
-        block-upper-unipotent × l × block-lower-unipotent.  Raises
-        StrataError when a size is not J.n or when the factorization does
-        not exist, i.e. when the triple violates opposedness."""
+        block-upper-unipotent × l × block-lower-unipotent.  l is the
+        primitive part of the Levi part of the integer matrix c·a⁻¹·g·b,
+        which is c·l.  Raises StrataError when a size is not J.n or when
+        the factorization does not exist, i.e. when the triple violates
+        opposedness."""
         _check_sizes(J, a, b, g)
         try:
-            l = la.levi_part((a.inverse() @ g @ b).m, J.blocks0())
+            l = la.levi_part((a.inverse() @ g @ b).M, J.blocks0())
         except FactorizationError as e:
             raise StrataError(f"triple violates opposedness: {e}") from e
-        return cls(J, a @ _trusted(_integer_form(l)), b.inverse())
+        return cls(J, a @ _reduced(tuple(map(tuple, la._integer_form(l)[0]))), b.inverse())
 
     @property
     def n(self) -> int:

@@ -73,10 +73,10 @@ def phi_plus(word: ReducedWord, coords: Sequence) -> GroupMatrix:
 # ---------------------------------------------------------------------------
 # positivity certificates (exact minor tests)
 
-# The minor tests run on Python ints: on a group element's integer matrix
-# M, or on a rational matrix after la._integer_rows, whose positive row
-# scalings keep the sign of every minor.  A group element is tested on its
-# canonical sign representative: a TNN matrix has entries ≥ 0, so its
+# The minor tests run on Python ints: on a group element's integer matrix M,
+# or on a rational matrix's integer form (la._integer_form), a positive
+# multiple, which keeps the sign of every minor.  A group element is tested
+# on its canonical sign representative: a TNN matrix has entries ≥ 0, so its
 # first nonzero entry is positive, and at even n ``canonical()`` picks the
 # one of ±M that can pass.  The TP test reads the interval column sets, as
 # all initial minors > 0 make a matrix TP (Gasca–Peña); TNN reads them all.
@@ -87,7 +87,7 @@ def is_tnn_matrix(m: la.Matrix) -> bool:
     zero minors."""
     if not min(la.dims(m)):
         raise ValueError("minor test of an empty matrix")
-    a = la._integer_rows(la.mat(m))[0]
+    a = la._integer_form(la.mat(m))[0]
     n = max(len(a), len(a[0]))
     square = [row + [0] * (n - len(row)) for row in a] + [[0] * n] * (n - len(a))
     return _minors_positive(square, strict=False)

@@ -78,8 +78,8 @@ from tnncompact.exterior import (
     subsets_colex,
 )
 from tnncompact.laurent import Laurent, lmat_limit
-from tnncompact.matgroup import GroupError, _integer_form, _trusted, _word_element
-from tnncompact.strata import _limit_images, fundamental_tuple
+from tnncompact.matgroup import GroupError, _trusted, _word_element
+from tnncompact.strata import CompactPoint, _limit_images, fundamental_tuple
 from tnncompact.tnn import (
     _double_cell_steps,
     double_cell_evaluate,
@@ -238,9 +238,18 @@ def trusted(m):
     """The GroupMatrix of any square rational m, unchecked: m need not have
     det 1, or be invertible.  Its M is m with its denominators cleared, and
     its ``m`` is m itself, since a singular M has no d to derive."""
-    g = _trusted(_integer_form(m))
+    g = _trusted(tuple(map(tuple, la._integer_form(m)[0])))
     g.__dict__["m"] = m
     return g
+
+
+def fraction_of_triple(J, a, b, g):
+    """The point (^a P_J, ^b Q_J, H·g·U) as ``CompactPoint.of_triple`` built
+    it before it read integer matrices: (a·l, b⁻¹) for l the Levi part of
+    the Fraction view (a⁻¹·g·b).m, a det-1 matrix whose integer form is the
+    group element l."""
+    l = la.levi_part((a.inverse() @ g @ b).m, J.blocks0())
+    return CompactPoint(J, a @ trusted(l), b.inverse())
 
 
 def denominator(g):

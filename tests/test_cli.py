@@ -584,7 +584,7 @@ def test_mutant_catalog_entries_each_edit_one_line_once():
     its module, so a refactor that breaks an entry fails here, not only
     when the script runs."""
     mutants = _load_script(MUTANTS_SCRIPT)
-    assert len(mutants.MUTANTS) == 25
+    assert len(mutants.MUTANTS) == 26
     for name, (module, old, new) in mutants.MUTANTS.items():
         text = (ROOT / "src" / "tnncompact" / module).read_text()
         assert text.count(old) == 1 and "\n" not in old + new and old != new, name

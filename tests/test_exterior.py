@@ -55,6 +55,23 @@ def test_colex_order():
             assert subs[0] == tuple(range(1, k + 1))
 
 
+def test_compound_of_degree_zero_is_the_int_one():
+    """Degree 0 is the 1×1 matrix of the int 1, the degree-0 entry that
+    ``iJ_of_point`` reads too, so the compounds of an int matrix are ints
+    in every degree."""
+    from tnncompact.strata import base_point, iJ_of_point
+
+    m = ((1, 2), (3, 4))
+    for k in range(3):
+        assert all(type(x) is int for row in compound(m, k) for x in row)
+    J = ParabolicSubset.of(3, [1, 2])
+    data = embedding_data(J)
+    assert data.k1 == 0
+    degree_zero = iJ_of_point(base_point(J), data)[0]
+    assert compound(m, 0) == degree_zero == ((1,),)
+    assert type(degree_zero[0][0]) is int
+
+
 def test_compound_identity_and_det():
     assert compound(identity(3), 2) == identity(3)
     g = la.mat([[1, 2], [1, 3]])
@@ -63,7 +80,7 @@ def test_compound_identity_and_det():
 
 def test_compound_degree_zero_and_range():
     m = la.mat([[1, 2], [3, 4]])
-    assert compound(m, 0) == ((Fraction(1),),)
+    assert compound(m, 0) == ((1,),)
     assert compound(m, 1) == m
     assert list(compounds(m, 0)) == []
     for k in (-1, 3):
@@ -296,25 +313,42 @@ def test_cached_positions_are_the_stratum_indicator_diagonal():
                 ), (J, k)
 
 
+def integer_form(m):
+    """The integer matrix d·m, d the lcm of m's denominators."""
+    return tuple(map(tuple, la._integer_form(m)[0]))
+
+
 def test_proj_helpers():
     a = la.mat([[1, 2], [3, 4]])
     assert proj_equal(a, scale(a, Fraction(-7, 3)))
     assert not proj_equal(a, identity(2))
-    assert proj_key(a) == proj_key(scale(a, Fraction(-7, 3))) == ((1, 2), (3, 4))
-    assert proj_key(((0, -4), (6, Fraction(2, 3)))) == ((0, 6), (-9, -1))
+    assert proj_key(integer_form(a)) == proj_key(integer_form(scale(a, Fraction(-7, 3))))
+    assert proj_key(integer_form(a)) == ((1, 2), (3, 4))
+    assert proj_key(integer_form(((0, -4), (6, Fraction(2, 3))))) == ((0, 6), (-9, -1))
     assert strictly_signed(scale(a, Fraction(-1)))
     assert not strictly_signed(la.mat([[1, 0], [2, 3]]))
 
 
+def test_proj_key_of_the_zero_matrix_raises_value_error():
+    """The zero matrix is no projective point.  A StopIteration would end
+    the ``map`` that builds a key tuple and silently truncate the tuple."""
+    with pytest.raises(ValueError):
+        proj_key(((0, 0), (0, 0)))
+    with pytest.raises(ValueError):
+        tuple(map(proj_key, [((1,),), ((0,),), ((2,),)]))
+
+
 @given(square_matrices(max_n=3), square_matrices(max_n=3), st.fractions().filter(bool))
 def test_proj_key_is_the_projective_point(a, b, c):
-    """Two nonzero matrices have one key exactly when the oracle's
-    cross-multiplication calls them one projective point; a key is an
-    integer matrix of a's shape, and a nonzero multiple of a has a's key."""
+    """Two nonzero integer matrices have one key exactly when the oracle's
+    cross-multiplication calls the rational matrices they clear one
+    projective point; a key is an integer matrix of a's shape, and the
+    integer form of a nonzero multiple c·a has a's key."""
     (_, a), (_, b) = a, b
     if not any(map(any, a)) or not any(map(any, b)):
         return
-    assert proj_key(scale(a, c)) == proj_key(a)
-    assert all(type(x) is int for row in proj_key(a) for x in row)
-    assert la.dims(proj_key(a)) == la.dims(a)
-    assert (proj_key(a) == proj_key(b)) == proj_equal(a, b)
+    key = proj_key(integer_form(a))
+    assert proj_key(integer_form(scale(a, c))) == key
+    assert all(type(x) is int for row in key for x in row)
+    assert la.dims(key) == la.dims(a)
+    assert (key == proj_key(integer_form(b))) == proj_equal(a, b)

@@ -122,3 +122,36 @@ def test_int_coefficients_match_fractions(a, b):
         assert got == want
         assert all(type(c) is int for _, c in got.coeffs)
         assert all(c != 0 for _, c in got.coeffs)
+
+
+def test_the_limit_of_an_int_curve_is_an_int_matrix():
+    """An absent exponent's coefficient is the int 0, so the limit of a
+    curve of int matrices is an int matrix, zeros included, as an
+    integer-only ``proj_key`` needs."""
+    assert type(Laurent.of({1: 3}).coeff(0)) is int
+    got = lmat_limit(((Laurent.of({0: 2}), Laurent.of({1: 3})),))
+    assert got == ((2, 0),)
+    assert all(type(x) is int for row in got for x in row)
+
+
+def test_the_limits_suite_reads_int_leading_coefficients():
+    """The ``limits`` suite's curve images, the leading coefficients of
+    ρ_k(M1·diag(s^{−e})·M2) for integer M_i, are int matrices in every
+    degree: for totally positive pairs, and for a unipotent g1 whose zeros
+    leave entries below the leading order, whose coefficient is 0."""
+    import random
+
+    from oracles import generator_x
+    from tnncompact.tnn import sample_G_gt0
+    from tnncompact.verify import _curve_limit_images
+
+    rng = random.Random(5)
+    zeros = 0
+    for n in (2, 3, 4):
+        g2 = sample_G_gt0(n, rng)
+        for g1 in (sample_G_gt0(n, rng), generator_x(n, 1, Fraction(3, 2))):
+            for c in ((0,) * (n - 1), (1,) + (0,) * (n - 2), (2,) * (n - 1)):
+                for m in _curve_limit_images(g1, c, g2):
+                    assert all(type(x) is int for row in m for x in row), (n, c)
+                    zeros += sum(row.count(0) for row in m)
+    assert zeros

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -192,32 +193,52 @@ def _refuse(*args, **kwargs):
     raise AssertionError("the all-int rank built a Fraction or cleared denominators")
 
 
+def _calls(f, *args):
+    """f(*args) and the names of the functions it called, Python and
+    builtin alike (an int's ``as_integer_ratio`` is a builtin method, a
+    Fraction's a Python one), from a profile hook."""
+    names = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+        elif event == "c_call":
+            names.append(arg.__name__)
+
+    sys.setprofile(hook)
+    try:
+        return f(*args), names
+    finally:
+        sys.setprofile(None)
+
+
 @given(integer_matrices())
 def test_rank_of_an_int_matrix_clears_no_denominators(m):
-    """An all-int matrix is eliminated as it is: the rank is that of the
-    denominator-clearing route, with no ``_integer_rows`` call and no
-    Fraction built."""
-    want = la._eliminate(la._integer_rows(m)[0], la.dims(m)[1])[0]
+    """An all-int matrix takes the integer form's copy route: its rows as
+    they are, with d = 1 and no ``as_integer_ratio`` call; and its rank is
+    the elimination of those rows, with no Fraction built."""
+    (a, d), names = _calls(la._integer_form, m)
+    assert (a, d) == ([list(row) for row in m], 1)
+    assert "as_integer_ratio" not in names
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(la, "_integer_rows", _refuse)
         mp.setattr(Fraction, "__new__", _refuse)
-        got = la.rank(m)
-    assert got == want
+        got, names = _calls(la.rank, m)
+    assert got == la._eliminate(a, la.dims(m)[1])[0]
+    assert "as_integer_ratio" not in names
 
 
 @given(rectangular_matrices(), st.data())
 def test_rank_of_a_fraction_or_mixed_matrix_clears_denominators(m, data):
-    """Fraction input, and int input with one Fraction in it, keep the
-    ``_integer_rows`` route."""
+    """Fraction input, and int input with one Fraction in it, take the
+    denominator-clearing route of the integer form (``as_integer_ratio``
+    on every entry), and their rank is the minor rank."""
     mixed = tuple(tuple(int(x) if x.denominator == 1 else x for x in row) for row in m)
     i = data.draw(st.integers(0, len(m) - 1))
     mixed = mixed[:i] + ((Fraction(mixed[i][0]),) + mixed[i][1:],) + mixed[i + 1:]
-    calls = []
-    route = la._integer_rows
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(la, "_integer_rows", lambda a: calls.append(a) or route(a))
-        assert la.rank(m) == la.rank(mixed) == minor_rank(m)
-    assert calls == [m, mixed]
+    for a in (m, mixed):
+        got, names = _calls(la.rank, a)
+        assert got == minor_rank(m)
+        assert names.count("as_integer_ratio") == sum(map(len, a))
 
 
 def test_tangent_rank_takes_the_fraction_route(monkeypatch):
@@ -234,8 +255,8 @@ def test_tangent_rank_takes_the_fraction_route(monkeypatch):
     vals = [rand_pos_fraction(rng) for _ in range(dimension_of(label))]
     words = _chart_words(_chart(label, vals))
     calls = []
-    route = la._integer_rows
-    monkeypatch.setattr(la, "_integer_rows", lambda a: calls.append(a) or route(a))
+    route = la._integer_form
+    monkeypatch.setattr(la, "_integer_form", lambda a: calls.append(a) or route(a))
     assert _tangent_rank(label.J, *words) == dimension_of(label)
     assert calls and any(type(x) is Fraction for row in calls[-1] for x in row)
 
@@ -243,10 +264,21 @@ def test_tangent_rank_takes_the_fraction_route(monkeypatch):
 @given(st.one_of(integer_matrices(), rectangular_matrices()), st.sampled_from([2, 3, 5, 2**61 - 1]))
 def test_rank_mod_p_never_exceeds_the_rank(m, p):
     """Reduction mod p can only lower a rank: on int and Fraction matrices,
-    tall and wide, the rank over Z/p of the rows with denominators cleared
-    is at most the exact rank.  The Jacobian check's full-rank certificate
-    rests on this."""
-    assert la._rank_mod_p(la._integer_rows(m)[0], p) <= la.rank(m)
+    tall and wide, the rank over Z/p of the integer form is at most the
+    exact rank.  The Jacobian check's full-rank certificate rests on
+    this."""
+    assert la._rank_mod_p(la._integer_form(m)[0], p) <= la.rank(m)
+
+
+def test_integer_form_of_mixed_denominators_is_their_lcm():
+    """d is the lcm of the entries' denominators, not their product or a
+    per-row scale, and A = d·m holds ints."""
+    m = ((Fraction(1, 2), 3), (Fraction(5, 6), Fraction(-7, 4)))
+    assert la._integer_form(m) == ([[6, 36], [10, -21]], 12)
+    mixed = ((Fraction(2, 3), 1, 0), (0, Fraction(-1, 9), Fraction(5, 2)))
+    a, d = la._integer_form(mixed)
+    assert (a, d) == ([[12, 18, 0], [0, -2, 45]], 18)
+    assert all(type(x) is int for row in a for x in row)
 
 
 def test_ldu_reassembly_and_failure():

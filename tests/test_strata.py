@@ -14,6 +14,7 @@ from oracles import (
     dual_chart,
     fraction_limit_check,
     fraction_membership,
+    fraction_of_triple,
     generator_x,
     generator_y,
     identity,
@@ -419,6 +420,34 @@ def mixed_sign_element(n, rng):
         a = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
         g = g @ rng.choice([generator_x(n, i, a), generator_y(n, i, a), sdot(n, i)])
     return g
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_of_triple_from_the_integer_matrix_is_the_fraction_route_point(n):
+    """of_triple reads the Levi part off the integer matrix of a⁻¹·g·b; on
+    seeded triples of mixed-sign elements over every J, J = ∅ and J = I
+    included, it builds the pair that the Fraction view's Levi part gives
+    (``oracles.fraction_of_triple``), matrix for matrix, and refuses the
+    triples that route cannot factor.  Some triples have a = 1 or a Weyl
+    lift, whose products return the Levi part's matrix unreduced."""
+    rng = random.Random(90 + n)
+    built = lifted = 0
+    for J in all_parabolic_subsets(n):
+        lifts = (identity_g(n), wdot(rng.choice(all_weyl(n))))
+        for a in (mixed_sign_element(n, rng), mixed_sign_element(n, rng), *lifts):
+            b, g = mixed_sign_element(n, rng), mixed_sign_element(n, rng)
+            try:
+                z = CompactPoint.of_triple(J, a, b, g)
+            except StrataError:
+                with pytest.raises(la.FactorizationError):
+                    fraction_of_triple(J, a, b, g)
+                continue
+            want = fraction_of_triple(J, a, b, g)
+            assert (z.g1.M, z.g2.M) == (want.g1.M, want.g2.M), J
+            assert z == want
+            built += 1
+            lifted += a in lifts
+    assert built >= 2 * len(all_parabolic_subsets(n)) and lifted >= len(all_parabolic_subsets(n))
 
 
 def exponents_into(J, rng):
